@@ -1,70 +1,25 @@
-"""Kernel performance baseline: ``python -m repro.bench``.
+"""Trace record/replay helpers for kernel benchmarking.
 
-Measures simulated cycles/sec of the active-set and vector kernels
-against the naive full-scan kernel over a matrix of scheme x injection
-rate x mesh size, and emits the result as ``BENCH_kernel.json`` so CI
-can track the trend and flag regressions.
-
-Methodology
------------
+The benchmark itself lives in ``bench/`` (see ``bench/README.md``); it
+times these public functions from outside.
 
 Open-loop synthetic traffic is state-independent: the generator never
-looks at the network beyond its topology.  Each benchmark therefore
+looks at the network beyond its topology.  A benchmark therefore
 **pre-records an injection trace** (cycle, source, destination, vnet,
 size — plus slack-2 early notices) by driving :class:`SyntheticTraffic`
-against a lightweight recorder, then **replays** the identical trace
-into a fresh network per kernel.  The timed region contains only trace
-application and ``Network.step`` — no RNG, no pattern math — so the
-reported speedup isolates the kernel instead of diluting it with
-traffic-generation overhead.
-
-Because all kernels consume the same trace, the bench doubles as an
-end-to-end exactness check: within every config it asserts that **every
-timing repetition** of every kernel produced the identical stats dump
-and total cycle count (so no timing is ever accepted for a run that did
-different work), and that all kernels match the naive reference.
-
-Output schema (``bench_kernel/v1``)::
-
-    {
-      "schema": "bench_kernel/v1",
-      "cycles": <recorded trace length>,
-      "repeat": <timing repetitions, best-of>,
-      "results": [
-        {"scheme": str, "width": int, "height": int,
-         "injection_rate": float, "total_cycles": int,
-         "active_cps": float, "naive_cps": float, "vector_cps": float,
-         "speedup": float,          # active_cps / naive_cps
-         "speedup_vector": float},  # vector_cps / active_cps
-        ...
-      ]
-    }
-
-``--check BASELINE`` compares the current run against a committed
-baseline and exits non-zero only when a config's cycles/sec fell more
-than ``--tolerance`` (default 30%) below the baseline for any
-``*_cps`` column present in both documents — a trend job, deliberately
-insensitive to ordinary machine-to-machine noise in the speedup ratios
-themselves.
-
-Campaign throughput mode (``--campaign``) benchmarks the *campaign
-executors* instead of the cycle kernels: the same batch of cheap
-synthetic cells runs through the single-host process pool and through
-an ephemeral two-host local service cluster (``docs/service.md``),
-reporting cells/sec for each and asserting the payloads came back
-bit-identical.  Output schema (``bench_campaign/v1``) lands in
-``BENCH_campaign.json``; the service row carries real orchestration
-overhead (TCP round-trips, leases, per-host engine pools), so it is a
-distribution-tax trend line, not a horse race.
+against a lightweight recorder (:func:`record_trace`), then **replays**
+the identical trace into a fresh network (:func:`replay`).  The timed
+region contains only trace application and ``Network.step`` — no RNG,
+no pattern math — so a measurement isolates the kernel instead of
+diluting it with traffic-generation overhead, and every kernel or
+scheme consuming the same trace can be compared stat for stat
+(:func:`_stats_fingerprint`).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .baselines import NoRDLike
 from .core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
@@ -79,13 +34,6 @@ SCHEMES: Dict[str, Callable] = {
     "PowerPunchPG": PowerPunchPG,
     "NoRDLike": NoRDLike,
 }
-
-#: Schemes that run on every topology (multi-hop punch schemes are
-#: mesh-only, so non-mesh bench rows are restricted to these).
-PORTABLE_SCHEMES = ("NoPG", "ConvOptPG")
-
-#: Kernels every bench cell times and cross-checks.
-KERNELS = ("active", "naive", "vector")
 
 #: One trace event: ("inject", source, dest, vnet, size) or ("notice", node).
 TraceEvent = Tuple
@@ -182,95 +130,6 @@ def _stats_fingerprint(net: Network) -> Dict[str, int]:
     return dump
 
 
-def bench_config(
-    scheme_name: str,
-    width: int,
-    height: int,
-    rate: float,
-    cycles: int,
-    repeat: int,
-    seed: int = 7,
-    topology: str = "mesh",
-) -> Dict[str, object]:
-    """Benchmark one (scheme, fabric, rate) cell under all three kernels.
-
-    A timing is only accepted once **every** repetition of the kernel
-    produced the identical stats fingerprint and drain length — a
-    repetition that did different work (a nondeterminism bug) would
-    otherwise silently contribute its wall clock to the best-of.
-    Previously only the last repetition was checked.
-    """
-    base = NoCConfig(width=width, height=height, topology=topology)
-    trace = record_trace(base, "uniform_random", rate, seed, cycles)
-    timings: Dict[str, float] = {}
-    fingerprints = {}
-    total_cycles = {}
-    for kernel in KERNELS:
-        config = NoCConfig(
-            width=width, height=height, topology=topology, kernel=kernel
-        )
-        best = None
-        for rep in range(repeat):
-            net, elapsed = replay(config, scheme_name, trace, cycles)
-            fingerprint = _stats_fingerprint(net)
-            if rep == 0:
-                fingerprints[kernel] = fingerprint
-                total_cycles[kernel] = net.cycle
-            else:
-                if fingerprint != fingerprints[kernel]:
-                    mismatched = {
-                        key: (fingerprints[kernel][key], fingerprint[key])
-                        for key in fingerprint
-                        if fingerprint[key] != fingerprints[kernel][key]
-                    }
-                    raise AssertionError(
-                        f"nondeterministic {kernel} kernel for {scheme_name} "
-                        f"{width}x{height}@{rate} (repeat {rep}): {mismatched}"
-                    )
-                if net.cycle != total_cycles[kernel]:
-                    raise AssertionError(
-                        f"nondeterministic drain length for {kernel} kernel, "
-                        f"{scheme_name} {width}x{height}@{rate} (repeat "
-                        f"{rep}): {net.cycle} != {total_cycles[kernel]}"
-                    )
-            best = elapsed if best is None else min(best, elapsed)
-        timings[kernel] = best
-    for kernel in KERNELS:
-        if kernel == "naive":
-            continue
-        if fingerprints[kernel] != fingerprints["naive"]:
-            mismatched = {
-                key: (fingerprints[kernel][key], fingerprints["naive"][key])
-                for key in fingerprints[kernel]
-                if fingerprints[kernel][key] != fingerprints["naive"][key]
-            }
-            raise AssertionError(
-                f"kernel mismatch ({kernel} vs naive) for {scheme_name} "
-                f"{width}x{height}@{rate}: {mismatched}"
-            )
-        if total_cycles[kernel] != total_cycles["naive"]:
-            raise AssertionError(
-                f"drain length diverged ({kernel} vs naive) for "
-                f"{scheme_name} {width}x{height}@{rate}: {total_cycles}"
-            )
-    active_cps = total_cycles["active"] / timings["active"]
-    naive_cps = total_cycles["naive"] / timings["naive"]
-    vector_cps = total_cycles["vector"] / timings["vector"]
-    return {
-        "scheme": scheme_name,
-        "topology": topology,
-        "width": width,
-        "height": height,
-        "injection_rate": rate,
-        "total_cycles": total_cycles["active"],
-        "active_cps": round(active_cps, 1),
-        "naive_cps": round(naive_cps, 1),
-        "vector_cps": round(vector_cps, 1),
-        "speedup": round(active_cps / naive_cps, 3),
-        "speedup_vector": round(vector_cps / active_cps, 3),
-    }
-
-
 def parse_fabric(spec: str) -> Tuple[str, int, int]:
     """Parse a fabric spec: ``8x8`` (mesh), ``torus:8x8``, ``ring:16``."""
     topology, sep, dims = spec.partition(":")
@@ -278,368 +137,3 @@ def parse_fabric(spec: str) -> Tuple[str, int, int]:
         topology, dims = "mesh", spec
     width, sep, height = dims.partition("x")
     return (topology, int(width), int(height) if sep else 1)
-
-
-def bench_campaign(
-    schemes: List[str],
-    fabrics: List[Tuple[str, int, int]],
-    rates: List[float],
-    cycles: int,
-    repeat: int,
-):
-    """Declare the benchmark matrix as campaign cells.
-
-    Bench cells are never cached — their payloads are wall-clock
-    timings, which are not a function of the spec — so the campaign
-    runs with ``cache_dir=None`` always; the engine contributes
-    fan-out, retries and the shared progress-log format.
-
-    Multi-hop punch schemes are mesh-only, so non-mesh fabrics keep
-    only the :data:`PORTABLE_SCHEMES` subset of ``schemes``.
-    """
-    from .campaign import Campaign, CellSpec
-
-    cells = tuple(
-        CellSpec(
-            kind="bench",
-            workload=(
-                f"{width}x{height}"
-                if topology == "mesh"
-                else f"{topology}:{width}x{height}"
-            ),
-            scheme=scheme_name,
-            config=NoCConfig(
-                width=width, height=height, topology=topology
-            ).to_items(),
-            seed=7,
-            injection_rate=rate,
-            extras=(("cycles", cycles), ("repeat", repeat)),
-        )
-        for topology, width, height in fabrics
-        for rate in rates
-        for scheme_name in schemes
-        if topology == "mesh" or scheme_name in PORTABLE_SCHEMES
-    )
-    return Campaign(name="bench-kernel", cells=cells)
-
-
-def run_matrix(
-    schemes: List[str],
-    fabrics: List[Tuple[str, int, int]],
-    rates: List[float],
-    cycles: int,
-    repeat: int,
-    verbose: bool = True,
-    workers: int = 1,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-) -> Dict[str, object]:
-    """Run the full benchmark matrix; return the bench_kernel/v1 doc.
-
-    ``workers > 1`` fans cells out over a process pool; expect extra
-    timing noise from co-scheduled workers (cycles/sec drops while the
-    active/naive *ratio* within a cell stays comparable, since both
-    kernels of a cell time on the same worker).  ``timeout`` bounds
-    each cell's wall clock — a wedged kernel fails its cell instead of
-    hanging the whole trend job.
-    """
-    campaign = bench_campaign(schemes, fabrics, rates, cycles, repeat)
-    results = campaign.run(
-        workers=workers, timeout=timeout, max_retries=max_retries
-    )
-    if verbose:
-        for cell in results:
-            topo = cell.get("topology", "mesh")
-            label = "" if topo == "mesh" else f"{topo}:"
-            print(
-                f"{cell['scheme']:>17} {label}{cell['width']}x{cell['height']} "
-                f"rate={cell['injection_rate']:<5} "
-                f"active={cell['active_cps']:>9} c/s  "
-                f"naive={cell['naive_cps']:>9} c/s  "
-                f"vector={cell['vector_cps']:>9} c/s  "
-                f"speedup={cell['speedup']}x  "
-                f"vector/active={cell['speedup_vector']}x",
-                file=sys.stderr,
-            )
-    return {
-        "schema": "bench_kernel/v1",
-        "cycles": cycles,
-        "repeat": repeat,
-        "results": results,
-    }
-
-
-def campaign_throughput_cells(count: int, measurement: int = 60):
-    """Cheap, distinct synthetic cells for executor benchmarking."""
-    from .campaign import CellSpec
-
-    return [
-        CellSpec.synthetic(
-            "uniform_random",
-            0.02,
-            "PowerPunch-PG",
-            warmup=20,
-            measurement=measurement,
-            seed=seed,
-            drain=False,
-        )
-        for seed in range(1, count + 1)
-    ]
-
-
-def run_campaign_bench(
-    count: int,
-    workers: int,
-    service_hosts: int,
-    measurement: int = 60,
-    verbose: bool = True,
-) -> Dict[str, object]:
-    """Benchmark single-host pool vs local service on the same cells.
-
-    Both executors get the same total parallelism (``workers`` pool
-    slots vs ``service_hosts`` hosts of ``workers // service_hosts``
-    capacity each, minimum 1) and run cache-less so every cell
-    actually executes.  Returns the ``bench_campaign/v1`` document.
-    """
-    import json as _json
-
-    from .campaign import execute_cells
-    from .campaign.cache import encode_payload
-    from .campaign.service import run_hosted
-
-    cells = campaign_throughput_cells(count, measurement=measurement)
-
-    start = perf_counter()
-    single_payloads, _single = execute_cells(cells, workers=workers)
-    single_elapsed = perf_counter() - start
-
-    per_host = max(1, workers // service_hosts)
-    start = perf_counter()
-    hosted_payloads, hosted_stats = run_hosted(
-        cells,
-        f"local:{service_hosts}",
-        name="bench-campaign",
-        workers=per_host,
-    )
-    hosted_elapsed = perf_counter() - start
-
-    identical = [
-        _json.dumps(encode_payload(p), sort_keys=True) for p in single_payloads
-    ] == [
-        _json.dumps(encode_payload(p), sort_keys=True) for p in hosted_payloads
-    ]
-    if not identical:
-        raise AssertionError(
-            "service payloads diverged from the single-host run"
-        )
-    doc = {
-        "schema": "bench_campaign/v1",
-        "cells": count,
-        "measurement": measurement,
-        "results": [
-            {
-                "executor": "single-host-pool",
-                "workers": workers,
-                "elapsed": round(single_elapsed, 3),
-                "cells_per_sec": round(count / single_elapsed, 2),
-            },
-            {
-                "executor": f"service-{service_hosts}host",
-                "hosts": service_hosts,
-                "capacity_per_host": per_host,
-                "elapsed": round(hosted_elapsed, 3),
-                "cells_per_sec": round(count / hosted_elapsed, 2),
-                "service": getattr(hosted_stats, "service", {}),
-            },
-        ],
-        "identical_payloads": identical,
-    }
-    if verbose:
-        for row in doc["results"]:
-            print(
-                f"{row['executor']:>20}: {row['cells_per_sec']:>8} cells/s "
-                f"({row['elapsed']}s for {count} cells)",
-                file=sys.stderr,
-            )
-    return doc
-
-
-def check_against_baseline(
-    current: Dict[str, object], baseline: Dict[str, object], tolerance: float
-) -> List[str]:
-    """Cycles/sec regressions beyond ``tolerance``, as messages.
-
-    Every ``*_cps`` column present in both a current cell and its
-    baseline cell is gated — a regression in any kernel fails the
-    trend job.  Only configs (and columns) present in both documents
-    are compared, so shrinking or extending the matrix, or adding a
-    kernel, never fails the job by itself.
-    """
-
-    def key(cell):
-        return (
-            cell["scheme"],
-            cell.get("topology", "mesh"),
-            cell["width"],
-            cell["height"],
-            cell["injection_rate"],
-        )
-
-    baseline_cells = {key(cell): cell for cell in baseline.get("results", [])}
-    failures = []
-    for cell in current["results"]:
-        ref = baseline_cells.get(key(cell))
-        if ref is None:
-            continue
-        for column in sorted(cell):
-            if not column.endswith("_cps") or column not in ref:
-                continue
-            floor = ref[column] * (1.0 - tolerance)
-            if cell[column] < floor:
-                failures.append(
-                    f"{cell['scheme']} {cell['width']}x{cell['height']}"
-                    f"@{cell['injection_rate']}: {column} {cell[column]} "
-                    f"< {floor:.1f} (baseline {ref[column]} "
-                    f"- {tolerance:.0%})"
-                )
-    return failures
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.bench", description="kernel cycles/sec benchmark"
-    )
-    parser.add_argument("--out", default="BENCH_kernel.json", help="output JSON path")
-    parser.add_argument(
-        "--cycles", type=int, default=3000, help="traffic cycles per config"
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=3, help="timing repetitions (best-of)"
-    )
-    parser.add_argument(
-        "--schemes",
-        nargs="+",
-        default=["NoPG", "ConvOptPG", "PowerPunchSignal", "PowerPunchPG"],
-        choices=sorted(SCHEMES),
-    )
-    parser.add_argument(
-        "--meshes",
-        nargs="+",
-        default=["8x8", "16x16", "torus:8x8"],
-        help="fabrics as WxH (mesh), topology:WxH, or ring:N "
-        "(non-mesh fabrics bench portable schemes only)",
-    )
-    parser.add_argument(
-        "--rates", nargs="+", type=float, default=[0.02, 0.05],
-        help="injection rates (flits/node/cycle)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool fan-out over bench cells (adds timing noise; "
-        "keep 1 for trend comparisons)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-cell wall-clock budget in seconds (kills wedged cells)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="total attempts per bench cell before it fails the run",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small matrix for CI trend runs (8x8, rate 0.02, 1 repetition)",
-    )
-    parser.add_argument(
-        "--campaign",
-        action="store_true",
-        help="benchmark campaign executors (single-host pool vs local "
-        "service cluster) instead of cycle kernels; writes "
-        "BENCH_campaign.json unless --out is given",
-    )
-    parser.add_argument(
-        "--campaign-cells",
-        type=int,
-        default=24,
-        help="cells in the campaign-throughput batch",
-    )
-    parser.add_argument(
-        "--campaign-workers",
-        type=int,
-        default=2,
-        help="total parallelism for both campaign executors",
-    )
-    parser.add_argument(
-        "--campaign-hosts",
-        type=int,
-        default=2,
-        help="worker hosts in the local service cluster",
-    )
-    parser.add_argument(
-        "--check", default=None, help="baseline BENCH_kernel.json to compare against"
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional active_cps regression vs the baseline",
-    )
-    args = parser.parse_args(argv)
-
-    if args.campaign:
-        out = args.out
-        if out == parser.get_default("out"):
-            out = "BENCH_campaign.json"
-        doc = run_campaign_bench(
-            args.campaign_cells, args.campaign_workers, args.campaign_hosts
-        )
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {out}", file=sys.stderr)
-        return 0
-
-    if args.quick:
-        args.meshes = ["8x8", "torus:8x8"]
-        args.rates = [0.02]
-        args.repeat = 1
-        args.cycles = min(args.cycles, 2000)
-    fabrics = [parse_fabric(spec) for spec in args.meshes]
-
-    doc = run_matrix(
-        args.schemes,
-        fabrics,
-        args.rates,
-        args.cycles,
-        args.repeat,
-        workers=args.workers,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-    )
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(doc['results'])} configs)", file=sys.stderr)
-
-    if args.check is not None:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_against_baseline(doc, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"no regression vs {args.check} (tolerance {args.tolerance:.0%})",
-            file=sys.stderr,
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

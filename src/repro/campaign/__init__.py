@@ -17,14 +17,14 @@ or ``--hosts`` on any campaign CLI; see ``docs/service.md``).
 
 from .cache import CellCache, code_salt, decode_payload, encode_payload
 from .cli import (
+    ENGINE_OPTION_KEYS,
     add_campaign_args,
-    add_guarantees_args,
     add_robustness_args,
-    apply_guarantees_args,
-    apply_robustness_args,
+    add_sprt_args,
     campaign_argparser,
     engine_options,
     require_mesh_topology,
+    robustness_argv,
     sprt_options,
 )
 from .engine import (
@@ -52,6 +52,7 @@ from .supervisor import (
 )
 
 __all__ = [
+    "ENGINE_OPTION_KEYS",
     "Campaign",
     "CampaignCheckpoint",
     "CampaignError",
@@ -67,10 +68,8 @@ __all__ = [
     "RetryPolicy",
     "WorkerCrashError",
     "add_campaign_args",
-    "add_guarantees_args",
     "add_robustness_args",
-    "apply_guarantees_args",
-    "apply_robustness_args",
+    "add_sprt_args",
     "build_scheme",
     "campaign_argparser",
     "classify_attempts",
@@ -84,6 +83,7 @@ __all__ = [
     "iter_events",
     "merge_event_streams",
     "require_mesh_topology",
+    "robustness_argv",
     "run_cell",
     "run_parsec",
     "run_synthetic",

@@ -3,14 +3,44 @@
 Every experiment CLI builds its parser here, so an engine flag added
 once (``--workers``, ``--cache-dir``, ``--resume``) lands in every
 figure script at the same time instead of being re-declared per file.
+The robustness flags (``--faults``, ``--strict-invariants``, ...) are
+declared here too, once: they are cell configuration, so
+:func:`engine_options` turns their parsed values into ``NoCConfig``
+overrides that ``Campaign.run`` stamps onto every cell before hashing.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Optional
+from typing import List, Optional
 
 from ..experiments.common import CANONICAL_INSTRUCTIONS
+from ..noc.config import VALID_DEGRADATIONS
+from .spec import Items, freeze_items
+
+#: ``Campaign.run`` keyword arguments read straight off the namespace.
+_ENGINE_FLAGS = (
+    "workers",
+    "cache_dir",
+    "resume",
+    "timeout",
+    "max_retries",
+    "quarantine_dir",
+    "hosts",
+)
+#: Every key :func:`engine_options` returns.
+ENGINE_OPTION_KEYS = _ENGINE_FLAGS + ("config_overrides",)
+
+#: ``NoCConfig`` fields the robustness flags override; each flag's
+#: argparse ``dest`` is the field name.
+_ROBUSTNESS_FIELDS = (
+    "faults",
+    "strict_invariants",
+    "watchdog",
+    "degradation",
+    "dead_router_threshold",
+    "bounds",
+)
 
 
 def add_campaign_args(
@@ -88,159 +118,136 @@ def add_campaign_args(
 
 
 def add_robustness_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Attach the graceful-degradation override flags to a parser.
+    """Attach the robustness flags — the one place they are declared.
 
-    These mirror the global ``repro.cli`` front-door flags for
-    experiment scripts invoked directly.  Apply the parsed values with
-    :func:`apply_robustness_args` (and ``clear_ambient`` in a
-    ``finally``): they merge into the process-wide ambient config, so
-    they affect networks built in this process — campaign cells that
-    must carry robustness settings across process-pool workers encode
-    them in the cell's ``NoCConfig`` instead (see the ``reliability``
-    cell kind).
+    Every flag overrides the ``NoCConfig`` field of the same name on
+    every cell of the campaign (see :func:`config_overrides`), so the
+    setting is part of each cell's content address and reaches pool
+    workers and service hosts inside the spec.  Unset flags (``None``
+    / ``False``) leave the cell's own value alone; an experiment with
+    its own defaults uses ``parser.set_defaults``.
     """
-    group = parser.add_argument_group("robustness")
+    group = parser.add_argument_group("robustness (cell configuration)")
+    group.add_argument(
+        "--faults",
+        default=None,
+        metavar="SPEC",
+        help="fault schedule injected into every network, e.g. "
+        "'punch_drop,rate=0.5;seed=7' (see docs/fault_model.md)",
+    )
+    group.add_argument(
+        "--strict-invariants",
+        action="store_true",
+        help="run the per-cycle invariant checker and deadlock watchdog "
+        "on every network; the first violation raises",
+    )
+    group.add_argument(
+        "--watchdog",
+        type=int,
+        default=None,
+        metavar="CYCLES",
+        help="deadlock-watchdog bound for --strict-invariants",
+    )
     group.add_argument(
         "--degradation",
-        choices=("none", "drop", "reroute", "fail_fast"),
+        choices=VALID_DEGRADATIONS,
         default=None,
-        help="graceful-degradation mode override for every network "
-        "built by this process (see docs/fault_model.md)",
+        help="graceful-degradation mode of every network",
     )
     group.add_argument(
         "--reroute",
-        action="store_true",
+        action="store_const",
+        const="reroute",
+        dest="degradation",
         help="shorthand for --degradation reroute",
     )
     group.add_argument(
         "--dead-router-threshold",
         type=int,
         default=None,
+        metavar="CYCLES",
         help="continuously stalled cycles before a router is declared "
         "permanently dead",
     )
-    return parser
-
-
-def apply_robustness_args(args: argparse.Namespace) -> bool:
-    """Merge parsed robustness flags into the ambient configuration.
-
-    Returns True when anything was staged (the caller owns the
-    matching ``clear_ambient``); existing ambient state — e.g. a
-    ``--faults`` schedule staged by the ``repro.cli`` front door — is
-    preserved.
-    """
-    from ..noc.faults import ambient_config, set_ambient
-
-    degradation = "reroute" if getattr(args, "reroute", False) else None
-    if degradation is None:
-        degradation = getattr(args, "degradation", None)
-    threshold = getattr(args, "dead_router_threshold", None)
-    if degradation is None and threshold is None:
-        return False
-    (
-        spec,
-        strict,
-        watchdog,
-        ambient_degradation,
-        ambient_threshold,
-        bounds,
-    ) = ambient_config()
-    set_ambient(
-        spec,
-        strict,
-        watchdog,
-        degradation if degradation is not None else ambient_degradation,
-        threshold if threshold is not None else ambient_threshold,
-        bounds,
+    group.add_argument(
+        "--bounds",
+        action="store_true",
+        help="enforce certified worst-case latency bounds on every "
+        "network (strict; fault-free runs only, see docs/guarantees.md)",
     )
-    return True
-
-
-def add_guarantees_args(
-    parser: argparse.ArgumentParser,
-    *,
-    bounds: bool = True,
-    sprt: bool = True,
-) -> argparse.ArgumentParser:
-    """Attach the guarantees-layer flags to a parser.
-
-    Mirrors :func:`add_robustness_args`: ``--bounds`` merges into the
-    process-wide ambient config via :func:`apply_guarantees_args` (so
-    every network built in-process gets a strict
-    :class:`repro.guarantees.BoundChecker`), while the ``--sprt``
-    family parameterizes sequential statistical model checking and is
-    read back with :func:`sprt_options`.  Experiments that sample
-    faulted networks pass ``bounds=False`` — bounds certify fault-free
-    runs only.
-    """
-    group = parser.add_argument_group("guarantees")
-    if bounds:
-        group.add_argument(
-            "--bounds",
-            action="store_true",
-            help="enforce certified worst-case latency bounds on every "
-            "network built by this process (strict: the first "
-            "violating packet raises; see docs/guarantees.md)",
-        )
-    if sprt:
-        group.add_argument(
-            "--sprt",
-            action="store_true",
-            help="sequential probability ratio test mode: stop sampling "
-            "as soon as the delivery-probability hypothesis is "
-            "accepted or rejected instead of burning the full "
-            "--samples budget",
-        )
-        group.add_argument(
-            "--sprt-p0",
-            type=float,
-            default=0.9,
-            help="null hypothesis: P(clean trial) >= p0 (accept)",
-        )
-        group.add_argument(
-            "--sprt-p1",
-            type=float,
-            default=0.6,
-            help="alternative hypothesis: P(clean trial) <= p1 (reject); "
-            "must be < p0",
-        )
-        group.add_argument(
-            "--sprt-alpha",
-            type=float,
-            default=0.05,
-            help="bound on the false-rejection probability",
-        )
-        group.add_argument(
-            "--sprt-beta",
-            type=float,
-            default=0.05,
-            help="bound on the false-acceptance probability",
-        )
-        group.add_argument(
-            "--sprt-batch",
-            type=int,
-            default=8,
-            help="trials declared per sequential round (larger batches "
-            "parallelize better, smaller ones stop earlier)",
-        )
     return parser
 
 
-def apply_guarantees_args(args: argparse.Namespace) -> bool:
-    """Merge a parsed ``--bounds`` flag into the ambient configuration.
+def config_overrides(args: argparse.Namespace) -> Items:
+    """The set robustness flags as ``NoCConfig`` override items."""
+    # Identity, not equality: ``--watchdog 0`` must reach NoCConfig and
+    # be rejected there, not vanish because ``0 == False``.
+    return freeze_items(
+        [
+            (name, value)
+            for name in _ROBUSTNESS_FIELDS
+            if (value := getattr(args, name, None)) is not None
+            and value is not False
+        ]
+    )
 
-    Returns True when staged (the caller owns the matching
-    ``clear_ambient``); existing ambient state is preserved, exactly
-    like :func:`apply_robustness_args`.
-    """
-    from ..noc.faults import ambient_config, set_ambient
 
-    if not getattr(args, "bounds", False):
-        return False
-    spec, strict, watchdog, degradation, threshold, _bounds = ambient_config()
-    set_ambient(spec, strict, watchdog, degradation, threshold, True)
-    return True
+def robustness_argv(args: argparse.Namespace) -> List[str]:
+    """Re-render the set robustness flags as argv tokens (the front
+    door forwards them to the command it dispatches to)."""
+    argv: List[str] = []
+    for name, value in config_overrides(args):
+        argv.append("--" + name.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return argv
+
+
+def add_sprt_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Attach the ``--sprt`` family (sequential statistical model
+    checking; read back with :func:`sprt_options`)."""
+    group = parser.add_argument_group("guarantees")
+    group.add_argument(
+        "--sprt",
+        action="store_true",
+        help="sequential probability ratio test mode: stop sampling "
+        "as soon as the delivery-probability hypothesis is "
+        "accepted or rejected instead of burning the full "
+        "--samples budget",
+    )
+    group.add_argument(
+        "--sprt-p0",
+        type=float,
+        default=0.9,
+        help="null hypothesis: P(clean trial) >= p0 (accept)",
+    )
+    group.add_argument(
+        "--sprt-p1",
+        type=float,
+        default=0.6,
+        help="alternative hypothesis: P(clean trial) <= p1 (reject); "
+        "must be < p0",
+    )
+    group.add_argument(
+        "--sprt-alpha",
+        type=float,
+        default=0.05,
+        help="bound on the false-rejection probability",
+    )
+    group.add_argument(
+        "--sprt-beta",
+        type=float,
+        default=0.05,
+        help="bound on the false-acceptance probability",
+    )
+    group.add_argument(
+        "--sprt-batch",
+        type=int,
+        default=8,
+        help="trials declared per sequential round (larger batches "
+        "parallelize better, smaller ones stop earlier)",
+    )
+    return parser
 
 
 def sprt_options(args: argparse.Namespace) -> dict:
@@ -278,21 +285,15 @@ def campaign_argparser(
     instructions: bool = False,
     prog: Optional[str] = None,
 ) -> argparse.ArgumentParser:
-    """A fresh parser pre-loaded with the shared engine flags."""
+    """A fresh parser pre-loaded with the shared engine and robustness
+    flags."""
     parser = argparse.ArgumentParser(prog=prog, description=description)
-    return add_campaign_args(
-        parser, suite_cache=suite_cache, instructions=instructions
-    )
+    add_campaign_args(parser, suite_cache=suite_cache, instructions=instructions)
+    return add_robustness_args(parser)
 
 
 def engine_options(args: argparse.Namespace) -> dict:
-    """Extract engine kwargs from a parsed namespace."""
-    return {
-        "workers": args.workers,
-        "cache_dir": args.cache_dir,
-        "resume": args.resume,
-        "timeout": args.timeout,
-        "max_retries": args.max_retries,
-        "quarantine_dir": args.quarantine_dir,
-        "hosts": getattr(args, "hosts", None),
-    }
+    """Extract ``Campaign.run`` kwargs from a parsed namespace."""
+    options = {key: getattr(args, key) for key in _ENGINE_FLAGS}
+    options["config_overrides"] = config_overrides(args)
+    return options

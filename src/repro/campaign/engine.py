@@ -55,7 +55,7 @@ from typing import (
 from ..noc.errors import SimulationError
 from .cache import CellCache, Payload, code_salt
 from .runner import run_cell
-from .spec import CellSpec
+from .spec import CellSpec, ItemsLike
 from .supervisor import (
     CampaignCheckpoint,
     CellTimeoutError,
@@ -839,7 +839,15 @@ class Campaign:
         log_path: Optional[Union[str, Path]] = None,
         on_result: Optional[Callable] = None,
         hosts: Optional[str] = None,
+        config_overrides: ItemsLike = (),
     ):
+        # The one point run-wide options (``--faults``, ``--bounds``,
+        # ...) enter the cells: before hashing and before either
+        # carrier, so they are in every content address and travel to
+        # pool workers and service hosts inside the spec.
+        cells = tuple(
+            cell.with_config_overrides(config_overrides) for cell in self.cells
+        )
         if hosts:
             # Distributed path: shard the cells across worker hosts via
             # the campaign service (``local:N`` spawns an ephemeral
@@ -848,7 +856,7 @@ class Campaign:
             from .service import run_hosted
 
             payloads, stats = run_hosted(
-                self.cells,
+                cells,
                 hosts,
                 name=self.name,
                 cache_dir=cache_dir,
@@ -885,7 +893,7 @@ class Campaign:
                 name=self.name,
             )
         payloads, stats = execute_cells(
-            self.cells,
+            cells,
             workers=workers,
             cache=cache,
             resume=resume,

@@ -222,24 +222,6 @@ def _run_analysis_cell(spec: CellSpec) -> dict:
     raise ValueError(f"unknown analysis cell {spec.workload!r}")
 
 
-def _run_bench_cell(spec: CellSpec) -> dict:
-    """Kernel cycles/sec benchmark cell (timing — never cache this)."""
-    from ..bench import bench_config
-
-    params = dict(spec.extras)
-    config = spec.build_config()
-    return bench_config(
-        spec.scheme,
-        config.width,
-        config.height,
-        spec.injection_rate,
-        params["cycles"],
-        params["repeat"],
-        seed=spec.seed,
-        topology=config.topology,
-    )
-
-
 def _run_reliability_cell(spec: CellSpec) -> dict:
     """One Monte-Carlo reliability trial (see spec module docstring).
 
@@ -347,7 +329,6 @@ _RUNNERS = {
     "synthetic_metrics": _run_metrics_cell,
     "bet_account": _run_bet_cell,
     "analysis": _run_analysis_cell,
-    "bench": _run_bench_cell,
     "reliability": _run_reliability_cell,
     "guarantees": _run_guarantees_cell,
 }

@@ -24,9 +24,6 @@ Cell kinds and their payloads:
 ``analysis``
     Deterministic non-simulation analysis (Table 1 enumeration)
     → ``{"report": str}``.
-``bench``
-    Kernel cycles/sec benchmark cell (never cached — wall-clock
-    timings are not content-addressable) → bench result dict.
 ``reliability``
     One Monte-Carlo reliability trial: a fault schedule sampled from
     the cell's seed (see ``repro.noc.faults.sample_fault_schedule``)
@@ -47,7 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from ..experiments.common import CANONICAL_INSTRUCTIONS
@@ -65,7 +62,6 @@ CELL_KINDS = (
     "synthetic_metrics",
     "bet_account",
     "analysis",
-    "bench",
     "reliability",
     "guarantees",
 )
@@ -297,6 +293,19 @@ class CellSpec:
     def build_config(self) -> NoCConfig:
         """Materialize this cell's :class:`NoCConfig`."""
         return NoCConfig.from_items(self.config)
+
+    def with_config_overrides(self, overrides: ItemsLike) -> "CellSpec":
+        """This cell with ``overrides`` laid over its config items.
+
+        An override wins over the cell's own value.  The merged items
+        go through :class:`NoCConfig`, so an invalid combination fails
+        here — before the cell is hashed or run — and an override equal
+        to the field default leaves the content address unchanged.
+        """
+        if not overrides:
+            return self
+        merged = {**dict(self.config), **dict(freeze_items(overrides))}
+        return replace(self, config=NoCConfig(**merged).to_items())
 
     def canonical(self) -> dict:
         """All fields as a deterministic JSON-ready dict."""

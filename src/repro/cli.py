@@ -28,22 +28,28 @@ persistent quarantine ledger (default: ``<cache-dir>/quarantine``).
 Worker crashes (OOM kills, segfaults) are isolated and the pool is
 respawned; a ``kill -9``'d campaign resumes from its checkpoint.
 
-Robustness flags (before the command; see ``docs/fault_model.md``)::
+Robustness flags (before or after the command; see
+``docs/fault_model.md``)::
 
     python -m repro.cli --strict-invariants headline
     python -m repro.cli --faults "punch_drop,rate=0.5;seed=7" fig12
     python -m repro.cli --strict-invariants --watchdog 50000 baselines
     python -m repro.cli --reroute --faults "router_stall,router=27" fig12
-    python -m repro.cli --degradation drop --dead-router-threshold 500 fig13
+    python -m repro.cli fig13 --degradation drop --dead-router-threshold 500
 
-``--faults`` injects a deterministic fault schedule into every network
-the experiment builds; ``--strict-invariants`` runs the per-cycle
-invariant checker and deadlock watchdog (bound adjustable with
-``--watchdog``), aborting on the first violation.  ``--degradation``
-overrides every network's graceful-degradation mode (``none``,
-``drop``, ``reroute``, ``fail_fast``; ``--reroute`` is shorthand for
-``--degradation reroute``) and ``--dead-router-threshold`` the number
-of continuously stalled cycles before a router is declared dead.
+These are cell configuration, not process state: each flag overrides
+the ``NoCConfig`` field of the same name on every cell of the campaign
+before the cell is hashed, so the setting is part of the content
+address (a faulted run never shares a cache entry with a fault-free
+one) and holds under ``--workers N`` and ``--hosts`` exactly as it
+does inline.  ``--faults`` injects a deterministic fault schedule into
+every network; ``--strict-invariants`` runs the per-cycle invariant
+checker and deadlock watchdog (bound adjustable with ``--watchdog``),
+aborting on the first violation.  ``--degradation`` sets every
+network's graceful-degradation mode (``none``, ``drop``, ``reroute``,
+``fail_fast``; ``--reroute`` is shorthand for ``--degradation
+reroute``) and ``--dead-router-threshold`` the number of continuously
+stalled cycles before a router is declared dead.
 
 Monte-Carlo reliability campaigns (``docs/resilience.md``)::
 
@@ -56,12 +62,11 @@ Guarantees mode (``docs/guarantees.md``)::
     python -m repro.cli guarantees --loads 0.02 0.2 --out bounds.json
     python -m repro.cli --bounds fig12
 
-``--bounds`` (before the command, like the robustness flags) installs
-a strict latency-bound checker on every network the experiment builds:
-the first delivered packet to exceed its certified worst-case bound
-raises a structured ``BoundViolationError``.  Bounds certify the
-fault-free pipeline, so ``--bounds`` and ``--faults`` are mutually
-exclusive.
+``--bounds`` (cell configuration, like the robustness flags) puts a
+strict latency-bound checker on every network of every cell: the first
+delivered packet to exceed its certified worst-case bound raises a
+structured ``BoundViolationError``.  Bounds certify the fault-free
+pipeline, so ``--bounds`` and ``--faults`` are mutually exclusive.
 
 Distributed campaigns (``docs/service.md``)::
 
@@ -80,11 +85,11 @@ bit-identical to single-host execution either way.
 
 from __future__ import annotations
 
+import argparse
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from .noc.faults import clear_ambient, set_ambient
-
+from .campaign import add_robustness_args, campaign_argparser, robustness_argv
 from .experiments import (
     ablations,
     headline,
@@ -119,12 +124,8 @@ _COMMANDS = {
     "topologies": topologies.main,
 }
 
-#: Valid values for the global ``--degradation`` override.
-_DEGRADATION_MODES = ("none", "drop", "reroute", "fail_fast")
-
 
 def _run_all(argv: Sequence[str]) -> None:
-    from .campaign import campaign_argparser
     from .experiments.common import CANONICAL_INSTRUCTIONS
 
     parser = campaign_argparser(prog="repro.cli all")
@@ -147,6 +148,9 @@ def _run_all(argv: Sequence[str]) -> None:
     engine_flags += ["--max-retries", str(args.max_retries)]
     if args.quarantine_dir is not None:
         engine_flags += ["--quarantine-dir", args.quarantine_dir]
+    # So do the robustness flags: they are configuration of every cell.
+    robustness = robustness_argv(args)
+    engine_flags += robustness
     parsec_suite.main(
         ["--out", cache, "--instructions", str(args.instructions)] + engine_flags
     )
@@ -157,7 +161,7 @@ def _run_all(argv: Sequence[str]) -> None:
         ("headline", headline.main),
     ):
         print(f"\n==== {name} ====")
-        main(["--cache", cache])
+        main(["--cache", cache] + robustness)
     for name, main in (
         ("table1", table1.main),
         ("fig12", fig12.main),
@@ -173,7 +177,6 @@ def _run_all(argv: Sequence[str]) -> None:
 
 def _serve(argv: Sequence[str]) -> None:
     """Run the campaign-service orchestrator until interrupted."""
-    import argparse
     import asyncio
 
     from .campaign.service import FilesystemStore, MemoryStore, Orchestrator
@@ -259,122 +262,31 @@ def _work(argv: Sequence[str]) -> None:
     worker_main(list(argv))
 
 
-def _split_robustness_flags(
-    argv: List[str],
-) -> Tuple[List[str], Optional[str], bool, Optional[int], Optional[str], Optional[int]]:
-    """Extract the global robustness flags (``--faults``,
-    ``--strict-invariants``, ``--watchdog``, ``--degradation`` /
-    ``--reroute``, ``--dead-router-threshold``, ``--bounds``; valid
-    anywhere before the command) from ``argv``."""
-    rest: List[str] = []
-    fault_spec: Optional[str] = None
-    strict = False
-    watchdog: Optional[int] = None
-    degradation: Optional[str] = None
-    dead_threshold: Optional[int] = None
-    bounds = False
-
-    def parse_int(flag: str, value: str) -> int:
-        try:
-            return int(value)
-        except ValueError:
-            raise SystemExit(f"{flag} expects an integer, got {value!r}")
-
-    valued = ("--faults", "--watchdog", "--degradation", "--dead-router-threshold")
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if rest:  # past the command: everything belongs to the subcommand
-            rest.append(arg)
-        elif arg == "--strict-invariants":
-            strict = True
-        elif arg == "--bounds":
-            bounds = True
-        elif arg == "--reroute":
-            degradation = "reroute"
-        elif arg in valued or (
-            arg.startswith("--") and arg.split("=", 1)[0] in valued
-        ):
-            flag, sep, value = arg.partition("=")
-            if not sep:
-                if i + 1 >= len(argv):
-                    raise SystemExit(f"{flag} requires a value")
-                value = argv[i + 1]
-                i += 1
-            if flag == "--faults":
-                fault_spec = value
-            elif flag == "--watchdog":
-                watchdog = parse_int(flag, value)
-            elif flag == "--degradation":
-                if value not in _DEGRADATION_MODES:
-                    raise SystemExit(
-                        f"--degradation expects one of {_DEGRADATION_MODES}, "
-                        f"got {value!r}"
-                    )
-                degradation = value
-            else:
-                dead_threshold = parse_int(flag, value)
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, fault_spec, strict, watchdog, degradation, dead_threshold, bounds
-
-
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """Dispatch a CLI command (see module docstring for the list)."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv, fault_spec, strict, watchdog, degradation, dead_threshold, bounds = (
-        _split_robustness_flags(argv)
-    )
+    # The robustness flags are accepted on either side of the command:
+    # pick them out with the same argparse group every campaign parser
+    # carries, and hand them to the command as its own flags.
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    options, argv = add_robustness_args(parser).parse_known_args(argv)
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
         print("commands:", ", ".join(sorted(_COMMANDS)), ", all, serve, work")
         return
     command, rest = argv[0], argv[1:]
-    robustness = (
-        fault_spec is not None
-        or strict
-        or degradation is not None
-        or dead_threshold is not None
-        or bounds
-    )
+    robustness = robustness_argv(options)
     if robustness:
-        set_ambient(
-            fault_spec, strict, watchdog, degradation, dead_threshold, bounds
+        print(f"[robustness] {' '.join(robustness)} applies to every cell")
+    runner = {**_COMMANDS, "all": _run_all, "serve": _serve, "work": _work}.get(
+        command
+    )
+    if runner is None:
+        raise SystemExit(
+            f"unknown command {command!r}; available: "
+            f"{sorted(_COMMANDS)} + ['all', 'serve', 'work']"
         )
-        notice = []
-        if fault_spec is not None:
-            notice.append(f"fault schedule {fault_spec!r}")
-        if strict:
-            notice.append("strict invariant checking")
-        if degradation is not None:
-            notice.append(f"degradation={degradation}")
-        if dead_threshold is not None:
-            notice.append(f"dead-router threshold {dead_threshold}")
-        if bounds:
-            notice.append("certified latency bounds (strict)")
-        print(f"[robustness] {', '.join(notice)} enabled for all networks")
-    try:
-        if command == "all":
-            _run_all(rest)
-            return
-        if command == "serve":
-            _serve(rest)
-            return
-        if command == "work":
-            _work(rest)
-            return
-        try:
-            runner = _COMMANDS[command]
-        except KeyError:
-            raise SystemExit(
-                f"unknown command {command!r}; available: "
-                f"{sorted(_COMMANDS)} + ['all', 'serve', 'work']"
-            )
-        runner(rest)
-    finally:
-        if robustness:
-            clear_ambient()
+    runner(rest + robustness)
 
 
 if __name__ == "__main__":

@@ -337,8 +337,6 @@ def report_sprt(estimate: dict) -> str:
 # ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI entry point."""
-    # No --bounds here: every guarantees cell installs its own checker,
-    # so the ambient flag would only double-check the same stream.
     parser = campaign_argparser(__doc__)
     parser.add_argument(
         "--loads",

@@ -35,10 +35,10 @@ import json
 from typing import List, Optional, Sequence
 
 from ..campaign import (
+    ENGINE_OPTION_KEYS,
     Campaign,
     CellSpec,
-    add_guarantees_args,
-    add_robustness_args,
+    add_sprt_args,
     campaign_argparser,
     engine_options,
     require_mesh_topology,
@@ -72,9 +72,9 @@ def reliability_campaign(
     """Declare ``samples`` independent reliability trials.
 
     Trial ``i`` samples its fault schedule from seed ``base_seed + i``;
-    the robustness configuration travels *inside* each cell's
-    ``NoCConfig`` (ambient overrides do not cross process-pool
-    workers), so the campaign is safe under any ``--workers`` fan-out.
+    the robustness configuration is part of each cell's ``NoCConfig``
+    (hence of its content address), so the campaign gives the same
+    result under any ``--workers`` / ``--hosts`` fan-out.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -190,19 +190,7 @@ def _fmt_ci(ci: List[float]) -> str:
 
 def run_reliability(samples: int, verbose: bool = True, **kwargs) -> dict:
     """Run a reliability campaign and return the aggregated estimate."""
-    engine = {
-        k: kwargs.pop(k)
-        for k in (
-            "workers",
-            "cache_dir",
-            "resume",
-            "timeout",
-            "max_retries",
-            "quarantine_dir",
-            "hosts",
-        )
-        if k in kwargs
-    }
+    engine = {k: kwargs.pop(k) for k in ENGINE_OPTION_KEYS if k in kwargs}
     campaign = reliability_campaign(samples, **kwargs)
     outcomes = campaign.run(**engine)
     estimate = aggregate(outcomes)
@@ -214,10 +202,12 @@ def run_reliability(samples: int, verbose: bool = True, **kwargs) -> dict:
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI entry point."""
     parser = campaign_argparser(__doc__)
-    add_robustness_args(parser)
-    # --bounds is deliberately absent: reliability trials inject
-    # faults, and latency bounds certify fault-free runs only.
-    add_guarantees_args(parser, bounds=False)
+    add_sprt_args(parser)
+    # Trials are built to survive faults: this experiment's defaults
+    # for the shared robustness flags differ from "leave cells alone".
+    parser.set_defaults(
+        degradation="reroute", dead_router_threshold=200, watchdog=50_000
+    )
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--pattern", default="uniform_random")
     parser.add_argument("--rate", type=float, default=0.02)
@@ -227,23 +217,18 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--horizon", type=int, default=2000)
     parser.add_argument("--warmup", type=int, default=500)
     parser.add_argument("--measurement", type=int, default=4000)
-    parser.add_argument("--watchdog", type=int, default=50_000)
     parser.add_argument("--base-seed", type=int, default=1)
     parser.add_argument("--out", default=None, help="write the estimate as JSON")
     args = parser.parse_args(argv)
     require_mesh_topology(args, "the reliability campaign")
-    degradation = "reroute" if args.reroute else (args.degradation or "reroute")
-    threshold = (
-        args.dead_router_threshold if args.dead_router_threshold is not None else 200
-    )
     trial_kwargs = dict(
         pattern=args.pattern,
         injection_rate=args.rate,
         scheme=args.scheme,
         width=args.mesh,
         height=args.mesh,
-        degradation=degradation,
-        dead_router_threshold=threshold,
+        degradation=args.degradation,
+        dead_router_threshold=args.dead_router_threshold,
         max_faults=args.max_faults,
         horizon=args.horizon,
         warmup=args.warmup,

@@ -27,9 +27,7 @@ from .faults import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    clear_ambient,
     sample_fault_schedule,
-    set_ambient,
 )
 from .invariants import InvariantChecker, PostMortem
 from .network import Network
@@ -118,11 +116,9 @@ __all__ = [
     "VALID_TOPOLOGIES",
     "VirtualNetwork",
     "XYRouting",
-    "clear_ambient",
     "control_packet",
     "data_packet",
     "default_routing",
     "make_topology",
     "sample_fault_schedule",
-    "set_ambient",
 ]

@@ -11,9 +11,10 @@ network interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from .errors import ConfigError, UnsupportedTopologyError
+from .errors import ConfigError, FaultSpecError, UnsupportedTopologyError
+from .faults import FaultSchedule
 from .packet import NUM_VNETS, VirtualNetwork
 from .topology import TOPOLOGIES, Topology, make_topology
 
@@ -81,6 +82,22 @@ class NoCConfig:
     #: ``degradation="reroute"`` stay mesh-only (validated here and at
     #: scheme attach).
     topology: str = "mesh"
+    #: Fault schedule injected into the network at construction, in
+    #: the ``--faults`` spec grammar (see ``repro.noc.faults``);
+    #: ``None`` runs fault-free.
+    faults: Optional[str] = None
+    #: Run the per-cycle invariant checker and deadlock watchdog in
+    #: strict mode (the first violation raises).
+    strict_invariants: bool = False
+    #: Deadlock-watchdog bound in cycles for the strict checker
+    #: (``None`` keeps the checker's own default; only consulted with
+    #: ``strict_invariants``).
+    watchdog: Optional[int] = None
+    #: Enforce the certified worst-case latency bounds of
+    #: ``repro.guarantees`` on every delivered packet (strict).  The
+    #: bounds certify the fault-free pipeline, so this excludes
+    #: ``faults``.
+    bounds: bool = False
 
     def __post_init__(self) -> None:
         if self.router_stages not in (3, 4):
@@ -97,6 +114,17 @@ class NoCConfig:
             raise ValueError("need at least one VC per virtual network")
         if self.link_latency != 1:
             raise ValueError("only single-cycle links are supported")
+        if self.watchdog is not None and self.watchdog < 1:
+            raise ValueError("watchdog must be positive")
+        if self.faults is not None:
+            if self.bounds:
+                raise FaultSpecError(
+                    "bounds certify fault-free latency and cannot be "
+                    "combined with a fault schedule (--bounds with --faults)"
+                )
+            # Parsed again by Network; validating here makes a bad spec
+            # fail at config time, before any cell runs.
+            FaultSchedule.parse(self.faults)
         if self.topology != "mesh":
             if self.degradation == "reroute":
                 # FaultTolerantRouting's up*/down* detour is certified

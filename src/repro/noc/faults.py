@@ -426,88 +426,3 @@ def sample_fault_schedule(
             kwargs["delay"] = rng.randint(1, max_delay)
         specs.append(FaultSpec(kind=kind, **kwargs))
     return FaultSchedule(specs=specs, seed=rng.randrange(1 << 30))
-
-
-# ----------------------------------------------------------------------
-# Ambient (process-wide) robustness configuration
-# ----------------------------------------------------------------------
-#: The CLI's global ``--faults`` / ``--strict-invariants`` /
-#: ``--degradation`` flags must reach networks constructed arbitrarily
-#: deep inside experiment harnesses without threading parameters
-#: through every call site, so they are staged here and consulted by
-#: ``Network.__init__``.
-_ambient_fault_spec: Optional[str] = None
-_ambient_strict_invariants: bool = False
-_ambient_watchdog: Optional[int] = None
-_ambient_degradation: Optional[str] = None
-_ambient_dead_threshold: Optional[int] = None
-_ambient_bounds: bool = False
-
-
-def set_ambient(
-    fault_spec: Optional[str] = None,
-    strict_invariants: bool = False,
-    watchdog: Optional[int] = None,
-    degradation: Optional[str] = None,
-    dead_router_threshold: Optional[int] = None,
-    bounds: bool = False,
-) -> None:
-    """Configure robustness features for every subsequently built network.
-
-    ``fault_spec`` is validated eagerly so a bad ``--faults`` string
-    fails fast instead of mid-experiment.  ``degradation`` /
-    ``dead_router_threshold``, when not ``None``, override the
-    corresponding ``NoCConfig`` fields of every subsequently built
-    network (the CLI's ``--degradation`` / ``--reroute`` /
-    ``--dead-router-threshold`` knobs).  ``bounds`` installs a strict
-    :class:`repro.guarantees.BoundChecker` on every network (the
-    ``--bounds`` flag); it is rejected together with ``fault_spec``
-    because latency bounds are certified for fault-free runs only.
-    """
-    global _ambient_fault_spec, _ambient_strict_invariants, _ambient_watchdog
-    global _ambient_degradation, _ambient_dead_threshold, _ambient_bounds
-    if bounds and fault_spec is not None:
-        raise FaultSpecError(
-            "--bounds certifies fault-free latency bounds and cannot "
-            "be combined with --faults"
-        )
-    if fault_spec is not None:
-        FaultSchedule.parse(fault_spec)
-    if degradation is not None and degradation not in (
-        "none",
-        "drop",
-        "reroute",
-        "fail_fast",
-    ):
-        raise FaultSpecError(
-            f"unknown degradation mode {degradation!r}; expected "
-            "'none', 'drop', 'reroute' or 'fail_fast'"
-        )
-    if dead_router_threshold is not None and dead_router_threshold < 1:
-        raise FaultSpecError("dead_router_threshold must be positive")
-    _ambient_fault_spec = fault_spec
-    _ambient_strict_invariants = strict_invariants
-    _ambient_watchdog = watchdog
-    _ambient_degradation = degradation
-    _ambient_dead_threshold = dead_router_threshold
-    _ambient_bounds = bounds
-
-
-def clear_ambient() -> None:
-    """Reset the ambient robustness configuration."""
-    set_ambient(None, False, None, None, None, False)
-
-
-def ambient_config() -> Tuple[
-    Optional[str], bool, Optional[int], Optional[str], Optional[int], bool
-]:
-    """The staged ``(fault_spec, strict_invariants, watchdog,
-    degradation, dead_router_threshold, bounds)`` tuple."""
-    return (
-        _ambient_fault_spec,
-        _ambient_strict_invariants,
-        _ambient_watchdog,
-        _ambient_degradation,
-        _ambient_dead_threshold,
-        _ambient_bounds,
-    )

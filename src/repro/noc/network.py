@@ -48,9 +48,8 @@ from .errors import (
     DegradedNetworkError,
     DrainTimeoutError,
     TopologyError,
-    UnsupportedTopologyError,
 )
-from .faults import FaultInjector, FaultSchedule, ambient_config
+from .faults import FaultInjector, FaultSchedule
 from .network_interface import NetworkInterface
 from .packet import Flit, Packet
 from .policy import AlwaysOnPolicy, PowerPolicy
@@ -82,35 +81,10 @@ class Network:
     ) -> None:
         self.config = config
         self.topology = config.make_topology()
-        # The ambient --degradation/--dead-router-threshold overrides
-        # must be known before routers are built: reroute mode swaps in
-        # the fault-tolerant routing function, and every router holds a
-        # reference to the routing object.
-        (
-            _spec,
-            _strict,
-            _watchdog,
-            ambient_degradation,
-            ambient_threshold,
-            _bounds,
-        ) = ambient_config()
-        self._degradation = (
-            ambient_degradation
-            if ambient_degradation is not None
-            else config.degradation
-        )
-        self._dead_threshold = (
-            ambient_threshold
-            if ambient_threshold is not None
-            else config.dead_router_threshold
-        )
-        if self._degradation == "reroute":
-            # Config validation keeps reroute mesh-only, but the
-            # ambient override path can request it too — same rule.
-            if self.topology.name != "mesh":
-                raise UnsupportedTopologyError(
-                    'degradation="reroute"', self.topology.name
-                )
+        # Routing is chosen before routers are built: every router holds
+        # a reference to the routing object, and reroute mode swaps in
+        # the fault-tolerant one (mesh-only, validated by the config).
+        if config.degradation == "reroute":
             self.routing: RoutingAlgorithm = FaultTolerantRouting(self.topology)
         else:
             self.routing = default_routing(self.topology)
@@ -175,46 +149,30 @@ class Network:
         #: Graceful-degradation state (see _check_degradation): routers
         #: declared permanently dead, and a memo of which (start, dest)
         #: XY walks cross one (cleared whenever the dead set grows).
-        #: ``_degradation``/``_dead_threshold`` were resolved above
-        #: (config fields plus ambient CLI overrides).
         self.dead_routers: Set[int] = set()
         self._route_crosses_dead: Dict[Tuple[int, int], bool] = {}
         # Context for the bound-method SA sinks (see _run_switch_allocation).
         self._sa_router: Optional[Router] = None
         self._sa_cycle = 0
         self.policy.attach(self)
-        self._apply_ambient_robustness()
-
-    # ------------------------------------------------------------------
-    # Robustness layer
-    # ------------------------------------------------------------------
-    def _apply_ambient_robustness(self) -> None:
-        """Honor the process-wide ``--faults`` / ``--strict-invariants``
-        / ``--bounds`` configuration staged via
-        :func:`repro.noc.faults.set_ambient`."""
-        (
-            fault_spec,
-            strict_invariants,
-            watchdog,
-            _degradation,
-            _threshold,
-            bounds,
-        ) = ambient_config()
-        if fault_spec is not None:
-            self.install_faults(FaultInjector(FaultSchedule.parse(fault_spec)))
-        if strict_invariants:
+        if config.faults is not None:
+            self.install_faults(FaultInjector(FaultSchedule.parse(config.faults)))
+        if config.strict_invariants:
             from .invariants import InvariantChecker
 
             kwargs = {}
-            if watchdog is not None:
-                kwargs["max_network_age"] = watchdog
+            if config.watchdog is not None:
+                kwargs["max_network_age"] = config.watchdog
             self.install_invariants(InvariantChecker(strict=True, **kwargs))
-        if bounds:
+        if config.bounds:
             # Deferred import: the guarantees layer sits above noc.
             from ..guarantees import BoundChecker
 
             self.install_bounds(BoundChecker(strict=True))
 
+    # ------------------------------------------------------------------
+    # Robustness layer
+    # ------------------------------------------------------------------
     def install_faults(self, injector: FaultInjector) -> None:
         """Attach a fault injector; the policy wires its own fault points
         (punch fabric, PG controllers) and enables the blocking-wakeup
@@ -264,11 +222,11 @@ class Network:
         """Hand a freshly created message to its source NI this cycle."""
         if self.dead_routers and (
             (
-                self._degradation == "drop"
+                self.config.degradation == "drop"
                 and self._crosses_dead(packet.source, packet.destination)
             )
             or (
-                self._degradation == "reroute"
+                self.config.degradation == "reroute"
                 and not self.routing.reachable(packet.source, packet.destination)
             )
         ):
@@ -409,7 +367,7 @@ class Network:
                 engine.step()
                 return
         cycle = self.cycle
-        if self._degradation != "none" and self.faults is not None:
+        if self.faults is not None and self.config.degradation != "none":
             self._check_degradation(cycle)
         self._deliver_flits(cycle)
         self._deliver_credits(cycle)
@@ -668,7 +626,9 @@ class Network:
         """
         newly = [
             rid
-            for rid in self.faults.dead_routers(cycle, self._dead_threshold)
+            for rid in self.faults.dead_routers(
+                cycle, self.config.dead_router_threshold
+            )
             if rid not in self.dead_routers
         ]
         if not newly:
@@ -680,16 +640,16 @@ class Network:
             for rid in newly:
                 ring.record(
                     cycle, "router-dead", rid,
-                    f"stalled >= {self._dead_threshold} cycles",
+                    f"stalled >= {self.config.dead_router_threshold} cycles",
                 )
-        if self._degradation == "reroute":
+        if self.config.degradation == "reroute":
             self._apply_reroute(cycle)
             return
         doomed = self._blast_radius()
-        if self._degradation == "fail_fast":
+        if self.config.degradation == "fail_fast":
             error = DegradedNetworkError(
                 f"router(s) {newly} declared permanently dead after "
-                f"{self._dead_threshold} continuously stalled cycles",
+                f"{self.config.dead_router_threshold} continuously stalled cycles",
                 dead_routers=sorted(self.dead_routers),
                 affected_packets=sorted(doomed),
                 cycle=cycle,

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.campaign import (
+    ENGINE_OPTION_KEYS,
     Campaign,
     CampaignError,
     CellCache,
@@ -394,6 +395,7 @@ class TestSharedArgparser:
             "max_retries": 4,
             "quarantine_dir": "/tmp/q",
             "hosts": "local:3",
+            "config_overrides": (),
         }
 
     def test_defaults(self):
@@ -406,7 +408,9 @@ class TestSharedArgparser:
             "max_retries": 2,
             "quarantine_dir": None,
             "hosts": None,
+            "config_overrides": (),
         }
+        assert tuple(engine_options(args)) == ENGINE_OPTION_KEYS
 
     def test_suite_cache_and_instructions_variants(self):
         parser = campaign_argparser("desc", suite_cache=True, instructions=True)

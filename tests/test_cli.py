@@ -1,16 +1,19 @@
 """Tests for the CLI front door."""
 
+import functools
+
 import pytest
 
 from repro import cli
-from repro.noc import (
-    FaultSpecError,
-    Network,
-    NoCConfig,
-    VirtualNetwork,
-    control_packet,
+from repro.campaign import (
+    Campaign,
+    CampaignError,
+    CellSpec,
+    campaign_argparser,
+    encode_payload,
+    engine_options,
 )
-from repro.noc.faults import ambient_config
+from repro.noc import DeadlockError, FaultSpecError, NoCConfig
 
 
 class TestDispatch:
@@ -49,112 +52,155 @@ class TestDispatch:
         assert "22" in out
 
 
+FAULTS = "wakeup_delay,rate=0.5,delay=8;seed=7"
+
+
+def _probe_cells():
+    config = NoCConfig(width=4, height=4)
+    return [
+        CellSpec.synthetic(
+            "uniform_random",
+            0.05,
+            scheme,
+            warmup=50,
+            measurement=250,
+            seed=seed,
+            config=config,
+        )
+        for scheme in ("ConvOpt-PG", "PowerPunch-PG")
+        for seed in (1, 2)
+    ]
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """A miniature experiment command: the shared parser, a four-cell
+    campaign, ``engine_options`` — nothing robustness-specific.  Each
+    invocation appends ``(encoded payloads, stats, overrides)``."""
+    runs = []
+
+    def main(argv):
+        args = campaign_argparser("probe").parse_args(argv)
+        engine = engine_options(args)
+        campaign = Campaign("probe", _probe_cells())
+        payloads = campaign.run(**engine)
+        runs.append(
+            (
+                [encode_payload(p) for p in payloads],
+                campaign.last_stats,
+                dict(engine["config_overrides"]),
+            )
+        )
+
+    monkeypatch.setitem(cli._COMMANDS, "probe", main)
+    return runs
+
+
 class TestRobustnessFlags:
-    def test_flags_extracted_before_command(self):
-        rest, spec, strict, watchdog, degradation, threshold, bounds = (
-            cli._split_robustness_flags(
-                [
-                    "--strict-invariants",
-                    "--faults",
-                    "punch_drop,rate=0.5",
-                    "fig12",
-                    "--patterns",
-                    "uniform_random",
-                ]
-            )
-        )
-        assert rest == ["fig12", "--patterns", "uniform_random"]
-        assert spec == "punch_drop,rate=0.5"
-        assert strict is True
-        assert watchdog is None
-        assert bounds is False
-
-    def test_equals_forms(self):
-        rest, spec, strict, watchdog, degradation, threshold, bounds = (
-            cli._split_robustness_flags(
-                ["--faults=punch_dup", "--watchdog=1234", "headline"]
-            )
-        )
-        assert rest == ["headline"]
-        assert spec == "punch_dup"
-        assert watchdog == 1234
-
-    def test_flags_after_command_pass_through_to_subcommand(self):
-        rest, spec, strict, watchdog, degradation, threshold, bounds = (
-            cli._split_robustness_flags(["fig12", "--strict-invariants"])
-        )
-        assert rest == ["fig12", "--strict-invariants"]
-        assert strict is False
-
-    def test_missing_value_exits(self):
-        with pytest.raises(SystemExit):
-            cli._split_robustness_flags(["--faults"])
-        with pytest.raises(SystemExit):
-            cli._split_robustness_flags(["--watchdog"])
-
-    def test_bad_watchdog_exits(self):
-        with pytest.raises(SystemExit):
-            cli._split_robustness_flags(["--watchdog", "soon", "fig12"])
-
-    def test_bad_fault_spec_fails_fast(self):
-        """An unparseable --faults string dies before any experiment
-        starts, and leaves no ambient configuration behind."""
-        with pytest.raises(FaultSpecError):
-            cli.main(["--faults", "frobnicate,rate=0.5", "table1"])
-        assert ambient_config() == (None, False, None, None, None, False)
-
-
-class TestRobustnessGolden:
-    """End-to-end: the flags reach networks built inside a command, the
-    announcement banner prints, and the observed output is unchanged by
-    the (purely observational) checker."""
-
-    @staticmethod
-    def _zero_load_command(sink):
-        def command(argv):
-            net = Network(NoCConfig(), None)
-            sink.append(net)
-            packet = control_packet(0, 7, VirtualNetwork.REQUEST, 0)
-            net.inject(packet)
-            net.run_until_drained(2000)
-            print(f"latency={packet.network_latency}")
-
-        return command
-
-    def test_flags_wire_every_network_and_preserve_goldens(
-        self, capsys, monkeypatch
+    def test_flags_before_and_after_the_command_are_the_same_flags(
+        self, probe, capsys
     ):
-        nets = []
-        monkeypatch.setitem(cli._COMMANDS, "probe", self._zero_load_command(nets))
-
-        cli.main(["probe"])
-        baseline = capsys.readouterr().out
-        assert "latency=31" in baseline  # zero-load golden (3-stage 8x8)
-
-        cli.main(
-            [
-                "--strict-invariants",
-                "--faults",
-                "punch_delay,rate=0;seed=3",
-                "--watchdog",
-                "5000",
-                "probe",
-            ]
-        )
+        cli.main(["--strict-invariants", "--watchdog=5000", "probe", "--reroute"])
+        cli.main(["probe", "--strict-invariants", "--watchdog", "5000", "--reroute"])
+        expected = {
+            "strict_invariants": True,
+            "watchdog": 5000,
+            "degradation": "reroute",
+        }
+        assert probe[0][2] == probe[1][2] == expected
+        assert probe[0][0] == probe[1][0]
         out = capsys.readouterr().out
-        assert "[robustness]" in out
-        assert "strict invariant checking" in out
-        # Golden output: identical latency line under the checker.
-        assert "latency=31" in out
+        assert "[robustness]" in out and "--strict-invariants" in out
 
-        plain, checked = nets
-        assert plain.faults is None and plain.invariants is None
-        assert checked.faults is not None
-        assert checked.invariants is not None
-        assert checked.invariants.strict
-        assert checked.invariants.max_network_age == 5000
-        assert checked.invariants.checks_run > 0
+    def test_checkers_are_observers(self, probe):
+        """--strict-invariants / --bounds change no payload."""
+        cli.main(["probe"])
+        cli.main(["--strict-invariants", "--bounds", "probe"])
+        assert probe[0][0] == probe[1][0]
+        assert probe[0][2] == {}
 
-        # The ambient configuration never leaks past main().
-        assert ambient_config() == (None, False, None, None, None, False)
-        assert Network(NoCConfig()).invariants is None
+    def test_missing_or_bad_values_exit(self):
+        for argv in (
+            ["--faults"],
+            ["--watchdog"],
+            ["--watchdog", "soon", "fig12"],
+            ["--degradation", "explode", "fig12"],
+        ):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+
+    def test_bad_fault_spec_fails_before_any_cell_runs(self, probe):
+        with pytest.raises(FaultSpecError):
+            cli.main(["--faults", "frobnicate,rate=0.5", "probe"])
+        assert probe == []
+
+    def test_bounds_with_faults_is_rejected(self, probe):
+        with pytest.raises(FaultSpecError):
+            cli.main(["--bounds", "--faults", FAULTS, "probe"])
+        assert probe == []
+
+    def test_all_forwards_the_flags_to_every_subcommand(self, monkeypatch, tmp_path):
+        seen = {}
+        for name in (
+            "parsec_suite", "fig7_fig8", "fig9_fig10", "fig11", "headline",
+            "table1", "fig12", "fig13", "scalability", "ablations",
+            "baselines_compare", "topologies",
+        ):
+            monkeypatch.setattr(
+                getattr(cli, name), "main", functools.partial(seen.__setitem__, name)
+            )
+        cli.main(["--faults", FAULTS, "all", "--out", str(tmp_path), "--bounds"])
+        assert len(seen) == 12
+        for argv in seen.values():
+            assert argv[argv.index("--faults") + 1] == FAULTS
+            assert "--bounds" in argv
+
+
+class TestRunOptionsAreCellConfiguration:
+    """The two hazards of the old process-global options, driven through
+    the front door exactly as a user would."""
+
+    def test_faulted_and_fault_free_runs_do_not_share_cache_entries(
+        self, probe, tmp_path
+    ):
+        shared, fresh = str(tmp_path / "shared"), str(tmp_path / "fresh")
+        cli.main(["--faults", FAULTS, "probe", "--cache-dir", shared])
+        cli.main(["probe", "--cache-dir", shared])
+        cli.main(["probe", "--cache-dir", fresh])
+        faulted, clean, reference = probe
+        assert clean[1].hits == 0 and clean[1].executed == 4
+        assert clean[0] == reference[0]
+        assert clean[0] != faulted[0]
+        # ...and the faulted entries are still there under their own keys.
+        cli.main(["--faults", FAULTS, "probe", "--cache-dir", shared])
+        assert probe[3][1].hits == 4 and probe[3][0] == faulted[0]
+
+    def test_faults_reach_pool_workers_and_service_hosts(self, probe):
+        cli.main(["probe"])
+        cli.main(["--faults", FAULTS, "probe"])
+        cli.main(["--faults", FAULTS, "probe", "--workers", "2"])
+        cli.main(["--faults", FAULTS, "probe", "--hosts", "local:2"])
+        clean, inline, pool, hosts = (run[0] for run in probe)
+        assert inline != clean
+        assert pool == inline
+        assert hosts == inline
+
+    @pytest.mark.parametrize(
+        "carrier", [[], ["--workers", "2"], ["--hosts", "local:1"]]
+    )
+    def test_strict_invariants_reach_pool_workers(self, probe, carrier):
+        """A permanently stalled router wedges traffic and the small
+        watchdog trips — inline, in a pool worker, and on a service
+        host (a fresh interpreter sharing no state with this process).
+        A carrier that lost the options would run the cells fault-free
+        and unchecked, and the command would return normally."""
+        flags = [
+            "--strict-invariants", "--watchdog", "150",
+            "--faults", "router_stall,router=5,start=10",
+        ]
+        with pytest.raises(CampaignError) as excinfo:
+            cli.main(flags + ["probe", "--max-retries", "1"] + carrier)
+        assert "'deadlock-watchdog' violated" in str(excinfo.value)
+        if "--hosts" not in carrier:  # the service reports causes as text
+            assert isinstance(excinfo.value.cause, DeadlockError)
+        assert probe == []

@@ -5,7 +5,7 @@ Covers the bound model term by term, the non-blocking certificate
 strictly larger; a slack-starved punch loses the certificate), the
 BoundChecker's quiet path and its firing path (proven with a
 deliberately unsatisfiable bound), the bounds/faults mutual exclusion,
-the ambient ``--bounds`` plumbing, the ``guarantees`` campaign cell,
+the ``bounds`` config field, the ``guarantees`` campaign cell,
 and a hypothesis property: at low load no delivered packet exceeds its
 certified bound on any topology, scheme, or cycle kernel.
 """
@@ -37,7 +37,6 @@ from repro.noc import (
     Network,
     NoCConfig,
 )
-from repro.noc.faults import clear_ambient, set_ambient
 from repro.powergate import PowerGateController
 from repro.traffic import SyntheticTraffic
 
@@ -241,23 +240,18 @@ def test_full_load_strict_bounds_powerpunch():
 
 
 # ----------------------------------------------------------------------
-# Ambient --bounds plumbing
+# The ``bounds`` config field (what ``--bounds`` sets on every cell)
 # ----------------------------------------------------------------------
-def test_ambient_bounds_installs_strict_checker():
-    set_ambient(None, False, None, None, None, True)
-    try:
-        network = Network(CONFIG, PowerPunchPG())
-        assert network.bounds is not None
-        assert network.bounds.strict is True
-    finally:
-        clear_ambient()
+def test_config_bounds_installs_strict_checker():
+    network = Network(NoCConfig(width=4, height=4, bounds=True), PowerPunchPG())
+    assert network.bounds is not None
+    assert network.bounds.strict is True
     assert Network(CONFIG, PowerPunchPG()).bounds is None
 
 
-def test_ambient_bounds_and_faults_are_exclusive():
+def test_config_bounds_and_faults_are_exclusive():
     with pytest.raises(FaultSpecError):
-        set_ambient("punch_drop,rate=0.5", False, None, None, None, True)
-    clear_ambient()
+        NoCConfig(bounds=True, faults="punch_drop,rate=0.5")
 
 
 # ----------------------------------------------------------------------

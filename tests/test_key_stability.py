@@ -1,0 +1,79 @@
+"""Content-address stability of campaign cells.
+
+The robustness options (``faults``, ``strict_invariants``, ``watchdog``,
+``bounds``) are ``NoCConfig`` fields, hence part of every cell's cache
+key — but only when set: a default-option spec must hash to the very
+bytes it hashed to before the fields existed.
+"""
+
+import json
+
+from repro.campaign import CellSpec
+from repro.campaign.spec import CELL_KINDS
+from repro.noc import NoCConfig
+
+#: ``cache_key(salt="pin")`` of one default-option spec per cell kind,
+#: recorded at c68a3b8 (before the robustness options became config
+#: fields).  A change here silently invalidates every cache.
+PINNED_KEYS = {
+    "parsec": "8467e333206d2a6683f30b448a6ab7f413b98bdfbc583c17999d9d4dacefef53",
+    "synthetic": "c60c4bd20e9a9206f771395fb1ffc9dd5b41640e95fa258c784a9efe4a322a5c",
+    "synthetic_metrics": "b766b5256a90ebbbcecb2d73be1aff774e0d7d1c783ae45aa2495b25733a4c05",
+    "bet_account": "e74e48108f0968d626732dc083a3f482eb6fcc8a9780be1471a2cd0cc7a9ca22",
+    "analysis": "9c06afd943fef73b40a3a6bc5d20f133ceeea1b8ee3975a3427b1ce2724fad5a",
+    "reliability": "39f8f28c27701e72562eddbe28ab2476160f324fa45984aecedfab89e08f1bec",
+    "guarantees": "dd46df8dbf1c78ac9e89d67ea6bf4bf30879b261a8a3cb251be1f5ca4929ba16",
+}
+
+
+def _pinned_specs():
+    return {
+        "parsec": CellSpec.parsec("bodytrack", "PowerPunch-PG"),
+        "synthetic": CellSpec.synthetic("uniform_random", 0.02, "ConvOpt-PG"),
+        "synthetic_metrics": CellSpec.synthetic(
+            "transpose", 0.05, "PowerPunch-PG", metrics=True
+        ),
+        "bet_account": CellSpec.bet("uniform_random", 0.02, "ConvOpt-PG", bet=10),
+        "analysis": CellSpec.analysis("table1", router=36),
+        "reliability": CellSpec.reliability(1),
+        "guarantees": CellSpec.guarantees("uniform_random", 0.02, "PowerPunch-PG"),
+    }
+
+
+class TestKeyStability:
+    def test_default_option_keys_are_pinned(self):
+        assert {
+            kind: spec.cache_key(salt="pin")
+            for kind, spec in _pinned_specs().items()
+        } == PINNED_KEYS
+
+    def test_every_cell_kind_is_pinned(self):
+        assert set(PINNED_KEYS) == set(CELL_KINDS)
+
+    def test_default_config_emits_none_of_the_option_fields(self):
+        for config in (None, NoCConfig(), NoCConfig(width=4, height=4)):
+            text = CellSpec.synthetic(
+                "uniform_random", 0.02, "No-PG", config=config
+            ).canonical_json()
+            for name in ("faults", "strict_invariants", "watchdog", "bounds"):
+                assert name not in text
+
+    def test_every_option_is_in_the_content_address(self):
+        spec = _pinned_specs()["synthetic"]
+        keys = {spec.cache_key("pin")}
+        for overrides in (
+            {"faults": "punch_drop,rate=0.5"},
+            {"strict_invariants": True},
+            {"strict_invariants": True, "watchdog": 300},
+            {"bounds": True},
+            {"degradation": "drop"},
+            {"dead_router_threshold": 7},
+        ):
+            stamped = spec.with_config_overrides(overrides)
+            assert CellSpec.from_canonical(
+                json.loads(stamped.canonical_json())
+            ) == stamped
+            keys.add(stamped.cache_key("pin"))
+        assert len(keys) == 7
+        # An override that restates the default is no override.
+        assert spec.with_config_overrides({"bounds": False}) == spec

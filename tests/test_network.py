@@ -182,3 +182,46 @@ class TestSaturation:
         assert net.stats.throughput(16) == pytest.approx(
             net.stats.delivered_flits / (net.cycle * 16)
         )
+
+
+class TestRobustnessLayerFromConfig:
+    """``Network`` takes its fault schedule, checker flags and bounds
+    flag from its config and from nowhere else."""
+
+    @staticmethod
+    def _zero_load(config):
+        net = Network(config)
+        packet = control_packet(0, 7, VirtualNetwork.REQUEST, 0)
+        net.inject(packet)
+        net.run_until_drained(2000)
+        return net, packet.network_latency
+
+    def test_config_fields_install_the_layer_and_preserve_goldens(self):
+        plain, latency = self._zero_load(NoCConfig())
+        assert latency == 31  # zero-load golden (3-stage 8x8)
+        assert plain.faults is None and plain.invariants is None
+        assert plain.bounds is None
+
+        checked, latency = self._zero_load(
+            NoCConfig(
+                faults="punch_delay,rate=0;seed=3",
+                strict_invariants=True,
+                watchdog=5000,
+            )
+        )
+        assert latency == 31  # the checker is purely observational
+        assert checked.faults is not None
+        assert checked.invariants.strict
+        assert checked.invariants.max_network_age == 5000
+        assert checked.invariants.checks_run > 0
+
+        # Nothing outlives the network that asked for it.
+        assert Network(NoCConfig()).invariants is None
+
+    def test_bad_options_fail_at_config_time(self):
+        from repro.noc import FaultSpecError
+
+        with pytest.raises(FaultSpecError):
+            NoCConfig(faults="frobnicate,rate=0.5")
+        with pytest.raises(ValueError):
+            NoCConfig(watchdog=0)

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.campaign import CellSpec, FailureReport, run_cell
-from repro.campaign.cli import add_robustness_args, apply_robustness_args
+from repro.campaign import campaign_argparser, engine_options
 from repro.campaign.spec import CELL_KINDS
 from repro.experiments.reliability import (
     aggregate,
@@ -23,10 +23,8 @@ from repro.noc import (
     SAMPLABLE_FAULT_KINDS,
     FaultSchedule,
     NoCConfig,
-    clear_ambient,
     sample_fault_schedule,
 )
-from repro.noc.faults import ambient_config
 
 
 class TestWilsonInterval:
@@ -295,36 +293,75 @@ class TestQuarantinePostMortem:
 
 
 class TestRobustnessArgs:
-    def _parser(self):
-        import argparse
+    """The shared flags become ``NoCConfig`` overrides for every cell."""
 
-        parser = argparse.ArgumentParser()
-        return add_robustness_args(parser)
+    @staticmethod
+    def _overrides(argv):
+        return dict(engine_options(campaign_argparser().parse_args(argv))["config_overrides"])
 
-    def test_reroute_shorthand_sets_ambient(self):
-        args = self._parser().parse_args(["--reroute"])
-        try:
-            assert apply_robustness_args(args)
-            assert ambient_config()[3] == "reroute"
-        finally:
-            clear_ambient()
+    def test_reroute_is_shorthand_for_degradation(self):
+        assert self._overrides(["--reroute"]) == {"degradation": "reroute"}
+        assert self._overrides(["--degradation", "reroute"]) == {
+            "degradation": "reroute"
+        }
 
-    def test_threshold_merges_without_clobbering(self):
-        args = self._parser().parse_args(
-            ["--degradation", "drop", "--dead-router-threshold", "77"]
-        )
-        try:
-            assert apply_robustness_args(args)
-            assert ambient_config()[3] == "drop"
-            assert ambient_config()[4] == 77
-        finally:
-            clear_ambient()
+    def test_each_flag_maps_to_its_config_field(self):
+        assert self._overrides(
+            [
+                "--degradation", "drop", "--dead-router-threshold", "77",
+                "--faults", "punch_dup", "--strict-invariants", "--watchdog", "9",
+            ]
+        ) == {
+            "degradation": "drop",
+            "dead_router_threshold": 77,
+            "faults": "punch_dup",
+            "strict_invariants": True,
+            "watchdog": 9,
+        }
+        # ...and the items build a config as they are.
+        NoCConfig(**self._overrides(["--bounds", "--watchdog", "9"]))
 
-    def test_no_flags_is_a_noop(self):
-        args = self._parser().parse_args([])
-        assert not apply_robustness_args(args)
-        assert ambient_config() == (None, False, None, None, None, False)
+    def test_no_flags_override_nothing(self):
+        assert self._overrides([]) == {}
+
+    def test_zero_is_a_value_not_an_unset_flag(self):
+        # ...so NoCConfig gets to reject it instead of it vanishing.
+        assert self._overrides(["--watchdog", "0"]) == {"watchdog": 0}
+        with pytest.raises(ValueError):
+            CellSpec.reliability(1).with_config_overrides({"watchdog": 0})
 
     def test_bad_degradation_choice_exits(self):
         with pytest.raises(SystemExit):
-            self._parser().parse_args(["--degradation", "explode"])
+            campaign_argparser().parse_args(["--degradation", "explode"])
+
+    def test_override_wins_over_the_cells_own_value(self):
+        spec = CellSpec.reliability(
+            1, config=NoCConfig(degradation="reroute", dead_router_threshold=200)
+        )
+        stamped = spec.with_config_overrides({"degradation": "drop"})
+        assert dict(stamped.config) == {
+            "degradation": "drop",
+            "dead_router_threshold": 200,
+        }
+        # Restating what the cell already says changes nothing, key included.
+        same = spec.with_config_overrides(
+            {"degradation": "reroute", "dead_router_threshold": 200}
+        )
+        assert same == spec
+
+    def test_cli_defaults_are_the_experiments_not_the_flags(self, tmp_path, capsys):
+        """``reliability`` re-defaults the shared flags (reroute / 200 /
+        50 000) instead of declaring its own."""
+        from repro.experiments import reliability
+
+        out = tmp_path / "estimate.json"
+        reliability.main(
+            ["--samples", "2", "--mesh", "4", "--warmup", "50",
+             "--measurement", "300", "--out", str(out)]
+        )
+        capsys.readouterr()
+        via_cli = json.loads(out.read_text())["trial_outcomes"]
+        direct = reliability_campaign(
+            2, width=4, height=4, warmup=50, measurement=300
+        ).run()
+        assert via_cli == direct
