@@ -8,8 +8,8 @@ this module only provides placement, lookup and LRU eviction.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from collections import defaultdict
+from typing import DefaultDict, Dict, Generic, Iterable, Iterator, Optional, Tuple, TypeVar
 
 L = TypeVar("L")
 
@@ -28,10 +28,10 @@ class SetAssociativeCache(Generic[L]):
         self.num_sets = size_bytes // (ways * block_bytes)
         if self.num_sets < 1:
             raise ValueError("cache too small for its associativity")
-        #: Per set: block -> line, ordered oldest-first for LRU.
-        self._sets: List["OrderedDict[int, L]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        #: Set index -> {block: line}, least recently used first.  Sets
+        #: appear on first touch: a chip has 32k of them and a warmed L2
+        #: bank indexes 4 of its 256, so empty ones are not worth making.
+        self._sets: DefaultDict[int, Dict[int, L]] = defaultdict(dict)
 
     # ------------------------------------------------------------------
     def set_index(self, block: int) -> int:
@@ -40,10 +40,10 @@ class SetAssociativeCache(Generic[L]):
 
     def lookup(self, block: int, touch: bool = True) -> Optional[L]:
         """The line for ``block`` or None; refreshes LRU on hit."""
-        cache_set = self._sets[self.set_index(block)]
+        cache_set = self._sets[block % self.num_sets]
         line = cache_set.get(block)
         if line is not None and touch:
-            cache_set.move_to_end(block)
+            cache_set[block] = cache_set.pop(block)
         return line
 
     def contains(self, block: int) -> bool:
@@ -58,11 +58,24 @@ class SetAssociativeCache(Generic[L]):
         """
         cache_set = self._sets[self.set_index(block)]
         evicted = None
-        if block not in cache_set and len(cache_set) >= self.ways:
-            evicted = cache_set.popitem(last=False)
+        if block in cache_set:
+            del cache_set[block]
+        elif len(cache_set) >= self.ways:
+            victim = next(iter(cache_set))
+            evicted = (victim, cache_set.pop(victim))
         cache_set[block] = line
-        cache_set.move_to_end(block)
         return evicted
+
+    def fill(self, items: Iterable[Tuple[int, L]]) -> None:
+        """Bulk :meth:`insert` in iteration order; evicted lines are dropped."""
+        sets, num_sets, ways = self._sets, self.num_sets, self.ways
+        for block, line in items:
+            cache_set = sets[block % num_sets]
+            if block in cache_set:
+                del cache_set[block]
+            elif len(cache_set) >= ways:
+                del cache_set[next(iter(cache_set))]
+            cache_set[block] = line
 
     def victim_for(self, block: int, evictable=None) -> Optional[Tuple[int, L]]:
         """The (block, line) that inserting ``block`` would evict.
@@ -87,11 +100,11 @@ class SetAssociativeCache(Generic[L]):
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
         """Total resident lines."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def items(self) -> Iterator[Tuple[int, L]]:
         """Iterate (block, line) pairs across all sets."""
-        for cache_set in self._sets:
+        for cache_set in self._sets.values():
             yield from cache_set.items()
 
     @property

@@ -23,17 +23,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..noc.config import NoCConfig
 from ..noc.network import Network
 from ..noc.packet import Packet
 from ..noc.policy import PowerPolicy
+from .cache import BLOCK_BYTES, SetAssociativeCache
 from .cpu import Core
-from .directory import DirectoryController
-from .l1 import L1Controller
+from .directory import DirectoryController, DirEntry, L2Line
+from .l1 import L1Controller, L1Line
 from .memctrl import Memory, MemoryController
-from .memtrace import AccessStream, StreamProfile
+from .memtrace import _PRIVATE_STRIDE, _SHARED_BASE, AccessStream, StreamProfile
 from .messages import CoherenceMessage, MessageType
 
 #: Processing latencies (cycles) applied when a message reaches a node.
@@ -55,11 +57,74 @@ _DIRECTORY_TYPES = frozenset(
     }
 )
 _MC_TYPES = frozenset({MessageType.MEM_READ, MessageType.MEM_WRITE})
+#: Directory requests that pay the L2 access before the home acts.
+_L2_ACCESS_TYPES = frozenset(
+    {MessageType.GETS, MessageType.GETM, MessageType.PUTM, MessageType.PUTS}
+)
 #: Request types whose arrival at the home implies a response will be
 #: generated after the L2 access — the slack-2 notice point.
 _NOTICE_TYPES = frozenset(
     {MessageType.GETS, MessageType.GETM, MessageType.PUTM}
 )
+
+
+class WarmImage(NamedTuple):
+    """What warm-up leaves behind, without the lines it evicts on the way."""
+
+    #: Per node: resident L1 blocks, each set oldest-first.
+    l1_blocks: Tuple[Tuple[int, ...], ...]
+    #: Per home bank: resident L2 blocks, each set oldest-first.
+    l2_blocks: Tuple[Tuple[int, ...], ...]
+    #: Per home bank: (block, owning node) of every private hot block.
+    owners: Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+def _survivors(blocks: Iterable[int], geometry: Tuple[int, int]) -> Tuple[int, ...]:
+    """Blocks left in a (sets, ways) cache after inserting ``blocks`` in order."""
+    num_sets, ways = geometry
+    cache: SetAssociativeCache[None] = SetAssociativeCache(
+        num_sets * ways * BLOCK_BYTES, ways
+    )
+    cache.fill((block, None) for block in blocks)
+    return tuple(block for block, _line in cache.items())
+
+
+@lru_cache(maxsize=8)
+def _warm_image(
+    num_nodes: int,
+    hot_blocks: int,
+    shared_blocks: int,
+    l1_geometry: Tuple[int, int],
+    l2_geometry: Tuple[int, int],
+) -> WarmImage:
+    """The warmed state: every core touches its ``hot_blocks`` private
+    blocks (L1 line in E, home L2 line, directory owner), then the
+    ``shared_blocks`` pool is read into the home L2 banks.
+
+    Pure and the same for every cell of a profile, so it is worked out
+    once per process; a chip then installs only the survivors.  With
+    home = block % 64 and 256 L2 sets a bank only ever indexes 4 of its
+    sets, so most of what is inserted is evicted again on the way
+    (DESIGN.md, "Known modelling deviations").
+    """
+    l1_blocks = []
+    l2_inserts: List[List[int]] = [[] for _ in range(num_nodes)]
+    owners: List[List[Tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    for node in range(num_nodes):
+        base = node * _PRIVATE_STRIDE
+        hot = list(range(base, base + hot_blocks))
+        l1_blocks.append(_survivors(hot, l1_geometry))
+        for block in hot:
+            home = block % num_nodes  # Chip.home_of
+            l2_inserts[home].append(block)
+            owners[home].append((block, node))
+    for block in range(_SHARED_BASE, _SHARED_BASE + shared_blocks):
+        l2_inserts[block % num_nodes].append(block)
+    return WarmImage(
+        tuple(l1_blocks),
+        tuple(_survivors(blocks, l2_geometry) for blocks in l2_inserts),
+        tuple(tuple(pairs) for pairs in owners),
+    )
 
 
 @dataclass
@@ -137,7 +202,10 @@ class Chip:
                 early_notice=lambda cycle, ni=ni: ni.early_notice(cycle),
             )
         self.network.add_delivery_listener(self._on_packet_delivered)
+        #: Cores not yet seen finished, and the latest ``done_at`` of
+        #: those that were (a core may finish ahead of the clock).
         self._cores_remaining = n
+        self._last_done_at = 0
         self.execution_time: Optional[int] = None
         if warm_caches:
             self._warm_caches(profile)
@@ -149,22 +217,22 @@ class Chip:
         reflects steady-state behaviour (the paper collects statistics
         from PARSEC regions of interest, not cold caches).
         """
-        from .l1 import L1Line
-        from .directory import L2Line
-        from .memtrace import _PRIVATE_STRIDE, _SHARED_BASE
-
-        for node, l1 in enumerate(self.l1s):
-            base = node * _PRIVATE_STRIDE
-            for i in range(profile.hot_blocks):
-                block = base + i
-                l1.cache.insert(block, L1Line("E", 0))
-                home = self.directories[self.home_of(block)]
-                home.entry(block).owner = node
-                home.l2.insert(block, L2Line(version=0, dirty=False))
-        for i in range(profile.shared_blocks):
-            block = _SHARED_BASE + i
-            self.directories[self.home_of(block)].l2.insert(
-                block, L2Line(version=0, dirty=False)
+        l1_cache, l2_cache = self.l1s[0].cache, self.directories[0].l2
+        image = _warm_image(
+            self.config.num_nodes,
+            profile.hot_blocks,
+            profile.shared_blocks,
+            (l1_cache.num_sets, l1_cache.ways),
+            (l2_cache.num_sets, l2_cache.ways),
+        )
+        for l1, blocks in zip(self.l1s, image.l1_blocks):
+            l1.cache.fill([(block, L1Line("E", 0)) for block in blocks])
+        for home, blocks, owners in zip(
+            self.directories, image.l2_blocks, image.owners
+        ):
+            home.l2.fill([(block, L2Line(0)) for block in blocks])
+            home.entries.update(
+                [(block, DirEntry(owner)) for block, owner in owners]
             )
 
     # ------------------------------------------------------------------
@@ -193,8 +261,7 @@ class Chip:
         if msg.mtype in _MC_TYPES:
             ready = arrival  # the MC applies its own latency
         elif msg.mtype in _DIRECTORY_TYPES:
-            if msg.mtype in (MessageType.GETS, MessageType.GETM, MessageType.PUTM,
-                             MessageType.PUTS):
+            if msg.mtype in _L2_ACCESS_TYPES:
                 ready = arrival + L2_ACCESS_LATENCY
                 if msg.mtype in _NOTICE_TYPES:
                     # Slack 2: a response will leave this node's NI in
@@ -227,8 +294,15 @@ class Chip:
         self._process_work(cycle)
         for mc in self.mcs.values():
             mc.step(cycle)
+        # Ascending node order: it fixes the injection order in a cycle.
         for core in self.cores:
-            core.step(cycle)
+            if core.wake_at <= cycle:
+                core.step(cycle)
+                if core.done_at is not None:
+                    # Finished (or parked): never due again.
+                    self._cores_remaining -= 1
+                    if core.done_at > self._last_done_at:
+                        self._last_done_at = core.done_at
         self.network.step()
 
     def run(self, max_cycles: int = 2_000_000) -> ChipResult:
@@ -240,7 +314,7 @@ class Chip:
                     f"chip did not finish within {max_cycles} cycles"
                 )
             self.step()
-            if all(core.done for core in self.cores):
+            if not self._cores_remaining and self.network.cycle > self._last_done_at:
                 self.execution_time = self.network.cycle
         return self.result()
 

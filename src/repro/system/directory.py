@@ -15,40 +15,50 @@ controller that owns the block.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Set
+from typing import AbstractSet, Callable, Deque, Dict, FrozenSet, Optional, Tuple, Union
 
 from .cache import SetAssociativeCache
 from .messages import CoherenceMessage, MessageType
 
 
-@dataclass
 class L2Line:
     """One L2 data line: version and dirty bit."""
-    version: int
-    dirty: bool = False
+
+    __slots__ = ("version", "dirty")
+
+    def __init__(self, version: int, dirty: bool = False) -> None:
+        self.version = version
+        self.dirty = dirty
 
 
-@dataclass
+#: Shared empty ``sharers`` / ``waiting`` of entries that never had any:
+#: most entries only ever carry an owner, and a warmed chip holds 16k.
+_NO_SHARERS: FrozenSet[int] = frozenset()
+_NO_WAITING: Tuple[CoherenceMessage, ...] = ()
+
+
 class DirEntry:
     """Directory state for one block: owner, sharers, blocking context."""
-    owner: Optional[int] = None
-    sharers: Set[int] = field(default_factory=set)
-    busy: bool = False
-    #: Context of the in-flight blocking operation:
-    #: ("gets_fwd", requester, owner) or ("mem_gets"/"mem_getm",
-    #: requester, ack_count).
-    pending: Optional[tuple] = None
-    waiting: Deque[CoherenceMessage] = field(default_factory=deque)
 
-    def idle(self) -> bool:
-        """Whether this entry carries no state worth keeping."""
-        return (
-            self.owner is None
-            and not self.sharers
-            and not self.busy
-            and not self.waiting
-        )
+    __slots__ = ("owner", "sharers", "busy", "pending", "waiting")
+
+    def __init__(self, owner: Optional[int] = None) -> None:
+        self.owner = owner
+        #: A real set whenever non-empty, so mutate only under that test.
+        self.sharers: AbstractSet[int] = _NO_SHARERS
+        self.busy = False
+        #: Context of the in-flight blocking operation:
+        #: ("gets_fwd", requester, owner) or ("mem_gets"/"mem_getm",
+        #: requester, ack_count).
+        self.pending: Optional[tuple] = None
+        #: Requests queued behind ``busy``; grow through :meth:`enqueue`.
+        self.waiting: Union[Deque[CoherenceMessage], tuple] = _NO_WAITING
+
+    def enqueue(self, msg: CoherenceMessage) -> None:
+        """Queue a request behind the in-flight operation."""
+        if self.waiting is _NO_WAITING:
+            self.waiting = deque()
+        self.waiting.append(msg)
 
 
 class DirectoryController:
@@ -115,7 +125,7 @@ class DirectoryController:
     def _on_request(self, msg: CoherenceMessage, cycle: int) -> None:
         entry = self.entry(msg.block)
         if entry.busy:
-            entry.waiting.append(msg)
+            entry.enqueue(msg)
             return
         self.requests_served += 1
         if msg.mtype is MessageType.GETS:
@@ -167,7 +177,7 @@ class DirectoryController:
             )
             self._send(inv, sharer, cycle)
         requester_had_copy = req in entry.sharers
-        entry.sharers = set()
+        entry.sharers = _NO_SHARERS
         entry.owner = req
         if requester_had_copy:
             # Upgrade: no data needed.
@@ -222,7 +232,8 @@ class DirectoryController:
 
     def _on_puts(self, msg: CoherenceMessage, cycle: int) -> None:
         entry = self.entry(msg.block)
-        entry.sharers.discard(msg.sender)
+        if entry.sharers:
+            entry.sharers.discard(msg.sender)
         if entry.owner == msg.sender:
             # Clean E copy dropped.
             entry.owner = None
@@ -289,7 +300,7 @@ class DirectoryController:
                         MessageType.DATA, msg.block, req, line.version, 0, cycle
                     )
                 return
-            entry.waiting.append(fake)
+            entry.enqueue(fake)
             return
         if line is None:
             self._start_memory_fetch(entry, fake, cycle, "mem_getm", 0)

@@ -24,11 +24,14 @@ from .cache import SetAssociativeCache
 from .messages import CoherenceMessage, MessageType
 
 
-@dataclass
 class L1Line:
     """One stable L1 line: MESI state letter and data version."""
-    state: str  # "S", "E" or "M"
-    version: int
+
+    __slots__ = ("state", "version")
+
+    def __init__(self, state: str, version: int) -> None:
+        self.state = state  # "S", "E" or "M"
+        self.version = version
 
 
 @dataclass
@@ -130,17 +133,7 @@ class L1Controller:
     # ------------------------------------------------------------------
     def handle(self, msg: CoherenceMessage, cycle: int) -> None:
         """Dispatch one incoming protocol message."""
-        handler = {
-            MessageType.DATA: self._on_data,
-            MessageType.DATA_E: self._on_data,
-            MessageType.ACK_COUNT: self._on_ack_count,
-            MessageType.INV_ACK: self._on_inv_ack,
-            MessageType.INV: self._on_inv,
-            MessageType.FWD_GETS: self._on_fwd,
-            MessageType.FWD_GETM: self._on_fwd,
-            MessageType.WB_ACK: self._on_wb_ack,
-        }[msg.mtype]
-        handler(msg, cycle)
+        self._HANDLERS[msg.mtype](self, msg, cycle)
 
     # --- data and acks -------------------------------------------------
     def _on_data(self, msg: CoherenceMessage, cycle: int) -> None:
@@ -263,6 +256,18 @@ class L1Controller:
 
     def _on_wb_ack(self, msg: CoherenceMessage, cycle: int) -> None:
         self.wb_buffers.pop(msg.block, None)
+
+    #: Message type -> handler (plain functions: one table per class).
+    _HANDLERS = {
+        MessageType.DATA: _on_data,
+        MessageType.DATA_E: _on_data,
+        MessageType.ACK_COUNT: _on_ack_count,
+        MessageType.INV_ACK: _on_inv_ack,
+        MessageType.INV: _on_inv,
+        MessageType.FWD_GETS: _on_fwd,
+        MessageType.FWD_GETM: _on_fwd,
+        MessageType.WB_ACK: _on_wb_ack,
+    }
 
     # ------------------------------------------------------------------
     # Completion and eviction

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 #: Address-space carving (block numbers).
 _PRIVATE_STRIDE = 1 << 24
@@ -75,25 +75,48 @@ class AccessStream:
         self._phase_comm = True
         self._phase_left = profile.comm_accesses or 1
         self._private_base = core_id * _PRIVATE_STRIDE
+        #: Indexed by "in a communication phase": the probability of a
+        #: shared access and the geometric gap's log(1 - p), per phase.
+        self._shared_prob = (
+            min(1.0, profile.shared_fraction * 0.5),
+            min(1.0, profile.shared_fraction * 2.0),
+        )
+        self._gap_log = (
+            self._gap_log_for(profile.mean_gap * profile.compute_gap_boost),
+            self._gap_log_for(profile.mean_gap),
+        )
         self.accesses_generated = 0
+
+    @staticmethod
+    def _gap_log_for(mean: float) -> Optional[float]:
+        """log(1 - p) of Geometric(p = 1 / (1 + mean)), whose mean is
+        exactly ``mean``; None when there is no gap to draw."""
+        if mean <= 0:
+            return None
+        return math.log(1.0 - 1.0 / (1.0 + mean))
 
     # ------------------------------------------------------------------
     def next_access(self) -> Tuple[int, int, bool]:
         """Return (compute_gap, block, is_write) for the next access."""
         p = self.profile
         rng = self.rng
+        uniform = rng.random
         in_comm = self._advance_phase()
 
-        shared_prob = p.shared_fraction * (2.0 if in_comm else 0.5)
-        if rng.random() < min(1.0, shared_prob):
+        if uniform() < self._shared_prob[in_comm]:
             block = _SHARED_BASE + rng.randrange(p.shared_blocks)
-        elif rng.random() < p.cold_fraction:
+        elif uniform() < p.cold_fraction:
             block = self._private_base + p.hot_blocks + rng.randrange(p.cold_blocks)
         else:
             block = self._private_base + rng.randrange(p.hot_blocks)
 
-        is_write = rng.random() < p.write_fraction
-        gap = self._draw_gap(in_comm)
+        is_write = uniform() < p.write_fraction
+        gap = 0
+        gap_log = self._gap_log[in_comm]
+        if gap_log is not None:
+            u = uniform()
+            if u > 0.0:
+                gap = min(int(math.log(u) / gap_log), 10_000)
         self.accesses_generated += 1
         return gap, block, is_write
 
@@ -108,20 +131,6 @@ class AccessStream:
                 p.comm_accesses if self._phase_comm else p.compute_accesses
             )
         return self._phase_comm
-
-    def _draw_gap(self, in_comm: bool) -> int:
-        mean = self.profile.mean_gap
-        if not in_comm:
-            mean *= self.profile.compute_gap_boost
-        if mean <= 0:
-            return 0
-        # Geometric(p) with p = 1/(1+mean) has exactly the target mean.
-        p = 1.0 / (1.0 + mean)
-        u = self.rng.random()
-        if u <= 0.0:
-            return 0
-        gap = int(math.log(u) / math.log(1.0 - p))
-        return min(gap, 10_000)
 
     def __iter__(self) -> Iterator[Tuple[int, int, bool]]:
         while True:

@@ -1,6 +1,8 @@
 """Tests for the set-associative cache structure."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.system import SetAssociativeCache
 
@@ -105,3 +107,32 @@ class TestRemove:
         assert cache.remove(7) == "x"
         assert cache.remove(7) is None
         assert cache.occupancy() == 0
+
+
+class TestFill:
+    """``fill(items)`` is ``for block, line in items: insert(block, line)``."""
+
+    @staticmethod
+    def state(cache):
+        return {i: list(s.items()) for i, s in cache._sets.items() if s}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),  # sets
+        st.integers(min_value=1, max_value=3),  # ways
+        st.lists(st.integers(min_value=0, max_value=15), max_size=12),
+        st.lists(st.integers(min_value=0, max_value=15), max_size=40),
+    )
+    def test_same_contents_and_lru_order_as_repeated_insert(
+        self, sets, ways, resident, blocks
+    ):
+        """Small block range: over-full sets and repeats are the rule."""
+        one, other = (make(sets * ways * 64, ways) for _ in range(2))
+        for cache in (one, other):
+            for block in resident:
+                cache.insert(block, ("old", block))
+        items = [(block, ("new", i)) for i, block in enumerate(blocks)]
+        one.fill(iter(items))
+        for block, line in items:
+            other.insert(block, line)
+        assert self.state(one) == self.state(other)

@@ -1,7 +1,7 @@
 """Unit tests for the in-order core model."""
 
 
-from repro.system.cpu import Core
+from repro.system.cpu import NEVER, Core
 from repro.system.memtrace import AccessStream, StreamProfile
 
 
@@ -42,39 +42,69 @@ class FakeL1:
 
 
 class TestComputePhase:
-    def test_retires_one_instruction_per_cycle(self):
+    """A gap is credited when it is drawn; the core then sleeps through it."""
+
+    def test_gap_is_credited_at_once_and_core_sleeps_through_it(self):
         stream = ScriptedStream([(5, 1, False)])
         l1 = FakeL1()
-        core = Core(0, l1, stream, quota=4)
-        for cycle in range(4):
-            core.step(cycle)
-        assert core.retired == 4
-        assert core.done
+        core = Core(0, l1, stream, quota=10)
+        assert core.retired == 5  # cycles 0..4, one instruction each
+        assert core.wake_at == 5  # the memory op issues in cycle 5
+        assert not core.done
+        for cycle in range(5):
+            core.step(cycle)  # not due: nothing happens
+        assert core.retired == 5 and not l1.accesses
+
+    def test_retires_one_instruction_per_cycle(self):
+        """Quota reached mid-gap: ``done_at`` is fixed ahead of the clock."""
+        stream = ScriptedStream([(5, 1, False)])
+        core = Core(0, FakeL1(), stream, quota=4)
+        assert core.retired == 4  # never past the quota
+        assert core.done and core.done_at == 3  # 4th instruction: cycle 3
+        assert core.wake_at == 0  # still due, so its owner sees it finish
+        core.step(0)
+        assert core.wake_at == NEVER
 
     def test_memory_op_issued_after_gap(self):
         stream = ScriptedStream([(2, 42, False), (100, 0, False)])
         l1 = FakeL1()
-        core = Core(0, l1, stream, quota=10)
+        core = Core(0, l1, stream, quota=1000)
+        assert core.wake_at == 2
         for cycle in range(5):
             core.step(cycle)
-        assert l1.accesses and l1.accesses[0][0] == 42
-        assert l1.accesses[0][2] == 2  # two compute cycles first
+        assert l1.accesses == [(42, False, 2)]  # two compute cycles first
+        # The hit retires in cycle 2; the next gap runs over cycles 3..102.
+        assert core.retired == 2 + 1 + 100
+        assert core.wake_at == 103
 
 
 class TestMissBehaviour:
     def test_blocking_miss_stalls_until_completion(self):
-        stream = ScriptedStream([(0, 7, True), (100, 0, False)])
+        stream = ScriptedStream([(0, 7, True), (3, 0, False)])
         l1 = FakeL1(miss_blocks={7})
-        core = Core(0, l1, stream, quota=10)
+        core = Core(0, l1, stream, quota=100)
         core.step(0)
         assert core.is_stalled
+        assert core.wake_at == NEVER  # only the completion wakes it
         for cycle in range(1, 6):
             core.step(cycle)
-        assert core.stall_cycles == 5
         assert core.retired == 0
         l1.complete(7, 6)
         assert not core.is_stalled
-        assert core.retired == 1
+        assert core.stall_cycles == 5  # cycles 1..5, credited on completion
+        # The miss retires in cycle 6 and the core computes on in that
+        # same cycle: gap of 3 over cycles 6..8, next op in cycle 9.
+        assert core.retired == 1 + 3
+        assert core.wake_at == 9
+
+    def test_quota_reached_by_miss_completion(self):
+        stream = ScriptedStream([(0, 7, False), (3, 0, False)])
+        l1 = FakeL1(miss_blocks={7})
+        core = Core(0, l1, stream, quota=1)
+        core.step(0)
+        l1.complete(7, 9)
+        assert core.done_at == 9 and core.retired == 1
+        assert core.wake_at == 9  # due in the completion cycle itself
 
     def test_unrelated_completion_ignored(self):
         stream = ScriptedStream([(0, 7, False), (100, 0, False)])
@@ -90,6 +120,7 @@ class TestMissBehaviour:
         l1.accepts = False
         core = Core(0, l1, stream, quota=10)
         core.step(0)
+        assert core.wake_at == 1  # polls: only the L1 knows when it frees up
         core.step(1)
         assert not l1.accesses  # nothing issued yet
         assert core.stall_cycles == 2
@@ -98,14 +129,14 @@ class TestMissBehaviour:
         assert l1.accesses == [(7, False, 2)]
 
     def test_done_core_stops_stepping(self):
-        stream = ScriptedStream([(1, 1, False)])
+        stream = ScriptedStream([(0, 1, False), (0, 2, False)])
         l1 = FakeL1()
         core = Core(0, l1, stream, quota=1)
         core.step(0)
-        assert core.done
-        retired = core.retired
+        assert core.done and core.done_at == 0
+        assert core.wake_at == NEVER
         core.step(1)
-        assert core.retired == retired
+        assert core.retired == 1 and len(l1.accesses) == 1
 
 
 class TestOverlap:

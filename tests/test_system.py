@@ -34,6 +34,28 @@ class TestAccessStream:
             b.next_access() for _ in range(50)
         ]
 
+    def test_stream_values_are_pinned(self):
+        """Recorded at bd2ba49: every closed-loop result follows these."""
+        canneal = AccessStream(3, get_profile("canneal"), seed=7)
+        accesses = [canneal.next_access() for _ in range(400)]
+        assert accesses[:4] == [
+            (1, 50331696, True),
+            (0, 50331826, True),
+            (0, 50331709, True),
+            (2, 50331894, True),
+        ]
+        assert sum(gap for gap, _b, _w in accesses) == 1184
+        assert sum(block % 1000003 for _g, block, _w in accesses) == 132518241
+        assert sum(write for _g, _b, write in accesses) == 140
+        compute_heavy = AccessStream(63, get_profile("blackscholes"), seed=20150207)
+        accesses = [compute_heavy.next_access() for _ in range(400)]
+        assert sum(gap for gap, _b, _w in accesses) == 7118
+        assert sum(block % 1000003 for _g, block, _w in accesses) == 384629634
+        gapless = AccessStream(1, StreamProfile(mem_op_fraction=1.0, comm_accesses=0), seed=1)
+        accesses = [gapless.next_access() for _ in range(50)]
+        assert sum(gap for gap, _b, _w in accesses) == 0
+        assert sum(block % 1000003 for _g, block, _w in accesses) == 32766023
+
     def test_different_cores_differ(self):
         a = AccessStream(0, StreamProfile(), seed=7)
         b = AccessStream(1, StreamProfile(), seed=7)
