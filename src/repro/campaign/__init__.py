@@ -9,10 +9,13 @@ wall-clock timeouts, retry classification with a persistent
 snapshots for ``kill -9`` recovery, and a structured JSONL progress
 log.  See ``docs/campaigns.md`` and ``docs/resilience.md``.
 
-Campaigns also run distributed: the :mod:`repro.campaign.service`
-subpackage provides a sharded orchestrator with leases, heartbeats
-and work-stealing over TCP worker hosts (``Campaign.run(hosts=...)``
-or ``--hosts`` on any campaign CLI; see ``docs/service.md``).
+Campaigns also run distributed through the same front door:
+``execute_cells(cells, hosts=...)`` (``Campaign.run(hosts=...)``,
+``--hosts`` on any campaign CLI) carries the cells on the
+:mod:`repro.campaign.service` subpackage — a sharded orchestrator with
+leases, heartbeats and work-stealing over TCP worker hosts — instead
+of the process pool, with the same cache, log, checkpoint and
+quarantine behaviour (see ``docs/service.md``).
 """
 
 from .cache import CellCache, code_salt, decode_payload, encode_payload

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cell cache.
+"""Content-addressed cell cache (a directory, or memory without one).
 
 Every cached entry is addressed by ``sha256(code_salt + canonical
 spec JSON)``: the same cell re-run against unchanged simulator source
@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from ..experiments.common import RunRecord
 from .spec import CellSpec
@@ -81,24 +81,32 @@ def decode_payload(doc: dict) -> Payload:
 
 
 class CellCache:
-    """Directory of content-addressed cell results.
+    """Content-addressed cell results, in a directory or in memory.
 
-    Entries live at ``<root>/<key[:2]>/<key>.json`` and carry the
-    canonical spec and salt alongside the payload for debuggability;
-    the key alone decides hits.  Writes are atomic (temp file +
-    ``os.replace``) so parallel workers and interrupted runs can never
-    leave a truncated entry behind.
+    With a ``root``, entries live at ``<root>/<key[:2]>/<key>.json``
+    and carry the canonical spec and salt alongside the payload for
+    debuggability; the key alone decides hits.  Writes are atomic
+    (temp file + ``os.replace``) so parallel workers and interrupted
+    runs can never leave a truncated entry behind.
+
+    ``CellCache(None)`` keeps the entries in this process instead (the
+    campaign service's store for cache-less runs and tests), in the
+    same encoded form the files hold.
     """
 
-    def __init__(self, root: Union[str, Path], salt: Optional[str] = None) -> None:
-        self.root = Path(root)
+    def __init__(
+        self, root: Optional[Union[str, Path]], salt: Optional[str] = None
+    ) -> None:
+        self.root = Path(root) if root is not None else None
         self.salt = code_salt() if salt is None else salt
+        self._memory: Dict[str, dict] = {}
 
     def key_for(self, spec: CellSpec) -> str:
         """The content address of ``spec`` under this cache's salt."""
         return spec.cache_key(self.salt)
 
     def path_for(self, spec: CellSpec) -> Path:
+        """Where a directory-backed cache keeps ``spec``'s entry."""
         key = self.key_for(spec)
         return self.root / key[:2] / f"{key}.json"
 
@@ -109,6 +117,9 @@ class CellCache:
         next :meth:`put`), so a damaged cache degrades to recompute
         instead of crashing the campaign.
         """
+        if self.root is None:
+            doc = self._memory.get(self.key_for(spec))
+            return None if doc is None else decode_payload(doc)
         path = self.path_for(spec)
         try:
             with open(path) as fh:
@@ -117,8 +128,12 @@ class CellCache:
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def put(self, spec: CellSpec, payload: Payload) -> Path:
-        """Store ``payload`` for ``spec``; returns the entry path."""
+    def put(self, spec: CellSpec, payload: Payload) -> Optional[Path]:
+        """Store ``payload`` for ``spec``; returns the entry path, if
+        the cache has a directory."""
+        if self.root is None:
+            self._memory[self.key_for(spec)] = encode_payload(payload)
+            return None
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         doc = {

@@ -1,32 +1,33 @@
 """Campaign execution: cache lookup, supervised fan-out, recovery.
 
-``execute_cells`` is the one code path every experiment goes through:
+``execute_cells`` is the one code path every experiment goes through,
+whatever carries the cells:
 
 1. each cell is looked up in the content-addressed cache, then in the
    campaign checkpoint (hits skip simulation entirely, which is also
    what makes interrupted — even ``kill -9``'d — campaigns resumable);
 2. cells already condemned by the :class:`QuarantineLedger` are
    reported as failed immediately instead of burning retries again;
-3. misses run under supervision — inline for ``workers=1`` without a
-   timeout, else on a ``ProcessPoolExecutor`` with a sliding
-   submission window.  The supervisor owns the retry loop (one
-   attempt per submission): per-cell wall-clock timeouts, detection
-   of worker death (``BrokenProcessPool`` from an OOM kill, segfault
-   or signal) with automatic pool respawn, exponential backoff with
-   deterministic jitter, and transient-vs-deterministic failure
-   classification — a cell failing twice with the identical signature
-   is quarantined, not re-run;
-4. completed payloads land in the cache and the periodic checkpoint;
-   every step appends a structured event to a JSONL progress log, and
-   failures produce structured reports carrying any post-mortem the
-   error captured.
+3. the misses go to one of three **carriers**, which do nothing but
+   run attempts and report them back: the inline loop (``workers=1``
+   without a timeout), the supervised process pool
+   (:func:`_supervise_pool`: sliding submission window, per-cell
+   wall-clock timeouts, detection of worker death with automatic pool
+   respawn) or, with ``hosts``, the campaign service
+   (:mod:`repro.campaign.service`: worker hosts over TCP);
+4. every report lands in the one :class:`_Run` that counts, retries
+   with exponential backoff and deterministic jitter, classifies (a
+   cell failing twice with the identical signature is quarantined,
+   not re-run), writes the cache and the periodic checkpoint, appends
+   a structured event to the JSONL progress log, and files structured
+   failure reports carrying any post-mortem the error captured.
 
 Results always come back in declared cell order regardless of
 completion order.  With ``failure_mode="raise"`` (the default) a
 campaign with failed cells finishes every *other* cell first — so the
 work is cached and resumable — then raises the first failure in
 declared order; ``failure_mode="continue"`` returns ``None`` for
-failed cells instead.
+failed cells instead.  That holds on every carrier.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import (
@@ -102,18 +104,7 @@ class CampaignStats:
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "hits": self.hits,
-            "executed": self.executed,
-            "retried": self.retried,
-            "restored": self.restored,
-            "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "quarantined": self.quarantined,
-            "failed": self.failed,
-            "elapsed": round(self.elapsed, 3),
-        }
+        return {**asdict(self), "elapsed": round(self.elapsed, 3)}
 
 
 class CampaignInterrupted(KeyboardInterrupt):
@@ -131,38 +122,30 @@ class CampaignInterrupted(KeyboardInterrupt):
         super().__init__(f"campaign interrupted by signal {signum}")
 
 
-class _SignalGuard:
+@contextmanager
+def _interruptible() -> Iterator[None]:
     """Convert SIGTERM/SIGINT into :class:`CampaignInterrupted`.
 
-    Installed for the duration of ``execute_cells`` so termination
-    unwinds through the engine's ``finally`` blocks (checkpoint and
-    event-log flush, pool-worker kill) instead of dying mid-write.
-    Signal handlers are a main-thread-only facility; anywhere else
-    (e.g. a worker host running the engine on a thread) this guard is
-    a no-op and the surrounding process owns signal handling.
+    Wrapped around the whole of ``execute_cells`` so termination
+    unwinds through the engine's cleanup (checkpoint and event-log
+    flush, pool-worker kill) instead of dying mid-write.  Signal
+    handlers are a main-thread-only facility; anywhere else (e.g. a
+    worker host running the engine on a thread) this is a no-op and
+    the surrounding process owns signal handling.
     """
 
-    def __enter__(self) -> "_SignalGuard":
-        self._installed: List[Tuple[int, object]] = []
-        if threading.current_thread() is threading.main_thread():
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    previous = signal.signal(sig, self._raise)
-                except (ValueError, OSError):  # pragma: no cover - exotic
-                    continue
-                self._installed.append((sig, previous))
-        return self
-
-    def _raise(self, signum: int, frame) -> None:
+    def interrupt(signum: int, frame) -> None:
         raise CampaignInterrupted(signum)
 
-    def __exit__(self, *exc_info) -> bool:
-        for sig, previous in self._installed:
-            try:
-                signal.signal(sig, previous)
-            except (ValueError, OSError):  # pragma: no cover - exotic
-                pass
-        return False
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            previous[sig] = signal.signal(sig, interrupt)
+    try:
+        yield
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 class EventLog:
@@ -179,13 +162,13 @@ class EventLog:
         path: Optional[Union[str, Path]],
         host: Optional[str] = None,
     ) -> None:
+        self.path = Path(path) if path is not None else None
         self._fh = None
         self._host = host
         self._seq = 0
-        if path is not None:
-            path = Path(path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(path, "a")
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "a")
 
     def emit(self, event: dict) -> None:
         if self._fh is None:
@@ -202,10 +185,6 @@ class EventLog:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-#: Backwards-compatible alias (the class used to be module-private).
-_EventLog = EventLog
 
 
 def iter_events(path: Union[str, Path]) -> Iterator[dict]:
@@ -263,29 +242,14 @@ def _cell_event(status: str, spec: CellSpec, **extra) -> dict:
     return event
 
 
-def _run_one(spec: CellSpec) -> Payload:
-    """Single-attempt worker entry point; top-level so it pickles onto
-    pool workers.  The retry loop lives supervisor-side now, so every
-    attempt is individually visible, classified and backed off."""
-    return run_cell(spec)
+def _one_attempt(spec: CellSpec) -> Payload:
+    """One attempt at one cell, wherever it runs.
 
-
-def _attempt_cell(spec: CellSpec, retries: int) -> Tuple[Payload, int]:
-    """Run one cell with retry-on-``SimulationError``.
-
-    Kept as the minimal inline retry helper (and for callers/tests
-    that drive single cells); campaign execution goes through the
-    supervised single-attempt path instead.  Returns
-    ``(payload, attempts)``.
+    Pool workers receive this function by name and resolve ``run_cell``
+    in their own copy of this module, so a replaced ``run_cell`` (the
+    chaos tests patch it before the pool forks) is what they call.
     """
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return run_cell(spec), attempts
-        except SimulationError:
-            if attempts > retries:
-                raise
+    return run_cell(spec)
 
 
 def _retryable(exc: BaseException) -> bool:
@@ -307,14 +271,240 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+@dataclass
+class _Run:
+    """Everything one ``execute_cells`` call knows about its cells.
+
+    The front door creates it, looks the cells up through it, and hands
+    it to one carrier together with the indices left to run.  A carrier
+    only runs attempts and reports each through exactly one of
+
+    * ``complete(index, payload, secs, was_hit=False)`` — a payload
+      (``was_hit``: a service store answered, nothing ran);
+    * ``attempt_failed(index, exc)`` — one attempt raised; returns the
+      seconds to wait before the next attempt, or ``None`` when the
+      cell has failed for good (``fail`` has then been called);
+    * ``fail(index, exc, classification)`` — a final verdict reached
+      elsewhere (a worker host already classified the failure).
+
+    Counting, classification, the cache, the checkpoint, quarantine,
+    the event log and the callbacks all happen here, so they are the
+    same under every carrier.  As a context manager it guarantees the
+    checkpoint flush and the log close however the run unwinds.
+    """
+
+    cells: List[CellSpec]
+    cache: Optional[CellCache]
+    quarantine: Optional[QuarantineLedger]
+    checkpoint: Optional[CampaignCheckpoint]
+    checkpoint_every: int
+    policy: RetryPolicy
+    log: EventLog
+    name: str
+    on_result: Optional[Callable[[int, CellSpec, Payload, bool], None]]
+    on_failure: Optional[Callable[[int, CellSpec, BaseException, str], None]]
+
+    def __post_init__(self) -> None:
+        count = len(self.cells)
+        self.stats = CampaignStats(total=count)
+        self.results: List[Optional[Payload]] = [None] * count
+        self.failures: Dict[int, CampaignError] = {}
+        #: Attempts charged to each cell, and their failure signatures.
+        self.attempts = [0] * count
+        self.signatures: Dict[int, List[str]] = {}
+        #: Whether events carry the content address (computing it only
+        #: for the log would put a hash on every cache-less cell).
+        self.keyed = not (
+            self.cache is None and self.quarantine is None and self.checkpoint is None
+        )
+        self._keys: Dict[int, str] = {}
+
+    def __enter__(self) -> "_Run":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if isinstance(exc, CampaignInterrupted):
+            self.log.emit(
+                {"event": "interrupted", "name": self.name, "signal": exc.signum}
+            )
+        if self.checkpoint is not None:
+            self.checkpoint.flush()
+        self.log.close()
+
+    def key_of(self, index: int) -> str:
+        key = self._keys.get(index)
+        if key is None:
+            salt = self.cache.salt if self.cache is not None else code_salt()
+            self._keys[index] = key = self.cells[index].cache_key(salt)
+        return key
+
+    def _event_key(self, index: int) -> Optional[str]:
+        return self.key_of(index) if self.keyed else None
+
+    # -- lookup ---------------------------------------------------------
+    def lookup(self, resume: bool) -> List[int]:
+        """Answer what the cache, the checkpoint and the quarantine
+        ledger can; returns the indices left to run, in declared order."""
+        cache = self.cache if resume else None
+        checkpoint = self.checkpoint if resume else None
+        if checkpoint is not None:
+            checkpoint.load()
+        runnable: List[int] = []
+        for index, spec in enumerate(self.cells):
+            payload = cache.get(spec) if cache is not None else None
+            if payload is not None:
+                self._deliver(index, payload, "hit", store=False)
+                continue
+            if checkpoint is not None:
+                payload = checkpoint.get(self.key_of(index))
+            if payload is not None:
+                self.stats.restored += 1
+                self._deliver(index, payload, "restored")  # heals the cache
+            elif self.quarantine is not None and self.quarantine.is_quarantined(
+                self.key_of(index)
+            ):
+                self._skip_quarantined(index)
+            else:
+                runnable.append(index)
+        return runnable
+
+    def _skip_quarantined(self, index: int) -> None:
+        spec, key = self.cells[index], self.key_of(index)
+        entry = self.quarantine.entry_for(key) or {}
+        exc = QuarantinedCellError(
+            f"cell {spec.label} is quarantined "
+            f"({entry.get('classification', 'unknown')}: "
+            f"{entry.get('error', 'see ledger')}); remove "
+            f"{self.quarantine.report_path(key)} to retry"
+        )
+        self.stats.quarantined += 1
+        self.stats.failed += 1
+        self.failures[index] = CampaignError(spec, exc, 0)
+        self.log.emit(_cell_event("quarantined-skip", spec, key=key))
+        if self.on_failure is not None:
+            self.on_failure(index, spec, exc, "quarantined")
+
+    # -- what carriers report -------------------------------------------
+    def complete(
+        self, index: int, payload: Payload, secs: float, was_hit: bool = False
+    ) -> None:
+        if was_hit:
+            self._deliver(index, payload, "hit")
+            return
+        self.attempts[index] += 1  # the successful attempt
+        self.stats.executed += 1
+        self.stats.retried += self.attempts[index] - 1
+        self._deliver(
+            index,
+            payload,
+            "done",
+            attempts=self.attempts[index],
+            elapsed=round(secs, 3),
+        )
+
+    def _deliver(
+        self, index: int, payload: Payload, status: str, *, store: bool = True, **extra
+    ) -> None:
+        """A payload for ``index``, from wherever: keep it, persist it,
+        log it, tell the caller."""
+        spec = self.cells[index]
+        fresh = status == "done"
+        self.results[index] = payload
+        if not fresh:
+            self.stats.hits += 1
+        if store and self.cache is not None:
+            self.cache.put(spec, payload)
+        if self.checkpoint is not None:
+            self.checkpoint.record(self.key_of(index), payload)
+            # Only fresh results drive the periodic flush: a warm run
+            # would otherwise rewrite the whole file every few hits.
+            if fresh and self.checkpoint.dirty >= self.checkpoint_every:
+                self.checkpoint.flush()
+                self.log.emit(
+                    {
+                        "event": "checkpoint",
+                        "name": self.name,
+                        "completed": len(self.checkpoint.entries),
+                    }
+                )
+        self.log.emit(_cell_event(status, spec, key=self._event_key(index), **extra))
+        if self.on_result is not None:
+            self.on_result(index, spec, payload, not fresh)
+
+    def attempt_failed(self, index: int, exc: BaseException) -> Optional[float]:
+        signatures = self.signatures.setdefault(index, [])
+        signatures.append(error_signature(exc))
+        self.attempts[index] += 1
+        if not _retryable(exc):
+            verdict = "fatal"
+        elif classify_attempts(signatures) == "deterministic":
+            verdict = "deterministic"
+        elif self.attempts[index] >= self.policy.max_retries:
+            verdict = "exhausted"
+        else:
+            spec = self.cells[index]
+            delay = self.policy.delay_before(
+                self.attempts[index] + 1,
+                self.key_of(index) if self.keyed else spec.canonical_json(),
+            )
+            self.log.emit(
+                _cell_event(
+                    "retry",
+                    spec,
+                    attempts=self.attempts[index],
+                    error=str(exc),
+                    delay=round(delay, 3),
+                )
+            )
+            return delay
+        self.fail(index, exc, verdict)
+        return None
+
+    def fail(self, index: int, exc: BaseException, classification: str) -> None:
+        spec = self.cells[index]
+        self.stats.failed += 1
+        if self.quarantine is not None:
+            report = FailureReport.from_failure(
+                spec,
+                self.key_of(index),
+                exc,
+                self.attempts[index],
+                self.signatures.get(index, []),
+                classification,
+            )
+            if classification in ("deterministic", "fatal"):
+                self.quarantine.quarantine(report)
+                self.stats.quarantined += 1
+            else:
+                # "exhausted" means the budget ran out on *differing*
+                # signatures — a flaky cell, not a condemned one (and a
+                # lost host condemns nobody).  Keep the structured
+                # report for post-mortems but write no ledger line, so
+                # the next campaign retries it.
+                self.quarantine.record_failure(report)
+        self.log.emit(
+            _cell_event(
+                "failed",
+                spec,
+                attempts=self.attempts[index],
+                classification=classification,
+                error=str(exc),
+                key=self._event_key(index),
+            )
+        )
+        self.failures[index] = CampaignError(spec, exc, self.attempts[index])
+        if self.on_failure is not None:
+            self.on_failure(index, spec, exc, classification)
+
+
 def execute_cells(
     cells: Sequence[CellSpec],
     *,
     workers: int = 1,
+    hosts: Optional[str] = None,
     cache: Optional[CellCache] = None,
     resume: bool = True,
-    retries: int = 1,
-    max_retries: Optional[int] = None,
+    max_retries: int = 2,
     timeout: Optional[float] = None,
     quarantine: Optional[Union[QuarantineLedger, str, Path]] = None,
     checkpoint: Optional[Union[CampaignCheckpoint, str, Path]] = None,
@@ -328,19 +518,28 @@ def execute_cells(
 ) -> Tuple[List[Optional[Payload]], CampaignStats]:
     """Execute cells; return ``(payloads_in_declared_order, stats)``.
 
-    ``max_retries`` is the total per-cell attempt budget (defaults to
-    the legacy ``retries + 1``).  ``timeout`` is a per-cell wall-clock
-    budget in seconds; enforcing it requires process isolation, so a
-    timeout forces the pool path even for ``workers=1``.
-    ``quarantine`` is a :class:`QuarantineLedger` (or its directory);
-    ``checkpoint`` a :class:`CampaignCheckpoint` (or its file path).
-    ``resume=False`` ignores cached/checkpointed entries (they are
-    recomputed and overwritten) while still writing fresh results.
-    ``on_result`` is called as ``(index, spec, payload, was_hit)`` in
-    completion order — hits first, then runs as they finish;
-    ``on_failure`` as ``(index, spec, exception, classification)`` when
-    a cell fails for good.  ``log_host`` stamps every event with a host
-    identity (multi-host campaigns merge their logs deterministically).
+    ``hosts`` sends the cells that miss to the campaign service instead
+    of this process: ``"local:N"`` stands up an ephemeral cluster of N
+    worker hosts (each a ``workers``-wide engine, with this call's
+    ``timeout`` and ``max_retries``) for just this campaign, beside
+    whose log the orchestrator's ``service.events.jsonl`` and the
+    hosts' ``hosts/*.events.jsonl`` land; ``"HOST:PORT"`` submits to a
+    running ``repro.cli serve``, whose hosts keep their own settings.
+    Everything else below means the same with and without it.
+
+    ``max_retries`` is the total per-cell attempt budget.  ``timeout``
+    is a per-cell wall-clock budget in seconds; enforcing it requires
+    process isolation, so a timeout forces the pool path even for
+    ``workers=1``.  ``quarantine`` is a :class:`QuarantineLedger` (or
+    its directory); ``checkpoint`` a :class:`CampaignCheckpoint` (or
+    its file path).  ``resume=False`` ignores cached/checkpointed
+    entries (they are recomputed and overwritten) while still writing
+    fresh results.  ``on_result`` is called as ``(index, spec, payload,
+    was_hit)`` in completion order — hits first, then runs as they
+    finish; ``on_failure`` as ``(index, spec, exception,
+    classification)`` when a cell fails for good.  ``log_host`` stamps
+    every event with a host identity (multi-host campaigns merge their
+    logs deterministically).
 
     While the engine runs on the main thread, SIGTERM/SIGINT are
     converted into :class:`CampaignInterrupted`: the checkpoint and
@@ -350,8 +549,6 @@ def execute_cells(
     if failure_mode not in ("raise", "continue"):
         raise ValueError("failure_mode must be 'raise' or 'continue'")
     cells = list(cells)
-    budget = max_retries if max_retries is not None else retries + 1
-    policy = RetryPolicy(max_retries=budget, timeout=timeout)
     if isinstance(quarantine, (str, Path)):
         quarantine = QuarantineLedger(quarantine)
     if isinstance(checkpoint, (str, Path)):
@@ -360,265 +557,79 @@ def execute_cells(
             salt=cache.salt if cache is not None else code_salt(),
             name=name,
         )
-
-    stats = CampaignStats(total=len(cells))
-    log = EventLog(log_path, host=log_host)
-    log.emit(
+    run = _Run(
+        cells,
+        cache=cache,
+        quarantine=quarantine,
+        checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every,
+        policy=RetryPolicy(max_retries=max_retries, timeout=timeout),
+        log=EventLog(log_path, host=log_host),
+        name=name,
+        on_result=on_result,
+        on_failure=on_failure,
+    )
+    run.log.emit(
         {
             "event": "campaign-start",
             "name": name,
             "cells": len(cells),
             "workers": workers,
+            "hosts": hosts,
             "resume": resume,
             "salt": cache.salt if cache else None,
-            "max_retries": budget,
+            "max_retries": max_retries,
             "timeout": timeout,
             "quarantine": str(quarantine.root) if quarantine else None,
             "checkpoint": str(checkpoint.path) if checkpoint else None,
         }
     )
     start = perf_counter()
-    results: List[Optional[Payload]] = [None] * len(cells)
-    done = [False] * len(cells)
-    failures: Dict[int, CampaignError] = {}
-    pending: List[int] = []
+    with _interruptible(), run:
+        runnable = run.lookup(resume)
+        if not runnable:
+            pass
+        elif hosts:
+            # Imported here: the service package imports this module.
+            from .service.client import carry_on_service
 
-    keyed = cache is not None or quarantine is not None or checkpoint is not None
-    keys: Dict[int, str] = {}
-
-    def key_of(index: int) -> str:
-        key = keys.get(index)
-        if key is None:
-            salt = cache.salt if cache is not None else code_salt()
-            keys[index] = key = cells[index].cache_key(salt)
-        return key
-
-    if checkpoint is not None and resume:
-        checkpoint.load()
-
-    # Entered/exited manually so the large body below keeps its
-    # indentation; semantically a ``with _SignalGuard():`` around the
-    # whole execution.
-    guard = _SignalGuard()
-    guard.__enter__()
-    try:
-        # ---- Phase 1: cache / checkpoint recovery --------------------
-        for index, spec in enumerate(cells):
-            payload = cache.get(spec) if (cache is not None and resume) else None
-            restored = False
-            if payload is None and checkpoint is not None and resume:
-                payload = checkpoint.get(key_of(index))
-                restored = payload is not None
-                if restored and cache is not None:
-                    cache.put(spec, payload)  # heal the cache
-            if payload is not None:
-                results[index] = payload
-                done[index] = True
-                stats.hits += 1
-                if restored:
-                    stats.restored += 1
-                if checkpoint is not None:
-                    checkpoint.record(key_of(index), payload)
-                log.emit(
-                    _cell_event(
-                        "restored" if restored else "hit",
-                        spec,
-                        key=key_of(index) if keyed else None,
-                    )
-                )
-                if on_result is not None:
-                    on_result(index, spec, payload, True)
-            else:
-                pending.append(index)
-
-        # ---- Phase 2: quarantine skip --------------------------------
-        runnable: List[int] = []
-        for index in pending:
-            if quarantine is not None and quarantine.is_quarantined(key_of(index)):
-                spec = cells[index]
-                entry = quarantine.entry_for(key_of(index)) or {}
-                exc = QuarantinedCellError(
-                    f"cell {spec.label} is quarantined "
-                    f"({entry.get('classification', 'unknown')}: "
-                    f"{entry.get('error', 'see ledger')}); remove "
-                    f"{quarantine.report_path(key_of(index))} to retry"
-                )
-                failures[index] = CampaignError(spec, exc, 0)
-                stats.quarantined += 1
-                stats.failed += 1
-                if on_failure is not None:
-                    on_failure(index, spec, exc, "quarantined")
-                log.emit(
-                    _cell_event(
-                        "quarantined-skip", spec, key=key_of(index)
-                    )
-                )
-            else:
-                runnable.append(index)
-
-        attempts: Dict[int, int] = {index: 0 for index in runnable}
-        signatures: Dict[int, List[str]] = {index: [] for index in runnable}
-
-        def _complete(index: int, payload: Payload, secs: float) -> None:
-            attempts[index] += 1  # the successful attempt
-            results[index] = payload
-            done[index] = True
-            stats.executed += 1
-            stats.retried += attempts[index] - 1
-            spec = cells[index]
-            if cache is not None:
-                cache.put(spec, payload)
-            if checkpoint is not None:
-                checkpoint.record(key_of(index), payload)
-                if checkpoint.dirty >= checkpoint_every:
-                    checkpoint.flush()
-                    log.emit(
-                        {
-                            "event": "checkpoint",
-                            "name": name,
-                            "completed": len(checkpoint.entries),
-                        }
-                    )
-            log.emit(
-                _cell_event(
-                    "done",
-                    spec,
-                    attempts=attempts[index],
-                    elapsed=round(secs, 3),
-                    key=key_of(index) if keyed else None,
-                )
+            carry_on_service(
+                run, runnable, hosts, workers=max(1, workers), resume=resume
             )
-            if on_result is not None:
-                on_result(index, spec, payload, False)
-
-        def _fail(index: int, exc: BaseException, classification: str) -> None:
-            spec = cells[index]
-            stats.failed += 1
-            if quarantine is not None:
-                report = FailureReport.from_failure(
-                    spec,
-                    key_of(index),
-                    exc,
-                    attempts[index],
-                    signatures[index],
-                    classification,
-                )
-                if classification in ("deterministic", "fatal"):
-                    quarantine.quarantine(report)
-                    stats.quarantined += 1
-                else:
-                    # "exhausted" means the budget ran out on *differing*
-                    # signatures — a flaky cell, not a condemned one.  Keep
-                    # the structured report for post-mortems but write no
-                    # ledger line, so the next campaign retries it.
-                    quarantine.record_failure(report)
-            log.emit(
-                _cell_event(
-                    "failed",
-                    spec,
-                    attempts=attempts[index],
-                    classification=classification,
-                    error=str(exc),
-                    key=key_of(index) if keyed else None,
-                )
-            )
-            failures[index] = CampaignError(spec, exc, attempts[index])
-            if on_failure is not None:
-                on_failure(index, spec, exc, classification)
-
-        def _after_failure(index: int, exc: BaseException):
-            """Account one failed attempt; returns ``("fail", cls)`` or
-            ``("retry", delay_seconds)``."""
-            signatures[index].append(error_signature(exc))
-            attempts[index] += 1
-            if not _retryable(exc):
-                return ("fail", "fatal")
-            classification = classify_attempts(signatures[index])
-            if classification == "deterministic":
-                return ("fail", "deterministic")
-            if attempts[index] >= budget:
-                return ("fail", "exhausted")
-            jitter_key = key_of(index) if keyed else cells[index].canonical_json()
-            delay = policy.delay_before(attempts[index] + 1, jitter_key)
-            log.emit(
-                _cell_event(
-                    "retry",
-                    cells[index],
-                    attempts=attempts[index],
-                    error=str(exc),
-                    delay=round(delay, 3),
-                )
-            )
-            return ("retry", delay)
-
-        # ---- Phase 3: supervised execution ---------------------------
-        use_pool = bool(runnable) and (
-            (workers > 1 and len(runnable) > 1) or timeout is not None
-        )
-        if use_pool:
-            _supervise_pool(
-                cells,
-                runnable,
-                workers=max(1, workers),
-                timeout=timeout,
-                stats=stats,
-                log=log,
-                name=name,
-                after_failure=_after_failure,
-                complete=_complete,
-                fail=_fail,
-            )
+        elif timeout is not None or (workers > 1 and len(runnable) > 1):
+            _supervise_pool(run, runnable, workers=max(1, workers))
         else:
-            for index in runnable:
-                t0 = perf_counter()
-                spec = cells[index]
-                while True:
-                    try:
-                        payload = run_cell(spec)
-                    except Exception as exc:
-                        verdict, extra = _after_failure(index, exc)
-                        if verdict == "fail":
-                            _fail(index, exc, extra)
-                            break
-                        time.sleep(extra)
-                        continue
-                    _complete(index, payload, perf_counter() - t0)
+            _run_inline(run, runnable)
+        run.stats.elapsed = perf_counter() - start
+        run.log.emit({"event": "campaign-end", "name": name, **run.stats.as_dict()})
+    assert all(
+        payload is not None or index in run.failures
+        for index, payload in enumerate(run.results)
+    ), "a carrier returned without a verdict for every cell"
+    if run.failures and failure_mode == "raise":
+        raise run.failures[min(run.failures)]
+    return run.results, run.stats
+
+
+def _run_inline(run: _Run, runnable: List[int]) -> None:
+    """The in-process carrier: one cell at a time, retried in place."""
+    for index in runnable:
+        spec = run.cells[index]
+        started = perf_counter()
+        while True:
+            try:
+                payload = _one_attempt(spec)
+            except Exception as exc:
+                delay = run.attempt_failed(index, exc)
+                if delay is None:
                     break
-
-        stats.elapsed = perf_counter() - start
-        if checkpoint is not None:
-            checkpoint.flush()
-        log.emit({"event": "campaign-end", "name": name, **stats.as_dict()})
-        assert all(done[i] or i in failures for i in range(len(cells)))
-        if failures and failure_mode == "raise":
-            raise failures[min(failures)]
-        return list(results), stats
-    except CampaignInterrupted as exc:
-        # Graceful shutdown: record the interruption, then let the
-        # ``finally`` below flush the checkpoint and close the log
-        # before the signal propagates.
-        log.emit({"event": "interrupted", "name": name, "signal": exc.signum})
-        raise
-    finally:
-        guard.__exit__()
-        if checkpoint is not None:
-            checkpoint.flush()
-        log.close()
+                time.sleep(delay)
+            else:
+                run.complete(index, payload, perf_counter() - started)
+                break
 
 
-def _supervise_pool(
-    cells: List[CellSpec],
-    runnable: List[int],
-    *,
-    workers: int,
-    timeout: Optional[float],
-    stats: CampaignStats,
-    log: _EventLog,
-    name: str,
-    after_failure,
-    complete,
-    fail,
-) -> None:
+def _supervise_pool(run: _Run, runnable: List[int], *, workers: int) -> None:
     """The supervised process-pool loop.
 
     Submissions are single attempts through a sliding window of at
@@ -634,9 +645,9 @@ def _supervise_pool(
     are resubmitted without being charged an attempt, so back-to-back
     timeout kills cannot condemn an innocent cell as deterministic.
     """
+    cells, stats, log, timeout = run.cells, run.stats, run.log, run.policy.timeout
     pool = ProcessPoolExecutor(max_workers=workers)
     inflight: Dict[Future, int] = {}
-    started: Dict[Future, float] = {}
     deadlines: Dict[Future, float] = {}
     first_start: Dict[int, float] = {}
     #: (ready_at, index) retry/backlog queue, consumed in order.
@@ -653,33 +664,28 @@ def _supervise_pool(
         pool = ProcessPoolExecutor(max_workers=workers)
 
     def submit(index: int) -> None:
-        nonlocal pool
         for _ in range(2):
             try:
-                future = pool.submit(_run_one, cells[index])
+                future = pool.submit(_one_attempt, cells[index])
             except BrokenProcessPool:
                 respawn()
                 continue
             now = perf_counter()
             inflight[future] = index
-            started[future] = now
             first_start.setdefault(index, now)
             if timeout is not None:
                 deadlines[future] = now + timeout
             return
         raise RuntimeError("process pool kept breaking on submit")
 
-    def handle_outcome(future: Future, index: int, exc: Optional[BaseException],
-                       payload) -> None:
+    def handle_outcome(index: int, exc: Optional[BaseException], payload) -> None:
         timed_out.discard(index)
         if exc is None:
-            complete(index, payload, perf_counter() - first_start[index])
+            run.complete(index, payload, perf_counter() - first_start[index])
             return
-        verdict, extra = after_failure(index, exc)
-        if verdict == "fail":
-            fail(index, exc, extra)
-        else:
-            waiting.append((perf_counter() + extra, index))
+        delay = run.attempt_failed(index, exc)
+        if delay is not None:
+            waiting.append((perf_counter() + delay, index))
 
     try:
         while inflight or waiting:
@@ -726,7 +732,7 @@ def _supervise_pool(
                     log.emit(
                         {
                             "event": "timeout-kill",
-                            "name": name,
+                            "name": run.name,
                             "cells": [
                                 cells[inflight[f]].label for f in expired
                             ],
@@ -745,27 +751,25 @@ def _supervise_pool(
             victims: Dict[Future, int] = {}
             for future in finished:
                 index = inflight.pop(future)
-                started.pop(future, None)
                 deadlines.pop(future, None)
                 try:
                     payload = future.result()
                 except BrokenProcessPool:
                     victims[future] = index
                 except Exception as exc:
-                    handle_outcome(future, index, exc, None)
+                    handle_outcome(index, exc, None)
                 else:
-                    handle_outcome(future, index, None, payload)
+                    handle_outcome(index, None, payload)
 
             if victims:
                 victims.update(inflight)
                 inflight.clear()
-                started.clear()
                 deadlines.clear()
                 stats.crashes += 1
                 log.emit(
                     {
                         "event": "pool-respawn",
-                        "name": name,
+                        "name": run.name,
                         "victims": [cells[i].label for i in victims.values()],
                     }
                 )
@@ -775,13 +779,13 @@ def _supervise_pool(
                         exc: BaseException = CellTimeoutError(
                             f"cell exceeded its {timeout:.3f}s wall-clock budget"
                         )
-                        handle_outcome(future, index, exc, None)
+                        handle_outcome(index, exc, None)
                     elif future in running_snapshot and not supervisor_kill:
                         exc = WorkerCrashError(
                             "worker process died mid-cell "
                             "(killed, out-of-memory, or crashed)"
                         )
-                        handle_outcome(future, index, exc, None)
+                        handle_outcome(index, exc, None)
                     else:
                         # Queued innocent — or collateral damage of a
                         # supervisor timeout kill: resubmit without
@@ -812,7 +816,8 @@ class Campaign:
     With a ``cache_dir``, the supervision artifacts land beside the
     cell cache by default: the JSONL event log, the campaign
     checkpoint, and the quarantine ledger (under
-    ``<cache_dir>/quarantine``).
+    ``<cache_dir>/quarantine``) — whichever carrier (``workers``,
+    ``hosts``) runs the cells.
     """
 
     name: str
@@ -827,82 +832,43 @@ class Campaign:
         self,
         *,
         workers: int = 1,
+        hosts: Optional[str] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         resume: bool = True,
-        retries: int = 1,
-        max_retries: Optional[int] = None,
+        max_retries: int = 2,
         timeout: Optional[float] = None,
         quarantine_dir: Optional[Union[str, Path]] = None,
         checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 4,
         failure_mode: str = "raise",
         log_path: Optional[Union[str, Path]] = None,
         on_result: Optional[Callable] = None,
-        hosts: Optional[str] = None,
         config_overrides: ItemsLike = (),
     ):
         # The one point run-wide options (``--faults``, ``--bounds``,
-        # ...) enter the cells: before hashing and before either
-        # carrier, so they are in every content address and travel to
-        # pool workers and service hosts inside the spec.
+        # ...) enter the cells: before hashing and before any carrier,
+        # so they are in every content address and travel to pool
+        # workers and service hosts inside the spec.
         cells = tuple(
             cell.with_config_overrides(config_overrides) for cell in self.cells
         )
-        if hosts:
-            # Distributed path: shard the cells across worker hosts via
-            # the campaign service (``local:N`` spawns an ephemeral
-            # localhost cluster; ``host:port`` submits to a running
-            # orchestrator).  See docs/service.md.
-            from .service import run_hosted
-
-            payloads, stats = run_hosted(
-                cells,
-                hosts,
-                name=self.name,
-                cache_dir=cache_dir,
-                workers=workers,
-                timeout=timeout,
-                max_retries=max_retries,
-                resume=resume,
-                failure_mode=failure_mode,
-                log_path=log_path,
-                on_result=on_result,
-            )
-            self.last_stats = stats
-            return self.reducer(payloads) if self.reducer is not None else payloads
-        cache = None
         if cache_dir is not None:
-            cache = CellCache(cache_dir)
+            root = Path(cache_dir)
             safe = "".join(
                 c if c.isalnum() or c in "-_" else "-" for c in self.name
             )
-            if log_path is None:
-                log_path = Path(cache_dir) / f"{safe}.events.jsonl"
-            if checkpoint_path is None:
-                checkpoint_path = Path(cache_dir) / f"{safe}.checkpoint.json"
-            if quarantine_dir is None:
-                quarantine_dir = Path(cache_dir) / "quarantine"
-        quarantine = (
-            QuarantineLedger(quarantine_dir) if quarantine_dir is not None else None
-        )
-        checkpoint = None
-        if checkpoint_path is not None:
-            checkpoint = CampaignCheckpoint(
-                Path(checkpoint_path),
-                salt=cache.salt if cache is not None else code_salt(),
-                name=self.name,
-            )
+            log_path = log_path or root / f"{safe}.events.jsonl"
+            checkpoint_path = checkpoint_path or root / f"{safe}.checkpoint.json"
+            quarantine_dir = quarantine_dir or root / "quarantine"
         payloads, stats = execute_cells(
             cells,
             workers=workers,
-            cache=cache,
+            hosts=hosts,
+            cache=CellCache(cache_dir) if cache_dir is not None else None,
             resume=resume,
-            retries=retries,
             max_retries=max_retries,
             timeout=timeout,
-            quarantine=quarantine,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
+            quarantine=quarantine_dir,
+            checkpoint=checkpoint_path,
             failure_mode=failure_mode,
             log_path=log_path,
             name=self.name,

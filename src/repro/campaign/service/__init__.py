@@ -1,41 +1,28 @@
 """Fault-tolerant distributed campaign service.
 
 A sharded orchestrator (leases, heartbeats, work-stealing) plus TCP
-worker hosts that wrap the supervised single-host engine unchanged.
+worker hosts that run the supervised single-host engine per batch.
 See ``docs/service.md`` for the protocol and the failure model;
 results are bit-identical to single-host runs because cells are pure
 functions of their specs and the shared store is content-addressed.
 
 Front doors: ``repro.cli serve`` / ``repro.cli work`` run the pieces
-standalone; ``Campaign.run(hosts=...)`` (or ``--hosts`` on any
-campaign CLI) routes an existing experiment through the service.
+standalone; ``execute_cells(cells, hosts=...)`` (so
+``Campaign.run(hosts=...)`` and ``--hosts`` on any campaign CLI) sends
+a campaign's cells through the service instead of the process pool —
+the same front door, a different carrier.
 """
 
-from .client import (
-    LocalCluster,
-    ServiceError,
-    execute_cells_remote,
-    run_hosted,
-)
-from .orchestrator import Orchestrator
+from .client import LocalCluster, ServiceError, execute_cells_remote
+from .orchestrator import Orchestrator, merged_events
 from .protocol import LINE_LIMIT, VERSION, ProtocolError, parse_address
-from .store import (
-    FilesystemStore,
-    MemoryStore,
-    ResultStore,
-    host_log_path,
-    merged_events,
-)
-from .worker import WorkerError, WorkerHost, run_worker
+from .worker import WorkerError, WorkerHost, host_log_path, run_worker
 
 __all__ = [
-    "FilesystemStore",
     "LINE_LIMIT",
     "LocalCluster",
-    "MemoryStore",
     "Orchestrator",
     "ProtocolError",
-    "ResultStore",
     "ServiceError",
     "VERSION",
     "WorkerError",
@@ -44,6 +31,5 @@ __all__ = [
     "host_log_path",
     "merged_events",
     "parse_address",
-    "run_hosted",
     "run_worker",
 ]

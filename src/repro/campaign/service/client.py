@@ -1,16 +1,18 @@
 """Client side of the campaign service.
 
-:func:`execute_cells_remote` is the service twin of
-:func:`~repro.campaign.engine.execute_cells`: same cells in, same
-``(payloads_in_declared_order, stats)`` out — the distribution is
-invisible to the caller, and because cells are pure functions of their
-specs the payloads are bit-identical to a single-host run.
+:func:`carry_on_service` is the service carrier of
+:func:`~repro.campaign.engine.execute_cells`: it submits the cells the
+front door could not answer itself, and reports each streamed verdict
+into the run — a payload, a store hit, or a failure a worker host
+already classified.  Everything else (counting, the cache, the
+checkpoint, quarantine, the event log, ``failure_mode``) is the front
+door's, exactly as under the process pool, and because cells are pure
+functions of their specs the payloads are bit-identical to a
+single-host run.
 
 :class:`LocalCluster` spins up an ephemeral service on this machine
 (orchestrator on a background thread, worker hosts as subprocesses);
-:func:`run_hosted` is the ``Campaign.run(hosts=...)`` entry point that
-picks between an ephemeral ``local:N`` cluster and an already-running
-``host:port`` service.
+``hosts="local:N"`` starts one for the length of a campaign.
 """
 
 from __future__ import annotations
@@ -22,115 +24,119 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from time import perf_counter
+from typing import List, Optional, Sequence, Tuple, Union
 
-from ..cache import Payload, code_salt, decode_payload
-from ..engine import CampaignError, CampaignStats
+from ..cache import CellCache, Payload, code_salt, decode_payload
+from ..engine import CampaignStats, execute_cells
 from ..spec import CellSpec
 from . import protocol
 from .orchestrator import Orchestrator
-from .store import FilesystemStore, MemoryStore, ResultStore
-
 
 class ServiceError(RuntimeError):
-    """The service refused the request (salt mismatch, protocol error)."""
+    """The service refused the request (salt mismatch, protocol error)
+    or went away before every cell had a verdict."""
 
 
 def execute_cells_remote(
-    cells: Sequence[CellSpec],
-    address: Union[str, Tuple[str, int]],
-    *,
-    name: str = "campaign",
-    resume: bool = True,
-    failure_mode: str = "raise",
-    on_result: Optional[Callable[[int, CellSpec, Payload, bool], None]] = None,
+    cells: Sequence[CellSpec], address: str, **options
 ) -> Tuple[List[Optional[Payload]], CampaignStats]:
-    """Run ``cells`` on the service at ``address``.
+    """``execute_cells(cells, hosts=address, **options)``."""
+    return execute_cells(cells, hosts=address, **options)
 
-    Submits the cells as canonical spec JSON, streams back per-cell
-    results (store hits first, then completions in arrival order) and
-    reassembles the declared order.  ``failure_mode="raise"`` raises
-    :class:`CampaignError` on the first failed cell, exactly like the
-    single-host engine; ``"continue"`` leaves ``None`` holes.
-    """
-    if failure_mode not in ("raise", "continue"):
-        raise ValueError(f"unknown failure_mode {failure_mode!r}")
-    if isinstance(address, str):
-        address = protocol.parse_address(address)
-    host, port = address
-    cells = list(cells)
-    started = time.monotonic()
-    stats = CampaignStats(total=len(cells))
-    payloads: List[Optional[Payload]] = [None] * len(cells)
 
-    async def _run() -> None:
-        reader, writer = await protocol.open_connection(host, port)
-        try:
-            await protocol.send(
-                writer,
-                {
-                    "type": "hello",
-                    "role": "client",
-                    "salt": code_salt(),
-                    "version": protocol.VERSION,
-                },
-            )
-            await protocol.send(
-                writer,
-                {
-                    "type": "submit",
-                    "name": name,
-                    "resume": resume,
-                    "cells": [spec.canonical() for spec in cells],
-                },
-            )
-            while True:
-                message = await protocol.recv(reader)
-                if message is None:
-                    raise ServiceError(
-                        "service went away mid-campaign "
-                        f"({stats.hits + stats.executed + stats.failed}"
-                        f"/{stats.total} cells reported)"
-                    )
-                kind = message.get("type")
-                if kind == "error":
-                    raise ServiceError(message.get("error", "refused"))
-                if kind == "done":
-                    stats.service = message.get("service", {})  # type: ignore[attr-defined]
-                    return
-                if kind != "cell":
-                    raise protocol.ProtocolError(
-                        f"unexpected service message {kind!r}"
-                    )
-                index = int(message["index"])
-                status = message["status"]
-                spec = cells[index]
-                if status in ("hit", "done"):
-                    payload = decode_payload(message["payload"])
-                    payloads[index] = payload
-                    if status == "hit":
-                        stats.hits += 1
-                    else:
-                        stats.executed += 1
-                    if on_result is not None:
-                        on_result(index, spec, payload, status == "hit")
-                else:
-                    stats.failed += 1
-                    cause = RuntimeError(
-                        f"[{message.get('classification', 'unknown')}] "
+def carry_on_service(
+    run, runnable: List[int], hosts: str, *, workers: int, resume: bool
+) -> None:
+    """Carry the ``runnable`` cells of ``run`` (the engine's ``_Run``)
+    on the service ``hosts`` names: ``local:N`` or ``HOST:PORT``."""
+    if not hosts.startswith("local:"):
+        asyncio.run(_submit_and_stream(run, runnable, hosts, resume))
+        return
+    # The ephemeral cluster's own logs go beside the campaign's: the
+    # orchestrator's here, the hosts' under ``hosts/``.
+    log_path = run.log.path and run.log.path.parent / "service.events.jsonl"
+    with LocalCluster(
+        int(hosts[len("local:"):]),
+        capacity=workers,
+        timeout=run.policy.timeout,
+        max_retries=run.policy.max_retries,
+        log_path=log_path,
+        name=run.name,
+    ) as cluster:
+        asyncio.run(_submit_and_stream(run, runnable, cluster.address, resume))
+
+
+async def _submit_and_stream(
+    run, runnable: List[int], address: str, resume: bool
+) -> None:
+    """Submit the cells as canonical spec JSON and report the per-cell
+    verdicts as they stream back (store hits first, then completions
+    in arrival order) until the service says ``done``."""
+    host, port = protocol.parse_address(address)
+    reader, writer = await protocol.open_connection(host, port)
+    try:
+        await protocol.send(
+            writer,
+            {
+                "type": "hello",
+                "role": "client",
+                "salt": code_salt(),
+                "version": protocol.VERSION,
+            },
+        )
+        await protocol.send(
+            writer,
+            {
+                "type": "submit",
+                "name": run.name,
+                "resume": resume,
+                "cells": [run.cells[index].canonical() for index in runnable],
+            },
+        )
+        submitted = perf_counter()
+        reported = 0
+        while True:
+            message = await protocol.recv(reader)
+            if message is None:
+                raise ServiceError(
+                    "service went away mid-campaign "
+                    f"({reported}/{len(runnable)} submitted cells reported)"
+                )
+            kind = message.get("type")
+            if kind == "error":
+                raise ServiceError(message.get("error", "refused"))
+            if kind == "done":
+                return
+            if kind != "cell":
+                raise protocol.ProtocolError(f"unexpected service message {kind!r}")
+            index = runnable[int(message["index"])]
+            status = message["status"]
+            reported += 1
+            if status in ("hit", "done"):
+                # The service does not say how long the cell ran; the
+                # time since submission is what this client waited.
+                run.complete(
+                    index,
+                    decode_payload(message["payload"]),
+                    perf_counter() - submitted,
+                    was_hit=status == "hit",
+                )
+            else:
+                # One attempt as seen from here, however many the host
+                # spent before it gave its verdict.
+                run.attempts[index] += 1
+                classification = message.get("classification", "unknown")
+                run.fail(
+                    index,
+                    RuntimeError(
+                        f"[{classification}] "
                         f"{message.get('error', 'unknown failure')}"
-                    )
-                    if failure_mode == "raise":
-                        raise CampaignError(spec, cause, 1)
-        finally:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
-
-    asyncio.run(_run())
-    stats.elapsed = time.monotonic() - started
-    return payloads, stats
+                    ),
+                    classification,
+                )
+    finally:
+        writer.close()
 
 
 class LocalCluster:
@@ -143,7 +149,7 @@ class LocalCluster:
     failure would.  Use as a context manager::
 
         with LocalCluster(3, cache_dir=cache) as cluster:
-            payloads, stats = execute_cells_remote(cells, cluster.address)
+            payloads, stats = execute_cells(cells, hosts=cluster.address)
     """
 
     def __init__(
@@ -151,7 +157,6 @@ class LocalCluster:
         num_workers: int,
         *,
         cache_dir: Optional[Union[str, Path]] = None,
-        store: Optional[ResultStore] = None,
         capacity: int = 1,
         timeout: Optional[float] = None,
         max_retries: Optional[int] = 2,
@@ -163,19 +168,13 @@ class LocalCluster:
     ) -> None:
         if num_workers < 1:
             raise ValueError("a cluster needs at least one worker host")
-        if store is None:
-            store = (
-                FilesystemStore(cache_dir)
-                if cache_dir is not None
-                else MemoryStore()
-            )
         self.num_workers = num_workers
         self.capacity = max(1, capacity)
         self.timeout = timeout
         self.max_retries = max_retries
         self.log_path = Path(log_path) if log_path is not None else None
         self.orchestrator = Orchestrator(
-            store,
+            CellCache(cache_dir),
             lease_duration=lease_duration,
             heartbeat_interval=heartbeat_interval,
             miss_limit=miss_limit,
@@ -221,7 +220,27 @@ class LocalCluster:
                 f"all {len(dead)} worker hosts exited at launch "
                 f"(exit codes {dead})"
             )
+        threading.Thread(
+            target=self._stop_serving_when_hosts_are_gone,
+            name="campaign-hosts",
+            daemon=True,
+        ).start()
         return self
+
+    def _stop_serving_when_hosts_are_gone(self) -> None:
+        # Hosts here are never respawned: once the last one has exited
+        # no cell will ever get a verdict.  Stopping the orchestrator
+        # hangs up on every waiting client, which raises there instead
+        # of waiting for good.
+        for proc in list(self.workers):
+            proc.wait()
+        self._signal_stop()
+
+    def _signal_stop(self) -> None:
+        try:
+            self._loop.call_soon_threadsafe(self.orchestrator.signal_stop)
+        except RuntimeError:
+            pass  # the loop is closed: the service already stopped
 
     def spawn_worker(self, name: str) -> subprocess.Popen:
         """Start one worker-host subprocess dialed into this cluster."""
@@ -264,7 +283,7 @@ class LocalCluster:
         if self._loop is not None and self._thread is not None:
             # serve_forever performs the full shutdown before returning,
             # so signalling is all the other thread needs from us.
-            self._loop.call_soon_threadsafe(self.orchestrator.signal_stop)
+            self._signal_stop()
             self._thread.join(timeout=10.0)
 
     def __enter__(self) -> "LocalCluster":
@@ -272,55 +291,3 @@ class LocalCluster:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-
-def run_hosted(
-    cells: Sequence[CellSpec],
-    hosts: str,
-    *,
-    name: str = "campaign",
-    cache_dir: Optional[Union[str, Path]] = None,
-    workers: int = 1,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = 2,
-    resume: bool = True,
-    failure_mode: str = "raise",
-    log_path: Optional[Union[str, Path]] = None,
-    on_result: Optional[Callable[[int, CellSpec, Payload, bool], None]] = None,
-) -> Tuple[List[Optional[Payload]], CampaignStats]:
-    """``Campaign.run(hosts=...)`` back end.
-
-    ``hosts="local:N"`` stands up an ephemeral :class:`LocalCluster`
-    of N worker subprocesses (each running a ``workers``-wide engine
-    pool) for just this campaign; any other value is the ``host:port``
-    of an already-running service (``repro.cli serve``), in which case
-    the execution knobs (``workers``/``timeout``/``max_retries``/
-    ``cache_dir``) belong to the service, not this call.
-    """
-    if hosts.startswith("local:"):
-        count = int(hosts.split(":", 1)[1])
-        with LocalCluster(
-            count,
-            cache_dir=cache_dir,
-            capacity=max(1, workers),
-            timeout=timeout,
-            max_retries=max_retries,
-            log_path=log_path,
-            name=name,
-        ) as cluster:
-            return execute_cells_remote(
-                cells,
-                cluster.address,
-                name=name,
-                resume=resume,
-                failure_mode=failure_mode,
-                on_result=on_result,
-            )
-    return execute_cells_remote(
-        cells,
-        hosts,
-        name=name,
-        resume=resume,
-        failure_mode=failure_mode,
-        on_result=on_result,
-    )

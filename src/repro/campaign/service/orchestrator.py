@@ -1,7 +1,10 @@
 """The campaign orchestrator: sharding, leases, heartbeats, stealing.
 
 One asyncio process owns the authoritative campaign state and the
-single write path into the shared :class:`ResultStore`.  Worker hosts
+single write path into its result store, a
+:class:`~repro.campaign.cache.CellCache` (directory-backed, so service
+and single-host campaigns share entries bit for bit, or in memory
+without a directory).  Worker hosts
 and clients dial in over TCP (see :mod:`.protocol`); everything below
 runs on one event loop, so no locks guard the scheduler state.
 
@@ -17,7 +20,9 @@ Scheduling model
 * **Leases** — a granted cell carries a time-bounded lease.  Every
   heartbeat from the owning host that still lists the lease renews it;
   a lease whose deadline passes (host wedged, heartbeats lost, or the
-  host silently dropped the cell) is requeued for anyone else.  The
+  host silently dropped the cell) is requeued for anyone else — up to
+  :data:`MAX_REQUEUES` times: a cell that keeps losing its host is the
+  likely cause and fails as ``host-loss``.  The
   original host may still finish and report — the **dedup** rule makes
   that benign: the first valid payload for a key wins, later ones are
   logged as duplicates and discarded (payloads are pure functions of
@@ -35,20 +40,20 @@ Results stream back to submitting clients incrementally (hits first,
 then completions in arrival order); the client reassembles declared
 order.  Every scheduling action lands in the orchestrator's JSONL
 event log (host ``orchestrator``), which merges deterministically
-with the per-host worker logs (see :func:`.store.merged_events`).
+with the per-host worker logs (see :func:`merged_events`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from ..cache import decode_payload, encode_payload
-from ..engine import EventLog
+from ..cache import CellCache, decode_payload, encode_payload
+from ..engine import EventLog, merge_event_streams
 from ..spec import CellSpec
 from . import protocol
-from .store import MemoryStore, ResultStore
 
 #: Scheduler defaults; tests and local clusters tighten them.
 LEASE_DURATION = 30.0
@@ -56,6 +61,13 @@ HEARTBEAT_INTERVAL = 2.0
 MISS_LIMIT = 3
 RECONNECT_BACKOFF_BASE = 0.5
 RECONNECT_BACKOFF_CAP = 30.0
+#: Times one cell is requeued after losing its lease (host gone, lease
+#: expired, undecodable payload); the next loss fails it as
+#: ``host-loss``.  A cell that takes its host down with it would
+#: otherwise be handed to every host in turn and leave its campaign
+#: waiting for good, and that many losses in a row are far likelier
+#: the cell's doing than unrelated machine failures.
+MAX_REQUEUES = 3
 
 
 class _Host:
@@ -74,8 +86,6 @@ class _Host:
         #: exponential reconnect backoff, wakeup-retry style).
         self.deaths = 0
         self.penalty_until = 0.0
-        #: Cells completed by this host (throughput accounting).
-        self.completed = 0
 
     def backoff(self) -> float:
         """Reconnect penalty after ``deaths`` deaths: doubling, capped."""
@@ -141,7 +151,7 @@ class Orchestrator:
 
     def __init__(
         self,
-        store: Optional[ResultStore] = None,
+        store: Optional[CellCache] = None,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -153,7 +163,7 @@ class Orchestrator:
     ) -> None:
         if lease_duration <= 0 or heartbeat_interval <= 0:
             raise ValueError("lease_duration and heartbeat_interval must be > 0")
-        self.store = store if store is not None else MemoryStore()
+        self.store = store if store is not None else CellCache(None)
         self.bind_host = host
         self.port = port
         self.lease_duration = lease_duration
@@ -515,12 +525,11 @@ class Orchestrator:
         except (KeyError, TypeError, ValueError):
             # An invalid payload does not win: requeue the cell.
             self._release_lease(cell)
-            self._requeue(cell, reason="invalid-payload")
+            await self._requeue(cell, reason="invalid-payload")
             return
         self._release_lease(cell)
         cell.status = "done"
         cell.payload = encoded
-        record.completed += 1
         self.stats["completed"] += 1
         self.store.put(cell.spec, payload)
         self.log.emit(
@@ -542,18 +551,29 @@ class Orchestrator:
         if cell is None or cell.status in ("done", "failed"):
             return
         self._release_lease(cell)
+        await self._fail_cell(
+            cell,
+            record.name,
+            str(message.get("error", "unknown failure")),
+            str(message.get("classification", "unknown")),
+        )
+
+    async def _fail_cell(
+        self, cell: _Cell, host_name: Optional[str], error: str, classification: str
+    ) -> None:
+        """A final failure verdict: record it and stream it to waiters."""
         cell.status = "failed"
-        cell.error = str(message.get("error", "unknown failure"))
-        cell.classification = str(message.get("classification", "unknown"))
+        cell.error = error
+        cell.classification = classification
         self.stats["failed"] += 1
         self.log.emit(
             {
                 "event": "cell-failed",
-                "host_name": record.name,
-                "key": key,
+                "host_name": host_name,
+                "key": cell.key,
                 "label": cell.spec.label,
-                "classification": cell.classification,
-                "error": cell.error,
+                "classification": classification,
+                "error": error,
             }
         )
         await self._deliver(cell)
@@ -563,7 +583,7 @@ class Orchestrator:
             return
         record.connected = False
         record.writer = None
-        requeued = self._requeue_host_leases(record)
+        requeued = await self._requeue_host_leases(record)
         if requeued:
             # The host died holding work: charge a death so its next
             # connection pays the doubled (capped) reconnect penalty.
@@ -579,15 +599,15 @@ class Orchestrator:
             }
         )
 
-    def _requeue_host_leases(self, record: _Host) -> int:
+    async def _requeue_host_leases(self, record: _Host) -> int:
+        leases, record.leases = record.leases, {}
         requeued = 0
-        for lease_id, key in list(record.leases.items()):
+        for key in leases.values():
             cell = self.cells.get(key)
             if cell is not None and cell.status == "leased":
                 self._release_lease(cell)
-                self._requeue(cell, reason="host-gone")
+                await self._requeue(cell, reason="host-gone")
                 requeued += 1
-        record.leases.clear()
         return requeued
 
     def _release_lease(self, cell: _Cell) -> None:
@@ -595,7 +615,16 @@ class Orchestrator:
         cell.lease_host = None
         cell.lease_deadline = 0.0
 
-    def _requeue(self, cell: _Cell, *, reason: str) -> None:
+    async def _requeue(self, cell: _Cell, *, reason: str) -> None:
+        if cell.requeues >= MAX_REQUEUES:
+            await self._fail_cell(
+                cell,
+                None,
+                f"lease lost {cell.requeues + 1} times (last: {reason}); "
+                "not handing the cell to another host",
+                "host-loss",
+            )
+            return
         cell.status = "cold"
         cell.requeues += 1
         self.stats["requeues"] += 1
@@ -660,34 +689,20 @@ class Orchestrator:
             spec = CellSpec.from_canonical(doc)
             key = self.store.key_for(spec)
             cell = self.cells.get(key)
-            if cell is not None and cell.status == "done" and resume:
-                await self._send_cell(
-                    campaign, index, "hit", payload=cell.payload
-                )
-                hits += 1
-                continue
-            if cell is not None and cell.status == "failed" and resume:
-                await self._send_cell(
-                    campaign,
-                    index,
-                    "failed",
-                    error=cell.error,
-                    classification=cell.classification,
-                )
+            if resume and cell is not None and cell.status in ("done", "failed"):
+                if cell.status == "done":
+                    hits += 1
+                await self._send_cell(campaign, index, cell, was_hit=True)
                 continue
             if resume:
                 payload = self.store.get(spec)
                 if payload is not None:
-                    encoded = encode_payload(payload)
-                    cached = self.cells.get(key)
-                    if cached is None:
-                        cached = self.cells[key] = _Cell(key, spec)
-                    cached.status = "done"
-                    cached.payload = encoded
-                    await self._send_cell(
-                        campaign, index, "hit", payload=encoded
-                    )
+                    if cell is None:
+                        cell = self.cells[key] = _Cell(key, spec)
+                    cell.status = "done"
+                    cell.payload = encode_payload(payload)
                     hits += 1
+                    await self._send_cell(campaign, index, cell, was_hit=True)
                     continue
             if cell is None or cell.status in ("done", "failed"):
                 # (done/failed but resume=False: recompute fresh)
@@ -737,42 +752,26 @@ class Orchestrator:
         """Send a completed/failed cell to every waiting campaign."""
         waiters, cell.waiters = cell.waiters, []
         for campaign, index in waiters:
-            if campaign.closed:
-                continue
-            if cell.status == "done":
-                await self._send_cell(
-                    campaign, index, "done", payload=cell.payload
-                )
-            else:
-                await self._send_cell(
-                    campaign,
-                    index,
-                    "failed",
-                    error=cell.error,
-                    classification=cell.classification,
-                )
+            if not campaign.closed:
+                await self._send_cell(campaign, index, cell)
 
     async def _send_cell(
-        self,
-        campaign: _CampaignRun,
-        index: int,
-        status: str,
-        payload: Optional[dict] = None,
-        error: Optional[str] = None,
-        classification: Optional[str] = None,
+        self, campaign: _CampaignRun, index: int, cell: _Cell, was_hit: bool = False
     ) -> None:
-        message = {"type": "cell", "index": index, "status": status}
-        if payload is not None:
-            message["payload"] = payload
-        if error is not None:
-            message["error"] = error
-            message["classification"] = classification
-        if status == "hit":
-            campaign.hits += 1
-        elif status == "done":
-            campaign.executed += 1
-        else:
+        """Stream the verdict ``cell`` holds (done or failed) to one
+        waiting campaign; ``was_hit``: nothing ran for this campaign."""
+        message = {"type": "cell", "index": index}
+        if cell.status == "failed":
             campaign.failed += 1
+            message.update(
+                status="failed", error=cell.error, classification=cell.classification
+            )
+        elif was_hit:
+            campaign.hits += 1
+            message.update(status="hit", payload=cell.payload)
+        else:
+            campaign.executed += 1
+            message.update(status="done", payload=cell.payload)
         campaign.remaining -= 1
         try:
             async with campaign.send_lock:
@@ -865,7 +864,7 @@ class Orchestrator:
                         }
                     )
                     self._release_lease(cell)
-                    self._requeue(cell, reason="lease-expired")
+                    await self._requeue(cell, reason="lease-expired")
 
     def _poke_soon(self) -> None:
         """Nudge idle connected hosts that new work is available."""
@@ -888,3 +887,12 @@ class Orchestrator:
 
     def _now(self) -> float:
         return asyncio.get_running_loop().time()
+
+
+def merged_events(orchestrator_log: Union[str, Path]) -> List[dict]:
+    """The service's merged event stream: the orchestrator's log plus
+    every worker-host log in its sibling ``hosts/`` directory."""
+    hosts_dir = Path(orchestrator_log).parent / "hosts"
+    return merge_event_streams(
+        [orchestrator_log, *sorted(hosts_dir.glob("*.events.jsonl"))]
+    )

@@ -1,12 +1,12 @@
 """Worker host: a leased-cell agent around the supervised engine.
 
 A :class:`WorkerHost` dials the orchestrator, requests cell leases and
-runs each batch through today's :func:`~repro.campaign.engine.
-execute_cells` **unchanged** — so per-cell wall-clock timeouts, worker
-crash isolation with pool respawn, retry classification and
-quarantine all keep working *inside* each host exactly as they do in
-a single-host campaign.  The service layer above only adds host-level
-failure handling (leases, heartbeats, requeue).
+runs each batch through :func:`~repro.campaign.engine.execute_cells`
+— so per-cell wall-clock timeouts, worker crash isolation with pool
+respawn, retry classification and quarantine all keep working *inside*
+each host exactly as they do in a single-host campaign.  The service
+layer above only adds host-level failure handling (leases, heartbeats,
+requeue).
 
 Concurrency: the engine batch runs on an executor thread while the
 asyncio side keeps heartbeating (listing the outstanding lease ids,
@@ -16,15 +16,18 @@ neither starves heartbeats nor delays result streaming.
 
 ``python -m repro.campaign.service --connect HOST:PORT`` runs a host
 standalone (``repro.cli work`` is the front door); it reconnects with
-exponential backoff when the orchestrator goes away.
+exponential backoff when the orchestrator goes away, and takes its
+pool workers with it when it is told to stop.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import multiprocessing
+import os
+import signal
 import socket
-import sys
 from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple, Union
@@ -33,11 +36,16 @@ from ..cache import CellCache, code_salt, encode_payload
 from ..engine import execute_cells
 from ..spec import CellSpec
 from . import protocol
-from .store import host_log_path
 
 
 class WorkerError(RuntimeError):
     """The orchestrator refused this host (salt mismatch, name clash)."""
+
+
+def host_log_path(base: Union[str, Path], host: str) -> Path:
+    """Where worker host ``host`` appends its engine event log."""
+    safe = "".join(c if c.isalnum() or c in "-_" else "-" for c in host)
+    return Path(base) / "hosts" / f"{safe}.events.jsonl"
 
 
 class WorkerHost:
@@ -68,7 +76,6 @@ class WorkerHost:
             host_log_path(log_dir, self.name) if log_dir is not None else None
         )
         self.heartbeat_interval = 2.0  # replaced by the welcome message
-        self.cells_completed = 0
         self._running: Set[str] = set()
         self._stop = False
         self._writer: Optional[asyncio.StreamWriter] = None
@@ -259,8 +266,6 @@ class WorkerHost:
                 break
             self._running.discard(message["lease_id"])
             reported += 1
-            if message["type"] == "result":
-                self.cells_completed += 1
             await self._send(message)
         # Engine-level crash (not a cell failure): report the leases
         # that never got a verdict so the orchestrator can requeue them
@@ -317,6 +322,21 @@ def run_worker(
     asyncio.run(_main())
 
 
+def _stop_with_pool_workers(signum: int, frame) -> None:
+    """SIGTERM/SIGINT handler of a worker-host process.
+
+    The engine runs on an executor thread here, where its own signal
+    guard cannot be installed and which would keep the process alive
+    until the batch is through.  So the host goes down hard — its
+    leases requeue when the connection drops — and first kills the
+    engine's pool workers, which would otherwise outlive it as orphans
+    burning CPU on cells nobody will collect.
+    """
+    for child in multiprocessing.active_children():
+        child.kill()
+    os._exit(128 + signum)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(
         prog="repro.campaign.service.worker",
@@ -354,20 +374,19 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         help="extra connection attempts after the orchestrator goes away",
     )
     args = parser.parse_args(argv)
-    try:
-        run_worker(
-            args.connect,
-            reconnect=args.reconnect,
-            name=args.name,
-            capacity=args.capacity,
-            timeout=args.timeout,
-            max_retries=args.max_retries,
-            cache_dir=args.cache_dir,
-            quarantine_dir=args.quarantine_dir,
-            log_dir=args.log_dir,
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        print("worker host stopped", file=sys.stderr)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop_with_pool_workers)
+    run_worker(
+        args.connect,
+        reconnect=args.reconnect,
+        name=args.name,
+        capacity=args.capacity,
+        timeout=args.timeout,
+        max_retries=args.max_retries,
+        cache_dir=args.cache_dir,
+        quarantine_dir=args.quarantine_dir,
+        log_dir=args.log_dir,
+    )
 
 
 if __name__ == "__main__":

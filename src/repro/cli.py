@@ -179,7 +179,8 @@ def _serve(argv: Sequence[str]) -> None:
     """Run the campaign-service orchestrator until interrupted."""
     import asyncio
 
-    from .campaign.service import FilesystemStore, MemoryStore, Orchestrator
+    from .campaign import CellCache
+    from .campaign.service import Orchestrator
     from .campaign.service import orchestrator as orchestrator_defaults
 
     parser = argparse.ArgumentParser(
@@ -219,11 +220,7 @@ def _serve(argv: Sequence[str]) -> None:
         "<cache-dir>/service.events.jsonl when --cache-dir is set)",
     )
     args = parser.parse_args(argv)
-    store = (
-        FilesystemStore(args.cache_dir)
-        if args.cache_dir is not None
-        else MemoryStore()
-    )
+    store = CellCache(args.cache_dir)
     log_path = args.log_path
     if log_path is None and args.cache_dir is not None:
         log_path = f"{args.cache_dir}/service.events.jsonl"

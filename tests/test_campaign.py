@@ -27,7 +27,6 @@ from repro.campaign import (
     merge_event_streams,
     run_cell,
 )
-from repro.campaign.engine import _attempt_cell
 from repro.experiments.common import CANONICAL_INSTRUCTIONS, RunRecord
 from repro.noc import NoCConfig
 from repro.noc.errors import SimulationError
@@ -284,9 +283,10 @@ class TestRetry:
             return make_record()
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", flaky)
-        payload, attempts = _attempt_cell(spec, retries=1)
-        assert payload == make_record()
-        assert attempts == 2
+        payloads, stats = execute_cells([spec])
+        assert payloads == [make_record()]
+        assert len(calls) == 2
+        assert stats.retried == 1 and stats.executed == 1
 
     def test_exhausted_retries_raise_campaign_error(self, monkeypatch):
         spec = CellSpec.parsec("canneal", "No-PG", instructions=100)
@@ -296,7 +296,7 @@ class TestRetry:
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", always_fails)
         with pytest.raises(CampaignError) as exc:
-            execute_cells([spec], retries=1)
+            execute_cells([spec], max_retries=2)
         assert exc.value.spec == spec
         assert exc.value.attempts == 2
 
@@ -310,7 +310,7 @@ class TestRetry:
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", boom)
         with pytest.raises(CampaignError):
-            execute_cells([spec], retries=3)
+            execute_cells([spec], max_retries=4)
         assert len(calls) == 1
 
 

@@ -186,7 +186,8 @@ class TestRunOptionsAreCellConfiguration:
         assert hosts == inline
 
     @pytest.mark.parametrize(
-        "carrier", [[], ["--workers", "2"], ["--hosts", "local:1"]]
+        "carrier",
+        [[], ["--workers", "2"], ["--hosts", "local:1", "--workers", "2"]],
     )
     def test_strict_invariants_reach_pool_workers(self, probe, carrier):
         """A permanently stalled router wedges traffic and the small

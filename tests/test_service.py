@@ -17,23 +17,32 @@ import hashlib
 import json
 import os
 import signal
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.campaign import Campaign, CellSpec, execute_cells
+from repro.campaign import (
+    Campaign,
+    CampaignError,
+    CellCache,
+    CellSpec,
+    QuarantinedCellError,
+    execute_cells,
+    iter_events,
+)
 from repro.campaign.cache import code_salt, decode_payload, encode_payload
 from repro.campaign.service import (
-    FilesystemStore,
     LocalCluster,
-    MemoryStore,
     Orchestrator,
     ProtocolError,
+    ServiceError,
     merged_events,
     parse_address,
-    run_hosted,
 )
 from repro.campaign.service import protocol
+from repro.noc import NoCConfig
 
 
 def specs(n=4):
@@ -108,8 +117,8 @@ class TestStores:
     def test_backends_agree_bit_for_bit(self, tmp_path):
         spec = specs(1)[0]
         payload = {"seed": 1, "value": [1, 2, {"deep": True}]}
-        mem = MemoryStore(salt="s1")
-        fs = FilesystemStore(tmp_path / "store", salt="s1")
+        mem = CellCache(None, salt="s1")
+        fs = CellCache(tmp_path / "store", salt="s1")
         mem.put(spec, payload)
         fs.put(spec, payload)
         assert mem.key_for(spec) == fs.key_for(spec)
@@ -218,7 +227,7 @@ async def submit_cells(orch, cells, name="test", resume=True, timeout=10.0):
 class TestOrchestratorScheduling:
     def _run(self, scenario, **orch_kwargs):
         async def main():
-            orch = Orchestrator(MemoryStore(salt="s1"), **orch_kwargs)
+            orch = Orchestrator(CellCache(None, salt="s1"), **orch_kwargs)
             await orch.start()
             try:
                 await asyncio.wait_for(scenario(orch), timeout=30.0)
@@ -437,6 +446,34 @@ class TestOrchestratorScheduling:
 
         self._run(scenario)
 
+    def test_cell_that_keeps_losing_its_host_fails_as_host_loss(self):
+        """A cell that takes every host down with it must get a verdict:
+        after a bounded number of lost leases it fails as ``host-loss``
+        instead of being handed to the next host for ever."""
+        cells = specs(1)
+
+        async def scenario(orch):
+            client = asyncio.ensure_future(submit_cells(orch, cells))
+            await asyncio.sleep(0.05)
+            for n in range(8):
+                if client.done():
+                    break
+                doomed = FakeWorker(orch, f"doomed-{n}")
+                await doomed.connect()
+                leases, _ = await doomed.request()
+                assert len(leases) == 1
+                doomed.close()  # dies holding the lease
+                await asyncio.sleep(0.1)
+            payloads, statuses, done = await asyncio.wait_for(client, 5.0)
+            assert statuses == ["failed"] and payloads == [None]
+            assert done["failed"] == 1
+            (cell,) = orch.cells.values()
+            assert cell.classification == "host-loss"
+            assert 1 <= orch.stats["requeues"] < 8
+            assert orch.stats["dead_hosts"] == orch.stats["requeues"] + 1
+
+        self._run(scenario)
+
 
 # ----------------------------------------------------------------------
 # Local cluster: real subprocess worker hosts
@@ -491,8 +528,8 @@ class TestLocalCluster:
 
         # Warm rerun against the same store: 100% hits, no worker ever
         # sees a cell.
-        warm_payloads, warm_stats = run_hosted(
-            cells, "local:2", name="chaos-warm", cache_dir=cache_dir
+        warm_payloads, warm_stats = execute_cells(
+            cells, hosts="local:2", name="chaos-warm", cache=CellCache(cache_dir)
         )
         assert warm_stats.hits == len(cells) and warm_stats.executed == 0
         assert [payload_hash(p) for p in warm_payloads] == [
@@ -514,7 +551,7 @@ class TestLocalCluster:
         if any(e.get("event") == "requeue" for e in events):
             assert "steal" in kinds or "lease" in kinds
 
-    def test_run_hosted_matches_engine_and_campaign_integration(self, tmp_path):
+    def test_hosted_campaign_matches_engine(self, tmp_path):
         cells = sim_cells(seeds=(1, 2))
         single, _ = execute_cells(cells)
         campaign = Campaign(name="svc-int", cells=tuple(cells))
@@ -534,3 +571,237 @@ class TestLocalCluster:
         assert [payload_hash(p) for p in payloads2] == [
             payload_hash(p) for p in single
         ]
+
+
+
+def failing_cell():
+    """A real cell that fails the same way every time: a permanently
+    stalled router wedges traffic and the small watchdog trips."""
+    spec = CellSpec.synthetic(
+        "uniform_random",
+        0.05,
+        "PowerPunch-PG",
+        warmup=50,
+        measurement=250,
+        seed=1,
+        config=NoCConfig(width=4, height=4),
+    )
+    return spec.with_config_overrides(
+        {
+            "strict_invariants": True,
+            "watchdog": 150,
+            "faults": "router_stall,router=5,start=10",
+        }
+    )
+
+
+def final_cell_events(log_path):
+    """``label -> (status, classification)`` of each cell's last event."""
+    return {
+        e["label"]: (e["status"], e.get("classification"))
+        for e in iter_events(log_path)
+        if e.get("event") == "cell"
+    }
+
+
+class TestOneFrontDoor:
+    """``execute_cells`` is the same campaign under every carrier."""
+
+    CELLS = sim_cells(seeds=(1, 2), schemes=("No-PG",)) + [failing_cell()] + sim_cells(
+        seeds=(3,), schemes=("PowerPunch-PG",)
+    )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        payloads, stats = execute_cells(self.CELLS, failure_mode="continue")
+        return payloads, stats
+
+    @pytest.mark.parametrize(
+        "carrier", [{"workers": 1}, {"workers": 2}, {"hosts": "local:2"}], ids=str
+    )
+    def test_carriers_agree(self, tmp_path, reference, carrier):
+        expected, expected_stats = reference
+        log = tmp_path / "campaign.events.jsonl"
+        payloads, stats = execute_cells(
+            self.CELLS,
+            cache=CellCache(tmp_path / "cache"),
+            quarantine=tmp_path / "quarantine",
+            log_path=log,
+            failure_mode="continue",
+            **carrier,
+        )
+        assert payloads[2] is None and expected[2] is None
+        assert [p and payload_hash(p) for p in payloads] == [
+            p and payload_hash(p) for p in expected
+        ]
+        assert (stats.hits, stats.executed, stats.failed) == (0, 3, 1)
+        assert (stats.hits, stats.executed, stats.failed) == (
+            expected_stats.hits,
+            expected_stats.executed,
+            expected_stats.failed,
+        )
+        assert final_cell_events(log) == {
+            spec.label: ("failed", "deterministic") if i == 2 else ("done", None)
+            for i, spec in enumerate(self.CELLS)
+        }
+        events = [e["event"] for e in iter_events(log)]
+        assert events[0] == "campaign-start" and events[-1] == "campaign-end"
+        # The verdict reached the caller's own ledger, whoever ran the cell.
+        assert stats.quarantined == 1
+        assert (tmp_path / "quarantine" / "ledger.jsonl").exists()
+
+    def test_hosted_campaign_leaves_what_a_pool_campaign_leaves(self, tmp_path):
+        """The artifacts ``Campaign.run(cache_dir=D)`` promises — event
+        log, checkpoint, quarantine ledger — under ``hosts`` too, and a
+        failed cell is raised only after the others are done."""
+        campaign = Campaign(name="probe", cells=tuple(self.CELLS))
+        with pytest.raises(CampaignError) as first:
+            campaign.run(cache_dir=tmp_path, hosts="local:1")
+        assert first.value.spec == self.CELLS[2]
+        assert campaign.last_stats is None  # raised, like the pool does
+
+        events = list(iter_events(tmp_path / "probe.events.jsonl"))
+        assert [e["event"] for e in events if e["event"].startswith("campaign-")] == [
+            "campaign-start",
+            "campaign-end",
+        ]
+        assert events[-1]["executed"] == 3 and events[-1]["failed"] == 1
+        checkpoint = json.loads((tmp_path / "probe.checkpoint.json").read_text())
+        assert len(checkpoint["entries"]) == 3
+        assert (tmp_path / "quarantine" / "ledger.jsonl").exists()
+        # The service's own logs are separate files beside the campaign's.
+        service_log = tmp_path / "service.events.jsonl"
+        kinds = {e.get("event") for e in merged_events(service_log)}
+        assert {"submit", "lease", "result", "cell-failed"} <= kinds
+
+        # Second run: three hits, the condemned cell skipped unrun — so
+        # no cluster, no lease.
+        service_log.unlink()
+        with pytest.raises(CampaignError) as second:
+            campaign.run(cache_dir=tmp_path, hosts="local:1")
+        assert isinstance(second.value.cause, QuarantinedCellError)
+        assert second.value.attempts == 0
+        assert not service_log.exists()
+        last = list(iter_events(tmp_path / "probe.events.jsonl"))[-1]
+        assert last["hits"] == 3 and last["quarantined"] == 1
+
+    def test_explicit_artifact_paths_are_honoured_under_hosts(self, tmp_path):
+        cells = sim_cells(seeds=(1,))
+        campaign = Campaign(name="explicit", cells=tuple(cells))
+        campaign.run(
+            hosts="local:1",
+            log_path=tmp_path / "logs" / "mine.jsonl",
+            checkpoint_path=tmp_path / "ck.json",
+            quarantine_dir=tmp_path / "q",
+        )
+        assert campaign.last_stats.executed == len(cells)
+        assert (tmp_path / "logs" / "mine.jsonl").exists()
+        assert (tmp_path / "logs" / "service.events.jsonl").exists()
+        assert len(json.loads((tmp_path / "ck.json").read_text())["entries"]) == 2
+        # Resumes from the checkpoint alone, with nothing left to carry.
+        campaign.run(hosts="local:1", checkpoint_path=tmp_path / "ck.json")
+        assert campaign.last_stats.restored == len(cells)
+
+
+def _stat_fields(pid):
+    """Fields of ``/proc/<pid>/stat`` after the command name (state,
+    ppid, ...), or ``None`` once the process is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _alive(pid):
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def _children_of(pid):
+    """Live (non-zombie) child PIDs of ``pid``."""
+    children = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        fields = _stat_fields(entry.name)
+        if fields is not None and fields[0] != "Z" and int(fields[1]) == pid:
+            children.append(int(entry.name))
+    return children
+
+
+class TestWorkerHostProcess:
+    def test_terminated_host_takes_its_pool_workers_with_it(self):
+        """SIGTERM a capacity-2 host mid-batch: the engine's pool
+        workers must not survive it as orphans."""
+        cells = [
+            CellSpec.synthetic(
+                "uniform_random", 0.02, "PowerPunch-PG",
+                warmup=100, measurement=60_000, drain=False, seed=seed,
+            )
+            for seed in (1, 2)
+        ]
+        with LocalCluster(1, capacity=2) as cluster:
+            host = cluster.workers[0]
+
+            async def submit_and_leave():
+                host_addr, port = parse_address(cluster.address)
+                reader, writer = await protocol.open_connection(host_addr, port)
+                await protocol.send(
+                    writer, {"type": "hello", "role": "client", "salt": code_salt()}
+                )
+                await protocol.send(
+                    writer,
+                    {
+                        "type": "submit",
+                        "name": "orphans",
+                        "resume": False,
+                        "cells": [spec.canonical() for spec in cells],
+                    },
+                )
+                deadline = time.monotonic() + 30.0
+                while len(_children_of(host.pid)) < 2:
+                    assert time.monotonic() < deadline, "pool workers never started"
+                    assert host.poll() is None, "host exited early"
+                    await asyncio.sleep(0.05)
+                writer.close()
+
+            asyncio.run(submit_and_leave())
+            pool_workers = _children_of(host.pid)
+            assert len(pool_workers) >= 2
+            host.terminate()
+            host.wait(timeout=10.0)
+            deadline = time.monotonic() + 5.0
+            try:
+                while any(_alive(pid) for pid in pool_workers):
+                    assert time.monotonic() < deadline, (
+                        f"orphaned pool workers: "
+                        f"{[pid for pid in pool_workers if _alive(pid)]}"
+                    )
+                    time.sleep(0.05)
+            finally:
+                for pid in pool_workers:
+                    if _alive(pid):
+                        os.kill(pid, signal.SIGKILL)
+
+    def test_cluster_whose_hosts_are_all_gone_hangs_up(self):
+        """Hosts of an ephemeral cluster are never respawned; with the
+        last one gone a waiting campaign must fail, not wait for good."""
+        cells = [
+            CellSpec.synthetic(
+                "uniform_random", 0.02, "No-PG",
+                warmup=100, measurement=60_000, drain=False, seed=1,
+            )
+        ]
+        with LocalCluster(1) as cluster:
+            host = cluster.workers[0]
+
+            def kill_the_only_host():
+                time.sleep(0.5)
+                host.kill()
+
+            killer = threading.Thread(target=kill_the_only_host)
+            killer.start()
+            try:
+                with pytest.raises(ServiceError, match="went away"):
+                    execute_cells(cells, hosts=cluster.address)
+            finally:
+                killer.join(timeout=5.0)
+            assert not killer.is_alive()
