@@ -160,9 +160,9 @@ class PowerGatedScheme(PowerPolicy):
             # Mirror retry events into the network-wide counters so
             # campaign dumps see them without walking controllers.
             controller.stats = network.stats
-        # The vector kernel falls back to the active-set machinery
-        # whenever its engine is not engaged.
-        self._active = cfg.kernel in ("active", "vector")
+        # Every kernel but the naive oracle runs the active-set
+        # machinery whenever the vector engine is not engaged.
+        self._active = cfg.kernel != "naive"
         self._vector_bank = None
         self._bank_dirty = False
         self._faulted = False

@@ -22,21 +22,14 @@ def scalability_campaign(
     sizes: Sequence[int] = (4, 8, 16),
     load: float = 0.01,
     measurement: int = 4000,
-    kernel: str = "active",
 ) -> Campaign:
-    """Declare the mesh-size sweep of Sec. 6.6(2) as a campaign.
-
-    ``kernel`` selects the cycle kernel for every cell; all kernels are
-    cycle-exact, so the numbers are identical — ``"vector"`` just gets
-    to the large meshes much faster.  It is part of the cell spec, so
-    cached results are keyed per kernel.
-    """
+    """Declare the mesh-size sweep of Sec. 6.6(2) as a campaign."""
     cells = tuple(
         CellSpec.synthetic(
             "uniform_random",
             load,
             scheme,
-            config=NoCConfig(width=size, height=size, kernel=kernel),
+            config=NoCConfig(width=size, height=size),
             measurement=measurement,
             drain=False,
         )
@@ -50,14 +43,11 @@ def run_scalability(
     sizes: Sequence[int] = (4, 8, 16),
     load: float = 0.01,
     measurement: int = 4000,
-    kernel: str = "active",
     verbose: bool = True,
     **engine,
 ) -> List[Tuple[int, str, RunRecord]]:
     """Run the mesh-size sweep of Sec. 6.6(2)."""
-    campaign = scalability_campaign(
-        sizes, load=load, measurement=measurement, kernel=kernel
-    )
+    campaign = scalability_campaign(sizes, load=load, measurement=measurement)
     records = campaign.run(**engine)
     keys = [(size, scheme) for size in sizes for scheme in _SCHEMES]
     results = [
@@ -110,13 +100,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--sizes", nargs="*", type=int, default=[4, 8, 16])
     parser.add_argument("--load", type=float, default=0.01)
     parser.add_argument("--measurement", type=int, default=4000)
-    parser.add_argument(
-        "--kernel",
-        default="active",
-        choices=["active", "naive", "vector"],
-        help="cycle kernel for every cell (cycle-exact; 'vector' is "
-        "fastest on large meshes)",
-    )
     args = parser.parse_args(argv)
     require_mesh_topology(args, 'the scalability experiment')
     print(
@@ -125,7 +108,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                 sizes=args.sizes,
                 load=args.load,
                 measurement=args.measurement,
-                kernel=args.kernel,
                 **engine_options(args),
             )
         )

@@ -60,7 +60,6 @@ def matched_rate(
 def topologies_campaign(
     base_rate: float = 0.02,
     measurement: int = 4000,
-    kernel: str = "active",
     fabrics: Sequence[Tuple[str, int, int]] = FABRICS,
 ) -> Campaign:
     """Declare the cross-topology comparison as a campaign.
@@ -74,9 +73,7 @@ def topologies_campaign(
             "uniform_random",
             round(matched_rate(base_rate, topology, width, height), 6),
             scheme,
-            config=NoCConfig(
-                width=width, height=height, topology=topology, kernel=kernel
-            ),
+            config=NoCConfig(width=width, height=height, topology=topology),
             measurement=measurement,
             drain=False,
         )
@@ -89,14 +86,13 @@ def topologies_campaign(
 def run_topologies(
     base_rate: float = 0.02,
     measurement: int = 4000,
-    kernel: str = "active",
     fabrics: Sequence[Tuple[str, int, int]] = FABRICS,
     verbose: bool = True,
     **engine,
 ) -> List[Tuple[str, str, RunRecord]]:
     """Run the cross-topology comparison campaign."""
     campaign = topologies_campaign(
-        base_rate, measurement=measurement, kernel=kernel, fabrics=fabrics
+        base_rate, measurement=measurement, fabrics=fabrics
     )
     records = campaign.run(**engine)
     keys = [
@@ -171,12 +167,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = campaign_argparser(__doc__)
     parser.add_argument("--base-rate", type=float, default=0.02)
     parser.add_argument("--measurement", type=int, default=4000)
-    parser.add_argument(
-        "--kernel",
-        default="active",
-        choices=["active", "naive", "vector"],
-        help="cycle kernel for every cell (all are cycle-exact)",
-    )
     args = parser.parse_args(argv)
     # This experiment spans all fabrics by default; a non-default
     # --topology narrows the comparison to that single fabric.
@@ -188,7 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             run_topologies(
                 base_rate=args.base_rate,
                 measurement=args.measurement,
-                kernel=args.kernel,
                 fabrics=fabrics,
                 **engine_options(args),
             )

@@ -21,7 +21,7 @@ from .topology import TOPOLOGIES, Topology, make_topology
 #: Valid values of the enumerated config fields, validated at
 #: construction time so a typo (``kernel="vecotr"``) fails loudly with
 #: the option list instead of silently running some other kernel.
-VALID_KERNELS = ("active", "naive", "vector")
+VALID_KERNELS = ("auto", "active", "naive", "vector")
 VALID_DEGRADATIONS = ("none", "drop", "reroute", "fail_fast")
 VALID_TOPOLOGIES = tuple(sorted(TOPOLOGIES))
 
@@ -48,17 +48,21 @@ class NoCConfig:
     ni_latency: int = 3
     #: Maximum packets buffered per VN queue in each NI (0 = unbounded).
     ni_queue_capacity: int = 0
-    #: Per-cycle kernel: ``"active"`` visits only components with work
+    #: Per-cycle kernel.  ``"auto"`` (the default) selects the engine at
+    #: run time from the size of the active set: the active-set object
+    #: kernel while few routers hold flits, the structure-of-arrays
+    #: engine of ``repro.noc.vector`` while many do (rule and measured
+    #: crossover in ``docs/architecture.md``).  The other values pin one
+    #: implementation, as references for equivalence tests and
+    #: benchmarks: ``"active"`` visits only components with work
     #: (routers with occupied VCs, NIs with queued/streaming packets,
-    #: armed PG-controller FSMs); ``"naive"`` scans every component
-    #: every cycle; ``"vector"`` runs the per-cycle hot path as masked
-    #: numpy array operations over a structure-of-arrays mirror of the
-    #: mesh (see ``repro.noc.vector``), falling back to the active
-    #: kernel for configurations the engine does not cover (faults,
-    #: invariant checkers, non-whitelisted schemes).  All three are
-    #: cycle-exact — the naive kernel is kept as the reference for
-    #: equivalence tests and benchmarks.
-    kernel: str = "active"
+    #: armed PG-controller FSMs); ``"vector"`` engages the array engine
+    #: at the first step and keeps it; ``"naive"`` scans every component
+    #: every cycle and is the oracle the others are proven against.
+    #: All are cycle-exact, and configurations the array engine does not
+    #: cover (faults, invariant checkers, non-whitelisted schemes) run
+    #: on the active kernel whatever is asked.
+    kernel: str = "auto"
     #: Graceful degradation under permanent router faults (see
     #: ``docs/fault_model.md``): ``"none"`` leaves a permanently
     #: stalled router to the deadlock watchdog; ``"drop"`` purges the

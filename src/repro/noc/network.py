@@ -18,9 +18,9 @@ Per-cycle ordering:
 6. power policy ``end_cycle`` (punch-signal generation from the
    wakeup requirements visible this cycle, energy accounting).
 
-Active-set kernel: with ``NoCConfig.kernel == "active"`` (the default)
-the kernel maintains explicit work-sets so the per-cycle cost scales
-with activity instead of mesh size:
+Active-set kernel: unless ``NoCConfig.kernel == "naive"`` the kernel
+maintains explicit work-sets so the per-cycle cost scales with activity
+instead of mesh size:
 
 * ``active_routers`` — router ids with occupied input VCs.  A router
   enters when a flit is buffered into it (``_deliver_flits``, the only
@@ -35,6 +35,11 @@ kernel's index-order scans exactly — components outside the sets would
 be no-ops — so the two kernels are cycle-exact replicas of each other.
 ``kernel == "naive"`` keeps the full per-cycle scans as the reference
 implementation for equivalence tests and benchmarks.
+
+Engine selection: the default ``kernel == "auto"`` runs the active-set
+kernel while the active set is sparse and hands the run to the
+structure-of-arrays engine of ``repro.noc.vector`` while it is dense
+(see ``_select_engine``); ``"active"`` and ``"vector"`` pin one side.
 """
 
 from __future__ import annotations
@@ -70,6 +75,39 @@ _SA_TO_CREDIT = 2
 #: Cycles from NI flit send until it is buffered in the local port.
 _NI_TO_ARRIVAL = 1
 
+#: Run-time engine selection (``kernel="auto"``, see
+#: ``Network._select_engine``).  Every ``_SELECT_WINDOW`` cycles the mean
+#: number of routers holding flits over the window is compared with two
+#: constants: above ``_ENGAGE_ABOVE`` the vector engine takes over, below
+#: ``_DISENGAGE_BELOW`` the object kernel does.  The object kernel costs
+#: ~7 (NoPG) / ~14 (PowerPunchPG) us per active router per cycle, the
+#: engine ~230 / ~460 us per cycle plus ~2-3 per active router, so they
+#: cross near 42 active routers whatever the mesh size (measured,
+#: PYTHONHASHSEED=0, best of 3 replays, us/cycle NoPG / PowerPunchPG;
+#: full table and method in docs/architecture.md):
+#:
+#:     mesh @ rate     mean active   active        vector
+#:     8x8   @ 0.02         9         77 / 148     236 / 447
+#:     16x16 @ 0.01        27        171 / 346     249 / 502
+#:     8x8   @ 0.10        32        264 / 438     310 / 568
+#:     16x16 @ 0.02        53        317 / 654     278 / 556
+#:     12x12 @ 0.05        56        376 / 654     303 / 580
+#:     16x16 @ 0.03        78        509 / 1009    333 / 625
+#:     16x16 @ 0.05       117        778 / 1544    410 / 731
+#:
+#: The band sits astride the crossover: at either edge the engine in
+#: charge is ~15 % behind the other one, and a window mean wanders ~+-8
+#: around a steady load's, so a load inside the band keeps whichever
+#: engine it has.  One switch costs ~3 ms (import) or ~7 ms
+#: (materialize) at 16x16 — under a window of either engine's stepping
+#: — plus ~20 ms for the first engagement of a process (module import,
+#: numpy warm-up), repaid within 70 cycles at 0.05.
+_SELECT_WINDOW = 32
+_ENGAGE_ABOVE = 52
+_DISENGAGE_BELOW = 36
+#: ``_select_at`` of a network whose engine is never reconsidered.
+_NEVER = 1 << 60
+
 
 class Network:
     """A complete mesh NoC instance."""
@@ -102,16 +140,20 @@ class Network:
         #: Active-set kernel work-sets (see module docstring).  They are
         #: maintained under both kernels — entry is event-driven and
         #: cheap — but only the active kernel iterates them in ``step``.
-        #: ``kernel="vector"`` also runs active-set scans whenever the
-        #: vector engine is not engaged (unsupported configuration, or
-        #: materialized back mid-run).
-        self._active_kernel = config.kernel in ("active", "vector")
+        self._active_kernel = config.kernel != "naive"
         #: Engaged vector engine (see ``repro.noc.vector``), or None.
-        #: Engagement is attempted once, on the first ``step`` of a
-        #: ``kernel="vector"`` network.
         self._engine = None
-        self._try_vector = config.kernel == "vector"
-        self.active_routers: Set[int] = set()
+        #: Layout constants the engine keeps across engagements.
+        self._vector_static = None
+        #: Engine selection (see ``_select_engine``): the cycle the
+        #: current window closes, and the window's running sum of
+        #: routers holding flits.  ``kernel="vector"`` decides once, at
+        #: the first step; the pinned object kernels never do.
+        self._select_at = {"auto": _SELECT_WINDOW, "vector": 0}.get(
+            config.kernel, _NEVER
+        )
+        self._occupied_sum = 0
+        self._active_routers: Set[int] = set()
         self.active_nis: Set[int] = set()
 
         self.interfaces: List[NetworkInterface] = [
@@ -295,10 +337,10 @@ class Network:
             if self.interfaces[node].pending_packets():
                 return False
         self.active_nis.clear()
-        for router_id in sorted(self.active_routers):
+        for router_id in sorted(self._active_routers):
             if not self.routers[router_id].datapath_empty():
                 return False
-        self.active_routers.clear()
+        self._active_routers.clear()
         if any(self._flit_events.values()):
             return False
         if any(self._eject_events.values()):
@@ -338,6 +380,15 @@ class Network:
             self.step()
 
     @property
+    def active_routers(self) -> Set[int]:
+        """Router ids with occupied input VCs (see module docstring);
+        read from the vector engine's occupancy array while one is
+        engaged."""
+        if self._engine is not None:
+            return self._engine.occupied_routers()
+        return self._active_routers
+
+    @property
     def link_counts(self) -> List[Dict[Direction, int]]:
         """Flit counts per (router, outgoing direction), LOCAL = ejection."""
         if self._engine is not None:
@@ -347,25 +398,49 @@ class Network:
     def _disengage_vector(self) -> None:
         """Materialize and drop the vector engine (and never re-engage):
         called before attaching mid-run machinery — fault injectors,
-        invariant checkers — the engine does not model."""
-        self._try_vector = False
+        invariant checkers, packet tracers — the engine does not model."""
+        self._select_at = _NEVER
         if self._engine is not None:
+            self._engine.materialize()
+
+    def _engage_vector(self) -> None:
+        """Hand the run to a vector engine built from live state, if
+        this network qualifies; if not, stop asking (what disqualifies
+        a network never goes away)."""
+        from .vector import try_engage
+
+        self._engine = try_engage(self)
+        if self._engine is None:
+            self._select_at = _NEVER
+
+    def _select_engine(self) -> None:
+        """Close one selection window: pick the engine for the next.
+
+        The decision reads simulated state only — the window's sum of
+        ``len(active_routers)`` (the engaged engine sums the same
+        quantity from its occupancy array) — so a run's engine
+        schedule, like its results, repeats exactly.  Two thresholds
+        rather than one so a load hovering at the crossover does not
+        pay an engine build every other window.  ``kernel="vector"`` is
+        the same path decided once: engage now, never look again.
+        """
+        total = self._occupied_sum
+        self._occupied_sum = 0
+        pinned = self.config.kernel == "vector"
+        self._select_at = _NEVER if pinned else self.cycle + _SELECT_WINDOW
+        if self._engine is None:
+            if pinned or total > _ENGAGE_ABOVE * _SELECT_WINDOW:
+                self._engage_vector()
+        elif total < _DISENGAGE_BELOW * _SELECT_WINDOW:
             self._engine.materialize()
 
     def step(self) -> None:
         """Advance one cycle (see module docstring for phase order)."""
+        if self.cycle >= self._select_at:
+            self._select_engine()
         if self._engine is not None:
             self._engine.step()
             return
-        if self._try_vector:
-            self._try_vector = False
-            from .vector import try_engage
-
-            engine = try_engage(self)
-            if engine is not None:
-                self._engine = engine
-                engine.step()
-                return
         cycle = self.cycle
         if self.faults is not None and self.config.degradation != "none":
             self._check_degradation(cycle)
@@ -393,7 +468,7 @@ class Network:
         available_by = self.policy.is_router_available_by
         arrival_cycle = cycle + _SA_TO_ARRIVAL
         if self._active_kernel:
-            busy = [self.routers[rid] for rid in sorted(self.active_routers)]
+            busy = [self.routers[rid] for rid in sorted(self._active_routers)]
         else:
             busy = [router for router in self.routers if router._occupied]
         if self.faults is not None:
@@ -412,7 +487,7 @@ class Network:
             for router in busy:
                 if cycle >= router._va_wake_at:
                     router.do_vc_allocation(cycle)
-            discard = self.active_routers.discard
+            discard = self._active_routers.discard
             for router in busy:
                 if cycle >= router._sa_wake_at:
                     self._run_switch_allocation(router, cycle, available_by, arrival_cycle)
@@ -421,6 +496,7 @@ class Network:
                     # occupied); a skipped round cannot drain.
                     if not router._occupied:
                         discard(router.router_id)
+            self._occupied_sum += len(self._active_routers)
         else:
             for router in busy:
                 router.do_vc_allocation(cycle)
@@ -441,7 +517,7 @@ class Network:
         invariants = self.invariants
         if events:
             routers = self.routers
-            mark_active = self.active_routers.add
+            mark_active = self._active_routers.add
             for router_id, direction, vc, flit in events:
                 router = routers[router_id]
                 router.incoming_in_flight -= 1
@@ -959,7 +1035,7 @@ class Network:
         for router, was_busy in zip(self.routers, pre_busy):
             if router._occupied:
                 continue
-            self.active_routers.discard(router.router_id)
+            self._active_routers.discard(router.router_id)
             if (
                 was_busy
                 and self._active_kernel

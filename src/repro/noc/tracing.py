@@ -105,6 +105,9 @@ class PacketTracer:
 
     def _install(self) -> None:
         network = self.network
+        # The switch-allocation hook below exists on the object kernels
+        # only: keep (or put) the run there.
+        network._disengage_vector()
 
         # Wrap injection (message creation).
         original_inject = network.inject

@@ -36,12 +36,17 @@ Power-gated schemes engage on the mesh only: their punch-target
 decomposition is XY-specific (non-mesh + gated falls back to the
 cycle-exact active kernel).
 
-Engagement: :func:`try_engage` activates the engine on the *first*
-network step only, and only for configurations it covers exactly —
-no fault injector, no invariant checker, an empty dead-router set and
-a whitelisted power policy.  Anything else (including faults installed
-mid-run, which trigger :meth:`VectorEngine.materialize`) falls back to
-the active kernel, which is cycle-exact by construction.
+Engagement: :func:`try_engage` builds the engine **from live state** at
+any step boundary (the importer in ``VectorEngine._import`` is the
+inverse of :meth:`VectorEngine.materialize`), and only for
+configurations it covers exactly — no fault injector, no invariant
+checker, an empty dead-router set and a whitelisted power policy.
+``Network`` decides *when*: ``kernel="vector"`` engages at the first
+step, the default ``kernel="auto"`` engages when the active set is
+dense and materializes back when it thins (see ``Network._select_engine``).
+Anything the engine does not cover (including faults installed mid-run,
+which trigger :meth:`VectorEngine.materialize`) runs on the active
+kernel, which is cycle-exact by construction.
 
 The engine keeps a registry of every packet it has carried (flat
 "entity ids" backing the destination/size/hops arrays); for the
@@ -57,7 +62,7 @@ try:  # numpy backs the vector kernel only
 except ImportError:  # pragma: no cover - numpy is a declared dependency
     _np = None
 
-from .buffers import VC_STATE_FROM_CODE
+from .buffers import VC_STATE_CODES, VC_STATE_FROM_CODE, VCState
 from .errors import BufferOverflowError, SimulationError
 from .packet import Flit
 from .routing import xy_direction_codes, xy_next_hops, xy_routers_ahead
@@ -91,28 +96,19 @@ def _group_bounds(keys):
 
 
 def try_engage(net) -> Optional["VectorEngine"]:
-    """Build a :class:`VectorEngine` for ``net`` if it qualifies.
+    """Build a :class:`VectorEngine` from ``net``'s live state if the
+    configuration qualifies.
 
-    Called by :meth:`Network.step` exactly once, on the first step of a
-    ``kernel == "vector"`` network.  Returns ``None`` (permanent
-    fallback to the active kernel) unless every covered-configuration
-    condition holds; the checks are conservative so the engine never
-    engages with state it cannot mirror exactly.
+    Returns ``None`` unless every covered-configuration condition
+    holds.  All of them are permanent properties of a network (faults
+    and checkers are never uninstalled, the policy and topology never
+    change), so a ``None`` is final: the caller stops asking.
     """
     if _np is None:
-        return None
-    if net.cycle != 0:
         return None
     if net.faults is not None or net.invariants is not None:
         return None
     if net.dead_routers or getattr(net.routing, "dead", None):
-        return None
-    # Routers must be pristine (cycle-0 injections only touch NI queues
-    # and controllers, both of which are imported, not rebuilt).
-    for router in net.routers:
-        if router._occupied or router.incoming_in_flight:
-            return None
-    if net._flit_events or net._credit_events or net._eject_events:
         return None
     from ..core import schemes
     from .policy import AlwaysOnPolicy, PowerPolicy
@@ -139,6 +135,53 @@ def try_engage(net) -> Optional["VectorEngine"]:
     return VectorEngine(net, gated)
 
 
+def _static_tables(net):
+    """Per-network constants of the flat layout, built at the first
+    engagement and kept on the network for later ones: routing tables,
+    per-VC buffer depths and the neighbor table.
+
+    The mesh keeps its XY closed forms; other topologies snapshot the
+    (memoryless, static) routing relation into dense ``(current,
+    destination)`` tables: the output direction, and the dateline VC
+    class (-1 = unrestricted, i.e. LOCAL routes).
+    """
+    if net._vector_static is not None:
+        return net._vector_static
+    cfg = net.config
+    R = cfg.num_nodes
+    P = net.topology.num_ports
+    dirs = cls = None
+    if net.topology.name != "mesh":
+        routing = net.routing
+        dirs = _np.empty((R, R), dtype=_np.int8)
+        for cur in range(R):
+            for dst in range(R):
+                dirs[cur, dst] = int(routing.output_direction(cur, dst))
+        if routing.restricts_vcs:
+            cls = _np.full((R, R), -1, dtype=_np.int8)
+            probe = range(2)
+            for cur in range(R):
+                for dst in range(R):
+                    d = Direction(int(dirs[cur, dst]))
+                    if d is Direction.LOCAL:
+                        continue
+                    allowed = routing.vc_choices(cur, d, dst, probe)
+                    if len(allowed) == 1:
+                        cls[cur, dst] = allowed[0]
+    depths = cfg.depths_by_vc()
+    depth_flat = _np.array(
+        [depths[v] for v in range(cfg.num_vcs)] * (R * P), dtype=_np.int64
+    )
+    conn = _np.full(R * P, -1, dtype=_np.int64)
+    for router in net.routers:
+        base = router.router_id * P
+        for d, nb in router.connected.items():
+            if nb is not None:
+                conn[base + int(d)] = nb
+    net._vector_static = (dirs, cls, depth_flat, conn)
+    return net._vector_static
+
+
 class VectorEngine:
     """One engaged vector kernel instance for one network."""
 
@@ -154,41 +197,16 @@ class VectorEngine:
         self.P = P = net.topology.num_ports
         self._pv = P * V
         S = R * P * V
-        depths = cfg.depths_by_vc()
-        self.D = D = max(depths.values())
         self._stage_gate = cfg.router_stages - 2
         self._sa_delta = 1 if cfg.router_stages == 4 else 0
         self.OPP = _np.array(_opposite_codes(P), dtype=_np.int64)
-
-        # --- routing tables (non-mesh fabrics) ------------------------
-        # The mesh keeps its XY closed forms; other topologies snapshot
-        # the (memoryless, static) routing relation into dense
-        # ``(current, destination)`` tables: the output direction, and
-        # the dateline VC class (-1 = unrestricted, i.e. LOCAL routes).
-        if net.topology.name == "mesh":
-            self._dir_table = None
-            self._cls_table = None
-        else:
-            routing = net.routing
-            dirs = _np.empty((R, R), dtype=_np.int8)
-            for cur in range(R):
-                for dst in range(R):
-                    dirs[cur, dst] = int(routing.output_direction(cur, dst))
-            self._dir_table = dirs
-            if routing.restricts_vcs:
-                cls = _np.full((R, R), -1, dtype=_np.int8)
-                probe = range(2)
-                for cur in range(R):
-                    for dst in range(R):
-                        d = Direction(int(dirs[cur, dst]))
-                        if d is Direction.LOCAL:
-                            continue
-                        allowed = routing.vc_choices(cur, d, dst, probe)
-                        if len(allowed) == 1:
-                            cls[cur, dst] = allowed[0]
-                self._cls_table = cls
-            else:
-                self._cls_table = None
+        (
+            self._dir_table,
+            self._cls_table,
+            self.depth_flat,
+            self.connected_flat,
+        ) = _static_tables(net)
+        self.D = D = int(self.depth_flat[:V].max())
 
         # --- input VC state (flat, one entry per (router, port, vc)) ---
         self.occ = _np.zeros(S, dtype=_np.int64)
@@ -202,9 +220,6 @@ class VectorEngine:
         #: on every 0 -> 1 occupancy transition, in event order.
         self.seq = _np.zeros(S, dtype=_np.int64)
         self.next_seq = 0
-        self.depth_flat = _np.array(
-            [depths[v] for v in range(V)] * (R * P), dtype=_np.int64
-        )
         # Ring buffers: slot contents as (packet entity id, flit index,
         # arrival cycle), head pointer per VC.
         self.h = _np.zeros(S, dtype=_np.int64)
@@ -213,28 +228,10 @@ class VectorEngine:
         self.buf_arr = _np.zeros((S, D), dtype=_np.int64)
         self.buffered_total = 0
 
-        # --- output-side state --------------------------------------
-        self.credits_out = _np.array(
-            [depths[v] for v in range(V)] * (R * P), dtype=_np.int64
-        )
-        self.owner_out = _np.full(S, -1, dtype=_np.int64)
-        self.out_vc_rr = _np.zeros(R * P, dtype=_np.int64)
-        self.sa_rr_in = _np.zeros(R * P, dtype=_np.int64)
-        self.sa_rr_out = _np.zeros(R * P, dtype=_np.int64)
         #: Flit counts per (router, out direction); folded into the
         #: network's ``link_counts`` dicts on read / materialize.
         self.lc_flat = _np.zeros(R * P, dtype=_np.int64)
-
-        # --- per-router state ----------------------------------------
-        self.incoming = _np.zeros(R, dtype=_np.int64)
         self.router_occ = _np.zeros(R, dtype=_np.int64)
-        conn = _np.full(R * P, -1, dtype=_np.int64)
-        for router in net.routers:
-            base = router.router_id * P
-            for d, nb in router.connected.items():
-                if nb is not None:
-                    conn[base + int(d)] = nb
-        self.connected_flat = conn
 
         # --- packet registry -----------------------------------------
         self.packets: List = []
@@ -254,10 +251,15 @@ class VectorEngine:
         #: Eject events: ``(router, eid, idx)`` array triples.
         self._eject_ev: Dict[int, list] = {}
 
+        self._import()
+
         # --- power-gating substrate ----------------------------------
         self.scheme = net.policy if gated else None
         if gated:
             sch = net.policy
+            # Parked and lazily-accounted controllers are settled by the
+            # snapshot, so the bank starts from what per-cycle stepping
+            # through the previous cycle would have left.
             self.bank = ControllerArrayBank.from_controllers(sch._controllers)
             sch._vector_bank = self.bank
             sch._bank_dirty = False
@@ -277,8 +279,7 @@ class VectorEngine:
             #: parallel lists of router ids and their target sets.
             self._inj_r = []
             self._inj_t = []
-            # Engagement happens before the first step, but be defensive
-            # about punches already queued through the object path.
+            # The wavefront queued through the object fabric last cycle.
             for router, targets in sch.fabric._pending.items():
                 self._pend_writes.append(
                     router * R
@@ -292,6 +293,119 @@ class VectorEngine:
         for ni in net.interfaces:
             ni._send_flit = self._ni_send
             ni._vc_probe = self._probe_local_vc
+
+    def _import(self) -> None:
+        """Move the object model's live datapath state into the arrays
+        — the inverse of :meth:`materialize`, field for field.
+
+        Buffered flits, VC allocations and the three in-flight event
+        queues are *moved*: the objects are left empty, so
+        ``materialize`` can write back without first clearing them.
+        Output-side state (credits, owners, round-robin pointers) and
+        ``incoming_in_flight`` are copied; ``materialize`` overwrites
+        every one of them.
+        """
+        net = self.net
+        V = self.V
+        P = self.P
+        register = self._register
+        ports = [Direction(p) for p in range(P)]
+        credits: List[int] = []
+        owners: List[int] = []
+        out_vc_rr: List[int] = []
+        sa_rr_in: List[int] = []
+        sa_rr_out: List[int] = []
+        seq = 0
+        for router in net.routers:
+            base = router.router_id * P
+            for d in ports:
+                out_port = router.output_ports[d]
+                credits += out_port.credits
+                for ow in out_port.owner:
+                    owners.append(-1 if ow is None else (base + ow[0]) * V + ow[1])
+                out_vc_rr.append(out_port.vc_rr_pointer)
+                sa_rr_in.append(router.input_ports[d].sa_rr_pointer)
+                sa_rr_out.append(router._sa_out_rr[d])
+            # Buffers in ``_occupied`` order: only the order *within* a
+            # router is ever compared (every sort keys on a per-router
+            # port first), so a per-router walk reproduces it.
+            for vc in router._occupied:
+                f = (base + vc.port_direction) * V + vc.vc_index
+                self.seq[f] = seq
+                seq += 1
+                for j, flit in enumerate(vc.flits):
+                    self.buf_eid[f, j] = register(flit.packet)
+                    self.buf_idx[f, j] = flit.index
+                    self.buf_arr[f, j] = vc.arrivals[j]
+                self.occ[f] = len(vc.flits)
+                self.router_occ[router.router_id] += len(vc.flits)
+                vc.flits.clear()
+                vc.arrivals.clear()
+            router._occupied.clear()
+        self.next_seq = seq
+        self.buffered_total = int(self.router_occ.sum())
+        self.credits_out = _np.array(credits, dtype=_np.int64)
+        self.owner_out = _np.array(owners, dtype=_np.int64)
+        self.out_vc_rr = _np.array(out_vc_rr, dtype=_np.int64)
+        self.sa_rr_in = _np.array(sa_rr_in, dtype=_np.int64)
+        self.sa_rr_out = _np.array(sa_rr_out, dtype=_np.int64)
+        self.incoming = _np.array(
+            [router.incoming_in_flight for router in net.routers], dtype=_np.int64
+        )
+        net._active_routers.clear()
+
+        # In-flight events: one cycle's object list becomes one chunk
+        # in the same order (all its flits target distinct VCs and all
+        # its credits distinct output VCs — they are at most one SA
+        # round plus one NI pass).
+        for c, events in net._flit_events.items():
+            if events:
+                self._flit_ev[c] = [(
+                    _np.array([(r * P + d) * V + vc for r, d, vc, _ in events]),
+                    _np.array([register(e[3].packet) for e in events]),
+                    _np.array([e[3].index for e in events]),
+                )]
+        for c, events in net._credit_events.items():
+            if events:
+                self._credit_ev[c] = [_np.array([
+                    (r * P + d) * V + vc if r >= 0 else -((-r - 1) * V + vc) - 1
+                    for r, d, vc in events
+                ])]
+        for c, events in net._eject_events.items():
+            if events:
+                self._eject_ev[c] = [(
+                    _np.array([node for node, _ in events]),
+                    _np.array([register(flit.packet) for _, flit in events]),
+                    _np.array([flit.index for _, flit in events]),
+                )]
+        net._flit_events.clear()
+        net._credit_events.clear()
+        net._eject_events.clear()
+
+        # Allocation state, including drained-but-owned ACTIVE VCs.  The
+        # owner of such a VC may have no flit buffered or in flight
+        # anywhere (the rest of the stream still sits in its source
+        # NI), so streaming packets are registered too.
+        for node in net.active_nis:
+            for stream in net.interfaces[node].streams.values():
+                register(stream.packet)
+        for router in net.routers:
+            if not router._live_vcs:
+                continue
+            base = router.router_id * P
+            for port in router.input_ports.values():
+                for vc in port.vcs:
+                    if vc.state is VCState.IDLE:
+                        continue
+                    f = (base + vc.port_direction) * V + vc.vc_index
+                    self.state[f] = VC_STATE_CODES[vc.state]
+                    self.route[f] = vc.route
+                    if vc.out_vc is not None:
+                        self.out_vc[f] = vc.out_vc
+                    self.owner_eid[f] = self._pid_eid[vc.owner_packet]
+                    self.va_el[f] = vc.va_eligible_at
+                    self.sa_el[f] = vc.sa_eligible_at
+                    vc.reset_for_next_packet()
 
     # ==================================================================
     # NI-facing hooks (object NIs drive the SoA mirror directly)
@@ -367,6 +481,9 @@ class VectorEngine:
             self._sa(cycle)
         if self.bank is not None:
             self._pg_end(cycle)
+        # The engine-selection quantity (``Network._select_engine``):
+        # routers holding flits, the twin of ``len(active_routers)``.
+        net._occupied_sum += int(_np.count_nonzero(self.router_occ))
         net.stats.cycles = cycle + 1
         net.cycle = cycle + 1
 
@@ -1014,6 +1131,10 @@ class VectorEngine:
         )
         return pending + int(self.buffered_total) + flying + ejecting
 
+    def occupied_routers(self) -> set:
+        """Routers holding flits: ``Network.active_routers`` while engaged."""
+        return set(_np.flatnonzero(self.router_occ).tolist())
+
     def fold_link_counts(self) -> None:
         """Fold the engine's link counters into the network's dicts."""
         lc = self.lc_flat
@@ -1144,9 +1265,7 @@ class VectorEngine:
         self._flit_ev.clear()
         self._credit_ev.clear()
         self._eject_ev.clear()
-        net.active_routers.update(
-            int(x) for x in _np.nonzero(self.router_occ)[0]
-        )
+        net._active_routers.update(self.occupied_routers())
         self.fold_link_counts()
         for ni in net.interfaces:
             ni._send_flit = net._ni_send
@@ -1160,10 +1279,14 @@ class VectorEngine:
             # Active-kernel bookkeeping: every non-OFF controller is
             # armed, no controller is parked (flush cleared the parked
             # fields), and the lazy-accounting clock reads the last
-            # cycle whose begin phase completed.
-            sch._armed = {
+            # cycle whose begin phase completed.  ``_armed`` is refilled
+            # in place: every controller's ``wake_hook`` is this very
+            # set's bound ``add`` (``PowerGatedScheme.attach``), so a
+            # rebound set would never hear a controller leave OFF.
+            sch._armed.clear()
+            sch._armed.update(
                 c.router_id for c in controllers if c.state is not PGState.OFF
-            }
+            )
             sch._sleep_deadlines = {}
             sch._punch_cache = {}
             sch._stepped_through = cycle - 1

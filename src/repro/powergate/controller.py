@@ -602,16 +602,17 @@ class ControllerArrayBank:
     def from_controllers(cls, controllers) -> "ControllerArrayBank":
         """Snapshot live controller objects into a fresh bank.
 
-        Engagement happens before the first network step, but traffic
-        at cycle 0 may already have delivered wakeup requests through
-        the object path — so every mutable FSM field is copied, not
-        assumed pristine.
+        Engagement can happen at any step boundary, so every mutable
+        FSM field is copied, and what the active-set kernel owes a
+        skipped controller — a parked span, lazily counted OFF cycles —
+        is settled first: the bank steps every controller every cycle
+        and has no lazy clock to fold in later.
         """
         first = controllers[0]
         bank = cls(len(controllers), first.wakeup_latency, first.timeout)
         for i, c in enumerate(controllers):
-            if c._quiescent_since is not None:  # pragma: no cover - defensive
-                c.settle_quiescence()
+            c.settle_quiescence()
+            c._settle_off_accounting()
             bank.state[i] = PG_STATE_CODES[c.state]
             bank.idle[i] = c.idle_cycles
             bank.wake_at[i] = _NO_WAKE if c.wake_at is None else c.wake_at

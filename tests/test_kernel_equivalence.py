@@ -1,27 +1,38 @@
-"""Cycle-exactness of the active-set and vector kernels.
+"""Cycle-exactness of the active-set and vector kernels, and of the
+seam between them.
 
-The active-set kernel (``NoCConfig.kernel == "active"``) and the
+The active-set kernel (``NoCConfig.kernel == "active"``), the
 structure-of-arrays vector kernel (``kernel == "vector"``, see
-``repro.noc.vector``) must be observationally identical replicas of the
-naive full-scan kernel (``kernel == "naive"``, the seed
+``repro.noc.vector``) and the default that moves between the two at run
+time (``kernel == "auto"``) must be observationally identical replicas
+of the naive full-scan kernel (``kernel == "naive"``, the seed
 implementation): same stats counter by counter, same controller
 accounting, same per-packet timing — for every scheme, under synthetic
 and full-system PARSEC traffic.
 
-Three layers of evidence:
+Layers of evidence:
 
 * golden equivalence — full :meth:`NetworkStats.as_dict` dumps compared
-  between all three kernels for all four schemes (plus the NoRD-like
+  between all kernels for all four schemes (plus the NoRD-like
   baseline, which exercises the vector kernel's fallback path) across
   two seeds, and a PARSEC ``Chip`` run compared end to end;
 * a hypothesis property — random ``(scheme, rate, seed)`` triples give
-  identical fingerprints across all three kernels, including under
+  identical fingerprints across all kernels, including under
   ``degradation="reroute"`` with router-stall faults (where the vector
   kernel must decline engagement and run on the active fallback);
 * a hypothesis property — at every cycle the active kernel's work-sets
   contain every component the naive scan would visit (routers with
-  occupied VCs, NIs with work, non-OFF controllers).
+  occupied VCs, NIs with work, non-OFF controllers);
+* the seam — an exhaustive check on 2x2 and 3x3 meshes that engaging
+  the vector engine from live state before *any* cycle and
+  materializing it back 1, 2 or 9 cycles later changes nothing, a
+  hypothesis property over random switch schedules on 6x6/8x8, and a
+  closed-loop ``Chip`` run switched twice;
+* the decision — which side of the seam the default kernel runs the
+  repo's own workloads on.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -30,13 +41,14 @@ from hypothesis import strategies as st
 from repro.baselines import NoRDLike
 from repro.core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
 from repro.noc import Network, NoCConfig
+from repro.noc.network import _ENGAGE_ABOVE, _NEVER, _SELECT_WINDOW
 from repro.noc.faults import FaultInjector, FaultSchedule, FaultSpec
 from repro.noc.invariants import InvariantChecker
 from repro.powergate.controller import PGState
 from repro.system import Chip, get_profile
 from repro.traffic import SyntheticTraffic, measure
 
-KERNELS = ("active", "naive", "vector")
+KERNELS = ("active", "naive", "vector", "auto")
 
 SCHEMES = {
     "NoPG": NoPG,
@@ -47,10 +59,8 @@ SCHEMES = {
 }
 
 
-def _run_synthetic(scheme_name, kernel, seed, rate=0.02):
-    net = Network(NoCConfig(kernel=kernel), SCHEMES[scheme_name]())
-    traffic = SyntheticTraffic(net, "uniform_random", rate, seed=seed)
-    measure(net, traffic, warmup=200, measurement=800)
+def _dump(net):
+    """Everything a run leaves behind that a kernel could get wrong."""
     dump = dict(net.stats.as_dict())
     policy = net.policy
     if hasattr(policy, "controllers") and policy.controllers:
@@ -66,14 +76,58 @@ def _run_synthetic(scheme_name, kernel, seed, rate=0.02):
     return dump
 
 
+def _run_synthetic(scheme_name, kernel, seed, rate=0.02):
+    net = Network(NoCConfig(kernel=kernel), SCHEMES[scheme_name]())
+    traffic = SyntheticTraffic(net, "uniform_random", rate, seed=seed)
+    measure(net, traffic, warmup=200, measurement=800)
+    return _dump(net)
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_synthetic(scheme_name, seed):
+    """The oracle's dump, computed once for all candidate kernels."""
+    return _run_synthetic(scheme_name, "naive", seed)
+
+
+def _toggle_engine(net):
+    """Test-only seam control: move ``net`` onto the vector engine
+    (built from live state) or back onto the object kernel, whatever
+    its active set looks like, and keep the run-time selection out of
+    the way from here on."""
+    net._select_at = _NEVER
+    if net._engine is None:
+        net._engage_vector()
+        assert net._engine is not None
+    else:
+        net._engine.materialize()
+
+
+def _run_switched(scheme_name, size, rate, seed, cycles, schedule, kernel="auto"):
+    """Open-loop run to drain, toggling the engine before every cycle
+    in ``schedule``; returns the dump and the total cycle count."""
+    net = Network(
+        NoCConfig(width=size, height=size, kernel=kernel), SCHEMES[scheme_name]()
+    )
+    traffic = SyntheticTraffic(net, "uniform_random", rate, seed=seed)
+    while True:
+        if net.cycle in schedule:
+            _toggle_engine(net)
+        if net.cycle < cycles:
+            traffic.step()
+        elif net.cycle == cycles:
+            traffic._release_all()
+        elif net.is_drained():
+            return _dump(net), net.cycle
+        net.step()
+
+
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("kernel", ["active", "vector"])
+    @pytest.mark.parametrize("kernel", ["active", "vector", "auto"])
     @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
     @pytest.mark.parametrize("seed", [7, 23])
     def test_synthetic_uniform_random(self, scheme_name, seed, kernel):
         candidate = _run_synthetic(scheme_name, kernel, seed)
-        naive = _run_synthetic(scheme_name, "naive", seed)
-        assert candidate == naive
+        assert candidate == _naive_synthetic(scheme_name, seed)
 
     def test_vector_engine_engages(self):
         # Guard against silently testing the fallback: the whitelisted
@@ -107,7 +161,7 @@ class TestKernelEquivalence:
                     chip.network.policy.total_off_cycles(),
                 )
             )
-        assert results[0] == results[1]
+        assert all(result == results[0] for result in results)
 
     def test_strict_invariants_clean_on_active_kernel(self):
         net = Network(NoCConfig(kernel="active"), PowerPunchPG())
@@ -148,8 +202,8 @@ class TestMidStreamSleepRegression:
         assert net.is_drained()
 
 
-class TestThreeKernelFingerprintProperty:
-    """Random workloads give identical fingerprints on all three kernels."""
+class TestKernelFingerprintProperty:
+    """Random workloads give identical fingerprints on every kernel."""
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -161,7 +215,7 @@ class TestThreeKernelFingerprintProperty:
         dumps = [
             _run_synthetic(scheme_name, kernel, seed, rate) for kernel in KERNELS
         ]
-        assert dumps[0] == dumps[1] == dumps[2]
+        assert all(dump == dumps[0] for dump in dumps)
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -195,10 +249,10 @@ class TestThreeKernelFingerprintProperty:
             )
             traffic = SyntheticTraffic(net, "uniform_random", rate, seed=seed)
             traffic.run(400)
-            if kernel == "vector":
+            if kernel in ("vector", "auto"):
                 assert net._engine is None
             dumps.append(dict(net.stats.as_dict()))
-        assert dumps[0] == dumps[1] == dumps[2]
+        assert all(dump == dumps[0] for dump in dumps)
 
 
 class TestActiveSetCoverageProperty:
@@ -234,3 +288,186 @@ class TestActiveSetCoverageProperty:
                             controller.router_id in policy._armed
                             or controller._quiescent_since is not None
                         )
+
+
+GATED_SCHEMES = ["ConvOptPG", "PowerPunchSignal", "PowerPunchPG"]
+ENGINE_SCHEMES = ["NoPG"] + GATED_SCHEMES
+
+
+class TestMaterializeMidRun:
+    """Regression: ``VectorEngine.materialize()`` used to rebind
+    ``scheme._armed`` to a fresh set while every controller's
+    ``wake_hook`` stayed bound to the old set's ``add``.  After any
+    mid-run disengage a controller that left OFF was never stepped
+    again and sat in WAKING for the rest of the run; the numbers
+    diverged silently (NoPG, with no controllers, was unaffected)."""
+
+    @pytest.mark.parametrize("scheme_name", GATED_SCHEMES)
+    def test_disengage_mid_run_matches_naive(self, scheme_name):
+        dumps = []
+        for kernel in ("naive", "vector"):
+            net = Network(
+                NoCConfig(width=6, height=6, kernel=kernel), SCHEMES[scheme_name]()
+            )
+            traffic = SyntheticTraffic(net, "uniform_random", 0.2, seed=7)
+            for cycle in range(250):
+                if cycle == 100:
+                    net._disengage_vector()
+                traffic.step()
+                net.step()
+            dumps.append(_dump(net))
+        assert dumps[1] == dumps[0]
+
+
+class TestExhaustiveSwitchPoints:
+    """A finite proof for both directions of the seam on small meshes:
+    for *every* cycle ``c`` of the run (injection window and drain),
+    importing the live state into a vector engine before ``c`` and
+    materializing it back before ``c + k`` leaves the full dump equal
+    to the naive kernel's."""
+
+    INJECT_CYCLES = 24
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("scheme_name", ENGINE_SCHEMES)
+    def test_every_switch_point(self, scheme_name, size):
+        workload = (scheme_name, size, 0.3, 3, self.INJECT_CYCLES)
+        naive, total = _run_switched(*workload, schedule=(), kernel="naive")
+        assert naive["delivered"] > 5
+        if scheme_name != "NoPG":
+            # The run must exercise sleeping and waking, or importing
+            # controller state proves nothing.
+            assert naive["total_wake_events"] > 0
+        for c in range(total):
+            for k in (1, 2, 9):
+                got, _ = _run_switched(*workload, schedule=(c, c + k))
+                assert got == naive, (c, k)
+
+
+class TestSwitchScheduleProperty:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        scheme_name=st.sampled_from(ENGINE_SCHEMES),
+        size=st.sampled_from([6, 8]),
+        rate=st.floats(min_value=0.005, max_value=0.2),
+        seed=st.integers(min_value=0, max_value=2**16),
+        schedule=st.sets(st.integers(min_value=0, max_value=219), max_size=6),
+    )
+    def test_any_switch_schedule_matches_naive(
+        self, scheme_name, size, rate, seed, schedule
+    ):
+        workload = (scheme_name, size, rate, seed, 160)
+        naive, _ = _run_switched(*workload, schedule=(), kernel="naive")
+        switched, _ = _run_switched(*workload, schedule=schedule)
+        assert switched == naive
+
+    def test_closed_loop_chip_with_two_switches(self):
+        results = []
+        for schedule in ((), (150, 420)):
+            chip = Chip(
+                NoCConfig(width=4, height=4, kernel="auto" if schedule else "naive"),
+                PowerPunchPG(),
+                get_profile("canneal"),
+                instructions_per_core=400,
+                seed=3,
+                benchmark="canneal",
+            )
+            net = chip.network
+            step = net.step
+
+            def switching_step(net=net, step=step, schedule=schedule):
+                if net.cycle in schedule:
+                    _toggle_engine(net)
+                step()
+
+            net.step = switching_step
+            result = chip.run(max_cycles=500_000)
+            assert result.execution_time > max(schedule, default=0)
+            results.append((result.execution_time, result.packets, _dump(net)))
+        assert results[1] == results[0]
+
+
+def _engaged_cycles(net, rate, cycles, seed=7):
+    """Drive ``net`` open-loop; the cycles it ran on the vector engine."""
+    traffic = SyntheticTraffic(net, "uniform_random", rate, seed=seed)
+    engaged = []
+    for cycle in range(cycles):
+        traffic.step()
+        net.step()
+        if net._engine is not None:
+            engaged.append(cycle)
+    return engaged
+
+
+class TestEngineSelection:
+    """Which engine the default config runs this repo's workloads on —
+    pinned, so a threshold change cannot silently move a whole figure
+    (or the whole test suite) onto one engine."""
+
+    def test_sparse_paper_platform_never_engages(self):
+        # 8x8 @ 0.02: mesh8_lowload and every cold campaign cell.
+        net = Network(NoCConfig(), PowerPunchPG())
+        assert _engaged_cycles(net, 0.02, 1500) == []
+
+    def test_parsec_cell_never_engages(self):
+        chip = Chip(
+            NoCConfig(),
+            PowerPunchPG(),
+            get_profile("canneal"),  # the suite's heaviest traffic
+            instructions_per_core=300,
+            seed=3,
+            benchmark="canneal",
+        )
+        net = chip.network
+        step = net.step
+        engaged = []
+
+        def watching_step():
+            step()
+            engaged.append(net._engine is not None)
+
+        net.step = watching_step
+        chip.run(max_cycles=500_000)
+        assert engaged and not any(engaged)
+
+    def test_dense_large_mesh_engages_and_stays(self):
+        # 16x16 @ 0.05: mesh16_highload.
+        net = Network(NoCConfig(width=16, height=16), NoPG())
+        engaged = _engaged_cycles(net, 0.05, 160)
+        assert engaged[0] <= 2 * _SELECT_WINDOW
+        assert engaged == list(range(engaged[0], 160))
+        # The work-set stays readable from outside while engaged.
+        assert len(net.active_routers) > _ENGAGE_ABOVE
+        # ...and hands the drain back once the active set thins.
+        net.run_until_drained()
+        assert net._engine is None
+
+    def test_sparse_large_mesh_never_engages(self):
+        # 16x16 @ 0.01: the paper's Sec. 6.6(2) scalability point —
+        # the row a node-count rule would get wrong.
+        net = Network(NoCConfig(width=16, height=16), PowerPunchPG())
+        assert _engaged_cycles(net, 0.01, 200) == []
+
+    @pytest.mark.parametrize(
+        "config,scheme",
+        [
+            (NoCConfig(width=12, height=12), NoRDLike),
+            (NoCConfig(width=12, height=12, topology="torus"), ConvOptPG),
+            (NoCConfig(width=12, height=12, faults="punch_drop,rate=0.0"), NoPG),
+        ],
+        ids=["nord", "gated-torus", "faults"],
+    )
+    def test_ineligible_network_never_engages_however_dense(self, config, scheme):
+        net = Network(config, scheme())
+        assert _engaged_cycles(net, 0.12, 3 * _SELECT_WINDOW) == []
+        # Dense enough that the engine was asked for and refused for good
+        # (a fault injector rules it out from construction).
+        assert net._select_at == _NEVER
+
+    def test_packet_tracer_pins_the_object_kernel(self):
+        from repro.noc.tracing import PacketTracer
+
+        net = Network(NoCConfig(width=12, height=12), NoPG())
+        tracer = PacketTracer(net)
+        assert _engaged_cycles(net, 0.12, 3 * _SELECT_WINDOW) == []
+        assert any(event.kind == "sw-grant" for event in tracer.events)
