@@ -12,8 +12,8 @@ log.  See ``docs/campaigns.md`` and ``docs/resilience.md``.
 Campaigns also run distributed through the same front door:
 ``execute_cells(cells, hosts=...)`` (``Campaign.run(hosts=...)``,
 ``--hosts`` on any campaign CLI) carries the cells on the
-:mod:`repro.campaign.service` subpackage — a sharded orchestrator with
-leases, heartbeats and work-stealing over TCP worker hosts — instead
+:mod:`repro.campaign.service` subpackage — an orchestrator leasing
+cells from one queue to heartbeating TCP worker hosts — instead
 of the process pool, with the same cache, log, checkpoint and
 quarantine behaviour (see ``docs/service.md``).
 """
@@ -25,6 +25,7 @@ from .cli import (
     add_robustness_args,
     add_sprt_args,
     campaign_argparser,
+    engine_argv,
     engine_options,
     require_mesh_topology,
     robustness_argv,
@@ -79,6 +80,7 @@ __all__ = [
     "code_salt",
     "decode_payload",
     "encode_payload",
+    "engine_argv",
     "engine_options",
     "error_signature",
     "execute_cells",

@@ -46,7 +46,6 @@ _ROBUSTNESS_FIELDS = (
 def add_campaign_args(
     parser: argparse.ArgumentParser,
     *,
-    suite_cache: bool = False,
     instructions: bool = False,
 ) -> argparse.ArgumentParser:
     """Attach the shared engine flags to an existing parser."""
@@ -104,12 +103,6 @@ def add_campaign_args(
         help="network fabric for the campaign (experiments that only "
         "reproduce mesh figures reject non-mesh values)",
     )
-    if suite_cache:
-        group.add_argument(
-            "--cache",
-            default=None,
-            help="whole-suite records JSON produced by parsec-suite --out",
-        )
     if instructions:
         group.add_argument(
             "--instructions", type=int, default=CANONICAL_INSTRUCTIONS
@@ -281,14 +274,17 @@ def require_mesh_topology(args: argparse.Namespace, what: str) -> None:
 def campaign_argparser(
     description: Optional[str] = None,
     *,
-    suite_cache: bool = False,
     instructions: bool = False,
     prog: Optional[str] = None,
 ) -> argparse.ArgumentParser:
     """A fresh parser pre-loaded with the shared engine and robustness
     flags."""
-    parser = argparse.ArgumentParser(prog=prog, description=description)
-    add_campaign_args(parser, suite_cache=suite_cache, instructions=instructions)
+    # No abbreviations: a script still passing the retired records-file
+    # flag ``--cache FILE`` must fail, not be read as ``--cache-dir FILE``.
+    parser = argparse.ArgumentParser(
+        prog=prog, description=description, allow_abbrev=False
+    )
+    add_campaign_args(parser, instructions=instructions)
     return add_robustness_args(parser)
 
 
@@ -297,3 +293,18 @@ def engine_options(args: argparse.Namespace) -> dict:
     options = {key: getattr(args, key) for key in _ENGINE_FLAGS}
     options["config_overrides"] = config_overrides(args)
     return options
+
+
+def engine_argv(args: argparse.Namespace) -> List[str]:
+    """Re-render everything :func:`engine_options` reads as argv tokens
+    (``repro.cli all`` forwards them to every sub-command), so that
+    ``engine_options(parse(engine_argv(args))) == engine_options(args)``."""
+    argv: List[str] = []
+    for name in _ENGINE_FLAGS:
+        value = getattr(args, name)
+        flag = name.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(f"--{flag}" if value else f"--no-{flag}")
+        elif value is not None:
+            argv += [f"--{flag}", str(value)]
+    return argv + robustness_argv(args)

@@ -1,6 +1,6 @@
 """Fault-tolerant distributed campaign service.
 
-A sharded orchestrator (leases, heartbeats, work-stealing) plus TCP
+An orchestrator (one queue of cold cells, leases, heartbeats) plus TCP
 worker hosts that run the supervised single-host engine per batch.
 See ``docs/service.md`` for the protocol and the failure model;
 results are bit-identical to single-host runs because cells are pure
@@ -15,7 +15,7 @@ the same front door, a different carrier.
 
 from .client import LocalCluster, ServiceError, execute_cells_remote
 from .orchestrator import Orchestrator, merged_events
-from .protocol import LINE_LIMIT, VERSION, ProtocolError, parse_address
+from .protocol import LINE_LIMIT, ProtocolError, parse_address
 from .worker import WorkerError, WorkerHost, host_log_path, run_worker
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Orchestrator",
     "ProtocolError",
     "ServiceError",
-    "VERSION",
     "WorkerError",
     "WorkerHost",
     "execute_cells_remote",

@@ -82,7 +82,6 @@ async def _submit_and_stream(
                 "type": "hello",
                 "role": "client",
                 "salt": code_salt(),
-                "version": protocol.VERSION,
             },
         )
         await protocol.send(

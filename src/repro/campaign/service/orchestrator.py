@@ -1,4 +1,4 @@
-"""The campaign orchestrator: sharding, leases, heartbeats, stealing.
+"""The campaign orchestrator: one queue, leases, heartbeats.
 
 One asyncio process owns the authoritative campaign state and the
 single write path into its result store, a
@@ -11,16 +11,18 @@ runs on one event loop, so no locks guard the scheduler state.
 Scheduling model
 ----------------
 
-* **Sharding** — cold cells are partitioned over the connected worker
-  hosts by spec hash (``int(key, 16) % num_hosts`` over the sorted
-  host names), so a re-submitted campaign lands on the same shards and
-  cache-affinity is stable.  Cells submitted while no host is
-  connected wait in an unassigned backlog and are sharded on arrival
-  of the first host.
+* **One queue** — cold cells wait in a single FIFO in submission
+  order, and a host that asks for work is granted the oldest ones.
+  Which host runs a cell is decided by who asks first and by nothing
+  else: results are looked up in the store before a cell is queued and
+  payloads are pure functions of the spec, so no host is a better
+  place for a cell than another, and a host that is connected but
+  never asks holds nothing back.
 * **Leases** — a granted cell carries a time-bounded lease.  Every
   heartbeat from the owning host that still lists the lease renews it;
   a lease whose deadline passes (host wedged, heartbeats lost, or the
-  host silently dropped the cell) is requeued for anyone else — up to
+  host silently dropped the cell) goes back to the tail of the queue
+  for anyone — up to
   :data:`MAX_REQUEUES` times: a cell that keeps losing its host is the
   likely cause and fails as ``host-loss``.  The
   original host may still finish and report — the **dedup** rule makes
@@ -32,9 +34,11 @@ Scheduling model
   and its next connection pays an exponentially growing reconnect
   penalty (doubling per death, capped), mirroring the wakeup
   retry/backoff state machine of ``powergate/controller.py``.
-* **Work-stealing** — a host whose own shard queue is empty steals
-  unleased cells from the host with the largest backlog (the slowest
-  shard), keeping stragglers from serializing the tail of a campaign.
+* **The store answers for finished cells** — a cell is held here only
+  while it is cold or leased, or once it has failed (a failure has no
+  store entry); a completed one is written to the store, streamed to
+  its waiters and forgotten, so a standing service does not grow with
+  the campaigns it has served.
 
 Results stream back to submitting clients incrementally (hits first,
 then completions in arrival order); the client reassembles declared
@@ -47,8 +51,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..cache import CellCache, decode_payload, encode_payload
 from ..engine import EventLog, merge_event_streams
@@ -101,7 +106,7 @@ class _Cell:
     """Scheduler state of one distinct (content-addressed) cell."""
 
     __slots__ = (
-        "key", "spec", "status", "shard", "payload", "error",
+        "key", "spec", "status", "payload", "error",
         "classification", "lease_id", "lease_host", "lease_deadline",
         "waiters", "requeues",
     )
@@ -109,8 +114,9 @@ class _Cell:
     def __init__(self, key: str, spec: CellSpec) -> None:
         self.key = key
         self.spec = spec
-        self.status = "cold"  # cold | leased | done | failed
-        self.shard: Optional[str] = None
+        #: cold | leased | failed, and "done" on the way out: a done
+        #: cell is streamed to its waiters, never held in ``cells``.
+        self.status = "cold"
         self.payload: Optional[dict] = None  # encoded form
         self.error: Optional[str] = None
         self.classification: Optional[str] = None
@@ -147,7 +153,7 @@ class _CampaignRun:
 
 
 class Orchestrator:
-    """The sharded campaign service (see module docstring)."""
+    """The campaign service (see module docstring)."""
 
     def __init__(
         self,
@@ -172,12 +178,13 @@ class Orchestrator:
         self.name = name
         self.log = EventLog(log_path, host="orchestrator")
         self.hosts: Dict[str, _Host] = {}
+        #: Open cells (cold or leased) and failed verdicts, by key.
         self.cells: Dict[str, _Cell] = {}
-        #: Per-host shard queues of cold keys, plus the pre-host backlog.
-        self.queues: Dict[str, List[str]] = {}
-        self.unassigned: List[str] = []
+        #: Keys of cold cells, oldest first.  A key whose cell got its
+        #: verdict while it waited here is skipped when it is popped.
+        self.queue: Deque[str] = deque()
         self.stats = {
-            "leases": 0, "steals": 0, "requeues": 0, "duplicates": 0,
+            "leases": 0, "requeues": 0, "duplicates": 0,
             "expired": 0, "dead_hosts": 0, "completed": 0, "failed": 0,
         }
         self._server: Optional[asyncio.AbstractServer] = None
@@ -339,7 +346,6 @@ class Orchestrator:
         record.last_heartbeat = self._now()
         if record.deaths:
             record.penalty_until = self._now() + record.backoff()
-        self.queues.setdefault(name, [])
         self.log.emit(
             {
                 "event": "host-join",
@@ -358,7 +364,6 @@ class Orchestrator:
                 "lease_duration": self.lease_duration,
             },
         )
-        self._assign_backlog()
         try:
             while True:
                 message = await protocol.recv(reader)
@@ -399,11 +404,13 @@ class Orchestrator:
                 },
             )
             return
-        while granted < slots:
-            key, stolen_from = self._next_cell_for(record.name)
-            if key is None:
-                break
-            cell = self.cells[key]
+        while granted < slots and self.queue:
+            key = self.queue.popleft()
+            cell = self.cells.get(key)
+            if cell is None or cell.status != "cold":
+                # A late report from an expired lease settled the cell
+                # while it waited to be leased again.
+                continue
             lease_id = f"L{next(self._lease_ids)}"
             cell.status = "leased"
             cell.lease_id = lease_id
@@ -411,17 +418,6 @@ class Orchestrator:
             cell.lease_deadline = now + self.lease_duration
             record.leases[lease_id] = key
             self.stats["leases"] += 1
-            if stolen_from is not None:
-                self.stats["steals"] += 1
-                self.log.emit(
-                    {
-                        "event": "steal",
-                        "host_name": record.name,
-                        "victim": stolen_from,
-                        "key": key,
-                        "label": cell.spec.label,
-                    }
-                )
             self.log.emit(
                 {
                     "event": "lease",
@@ -429,7 +425,6 @@ class Orchestrator:
                     "key": key,
                     "label": cell.spec.label,
                     "lease_id": lease_id,
-                    "stolen": stolen_from is not None,
                     "requeues": cell.requeues,
                 }
             )
@@ -446,34 +441,6 @@ class Orchestrator:
         await self._send_host(
             record, {"type": "grant-end", "granted": granted}
         )
-
-    def _next_cell_for(self, name: str) -> Tuple[Optional[str], Optional[str]]:
-        """The next cold key for host ``name``: own shard first, then
-        stolen from the slowest shard.  Returns ``(key, stolen_from)``."""
-        own = self.queues.get(name, [])
-        while own:
-            key = own.pop(0)
-            if self.cells[key].status == "cold":
-                return key, None
-        # Steal from the host with the largest cold backlog.
-        victim, backlog = None, 0
-        for other, queue in self.queues.items():
-            if other == name:
-                continue
-            cold = sum(1 for k in queue if self.cells[k].status == "cold")
-            if cold > backlog:
-                victim, backlog = other, cold
-        if victim is not None:
-            queue = self.queues[victim]
-            while queue:
-                key = queue.pop(0)
-                if self.cells[key].status == "cold":
-                    return key, victim
-        while self.unassigned:
-            key = self.unassigned.pop(0)
-            if self.cells[key].status == "cold":
-                return key, None
-        return None, None
 
     def _heartbeat(self, record: _Host, message: dict) -> None:
         now = self._now()
@@ -503,20 +470,14 @@ class Orchestrator:
         lease_id = str(message.get("lease_id"))
         record.leases.pop(lease_id, None)
         cell = self.cells.get(key)
-        if cell is None:
-            return
-        if cell.status in ("done", "failed"):
-            # Stolen-and-original double completion: first valid
-            # payload won; this one is bit-identical by construction
-            # (pure function of the spec) and is simply dropped.
+        if cell is None or cell.status == "failed":
+            # No open cell under this key: a host whose lease expired
+            # reports after the cell got its verdict elsewhere.  The
+            # first valid payload won; this one is bit-identical by
+            # construction (pure function of the spec) and is dropped.
             self.stats["duplicates"] += 1
             self.log.emit(
-                {
-                    "event": "duplicate-result",
-                    "host_name": record.name,
-                    "key": key,
-                    "label": cell.spec.label,
-                }
+                {"event": "duplicate-result", "host_name": record.name, "key": key}
             )
             return
         encoded = message.get("payload")
@@ -532,13 +493,16 @@ class Orchestrator:
         cell.payload = encoded
         self.stats["completed"] += 1
         self.store.put(cell.spec, payload)
+        # From here the store answers for this key.  Forgotten before
+        # the first await, so no submit can join a cell whose waiters
+        # are already being served.
+        del self.cells[key]
         self.log.emit(
             {
                 "event": "result",
                 "host_name": record.name,
                 "key": key,
                 "label": cell.spec.label,
-                "elapsed": message.get("elapsed"),
             }
         )
         await self._deliver(cell)
@@ -548,7 +512,7 @@ class Orchestrator:
         lease_id = str(message.get("lease_id"))
         record.leases.pop(lease_id, None)
         cell = self.cells.get(key)
-        if cell is None or cell.status in ("done", "failed"):
+        if cell is None or cell.status == "failed":
             return
         self._release_lease(cell)
         await self._fail_cell(
@@ -628,11 +592,7 @@ class Orchestrator:
         cell.status = "cold"
         cell.requeues += 1
         self.stats["requeues"] += 1
-        shard = cell.shard
-        if shard is not None and shard in self.queues:
-            self.queues[shard].append(cell.key)
-        else:
-            self.unassigned.append(cell.key)
+        self.queue.append(cell.key)
         self.log.emit(
             {
                 "event": "requeue",
@@ -689,25 +649,22 @@ class Orchestrator:
             spec = CellSpec.from_canonical(doc)
             key = self.store.key_for(spec)
             cell = self.cells.get(key)
-            if resume and cell is not None and cell.status in ("done", "failed"):
-                if cell.status == "done":
-                    hits += 1
+            if resume and cell is not None and cell.status == "failed":
                 await self._send_cell(campaign, index, cell, was_hit=True)
                 continue
             if resume:
                 payload = self.store.get(spec)
                 if payload is not None:
-                    if cell is None:
-                        cell = self.cells[key] = _Cell(key, spec)
-                    cell.status = "done"
-                    cell.payload = encode_payload(payload)
+                    hit = _Cell(key, spec)
+                    hit.status = "done"
+                    hit.payload = encode_payload(payload)
                     hits += 1
-                    await self._send_cell(campaign, index, cell, was_hit=True)
+                    await self._send_cell(campaign, index, hit, was_hit=True)
                     continue
-            if cell is None or cell.status in ("done", "failed"):
-                # (done/failed but resume=False: recompute fresh)
+            if cell is None or cell.status == "failed":
+                # (failed but resume=False: recompute fresh)
                 cell = self.cells[key] = _Cell(key, spec)
-                self._enqueue(cell)
+                self.queue.append(key)
                 cold += 1
             else:
                 shared += 1  # already cold/leased for another campaign
@@ -728,25 +685,6 @@ class Orchestrator:
         else:
             self._poke_soon()
         return campaign
-
-    def _enqueue(self, cell: _Cell) -> None:
-        """Shard a fresh cold cell over the connected hosts."""
-        names = sorted(n for n, h in self.hosts.items() if h.connected)
-        if not names:
-            cell.shard = None
-            self.unassigned.append(cell.key)
-            return
-        shard = names[int(cell.key[:16], 16) % len(names)]
-        cell.shard = shard
-        self.queues.setdefault(shard, []).append(cell.key)
-
-    def _assign_backlog(self) -> None:
-        """Shard any pre-host backlog now that a host is connected."""
-        backlog, self.unassigned = self.unassigned, []
-        for key in backlog:
-            cell = self.cells[key]
-            if cell.status == "cold":
-                self._enqueue(cell)
 
     async def _deliver(self, cell: _Cell) -> None:
         """Send a completed/failed cell to every waiting campaign."""

@@ -35,9 +35,6 @@ from typing import Optional, Tuple
 #: submit messages.
 LINE_LIMIT = 32 * 1024 * 1024
 
-#: Protocol version; bumped on incompatible message changes.
-VERSION = 1
-
 
 class ProtocolError(RuntimeError):
     """The peer spoke something that is not this protocol."""

@@ -32,10 +32,14 @@ from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
-from ..cache import CellCache, code_salt, encode_payload
+from ..cache import code_salt, encode_payload
 from ..engine import execute_cells
 from ..spec import CellSpec
 from . import protocol
+
+#: ``run_worker`` reconnect delay: doubling from the base, capped.
+RECONNECT_BACKOFF_BASE = 0.5
+RECONNECT_BACKOFF_CAP = 10.0
 
 
 class WorkerError(RuntimeError):
@@ -59,8 +63,6 @@ class WorkerHost:
         capacity: int = 2,
         timeout: Optional[float] = None,
         max_retries: int = 2,
-        cache_dir: Optional[Union[str, Path]] = None,
-        quarantine_dir: Optional[Union[str, Path]] = None,
         log_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         if isinstance(address, str):
@@ -70,8 +72,6 @@ class WorkerHost:
         self.capacity = max(1, capacity)
         self.timeout = timeout
         self.max_retries = max_retries
-        self.cache_dir = cache_dir
-        self.quarantine_dir = quarantine_dir
         self.log_path = (
             host_log_path(log_dir, self.name) if log_dir is not None else None
         )
@@ -98,7 +98,6 @@ class WorkerHost:
                 "host": self.name,
                 "capacity": self.capacity,
                 "salt": code_salt(),
-                "version": protocol.VERSION,
             }
         )
         reader_task = asyncio.ensure_future(self._read_loop(reader))
@@ -224,7 +223,6 @@ class WorkerHost:
                     "lease_id": lease["lease_id"],
                     "key": lease["key"],
                     "payload": encode_payload(payload),
-                    "cached": was_hit,
                 },
             )
 
@@ -248,8 +246,6 @@ class WorkerHost:
             workers=self.capacity,
             timeout=self.timeout,
             max_retries=self.max_retries,
-            cache=CellCache(self.cache_dir) if self.cache_dir else None,
-            quarantine=self.quarantine_dir,
             failure_mode="continue",
             log_path=self.log_path,
             log_host=self.name,
@@ -289,14 +285,7 @@ class WorkerHost:
         assert reported == len(leases), "engine under-reported a batch"
 
 
-def run_worker(
-    address: str,
-    *,
-    reconnect: int = 0,
-    backoff_base: float = 0.5,
-    backoff_cap: float = 10.0,
-    **kwargs,
-) -> None:
+def run_worker(address: str, *, reconnect: int = 0, **kwargs) -> None:
     """Run a worker host, reconnecting up to ``reconnect`` extra times
     with doubling (capped) backoff when the orchestrator goes away."""
 
@@ -316,8 +305,8 @@ def run_worker(
             attempts += 1
             if attempts > reconnect:
                 return
-            delay = min(backoff_cap, backoff_base * (2.0 ** (attempts - 1)))
-            await asyncio.sleep(delay)
+            delay = RECONNECT_BACKOFF_BASE * (2.0 ** (attempts - 1))
+            await asyncio.sleep(min(RECONNECT_BACKOFF_CAP, delay))
 
     asyncio.run(_main())
 
@@ -355,13 +344,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--timeout", type=float, default=None)
     parser.add_argument("--max-retries", type=int, default=2)
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="shared cell cache directory (worker writes results "
-        "directly when it shares a filesystem with the store)",
-    )
-    parser.add_argument("--quarantine-dir", default=None)
-    parser.add_argument(
         "--log-dir",
         default=None,
         help="directory for this host's JSONL event log "
@@ -383,8 +365,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         capacity=args.capacity,
         timeout=args.timeout,
         max_retries=args.max_retries,
-        cache_dir=args.cache_dir,
-        quarantine_dir=args.quarantine_dir,
         log_dir=args.log_dir,
     )
 

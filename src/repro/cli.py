@@ -4,7 +4,7 @@ One front door for every harness in the repository::
 
     python -m repro.cli table1
     python -m repro.cli parsec-suite --out results/parsec.json
-    python -m repro.cli fig7-fig8 --cache results/parsec.json
+    python -m repro.cli fig7-fig8 --cache-dir results/cellcache
     python -m repro.cli fig12 --patterns uniform_random
     python -m repro.cli ablations
     python -m repro.cli baselines
@@ -16,7 +16,11 @@ through the campaign engine (``docs/campaigns.md``): ``--workers N``
 fans independent cells out over a process pool, ``--cache-dir`` keeps
 a content-addressed cell cache so re-runs recompute only invalidated
 cells, and ``--resume`` (default) lets an interrupted ``all`` pick up
-where it stopped::
+where it stopped.  That cache is the only place a result is looked
+up: Figs 7-11 and ``headline`` run the PARSEC matrix like
+``parsec-suite`` does and find its 32 cells there (``parsec-suite
+--out`` is an export, not an input), and ``all`` hands every engine
+and robustness flag it was given to every sub-command::
 
     python -m repro.cli all --out results/ --workers 4
     python -m repro.cli all --out results/ --workers 4   # warm: 0 cells re-run
@@ -75,8 +79,8 @@ Distributed campaigns (``docs/service.md``)::
     python -m repro.cli reliability --samples 200 --hosts 127.0.0.1:8765
     python -m repro.cli fig12 --hosts local:3        # ephemeral cluster
 
-``serve`` runs the sharded orchestrator (leases, heartbeats,
-work-stealing; results land in its ``--cache-dir`` store); ``work``
+``serve`` runs the orchestrator (one queue of cold cells, leases,
+heartbeats; results land in its ``--cache-dir`` store); ``work``
 attaches a worker host.  ``--hosts`` on any campaign command routes
 that campaign through the service — ``local:N`` stands up an
 ephemeral N-worker cluster just for the run.  Results are
@@ -89,7 +93,12 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .campaign import add_robustness_args, campaign_argparser, robustness_argv
+from .campaign import (
+    add_robustness_args,
+    campaign_argparser,
+    engine_argv,
+    robustness_argv,
+)
 from .experiments import (
     ablations,
     headline,
@@ -126,53 +135,33 @@ _COMMANDS = {
 
 
 def _run_all(argv: Sequence[str]) -> None:
-    from .experiments.common import CANONICAL_INSTRUCTIONS
-
-    parser = campaign_argparser(prog="repro.cli all")
+    parser = campaign_argparser(prog="repro.cli all", instructions=True)
     parser.add_argument("--out", default="results")
-    parser.add_argument(
-        "--instructions", type=int, default=CANONICAL_INSTRUCTIONS
-    )
     args = parser.parse_args(argv)
-    cache = f"{args.out}/parsec_suite.json"
     # One shared cell cache under the output directory unless the user
-    # pointed somewhere else: every figure below reuses (and resumes
-    # from) the same content-addressed cells.
-    cache_dir = args.cache_dir or f"{args.out}/cellcache"
-    engine_flags = ["--workers", str(args.workers), "--cache-dir", cache_dir]
-    if not args.resume:
-        engine_flags.append("--no-resume")
-    # Supervision flags propagate to every sub-command of the full run.
-    if args.timeout is not None:
-        engine_flags += ["--timeout", str(args.timeout)]
-    engine_flags += ["--max-retries", str(args.max_retries)]
-    if args.quarantine_dir is not None:
-        engine_flags += ["--quarantine-dir", args.quarantine_dir]
-    # So do the robustness flags: they are configuration of every cell.
-    robustness = robustness_argv(args)
-    engine_flags += robustness
-    parsec_suite.main(
-        ["--out", cache, "--instructions", str(args.instructions)] + engine_flags
-    )
-    for name, main in (
-        ("fig7-fig8", fig7_fig8.main),
-        ("fig9-fig10", fig9_fig10.main),
-        ("fig11", fig11.main),
-        ("headline", headline.main),
+    # pointed somewhere else: every command below reuses (and resumes
+    # from) the same content-addressed cells, so the four PARSEC
+    # figures are 32 hits of what parsec-suite just stored.
+    args.cache_dir = args.cache_dir or f"{args.out}/cellcache"
+    # Engine, supervision and robustness flags reach every sub-command.
+    engine_flags = engine_argv(args)
+    suite = ["--instructions", str(args.instructions)]
+    for name, extra in (
+        ("parsec-suite", ["--out", f"{args.out}/parsec_suite.json"] + suite),
+        ("fig7-fig8", suite),
+        ("fig9-fig10", suite),
+        ("fig11", suite),
+        ("headline", suite),
+        ("table1", []),
+        ("fig12", []),
+        ("fig13", []),
+        ("scalability", []),
+        ("ablations", []),
+        ("baselines", []),
+        ("topologies", []),
     ):
         print(f"\n==== {name} ====")
-        main(["--cache", cache] + robustness)
-    for name, main in (
-        ("table1", table1.main),
-        ("fig12", fig12.main),
-        ("fig13", fig13.main),
-        ("scalability", scalability.main),
-        ("ablations", ablations.main),
-        ("baselines", baselines_compare.main),
-        ("topologies", topologies.main),
-    ):
-        print(f"\n==== {name} ====")
-        main(list(engine_flags))
+        _COMMANDS[name](extra + engine_flags)
 
 
 def _serve(argv: Sequence[str]) -> None:

@@ -15,7 +15,7 @@ import json
 import os
 import statistics
 from dataclasses import asdict, dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 from ..baselines import NoRDLike
 from ..core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
@@ -99,12 +99,6 @@ def save_records(records: Sequence[RunRecord], path: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         json.dump([asdict(r) for r in records], fh, indent=1)
-
-
-def load_records(path: str) -> List[RunRecord]:
-    """Load run records saved by :func:`save_records`."""
-    with open(path) as fh:
-        return [RunRecord(**row) for row in json.load(fh)]
 
 
 def save_csv(records: Sequence[RunRecord], path: str) -> None:

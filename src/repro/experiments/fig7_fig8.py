@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from ..campaign import campaign_argparser, engine_options, require_mesh_topology
 from .common import SCHEME_ORDER, format_table, mean
-from .parsec_suite import suite_records
+from .parsec_suite import run_suite
 
 
 def report(records) -> str:
@@ -81,13 +81,10 @@ def report(records) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI entry point."""
-    parser = campaign_argparser(__doc__, suite_cache=True, instructions=True)
+    parser = campaign_argparser(__doc__, instructions=True)
     args = parser.parse_args(argv)
     require_mesh_topology(args, 'the Fig. 7/8 experiment')
-    records = suite_records(
-        args.cache, instructions=args.instructions, **engine_options(args)
-    )
-    print(report(records))
+    print(report(run_suite(instructions=args.instructions, **engine_options(args))))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from ..campaign import campaign_argparser, engine_options, require_mesh_topology
 from .common import format_table, mean
-from .parsec_suite import suite_records
+from .parsec_suite import run_suite
 
 _PG_SCHEMES = ["ConvOpt-PG", "PowerPunch-Signal", "PowerPunch-PG"]
 
@@ -82,16 +82,10 @@ def report(records) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI entry point."""
-    parser = campaign_argparser(__doc__, suite_cache=True, instructions=True)
+    parser = campaign_argparser(__doc__, instructions=True)
     args = parser.parse_args(argv)
     require_mesh_topology(args, 'the Fig. 9/10 experiment')
-    print(
-        report(
-            suite_records(
-                args.cache, instructions=args.instructions, **engine_options(args)
-            )
-        )
-    )
+    print(report(run_suite(instructions=args.instructions, **engine_options(args))))
 
 
 if __name__ == "__main__":

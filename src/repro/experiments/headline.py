@@ -5,8 +5,8 @@
     execution time penalty of less than 0.4%, effectively achieving
     near non-blocking power-gating of on-chip network routers."
 
-Runs (or loads) the PARSEC suite and prints the four headline
-quantities with their paper reference values.
+Runs the PARSEC suite (out of the cell cache, with ``--cache-dir``) and
+prints the four headline quantities with their paper reference values.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from ..campaign import campaign_argparser, engine_options, require_mesh_topology
 from .common import mean
-from .parsec_suite import suite_records
+from .parsec_suite import run_suite
 
 
 def compute_headline(records) -> dict:
@@ -83,16 +83,10 @@ def report(records) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI entry point."""
-    parser = campaign_argparser(__doc__, suite_cache=True, instructions=True)
+    parser = campaign_argparser(__doc__, instructions=True)
     args = parser.parse_args(argv)
     require_mesh_topology(args, 'the headline experiment')
-    print(
-        report(
-            suite_records(
-                args.cache, instructions=args.instructions, **engine_options(args)
-            )
-        )
-    )
+    print(report(run_suite(instructions=args.instructions, **engine_options(args))))
 
 
 if __name__ == "__main__":

@@ -3,12 +3,18 @@
 The 8-benchmark, 4-scheme matrix is declared as campaign cells and
 executed through :mod:`repro.campaign`: with ``--cache-dir`` every
 (benchmark, scheme, config, seed) cell is content-addressed on disk,
-so re-runs (and the per-figure scripts) recompute only invalidated
-cells, and ``--workers N`` fans the matrix out over a process pool::
+so re-runs recompute only invalidated cells, and ``--workers N`` fans
+the matrix out over a process pool.  The per-figure scripts run the
+same matrix through :func:`run_suite`, so with the same ``--cache-dir``
+they are 32 hits of what this command stored — and misses as soon as
+anything that changes a result differs::
 
     python -m repro.experiments.parsec_suite --out results/parsec_suite.json \\
         --workers 4 --cache-dir results/cellcache
-    python -m repro.cli fig7-fig8 --cache results/parsec_suite.json
+    python -m repro.cli fig7-fig8 --cache-dir results/cellcache
+
+``--out`` / ``--csv`` are export products for external plotting; no
+command reads them back.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .common import (
     CANONICAL_INSTRUCTIONS,
     SCHEME_ORDER,
     RunRecord,
-    load_records,
     save_records,
 )
 
@@ -73,35 +78,6 @@ def run_suite(
                 f"blk={record.avg_blocked_routers:5.2f} "
                 f"wait={record.avg_wakeup_wait:6.2f}"
             )
-    return records
-
-
-def suite_records(
-    cache: Optional[str],
-    instructions: int = CANONICAL_INSTRUCTIONS,
-    benchmarks: Optional[Sequence[str]] = None,
-    verbose: bool = True,
-    **engine,
-) -> List[RunRecord]:
-    """Load records from the suite JSON if possible, else run and store.
-
-    ``cache`` is the whole-suite records file (the exported product);
-    ``cache_dir`` is the per-cell content-addressed cache that decides
-    what actually needs to simulate.
-    """
-    if cache:
-        try:
-            return load_records(cache)
-        except (OSError, ValueError):
-            pass
-    records = run_suite(
-        benchmarks=benchmarks,
-        instructions=instructions,
-        verbose=verbose,
-        **engine,
-    )
-    if cache:
-        save_records(records, cache)
     return records
 
 

@@ -20,6 +20,7 @@ from repro.campaign import (
     campaign_argparser,
     decode_payload,
     encode_payload,
+    engine_argv,
     engine_options,
     execute_cells,
     freeze_items,
@@ -412,8 +413,34 @@ class TestSharedArgparser:
         }
         assert tuple(engine_options(args)) == ENGINE_OPTION_KEYS
 
-    def test_suite_cache_and_instructions_variants(self):
-        parser = campaign_argparser("desc", suite_cache=True, instructions=True)
-        args = parser.parse_args(["--cache", "suite.json"])
-        assert args.cache == "suite.json"
+    def test_instructions_variant(self):
+        args = campaign_argparser("desc", instructions=True).parse_args([])
         assert args.instructions == CANONICAL_INSTRUCTIONS
+        assert not hasattr(campaign_argparser("desc").parse_args([]), "instructions")
+
+    def test_a_records_file_is_not_a_cache_dir(self):
+        # No abbreviations: a script still passing the retired
+        # ``--cache FILE`` must not have it read as ``--cache-dir FILE``.
+        with pytest.raises(SystemExit):
+            campaign_argparser("desc").parse_args(["--cache", "suite.json"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--workers", "3"],
+            ["--cache-dir", "/tmp/c"],
+            ["--no-resume"],
+            ["--timeout", "12.5"],
+            ["--max-retries", "4"],
+            ["--quarantine-dir", "/tmp/q"],
+            ["--hosts", "local:3"],
+            ["--faults", "punch_drop,rate=0.5;seed=7", "--reroute"],
+            ["--strict-invariants", "--watchdog", "300", "--hosts", "h:1"],
+        ],
+    )
+    def test_engine_argv_is_the_inverse_of_engine_options(self, argv):
+        parser = campaign_argparser("desc")
+        args = parser.parse_args(argv)
+        forwarded = parser.parse_args(engine_argv(args))
+        assert engine_options(forwarded) == engine_options(args)

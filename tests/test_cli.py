@@ -139,21 +139,35 @@ class TestRobustnessFlags:
             cli.main(["--bounds", "--faults", FAULTS, "probe"])
         assert probe == []
 
-    def test_all_forwards_the_flags_to_every_subcommand(self, monkeypatch, tmp_path):
+    @pytest.fixture
+    def sub_argv(self, monkeypatch):
+        """The argv each sub-command of ``all`` is dispatched with."""
         seen = {}
-        for name in (
-            "parsec_suite", "fig7_fig8", "fig9_fig10", "fig11", "headline",
-            "table1", "fig12", "fig13", "scalability", "ablations",
-            "baselines_compare", "topologies",
-        ):
-            monkeypatch.setattr(
-                getattr(cli, name), "main", functools.partial(seen.__setitem__, name)
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(
+                cli._COMMANDS, name, functools.partial(seen.__setitem__, name)
             )
+        return seen
+
+    def test_all_forwards_the_flags_to_every_subcommand(self, sub_argv, tmp_path):
         cli.main(["--faults", FAULTS, "all", "--out", str(tmp_path), "--bounds"])
-        assert len(seen) == 12
-        for argv in seen.values():
+        assert len(sub_argv) == 12
+        for argv in sub_argv.values():
             assert argv[argv.index("--faults") + 1] == FAULTS
             assert "--bounds" in argv
+
+    def test_all_forwards_the_engine_flags_to_every_subcommand(
+        self, sub_argv, tmp_path
+    ):
+        cli.main(
+            ["all", "--out", str(tmp_path), "--hosts", "local:2", "--timeout", "5",
+             "--no-resume"]
+        )
+        assert len(sub_argv) == 12
+        for name, argv in sub_argv.items():
+            args, _ = campaign_argparser().parse_known_args(argv)
+            assert (args.hosts, args.timeout, args.resume) == ("local:2", 5.0, False), name
+            assert args.cache_dir == f"{tmp_path}/cellcache", name
 
 
 class TestRunOptionsAreCellConfiguration:

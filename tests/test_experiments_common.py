@@ -1,5 +1,7 @@
 """Tests for the experiment plumbing (records, tables, runners)."""
 
+import json
+
 import pytest
 
 from repro.campaign import run_synthetic
@@ -9,11 +11,16 @@ from repro.experiments.common import (
     RunRecord,
     format_table,
     geomean_ratio,
-    load_records,
     make_scheme,
     mean,
     save_records,
 )
+
+
+def read_records(path):
+    """The export product read back: a JSON list of record fields."""
+    with open(path) as fh:
+        return [RunRecord(**row) for row in json.load(fh)]
 
 
 def record(scheme="No-PG", latency=30.0, static=1.0, overhead=0.0):
@@ -43,14 +50,14 @@ class TestRunRecord:
         path = str(tmp_path / "records.json")
         records = [record(), record(scheme="ConvOpt-PG", latency=50.0)]
         save_records(records, path)
-        loaded = load_records(path)
+        loaded = read_records(path)
         assert loaded == records
 
     def test_json_roundtrip_preserves_derived_fields(self, tmp_path):
         path = str(tmp_path / "records.json")
         original = record(static=2.0, overhead=0.5)
         save_records([original], path)
-        (loaded,) = load_records(path)
+        (loaded,) = read_records(path)
         assert loaded.net_static_energy == pytest.approx(original.net_static_energy)
         assert loaded.total_energy == pytest.approx(original.total_energy)
 

@@ -2,23 +2,25 @@
 
 Unit tests drive the orchestrator's scheduler directly over real TCP
 connections with hand-rolled worker/client peers (no subprocesses), so
-lease expiry, heartbeat lapse, work-stealing, dedup and the reconnect
-penalty are each exercised in isolation with tight clocks.
+lease expiry, heartbeat lapse, the queue's order, dedup and the
+reconnect penalty are each exercised in isolation with tight clocks.
 
 The acceptance chaos scenario runs at the bottom: a three-worker local
 cluster (real worker subprocesses), one SIGKILLed mid-campaign, must
 finish with payloads bit-identical to a single-host run, serve a warm
-rerun entirely from the shared store, and leave the lease/steal/
-heartbeat record in the merged event log.
+rerun entirely from the shared store, and leave the lease/heartbeat
+record in the merged event log.
 """
 
 import asyncio
 import hashlib
+import itertools
 import json
 import os
 import signal
 import threading
 import time
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -190,6 +192,14 @@ class FakeWorker:
             self.writer.close()
 
 
+async def until(predicate, timeout=5.0):
+    """Poll until ``predicate()`` holds (the orchestrator shares the loop)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.002)
+
+
 async def submit_cells(orch, cells, name="test", resume=True, timeout=10.0):
     """A protocol-level client: returns ``(payloads, done_message)``."""
     reader, writer = await protocol.open_connection("127.0.0.1", orch.port)
@@ -264,6 +274,9 @@ class TestOrchestratorScheduling:
             assert statuses == ["done"] * 3
             assert payloads == [{"seed": s.seed} for s in cells]
             assert done["executed"] == 3 and done["failed"] == 0
+            # The store answers for finished cells; the scheduler has
+            # forgotten them.
+            assert not orch.cells
             # Second submit: all hits, no worker involvement at all.
             payloads2, statuses2, done2 = await submit_cells(orch, cells)
             assert statuses2 == ["hit"] * 3
@@ -296,6 +309,13 @@ class TestOrchestratorScheduling:
             assert sorted(statuses) == ["done", "failed"]
             assert done["failed"] == 1
             assert orch.stats["failed"] == 1
+            # A failure has no store entry, so its verdict stays here
+            # and a resubmit gets it back without another lease.
+            assert [cell.status for cell in orch.cells.values()] == ["failed"]
+            _, statuses2, done2 = await submit_cells(orch, cells)
+            assert sorted(statuses2) == ["failed", "hit"]
+            assert done2["hits"] == 1 and done2["failed"] == 1
+            assert orch.stats["leases"] == 2
             worker.close()
 
         self._run(scenario)
@@ -415,36 +435,114 @@ class TestOrchestratorScheduling:
             miss_limit=2,
         )
 
-    def test_idle_host_steals_from_the_slowest_shard(self):
-        cells = specs(8)
+    #: The two asking hosts of the exhaustive queue check.
+    CAPACITY = {"a": 1, "b": 2}
 
-        async def scenario(orch):
-            # Both hosts connect so the cells shard across them, but
-            # only the thief ever requests work: every cell in the
-            # victim's shard must be stolen for the campaign to finish.
-            victim = FakeWorker(orch, "victim")
-            thief = FakeWorker(orch, "thief", capacity=8)
-            await victim.connect()
-            await thief.connect()
-            client = asyncio.ensure_future(submit_cells(orch, cells))
-            await asyncio.sleep(0.05)
-            done = 0
-            while done < len(cells):
-                leases, _ = await thief.request(slots=8)
-                for lease in leases:
-                    spec = CellSpec.from_canonical(lease["spec"])
-                    await thief.finish(lease, {"seed": spec.seed})
-                    done += 1
-            payloads, _, _ = await client
-            assert payloads == [{"seed": s.seed} for s in cells]
-            victim_shard = sum(
-                1 for c in orch.cells.values() if c.shard == "victim"
-            )
-            assert orch.stats["steals"] == victim_shard
-            victim.close()
-            thief.close()
+    @classmethod
+    def request_orders(cls, cells):
+        """Every order in which the two hosts can ask, each request
+        taking up to the host's capacity, until ``cells`` are leased."""
+        if cells == 0:
+            return [()]
+        return [
+            (name,) + rest
+            for name, capacity in cls.CAPACITY.items()
+            for rest in cls.request_orders(max(0, cells - capacity))
+        ]
 
-        self._run(scenario)
+    async def _drive_queue(self, orch, order, join_late=(), kill_at=None):
+        """Four cells, hosts asking in ``order``, checked lease by
+        lease against a plain deque.  A host finishes what it holds
+        before it asks again, so the other host's leases are open
+        while it is served.  With ``kill_at``, the host asking at that
+        position dies holding what it was just granted."""
+        cells = specs(4)
+        hosts = {}
+
+        async def join(name, capacity, host_name=None):
+            hosts[name] = FakeWorker(orch, host_name or name, capacity=capacity)
+            assert (await hosts[name].connect())["type"] == "welcome"
+
+        async def finish(name):
+            for lease in held.pop(name, ()):
+                spec = CellSpec.from_canonical(lease["spec"])
+                await hosts[name].finish(lease, {"seed": spec.seed})
+
+        await join("idle", 8)  # connected, never asks
+        for name, capacity in self.CAPACITY.items():
+            if name not in join_late:
+                await join(name, capacity)
+        client = asyncio.ensure_future(submit_cells(orch, cells))
+        await until(lambda: len(orch.queue) == len(cells))
+        for name in join_late:
+            await join(name, self.CAPACITY[name])
+        model = deque(orch.store.key_for(spec) for spec in cells)
+        held = {}
+        killed = 0
+        # (After a kill the given order runs out before the queue does.)
+        for position, name in enumerate(
+            itertools.chain(order, itertools.cycle(self.CAPACITY))
+        ):
+            if not model:
+                break
+            await finish(name)
+            leases, end = await hosts[name].request(slots=self.CAPACITY[name])
+            expected = [
+                model.popleft()
+                for _ in range(min(self.CAPACITY[name], len(model)))
+            ]
+            # Oldest first, each once, and never refused while a cold
+            # cell exists.
+            assert [lease["key"] for lease in leases] == expected
+            assert end["granted"] == len(expected) >= 1
+            if position == kill_at:
+                hosts[name].close()
+                model.extend(expected)  # back at the tail, in lease order
+                killed += len(expected)
+                await until(lambda: orch.stats["requeues"] == killed)
+                # A replacement under a new name: the old one would sit
+                # out its reconnect penalty.
+                await join(name, self.CAPACITY[name], f"{name}-reborn")
+            else:
+                held[name] = leases
+        for name in self.CAPACITY:
+            await finish(name)
+            leases, end = await hosts[name].request(slots=self.CAPACITY[name])
+            assert leases == [] and end["granted"] == 0
+        payloads, statuses, done = await client
+        assert payloads == [{"seed": spec.seed} for spec in cells]
+        assert statuses == ["done"] * len(cells)
+        assert orch.stats["leases"] == len(cells) + killed
+        assert orch.stats["failed"] == 0 and not orch.cells and not orch.queue
+        for host in hosts.values():
+            host.close()
+
+    def test_one_queue_over_every_interleaving_of_two_hosts(self):
+        """Which host runs a cell is decided by who asks first, so the
+        whole decision fits an exhaustive check: every order in which
+        a capacity-1 and a capacity-2 host can ask for four cells, with
+        a third host connected that never asks (it strands nothing),
+        and with hosts that join only after the submit (they are
+        served from the same queue; nothing is re-dealt on a join)."""
+        orders = self.request_orders(4)
+        assert len(orders) == 8
+        for order in orders:
+            for join_late in ((), ("b",), ("a", "b")):
+                self._run(
+                    lambda orch: self._drive_queue(orch, order, join_late=join_late)
+                )
+
+    def test_lost_leases_rejoin_the_tail_at_every_position(self):
+        """For every interleaving and every position in it, the host
+        asking there dies holding its leases: the cells reappear at
+        the tail of the queue, and the campaign still completes with
+        every payload.  (The bound on this,
+        ``MAX_REQUEUES``, is the next test.)"""
+        for order in self.request_orders(4):
+            for kill_at in range(len(order)):
+                self._run(
+                    lambda orch: self._drive_queue(orch, order, kill_at=kill_at)
+                )
 
     def test_cell_that_keeps_losing_its_host_fails_as_host_loss(self):
         """A cell that takes every host down with it must get a verdict:
@@ -483,8 +581,8 @@ class TestLocalCluster:
         """The acceptance scenario: 3 worker hosts, one SIGKILLed
         mid-campaign.  The campaign must finish, match a single-host
         run bit for bit, serve a warm rerun 100% from the store, and
-        leave the full lease/steal/heartbeat record in the merged
-        event log."""
+        leave the full lease/heartbeat record in the merged event
+        log."""
         cells = sim_cells(seeds=(1, 2, 3, 4, 5, 6))
         single, _ = execute_cells(cells, workers=2)
 
@@ -548,8 +646,6 @@ class TestLocalCluster:
             assert "seq" in e and "ts" in e
         # The SIGKILLed host was noticed and its work recovered.
         assert {"host-dead", "host-leave"} & kinds
-        if any(e.get("event") == "requeue" for e in events):
-            assert "steal" in kinds or "lease" in kinds
 
     def test_hosted_campaign_matches_engine(self, tmp_path):
         cells = sim_cells(seeds=(1, 2))
