@@ -21,6 +21,7 @@ the paper's framing.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..noc.errors import UnsupportedTopologyError
@@ -33,6 +34,19 @@ from .punch_fabric import PunchFabric
 
 #: Shared empty punch-target set for routers whose heads need no wakeups.
 _EMPTY_TARGETS: frozenset = frozenset()
+
+
+@lru_cache(maxsize=16)
+def _punch_tables(
+    routing: type, spec: str, hops: int
+) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], frozenset]]:
+    """Memos of the static punch relation at one horizon, both per
+    (current, destination): the targeted router, and the punch set
+    naming only it.  A function of the key alone, so every scheme
+    attached in this process to that fabric at that horizon fills and
+    reads the same two dicts (at most N^2 entries each).
+    """
+    return {}, {}
 
 
 class NoPG(AlwaysOnPolicy):
@@ -116,7 +130,14 @@ class PowerGatedScheme(PowerPolicy):
     @property
     def controllers(self) -> List[PowerGateController]:
         """The per-router controller objects, flushed up to date when
-        the vector kernel's array bank holds the authoritative state."""
+        the vector kernel's array bank holds the authoritative state.
+
+        ``_bank_dirty`` is only ever set by an engaged engine's step
+        and cleared, after ``flush_into``, by ``materialize()`` in the
+        same breath as ``_vector_bank = None``.  The object kernel's
+        per-flit paths below therefore read ``_controllers`` directly
+        once they have seen ``_vector_bank is None``.
+        """
         if self._bank_dirty:
             self._bank_dirty = False
             self._vector_bank.flush_into(self._controllers)
@@ -169,7 +190,6 @@ class PowerGatedScheme(PowerPolicy):
         self._armed = set(range(cfg.num_nodes))
         self._stepped_through = -1
         self._punch_cache = {}
-        self._singleton_targets = {}
         self._sleep_deadlines = {}
         if self._active:
             for controller in self.controllers:
@@ -180,7 +200,8 @@ class PowerGatedScheme(PowerPolicy):
         # when routers die, but the fabric memoizes decompositions and
         # the paper's punch horizon is a property of the dimension-order
         # baseline — ``static_view`` is the pure-XY twin either way.
-        self.fabric = PunchFabric(network.routing.static_view, self._on_punch)
+        static = network.routing.static_view
+        self.fabric = PunchFabric(static, self._on_punch)
         # Punch routing is static: memoizing the per-(router, targets)
         # relay decomposition is behavior-exact, but it is gated to the
         # active kernel so the naive kernel stays a faithful seed-cost
@@ -189,9 +210,11 @@ class PowerGatedScheme(PowerPolicy):
         # Targeted-router lookups happen for every buffered head flit
         # every cycle; memoize per (current, destination) at the fixed
         # punch horizon.
-        ahead_cache: Dict[tuple, int] = {}
-        routing_ahead = network.routing.static_view.router_ahead
         hops = self.punch_hops
+        ahead_cache, self._singleton_targets = _punch_tables(
+            type(static), static.topology.spec, hops
+        )
+        routing_ahead = static.router_ahead
 
         def cached_ahead(current: int, destination: int, _hops: int) -> int:
             key = (current, destination)
@@ -214,7 +237,7 @@ class PowerGatedScheme(PowerPolicy):
             # Vector kernel: the controller FSMs live in the array bank.
             bank.request_scalar(router, cycle, self.expectation_window)
             return
-        controller = self.controllers[router]
+        controller = self._controllers[router]
         if controller._quiescent_since is not None and controller.faults is None:
             # Parked controller: absorb the wakeup without waking the
             # FSM — the inline twin of ``request_wakeup``'s parked fast
@@ -261,8 +284,12 @@ class PowerGatedScheme(PowerPolicy):
         busy step.  Busy-skip parks are unaffected (the datapath stays
         non-empty) and WAKING parks ignore the datapath until their
         wake-at transition, which reads it fresh.
+
+        Only parked controllers are touched, and none is parked while a
+        bank is authoritative (engagement settles every park, the flush
+        resets the park fields), so no flush is needed to read them.
         """
-        controller = self.controllers[router_id]
+        controller = self._controllers[router_id]
         if (
             controller._quiescent_since is not None
             and not controller._parked_busy
@@ -341,7 +368,7 @@ class PowerGatedScheme(PowerPolicy):
             if st == 2:
                 return bool(bank.wake_at[router_id] <= by_cycle)
             return False
-        controller = self.controllers[router_id]
+        controller = self._controllers[router_id]
         state = controller.state
         if state is PGState.ACTIVE:
             return True
@@ -379,18 +406,18 @@ class PowerGatedScheme(PowerPolicy):
         naive index-order interleaving of ``request_wakeup``/``step``.
         """
         self.fabric.deliver(cycle)
+        controllers = self.controllers
         if self._slack2_hold:
             expired = []
             for node, until in self._slack2_hold.items():
                 if cycle > until:
                     expired.append(node)
                 else:
-                    self.controllers[node].request_wakeup(cycle, 0)
+                    controllers[node].request_wakeup(cycle, 0)
             for node in expired:
                 del self._slack2_hold[node]
         interfaces = self.network.interfaces
         routers = self.network.routers
-        controllers = self.controllers
         if self._active:
             armed = self._armed
             active_nis = self.network.active_nis

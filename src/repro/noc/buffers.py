@@ -11,8 +11,7 @@ of the downstream VC.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import BufferOverflowError
 from .packet import Flit
@@ -58,10 +57,14 @@ class VirtualChannel:
         self.port_direction = port_direction
         self.vc_index = vc_index
         self.depth = depth
-        #: Buffered flits, front of the deque departs first.
-        self.flits: Deque[Flit] = deque()
+        #: Buffered flits, the front one departs first.  Plain lists: a
+        #: VC holds at most ``depth`` (a handful of) flits, so ``pop(0)``
+        #: costs what ``popleft`` does, while an empty deque keeps a
+        #: 64-slot block — 2.9 MB of the 4.6 MB an idle 8x8 network
+        #: weighed, over its 1920 mostly empty VCs.
+        self.flits: List[Flit] = []
         #: Arrival cycle of each buffered flit (parallel to ``flits``).
-        self.arrivals: Deque[int] = deque()
+        self.arrivals: List[int] = []
         self.state = VCState.IDLE
         #: Output direction of the current packet (known on head arrival
         #: thanks to look-ahead routing).
@@ -112,8 +115,8 @@ class VirtualChannel:
 
     def pop(self) -> Flit:
         """Remove and return the front flit."""
-        self.arrivals.popleft()
-        return self.flits.popleft()
+        self.arrivals.pop(0)
+        return self.flits.pop(0)
 
     def reset_for_next_packet(self) -> None:
         """Return the VC to IDLE after a tail flit departs."""

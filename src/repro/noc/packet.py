@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 
@@ -41,7 +40,6 @@ def reset_packet_ids() -> None:
     _packet_ids = itertools.count()
 
 
-@dataclass
 class Packet:
     """A packet travelling through the network.
 
@@ -51,29 +49,60 @@ class Packet:
     waiting for router wakeups.
     """
 
-    source: int
-    destination: int
-    vnet: VirtualNetwork
-    size_flits: int
-    created_at: int
-    #: Optional opaque payload used by the closed-loop system model to
-    #: route coherence messages back to their protocol transaction.
-    payload: Optional[object] = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    __slots__ = (
+        "source",
+        "destination",
+        "vnet",
+        "size_flits",
+        "created_at",
+        "payload",
+        "packet_id",
+        "injected_at",
+        "delivered_at",
+        "blocked_routers",
+        "wakeup_wait_cycles",
+        "hops_taken",
+    )
 
-    # --- timing/measurement state, filled in by the simulator ---------
-    injected_at: Optional[int] = None
-    delivered_at: Optional[int] = None
-    #: Distinct routers that were powered off (or still waking up) when
-    #: this packet needed them (Fig. 9 metric).
-    blocked_routers: Set[int] = field(default_factory=set)
-    #: Total cycles this packet stalled waiting for router wakeup
-    #: (Fig. 10 metric).
-    wakeup_wait_cycles: int = 0
-    #: Router-to-router links actually traversed (head-flit departures
-    #: toward a neighbor).  Equals the minimal hop distance under XY;
-    #: the surplus is the detour length under fault-tolerant rerouting.
-    hops_taken: int = 0
+    def __init__(
+        self,
+        source: int,
+        destination: int,
+        vnet: VirtualNetwork,
+        size_flits: int,
+        created_at: int,
+        payload: Optional[object] = None,
+        packet_id: Optional[int] = None,
+        injected_at: Optional[int] = None,
+        delivered_at: Optional[int] = None,
+        blocked_routers: Optional[Set[int]] = None,
+        wakeup_wait_cycles: int = 0,
+        hops_taken: int = 0,
+    ) -> None:
+        self.source = source
+        self.destination = destination
+        self.vnet = vnet
+        self.size_flits = size_flits
+        self.created_at = created_at
+        #: Optional opaque payload used by the closed-loop system model to
+        #: route coherence messages back to their protocol transaction.
+        self.payload = payload
+        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
+        # --- timing/measurement state, filled in by the simulator ---------
+        self.injected_at = injected_at
+        self.delivered_at = delivered_at
+        #: Distinct routers that were powered off (or still waking up) when
+        #: this packet needed them (Fig. 9 metric).
+        self.blocked_routers: Set[int] = (
+            set() if blocked_routers is None else blocked_routers
+        )
+        #: Total cycles this packet stalled waiting for router wakeup
+        #: (Fig. 10 metric).
+        self.wakeup_wait_cycles = wakeup_wait_cycles
+        #: Router-to-router links actually traversed (head-flit departures
+        #: toward a neighbor).  Equals the minimal hop distance under XY;
+        #: the surplus is the detour length under fault-tolerant rerouting.
+        self.hops_taken = hops_taken
 
     @property
     def network_latency(self) -> Optional[int]:
@@ -96,16 +125,18 @@ class Packet:
         )
 
 
-@dataclass
 class Flit:
     """One flow-control unit of a packet."""
 
-    packet: Packet
-    index: int
-    #: Set by the fault injector's bit-flip fault; the invariant checker
-    #: flags corrupted flits the moment they land (payload contents are
-    #: otherwise preserved so faulted runs stay deterministic).
-    corrupted: bool = False
+    __slots__ = ("packet", "index", "corrupted")
+
+    def __init__(self, packet: Packet, index: int, corrupted: bool = False) -> None:
+        self.packet = packet
+        self.index = index
+        #: Set by the fault injector's bit-flip fault; the invariant checker
+        #: flags corrupted flits the moment they land (payload contents are
+        #: otherwise preserved so faulted runs stay deterministic).
+        self.corrupted = corrupted
 
     @property
     def is_head(self) -> bool:

@@ -345,9 +345,9 @@ class Router:
     ) -> Tuple[Flit, int]:
         """Pop the granted flit; update VC, credit and ownership state."""
         # ``vc.pop`` inlined — this runs once per granted flit.
-        vc.arrivals.popleft()
+        vc.arrivals.pop(0)
         flits = vc.flits
-        flit = flits.popleft()
+        flit = flits.pop(0)
         if flit.is_head:
             # Only a departing head changes the set of front head flits
             # (:meth:`head_flit_requirements`): a body/tail pop leaves a

@@ -40,15 +40,11 @@ punch fabric's memoized decompositions remain valid across deaths.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, SimulationError
 from .topology import Direction, MeshTopology, Ring, Topology, Torus2D
-
-try:  # numpy backs the vector kernel only; everything else runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 #: Sentinel distance for "no pure-down path exists".
 _INF = 1 << 30
@@ -457,13 +453,29 @@ _DEFAULT_ROUTINGS = {
 }
 
 
+@lru_cache(maxsize=8)
+def _static_tables(routing: type, spec: str) -> Tuple[dict, dict]:
+    """The (direction, next-hop) memos of one static routing relation.
+
+    A default routing's answers depend on its class and the fabric's
+    ``spec`` alone, so every network of the process on that fabric
+    fills and reads the same two dicts (at most N^2 entries each)
+    instead of re-deriving them per network.  Falling out of this cache
+    only ends the sharing: the routings holding the dicts keep them.
+    """
+    return {}, {}
+
+
 def default_routing(topology: Topology) -> RoutingAlgorithm:
     """The canonical deadlock-free routing algorithm for ``topology``."""
     try:
         cls = _DEFAULT_ROUTINGS[topology.name]
     except KeyError:
         raise ValueError(f"no default routing for topology {topology.name!r}")
-    return cls(topology)
+    direction_cache, next_hop_cache = _static_tables(cls, topology.spec)
+    return cls(
+        topology, direction_cache=direction_cache, next_hop_cache=next_hop_cache
+    )
 
 
 def _raise_on_cdg_cycle(deps: Dict, context: str) -> None:
@@ -497,67 +509,6 @@ def _raise_on_cdg_cycle(deps: Dict, context: str) -> None:
                 color[channel] = BLACK
                 stack.pop()
                 trail.pop()
-
-
-# ----------------------------------------------------------------------
-# Vectorized XY (closed forms over node-id arrays)
-# ----------------------------------------------------------------------
-# The vector kernel's RC stage routes whole batches of head flits at
-# once.  XY on a row-major mesh has closed forms for all three lookups
-# the object layer walks pointer-by-pointer, so no N^2 tables are
-# needed: each helper is a handful of whole-array ops.  All of them are
-# exact mirrors of the scalar code above (x resolved first, then y).
-
-def xy_direction_codes(current, destination, width: int):
-    """Vector :meth:`XYRouting.output_direction`: int8 Direction values."""
-    cx = current % width
-    cy = current // width
-    dx = destination % width
-    dy = destination // width
-    out = _np.where(
-        cx < dx,
-        int(Direction.XPOS),
-        _np.where(
-            cx > dx,
-            int(Direction.XNEG),
-            _np.where(
-                cy < dy,
-                int(Direction.YPOS),
-                _np.where(cy > dy, int(Direction.YNEG), int(Direction.LOCAL)),
-            ),
-        ),
-    )
-    return out.astype(_np.int8)
-
-
-def xy_next_hops(current, destination, width: int):
-    """Vector :meth:`XYRouting.next_hop` (callers guarantee cur != dest)."""
-    cx = current % width
-    cy = current // width
-    dx = destination % width
-    dy = destination // width
-    step = _np.where(
-        cx < dx, 1, _np.where(cx > dx, -1, _np.where(cy < dy, width, -width))
-    )
-    return current + step
-
-
-def xy_routers_ahead(current, destination, hops: int, width: int):
-    """Vector :meth:`XYRouting.router_ahead`.
-
-    The scalar walk moves min(\\|dx\\|, hops) steps in x, then whatever
-    budget remains in y, stopping at the destination — the closed form
-    below is exactly that.
-    """
-    cx = current % width
-    cy = current // width
-    dx = destination % width
-    dy = destination // width
-    steps_x = _np.minimum(_np.abs(dx - cx), hops)
-    nx = cx + _np.sign(dx - cx) * steps_x
-    steps_y = _np.minimum(_np.abs(dy - cy), hops - steps_x)
-    ny = cy + _np.sign(dy - cy) * steps_y
-    return ny * width + nx
 
 
 class FaultTolerantRouting(XYRouting):
@@ -608,10 +559,11 @@ class FaultTolerantRouting(XYRouting):
         self._down: Dict[int, List[int]] = {}
         #: Per-destination (down_dist, best_cost) tables, built lazily.
         self._tables: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
-        #: Dedicated static-XY twin for punch-target/relay computation
-        #: (separate caches: this object's own caches hold detour
-        #: entries under the same (current, destination) keys).
-        self._xy = XYRouting(topology)
+        #: Static-XY twin for punch-target/relay computation, on the
+        #: fabric's shared tables.  This object's own caches stay
+        #: private: they hold detour entries under the same (current,
+        #: destination) keys and are cleared when routers die.
+        self._xy = default_routing(topology)
 
     # ------------------------------------------------------------------
     @property

@@ -11,7 +11,7 @@ whole-mesh array operations:
 * VC allocator state (``IDLE``/``WAIT_VA``/``ACTIVE`` codes, routes,
   eligibility cycles) and every round-robin arbitration pointer,
 * punch-slack bookkeeping and the PG-controller FSMs (via
-  :class:`repro.powergate.controller.ControllerArrayBank`).
+  :class:`repro.powergate.bank.ControllerArrayBank`).
 
 The engine is **cycle-exact** against the object kernels: every
 arbitration order, event-queue ordering and counter update replicates
@@ -65,8 +65,69 @@ except ImportError:  # pragma: no cover - numpy is a declared dependency
 from .buffers import VC_STATE_CODES, VC_STATE_FROM_CODE, VCState
 from .errors import BufferOverflowError, SimulationError
 from .packet import Flit
-from .routing import xy_direction_codes, xy_next_hops, xy_routers_ahead
 from .topology import Direction
+
+# ----------------------------------------------------------------------
+# Vectorized XY (closed forms over node-id arrays)
+# ----------------------------------------------------------------------
+# The vector kernel's RC stage routes whole batches of head flits at
+# once.  XY on a row-major mesh has closed forms for all three lookups
+# the object layer walks pointer-by-pointer, so no N^2 tables are
+# needed: each helper is a handful of whole-array ops.  All of them are
+# exact mirrors of the scalar code in ``routing.py`` (x resolved first,
+# then y).
+
+def xy_direction_codes(current, destination, width: int):
+    """Vector :meth:`XYRouting.output_direction`: int8 Direction values."""
+    cx = current % width
+    cy = current // width
+    dx = destination % width
+    dy = destination // width
+    out = _np.where(
+        cx < dx,
+        int(Direction.XPOS),
+        _np.where(
+            cx > dx,
+            int(Direction.XNEG),
+            _np.where(
+                cy < dy,
+                int(Direction.YPOS),
+                _np.where(cy > dy, int(Direction.YNEG), int(Direction.LOCAL)),
+            ),
+        ),
+    )
+    return out.astype(_np.int8)
+
+
+def xy_next_hops(current, destination, width: int):
+    """Vector :meth:`XYRouting.next_hop` (callers guarantee cur != dest)."""
+    cx = current % width
+    cy = current // width
+    dx = destination % width
+    dy = destination // width
+    step = _np.where(
+        cx < dx, 1, _np.where(cx > dx, -1, _np.where(cy < dy, width, -width))
+    )
+    return current + step
+
+
+def xy_routers_ahead(current, destination, hops: int, width: int):
+    """Vector :meth:`XYRouting.router_ahead`.
+
+    The scalar walk moves min(\\|dx\\|, hops) steps in x, then whatever
+    budget remains in y, stopping at the destination — the closed form
+    below is exactly that.
+    """
+    cx = current % width
+    cy = current // width
+    dx = destination % width
+    dy = destination // width
+    steps_x = _np.minimum(_np.abs(dx - cx), hops)
+    nx = cx + _np.sign(dx - cx) * steps_x
+    steps_y = _np.minimum(_np.abs(dy - cy), hops - steps_x)
+    ny = cy + _np.sign(dy - cy) * steps_y
+    return ny * width + nx
+
 
 def _opposite_codes(num_ports: int):
     """Opposite-direction lookup by Direction code (``LOCAL`` maps to
@@ -186,7 +247,7 @@ class VectorEngine:
     """One engaged vector kernel instance for one network."""
 
     def __init__(self, net, gated: bool) -> None:
-        from ..powergate.controller import ControllerArrayBank
+        from ..powergate.bank import ControllerArrayBank
 
         self.net = net
         cfg = net.config

@@ -1,0 +1,218 @@
+"""Structure-of-arrays controller bank: the vector kernel's twin of
+:class:`~repro.powergate.controller.PowerGateController`.
+
+The only module of the package that needs numpy; ``repro.noc.vector``
+imports it when an engine engages, nothing else does.
+"""
+
+from __future__ import annotations
+
+import numpy as _np
+
+from .controller import PGState
+
+#: Integer codes of :class:`PGState` inside the array bank.
+PG_STATE_CODES = {PGState.ACTIVE: 0, PGState.OFF: 1, PGState.WAKING: 2}
+PG_STATE_FROM_CODE = {code: state for state, code in PG_STATE_CODES.items()}
+
+#: ``wake_at`` sentinel for "no wakeup scheduled" (compares above any
+#: reachable cycle) and ``last_sleep_cycle`` sentinel for None (real
+#: values are always ``cycle + 1 >= 1``).
+_NO_WAKE = 1 << 60
+_NO_SLEEP = -1
+
+
+class ControllerArrayBank:
+    """All :class:`PowerGateController` FSMs of one mesh as flat arrays.
+
+    The vector kernel steps every controller with a handful of masked
+    array ops instead of N method calls.  Semantics mirror
+    :meth:`PowerGateController.step` / :meth:`request_wakeup` on the
+    fault-free path exactly (the vector engine never engages with a
+    fault injector installed, so the retry/backoff and parked-skip
+    machinery has no array twin).  Two phase-batching facts make the
+    batched request path exact:
+
+    * Controllers are independent; within one delivery phase the
+      per-node request order is commutative (``expect_until`` is a max,
+      ``wu_seen`` sticky, the OFF->WAKING transition idempotent).
+    * A begin-phase request can never hit the same-cycle sleep-cancel
+      edge (a sleep decided at step ``c`` sets ``last_sleep_cycle =
+      c + 1``; begin-phase requests at ``c + 1`` fail ``cycle <
+      last_sleep_cycle``), so only end-phase (punch) rounds pass
+      ``allow_cancel=True``.
+
+    :meth:`flush_into` materializes the arrays back onto the controller
+    objects, so every object-level property (including the lazy
+    accounting ones) reads exactly what per-cycle object stepping would
+    have produced.
+    """
+
+    def __init__(self, num_nodes: int, wakeup_latency: int, timeout: int) -> None:
+        n = num_nodes
+        self.wakeup_latency = wakeup_latency
+        self.timeout = timeout
+        self.state = _np.zeros(n, dtype=_np.int8)
+        self.idle = _np.zeros(n, dtype=_np.int64)
+        self.wake_at = _np.full(n, _NO_WAKE, dtype=_np.int64)
+        self.expect = _np.full(n, -1, dtype=_np.int64)
+        self.wu = _np.zeros(n, dtype=bool)
+        self.last_sleep = _np.full(n, _NO_SLEEP, dtype=_np.int64)
+        self.accounted = _np.full(n, -1, dtype=_np.int64)
+        self.active_cycles = _np.zeros(n, dtype=_np.int64)
+        self.off_cycles = _np.zeros(n, dtype=_np.int64)
+        self.waking_cycles = _np.zeros(n, dtype=_np.int64)
+        self.wake_events = _np.zeros(n, dtype=_np.int64)
+        self.sleep_events = _np.zeros(n, dtype=_np.int64)
+        self.cancelled_sleeps = _np.zeros(n, dtype=_np.int64)
+        self.off_sum = _np.zeros(n, dtype=_np.int64)
+
+    @classmethod
+    def from_controllers(cls, controllers) -> "ControllerArrayBank":
+        """Snapshot live controller objects into a fresh bank.
+
+        Engagement can happen at any step boundary, so every mutable
+        FSM field is copied, and what the active-set kernel owes a
+        skipped controller — a parked span, lazily counted OFF cycles —
+        is settled first: the bank steps every controller every cycle
+        and has no lazy clock to fold in later.
+        """
+        first = controllers[0]
+        bank = cls(len(controllers), first.wakeup_latency, first.timeout)
+        for i, c in enumerate(controllers):
+            c.settle_quiescence()
+            c._settle_off_accounting()
+            bank.state[i] = PG_STATE_CODES[c.state]
+            bank.idle[i] = c.idle_cycles
+            bank.wake_at[i] = _NO_WAKE if c.wake_at is None else c.wake_at
+            bank.expect[i] = c.expect_until
+            bank.wu[i] = c.wu_seen
+            bank.last_sleep[i] = (
+                _NO_SLEEP if c.last_sleep_cycle is None else c.last_sleep_cycle
+            )
+            bank.accounted[i] = c._accounted_through
+            bank.active_cycles[i] = c._active_cycles
+            bank.off_cycles[i] = c._off_cycles
+            bank.waking_cycles[i] = c._waking_cycles
+            bank.wake_events[i] = c.wake_events
+            bank.sleep_events[i] = c.sleep_events
+            bank.cancelled_sleeps[i] = c.cancelled_sleeps
+            bank.off_sum[i] = c.off_period_lengths_sum
+        return bank
+
+    # ------------------------------------------------------------------
+    def request_batch(self, nodes, cycle: int, window: int, allow_cancel: bool) -> None:
+        """Deliver one phase's wakeup requests to ``nodes`` (unique ids)."""
+        if len(nodes) == 0:
+            return
+        self.wu[nodes] = True
+        if window > 0:
+            self.expect[nodes] = _np.maximum(self.expect[nodes], cycle + window)
+        off = nodes[self.state[nodes] == 1]
+        if len(off) == 0:
+            return
+        if allow_cancel:
+            ls = self.last_sleep[off]
+            cancel = (ls != _NO_SLEEP) & (cycle < ls)
+            cn = off[cancel]
+            if len(cn):
+                self.state[cn] = 0
+                self.idle[cn] = 0
+                self.sleep_events[cn] -= 1
+                self.cancelled_sleeps[cn] += 1
+                self.last_sleep[cn] = _NO_SLEEP
+            off = off[~cancel]
+        if len(off) == 0:
+            return
+        self.state[off] = 2
+        self.wake_at[off] = cycle + self.wakeup_latency
+        self.wake_events[off] += 1
+        ls = self.last_sleep[off]
+        slept = ls != _NO_SLEEP
+        ended = off[slept]
+        self.off_sum[ended] += cycle - ls[slept]
+
+    def request_scalar(self, node: int, cycle: int, window: int) -> None:
+        """One node's :meth:`PowerGateController.request_wakeup`, with
+        the full same-cycle sleep-cancel edge (punch deliveries and
+        end-of-cycle injection punches can reach a controller that just
+        decided to sleep; ``request_batch`` only carries the cancel for
+        callers that opt in)."""
+        self.wu[node] = True
+        if window > 0:
+            self.expect[node] = max(int(self.expect[node]), cycle + window)
+        if self.state[node] != 1:
+            return
+        ls = int(self.last_sleep[node])
+        if ls != _NO_SLEEP and cycle < ls:
+            self.state[node] = 0
+            self.idle[node] = 0
+            self.sleep_events[node] -= 1
+            self.cancelled_sleeps[node] += 1
+            self.last_sleep[node] = _NO_SLEEP
+            return
+        self.state[node] = 2
+        self.wake_at[node] = cycle + self.wakeup_latency
+        self.wake_events[node] += 1
+        if ls != _NO_SLEEP:
+            self.off_sum[node] += cycle - ls
+
+    def step_all(self, cycle: int, datapath_empty, node_wants) -> None:
+        """One masked step of every FSM (snapshot masks first, so a
+        WAKING->ACTIVE transition does not also take the ACTIVE branch
+        this cycle, exactly like the early returns in the scalar FSM)."""
+        st = self.state
+        waking = st == 2
+        off = st == 1
+        act = st == 0
+        self.waking_cycles[waking] += 1
+        done = waking & (cycle >= self.wake_at)
+        self.state[done] = 0
+        self.wake_at[done] = _NO_WAKE
+        self.idle[done] = 0
+        self.off_cycles[off] += 1
+        self.accounted[off] = cycle
+        busy = act & (~datapath_empty | node_wants | self.wu)
+        self.wu[:] = False
+        self.active_cycles[act] += 1
+        self.idle[busy] = 0
+        self.expect[busy & ~datapath_empty] = -1
+        idling = act & ~busy
+        self.idle[idling] += 1
+        sleep = idling & (self.idle >= self.timeout) & (cycle > self.expect)
+        self.state[sleep] = 1
+        self.idle[sleep] = 0
+        self.sleep_events[sleep] += 1
+        self.last_sleep[sleep] = cycle + 1
+        self.accounted[sleep] = cycle
+
+    # ------------------------------------------------------------------
+    def available_by(self, by_cycle: int):
+        """Per-node :meth:`PowerGateController.available_by` as a bool array."""
+        return (self.state == 0) | ((self.state == 2) & (self.wake_at <= by_cycle))
+
+    def flush_into(self, controllers) -> None:
+        """Write the arrays back onto the controller objects."""
+        for i, c in enumerate(controllers):
+            c.state = PG_STATE_FROM_CODE[int(self.state[i])]
+            c.idle_cycles = int(self.idle[i])
+            wake = int(self.wake_at[i])
+            c.wake_at = None if wake == _NO_WAKE else wake
+            c.expect_until = int(self.expect[i])
+            c.wu_seen = bool(self.wu[i])
+            sleep = int(self.last_sleep[i])
+            c.last_sleep_cycle = None if sleep == _NO_SLEEP else sleep
+            c._accounted_through = int(self.accounted[i])
+            c._active_cycles = int(self.active_cycles[i])
+            c._off_cycles = int(self.off_cycles[i])
+            c._waking_cycles = int(self.waking_cycles[i])
+            c.wake_events = int(self.wake_events[i])
+            c.sleep_events = int(self.sleep_events[i])
+            c.cancelled_sleeps = int(self.cancelled_sleeps[i])
+            c.off_period_lengths_sum = int(self.off_sum[i])
+            c._quiescent_since = None
+            c._parked_reset_prev = None
+            c._parked_reset_last = None
+            c._parked_busy = False
+            c.retry_at = None
+            c.retry_backoff = 0

@@ -8,13 +8,42 @@ this module only provides placement, lookup and LRU eviction.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import DefaultDict, Dict, Generic, Iterable, Iterator, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 L = TypeVar("L")
 
 #: Cache block size in bytes (Table 2).
 BLOCK_BYTES = 64
+
+
+class _Sets(dict):
+    """Set index -> {block: line}; a set appears the first time it is indexed.
+
+    It appears holding what the preload image lists for it (nothing
+    without one).  Every access path of the cache indexes ``_sets[...]``,
+    so none of them can see a set before its image has been applied.
+    """
+
+    __slots__ = ("image", "make_line")
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Per set index: the blocks a never-indexed set holds, oldest
+        #: first.  Shared between caches and never written.
+        self.image: Sequence[Tuple[int, ...]] = ()
+        self.make_line: Optional[Callable[[], object]] = None
+
+    def __missing__(self, index: int) -> dict:
+        # Runs once per set a chip touches (~10k a cell): a plain loop,
+        # no comprehension frame.
+        cache_set = {}
+        image = self.image
+        if image:
+            make_line = self.make_line
+            for block in image[index]:
+                cache_set[block] = make_line()
+        self[index] = cache_set
+        return cache_set
 
 
 class SetAssociativeCache(Generic[L]):
@@ -29,9 +58,25 @@ class SetAssociativeCache(Generic[L]):
         if self.num_sets < 1:
             raise ValueError("cache too small for its associativity")
         #: Set index -> {block: line}, least recently used first.  Sets
-        #: appear on first touch: a chip has 32k of them and a warmed L2
-        #: bank indexes 4 of its 256, so empty ones are not worth making.
-        self._sets: DefaultDict[int, Dict[int, L]] = defaultdict(dict)
+        #: appear on first touch: a chip has 32k of them, a warmed L2
+        #: bank indexes 4 of its 256 and a short run reads under half
+        #: of its warm L1 lines, so untouched ones are not worth making.
+        self._sets: Dict[int, Dict[int, L]] = _Sets()
+
+    def preload(
+        self, image: Sequence[Tuple[int, ...]], make_line: Callable[[], L]
+    ) -> None:
+        """Let every set not indexed yet start from ``image``.
+
+        ``image[i]`` lists set *i*'s blocks, oldest first (at most
+        ``ways``); each gets its own ``make_line()`` when the set is
+        first indexed.  The image is read, never written, so any number
+        of caches may stand on one.
+        """
+        if len(image) != self.num_sets:
+            raise ValueError("a preload image lists every set of the cache")
+        self._sets.image = image
+        self._sets.make_line = make_line
 
     # ------------------------------------------------------------------
     def set_index(self, block: int) -> int:
@@ -100,12 +145,21 @@ class SetAssociativeCache(Generic[L]):
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
         """Total resident lines."""
-        return sum(len(s) for s in self._sets.values())
+        return sum(1 for _item in self.items())
 
     def items(self) -> Iterator[Tuple[int, L]]:
-        """Iterate (block, line) pairs across all sets."""
-        for cache_set in self._sets.values():
+        """Iterate (block, line) pairs across all sets, each oldest first.
+
+        A set still standing on the preload image is reported without
+        being materialised: its lines are fresh ``make_line()`` copies.
+        """
+        sets = self._sets
+        for cache_set in sets.values():
             yield from cache_set.items()
+        for index, blocks in enumerate(sets.image):
+            if blocks and index not in sets:
+                for block in blocks:
+                    yield block, sets.make_line()
 
     @property
     def capacity_blocks(self) -> int:

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from functools import lru_cache, partial
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..noc.config import NoCConfig
 from ..noc.network import Network
@@ -32,7 +33,7 @@ from ..noc.packet import Packet
 from ..noc.policy import PowerPolicy
 from .cache import BLOCK_BYTES, SetAssociativeCache
 from .cpu import Core
-from .directory import DirectoryController, DirEntry, L2Line
+from .directory import DirectoryController, L2Line
 from .l1 import L1Controller, L1Line
 from .memctrl import Memory, MemoryController
 from .memtrace import _PRIVATE_STRIDE, _SHARED_BASE, AccessStream, StreamProfile
@@ -68,25 +69,57 @@ _NOTICE_TYPES = frozenset(
 )
 
 
+#: One cache's content per set index: its blocks, oldest first.
+SetImage = Tuple[Tuple[int, ...], ...]
+
+
 class WarmImage(NamedTuple):
-    """What warm-up leaves behind, without the lines it evicts on the way."""
+    """What warm-up leaves behind, without the lines it evicts on the way.
 
-    #: Per node: resident L1 blocks, each set oldest-first.
-    l1_blocks: Tuple[Tuple[int, ...], ...]
-    #: Per home bank: resident L2 blocks, each set oldest-first.
-    l2_blocks: Tuple[Tuple[int, ...], ...]
-    #: Per home bank: (block, owning node) of every private hot block.
-    owners: Tuple[Tuple[Tuple[int, int], ...], ...]
+    The read-only bottom layer of every chip built from it: a cache set
+    or directory entry of the chip is created from the image the first
+    time it is indexed (``SetAssociativeCache.preload``,
+    ``DirectoryController.preload_owners``).  Tuples and read-only
+    mappings only — it is shared by all those chips.
+    """
+
+    #: Per node: the L1's resident blocks.
+    l1_sets: Tuple[SetImage, ...]
+    #: Per home bank: the L2's resident blocks.
+    l2_sets: Tuple[SetImage, ...]
+    #: Per home bank: owning node of every private hot block.
+    owners: Tuple[Mapping[int, int], ...]
 
 
-def _survivors(blocks: Iterable[int], geometry: Tuple[int, int]) -> Tuple[int, ...]:
-    """Blocks left in a (sets, ways) cache after inserting ``blocks`` in order."""
+def _surviving_sets(blocks: Iterable[int], geometry: Tuple[int, int]) -> SetImage:
+    """What a (sets, ways) cache holds after inserting ``blocks`` in order."""
     num_sets, ways = geometry
     cache: SetAssociativeCache[None] = SetAssociativeCache(
         num_sets * ways * BLOCK_BYTES, ways
     )
     cache.fill((block, None) for block in blocks)
-    return tuple(block for block, _line in cache.items())
+    sets: List[List[int]] = [[] for _ in range(num_sets)]
+    for block, _line in cache.items():
+        sets[block % num_sets].append(block)
+    return tuple(map(tuple, sets))
+
+
+@lru_cache(maxsize=8)
+def _private_image(
+    num_nodes: int, hot_blocks: int, l1_geometry: Tuple[int, int]
+) -> Tuple[Tuple[SetImage, ...], Tuple[Mapping[int, int], ...]]:
+    """The part of a warm image the shared pool has no say in: L1
+    contents per node and block owners per home (one copy for all the
+    suite's profiles, which differ in ``shared_blocks`` only)."""
+    l1_sets = []
+    owners: List[Dict[int, int]] = [{} for _ in range(num_nodes)]
+    for node in range(num_nodes):
+        base = node * _PRIVATE_STRIDE
+        hot = range(base, base + hot_blocks)
+        l1_sets.append(_surviving_sets(hot, l1_geometry))
+        for block in hot:
+            owners[block % num_nodes][block] = node  # Chip.home_of
+    return tuple(l1_sets), tuple(MappingProxyType(o) for o in owners)
 
 
 @lru_cache(maxsize=8)
@@ -102,29 +135,26 @@ def _warm_image(
     ``shared_blocks`` pool is read into the home L2 banks.
 
     Pure and the same for every cell of a profile, so it is worked out
-    once per process; a chip then installs only the survivors.  With
-    home = block % 64 and 256 L2 sets a bank only ever indexes 4 of its
-    sets, so most of what is inserted is evicted again on the way
-    (DESIGN.md, "Known modelling deviations").
+    once per process.  With home = block % 64 and 256 L2 sets a bank
+    only ever indexes 4 of its sets, so most of what is inserted is
+    evicted again on the way (DESIGN.md, "Known modelling deviations").
     """
-    l1_blocks = []
-    l2_inserts: List[List[int]] = [[] for _ in range(num_nodes)]
-    owners: List[List[Tuple[int, int]]] = [[] for _ in range(num_nodes)]
-    for node in range(num_nodes):
-        base = node * _PRIVATE_STRIDE
-        hot = list(range(base, base + hot_blocks))
-        l1_blocks.append(_survivors(hot, l1_geometry))
-        for block in hot:
-            home = block % num_nodes  # Chip.home_of
-            l2_inserts[home].append(block)
-            owners[home].append((block, node))
+    l1_sets, owners = _private_image(num_nodes, hot_blocks, l1_geometry)
+    # A home's owned blocks, in the order the cores touched them.
+    l2_inserts = [list(owned) for owned in owners]
     for block in range(_SHARED_BASE, _SHARED_BASE + shared_blocks):
         l2_inserts[block % num_nodes].append(block)
     return WarmImage(
-        tuple(l1_blocks),
-        tuple(_survivors(blocks, l2_geometry) for blocks in l2_inserts),
-        tuple(tuple(pairs) for pairs in owners),
+        l1_sets,
+        tuple(_surviving_sets(blocks, l2_geometry) for blocks in l2_inserts),
+        owners,
     )
+
+
+#: What a warm block's line is made by, the first time its set is
+#: indexed (``partial``: no Python frame between the set and the line).
+_warm_l1_line = partial(L1Line, "E", 0)
+_warm_l2_line = partial(L2Line, 0)
 
 
 @dataclass
@@ -215,7 +245,9 @@ class Chip:
 
         Removes compulsory first-touch misses so the measured run
         reflects steady-state behaviour (the paper collects statistics
-        from PARSEC regions of interest, not cold caches).
+        from PARSEC regions of interest, not cold caches).  Nothing is
+        instantiated here: lines and entries appear, from the image,
+        when the run first touches them.
         """
         l1_cache, l2_cache = self.l1s[0].cache, self.directories[0].l2
         image = _warm_image(
@@ -225,15 +257,13 @@ class Chip:
             (l1_cache.num_sets, l1_cache.ways),
             (l2_cache.num_sets, l2_cache.ways),
         )
-        for l1, blocks in zip(self.l1s, image.l1_blocks):
-            l1.cache.fill([(block, L1Line("E", 0)) for block in blocks])
-        for home, blocks, owners in zip(
-            self.directories, image.l2_blocks, image.owners
+        for l1, sets in zip(self.l1s, image.l1_sets):
+            l1.cache.preload(sets, _warm_l1_line)
+        for home, sets, owners in zip(
+            self.directories, image.l2_sets, image.owners
         ):
-            home.l2.fill([(block, L2Line(0)) for block in blocks])
-            home.entries.update(
-                [(block, DirEntry(owner)) for block, owner in owners]
-            )
+            home.l2.preload(sets, _warm_l2_line)
+            home.preload_owners(owners)
 
     # ------------------------------------------------------------------
     # Message plumbing
@@ -353,7 +383,7 @@ class Chip:
         busy = [
             (d.node, b, e.pending, len(e.waiting))
             for d in self.directories
-            for b, e in d.entries.items()
+            for b, e in d.iter_entries()
             if e.busy
         ]
         print(f"[chip] busy directory entries: {busy[:8]} (of {len(busy)})")

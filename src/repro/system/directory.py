@@ -15,7 +15,19 @@ controller that owns the block.
 from __future__ import annotations
 
 from collections import deque
-from typing import AbstractSet, Callable, Deque, Dict, FrozenSet, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import (
+    AbstractSet,
+    Callable,
+    Deque,
+    Dict,
+    FrozenSet,
+    Iterator,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .cache import SetAssociativeCache
 from .messages import CoherenceMessage, MessageType
@@ -35,6 +47,7 @@ class L2Line:
 #: most entries only ever carry an owner, and a warmed chip holds 16k.
 _NO_SHARERS: FrozenSet[int] = frozenset()
 _NO_WAITING: Tuple[CoherenceMessage, ...] = ()
+_NO_OWNERS: Mapping[int, int] = MappingProxyType({})
 
 
 class DirEntry:
@@ -78,7 +91,11 @@ class DirectoryController:
         self.l2: SetAssociativeCache[L2Line] = SetAssociativeCache(
             l2_size_bytes, l2_ways
         )
+        #: Entries asked for so far; read the whole directory through
+        #: :meth:`iter_entries`.
         self.entries: Dict[int, DirEntry] = {}
+        #: Owner a block starts with when its entry is first asked for.
+        self._initial_owners: Mapping[int, int] = _NO_OWNERS
         #: Memory-fetch contexts per block: (kind, requester, acks,
         #: blocking).  Kept outside DirEntry.pending so a chained
         #: non-blocking fetch can coexist with a blocking transaction.
@@ -90,13 +107,31 @@ class DirectoryController:
         self.invalidations_sent = 0
 
     # ------------------------------------------------------------------
+    def preload_owners(self, owners: Mapping[int, int]) -> None:
+        """Let every block without an entry yet start owned per ``owners``.
+
+        The mapping is read, never written, so directories may share it.
+        """
+        self._initial_owners = owners
+
     def entry(self, block: int) -> DirEntry:
         """The (possibly fresh) directory entry for a block."""
         e = self.entries.get(block)
         if e is None:
-            e = DirEntry()
-            self.entries[block] = e
+            e = self.entries[block] = DirEntry(self._initial_owners.get(block))
         return e
+
+    def iter_entries(self) -> Iterator[Tuple[int, DirEntry]]:
+        """Every (block, entry) the directory has state for.
+
+        A preloaded block nobody asked about yet is reported, as a
+        fresh entry holding its initial owner, without being created.
+        """
+        entries = self.entries
+        yield from entries.items()
+        for block, owner in self._initial_owners.items():
+            if block not in entries:
+                yield block, DirEntry(owner)
 
     # ------------------------------------------------------------------
     # Message dispatch

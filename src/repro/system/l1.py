@@ -17,7 +17,6 @@ list stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from .cache import SetAssociativeCache
@@ -34,26 +33,56 @@ class L1Line:
         self.version = version
 
 
-@dataclass
 class MSHR:
     """In-flight transaction state (transient MESI states)."""
-    op: str  # "load" or "store"
-    state: str  # "IS_D", "IS_D_I", "IM_AD", "SM_AD"
-    acks_needed: Optional[int] = None
-    acks_got: int = 0
-    data_version: Optional[int] = None
-    #: Forward received while the transaction was still in flight.
-    deferred: List[CoherenceMessage] = field(default_factory=list)
-    issued_at: int = 0
+
+    __slots__ = (
+        "op",
+        "state",
+        "acks_needed",
+        "acks_got",
+        "data_version",
+        "deferred",
+        "issued_at",
+    )
+
+    def __init__(
+        self,
+        op: str,
+        state: str,
+        acks_needed: Optional[int] = None,
+        acks_got: int = 0,
+        data_version: Optional[int] = None,
+        deferred: Optional[List[CoherenceMessage]] = None,
+        issued_at: int = 0,
+    ) -> None:
+        self.op = op  # "load" or "store"
+        self.state = state  # "IS_D", "IS_D_I", "IM_AD", "SM_AD"
+        self.acks_needed = acks_needed
+        self.acks_got = acks_got
+        self.data_version = data_version
+        #: Forward received while the transaction was still in flight.
+        self.deferred: List[CoherenceMessage] = [] if deferred is None else deferred
+        self.issued_at = issued_at
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"MSHR({fields})"
 
 
-@dataclass
 class WBEntry:
     """Writeback buffer entry holding evicted M data until WbAck."""
-    version: int
-    #: Data already handed to a racing forward; home will see a stale
-    #: PutM and must still WB_ACK it.
-    forwarded: bool = False
+
+    __slots__ = ("version", "forwarded")
+
+    def __init__(self, version: int, forwarded: bool = False) -> None:
+        self.version = version
+        #: Data already handed to a racing forward; home will see a stale
+        #: PutM and must still WB_ACK it.
+        self.forwarded = forwarded
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"WBEntry(version={self.version!r}, forwarded={self.forwarded!r})"
 
 
 class L1Controller:

@@ -58,6 +58,9 @@ class StreamProfile:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("hot_blocks", "cold_blocks", "shared_blocks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     @property
     def mean_gap(self) -> float:
@@ -74,7 +77,17 @@ class AccessStream:
         self.rng = random.Random((seed << 20) ^ core_id)
         self._phase_comm = True
         self._phase_left = profile.comm_accesses or 1
-        self._private_base = core_id * _PRIVATE_STRIDE
+        base = core_id * _PRIVATE_STRIDE
+        #: (first block, size, size.bit_length()) of each pool an access
+        #: draws from.
+        self._shared_pool, self._cold_pool, self._hot_pool = (
+            (first, size, size.bit_length())
+            for first, size in (
+                (_SHARED_BASE, profile.shared_blocks),
+                (base + profile.hot_blocks, profile.cold_blocks),
+                (base, profile.hot_blocks),
+            )
+        )
         #: Indexed by "in a communication phase": the probability of a
         #: shared access and the geometric gap's log(1 - p), per phase.
         self._shared_prob = (
@@ -104,11 +117,18 @@ class AccessStream:
         in_comm = self._advance_phase()
 
         if uniform() < self._shared_prob[in_comm]:
-            block = _SHARED_BASE + rng.randrange(p.shared_blocks)
+            first, size, bits = self._shared_pool
         elif uniform() < p.cold_fraction:
-            block = self._private_base + p.hot_blocks + rng.randrange(p.cold_blocks)
+            first, size, bits = self._cold_pool
         else:
-            block = self._private_base + rng.randrange(p.hot_blocks)
+            first, size, bits = self._hot_pool
+        # ``rng.randrange(size)`` without its two frames: the rejection
+        # loop of ``Random._randbelow``, draw for draw.
+        getrandbits = rng.getrandbits
+        offset = getrandbits(bits)
+        while offset >= size:
+            offset = getrandbits(bits)
+        block = first + offset
 
         is_write = uniform() < p.write_fraction
         gap = 0

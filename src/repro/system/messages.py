@@ -16,7 +16,6 @@ links; everything else is a single control flit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from ..noc.packet import (
@@ -93,21 +92,31 @@ _DATA_MESSAGES = {
 }
 
 
-@dataclass
 class CoherenceMessage:
     """One protocol message; travels as the payload of a NoC packet."""
 
-    mtype: MessageType
-    block: int
-    sender: int
-    #: The L1 that initiated the transaction this message belongs to
-    #: (used to route forwarded data and acks).
-    requester: Optional[int] = None
-    #: For ACK_COUNT/DATA under GetM: invalidations the requester must
-    #: collect before completing.
-    ack_count: int = 0
-    #: Block version, for coherence-correctness checking in tests.
-    version: int = 0
+    __slots__ = ("mtype", "block", "sender", "requester", "ack_count", "version")
+
+    def __init__(
+        self,
+        mtype: MessageType,
+        block: int,
+        sender: int,
+        requester: Optional[int] = None,
+        ack_count: int = 0,
+        version: int = 0,
+    ) -> None:
+        self.mtype = mtype
+        self.block = block
+        self.sender = sender
+        #: The L1 that initiated the transaction this message belongs to
+        #: (used to route forwarded data and acks).
+        self.requester = requester
+        #: For ACK_COUNT/DATA under GetM: invalidations the requester must
+        #: collect before completing.
+        self.ack_count = ack_count
+        #: Block version, for coherence-correctness checking in tests.
+        self.version = version
 
     @property
     def size_flits(self) -> int:

@@ -109,12 +109,18 @@ class TestRemove:
         assert cache.occupancy() == 0
 
 
+def set_contents(cache):
+    """Per non-empty set, least recently used first: (block, line)."""
+    state = {}
+    for block, line in cache.items():
+        state.setdefault(cache.set_index(block), []).append((block, line))
+    return state
+
+
 class TestFill:
     """``fill(items)`` is ``for block, line in items: insert(block, line)``."""
 
-    @staticmethod
-    def state(cache):
-        return {i: list(s.items()) for i, s in cache._sets.items() if s}
+    state = staticmethod(set_contents)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -136,3 +142,79 @@ class TestFill:
         for block, line in items:
             other.insert(block, line)
         assert self.state(one) == self.state(other)
+
+
+@st.composite
+def preloads_and_operations(draw):
+    """A geometry, a legal image for it and operations that collide."""
+    sets = draw(st.integers(min_value=1, max_value=4))
+    ways = draw(st.integers(min_value=1, max_value=3))
+    image = tuple(
+        tuple(
+            index + sets * k
+            for k in draw(st.lists(st.integers(0, 5), max_size=ways, unique=True))
+        )
+        for index in range(sets)
+    )
+    block = st.integers(min_value=0, max_value=6 * sets - 1)
+    operation = st.one_of(
+        st.tuples(st.just("lookup"), block, st.booleans()),
+        st.tuples(st.just("contains"), block),
+        st.tuples(st.just("insert"), block, st.integers()),
+        st.tuples(st.just("victim_for"), block),
+        st.tuples(st.just("victim_for"), block, st.integers(0, 2)),
+        st.tuples(st.just("remove"), block),
+        st.tuples(st.just("items")),
+    )
+    return sets, ways, image, draw(st.lists(operation, max_size=30))
+
+
+class TestPreload:
+    """A preloaded cache is a cache that was ``fill``ed with the image,
+    whatever is done to it and in whatever order."""
+
+    @staticmethod
+    def apply(cache, operation):
+        name, *args = operation
+        if name == "items":
+            return set_contents(cache), cache.occupancy()
+        if name == "victim_for" and len(args) == 2:
+            veto = args[1]
+            try:
+                return cache.victim_for(args[0], evictable=lambda b: b % 3 != veto)
+            except RuntimeError:
+                return "all vetoed"
+        if name == "insert":
+            return cache.insert(args[0], ["inserted", args[1]])
+        return getattr(cache, name)(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(preloads_and_operations())
+    def test_same_as_eager_fill(self, case):
+        sets, ways, image, operations = case
+        lazy, eager = (make(sets * ways * 64, ways) for _ in range(2))
+        lazy.preload(image, lambda: ["warm"])
+        eager.fill((block, ["warm"]) for blocks in image for block in blocks)
+        for operation in operations:
+            assert self.apply(lazy, operation) == self.apply(eager, operation)
+        assert set_contents(lazy) == set_contents(eager)
+        assert lazy.occupancy() == eager.occupancy()
+
+    def test_every_line_is_its_own(self):
+        cache = make(256, 2, 64)  # 2 sets
+        cache.preload(((0, 2), (1,)), lambda: ["warm"])
+        cache.lookup(0).append("written")
+        assert cache.lookup(2) == ["warm"]
+        assert [line for _b, line in cache.items()] == [["warm", "written"], ["warm"], ["warm"]]
+
+    def test_enumeration_creates_nothing(self):
+        cache = make(256, 2, 64)
+        cache.preload(((0, 2), (1,)), lambda: ["warm"])
+        reported = [line for _b, line in cache.items()]
+        assert cache.occupancy() == 3
+        reported[0].append("lost")  # a copy: the set is not there yet
+        assert cache.lookup(0) == ["warm"]
+
+    def test_image_must_cover_the_geometry(self):
+        with pytest.raises(ValueError):
+            make(256, 2, 64).preload(((0,),), list)

@@ -259,6 +259,6 @@ class TestRandomizedCoherence:
             assert not l1.mshrs, l1.mshrs
             assert not l1.wb_buffers
         for directory in harness.chip.directories:
-            for block, entry in directory.entries.items():
+            for block, entry in directory.iter_entries():
                 assert not entry.busy, (directory.node, block)
                 assert not entry.waiting

@@ -89,6 +89,6 @@ def test_random_interleavings_stay_coherent(ops):
         assert not l1.mshrs
         assert not l1.wb_buffers
     for directory in chip.directories:
-        for block, entry in directory.entries.items():
+        for block, entry in directory.iter_entries():
             assert not entry.busy
             assert not entry.waiting

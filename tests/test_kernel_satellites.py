@@ -14,6 +14,10 @@ active-set kernel rework.
   ``reinject``.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.noc import Network, NoCConfig, VirtualNetwork, control_packet
@@ -153,3 +157,15 @@ class TestPublicNIDeliveryPaths:
         assert packet.created_at == 0
         net.run_until_drained(500)
         assert packet.delivered_at is not None
+
+
+class TestNumpyOnlyWhenTheVectorEngineEngages:
+    def test_importing_the_package_does_not_import_numpy(self):
+        """Pool workers, service hosts and CLI calls that stay on the
+        object kernel never pay for it (150 ms, 16 MB)."""
+        code = (
+            "import repro.campaign, repro.system, repro.bench, sys; "
+            "assert 'numpy' not in sys.modules"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -48,5 +48,5 @@ class TestNoRDClosedLoop:
             assert not l1.mshrs
             assert not l1.wb_buffers
         for directory in chip.directories:
-            for block, entry in directory.entries.items():
+            for block, entry in directory.iter_entries():
                 assert not entry.busy, (directory.node, block)

@@ -1,8 +1,12 @@
-"""Tests for XY dimension-order routing."""
+"""Tests for XY dimension-order routing and the process-wide route tables."""
 
 import pytest
 
-from repro.noc import Direction, MeshTopology, XYRouting
+from repro.core import ConvOptPG, PowerPunchPG
+from repro.core.schemes import _punch_tables
+from repro.noc import Direction, MeshTopology, Network, NoCConfig, XYRouting
+from repro.noc.routing import FaultTolerantRouting, _static_tables, default_routing
+from repro.traffic import SyntheticTraffic, measure
 
 
 @pytest.fixture
@@ -120,3 +124,79 @@ class TestUsesLink:
     def test_link_off_path(self, routing):
         assert not routing.uses_link(26, 29, 28, 27)  # wrong direction
         assert not routing.uses_link(26, 29, 27, 35)  # not on path
+
+
+class TestSharedRouteTables:
+    """Default routings of one fabric share their memo dicts for the
+    life of the process; what a network computes must not depend on
+    which networks filled them before it."""
+
+    CASES = {
+        "mesh8": (dict(), PowerPunchPG),
+        "mesh4": (dict(width=4, height=4), PowerPunchPG),
+        "mesh4-one-hop": (dict(width=4, height=4), ConvOptPG),
+        "torus4": (dict(width=4, height=4, topology="torus"), ConvOptPG),
+        "mesh4-reroute": (
+            dict(
+                width=4, height=4, degradation="reroute", dead_router_threshold=50,
+                faults="router_stall,router=5,start=0",
+            ),
+            PowerPunchPG,
+        ),
+    }
+
+    @staticmethod
+    def empty_tables():
+        _static_tables.cache_clear()
+        _punch_tables.cache_clear()
+
+    @classmethod
+    def run(cls, case):
+        options, scheme = cls.CASES[case]
+        net = Network(NoCConfig(**options), scheme())
+        traffic = SyntheticTraffic(net, "uniform_random", 0.05, seed=3)
+        measure(net, traffic, warmup=100, measurement=400, drain=False)
+        controllers = net.policy.controllers
+        return (
+            net.stats.as_dict(),
+            net.link_counts,
+            [(c.state, c.off_cycles, c.wake_events, c.sleep_events) for c in controllers],
+            sorted(net.dead_routers),
+        )
+
+    def test_interleaved_networks_equal_their_cold_runs(self):
+        cold = {}
+        for case in self.CASES:
+            self.empty_tables()
+            cold[case] = self.run(case)
+        assert cold["mesh4-reroute"][3] == [5]  # the detour tables were in play
+        self.empty_tables()
+        for _round in range(2):  # second round: every table already filled
+            for case in self.CASES:
+                assert self.run(case) == cold[case], case
+
+    def test_same_fabric_same_tables(self):
+        one, other = (Network(NoCConfig(width=4, height=4)) for _ in range(2))
+        assert one.routing is not other.routing
+        assert one.routing._next_hop_cache is other.routing._next_hop_cache
+        assert one.routing._direction_cache is other.routing._direction_cache
+        torus = Network(NoCConfig(width=4, height=4, topology="torus"))
+        assert torus.routing._next_hop_cache is not one.routing._next_hop_cache
+        bigger = Network(NoCConfig(width=5, height=4))
+        assert bigger.routing._next_hop_cache is not one.routing._next_hop_cache
+
+    def test_a_death_clears_private_tables_only(self):
+        topo = MeshTopology(4, 4)
+        plain = default_routing(topo)
+        tolerant = FaultTolerantRouting(topo)
+        assert tolerant.static_view._next_hop_cache is plain._next_hop_cache
+        assert tolerant._next_hop_cache is not plain._next_hop_cache
+        assert plain.next_hop(4, 6) == 5 and tolerant.next_hop(4, 6) == 5
+        shared = dict(plain._next_hop_cache), dict(plain._direction_cache)
+        assert tolerant.set_dead({5})  # clears, then detours
+        assert tolerant.next_hop(4, 6) != 5
+        assert (dict(plain._next_hop_cache), dict(plain._direction_cache)) == shared
+        assert plain.next_hop(4, 6) == 5
+        tolerant.clear_caches()
+        assert not tolerant._next_hop_cache
+        assert (dict(plain._next_hop_cache), dict(plain._direction_cache)) == shared

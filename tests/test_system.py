@@ -24,6 +24,10 @@ class TestStreamProfile:
             StreamProfile(mem_op_fraction=0.0)
         with pytest.raises(ValueError):
             StreamProfile(cold_fraction=1.5)
+        # An empty pool cannot be drawn from (``randrange(0)`` raised
+        # at the first draw; the inlined draw would spin).
+        with pytest.raises(ValueError):
+            StreamProfile(shared_blocks=0)
 
 
 class TestAccessStream:

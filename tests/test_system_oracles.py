@@ -9,11 +9,15 @@ references the fast ones must match exactly:
   evictions and all.
 """
 
+import gc
+import random
+
 import pytest
 
 from repro.core import NoPG, PowerPunchPG
 from repro.noc import NoCConfig
 from repro.system import PARSEC_BENCHMARKS, AccessStream, Chip, StreamProfile, get_profile
+from repro.system.chip import _private_image, _warm_image
 from repro.system.directory import L2Line
 from repro.system.l1 import L1Line
 from repro.system.memtrace import _PRIVATE_STRIDE, _SHARED_BASE
@@ -176,11 +180,12 @@ def warm_by_insertion(chip, profile):
 
 def cache_state(cache, fields):
     """Per non-empty set, oldest first: (block, line fields)."""
-    return {
-        i: [(block, tuple(getattr(line, f) for f in fields)) for block, line in s.items()]
-        for i, s in cache._sets.items()
-        if s
-    }
+    state = {}
+    for block, line in cache.items():
+        state.setdefault(cache.set_index(block), []).append(
+            (block, tuple(getattr(line, f) for f in fields))
+        )
+    return state
 
 
 def chip_state(chip):
@@ -188,39 +193,68 @@ def chip_state(chip):
         [cache_state(l1.cache, ("state", "version")) for l1 in chip.l1s],
         [cache_state(d.l2, ("version", "dirty")) for d in chip.directories],
         [
-            [
-                (block, e.owner, set(e.sharers), e.busy, e.pending, len(e.waiting))
-                for block, e in d.entries.items()
-            ]
+            {
+                block: (e.owner, set(e.sharers), e.busy, e.pending, len(e.waiting))
+                for block, e in d.iter_entries()
+            }
             for d in chip.directories
         ],
     )
 
 
-class TestWarmImageMatchesInsertion:
-    @pytest.mark.parametrize(
-        "width,height,profile",
-        [(8, 8, StreamProfile(shared_blocks=n)) for n in (512, 2048, 4096, 8192)]
-        + [
-            (4, 4, StreamProfile()),
-            (5, 3, StreamProfile()),
-            # More hot blocks than an L1 holds: the L1 sets overflow too.
-            (3, 3, StreamProfile(hot_blocks=700, shared_blocks=100)),
-        ],
+def build_chip(width, height, profile, warm, scheme=NoPG, **options):
+    options.setdefault("instructions_per_core", 1)
+    return Chip(
+        NoCConfig(width=width, height=height), scheme(), profile,
+        warm_caches=warm, **options,
     )
-    def test_same_caches_and_directory(self, width, height, profile):
-        def build(warm):
-            return Chip(
-                NoCConfig(width=width, height=height),
-                NoPG(),
-                profile,
-                instructions_per_core=1,
-                warm_caches=warm,
-            )
 
-        reference = build(warm=False)
+
+GEOMETRIES = [(8, 8, StreamProfile(shared_blocks=n)) for n in (512, 2048, 4096, 8192)] + [
+    (4, 4, StreamProfile()),
+    (5, 3, StreamProfile()),
+    # More hot blocks than an L1 holds: the L1 sets overflow too.
+    (3, 3, StreamProfile(hot_blocks=700, shared_blocks=100)),
+]
+
+
+class TestWarmImageMatchesInsertion:
+    """The image is never installed: what a chip reports, and what it
+    creates on first touch, equals what insertion leaves."""
+
+    @pytest.mark.parametrize("width,height,profile", GEOMETRIES)
+    def test_same_caches_and_directory(self, width, height, profile):
+        reference = build_chip(width, height, profile, warm=False)
         warm_by_insertion(reference, profile)
-        assert chip_state(build(warm=True)) == chip_state(reference)
+        assert chip_state(build_chip(width, height, profile, warm=True)) == chip_state(
+            reference
+        )
+
+    @pytest.mark.parametrize("width,height,profile", GEOMETRIES[3:])
+    def test_same_after_touching_a_random_subset(self, width, height, profile):
+        """Reads that change nothing, on both sides: the touched sets
+        and entries now exist, the rest still stand on the image."""
+        reference = build_chip(width, height, profile, warm=False)
+        warm_by_insertion(reference, profile)
+        warm = build_chip(width, height, profile, warm=True)
+        rng = random.Random(width * 100 + height)
+        nodes = range(width * height)
+        blocks = [
+            rng.choice(nodes) * _PRIVATE_STRIDE + rng.randrange(2 * profile.hot_blocks)
+            for _ in range(300)
+        ] + [_SHARED_BASE + rng.randrange(2 * profile.shared_blocks) for _ in range(300)]
+        for chip in (warm, reference):
+            for block in blocks:
+                home = chip.directories[chip.home_of(block)]
+                chip.l1s[block // _PRIVATE_STRIDE % len(nodes)].cache.lookup(
+                    block, touch=False
+                )
+                home.l2.contains(block)
+                if block % 3 == 0:
+                    home.entry(block)
+        touched = sum(len(d.entries) for d in warm.directories)
+        assert 0 < touched < sum(1 for d in warm.directories for _ in d.iter_entries())
+        assert chip_state(warm) == chip_state(reference)
 
     def test_suite_profiles_are_covered(self):
         """The 8x8 cases above are exactly the suite's distinct images."""
@@ -234,5 +268,68 @@ class TestWarmImageMatchesInsertion:
         (DESIGN.md, known modelling deviations)."""
         chip = Chip(NoCConfig(), NoPG(), get_profile("canneal"), instructions_per_core=1)
         for home in chip.directories:
-            assert sum(1 for s in home.l2._sets.values() if s) == 4
+            assert len(cache_state(home.l2, ())) == 4
             assert home.l2.occupancy() == 64
+
+
+class TestWarmImageIsShared:
+    """One cached image under every chip of a profile: a chip writes to
+    what it created from the image, never to the image."""
+
+    def test_a_second_chip_sees_the_image_the_first_one_saw(self):
+        profile = get_profile("canneal")
+
+        def build():
+            return build_chip(
+                4, 4, profile, warm=True, scheme=PowerPunchPG,
+                instructions_per_core=300, seed=11,
+            )
+
+        _warm_image.cache_clear()
+        _private_image.cache_clear()
+        first = build()
+        image = first_image = _warm_image(16, 256, profile.shared_blocks, (256, 2), (256, 16))
+        owners_before = [dict(owners) for owners in image.owners]
+        sets_before = (image.l1_sets, image.l2_sets)
+        ran = first.run(max_cycles=400_000)
+
+        reference = build_chip(4, 4, profile, warm=False)
+        warm_by_insertion(reference, profile)
+        assert chip_state(first) != chip_state(reference)  # it did write
+        second = build()
+        assert _warm_image.cache_info().currsize == 1  # still that image
+        assert chip_state(second) == chip_state(reference)
+        assert second.run(max_cycles=400_000) == ran
+
+        image = _warm_image(16, 256, profile.shared_blocks, (256, 2), (256, 16))
+        assert image is first_image
+        assert [dict(owners) for owners in image.owners] == owners_before
+        assert (image.l1_sets, image.l2_sets) == sets_before
+        # ... and could not have been: tuples of tuples of ints, and
+        # mappings that refuse writes.
+        for per_cache in image.l1_sets + image.l2_sets:
+            assert type(per_cache) is tuple
+            assert all(type(blocks) is tuple for blocks in per_cache)
+        with pytest.raises(TypeError):
+            image.owners[0][0] = 1
+
+        # A process that never built ``first`` gets the same answer.
+        _warm_image.cache_clear()
+        _private_image.cache_clear()
+        assert build().run(max_cycles=400_000) == ran
+
+    def test_a_fresh_chip_is_mostly_not_there_yet(self):
+        """8x8: 16 384 L1 lines, 4 096 L2 lines and 16 384 directory
+        entries are reported but not allocated (88 510 GC-tracked
+        objects per chip when they were)."""
+        def build():
+            return Chip(NoCConfig(), PowerPunchPG(), get_profile("canneal"))
+
+        build()  # the image and the route tables are the process's, not the chip's
+        gc.collect()
+        before = len(gc.get_objects())
+        chip = build()
+        gc.collect()
+        assert len(gc.get_objects()) - before < 40_000
+        assert sum(l1.cache.occupancy() for l1 in chip.l1s) == 16_384
+        assert sum(1 for d in chip.directories for _ in d.iter_entries()) == 16_384
