@@ -85,9 +85,10 @@ class CellCache:
 
     With a ``root``, entries live at ``<root>/<key[:2]>/<key>.json``
     and carry the canonical spec and salt alongside the payload for
-    debuggability; the key alone decides hits.  Writes are atomic
-    (temp file + ``os.replace``) so parallel workers and interrupted
-    runs can never leave a truncated entry behind.
+    debuggability (compact JSON: ``python -m json.tool`` shows one);
+    the key alone decides hits.  Writes are atomic (temp file +
+    ``os.replace``) so parallel workers and interrupted runs can never
+    leave a truncated entry behind.
 
     ``CellCache(None)`` keeps the entries in this process instead (the
     campaign service's store for cache-less runs and tests), in the
@@ -100,6 +101,9 @@ class CellCache:
         self.root = Path(root) if root is not None else None
         self.salt = code_salt() if salt is None else salt
         self._memory: Dict[str, dict] = {}
+        #: ``"<root>/"``: an entry's location is this plus the key's own
+        #: characters, so a lookup builds one string and no ``Path``.
+        self._prefix = "" if self.root is None else os.path.join(self.root, "")
 
     def key_for(self, spec: CellSpec) -> str:
         """The content address of ``spec`` under this cache's salt."""
@@ -107,50 +111,68 @@ class CellCache:
 
     def path_for(self, spec: CellSpec) -> Path:
         """Where a directory-backed cache keeps ``spec``'s entry."""
-        key = self.key_for(spec)
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._entry(self.key_for(spec)))
 
-    def get(self, spec: CellSpec) -> Optional[Payload]:
+    def _entry(self, key: str) -> str:
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
+
+    def get(self, spec: CellSpec, key: Optional[str] = None) -> Optional[Payload]:
         """The cached payload for ``spec``, or ``None`` on a miss.
 
-        Corrupt entries count as misses (and are overwritten by the
-        next :meth:`put`), so a damaged cache degrades to recompute
-        instead of crashing the campaign.
+        ``key`` is ``key_for(spec)`` when the caller already holds it
+        (the engine hashes each cell once per run); it is computed here
+        otherwise.  Corrupt entries count as misses (and are
+        overwritten by the next :meth:`put`), so a damaged cache
+        degrades to recompute instead of crashing the campaign.
         """
+        if key is None:
+            key = self.key_for(spec)
         if self.root is None:
-            doc = self._memory.get(self.key_for(spec))
+            doc = self._memory.get(key)
             return None if doc is None else decode_payload(doc)
-        path = self.path_for(spec)
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            # Unbuffered: the entry is read whole, once.
+            with open(self._entry(key), "rb", buffering=0) as fh:
+                doc = json.loads(fh.read())
             return decode_payload(doc["payload"])
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def put(self, spec: CellSpec, payload: Payload) -> Optional[Path]:
-        """Store ``payload`` for ``spec``; returns the entry path, if
-        the cache has a directory."""
+    def put(
+        self, spec: CellSpec, payload: Payload, key: Optional[str] = None
+    ) -> Optional[Path]:
+        """Store ``payload`` for ``spec`` (under ``key``, as for
+        :meth:`get`); returns the entry path, if the cache has a
+        directory."""
+        if key is None:
+            key = self.key_for(spec)
         if self.root is None:
-            self._memory[self.key_for(spec)] = encode_payload(payload)
+            self._memory[key] = encode_payload(payload)
             return None
-        path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "salt": self.salt,
-            "spec": spec.canonical(),
-            "payload": encode_payload(payload),
-        }
+        path = self._entry(key)
+        shard, name = os.path.split(path)
+        blob = json.dumps(
+            {
+                "salt": self.salt,
+                "spec": spec.canonical(),
+                "payload": encode_payload(payload),
+            },
+            separators=(",", ":"),
+        ).encode("utf-8")
         # Per-key prefix: concurrent writers of the *same* entry each
         # get a private temp file in the entry's own directory, and the
         # final os.replace is atomic — last writer wins, readers only
         # ever see a complete entry.
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-        )
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, indent=1)
+            fd, tmp = tempfile.mkstemp(dir=shard, prefix=name + ".", suffix=".tmp")
+        except FileNotFoundError:
+            # First entry of this shard (or the directory was wiped
+            # under a live cache): make it, instead of a mkdir per put.
+            os.makedirs(shard, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=shard, prefix=name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -158,4 +180,4 @@ class CellCache:
             except OSError:
                 pass
             raise
-        return path
+        return Path(path)

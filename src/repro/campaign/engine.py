@@ -36,6 +36,7 @@ import json
 import signal
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -228,20 +229,6 @@ def merge_event_streams(paths: Sequence[Union[str, Path]]) -> List[dict]:
     return merged
 
 
-def _cell_event(status: str, spec: CellSpec, **extra) -> dict:
-    event = {
-        "event": "cell",
-        "status": status,
-        "kind": spec.kind,
-        "label": spec.label,
-        "workload": spec.workload,
-        "scheme": spec.scheme,
-        "seed": spec.seed,
-    }
-    event.update(extra)
-    return event
-
-
 def _one_attempt(spec: CellSpec) -> Payload:
     """One attempt at one cell, wherever it runs.
 
@@ -317,7 +304,7 @@ class _Run:
         self.keyed = not (
             self.cache is None and self.quarantine is None and self.checkpoint is None
         )
-        self._keys: Dict[int, str] = {}
+        self._keys: List[Optional[str]] = [None] * count
 
     def __enter__(self) -> "_Run":
         return self
@@ -332,7 +319,10 @@ class _Run:
         self.log.close()
 
     def key_of(self, index: int) -> str:
-        key = self._keys.get(index)
+        """The content address of ``cells[index]``: hashed here, once a
+        run, and nowhere else — the store, the checkpoint, the ledger
+        and the log are all handed this string."""
+        key = self._keys[index]
         if key is None:
             salt = self.cache.salt if self.cache is not None else code_salt()
             self._keys[index] = key = self.cells[index].cache_key(salt)
@@ -340,6 +330,24 @@ class _Run:
 
     def _event_key(self, index: int) -> Optional[str]:
         return self.key_of(index) if self.keyed else None
+
+    def _log_cell(self, status: str, index: int, **extra) -> None:
+        """One cell event — built only when a log is there to take it."""
+        if self.log.path is None:
+            return
+        spec = self.cells[index]
+        self.log.emit(
+            {
+                "event": "cell",
+                "status": status,
+                "kind": spec.kind,
+                "label": spec.label,
+                "workload": spec.workload,
+                "scheme": spec.scheme,
+                "seed": spec.seed,
+                **extra,
+            }
+        )
 
     # -- lookup ---------------------------------------------------------
     def lookup(self, resume: bool) -> List[int]:
@@ -351,7 +359,9 @@ class _Run:
             checkpoint.load()
         runnable: List[int] = []
         for index, spec in enumerate(self.cells):
-            payload = cache.get(spec) if cache is not None else None
+            payload = (
+                cache.get(spec, self.key_of(index)) if cache is not None else None
+            )
             if payload is not None:
                 self._deliver(index, payload, "hit", store=False)
                 continue
@@ -380,7 +390,7 @@ class _Run:
         self.stats.quarantined += 1
         self.stats.failed += 1
         self.failures[index] = CampaignError(spec, exc, 0)
-        self.log.emit(_cell_event("quarantined-skip", spec, key=key))
+        self._log_cell("quarantined-skip", index, key=key)
         if self.on_failure is not None:
             self.on_failure(index, spec, exc, "quarantined")
 
@@ -413,12 +423,12 @@ class _Run:
         if not fresh:
             self.stats.hits += 1
         if store and self.cache is not None:
-            self.cache.put(spec, payload)
+            self.cache.put(spec, payload, self.key_of(index))
         if self.checkpoint is not None:
             self.checkpoint.record(self.key_of(index), payload)
             # Only fresh results drive the periodic flush: a warm run
             # would otherwise rewrite the whole file every few hits.
-            if fresh and self.checkpoint.dirty >= self.checkpoint_every:
+            if fresh and self.checkpoint.due(self.checkpoint_every):
                 self.checkpoint.flush()
                 self.log.emit(
                     {
@@ -427,7 +437,7 @@ class _Run:
                         "completed": len(self.checkpoint.entries),
                     }
                 )
-        self.log.emit(_cell_event(status, spec, key=self._event_key(index), **extra))
+        self._log_cell(status, index, key=self._event_key(index), **extra)
         if self.on_result is not None:
             self.on_result(index, spec, payload, not fresh)
 
@@ -447,14 +457,12 @@ class _Run:
                 self.attempts[index] + 1,
                 self.key_of(index) if self.keyed else spec.canonical_json(),
             )
-            self.log.emit(
-                _cell_event(
-                    "retry",
-                    spec,
-                    attempts=self.attempts[index],
-                    error=str(exc),
-                    delay=round(delay, 3),
-                )
+            self._log_cell(
+                "retry",
+                index,
+                attempts=self.attempts[index],
+                error=str(exc),
+                delay=round(delay, 3),
             )
             return delay
         self.fail(index, exc, verdict)
@@ -482,15 +490,13 @@ class _Run:
                 # report for post-mortems but write no ledger line, so
                 # the next campaign retries it.
                 self.quarantine.record_failure(report)
-        self.log.emit(
-            _cell_event(
-                "failed",
-                spec,
-                attempts=self.attempts[index],
-                classification=classification,
-                error=str(exc),
-                key=self._event_key(index),
-            )
+        self._log_cell(
+            "failed",
+            index,
+            attempts=self.attempts[index],
+            classification=classification,
+            error=str(exc),
+            key=self._event_key(index),
         )
         self.failures[index] = CampaignError(spec, exc, self.attempts[index])
         if self.on_failure is not None:
@@ -650,8 +656,13 @@ def _supervise_pool(run: _Run, runnable: List[int], *, workers: int) -> None:
     inflight: Dict[Future, int] = {}
     deadlines: Dict[Future, float] = {}
     first_start: Dict[int, float] = {}
-    #: (ready_at, index) retry/backlog queue, consumed in order.
-    waiting: List[Tuple[float, int]] = [(0.0, index) for index in runnable]
+    #: Never-submitted cells, consumed in declared order whenever the
+    #: window has room; they are always ready, so they never wake the
+    #: loop — a completion does.
+    backlog = deque(runnable)
+    #: (ready_at, index) of cells waiting out a retry delay (or for a
+    #: respawned pool), served in this order once the backlog is empty.
+    retries: List[Tuple[float, int]] = []
     timed_out: Set[int] = set()
     running_snapshot: Set[Future] = set()
     #: True while a pool break was supervisor-initiated (timeout
@@ -685,21 +696,23 @@ def _supervise_pool(run: _Run, runnable: List[int], *, workers: int) -> None:
             return
         delay = run.attempt_failed(index, exc)
         if delay is not None:
-            waiting.append((perf_counter() + delay, index))
+            retries.append((perf_counter() + delay, index))
 
     try:
-        while inflight or waiting:
+        while inflight or backlog or retries:
             now = perf_counter()
-            if waiting and len(inflight) < workers:
-                still_waiting: List[Tuple[float, int]] = []
-                for ready_at, index in waiting:
+            while backlog and len(inflight) < workers:
+                submit(backlog.popleft())
+            if retries and len(inflight) < workers:
+                not_yet: List[Tuple[float, int]] = []
+                for ready_at, index in retries:
                     if len(inflight) < workers and ready_at <= now:
                         submit(index)
                     else:
-                        still_waiting.append((ready_at, index))
-                waiting = still_waiting
+                        not_yet.append((ready_at, index))
+                retries = not_yet
             if not inflight:
-                next_ready = min(ready_at for ready_at, _ in waiting)
+                next_ready = min(ready_at for ready_at, _ in retries)
                 time.sleep(min(max(0.0, next_ready - now), 0.25))
                 continue
 
@@ -707,8 +720,11 @@ def _supervise_pool(run: _Run, runnable: List[int], *, workers: int) -> None:
             wait_timeout = None
             if deadlines:
                 wait_timeout = max(0.01, min(deadlines.values()) - now)
-            if waiting:
-                next_ready = max(0.01, min(r for r, _ in waiting) - now)
+            if retries and len(inflight) < workers:
+                # A free slot and a retry still serving its delay: wake
+                # when it is ready.  A full window needs no alarm — the
+                # completion that frees a slot ends the wait.
+                next_ready = max(0.01, min(r for r, _ in retries) - now)
                 wait_timeout = (
                     next_ready
                     if wait_timeout is None
@@ -790,7 +806,7 @@ def _supervise_pool(run: _Run, runnable: List[int], *, workers: int) -> None:
                         # Queued innocent — or collateral damage of a
                         # supervisor timeout kill: resubmit without
                         # charging an attempt.
-                        waiting.append((now, index))
+                        retries.append((now, index))
                 supervisor_kill = False
                 respawn()
     except BaseException:

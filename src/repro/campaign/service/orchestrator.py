@@ -492,7 +492,7 @@ class Orchestrator:
         cell.status = "done"
         cell.payload = encoded
         self.stats["completed"] += 1
-        self.store.put(cell.spec, payload)
+        self.store.put(cell.spec, payload, cell.key)
         # From here the store answers for this key.  Forgotten before
         # the first await, so no submit can join a cell whose waiters
         # are already being served.
@@ -647,13 +647,15 @@ class Orchestrator:
         shared = 0
         for index, doc in enumerate(docs):
             spec = CellSpec.from_canonical(doc)
+            # Always from the spec as sent: whatever key a client might
+            # put beside it is outside input and is never looked at.
             key = self.store.key_for(spec)
             cell = self.cells.get(key)
             if resume and cell is not None and cell.status == "failed":
                 await self._send_cell(campaign, index, cell, was_hit=True)
                 continue
             if resume:
-                payload = self.store.get(spec)
+                payload = self.store.get(spec, key)
                 if payload is not None:
                     hit = _Cell(key, spec)
                     hit.status = "done"

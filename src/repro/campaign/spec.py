@@ -310,11 +310,11 @@ class CellSpec:
     def canonical(self) -> dict:
         """All fields as a deterministic JSON-ready dict."""
         doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
             if isinstance(value, tuple):
                 value = [list(pair) for pair in value]
-            doc[f.name] = value
+            doc[name] = value
         return doc
 
     @classmethod
@@ -330,26 +330,25 @@ class CellSpec:
         """
         kwargs = {}
         item_fields = {"scheme_kwargs", "scheme_attrs", "config", "extras"}
-        for f in fields(cls):
-            if f.name not in doc:
+        for name in _FIELD_NAMES:
+            if name not in doc:
                 continue
-            value = doc[f.name]
-            if f.name in item_fields:
+            value = doc[name]
+            if name in item_fields:
                 value = freeze_items(value)  # type: ignore[arg-type]
-            kwargs[f.name] = value
+            kwargs[name] = value
         return cls(**kwargs)
 
     def canonical_json(self) -> str:
         """Canonical JSON: sorted keys, compact separators."""
-        return json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        return _encode_canonical(self.canonical())
 
     def cache_key(self, salt: str) -> str:
-        """Content address: hash of the canonical spec + code salt."""
-        digest = hashlib.sha256()
-        digest.update(salt.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(self.canonical_json().encode("utf-8"))
-        return digest.hexdigest()
+        """Content address: hash of the code salt, a NUL and the
+        canonical spec."""
+        return hashlib.sha256(
+            f"{salt}\x00{self.canonical_json()}".encode("utf-8")
+        ).hexdigest()
 
     @property
     def label(self) -> str:
@@ -358,3 +357,10 @@ class CellSpec:
         if self.kind in ("synthetic", "synthetic_metrics", "bet_account"):
             work = f"{self.workload}@{self.injection_rate:g}"
         return f"{self.kind}:{work}:{self.scheme}:s{self.seed}"
+
+
+#: Field names in declaration order and the canonical-JSON encoder, both
+#: built once: ``canonical()`` and ``canonical_json()`` run for every cell
+#: of every campaign.
+_FIELD_NAMES = tuple(f.name for f in fields(CellSpec))
+_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

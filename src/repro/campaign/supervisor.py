@@ -353,6 +353,21 @@ class CampaignCheckpoint:
         self.entries[key] = encode_payload(payload)
         self.dirty += 1
 
+    def due(self, every: int) -> bool:
+        """Whether enough completions are unflushed to rewrite the file.
+
+        Every ``every`` completions while the campaign is small; past
+        ``8 * every`` entries, once an eighth of what is recorded is
+        unflushed.  Each rewrite is then at least 8/7 the size of the
+        one before, so the bytes written over a whole campaign stay
+        within a constant factor (about 8) of the final file instead of
+        growing with the square of the cell count — at the price that a
+        ``kill -9`` can lose up to an eighth of the recorded cells
+        rather than up to ``every`` (the cell cache, when there is
+        one, still has each of them).
+        """
+        return self.dirty >= max(every, len(self.entries) // 8)
+
     def flush(self) -> None:
         """Atomically rewrite the checkpoint file."""
         if not self.dirty:

@@ -6,7 +6,11 @@ Covers the cell-spec hashing contract, the content-addressed cache
 CLI plumbing.
 """
 
+import builtins
 import json
+import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,11 @@ from repro.campaign import (
 from repro.experiments.common import CANONICAL_INSTRUCTIONS, RunRecord
 from repro.noc import NoCConfig
 from repro.noc.errors import SimulationError
+
+
+#: A cell store written by the parent commit's ``CellCache.put``
+#: (salt ``"parent-format"``; one RunRecord entry, one mapping entry).
+PARENT_STORE = Path(__file__).parent / "fixtures" / "parent_store"
 
 
 def make_record(**overrides):
@@ -165,6 +174,96 @@ class TestCellCache:
         assert not list(Path(root).rglob("*.tmp"))
 
 
+    def test_key_the_caller_holds_is_the_address(self, tmp_path, monkeypatch):
+        """``get``/``put`` with ``key_for(spec)`` passed in are the
+        one-argument calls minus the hash."""
+        spec = self.spec()
+        for cache in (CellCache(str(tmp_path), salt="s1"), CellCache(None, salt="s1")):
+            key = cache.key_for(spec)
+            monkeypatch.setattr(
+                CellSpec, "cache_key", lambda *a: pytest.fail("hashed again")
+            )
+            assert cache.get(spec, key) is None
+            cache.put(spec, make_record(), key)
+            assert cache.get(spec, key) == make_record()
+            monkeypatch.undo()
+            assert cache.get(spec) == make_record()
+        assert (
+            CellCache(str(tmp_path), salt="s1").path_for(spec)
+            == tmp_path / key[:2] / f"{key}.json"
+        )
+
+    def test_parent_format_entries_are_hits(self):
+        """``tests/fixtures/parent_store`` was written by the parent
+        commit's ``put`` (text mode, ``indent=1``): still the same
+        address, still a hit, payload equal."""
+        entries = sorted(PARENT_STORE.glob("*/*.json"))
+        assert len(entries) == 2
+        cache = CellCache(PARENT_STORE, salt="parent-format")
+        kinds = set()
+        for entry in entries:
+            text = entry.read_text()
+            assert text.startswith('{\n "salt"')  # the indented form
+            doc = json.loads(text)
+            spec = CellSpec.from_canonical(doc["spec"])
+            assert cache.path_for(spec) == entry
+            payload = cache.get(spec)
+            assert payload == decode_payload(doc["payload"])
+            kinds.add(type(payload))
+        assert kinds == {RunRecord, dict}
+
+    def test_new_entries_are_compact_json_of_the_same_layout(self, tmp_path):
+        cache = CellCache(tmp_path, salt="s1")
+        spec = self.spec()
+        assert cache.put(spec, make_record()) == cache.path_for(spec)
+        raw = cache.path_for(spec).read_bytes()
+        assert b"\n" not in raw and b", " not in raw and b'": ' not in raw
+        doc = json.loads(cache.path_for(spec).read_text())
+        assert list(doc) == ["salt", "spec", "payload"]
+        assert doc["salt"] == "s1" and doc["spec"] == spec.canonical()
+        assert decode_payload(doc["payload"]) == make_record()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            b"",
+            b'{"salt": "s1", "spec": {}, "payload": {"type": "run_rec',
+            b"\x80\xfe\x00\xff binary garbage \x9c",
+            b"[]",
+            b"null",
+            b'"payload"',
+            b"{}",
+            b'{"payload": 5}',
+            b'{"payload": {"type": "mapping"}}',
+            b'{"payload": {"type": "run_record", "data": {"bogus": 1}}}',
+            b'{"payload": {"type": "run_record", "data": [1, 2]}}',
+            None,  # a directory where the entry should be
+        ],
+    )
+    def test_unusable_entries_are_misses_and_get_overwritten(self, tmp_path, damage):
+        cache = CellCache(tmp_path, salt="s1")
+        spec = self.spec()
+        path = cache.path_for(spec)
+        path.parent.mkdir(parents=True)
+        if damage is None:
+            path.mkdir()
+            assert cache.get(spec) is None
+            return
+        path.write_bytes(damage)
+        assert cache.get(spec) is None
+        cache.put(spec, make_record())
+        assert cache.get(spec) == make_record()
+
+    def test_put_heals_a_shard_wiped_under_a_live_cache(self, tmp_path):
+        cache = CellCache(tmp_path / "store", salt="s1")
+        spec = self.spec()
+        cache.put(spec, make_record())
+        shutil.rmtree(tmp_path / "store")
+        assert cache.get(spec) is None
+        cache.put(spec, make_record())
+        assert cache.get(spec) == make_record()
+
+
 def _hammer_cache_put(root, iterations):
     """Worker for the concurrent-writer stress test (module-level so it
     pickles under any multiprocessing start method)."""
@@ -221,6 +320,90 @@ class TestExecuteCells:
         assert events[0]["name"] == "unit"
         assert events[-1]["executed"] == 2
         assert all("ts" in e for e in events)
+
+
+class TestOneAddressPerCell:
+    """A cell is hashed once per run and the store is asked by key."""
+
+    N = 24
+
+    def cells(self):
+        return [
+            CellSpec.parsec("canneal", "No-PG", instructions=100, seed=seed)
+            for seed in range(self.N)
+        ]
+
+    @pytest.fixture
+    def counts(self, tmp_path, monkeypatch):
+        """``cache_key`` calls, and ``open`` calls under ``tmp_path``."""
+        counts = {"hash": 0, "open": 0}
+        real_key, real_open = CellSpec.cache_key, builtins.open
+
+        def counting_key(spec, salt):
+            counts["hash"] += 1
+            return real_key(spec, salt)
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).startswith(str(tmp_path)):
+                counts["open"] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(CellSpec, "cache_key", counting_key)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(
+            "repro.campaign.engine.run_cell", lambda spec: {"seed": spec.seed}
+        )
+        return counts
+
+    def test_cold_then_warm_hash_and_open_once_per_cell(self, tmp_path, counts):
+        cells = self.cells()
+        _, cold = execute_cells(cells, cache=CellCache(tmp_path / "store", salt="s1"))
+        assert cold.executed == self.N
+        assert counts == {"hash": self.N, "open": self.N}  # N misses, N puts by key
+
+        counts.update(hash=0, open=0)
+        payloads, warm = execute_cells(
+            cells, cache=CellCache(tmp_path / "store", salt="s1")
+        )
+        assert warm.hits == self.N and warm.executed == 0
+        assert counts == {"hash": self.N, "open": self.N}
+        assert payloads == [{"seed": spec.seed} for spec in cells]
+
+    def test_log_checkpoint_and_ledger_reuse_the_key(self, tmp_path, counts):
+        """Everything keyed like the cache is handed the same string."""
+        cells = self.cells()
+        options = dict(
+            checkpoint=tmp_path / "ck.json",
+            quarantine=tmp_path / "q",
+            log_path=tmp_path / "events.jsonl",
+        )
+        cache = CellCache(tmp_path / "store", salt="s1")
+        for _ in ("cold", "warm"):
+            counts["hash"] = 0
+            execute_cells(cells, cache=cache, **options)
+            assert counts["hash"] == self.N
+        keys = [cache.key_for(spec) for spec in cells]
+        events = [e for e in iter_events(options["log_path"]) if e["event"] == "cell"]
+        assert [e["key"] for e in events] == keys + keys
+        assert [e["status"] for e in events] == ["done"] * self.N + ["hit"] * self.N
+        entries = json.loads(options["checkpoint"].read_text())["entries"]
+        assert sorted(entries) == sorted(keys)
+
+    def test_a_key_is_only_ever_paired_with_its_own_cell(self, tmp_path, counts):
+        """Shuffle the declared order of a stored sweep: payload *i* of
+        the warm run is still the one stored for spec *i*."""
+        cells = self.cells()
+        cache = CellCache(tmp_path / "store", salt="s1")
+        execute_cells(cells, cache=cache)
+        shuffled = cells[:]
+        random.Random(5).shuffle(shuffled)
+        assert shuffled != cells
+        payloads, stats = execute_cells(shuffled, cache=cache)
+        assert stats.hits == self.N
+        assert payloads == [{"seed": spec.seed} for spec in shuffled]
+        # ... and a sweep that repeats a cell answers each copy.
+        payloads, _ = execute_cells(cells[:3] + cells[:3], cache=cache)
+        assert payloads == [{"seed": spec.seed} for spec in cells[:3]] * 2
 
 
 class TestEventLog:

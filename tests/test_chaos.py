@@ -453,6 +453,75 @@ class TestCheckpointRecovery:
         assert cache.get(cells[0]) == well_behaved(cells[0])
 
 
+    def test_checkpoint_bytes_written_are_linear_in_cells(
+        self, tmp_path, monkeypatch
+    ):
+        """400 instant cells: the periodic rewrites add up to a constant
+        multiple of the final file (every-4 rewrites wrote ~50x the
+        final file here and ~400x at 3 200 cells), and a small campaign
+        still flushes every ``checkpoint_every`` completions."""
+        from repro.campaign import supervisor
+
+        monkeypatch.setattr("repro.campaign.engine.run_cell", well_behaved)
+        written = []
+        real_write = supervisor._atomic_write_json
+
+        def measuring_write(path, doc):
+            real_write(path, doc)
+            written.append(path.stat().st_size)
+
+        monkeypatch.setattr(supervisor, "_atomic_write_json", measuring_write)
+        ckpt = tmp_path / "c.json"
+        log = tmp_path / "events.jsonl"
+        _, stats = execute_cells(specs(400), checkpoint=ckpt, log_path=log)
+        assert stats.executed == 400
+        final = ckpt.stat().st_size
+        assert written[-1] == final
+        assert len(json.loads(ckpt.read_text())["entries"]) == 400
+        assert sum(written) <= 12 * final
+        flushed_at = [
+            e["completed"] for e in iter_events(log) if e["event"] == "checkpoint"
+        ]
+        assert flushed_at[:8] == [4, 8, 12, 16, 20, 24, 28, 32]
+        # Never more than an eighth of the recorded cells unflushed.
+        for before, after in zip(flushed_at, flushed_at[1:]):
+            assert after - before <= max(4, after // 8)
+
+
+class TestPoolBacklog:
+    def test_only_completions_wake_the_supervisor(self, monkeypatch):
+        """200 instant cells, 2 workers, nothing to retry and no
+        deadline: every ``wait`` blocks until a future completes (no
+        alarm while a backlog exists), at most ``workers`` futures are
+        in flight, and cells are submitted in declared order."""
+        from repro.campaign import engine
+
+        monkeypatch.setattr("repro.campaign.engine.run_cell", well_behaved)
+        waits = []
+        submitted = []
+
+        def counting_wait(futures, timeout=None, return_when=None):
+            waits.append((len(futures), timeout))
+            return wait(futures, timeout=timeout, return_when=return_when)
+
+        class RecordingPool(engine.ProcessPoolExecutor):
+            def submit(self, fn, spec):
+                submitted.append(spec)
+                return super().submit(fn, spec)
+
+        wait = engine.wait
+        monkeypatch.setattr(engine, "wait", counting_wait)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        cells = specs(200)
+        payloads, stats = execute_cells(cells, workers=2)
+        assert payloads == [well_behaved(spec) for spec in cells]
+        assert stats.executed == 200 and stats.retried == 0
+        assert submitted == cells
+        assert len(waits) <= len(cells) + 5
+        assert {timeout for _, timeout in waits} == {None}
+        assert max(inflight for inflight, _ in waits) <= 2
+
+
 _GRACEFUL_SCRIPT = """
 import os, signal, sys
 from repro.campaign import CampaignInterrupted, CellCache, execute_cells

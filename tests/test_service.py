@@ -200,8 +200,9 @@ async def until(predicate, timeout=5.0):
         await asyncio.sleep(0.002)
 
 
-async def submit_cells(orch, cells, name="test", resume=True, timeout=10.0):
-    """A protocol-level client: returns ``(payloads, done_message)``."""
+async def submit_cells(orch, cells, name="test", resume=True, timeout=10.0, docs=None):
+    """A protocol-level client: returns ``(payloads, statuses,
+    done_message)``.  ``docs`` replaces the wire form of ``cells``."""
     reader, writer = await protocol.open_connection("127.0.0.1", orch.port)
     try:
         await protocol.send(
@@ -214,7 +215,7 @@ async def submit_cells(orch, cells, name="test", resume=True, timeout=10.0):
                 "type": "submit",
                 "name": name,
                 "resume": resume,
-                "cells": [spec.canonical() for spec in cells],
+                "cells": docs or [spec.canonical() for spec in cells],
             },
         )
         payloads = [None] * len(cells)
@@ -282,6 +283,39 @@ class TestOrchestratorScheduling:
             assert statuses2 == ["hit"] * 3
             assert payloads2 == payloads
             assert done2["hits"] == 3 and done2["executed"] == 0
+            worker.close()
+
+        self._run(scenario)
+
+    def test_a_key_sent_beside_a_spec_is_never_trusted(self):
+        """The address is recomputed from the spec as sent: a client
+        that names another cell's key gets its own spec's result, and
+        a fresh result is stored under the spec's key."""
+        stored, victim, cold = specs(3)
+
+        async def scenario(orch):
+            orch.store.put(stored, {"cell": "stored"})
+            orch.store.put(victim, {"cell": "victim"})
+            victim_key = orch.store.key_for(victim)
+            tampered = [
+                dict(stored.canonical(), key=victim_key),
+                dict(cold.canonical(), key=victim_key),
+            ]
+            worker = FakeWorker(orch, "w0", capacity=2)
+            await worker.connect()
+            client = asyncio.ensure_future(
+                submit_cells(orch, [stored, cold], docs=tampered)
+            )
+            await asyncio.sleep(0.05)
+            leases, _ = await worker.request(slots=2)
+            assert [lease["key"] for lease in leases] == [orch.store.key_for(cold)]
+            assert CellSpec.from_canonical(leases[0]["spec"]) == cold
+            await worker.finish(leases[0], {"cell": "cold"})
+            payloads, statuses, _ = await client
+            assert statuses == ["hit", "done"]
+            assert payloads == [{"cell": "stored"}, {"cell": "cold"}]
+            assert orch.store.get(cold) == {"cell": "cold"}
+            assert orch.store.get(victim) == {"cell": "victim"}
             worker.close()
 
         self._run(scenario)

@@ -212,3 +212,24 @@ class TestCampaignCheckpoint:
         doc = json.loads(path.read_text())
         assert doc["salt"] == "s1" and doc["completed"] == 1
         assert doc["entries"]["k1"] == encode_payload({"x": 1})
+
+    def test_flush_cadence_is_every_n_then_an_eighth_of_the_file(self, tmp_path):
+        ckpt = CampaignCheckpoint(tmp_path / "c.json", salt="s1")
+        for i in range(3):
+            ckpt.record(f"k{i}", {"x": i})
+        assert not ckpt.due(4)
+        ckpt.record("k3", {"x": 3})
+        assert ckpt.due(4) and ckpt.due(1) and not ckpt.due(100)
+        ckpt.flush()
+        assert not ckpt.due(1)
+        # 800 recorded: four unflushed completions are no longer enough,
+        # an eighth of the file is.
+        for i in range(4, 800):
+            ckpt.record(f"k{i}", {"x": i})
+        ckpt.flush()
+        for i in range(800, 899):
+            ckpt.record(f"k{i}", {"x": i})
+        assert not ckpt.due(4)
+        for i in range(899, 915):
+            ckpt.record(f"k{i}", {"x": i})
+        assert ckpt.due(4)
