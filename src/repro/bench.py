@@ -18,6 +18,7 @@ scheme consuming the same trace can be compared stat for stat
 
 from __future__ import annotations
 
+from contextlib import closing
 from time import perf_counter
 from typing import Callable, Dict, List, Tuple
 
@@ -101,23 +102,26 @@ def replay(
     cycles: int,
     drain_cycles: int = 500_000,
 ) -> Tuple[Network, float]:
-    """Replay ``trace`` into a fresh network; return it and the wall
-    time of the timed region (trace application + every ``step``)."""
+    """Replay ``trace`` into a fresh network; return it, closed
+    (``Network.close``: results readable, nothing left to step), and
+    the wall time of the timed region (trace application + every
+    ``step``)."""
     net = Network(config, SCHEMES[scheme_name]())
     interfaces = net.interfaces
     inject = net.inject
     step = net.step
-    start = perf_counter()
-    for cycle in range(cycles):
-        for event in trace.get(cycle, ()):
-            if event[0] == "inject":
-                _kind, source, dest, vnet, size = event
-                inject(Packet(source, dest, VirtualNetwork(vnet), size, cycle))
-            else:
-                interfaces[event[1]].early_notice(cycle)
-        step()
-    net.run_until_drained(drain_cycles)
-    elapsed = perf_counter() - start
+    with closing(net):
+        start = perf_counter()
+        for cycle in range(cycles):
+            for event in trace.get(cycle, ()):
+                if event[0] == "inject":
+                    _kind, source, dest, vnet, size = event
+                    inject(Packet(source, dest, VirtualNetwork(vnet), size, cycle))
+                else:
+                    interfaces[event[1]].early_notice(cycle)
+            step()
+        net.run_until_drained(drain_cycles)
+        elapsed = perf_counter() - start
     return net, elapsed
 
 

@@ -9,6 +9,8 @@ behavior from the spec alone (determinism).  The former
 
 from __future__ import annotations
 
+import traceback
+from contextlib import closing
 from typing import Optional
 
 from ..experiments.common import (
@@ -59,8 +61,9 @@ def run_parsec(
         seed=seed,
         benchmark=benchmark,
     )
-    result = chip.run(max_cycles=8_000_000)
-    energy = EnergyModel().account(chip.network)
+    with closing(chip):
+        result = chip.run(max_cycles=8_000_000)
+        energy = EnergyModel().account(chip.network)
     return RunRecord(
         workload=benchmark,
         scheme=scheme_name,
@@ -92,15 +95,16 @@ def run_synthetic(
     config = config or NoCConfig()
     scheme = make_scheme(scheme_name, **scheme_kwargs)
     network = Network(config, scheme)
-    traffic = SyntheticTraffic(network, pattern, injection_rate, seed=seed)
-    energy_model = EnergyModel()
-    traffic.run(warmup)
-    snapshot = energy_model.snapshot(network)
-    network.stats.measure_from = network.cycle
-    traffic.run(measurement)
-    energy = energy_model.account(network, since=snapshot)
-    if drain:
-        traffic.drain()
+    with closing(network):
+        traffic = SyntheticTraffic(network, pattern, injection_rate, seed=seed)
+        energy_model = EnergyModel()
+        traffic.run(warmup)
+        snapshot = energy_model.snapshot(network)
+        network.stats.measure_from = network.cycle
+        traffic.run(measurement)
+        energy = energy_model.account(network, since=snapshot)
+        if drain:
+            traffic.drain()
     stats = network.stats
     return RunRecord(
         workload=f"{pattern}@{injection_rate}",
@@ -156,17 +160,18 @@ def _run_metrics_cell(spec: CellSpec) -> dict:
     config = spec.build_config()
     scheme = build_scheme(spec)
     network = Network(config, scheme)
-    traffic = SyntheticTraffic(
-        network, spec.workload, spec.injection_rate, seed=spec.seed
-    )
-    model = EnergyModel()
-    traffic.run(spec.warmup)
-    snap = model.snapshot(network)
-    network.stats.measure_from = network.cycle
-    traffic.run(spec.measurement)
-    energy = model.account(network, since=snap)
-    if spec.drain:
-        traffic.drain()
+    with closing(network):
+        traffic = SyntheticTraffic(
+            network, spec.workload, spec.injection_rate, seed=spec.seed
+        )
+        model = EnergyModel()
+        traffic.run(spec.warmup)
+        snap = model.snapshot(network)
+        network.stats.measure_from = network.cycle
+        traffic.run(spec.measurement)
+        energy = model.account(network, since=snap)
+        if spec.drain:
+            traffic.drain()
     stats = network.stats
     controllers = getattr(scheme, "controllers", None) or []
     off = sum(c.off_cycles for c in controllers)
@@ -197,10 +202,11 @@ def _run_bet_cell(spec: CellSpec) -> dict:
     config = spec.build_config()
     scheme = build_scheme(spec)
     network = Network(config, scheme)
-    traffic = SyntheticTraffic(
-        network, spec.workload, spec.injection_rate, seed=spec.seed
-    )
-    traffic.run(spec.warmup + spec.measurement)
+    with closing(network):
+        traffic = SyntheticTraffic(
+            network, spec.workload, spec.injection_rate, seed=spec.seed
+        )
+        traffic.run(spec.warmup + spec.measurement)
     model = EnergyModel(PowerConstants(break_even_cycles=bet))
     energy = model.account(network)
     return {
@@ -247,23 +253,24 @@ def _run_reliability_cell(spec: CellSpec) -> dict:
     )
     scheme = build_scheme(spec) if spec.scheme != "-" else None
     network = Network(config, scheme)
-    network.install_faults(FaultInjector(schedule))
-    network.install_invariants(
-        InvariantChecker(
-            strict=True, max_network_age=int(params.get("watchdog", 50_000))
-        )
-    )
-    traffic = SyntheticTraffic(
-        network, spec.workload, spec.injection_rate, seed=spec.seed
-    )
     outcome = "drained"
-    try:
-        traffic.run(spec.warmup + spec.measurement)
-        traffic.drain()
-    except (DeadlockError, DrainTimeoutError):
-        outcome = "deadlock"
-    except DegradedNetworkError:
-        outcome = "degraded"
+    with closing(network):
+        network.install_faults(FaultInjector(schedule))
+        network.install_invariants(
+            InvariantChecker(
+                strict=True, max_network_age=int(params.get("watchdog", 50_000))
+            )
+        )
+        traffic = SyntheticTraffic(
+            network, spec.workload, spec.injection_rate, seed=spec.seed
+        )
+        try:
+            traffic.run(spec.warmup + spec.measurement)
+            traffic.drain()
+        except (DeadlockError, DrainTimeoutError):
+            outcome = "deadlock"
+        except DegradedNetworkError:
+            outcome = "degraded"
     stats = network.stats
     in_flight_losses = stats.dropped_packets - stats.refused_packets
     return {
@@ -302,15 +309,16 @@ def _run_guarantees_cell(spec: CellSpec) -> dict:
     scheme = build_scheme(spec) if spec.scheme != "-" else None
     network = Network(config, scheme)
     checker = BoundChecker(strict=bool(params.get("strict", False)))
-    network.install_bounds(checker)
-    traffic = SyntheticTraffic(
-        network, spec.workload, spec.injection_rate, seed=spec.seed
-    )
-    traffic.run(spec.warmup)
-    network.stats.measure_from = network.cycle
-    traffic.run(spec.measurement)
-    if spec.drain:
-        traffic.drain()
+    with closing(network):
+        network.install_bounds(checker)
+        traffic = SyntheticTraffic(
+            network, spec.workload, spec.injection_rate, seed=spec.seed
+        )
+        traffic.run(spec.warmup)
+        network.stats.measure_from = network.cycle
+        traffic.run(spec.measurement)
+        if spec.drain:
+            traffic.drain()
     stats = network.stats
     return {
         **checker.report(),
@@ -340,7 +348,11 @@ def run_cell(spec: CellSpec):
     Simulator failures get the cell's identity attached as an
     exception note, so a traceback that crosses a process-pool
     boundary (or lands in a quarantine report) still says which cell
-    died without the supervisor having to reconstruct it.
+    died without the supervisor having to reconstruct it.  The
+    traceback keeps its files and lines but not its frames' locals: the
+    runners have closed what they built, and a kept failure (an inline
+    ``failure_mode="continue"`` campaign holds one per failed cell)
+    must not pin the routers and caches those locals still name.
     """
     try:
         runner = _RUNNERS[spec.kind]
@@ -353,6 +365,7 @@ def run_cell(spec: CellSpec):
     try:
         return runner(spec)
     except Exception as exc:
+        traceback.clear_frames(exc.__traceback__)
         note = f"cell: {spec.label} (kind={spec.kind}, seed={spec.seed})"
         if hasattr(exc, "add_note"):  # PEP 678, Python 3.11+
             exc.add_note(note)

@@ -25,10 +25,10 @@ the tests can assert the paper's exact numbers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..noc.routing import XYRouting
 from ..noc.topology import Direction, MeshTopology
@@ -59,8 +59,24 @@ class LinkEncoding:
         return max(1, math.ceil(math.log2(self.num_codes)))
 
 
+@lru_cache(maxsize=16)
+def _encoding_tables(spec: str, hops: int) -> Tuple[dict, dict]:
+    """Memos of the static analysis of one fabric at one horizon: XY
+    paths per (src, dst), :class:`LinkEncoding` per (router, direction).
+    A function of the key alone (like ``schemes._punch_tables``), so
+    every analysis of that fabric and horizon in this process fills and
+    reads the same two dicts.
+    """
+    return {}, {}
+
+
 class PunchEncodingAnalysis:
-    """Exhaustive punch-encoding analysis for a mesh with XY routing."""
+    """Exhaustive punch-encoding analysis for a mesh with XY routing.
+
+    An instance is a view on the per-process tables of its
+    ``(topology.spec, hops)``: a link is enumerated once per process,
+    whoever asks.
+    """
 
     def __init__(self, topology: MeshTopology, hops: int = 3) -> None:
         if hops < 1:
@@ -69,9 +85,8 @@ class PunchEncodingAnalysis:
         self.routing = XYRouting(topology)
         self.hops = hops
         #: Memoized XY paths — the exhaustive enumerations below revisit
-        #: the same (src, dst) pairs many times.
-        self._path_cache: Dict[Tuple[int, int], List[int]] = {}
-        self._link_cache: Dict[Tuple[int, Direction], LinkEncoding] = {}
+        #: the same (src, dst) pairs many times — and finished links.
+        self._path_cache, self._link_cache = _encoding_tables(topology.spec, hops)
 
     def _path(self, src: int, dst: int) -> List[int]:
         key = (src, dst)
@@ -116,16 +131,19 @@ class PunchEncodingAnalysis:
             targets_by_source.setdefault(source, set()).add(target)
         sources = tuple(sorted(targets_by_source))
 
-        distinct: Set[FrozenSet[int]] = set()
         # Each source router emits at most one wakeup signal per output
-        # link per cycle; enumerate every simultaneous combination.
-        options: List[List[Optional[int]]] = [
-            [None] + sorted(targets_by_source[s]) for s in sources
-        ]
-        for combo in itertools.product(*options):
-            raw = frozenset(t for t in combo if t is not None)
-            if raw:
-                distinct.add(self.canonicalize(raw, neighbor))
+        # link per cycle; every simultaneous combination is one raw
+        # target set.  Grown source by source as a set of sets, because
+        # most combinations name the same routers (a 4-hop Y link has
+        # many sources sharing a few targets).
+        raw_sets: Set[FrozenSet[int]] = {frozenset()}
+        for source in sources:
+            raw_sets |= {
+                raw | {target}
+                for raw in raw_sets
+                for target in targets_by_source[source]
+            }
+        distinct = {self.canonicalize(raw, neighbor) for raw in raw_sets if raw}
         encoding = self._link_cache[(router, direction)] = LinkEncoding(
             router=router,
             direction=direction,

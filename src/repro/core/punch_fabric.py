@@ -137,6 +137,14 @@ class PunchFabric:
         for router, targets in pending.items():
             self._process(router, targets, cycle)
 
+    def close(self) -> None:
+        """End of the run: drop the controller sink and everything
+        queued or memoized; the counters stay readable."""
+        self.on_punch = self.faults = None
+        self._pending = {}
+        self._delayed = {}
+        self._route_cache = {}
+
     def pending_routers(self) -> List[int]:
         """Routers with punch targets awaiting next-cycle delivery."""
         return list(self._pending)

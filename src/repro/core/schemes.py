@@ -227,6 +227,15 @@ class PowerGatedScheme(PowerPolicy):
 
         self._router_ahead = cached_ahead
 
+    def detach(self) -> None:
+        """Settle every controller's lazy accounting, then drop the
+        hooks bound to this scheme: controller clocks, the fabric's
+        punch sink."""
+        for controller in self.controllers:
+            controller.detach()
+        self.fabric.close()
+        super().detach()
+
     def _controller_clock(self) -> int:
         """Lazy OFF-accounting clock handed to skipped controllers."""
         return self._stepped_through

@@ -15,6 +15,7 @@ from .errors import (
     DrainTimeoutError,
     FaultSpecError,
     InvariantViolation,
+    NetworkClosedError,
     NIQueueOverflowError,
     SimulationError,
     TopologyError,
@@ -95,6 +96,7 @@ __all__ = [
     "MeshTopology",
     "NIQueueOverflowError",
     "Network",
+    "NetworkClosedError",
     "NetworkInterface",
     "NetworkStats",
     "NoCConfig",

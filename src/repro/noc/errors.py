@@ -20,6 +20,8 @@ working.
   overflowed.
 * :class:`DrainTimeoutError` — ``run_until_drained`` gave up; carries
   the in-flight census at the deadline.
+* :class:`NetworkClosedError` — a finished network (``Network.close``)
+  was stepped or injected into.
 * :class:`InvariantViolation` — an opt-in runtime invariant failed
   (see :mod:`repro.noc.invariants`).
 * :class:`DeadlockError` — the deadlock/livelock watchdog tripped;
@@ -110,6 +112,10 @@ class NIQueueOverflowError(SimulationError):
 
 class DrainTimeoutError(SimulationError):
     """The network failed to drain within its cycle budget."""
+
+
+class NetworkClosedError(SimulationError):
+    """``step()`` or ``inject()`` on a network after ``close()``."""
 
 
 class InvariantViolation(SimulationError):

@@ -52,6 +52,7 @@ from .config import NoCConfig
 from .errors import (
     DegradedNetworkError,
     DrainTimeoutError,
+    NetworkClosedError,
     TopologyError,
 )
 from .faults import FaultInjector, FaultSchedule
@@ -128,6 +129,8 @@ class Network:
             self.routing = default_routing(self.topology)
         self.policy = policy if policy is not None else AlwaysOnPolicy()
         self.cycle = 0
+        #: Set by :meth:`close`; a closed network only answers reads.
+        self.closed = False
         self.stats = NetworkStats()
 
         self.routers: List[Router] = [
@@ -257,11 +260,41 @@ class Network:
         self.bounds = checker
         checker.attach(self)
 
+    def close(self) -> None:
+        """Finish the run: sever every edge that points back at this
+        network, so reference counting frees what it built.
+
+        An engaged vector engine is materialized away, the policy is
+        detached (controller clocks, punch sink, ``policy.network``),
+        the NIs drop their callbacks, and what nothing reads after a
+        run — routers, NIs, event queues, fault injector, checkers — is
+        released.  ``config``, ``topology``, ``cycle``, ``stats``,
+        ``link_counts``, ``dead_routers`` and the policy's counters stay
+        readable (``EnergyModel.account`` still works); ``step`` and
+        ``inject`` raise :class:`NetworkClosedError`.  Idempotent.
+        """
+        if self.closed:
+            return
+        self._disengage_vector()
+        self.closed = True
+        self.policy.detach()
+        for ni in self.interfaces:
+            ni.close()
+        self.routers = []
+        self.interfaces = []
+        self._flit_events.clear()
+        self._credit_events.clear()
+        self._eject_events.clear()
+        self._sa_router = self._vector_static = None
+        self.faults = self.invariants = self.bounds = None
+
     # ------------------------------------------------------------------
     # Producer-facing API
     # ------------------------------------------------------------------
     def inject(self, packet: Packet) -> None:
         """Hand a freshly created message to its source NI this cycle."""
+        if self.closed:
+            raise NetworkClosedError("inject() on a closed network", cycle=self.cycle)
         if self.dead_routers and (
             (
                 self.config.degradation == "drop"
@@ -436,6 +469,8 @@ class Network:
 
     def step(self) -> None:
         """Advance one cycle (see module docstring for phase order)."""
+        if self.closed:
+            raise NetworkClosedError("step() on a closed network", cycle=self.cycle)
         if self.cycle >= self._select_at:
             self._select_engine()
         if self._engine is not None:

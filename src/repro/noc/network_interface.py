@@ -124,6 +124,13 @@ class NetworkInterface:
         """Register a callback fired when packets finish ejecting here."""
         self._eject_listeners.append(listener)
 
+    def close(self) -> None:
+        """Unwire from the kernel, the policy and every eject listener
+        (see :meth:`Network.close`)."""
+        self.router = self.policy = self._vc_probe = None
+        self._send_flit = self._on_work = None
+        self._eject_listeners = []
+
     def notify_delivery(self, packet: Packet, cycle: int) -> None:
         """Announce an out-of-band delivery at this node.
 

@@ -28,6 +28,12 @@ class PowerPolicy:
         """Called once when the network is built."""
         self.network = network
 
+    def detach(self) -> None:
+        """Called once by :meth:`Network.close`: drop the back-pointer
+        (and, in subclasses, every hook bound to this policy) while
+        keeping the run's counters readable."""
+        self.network = None
+
     def on_faults_installed(self, injector) -> None:
         """A :class:`repro.noc.faults.FaultInjector` was installed on the
         attached network.  Power-gated schemes override this to wire the

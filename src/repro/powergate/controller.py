@@ -334,6 +334,16 @@ class PowerGateController:
         elif span > 0:
             self.idle_cycles += span
 
+    def detach(self) -> None:
+        """End of the run: fold the lazily accounted cycles into the
+        counters and drop the scheme's hooks, so the cycle counters
+        read as they did and nothing here points back at the scheme."""
+        self._off_cycles = self.off_cycles
+        self._active_cycles = self.active_cycles
+        self._waking_cycles = self.waking_cycles
+        self._quiescent_since = None
+        self.clock = self.wake_hook = self.stats = self.faults = None
+
     @property
     def is_waking(self) -> bool:
         """Whether the router is mid-wakeup (PG still asserted)."""

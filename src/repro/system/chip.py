@@ -203,8 +203,10 @@ class Chip:
         def home_of(block: int) -> int:
             return block % n
 
+        mc_nodes = self.mc_nodes
+
         def mc_of(block: int) -> int:
-            return self.mc_nodes[block % len(self.mc_nodes)]
+            return mc_nodes[block % len(mc_nodes)]
 
         self.home_of = home_of
         self.l1s: List[L1Controller] = []
@@ -229,7 +231,7 @@ class Chip:
                 self.memory,
                 self._make_sender(node),
                 latency=memory_latency,
-                early_notice=lambda cycle, ni=ni: ni.early_notice(cycle),
+                early_notice=ni.early_notice,
             )
         self.network.add_delivery_listener(self._on_packet_delivered)
         #: Cores not yet seen finished, and the latest ``done_at`` of
@@ -347,6 +349,22 @@ class Chip:
             if not self._cores_remaining and self.network.cycle > self._last_done_at:
                 self.execution_time = self.network.cycle
         return self.result()
+
+    def close(self) -> None:
+        """Finish the run: close the network (``Network.close``) and
+        release the node models, whose senders, completion callbacks
+        and delivery listener all point back at this chip — so nothing
+        the chip built outlives it.  Take :meth:`result` first (``run``
+        returns it); ``execution_time`` stays.  Idempotent.
+        """
+        self.network.close()
+        for l1 in self.l1s:
+            l1.on_complete = None
+        self.cores = []
+        self.l1s = []
+        self.directories = []
+        self.mcs = {}
+        self._work = []
 
     def result(self) -> ChipResult:
         """Summarize the run (execution time, NoC and cache statistics)."""

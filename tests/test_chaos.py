@@ -356,20 +356,39 @@ class TestTimeout:
         that were merely running inside their own deadline are
         collateral damage and must be resubmitted free of charge.
         With ``max_retries=1`` a single wrongly-charged attempt would
-        fail the innocent cell outright."""
-        sentinel = tmp_path / "collateral-killed-once"
+        fail the innocent cell outright.
+
+        The order of events is staged on sentinel files, not sleeps:
+        the supervisor's clock only advances when a worker reports it
+        got somewhere, so the hung cell's deadline cannot pass before
+        the bystander is running, however loaded the box is.
+        """
+        hung_started = tmp_path / "hung-cell-started"
+        bystander_started = tmp_path / "bystander-started"
+
+        def clock():
+            # The supervisor's time: 0.0 until the hung cell runs, 1.9
+            # until the bystander runs, 2.9 from then on.  Seed 1 is
+            # submitted at 0.0 (deadline 2.0); seed 3 only once seed 2
+            # has seen seed 1 running, so at 1.9 (deadline 3.9).  At
+            # 2.9 exactly one deadline has passed, and it cannot pass
+            # before the bystander is running.
+            return 1.9 * hung_started.exists() + 1.0 * bystander_started.exists()
 
         def staged(spec):
             if spec.seed == 1:
+                hung_started.touch()
                 time.sleep(60)  # the genuine timeout
             if spec.seed == 2:
-                time.sleep(1.0)  # stagger seed 3's start/deadline
-            if spec.seed == 3 and not sentinel.exists():
-                sentinel.touch()
+                while not hung_started.exists():
+                    time.sleep(0.01)  # frees the slot for seed 3
+            if spec.seed == 3 and not bystander_started.exists():
+                bystander_started.touch()
                 time.sleep(60)  # asleep when seed 1's kill lands
             return well_behaved(spec)
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", staged)
+        monkeypatch.setattr("repro.campaign.engine.perf_counter", clock)
         cells = specs(3)
         payloads, stats = execute_cells(
             cells,
@@ -378,7 +397,7 @@ class TestTimeout:
             max_retries=1,
             failure_mode="continue",
         )
-        assert sentinel.exists(), "the collateral cell never ran"
+        assert bystander_started.exists(), "the collateral cell never ran"
         assert stats.timeouts == 1
         assert payloads[0] is None  # the hung cell, charged and failed
         assert payloads[1] == well_behaved(cells[1])
