@@ -10,17 +10,14 @@ Asserts the design arguments the paper makes in prose:
   for comparable gated-off time).
 """
 
-from repro.experiments.ablations import (
-    forewarning_ablation,
-    punch_hops_sweep,
-    slack_decomposition,
-)
+from repro.experiments.ablations import forewarning_cells, punch_hops_cells, slack_cells
+from repro.experiments.common import run_keyed
 
 MEASURE = 2500
 
 
 def test_bench_punch_hops(once):
-    results = dict(once(punch_hops_sweep, measurement=MEASURE))
+    results = dict(once(run_keyed, "bench", punch_hops_cells(measurement=MEASURE)))
     # Twakeup=8 on a 3-stage router needs ceil(8/3)=3 hops: the wait
     # must drop sharply from 1-hop to 3-hop horizons...
     assert results[3]["wait"] < 0.6 * results[1]["wait"]
@@ -30,7 +27,7 @@ def test_bench_punch_hops(once):
 
 
 def test_bench_slack_decomposition(once):
-    results = once(slack_decomposition, measurement=MEASURE)
+    results = once(run_keyed, "bench", slack_cells(measurement=MEASURE))
     waits = [res["wait"] for _name, res in results]
     # Each slack strictly reduces wakeup-wait cycles.
     assert waits[0] > waits[1] > waits[2]
@@ -40,7 +37,7 @@ def test_bench_slack_decomposition(once):
 
 
 def test_bench_forewarning_filter(once):
-    results = dict(once(forewarning_ablation, measurement=MEASURE))
+    results = dict(once(run_keyed, "bench", forewarning_cells(measurement=MEASURE)))
     on = results["forewarning on"]
     off = results["forewarning off"]
     # Without the filter the scheme wakes routers it shouldn't have

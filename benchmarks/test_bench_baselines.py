@@ -5,11 +5,12 @@ Punch's (paper: 9.3 vs 1.8 cycles on 64 nodes), while both save a
 large static fraction.
 """
 
-from repro.experiments.baselines_compare import run_comparison
+from repro.experiments.baselines_compare import comparison_cells
+from repro.experiments.common import run_keyed
 
 
 def run():
-    return dict(run_comparison(load=0.01, measurement=2500, verbose=False))
+    return dict(run_keyed("bench", comparison_cells(load=0.01, measurement=2500)))
 
 
 def test_bench_baselines_comparison(once):

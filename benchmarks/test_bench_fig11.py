@@ -6,6 +6,7 @@ Punch saves at least as much total router energy as ConvOpt-PG
 (paper: 50.3% / 52.9% / 54.1% savings vs No-PG).
 """
 
+from repro.experiments.common import pivot
 from repro.experiments.parsec_suite import run_suite
 
 BENCHMARKS = ["blackscholes", "dedup"]
@@ -16,10 +17,7 @@ def run():
 
 
 def _table(records):
-    table = {}
-    for r in records:
-        table.setdefault(r.workload, {})[r.scheme] = r
-    return table
+    return pivot(((r.workload, r.scheme), r) for r in records)
 
 
 def test_bench_fig11_static_savings(once):

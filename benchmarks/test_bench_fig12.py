@@ -8,26 +8,19 @@ power at low load, converging toward No-PG as load rises.
 
 import pytest
 
-from repro.experiments.fig12 import run_sweep
+from repro.experiments.common import pivot, run_keyed
+from repro.experiments.fig12 import sweep_cells
 
 LOADS = [0.01, 0.05, 0.12]
 
 
 def sweep(pattern):
-    return run_sweep(pattern, LOADS, warmup=600, measurement=2500, verbose=False)
-
-
-def _by_load(records):
-    table = {}
-    for r in records:
-        load = float(r.workload.split("@")[1])
-        table.setdefault(load, {})[r.scheme] = r
-    return table
+    return run_keyed("bench", sweep_cells(pattern, LOADS, warmup=600, measurement=2500))
 
 
 @pytest.mark.parametrize("pattern", ["uniform_random", "bit_complement", "transpose"])
 def test_bench_fig12_pattern(pattern, once):
-    table = _by_load(once(sweep, pattern))
+    table = pivot(once(sweep, pattern))
     low = min(table)
     for load, per in table.items():
         nopg = per["No-PG"].avg_total_latency

@@ -6,20 +6,18 @@ cannot cover the wakeup latency (Twakeup=10 on a 3-stage router, paper
 9.2%) — that point must be the worst of the 3-stage set.
 """
 
-from repro.experiments.fig13 import run_sensitivity
+from repro.experiments.common import pivot, run_keyed
+from repro.experiments.fig13 import sensitivity_cells
 
 POINTS = [(3, 6), (3, 8), (3, 10)]
 
 
 def run():
-    return run_sensitivity(points=POINTS, measurement=2500, verbose=False)
+    return run_keyed("bench", sensitivity_cells(points=POINTS, measurement=2500))
 
 
 def test_bench_fig13_sensitivity(once):
-    results = once(run)
-    per_point = {}
-    for stages, twakeup, scheme, record in results:
-        per_point.setdefault((stages, twakeup), {})[scheme] = record
+    per_point = pivot(once(run))
 
     penalties = {}
     for point, per in per_point.items():

@@ -9,6 +9,7 @@ The asserted shape, from the paper:
   ConvOpt-PG clearly worse.
 """
 
+from repro.experiments.common import pivot
 from repro.experiments.parsec_suite import run_suite
 
 BENCHMARKS = ["blackscholes", "ferret"]
@@ -19,10 +20,7 @@ def run():
 
 
 def _by(records):
-    table = {}
-    for r in records:
-        table.setdefault(r.workload, {})[r.scheme] = r
-    return table
+    return pivot(((r.workload, r.scheme), r) for r in records)
 
 
 def test_bench_fig7_latency_ordering(once):

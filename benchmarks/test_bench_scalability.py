@@ -6,20 +6,18 @@ flits/node/cycle grows with mesh size (43.4% / 54.9% / 69.1% for
 latency per hop while punch signals keep it hidden.
 """
 
-from repro.experiments.scalability import run_scalability
+from repro.experiments.common import pivot, run_keyed
+from repro.experiments.scalability import scalability_cells
 
 SIZES = (4, 8)
 
 
 def run():
-    return run_scalability(sizes=SIZES, load=0.01, measurement=2500, verbose=False)
+    return run_keyed("bench", scalability_cells(sizes=SIZES, load=0.01, measurement=2500))
 
 
 def test_bench_scalability(once):
-    results = once(run)
-    per_size = {}
-    for size, scheme, record in results:
-        per_size.setdefault(size, {})[scheme] = record
+    per_size = pivot(once(run))
     reductions = {}
     for size, per in per_size.items():
         conv = per["ConvOpt-PG"].avg_total_latency

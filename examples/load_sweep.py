@@ -10,16 +10,17 @@ and block packets — then dips, then rises again toward saturation.
 PowerPunch-PG hugs the No-PG curve across the whole range.
 """
 
-from repro.experiments.fig12 import run_sweep, report
+from repro.experiments.common import pivot, run_keyed
+from repro.experiments.fig12 import report, sweep_cells
 
 LOADS = [0.005, 0.01, 0.02, 0.05, 0.10, 0.15]
 
 
-def ascii_chart(records):
-    by_load = {}
-    for r in records:
-        load = float(r.workload.split("@")[1])
-        by_load.setdefault(load, {})[r.scheme] = r.avg_total_latency
+def ascii_chart(results):
+    by_load = {
+        load: {scheme: record.avg_total_latency for scheme, record in per.items()}
+        for load, per in pivot(results).items()
+    }
     peak = max(max(per.values()) for per in by_load.values())
     scale = 60.0 / peak
     lines = ["", "latency (each column block ~ cycles):"]
@@ -33,10 +34,10 @@ def ascii_chart(records):
 
 
 def main():
-    records = run_sweep("uniform_random", LOADS, measurement=4000)
-    print()
-    print(report("uniform_random", records))
-    print(ascii_chart(records))
+    cells = sweep_cells("uniform_random", LOADS, measurement=4000)
+    results = run_keyed("load-sweep", cells)
+    print(report("uniform_random", results))
+    print(ascii_chart(results))
 
 
 if __name__ == "__main__":

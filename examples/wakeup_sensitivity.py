@@ -7,14 +7,14 @@ router), and how a 4-hop punch restores full hiding — the paper's
 Sec. 6.5 observation.
 """
 
-from repro.experiments.fig13 import run_sensitivity, report
+from repro.campaign import run_synthetic
+from repro.experiments.common import run_keyed
+from repro.experiments.fig13 import report, sensitivity_cells
 from repro.noc import NoCConfig
-from repro.experiments.common import run_synthetic
 
 
 def main():
-    results = run_sensitivity(measurement=3000)
-    print()
+    results = run_keyed("wakeup-sensitivity", sensitivity_cells(measurement=3000))
     print(report(results))
 
     # The paper: "the performance penalty of Power Punch becomes

@@ -27,6 +27,7 @@ from .cli import (
     campaign_argparser,
     engine_argv,
     engine_options,
+    parse_campaign_args,
     require_mesh_topology,
     robustness_argv,
     sprt_options,
@@ -87,6 +88,7 @@ __all__ = [
     "freeze_items",
     "iter_events",
     "merge_event_streams",
+    "parse_campaign_args",
     "require_mesh_topology",
     "robustness_argv",
     "run_cell",

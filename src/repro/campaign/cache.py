@@ -7,11 +7,13 @@ changes the salt and silently invalidates every affected entry (stale
 files are simply never addressed again).  Interrupted campaigns
 therefore resume for free — completed cells hit, missing cells run.
 
-What the salt covers is deliberately scoped to code that can change
-simulation *results*: ``repro.noc``, ``repro.core``, ``repro.system``,
-``repro.traffic``, ``repro.power``, ``repro.powergate``,
-``repro.baselines`` and the cell runner itself.  Editing report
-formatting, CLI plumbing or the engine does not invalidate results.
+What the salt covers is deliberately scoped to code that can change a
+cell's *payload* (:func:`salted_files`): the simulator trees, the
+guarantees package and quantile estimator behind the ``guarantees``
+payload, the scheme registry and ``RunRecord``, the Table 1 report
+(the ``analysis`` payload *is* its text, paper reference values
+included) and the cell runner itself.  Editing figure formatting, CLI
+plumbing or the engine does not invalidate results.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import tempfile
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..experiments.common import RunRecord
 from .spec import CellSpec
@@ -37,25 +39,46 @@ SALT_PACKAGES = (
     "power",
     "powergate",
     "baselines",
+    "guarantees",
+)
+
+#: Single files outside those trees that a payload also depends on
+#: (everything else a cell imports from outside ``repro.campaign``).
+SALT_FILES = (
+    "__init__.py",
+    "stats_util.py",
+    "experiments/__init__.py",
+    "experiments/common.py",
+    "experiments/paper_targets.py",
+    "experiments/table1.py",
+    "campaign/runner.py",
 )
 
 
-@lru_cache(maxsize=1)
-def code_salt() -> str:
-    """Version hash of the simulation-relevant source trees."""
-    import repro
-
-    root = Path(repro.__file__).parent
-    digest = hashlib.sha256()
+def salted_files(root: Path) -> List[Path]:
+    """The source files under package root ``root`` the salt hashes."""
     files = []
     for package in SALT_PACKAGES:
         files.extend(sorted((root / package).glob("*.py")))
-    files.append(root / "campaign" / "runner.py")
-    for path in files:
+    return files + [root / name for name in SALT_FILES]
+
+
+def tree_salt(root: Path) -> str:
+    """Version hash of the result-affecting sources under ``root``."""
+    digest = hashlib.sha256()
+    for path in salted_files(root):
         digest.update(path.name.encode("utf-8"))
         digest.update(b"\x00")
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
+
+
+@lru_cache(maxsize=1)
+def code_salt() -> str:
+    """:func:`tree_salt` of the imported ``repro`` package."""
+    import repro
+
+    return tree_salt(Path(repro.__file__).parent)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ overrides that ``Campaign.run`` stamps onto every cell before hashing.
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ..experiments.common import CANONICAL_INSTRUCTIONS
 from ..noc.config import VALID_DEGRADATIONS
@@ -293,6 +293,20 @@ def engine_options(args: argparse.Namespace) -> dict:
     options = {key: getattr(args, key) for key in _ENGINE_FLAGS}
     options["config_overrides"] = config_overrides(args)
     return options
+
+
+def parse_campaign_args(
+    parser: argparse.ArgumentParser,
+    argv: Optional[Sequence[str]],
+    mesh_only: Optional[str] = None,
+) -> Tuple[argparse.Namespace, dict]:
+    """Parse ``argv`` into ``(args, engine_options(args))`` — what every
+    experiment ``main`` starts with.  ``mesh_only`` names an experiment
+    that reproduces a mesh-only figure (:func:`require_mesh_topology`)."""
+    args = parser.parse_args(argv)
+    if mesh_only is not None:
+        require_mesh_topology(args, mesh_only)
+    return args, engine_options(args)
 
 
 def engine_argv(args: argparse.Namespace) -> List[str]:

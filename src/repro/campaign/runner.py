@@ -92,41 +92,58 @@ def run_synthetic(
     **scheme_kwargs,
 ) -> RunRecord:
     """Run one open-loop synthetic-traffic point under one scheme."""
-    config = config or NoCConfig()
-    scheme = make_scheme(scheme_name, **scheme_kwargs)
-    network = Network(config, scheme)
-    with closing(network):
-        traffic = SyntheticTraffic(network, pattern, injection_rate, seed=seed)
-        energy_model = EnergyModel()
-        traffic.run(warmup)
-        snapshot = energy_model.snapshot(network)
-        network.stats.measure_from = network.cycle
-        traffic.run(measurement)
-        energy = energy_model.account(network, since=snapshot)
-        if drain:
-            traffic.drain()
-    stats = network.stats
-    return RunRecord(
-        workload=f"{pattern}@{injection_rate}",
-        scheme=scheme_name,
-        execution_time=network.cycle,
-        avg_packet_latency=stats.avg_packet_latency,
-        avg_total_latency=stats.avg_total_latency,
-        avg_blocked_routers=stats.avg_blocked_routers,
-        avg_wakeup_wait=stats.avg_wakeup_wait,
-        injection_rate=stats.throughput(config.num_nodes),
-        dynamic_energy=energy.dynamic,
-        static_energy=energy.static,
-        overhead_energy=energy.overhead,
-        cycles=energy.cycles,
+    return _run_synthetic_cell(
+        CellSpec.synthetic(
+            pattern,
+            injection_rate,
+            scheme_name,
+            warmup=warmup,
+            measurement=measurement,
+            seed=seed,
+            drain=drain,
+            config=config,
+            scheme_kwargs=scheme_kwargs,
+        )
     )
+
+
+def _measure(
+    network: Network,
+    spec: CellSpec,
+    warmup: int,
+    measurement: int,
+    drain: bool,
+    model: Optional[EnergyModel] = None,
+):
+    """The one open-loop measurement every synthetic cell kind shares.
+
+    Drive ``spec``'s traffic through ``network`` (built, and with
+    whatever the kind observes through already installed, by the
+    caller): warm up, open the statistics window, measure, then drain
+    if asked.  ``warmup=0`` opens the window at cycle 0, so every packet
+    counts.  Returns ``model``'s energy over the window (``None``
+    without a model).
+    """
+    traffic = SyntheticTraffic(
+        network, spec.workload, spec.injection_rate, seed=spec.seed
+    )
+    traffic.run(warmup)
+    snapshot = model.snapshot(network) if model is not None else None
+    network.stats.measure_from = network.cycle
+    traffic.run(measurement)
+    energy = model.account(network, since=snapshot) if model is not None else None
+    if drain:
+        traffic.drain()
+    return energy
 
 
 # ----------------------------------------------------------------------
 # Cell-kind dispatch
 # ----------------------------------------------------------------------
 def _run_parsec_cell(spec: CellSpec) -> RunRecord:
-    record = run_parsec(
+    if spec.scheme_attrs:
+        raise TypeError("parsec cells do not support scheme_attrs")
+    return run_parsec(
         spec.workload,
         spec.scheme,
         instructions=spec.instructions,
@@ -134,44 +151,39 @@ def _run_parsec_cell(spec: CellSpec) -> RunRecord:
         config=spec.build_config(),
         **dict(spec.scheme_kwargs),
     )
-    if spec.scheme_attrs:
-        raise TypeError("parsec cells do not support scheme_attrs")
-    return record
 
 
 def _run_synthetic_cell(spec: CellSpec) -> RunRecord:
     if spec.scheme_attrs:
         raise TypeError("RunRecord synthetic cells do not support scheme_attrs")
-    return run_synthetic(
-        spec.workload,
-        spec.injection_rate,
-        spec.scheme,
-        warmup=spec.warmup,
-        measurement=spec.measurement,
-        seed=spec.seed,
-        config=spec.build_config(),
-        drain=spec.drain,
-        **dict(spec.scheme_kwargs),
+    with closing(Network(spec.build_config(), build_scheme(spec))) as network:
+        energy = _measure(
+            network, spec, spec.warmup, spec.measurement, spec.drain, EnergyModel()
+        )
+    stats = network.stats
+    return RunRecord(
+        workload=f"{spec.workload}@{spec.injection_rate}",
+        scheme=spec.scheme,
+        execution_time=network.cycle,
+        avg_packet_latency=stats.avg_packet_latency,
+        avg_total_latency=stats.avg_total_latency,
+        avg_blocked_routers=stats.avg_blocked_routers,
+        avg_wakeup_wait=stats.avg_wakeup_wait,
+        injection_rate=stats.throughput(network.config.num_nodes),
+        dynamic_energy=energy.dynamic,
+        static_energy=energy.static,
+        overhead_energy=energy.overhead,
+        cycles=energy.cycles,
     )
 
 
 def _run_metrics_cell(spec: CellSpec) -> dict:
     """Extended metrics payload (ablations / baselines comparison)."""
-    config = spec.build_config()
     scheme = build_scheme(spec)
-    network = Network(config, scheme)
-    with closing(network):
-        traffic = SyntheticTraffic(
-            network, spec.workload, spec.injection_rate, seed=spec.seed
+    with closing(Network(spec.build_config(), scheme)) as network:
+        energy = _measure(
+            network, spec, spec.warmup, spec.measurement, spec.drain, EnergyModel()
         )
-        model = EnergyModel()
-        traffic.run(spec.warmup)
-        snap = model.snapshot(network)
-        network.stats.measure_from = network.cycle
-        traffic.run(spec.measurement)
-        energy = model.account(network, since=snap)
-        if spec.drain:
-            traffic.drain()
     stats = network.stats
     controllers = getattr(scheme, "controllers", None) or []
     off = sum(c.off_cycles for c in controllers)
@@ -195,20 +207,16 @@ def _run_bet_cell(spec: CellSpec) -> dict:
     BET only scales the per-event PG overhead, so the simulation is
     identical across BET values — only the accounting differs (the
     timing fields prove it: they match bit-for-bit between cells).
+    The window is the whole run, undrained.
     """
     from ..power import PowerConstants
 
-    bet = dict(spec.extras)["bet"]
-    config = spec.build_config()
+    model = EnergyModel(PowerConstants(break_even_cycles=dict(spec.extras)["bet"]))
     scheme = build_scheme(spec)
-    network = Network(config, scheme)
-    with closing(network):
-        traffic = SyntheticTraffic(
-            network, spec.workload, spec.injection_rate, seed=spec.seed
+    with closing(Network(spec.build_config(), scheme)) as network:
+        energy = _measure(
+            network, spec, 0, spec.warmup + spec.measurement, False, model
         )
-        traffic.run(spec.warmup + spec.measurement)
-    model = EnergyModel(PowerConstants(break_even_cycles=bet))
-    energy = model.account(network)
     return {
         "latency": network.stats.avg_total_latency,
         "wait": network.stats.avg_wakeup_wait,
@@ -234,10 +242,11 @@ def _run_reliability_cell(spec: CellSpec) -> dict:
     The fault schedule is sampled from the cell seed, injected into a
     network built from the cell config (the experiments layer passes a
     ``degradation="reroute"`` config), and run under strict invariants
-    plus the deadlock watchdog.  Liveness failures (watchdog deadlock,
-    drain timeout, fail-fast degradation) are *outcomes*, not crashes —
-    they are folded into the payload so the estimator sees them;
-    genuine invariant violations still propagate to quarantine.
+    plus the deadlock watchdog, from cycle 0 to a full drain.  Liveness
+    failures (watchdog deadlock, drain timeout, fail-fast degradation)
+    are *outcomes*, not crashes — they are folded into the payload so
+    the estimator sees them; genuine invariant violations still
+    propagate to quarantine.
     """
     from ..noc import FaultInjector, InvariantChecker
     from ..noc.errors import DeadlockError, DegradedNetworkError, DrainTimeoutError
@@ -252,21 +261,16 @@ def _run_reliability_cell(spec: CellSpec) -> dict:
         horizon=int(params.get("horizon", 2000)),
     )
     scheme = build_scheme(spec) if spec.scheme != "-" else None
-    network = Network(config, scheme)
     outcome = "drained"
-    with closing(network):
+    with closing(Network(config, scheme)) as network:
         network.install_faults(FaultInjector(schedule))
         network.install_invariants(
             InvariantChecker(
                 strict=True, max_network_age=int(params.get("watchdog", 50_000))
             )
         )
-        traffic = SyntheticTraffic(
-            network, spec.workload, spec.injection_rate, seed=spec.seed
-        )
         try:
-            traffic.run(spec.warmup + spec.measurement)
-            traffic.drain()
+            _measure(network, spec, 0, spec.warmup + spec.measurement, True)
         except (DeadlockError, DrainTimeoutError):
             outcome = "deadlock"
         except DegradedNetworkError:
@@ -304,21 +308,11 @@ def _run_guarantees_cell(spec: CellSpec) -> dict:
     """
     from ..guarantees import BoundChecker
 
-    params = dict(spec.extras)
-    config = spec.build_config()
+    checker = BoundChecker(strict=bool(dict(spec.extras).get("strict", False)))
     scheme = build_scheme(spec) if spec.scheme != "-" else None
-    network = Network(config, scheme)
-    checker = BoundChecker(strict=bool(params.get("strict", False)))
-    with closing(network):
+    with closing(Network(spec.build_config(), scheme)) as network:
         network.install_bounds(checker)
-        traffic = SyntheticTraffic(
-            network, spec.workload, spec.injection_rate, seed=spec.seed
-        )
-        traffic.run(spec.warmup)
-        network.stats.measure_from = network.cycle
-        traffic.run(spec.measurement)
-        if spec.drain:
-            traffic.drain()
+        _measure(network, spec, spec.warmup, spec.measurement, spec.drain)
     stats = network.stats
     return {
         **checker.report(),

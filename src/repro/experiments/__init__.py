@@ -1,6 +1,7 @@
-"""Per-figure/table experiment harnesses (see DESIGN.md experiment index).
+"""Per-figure/table experiment declarations (see DESIGN.md experiment index).
 
 Each module is runnable (``python -m repro.experiments.fig7_fig8``) and
-exposes ``run_*``/``report`` functions used by the pytest benchmarks.
+only declares: ``*_cells()`` sweeps of ``(key, CellSpec)`` pairs run by
+``common.run_keyed`` and a ``report`` that formats the keyed results.
 Modules are imported lazily to keep ``python -m`` invocations clean.
 """

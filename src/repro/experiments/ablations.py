@@ -25,22 +25,18 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..campaign import Campaign, CellSpec, campaign_argparser, engine_options, require_mesh_topology
-from .common import format_table
+from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from .common import format_table, run_keyed
 
 DEFAULT_LOAD = 0.01
 
 
 def _metrics_cell(
-    scheme: str,
-    measurement: int,
-    scheme_kwargs=None,
-    scheme_attrs=None,
-    load: float = DEFAULT_LOAD,
+    scheme: str, measurement: int, scheme_kwargs=None, scheme_attrs=None
 ) -> CellSpec:
     return CellSpec.synthetic(
         "uniform_random",
-        load,
+        DEFAULT_LOAD,
         scheme,
         measurement=measurement,
         drain=False,
@@ -50,26 +46,17 @@ def _metrics_cell(
     )
 
 
-def _run_keyed(
-    name: str,
-    keyed_cells: Sequence[Tuple[object, CellSpec]],
-    **engine,
-) -> List[Tuple[object, dict]]:
-    """Run cells and re-attach each sweep's key to its payload."""
-    campaign = Campaign(name=name, cells=tuple(cell for _, cell in keyed_cells))
-    payloads = campaign.run(**engine)
-    return [(key, payload) for (key, _), payload in zip(keyed_cells, payloads)]
-
-
 # ----------------------------------------------------------------------
-def punch_hops_sweep(
+# The sweeps: each declares ``(key, cell)`` pairs, the key being the
+# "config" column of its table.
+# ----------------------------------------------------------------------
+def punch_hops_cells(
     hops_values: Sequence[int] = (1, 2, 3, 4),
     wakeup_latency: int = 8,
     measurement: int = 4000,
-    **engine,
-) -> List[Tuple[int, dict]]:
+) -> List[Tuple[int, CellSpec]]:
     """Latency/energy vs punch horizon (3-stage router, Twakeup=8)."""
-    cells = [
+    return [
         (
             hops,
             _metrics_cell(
@@ -80,14 +67,13 @@ def punch_hops_sweep(
         )
         for hops in hops_values
     ]
-    return _run_keyed("ablation-punch-hops", cells, **engine)
 
 
-def timeout_sweep(
-    timeouts: Sequence[int] = (2, 4, 8, 16), measurement: int = 4000, **engine
-) -> List[Tuple[int, dict]]:
+def timeout_cells(
+    timeouts: Sequence[int] = (2, 4, 8, 16), measurement: int = 4000
+) -> List[Tuple[int, CellSpec]]:
     """Idle-timeout sensitivity for the full Power Punch scheme."""
-    cells = [
+    return [
         (
             t,
             _metrics_cell(
@@ -96,35 +82,23 @@ def timeout_sweep(
         )
         for t in timeouts
     ]
-    return _run_keyed("ablation-timeout", cells, **engine)
 
 
-def slack_decomposition(
-    measurement: int = 4000, **engine
-) -> List[Tuple[str, dict]]:
+def slack_cells(measurement: int = 4000) -> List[Tuple[str, CellSpec]]:
     """Contribution of each injection-node slack to hiding wakeups."""
-    cells = [
-        (
-            "punch signals only",
-            _metrics_cell("PowerPunch-Signal", measurement),
-        ),
-        (
-            "+ slack 1 (NI pipeline)",
-            _metrics_cell(
-                "PowerPunch-PG", measurement, scheme_attrs={"slack2": False}
-            ),
-        ),
-        (
-            "+ slack 2 (access lead)",
-            _metrics_cell("PowerPunch-PG", measurement),
-        ),
+    return [
+        (label, _metrics_cell(scheme, measurement, scheme_attrs=attrs))
+        for label, scheme, attrs in (
+            ("punch signals only", "PowerPunch-Signal", None),
+            ("+ slack 1 (NI pipeline)", "PowerPunch-PG", {"slack2": False}),
+            ("+ slack 2 (access lead)", "PowerPunch-PG", None),
+        )
     ]
-    return _run_keyed("ablation-slack", cells, **engine)
 
 
-def bet_sweep(
-    bet_values: Sequence[int] = (5, 10, 20, 40), measurement: int = 4000, **engine
-) -> List[Tuple[int, dict]]:
+def bet_cells(
+    bet_values: Sequence[int] = (5, 10, 20, 40), measurement: int = 4000
+) -> List[Tuple[int, CellSpec]]:
     """Break-even-time sensitivity (energy only).
 
     BET scales the per-event power-gating overhead (Sec. 2.3 footnote:
@@ -133,7 +107,7 @@ def bet_sweep(
     cell replays the *same* deterministic simulation; only the energy
     accounting changes, which the identical timing fields prove.
     """
-    cells = [
+    return [
         (
             bet,
             CellSpec.bet(
@@ -146,12 +120,9 @@ def bet_sweep(
         )
         for bet in bet_values
     ]
-    return _run_keyed("ablation-bet", cells, **engine)
 
 
-def forewarning_ablation(
-    measurement: int = 4000, **engine
-) -> List[Tuple[str, dict]]:
+def forewarning_cells(measurement: int = 4000) -> List[Tuple[str, CellSpec]]:
     """Punch-based short-idle filtering on vs off.
 
     At the default 4-cycle timeout the per-cycle punch re-assertion
@@ -161,24 +132,28 @@ def forewarning_ablation(
     actually bites: an aggressive 2-cycle timeout, where gaps would
     otherwise cause wake-thrash.
     """
-    cells = [
+    return [
         (
-            "forewarning on",
+            label,
             _metrics_cell(
-                "PowerPunch-PG", measurement, scheme_kwargs={"timeout": 2}
+                "PowerPunch-PG", measurement, scheme_kwargs={"timeout": 2}, scheme_attrs=attrs
             ),
-        ),
-        (
-            "forewarning off",
-            _metrics_cell(
-                "PowerPunch-PG",
-                measurement,
-                scheme_kwargs={"timeout": 2},
-                scheme_attrs={"use_forewarning": False},
-            ),
-        ),
+        )
+        for label, attrs in (
+            ("forewarning on", None),
+            ("forewarning off", {"use_forewarning": False}),
+        )
     ]
-    return _run_keyed("ablation-forewarning", cells, **engine)
+
+
+#: (campaign name, table title, declaration), in printing order.
+SWEEPS = (
+    ("ablation-punch-hops", "Ablation: punch horizon (Twakeup=8, 3-stage)", punch_hops_cells),
+    ("ablation-timeout", "Ablation: idle timeout", timeout_cells),
+    ("ablation-slack", "Ablation: injection slack decomposition", slack_cells),
+    ("ablation-forewarning", "Ablation: punch forewarning filter", forewarning_cells),
+    ("ablation-bet", "Ablation: break-even time (energy accounting only)", bet_cells),
+)
 
 
 # ----------------------------------------------------------------------
@@ -204,19 +179,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     """Run and print all ablation tables."""
     parser = campaign_argparser(__doc__)
     parser.add_argument("--measurement", type=int, default=4000)
-    args = parser.parse_args(argv)
-    require_mesh_topology(args, 'the ablations experiment')
-    m = args.measurement
-    engine = engine_options(args)
-    print(_table("Ablation: punch horizon (Twakeup=8, 3-stage)", punch_hops_sweep(measurement=m, **engine)))
-    print()
-    print(_table("Ablation: idle timeout", timeout_sweep(measurement=m, **engine)))
-    print()
-    print(_table("Ablation: injection slack decomposition", slack_decomposition(measurement=m, **engine)))
-    print()
-    print(_table("Ablation: punch forewarning filter", forewarning_ablation(measurement=m, **engine)))
-    print()
-    print(_table("Ablation: break-even time (energy accounting only)", bet_sweep(measurement=m, **engine)))
+    args, engine = parse_campaign_args(parser, argv, mesh_only="the ablations experiment")
+    for index, (name, title, declare) in enumerate(SWEEPS):
+        if index:
+            print()
+        print(_table(title, run_keyed(name, declare(measurement=args.measurement), **engine)))
 
 
 if __name__ == "__main__":

@@ -14,53 +14,38 @@ per scheme.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from ..campaign import Campaign, CellSpec, campaign_argparser, engine_options, require_mesh_topology
-from .common import format_table
+from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from .common import format_table, run_keyed
+from .paper_targets import PAPER
 
 _SCHEMES = ["No-PG", "ConvOpt-PG", "PowerPunch-PG", "NoRD-like"]
 
 
-def comparison_campaign(
-    load: float = 0.01, measurement: int = 5000, seed: int = 7
-) -> Campaign:
-    """Declare the four-scheme comparison as a campaign."""
-    cells = tuple(
-        CellSpec.synthetic(
-            "uniform_random",
-            load,
+def comparison_cells(load: float = 0.01, measurement: int = 5000, seed: int = 7):
+    """Declare the four-scheme comparison, keyed by scheme."""
+    return [
+        (
             scheme,
-            measurement=measurement,
-            seed=seed,
-            drain=False,
-            metrics=True,
+            CellSpec.synthetic(
+                "uniform_random",
+                load,
+                scheme,
+                measurement=measurement,
+                seed=seed,
+                drain=False,
+                metrics=True,
+            ),
         )
         for scheme in _SCHEMES
-    )
-    return Campaign(name="baselines-compare", cells=cells)
-
-
-def run_comparison(
-    load: float = 0.01,
-    measurement: int = 5000,
-    seed: int = 7,
-    verbose: bool = True,
-    **engine,
-) -> List[Tuple[str, dict]]:
-    """Run the four schemes on uniform-random traffic at one load."""
-    campaign = comparison_campaign(load=load, measurement=measurement, seed=seed)
-    payloads = campaign.run(**engine)
-    results = list(zip(_SCHEMES, payloads))
-    if verbose:
-        for name, row in results:
-            print(f"[baselines] {name:15s} lat={row['latency']:7.2f}")
-    return results
+    ]
 
 
 def report(results) -> str:
     """Format the comparison table plus the paper-ratio headline."""
-    base = dict(results)["No-PG"]
+    per = dict(results)
+    base = per["No-PG"]
     rows = []
     for name, row in results:
         rows.append(
@@ -77,14 +62,15 @@ def report(results) -> str:
         rows,
         title="Sec. 6.6(3): Power Punch vs detour-based power-gating",
     )
-    per = dict(results)
     pp = per["PowerPunch-PG"]["latency"] - base["latency"]
     nord = per["NoRD-like"]["latency"] - base["latency"]
     ratio = nord / pp if pp > 0 else float("inf")
+    paper = PAPER["penalty_cycles"]
     return (
         table
         + f"\n\nDetour-based penalty is {ratio:.1f}x Power Punch's "
-        "(paper: ~5x, 9.3 vs 1.8 cycles; our simplified NoRD detours more)."
+        f"(paper: ~{paper['NoRD'] / paper['PowerPunch']:.0f}x, {paper['NoRD']} vs "
+        f"{paper['PowerPunch']} cycles; our simplified NoRD detours more)."
     )
 
 
@@ -93,15 +79,12 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = campaign_argparser(__doc__)
     parser.add_argument("--load", type=float, default=0.01)
     parser.add_argument("--measurement", type=int, default=5000)
-    args = parser.parse_args(argv)
-    require_mesh_topology(args, 'the baselines comparison')
-    print(
-        report(
-            run_comparison(
-                load=args.load, measurement=args.measurement, **engine_options(args)
-            )
-        )
-    )
+    args, engine = parse_campaign_args(parser, argv, mesh_only="the baselines comparison")
+    cells = comparison_cells(load=args.load, measurement=args.measurement)
+    results = run_keyed("baselines-compare", cells, **engine)
+    for name, row in results:
+        print(f"[baselines] {name:15s} lat={row['latency']:7.2f}")
+    print(report(results))
 
 
 if __name__ == "__main__":

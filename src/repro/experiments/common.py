@@ -6,7 +6,8 @@ them to the campaign engine, which runs them (optionally in parallel,
 against a content-addressed cache) via :mod:`repro.campaign.runner`.
 This module keeps only what every consumer shares: the scheme
 registry, the :class:`RunRecord` measurement row with its persistence
-helpers, and plain-text table formatting.
+helpers, the keyed-sweep convention (:func:`run_keyed`, :func:`pivot`)
+and plain-text table formatting.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 import statistics
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..baselines import NoRDLike
 from ..core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
@@ -35,6 +36,12 @@ SCHEMES = {
 }
 
 SCHEME_ORDER = list(SCHEMES)
+
+#: The three power-gating schemes (everything but the No-PG baseline).
+PG_SCHEMES = SCHEME_ORDER[1:]
+
+#: The schemes of the synthetic sweeps (Figs 12-13, Sec. 6.6(2)).
+SWEEP_SCHEMES = ["No-PG", "ConvOpt-PG", "PowerPunch-PG"]
 
 #: Schemes runnable by name but outside the paper's headline four
 #: (Sec. 6.6(3) comparison baselines).
@@ -89,6 +96,43 @@ class RunRecord:
     def total_energy(self) -> float:
         """Dynamic + static + overhead energy of the run."""
         return self.dynamic_energy + self.net_static_energy
+
+    def static_power_w(self) -> float:
+        """Average net router static power (watts) over the run."""
+        from ..power import DEFAULT_CONSTANTS
+
+        seconds = self.cycles / DEFAULT_CONSTANTS.frequency
+        return self.net_static_energy / seconds if seconds else 0.0
+
+
+# ----------------------------------------------------------------------
+# Keyed sweeps: how every experiment declares, runs and tabulates cells
+# ----------------------------------------------------------------------
+def run_keyed(name: str, keyed_cells: Iterable[Tuple[object, object]], **engine):
+    """Run ``(key, CellSpec)`` pairs as campaign ``name``; return
+    ``(key, payload)`` pairs in declaration order.
+
+    A sweep builds each key in the same expression as the cell it
+    labels, so a payload cannot be mislabelled.  ``engine`` — the one
+    way engine options travel (``workers``, ``cache_dir``,
+    ``config_overrides``, ...: what ``engine_options(args)`` returns)
+    — goes straight to :meth:`repro.campaign.Campaign.run`.
+    """
+    from ..campaign import Campaign  # the campaign layer imports this module
+
+    pairs = list(keyed_cells)
+    campaign = Campaign(name=name, cells=tuple(cell for _, cell in pairs))
+    payloads = campaign.run(**engine)
+    return [(key, payload) for (key, _), payload in zip(pairs, payloads)]
+
+
+def pivot(results: Iterable[Tuple[Tuple[object, object], object]]) -> Dict:
+    """``{row: {column: payload}}`` from ``((row, column), payload)``
+    pairs; rows and columns keep first-seen order."""
+    table: Dict[object, Dict[object, object]] = {}
+    for (row, column), payload in results:
+        table.setdefault(row, {})[column] = payload
+    return table
 
 
 # ----------------------------------------------------------------------

@@ -14,22 +14,18 @@ Power Punch wins on energy *and* performance.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Optional, Sequence
 
-from ..campaign import campaign_argparser, engine_options, require_mesh_topology
-from .common import SCHEME_ORDER, format_table, mean
-from .parsec_suite import run_suite
+from .common import PG_SCHEMES, SCHEME_ORDER, format_table
+from .paper_targets import PAPER
+from .parsec_suite import suite_report_main, summarize
 
 
 def report(records) -> str:
     """Format the Fig. 11 energy-breakdown table and headline."""
-    by_bench = defaultdict(dict)
-    for r in records:
-        by_bench[r.workload][r.scheme] = r
-    lines = []
+    by_bench, avg = summarize(records)
     rows = []
-    for bench, per in sorted(by_bench.items()):
+    for bench, per in by_bench.items():
         base = per["No-PG"].total_energy
         for scheme in SCHEME_ORDER:
             r = per[scheme]
@@ -43,47 +39,27 @@ def report(records) -> str:
                     r.total_energy / base,
                 ]
             )
-    lines.append(
-        format_table(
-            ["benchmark", "scheme", "dynamic", "static", "pg-overhead", "total"],
-            rows,
-            title="Figure 11: router energy breakdown (normalized to No-PG total)",
-        )
+    table = format_table(
+        ["benchmark", "scheme", "dynamic", "static", "pg-overhead", "total"],
+        rows,
+        title="Figure 11: router energy breakdown (normalized to No-PG total)",
     )
-
-    static_saved = {}
-    total_saved = {}
-    for scheme in SCHEME_ORDER[1:]:
-        static_saved[scheme] = mean(
-            [
-                1
-                - (per[scheme].net_static_energy / per["No-PG"].static_energy)
-                for per in by_bench.values()
-            ]
-        )
-        total_saved[scheme] = mean(
-            [
-                1 - per[scheme].total_energy / per["No-PG"].total_energy
-                for per in by_bench.values()
-            ]
-        )
-    lines.append("")
-    lines.append(
+    headline = (
         "Headline: net router static energy saved "
-        + ", ".join(f"{s}: {static_saved[s]:.1%}" for s in static_saved)
-        + " (paper ~83% for all three).  Total router energy saved "
-        + ", ".join(f"{s}: {total_saved[s]:.1%}" for s in total_saved)
-        + " (paper 50.3% / 52.9% / 54.1%) — Power Punch saves the most."
+        + ", ".join(f"{scheme}: {avg['static_saved'][scheme]:.1%}" for scheme in PG_SCHEMES)
+        + f" (paper ~{PAPER['static_saved']:.0%} for all three).  "
+        "Total router energy saved "
+        + ", ".join(f"{scheme}: {avg['total_saved'][scheme]:.1%}" for scheme in PG_SCHEMES)
+        + " (paper "
+        + " / ".join(f"{PAPER['total_saved'][scheme]:.1%}" for scheme in PG_SCHEMES)
+        + ") — Power Punch saves the most."
     )
-    return "\n".join(lines)
+    return "\n".join([table, "", headline])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI entry point."""
-    parser = campaign_argparser(__doc__, instructions=True)
-    args = parser.parse_args(argv)
-    require_mesh_topology(args, 'the Fig. 11 experiment')
-    print(report(run_suite(instructions=args.instructions, **engine_options(args))))
+    suite_report_main(__doc__, "the Fig. 11 experiment", report, argv)
 
 
 if __name__ == "__main__":

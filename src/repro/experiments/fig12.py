@@ -16,10 +16,10 @@ performance cost.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..campaign import Campaign, CellSpec, campaign_argparser, engine_options, require_mesh_topology
-from .common import RunRecord, format_table
+from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from .common import SWEEP_SCHEMES, format_table, pivot, run_keyed, save_csv
 
 #: Sweep loads per pattern (flits/node/cycle).  Transpose and
 #: bit-complement saturate earlier than uniform random (Fig. 12 axes).
@@ -29,98 +29,52 @@ DEFAULT_LOADS = {
     "transpose": [0.005, 0.01, 0.02, 0.04, 0.08, 0.12],
 }
 
-_SCHEMES = ["No-PG", "ConvOpt-PG", "PowerPunch-PG"]
 
-
-def sweep_campaign(
+def sweep_cells(
     pattern: str,
     loads: Sequence[float],
     warmup: int = 1000,
     measurement: int = 5000,
-    schemes: Sequence[str] = tuple(_SCHEMES),
-) -> Campaign:
-    """Declare one pattern's load sweep as a campaign."""
-    cells = tuple(
-        CellSpec.synthetic(
-            pattern,
-            load,
-            scheme,
-            warmup=warmup,
-            measurement=measurement,
-            drain=False,
+    schemes: Sequence[str] = tuple(SWEEP_SCHEMES),
+):
+    """Declare one pattern's load sweep, keyed ``(load, scheme)``."""
+    return [
+        (
+            (load, scheme),
+            CellSpec.synthetic(
+                pattern,
+                load,
+                scheme,
+                warmup=warmup,
+                measurement=measurement,
+                drain=False,
+            ),
         )
         for load in loads
         for scheme in schemes
-    )
-    return Campaign(name=f"fig12-{pattern}", cells=cells)
-
-
-def run_sweep(
-    pattern: str,
-    loads: Sequence[float],
-    warmup: int = 1000,
-    measurement: int = 5000,
-    schemes: Sequence[str] = tuple(_SCHEMES),
-    verbose: bool = True,
-    **engine,
-) -> List[RunRecord]:
-    """Sweep one traffic pattern across loads for the Fig. 12 schemes."""
-    campaign = sweep_campaign(
-        pattern, loads, warmup=warmup, measurement=measurement, schemes=schemes
-    )
-    records = campaign.run(**engine)
-    if verbose:
-        for record in records:
-            load = float(record.workload.split("@")[1])
-            print(
-                f"[fig12] {pattern:15s} load={load:.3f} {record.scheme:15s} "
-                f"lat={record.avg_total_latency:7.2f} "
-                f"P_static={record.static_power_w():.3f} W"
-            )
-    return records
-
-
-def _static_power(record: RunRecord) -> float:
-    from ..power import DEFAULT_CONSTANTS
-
-    seconds = record.cycles / DEFAULT_CONSTANTS.frequency
-    return record.net_static_energy / seconds if seconds else 0.0
-
-
-# Attach as a method-like helper for convenience.
-RunRecord.static_power_w = _static_power  # type: ignore[attr-defined]
-
-
-def report(pattern: str, records: List[RunRecord]) -> str:
-    """Format the latency and static-power tables for one pattern."""
-    by_load: Dict[float, Dict[str, RunRecord]] = {}
-    for r in records:
-        load = float(r.workload.split("@")[1])
-        by_load.setdefault(load, {})[r.scheme] = r
-    lat_rows = []
-    pow_rows = []
-    for load in sorted(by_load):
-        per = by_load[load]
-        lat_rows.append(
-            [load] + [per[s].avg_total_latency for s in _SCHEMES if s in per]
-        )
-        pow_rows.append(
-            [load] + [per[s].static_power_w() for s in _SCHEMES if s in per]
-        )
-    out = [
-        format_table(
-            ["load"] + _SCHEMES,
-            lat_rows,
-            title=f"Figure 12 ({pattern}): average packet latency (cycles)",
-        ),
-        "",
-        format_table(
-            ["load"] + _SCHEMES,
-            pow_rows,
-            title=f"Figure 12 ({pattern}): net router static power (W)",
-        ),
     ]
-    return "\n".join(out)
+
+
+def report(pattern: str, results) -> str:
+    """Format the latency and static-power tables for one pattern."""
+    by_load = sorted(pivot(results).items())
+
+    def table(title: str, value) -> str:
+        rows = [
+            [load] + [value(per[s]) for s in SWEEP_SCHEMES if s in per]
+            for load, per in by_load
+        ]
+        return format_table(
+            ["load"] + SWEEP_SCHEMES, rows, title=f"Figure 12 ({pattern}): {title}"
+        )
+
+    return "\n".join(
+        [
+            table("average packet latency (cycles)", lambda r: r.avg_total_latency),
+            "",
+            table("net router static power (W)", lambda r: r.static_power_w()),
+        ]
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
@@ -131,23 +85,22 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     )
     parser.add_argument("--measurement", type=int, default=5000)
     parser.add_argument("--csv", default=None, help="export all rows as CSV")
-    args = parser.parse_args(argv)
-    require_mesh_topology(args, 'the Fig. 12 experiment')
+    args, engine = parse_campaign_args(parser, argv, mesh_only="the Fig. 12 experiment")
     all_records = []
     for pattern in args.patterns:
-        records = run_sweep(
-            pattern,
-            DEFAULT_LOADS[pattern],
-            measurement=args.measurement,
-            **engine_options(args),
-        )
-        all_records.extend(records)
+        cells = sweep_cells(pattern, DEFAULT_LOADS[pattern], measurement=args.measurement)
+        results = run_keyed(f"fig12-{pattern}", cells, **engine)
+        for (load, scheme), record in results:
+            print(
+                f"[fig12] {pattern:15s} load={load:.3f} {scheme:15s} "
+                f"lat={record.avg_total_latency:7.2f} "
+                f"P_static={record.static_power_w():.3f} W"
+            )
+        all_records.extend(record for _, record in results)
         print()
-        print(report(pattern, records))
+        print(report(pattern, results))
         print()
     if args.csv:
-        from .common import save_csv
-
         save_csv(all_records, args.csv)
         print(f"saved CSV to {args.csv}")
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..campaign import Campaign, CellSpec, campaign_argparser, engine_options, require_mesh_topology
+from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
 from ..noc import NoCConfig
-from .common import RunRecord, format_table
+from .common import SWEEP_SCHEMES, format_table, pivot, run_keyed
 
 #: (router_stages, wakeup_latency) points of Fig. 13.
 DEFAULT_POINTS: List[Tuple[int, int]] = [
@@ -32,77 +32,46 @@ DEFAULT_POINTS: List[Tuple[int, int]] = [
 #: Average PARSEC load from the paper's characterization regime.
 PARSEC_AVG_LOAD = 0.006
 
-_SCHEMES = ["No-PG", "ConvOpt-PG", "PowerPunch-PG"]
+
+def _scheme_kwargs(scheme: str, twakeup: int, punch_hops: int) -> dict:
+    kwargs = {}
+    if scheme != "No-PG":
+        kwargs["wakeup_latency"] = twakeup
+    if scheme == "PowerPunch-PG":
+        kwargs["punch_hops"] = punch_hops
+    return kwargs
 
 
-def sensitivity_campaign(
+def sensitivity_cells(
     points: Sequence[Tuple[int, int]] = tuple(DEFAULT_POINTS),
     load: float = PARSEC_AVG_LOAD,
     punch_hops: int = 3,
     measurement: int = 5000,
-) -> Campaign:
-    """Declare the (pipeline, Twakeup) sensitivity grid as a campaign."""
-    cells = []
-    for stages, twakeup in points:
-        config = NoCConfig(router_stages=stages)
-        for scheme in _SCHEMES:
-            kwargs = {}
-            if scheme != "No-PG":
-                kwargs["wakeup_latency"] = twakeup
-            if scheme == "PowerPunch-PG":
-                kwargs["punch_hops"] = punch_hops
-            cells.append(
-                CellSpec.synthetic(
-                    "uniform_random",
-                    load,
-                    scheme,
-                    config=config,
-                    measurement=measurement,
-                    drain=False,
-                    scheme_kwargs=kwargs,
-                )
-            )
-    return Campaign(name="fig13", cells=tuple(cells))
-
-
-def run_sensitivity(
-    points: Sequence[Tuple[int, int]] = tuple(DEFAULT_POINTS),
-    load: float = PARSEC_AVG_LOAD,
-    punch_hops: int = 3,
-    measurement: int = 5000,
-    verbose: bool = True,
-    **engine,
-) -> List[Tuple[int, int, str, RunRecord]]:
-    """Run the (pipeline, Twakeup) sensitivity grid of Fig. 13."""
-    campaign = sensitivity_campaign(
-        points, load=load, punch_hops=punch_hops, measurement=measurement
-    )
-    records = campaign.run(**engine)
-    keys = [
-        (stages, twakeup, scheme)
+):
+    """Declare the (pipeline, Twakeup) sensitivity grid, keyed
+    ``((stages, twakeup), scheme)``."""
+    return [
+        (
+            ((stages, twakeup), scheme),
+            CellSpec.synthetic(
+                "uniform_random",
+                load,
+                scheme,
+                config=NoCConfig(router_stages=stages),
+                measurement=measurement,
+                drain=False,
+                scheme_kwargs=_scheme_kwargs(scheme, twakeup, punch_hops),
+            ),
+        )
         for stages, twakeup in points
-        for scheme in _SCHEMES
+        for scheme in SWEEP_SCHEMES
     ]
-    results = [
-        (stages, twakeup, scheme, record)
-        for (stages, twakeup, scheme), record in zip(keys, records)
-    ]
-    if verbose:
-        for stages, twakeup, scheme, record in results:
-            print(
-                f"[fig13] {stages}-stage Twakeup={twakeup:2d} {scheme:15s} "
-                f"lat={record.avg_total_latency:7.2f}"
-            )
-    return results
 
 
 def report(results) -> str:
     """Format the Fig. 13 sensitivity table."""
     rows = []
-    by_point = {}
-    for stages, twakeup, scheme, record in results:
-        by_point.setdefault((stages, twakeup), {})[scheme] = record
-    for (stages, twakeup), per in sorted(by_point.items()):
+    for (stages, twakeup), per in sorted(pivot(results).items()):
         base = per["No-PG"].avg_total_latency
         rows.append(
             [
@@ -129,17 +98,15 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = campaign_argparser(__doc__)
     parser.add_argument("--load", type=float, default=PARSEC_AVG_LOAD)
     parser.add_argument("--measurement", type=int, default=5000)
-    args = parser.parse_args(argv)
-    require_mesh_topology(args, 'the Fig. 13 experiment')
-    print(
-        report(
-            run_sensitivity(
-                load=args.load,
-                measurement=args.measurement,
-                **engine_options(args),
-            )
+    args, engine = parse_campaign_args(parser, argv, mesh_only="the Fig. 13 experiment")
+    cells = sensitivity_cells(load=args.load, measurement=args.measurement)
+    results = run_keyed("fig13", cells, **engine)
+    for ((stages, twakeup), scheme), record in results:
+        print(
+            f"[fig13] {stages}-stage Twakeup={twakeup:2d} {scheme:15s} "
+            f"lat={record.avg_total_latency:7.2f}"
         )
-    )
+    print(report(results))
 
 
 if __name__ == "__main__":

@@ -34,19 +34,14 @@ Usage::
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..campaign import (
-    Campaign,
-    CellSpec,
-    campaign_argparser,
-    engine_options,
-)
+from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
 from ..core import ConvOptPG, PowerPunchPG
 from ..guarantees import SPRT, certify_non_blocking
 from ..noc import NoCConfig
 from ..stats_util import wilson_interval
-from .common import format_table
+from .common import format_table, run_keyed
 from .reliability import reliability_campaign
 
 _DEFAULT_LOADS = (0.02, 0.10, 0.20)
@@ -79,29 +74,27 @@ def certificate_report(config: Optional[NoCConfig] = None) -> Dict[str, dict]:
 
 def render_certificates(certificates: Dict[str, dict]) -> str:
     """Human-readable certificate table."""
-    rows = []
-    for name, cert in certificates.items():
-        rows.append(
-            [
-                name,
-                f"{cert['equal_routes']}/{cert['routes']}",
-                "YES" if cert["non_blocking"] else "no",
-                cert["max_gap_cycles"],
-                cert["wakeup_penalty_per_hop"],
-            ]
-        )
-    table = format_table(
+    rows = [
+        [
+            name,
+            f"{cert['equal_routes']}/{cert['routes']}",
+            "YES" if cert["non_blocking"] else "no",
+            cert["max_gap_cycles"],
+            cert["wakeup_penalty_per_hop"],
+        ]
+        for name, cert in certificates.items()
+    ]
+    return format_table(
         ["scheme", "routes == No-PG", "non-blocking", "max gap (cyc)", "penalty/hop"],
         rows,
         title="Non-blocking certificate (analytical, every route)",
     )
-    return table
 
 
 # ----------------------------------------------------------------------
 # Bound-tightness campaign
 # ----------------------------------------------------------------------
-def guarantees_campaign(
+def guarantees_cells(
     *,
     loads: Sequence[float] = _DEFAULT_LOADS,
     schemes: Sequence[str] = _DEFAULT_SCHEMES,
@@ -112,65 +105,53 @@ def guarantees_campaign(
     measurement: int = 2000,
     seed: int = 7,
     strict: bool = False,
-) -> Tuple[Campaign, List[Tuple[str, float]]]:
-    """Declare one bound-validation cell per (scheme, load).
-
-    Returns the campaign plus the ``(scheme, load)`` key for each cell
-    in declaration order, so outcomes can be re-keyed without parsing
-    labels.
-    """
+):
+    """Declare one bound-validation cell per ``(scheme, load)`` key."""
     config = _build_config(mesh, topology)
-    cells = []
-    keys: List[Tuple[str, float]] = []
-    for scheme in schemes:
-        for load in loads:
-            cells.append(
-                CellSpec.guarantees(
-                    pattern,
-                    load,
-                    scheme,
-                    warmup=warmup,
-                    measurement=measurement,
-                    seed=seed,
-                    config=config,
-                    strict=strict,
-                )
-            )
-            keys.append((scheme, load))
-    name = f"guarantees-{pattern}-{topology}{mesh}"
-    return Campaign(name=name, cells=tuple(cells)), keys
-
-
-def aggregate(keys: Sequence[Tuple[str, float]], outcomes: Sequence[dict]) -> dict:
-    """Fold per-cell payloads into the JSON-ready tightness summary."""
-    cells = []
-    total_checked = total_violations = 0
-    for (scheme, load), payload in zip(keys, outcomes):
-        violations = payload["violations"]
-        total_checked += payload["checked"]
-        total_violations += violations
-        cells.append(
-            {
-                "scheme": scheme,
-                "load": load,
-                "checked": payload["checked"],
-                "violations": violations,
-                "violation_details": payload["violation_summaries"],
-                "worst_ratio": payload["worst_ratio"],
-                "worst": payload["worst"],
-                "delivered": payload["delivered"],
-                "avg_latency": payload["avg_latency"],
-                "p50": payload["p50"],
-                "p95": payload["p95"],
-                "p99": payload["p99"],
-                "model": payload["model"],
-            }
+    return [
+        (
+            (scheme, load),
+            CellSpec.guarantees(
+                pattern,
+                load,
+                scheme,
+                warmup=warmup,
+                measurement=measurement,
+                seed=seed,
+                config=config,
+                strict=strict,
+            ),
         )
+        for scheme in schemes
+        for load in loads
+    ]
+
+
+#: Payload fields a tightness-summary cell carries over unchanged.
+_CELL_FIELDS = (
+    "checked", "violations", "worst_ratio", "worst", "delivered",
+    "avg_latency", "p50", "p95", "p99", "model",
+)  # fmt: skip
+
+
+def aggregate(results) -> dict:
+    """Fold ``((scheme, load), payload)`` results into the JSON-ready
+    tightness summary."""
+    cells = [
+        {
+            "scheme": scheme,
+            "load": load,
+            "violation_details": payload["violation_summaries"],
+            **{name: payload[name] for name in _CELL_FIELDS},
+        }
+        for (scheme, load), payload in results
+    ]
+    violations = sum(cell["violations"] for cell in cells)
     return {
         "cells": cells,
-        "checked_packets": total_checked,
-        "violations": total_violations,
-        "all_within_bounds": total_violations == 0,
+        "checked_packets": sum(cell["checked"] for cell in cells),
+        "violations": violations,
+        "all_within_bounds": violations == 0,
     }
 
 
@@ -220,22 +201,11 @@ def _fmt(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:g}"
 
 
-def run_guarantees(
-    verbose: bool = True, engine: Optional[dict] = None, **kwargs
-) -> dict:
-    """Run the tightness campaign and return the aggregated summary."""
-    campaign, keys = guarantees_campaign(**kwargs)
-    outcomes = campaign.run(**(engine or {}))
-    summary = aggregate(keys, outcomes)
-    if verbose:
-        print(report(summary))
-    return summary
-
-
 # ----------------------------------------------------------------------
 # Sequential statistical model checking (the reliability --sprt mode)
 # ----------------------------------------------------------------------
 def run_sprt_reliability(
+    trial: dict,
     *,
     base_seed: int = 1,
     max_samples: int = 100,
@@ -244,13 +214,13 @@ def run_sprt_reliability(
     alpha: float = 0.05,
     beta: float = 0.05,
     batch: int = 8,
-    engine: Optional[dict] = None,
-    **trial_kwargs,
+    **engine,
 ) -> dict:
     """Sequentially test ``P(clean trial) >= p0`` vs ``<= p1``.
 
     Trials are the same seeded reliability cells the fixed-sample
-    campaign runs (trial ``i`` uses ``base_seed + i``), declared
+    campaign runs (``trial`` holds :func:`reliability_campaign`'s
+    keywords; trial ``i`` uses ``base_seed + i``), declared
     ``batch`` at a time so a process pool still fans out, and fed to
     the :class:`SPRT` **in seed order** — the estimate is a pure
     function of the seeds regardless of worker scheduling, and a
@@ -266,10 +236,8 @@ def run_sprt_reliability(
     declared = 0
     while declared < max_samples and sprt.verdict is None:
         n = min(batch, max_samples - declared)
-        campaign = reliability_campaign(
-            n, base_seed=base_seed + declared, **trial_kwargs
-        )
-        outcomes = campaign.run(**(engine or {}))
+        campaign = reliability_campaign(n, base_seed=base_seed + declared, **trial)
+        outcomes = campaign.run(**engine)
         declared += n
         for outcome in outcomes:
             if sprt.verdict is not None:
@@ -369,16 +337,14 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "without simulating",
     )
     parser.add_argument("--out", default=None, help="write results as JSON")
-    args = parser.parse_args(argv)
+    args, engine = parse_campaign_args(parser, argv)
 
     config = _build_config(args.mesh, args.topology)
     certificates = certificate_report(config)
     print(render_certificates(certificates))
     results: Dict[str, object] = {"certificates": certificates}
     if not args.certify_only:
-        summary = run_guarantees(
-            verbose=False,
-            engine=engine_options(args),
+        cells = guarantees_cells(
             loads=args.loads,
             schemes=args.schemes,
             pattern=args.pattern,
@@ -389,6 +355,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             seed=args.seed,
             strict=args.strict,
         )
+        name = f"guarantees-{args.pattern}-{args.topology}{args.mesh}"
+        summary = aggregate(run_keyed(name, cells, **engine))
         print(report(summary))
         results["tightness"] = summary
     if args.out:

@@ -15,18 +15,26 @@ anything that changes a result differs::
 
 ``--out`` / ``--csv`` are export products for external plotting; no
 command reads them back.
+
+The matrix is reduced once, by :func:`summarize`; Figs 7-11 and
+``headline`` only format that summary (:func:`suite_report_main` is
+their shared ``main``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from ..campaign import Campaign, CellSpec, campaign_argparser, engine_options, require_mesh_topology
+from ..campaign import Campaign, CellSpec, campaign_argparser, parse_campaign_args
 from ..system import PARSEC_BENCHMARKS
 from .common import (
     CANONICAL_INSTRUCTIONS,
     SCHEME_ORDER,
     RunRecord,
+    format_table,
+    mean,
+    pivot,
+    save_csv,
     save_records,
 )
 
@@ -81,6 +89,64 @@ def run_suite(
     return records
 
 
+#: The suite's per-scheme figures: name -> f(record, the benchmark's
+#: No-PG record), averaged over benchmarks by :func:`summarize`.
+SUMMARY_METRICS = {
+    # Average packet latency (creation to delivery) and execution time,
+    # as the increase over No-PG.
+    "latency_penalty": lambda r, base: r.avg_total_latency / base.avg_total_latency - 1,
+    "execution_penalty": lambda r, base: r.execution_time / base.execution_time - 1,
+    # Powered-off routers met, and cycles spent waiting for a wakeup, per packet.
+    "blocked_routers": lambda r, base: r.avg_blocked_routers,
+    "wakeup_wait": lambda r, base: r.avg_wakeup_wait,
+    # Router energy saved; static is charged with the PG overhead (Sec. 6.3).
+    "static_saved": lambda r, base: 1 - r.net_static_energy / base.static_energy,
+    "total_saved": lambda r, base: 1 - r.total_energy / base.total_energy,
+}
+
+
+def summarize(records: Sequence[RunRecord]):
+    """Reduce suite records to the one summary every report formats.
+
+    Returns ``(by_bench, avg)``: the records as ``{benchmark: {scheme:
+    record}}`` (benchmarks sorted) and ``avg[metric][scheme]``, the
+    arithmetic mean over benchmarks of each :data:`SUMMARY_METRICS` entry.
+    """
+    table = pivot(((r.workload, r.scheme), r) for r in records)
+    by_bench = dict(sorted(table.items()))
+    avg = {
+        name: {
+            scheme: mean([metric(per[scheme], per["No-PG"]) for per in by_bench.values()])
+            for scheme in SCHEME_ORDER
+        }
+        for name, metric in SUMMARY_METRICS.items()
+    }
+    return by_bench, avg
+
+
+def bench_table(title: str, by_bench, schemes: Sequence[str], value, avg_row: list) -> str:
+    """A benchmark x scheme table of ``value(per_scheme_records, scheme)``
+    closed by ``avg_row`` — the shape of Figs 7-10."""
+    rows = [
+        [bench] + [value(per, scheme) for scheme in schemes]
+        for bench, per in by_bench.items()
+    ]
+    return format_table(["benchmark"] + list(schemes), rows + [avg_row], title=title)
+
+
+def suite_report_main(
+    doc: str,
+    what: str,
+    report: Callable[[List[RunRecord]], str],
+    argv: Optional[Sequence[str]],
+) -> None:
+    """``main`` of a script that runs the suite and prints ``report``."""
+    args, engine = parse_campaign_args(
+        campaign_argparser(doc, instructions=True), argv, mesh_only=what
+    )
+    print(report(run_suite(instructions=args.instructions, **engine)))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI entry point: run the matrix and write the JSON product."""
     parser = campaign_argparser(__doc__, instructions=True)
@@ -88,19 +154,16 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--csv", default=None, help="also export rows as CSV")
     parser.add_argument("--benchmarks", nargs="*", default=None)
     parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    require_mesh_topology(args, 'the PARSEC suite')
+    args, engine = parse_campaign_args(parser, argv, mesh_only="the PARSEC suite")
     records = run_suite(
         benchmarks=args.benchmarks,
         instructions=args.instructions,
         seed=args.seed,
-        **engine_options(args),
+        **engine,
     )
     save_records(records, args.out)
     print(f"saved {len(records)} records to {args.out}")
     if args.csv:
-        from .common import save_csv
-
         save_csv(records, args.csv)
         print(f"saved CSV to {args.csv}")
 

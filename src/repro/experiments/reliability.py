@@ -35,13 +35,11 @@ import json
 from typing import List, Optional, Sequence
 
 from ..campaign import (
-    ENGINE_OPTION_KEYS,
     Campaign,
     CellSpec,
     add_sprt_args,
     campaign_argparser,
-    engine_options,
-    require_mesh_topology,
+    parse_campaign_args,
     sprt_options,
 )
 from ..noc import NoCConfig
@@ -188,17 +186,6 @@ def _fmt_ci(ci: List[float]) -> str:
     return f"[{ci[0]:.4f}, {ci[1]:.4f}]"
 
 
-def run_reliability(samples: int, verbose: bool = True, **kwargs) -> dict:
-    """Run a reliability campaign and return the aggregated estimate."""
-    engine = {k: kwargs.pop(k) for k in ENGINE_OPTION_KEYS if k in kwargs}
-    campaign = reliability_campaign(samples, **kwargs)
-    outcomes = campaign.run(**engine)
-    estimate = aggregate(outcomes)
-    if verbose:
-        print(report(estimate))
-    return estimate
-
-
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI entry point."""
     parser = campaign_argparser(__doc__)
@@ -219,9 +206,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--measurement", type=int, default=4000)
     parser.add_argument("--base-seed", type=int, default=1)
     parser.add_argument("--out", default=None, help="write the estimate as JSON")
-    args = parser.parse_args(argv)
-    require_mesh_topology(args, "the reliability campaign")
-    trial_kwargs = dict(
+    args, engine = parse_campaign_args(parser, argv, mesh_only="the reliability campaign")
+    trial = dict(
         pattern=args.pattern,
         injection_rate=args.rate,
         scheme=args.scheme,
@@ -241,25 +227,17 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         from .guarantees import report_sprt, run_sprt_reliability
 
         estimate = run_sprt_reliability(
+            trial,
             base_seed=args.base_seed,
             max_samples=args.samples,
-            engine=engine_options(args),
             **sprt_options(args),
-            **trial_kwargs,
+            **engine,
         )
         print(report_sprt(estimate))
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(estimate, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            print(f"saved estimate to {args.out}")
-        return
-    estimate = run_reliability(
-        args.samples,
-        base_seed=args.base_seed,
-        **trial_kwargs,
-        **engine_options(args),
-    )
+    else:
+        campaign = reliability_campaign(args.samples, base_seed=args.base_seed, **trial)
+        estimate = aggregate(campaign.run(**engine))
+        print(report(estimate))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(estimate, fh, sort_keys=True, indent=2)

@@ -9,68 +9,41 @@ punch signals keep hiding it, so the relative win grows with mesh size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from ..campaign import Campaign, CellSpec, campaign_argparser, engine_options, require_mesh_topology
+from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
 from ..noc import NoCConfig
-from .common import RunRecord, format_table
+from .common import SWEEP_SCHEMES, format_table, pivot, run_keyed
+from .paper_targets import PAPER
 
-_SCHEMES = ["No-PG", "ConvOpt-PG", "PowerPunch-PG"]
 
-
-def scalability_campaign(
+def scalability_cells(
     sizes: Sequence[int] = (4, 8, 16),
     load: float = 0.01,
     measurement: int = 4000,
-) -> Campaign:
-    """Declare the mesh-size sweep of Sec. 6.6(2) as a campaign."""
-    cells = tuple(
-        CellSpec.synthetic(
-            "uniform_random",
-            load,
-            scheme,
-            config=NoCConfig(width=size, height=size),
-            measurement=measurement,
-            drain=False,
+):
+    """Declare the mesh-size sweep of Sec. 6.6(2), keyed ``(size, scheme)``."""
+    return [
+        (
+            (size, scheme),
+            CellSpec.synthetic(
+                "uniform_random",
+                load,
+                scheme,
+                config=NoCConfig(width=size, height=size),
+                measurement=measurement,
+                drain=False,
+            ),
         )
         for size in sizes
-        for scheme in _SCHEMES
-    )
-    return Campaign(name="scalability", cells=cells)
-
-
-def run_scalability(
-    sizes: Sequence[int] = (4, 8, 16),
-    load: float = 0.01,
-    measurement: int = 4000,
-    verbose: bool = True,
-    **engine,
-) -> List[Tuple[int, str, RunRecord]]:
-    """Run the mesh-size sweep of Sec. 6.6(2)."""
-    campaign = scalability_campaign(sizes, load=load, measurement=measurement)
-    records = campaign.run(**engine)
-    keys = [(size, scheme) for size in sizes for scheme in _SCHEMES]
-    results = [
-        (size, scheme, record)
-        for (size, scheme), record in zip(keys, records)
+        for scheme in SWEEP_SCHEMES
     ]
-    if verbose:
-        for size, scheme, record in results:
-            print(
-                f"[scalability] {size:2d}x{size:<2d} {scheme:15s} "
-                f"lat={record.avg_total_latency:7.2f}"
-            )
-    return results
 
 
 def report(results) -> str:
     """Format the scalability table with the paper reference line."""
-    by_size: Dict[int, Dict[str, RunRecord]] = {}
-    for size, scheme, record in results:
-        by_size.setdefault(size, {})[scheme] = record
     rows = []
-    for size in sorted(by_size):
-        per = by_size[size]
+    for size, per in sorted(pivot(results).items()):
         conv = per["ConvOpt-PG"].avg_total_latency
         pp = per["PowerPunch-PG"].avg_total_latency
         rows.append(
@@ -87,9 +60,13 @@ def report(results) -> str:
         rows,
         title="Scalability (Sec. 6.6(2)): latency @ 0.01 flits/node/cycle",
     )
+    reference = ", ".join(
+        f"{reduction:.1%} ({size}x{size})"
+        for size, reduction in PAPER["scalability_reduction"].items()
+    )
     return (
         table
-        + "\n\nPaper reference: 43.4% (4x4), 54.9% (8x8), 69.1% (16x16); the "
+        + f"\n\nPaper reference: {reference}; the "
         "reduction must grow with mesh size."
     )
 
@@ -100,18 +77,17 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--sizes", nargs="*", type=int, default=[4, 8, 16])
     parser.add_argument("--load", type=float, default=0.01)
     parser.add_argument("--measurement", type=int, default=4000)
-    args = parser.parse_args(argv)
-    require_mesh_topology(args, 'the scalability experiment')
-    print(
-        report(
-            run_scalability(
-                sizes=args.sizes,
-                load=args.load,
-                measurement=args.measurement,
-                **engine_options(args),
-            )
-        )
+    args, engine = parse_campaign_args(
+        parser, argv, mesh_only="the scalability experiment"
     )
+    cells = scalability_cells(args.sizes, load=args.load, measurement=args.measurement)
+    results = run_keyed("scalability", cells, **engine)
+    for (size, scheme), record in results:
+        print(
+            f"[scalability] {size:2d}x{size:<2d} {scheme:15s} "
+            f"lat={record.avg_total_latency:7.2f}"
+        )
+    print(report(results))
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
 from ..core import PunchEncodingAnalysis
 from ..noc import Direction, MeshTopology
-from .common import format_table
+from .common import format_table, run_keyed
+from .paper_targets import PAPER
 
 
 def report(width: int = 8, hops: int = 3, router: int = 27) -> str:
@@ -27,6 +29,7 @@ def report(width: int = 8, hops: int = 3, router: int = 27) -> str:
         [i + 1, "{" + ", ".join(str(t) for t in sorted(s)) + "}", code]
         for i, (s, code) in enumerate(analysis.encoding_table(router, Direction.XPOS))
     ]
+    bits, bits4 = PAPER["punch_bits"], PAPER["punch_bits_4hop"]
     lines = [
         format_table(
             ["#", "set of targeted routers", "punch signal"],
@@ -38,19 +41,21 @@ def report(width: int = 8, hops: int = 3, router: int = 27) -> str:
         ),
         "",
         f"Sources on this link: {enc.sources} "
-        f"(paper: R25, R26, R27 for R27 via XY turn restrictions)",
-        f"Distinct sets: {len(enc.distinct_sets)} (paper: 22) -> "
-        f"{enc.width_bits}-bit punch signal (paper: 5 bits)",
+        f"(paper: {PAPER['table1_sources']} for R27 via XY turn restrictions)",
+        f"Distinct sets: {len(enc.distinct_sets)} (paper: {PAPER['table1_sets']}) -> "
+        f"{enc.width_bits}-bit punch signal (paper: {bits['x']} bits)",
         "",
         f"Chip-wide widths ({hops}-hop): X = {analysis.max_width('x')} bits, "
-        f"Y = {analysis.max_width('y')} bits (paper Fig. 5: 5 and 2)",
+        f"Y = {analysis.max_width('y')} bits "
+        f"(paper Fig. 5: {bits['x']} and {bits['y']})",
     ]
     analysis4 = PunchEncodingAnalysis(topology, hops=4)
     enc4x = analysis4.analyze_link(router, Direction.XPOS)
     enc4y = analysis4.analyze_link(router, Direction.YPOS)
     lines.append(
-        f"4-hop widths at R{router}: X = {enc4x.width_bits} bits (paper: 8), "
-        f"Y = {enc4y.width_bits} bits (paper claims 2; exhaustive enumeration "
+        f"4-hop widths at R{router}: X = {enc4x.width_bits} bits "
+        f"(paper: {bits4['x']}), Y = {enc4y.width_bits} bits "
+        f"(paper claims {bits4['y']}; exhaustive enumeration "
         f"finds {len(enc4y.distinct_sets)} sets + idle -> 3 bits, see "
         "EXPERIMENTS.md)"
     )
@@ -60,37 +65,23 @@ def report(width: int = 8, hops: int = 3, router: int = 27) -> str:
     lines.append(
         f"Hardware cost (Sec. 6.6(1)): wiring {est.wiring_overhead:.2%} + "
         f"logic {est.logic_overhead:.2%} = {est.total_overhead:.2%} extra NoC "
-        "area (paper: 2.4%)"
+        f"area (paper: {PAPER['area_overhead']:.1%})"
     )
     return "\n".join(lines)
 
 
-def table1_campaign(width: int = 8, hops: int = 3, router: int = 27):
-    """The exhaustive enumeration as a single cacheable analysis cell."""
-    from ..campaign import Campaign, CellSpec
-
-    cell = CellSpec.analysis("table1", width=width, hops=hops, router=router)
-    return Campaign(
-        name="table1",
-        cells=(cell,),
-        reducer=lambda payloads: payloads[0]["report"],
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """CLI entry point."""
-    from ..campaign import campaign_argparser, engine_options, require_mesh_topology
-
     parser = campaign_argparser(__doc__)
     parser.add_argument("--width", type=int, default=8)
     parser.add_argument("--hops", type=int, default=3)
     parser.add_argument("--router", type=int, default=27)
-    args = parser.parse_args(argv)
-    require_mesh_topology(args, 'the Table 1 experiment')
-    campaign = table1_campaign(width=args.width, hops=args.hops, router=args.router)
-    engine = engine_options(args)
+    args, engine = parse_campaign_args(parser, argv, mesh_only="the Table 1 experiment")
     engine.pop("workers")  # a single analysis cell never needs a pool
-    print(campaign.run(**engine))
+    # The exhaustive enumeration is a single cacheable analysis cell.
+    cell = CellSpec.analysis("table1", width=args.width, hops=args.hops, router=args.router)
+    ((_, payload),) = run_keyed("table1", [("table1", cell)], **engine)
+    print(payload["report"])
 
 
 if __name__ == "__main__":

@@ -16,11 +16,11 @@ directed bisection link count (8x8 mesh: 16, 8x8 torus: 32, 64-ring:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from ..campaign import Campaign, CellSpec, campaign_argparser, engine_options
+from ..campaign import Campaign, CellSpec, campaign_argparser, parse_campaign_args
 from ..noc import NoCConfig
-from .common import RunRecord, format_table
+from .common import format_table, pivot, run_keyed
 
 _SCHEMES = ["No-PG", "ConvOpt-PG"]
 
@@ -57,61 +57,44 @@ def matched_rate(
     return base_rate * bisection_links(topology, width, height) / mesh_b
 
 
-def topologies_campaign(
+def topologies_cells(
     base_rate: float = 0.02,
     measurement: int = 4000,
     fabrics: Sequence[Tuple[str, int, int]] = FABRICS,
-) -> Campaign:
-    """Declare the cross-topology comparison as a campaign.
+):
+    """Declare the cross-topology comparison, keyed
+    ``("<topology>:<W>x<H>", scheme)``.
 
     Cells are keyed on the full ``NoCConfig`` (including ``topology``),
     so mesh cells share cache entries with other mesh campaigns and
     torus/ring cells get distinct keys.
     """
-    cells = tuple(
-        CellSpec.synthetic(
-            "uniform_random",
-            round(matched_rate(base_rate, topology, width, height), 6),
-            scheme,
-            config=NoCConfig(width=width, height=height, topology=topology),
-            measurement=measurement,
-            drain=False,
+    return [
+        (
+            (f"{topology}:{width}x{height}", scheme),
+            CellSpec.synthetic(
+                "uniform_random",
+                round(matched_rate(base_rate, topology, width, height), 6),
+                scheme,
+                config=NoCConfig(width=width, height=height, topology=topology),
+                measurement=measurement,
+                drain=False,
+            ),
         )
         for topology, width, height in fabrics
         for scheme in _SCHEMES
-    )
-    return Campaign(name="topologies", cells=cells)
+    ]
 
 
-def run_topologies(
+def topologies_campaign(
     base_rate: float = 0.02,
     measurement: int = 4000,
     fabrics: Sequence[Tuple[str, int, int]] = FABRICS,
-    verbose: bool = True,
-    **engine,
-) -> List[Tuple[str, str, RunRecord]]:
-    """Run the cross-topology comparison campaign."""
-    campaign = topologies_campaign(
-        base_rate, measurement=measurement, fabrics=fabrics
-    )
-    records = campaign.run(**engine)
-    keys = [
-        (f"{topology}:{width}x{height}", scheme)
-        for topology, width, height in fabrics
-        for scheme in _SCHEMES
-    ]
-    results = [
-        (fabric, scheme, record)
-        for (fabric, scheme), record in zip(keys, records)
-    ]
-    if verbose:
-        for fabric, scheme, record in results:
-            print(
-                f"[topologies] {fabric:12s} {scheme:12s} "
-                f"lat={record.avg_total_latency:7.2f} "
-                f"E={record.total_energy * 1e6:8.2f}uJ"
-            )
-    return results
+) -> Campaign:
+    """The declared cells as a plain campaign (the CI warm-cache check
+    reads ``.cells``)."""
+    cells = topologies_cells(base_rate, measurement=measurement, fabrics=fabrics)
+    return Campaign(name="topologies", cells=tuple(cell for _, cell in cells))
 
 
 def report(results) -> str:
@@ -121,15 +104,8 @@ def report(results) -> str:
     that fabric's own No-PG total, so the PG-saving column is
     comparable across fabrics despite their different port counts.
     """
-    by_fabric: Dict[str, Dict[str, RunRecord]] = {}
-    order: List[str] = []
-    for fabric, scheme, record in results:
-        if fabric not in by_fabric:
-            order.append(fabric)
-        by_fabric.setdefault(fabric, {})[scheme] = record
     rows = []
-    for fabric in order:
-        per = by_fabric[fabric]
+    for fabric, per in pivot(results).items():
         nopg = per["No-PG"]
         conv = per["ConvOpt-PG"]
         rows.append(
@@ -167,22 +143,21 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = campaign_argparser(__doc__)
     parser.add_argument("--base-rate", type=float, default=0.02)
     parser.add_argument("--measurement", type=int, default=4000)
-    args = parser.parse_args(argv)
+    args, engine = parse_campaign_args(parser, argv)
     # This experiment spans all fabrics by default; a non-default
     # --topology narrows the comparison to that single fabric.
     fabrics = FABRICS
     if args.topology != "mesh":
         fabrics = tuple(f for f in FABRICS if f[0] == args.topology)
-    print(
-        report(
-            run_topologies(
-                base_rate=args.base_rate,
-                measurement=args.measurement,
-                fabrics=fabrics,
-                **engine_options(args),
-            )
+    cells = topologies_cells(args.base_rate, measurement=args.measurement, fabrics=fabrics)
+    results = run_keyed("topologies", cells, **engine)
+    for (fabric, scheme), record in results:
+        print(
+            f"[topologies] {fabric:12s} {scheme:12s} "
+            f"lat={record.avg_total_latency:7.2f} "
+            f"E={record.total_energy * 1e6:8.2f}uJ"
         )
-    )
+    print(report(results))
 
 
 if __name__ == "__main__":

@@ -2,35 +2,40 @@
 
 
 from repro.experiments.ablations import (
-    bet_sweep,
-    forewarning_ablation,
-    punch_hops_sweep,
-    slack_decomposition,
-    timeout_sweep,
+    bet_cells,
+    forewarning_cells,
+    punch_hops_cells,
+    slack_cells,
+    timeout_cells,
 )
+from repro.experiments.common import run_keyed
+
+
+def run(cells):
+    return run_keyed("test-ablations", cells)
 
 
 class TestAblationHarness:
     def test_punch_hops_sweep_shape(self):
-        results = punch_hops_sweep(hops_values=(1, 3), measurement=1000)
+        results = run(punch_hops_cells(hops_values=(1, 3), measurement=1000))
         assert [h for h, _ in results] == [1, 3]
         assert results[1][1]["wait"] < results[0][1]["wait"]
 
     def test_timeout_sweep_off_fraction_monotone_ish(self):
-        results = dict(timeout_sweep(timeouts=(2, 16), measurement=1000))
+        results = dict(run(timeout_cells(timeouts=(2, 16), measurement=1000)))
         # A 16-cycle timeout gates far less than a 2-cycle timeout.
         assert results[16]["off_fraction"] < results[2]["off_fraction"]
 
     def test_slack_decomposition_strictly_improves(self):
-        waits = [res["wait"] for _n, res in slack_decomposition(measurement=1200)]
+        waits = [res["wait"] for _n, res in run(slack_cells(measurement=1200))]
         assert waits[0] > waits[1] > waits[2]
 
     def test_forewarning_filter_helps_at_short_timeout(self):
-        results = dict(forewarning_ablation(measurement=1200))
+        results = dict(run(forewarning_cells(measurement=1200)))
         assert results["forewarning on"]["wait"] < results["forewarning off"]["wait"]
 
     def test_bet_sweep_monotone_energy(self):
-        results = bet_sweep(bet_values=(5, 40), measurement=800)
+        results = run(bet_cells(bet_values=(5, 40), measurement=800))
         assert results[0][1]["net_static"] < results[1][1]["net_static"]
         # Same simulation: identical timing across BET values.
         assert results[0][1]["latency"] == results[1][1]["latency"]

@@ -46,6 +46,17 @@ class TestRunRecord:
         assert r.net_static_energy == pytest.approx(1.25)
         assert r.total_energy == pytest.approx(1.45)
 
+    def test_static_power_is_a_method_of_the_record(self):
+        """Not an attribute ``repro.experiments.fig12`` patches on at import."""
+        from repro.power import DEFAULT_CONSTANTS
+
+        assert RunRecord.static_power_w.__qualname__ == "RunRecord.static_power_w"
+        r = record(static=1.0, overhead=0.25)
+        seconds = r.cycles / DEFAULT_CONSTANTS.frequency
+        assert r.static_power_w() == pytest.approx(1.25 / seconds)
+        r.cycles = 0
+        assert r.static_power_w() == 0.0
+
     def test_json_roundtrip(self, tmp_path):
         path = str(tmp_path / "records.json")
         records = [record(), record(scheme="ConvOpt-PG", latency=50.0)]

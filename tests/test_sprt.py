@@ -229,12 +229,12 @@ def test_sprt_matches_wilson_with_fewer_samples():
 
 def test_run_sprt_reliability_driver():
     estimate = run_sprt_reliability(
+        _TRIAL_KWARGS,
         base_seed=1,
         max_samples=14,
         p0=0.55,
         p1=0.15,
         batch=4,
-        **_TRIAL_KWARGS,
     )
     assert estimate["verdict"] in ("accept", "reject")
     assert estimate["samples_used"] == estimate["sprt"]["observations"]
@@ -242,12 +242,12 @@ def test_run_sprt_reliability_driver():
     assert len(estimate["trial_outcomes"]) == estimate["samples_used"]
     # Deterministic and JSON-clean (the CI job diffs two runs).
     again = run_sprt_reliability(
+        _TRIAL_KWARGS,
         base_seed=1,
         max_samples=14,
         p0=0.55,
         p1=0.15,
         batch=4,
-        **_TRIAL_KWARGS,
     )
     assert json.dumps(estimate, sort_keys=True) == json.dumps(again, sort_keys=True)
     assert "verdict" in report_sprt(estimate)
