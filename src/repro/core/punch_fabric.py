@@ -44,14 +44,13 @@ class PunchFabric:
         #: Optional :class:`repro.noc.faults.FaultInjector` consulted at
         #: every per-router punch-processing step.
         self.faults = None
-        #: Memoize the relay decomposition per (router, target set).
+        #: Memo of the relay decomposition per (router, target set).
         #: XY routing is static, and a head flit stalled (or streaming)
         #: at the same router regenerates the identical punch every
         #: cycle, so the split into locally-delivered targets and
-        #: per-neighbor relay sets repeats constantly.  Behavior-exact;
-        #: enabled by the scheme only under the active-set kernel so
-        #: the naive kernel keeps seed cost.
-        self.memoize = False
+        #: per-neighbor relay sets repeats constantly.  Behavior-exact
+        #: (the full-scan reference swaps in a memo that forgets, see
+        #: ``repro.noc.reference``).
         self._route_cache: Dict[Tuple[int, frozenset], tuple] = {}
         # --- statistics ---------------------------------------------------
         #: Link-cycles on which a (merged) punch signal was transmitted;
@@ -71,30 +70,10 @@ class PunchFabric:
         requirements); relayed targets reach each neighbor one cycle
         later.
         """
-        if self.memoize and self.faults is None:
-            # Hot path: ``_process`` inlined, as in :meth:`deliver`.
-            if type(targets) is not frozenset:
-                targets = frozenset(targets)
-            key = (router, targets)
-            entry = self._route_cache.get(key)
-            if entry is None:
-                entry = self._route_cache[key] = self._decompose(
-                    router, targets, cycle
-                )
-            delivered, relays = entry
-            self.targets_delivered += delivered
-            if delivered or relays:
-                self.on_punch(router, cycle)
-            pending = self._pending
-            for nxt, tset in relays:
-                self.link_transmissions += 1
-                bucket = pending.get(nxt)
-                if bucket is None:
-                    pending[nxt] = tset
-                else:
-                    pending[nxt] = bucket | tset
-            return
-        self._process(router, targets, cycle)
+        if self.faults is None:
+            self._relay(((router, targets),), cycle)
+        else:
+            self._process(router, targets, cycle)
 
     def deliver(self, cycle: int) -> None:
         """Deliver last cycle's relayed punches to their next routers."""
@@ -108,34 +87,11 @@ class PunchFabric:
         if not self._pending:
             return
         pending, self._pending = self._pending, {}
-        if self.memoize and self.faults is None:
-            # Hot path: the per-router processing of ``_process`` inlined
-            # (same order, same effects) — one call layer fewer for every
-            # wavefront hop, every cycle.
-            cache = self._route_cache
-            on_punch = self.on_punch
-            new_pending = self._pending
+        if self.faults is None:
+            self._relay(pending.items(), cycle)
+        else:
             for router, targets in pending.items():
-                if type(targets) is not frozenset:
-                    targets = frozenset(targets)
-                key = (router, targets)
-                entry = cache.get(key)
-                if entry is None:
-                    entry = cache[key] = self._decompose(router, targets, cycle)
-                delivered, relays = entry
-                self.targets_delivered += delivered
-                if delivered or relays:
-                    on_punch(router, cycle)
-                for nxt, tset in relays:
-                    self.link_transmissions += 1
-                    bucket = new_pending.get(nxt)
-                    if bucket is None:
-                        new_pending[nxt] = tset
-                    else:
-                        new_pending[nxt] = bucket | tset
-            return
-        for router, targets in pending.items():
-            self._process(router, targets, cycle)
+                self._process(router, targets, cycle)
 
     def close(self) -> None:
         """End of the run: drop the controller sink and everything
@@ -144,10 +100,6 @@ class PunchFabric:
         self._pending = {}
         self._delayed = {}
         self._route_cache = {}
-
-    def pending_routers(self) -> List[int]:
-        """Routers with punch targets awaiting next-cycle delivery."""
-        return list(self._pending)
 
     def pending_work(self) -> int:
         """Punch deliveries still queued (pending relays + delayed)."""
@@ -177,22 +129,28 @@ class PunchFabric:
                 self._delayed.setdefault(cycle + 1, []).append(
                     (router, set(targets))
                 )
-        if self.memoize:
+        self._relay(((router, targets),), cycle)
+
+    def _relay(self, punches: Iterable[Tuple[int, Iterable[int]]], cycle: int) -> None:
+        """Wake each punched router and queue its non-final targets one
+        hop on.  A whole wavefront is one call (the loop is in here), so
+        a fault-free hop costs no call layer of its own."""
+        cache = self._route_cache
+        on_punch = self.on_punch
+        pending = self._pending
+        for router, targets in punches:
             if type(targets) is not frozenset:
                 targets = frozenset(targets)
             key = (router, targets)
-            entry = self._route_cache.get(key)
+            entry = cache.get(key)
             if entry is None:
-                entry = self._route_cache[key] = self._decompose(
-                    router, targets, cycle
-                )
+                entry = cache[key] = self._decompose(router, targets, cycle)
             delivered, relays = entry
             self.targets_delivered += delivered
             if delivered or relays:
                 # Implicit notification: any punch arriving at or
                 # passing through a router wakes it (Sec. 4.1 step 2).
-                self.on_punch(router, cycle)
-            pending = self._pending
+                on_punch(router, cycle)
             for nxt, tset in relays:
                 self.link_transmissions += 1
                 bucket = pending.get(nxt)
@@ -203,32 +161,6 @@ class PunchFabric:
                     pending[nxt] = tset
                 else:
                     pending[nxt] = bucket | tset
-            return
-        touched = False
-        outgoing: Dict[int, Set[int]] = {}
-        for target in targets:
-            touched = True
-            if target == router:
-                self.targets_delivered += 1
-                continue
-            nxt = self.routing.next_hop(router, target)
-            if nxt is None:
-                raise SimulationError(
-                    f"punch relay toward {target} has no next hop",
-                    cycle=cycle, router=router,
-                )
-            outgoing.setdefault(nxt, set()).add(target)
-        if touched:
-            # Implicit notification: any punch arriving at or passing
-            # through a router wakes it (Sec. 4.1 step 2).
-            self.on_punch(router, cycle)
-        for nxt, tset in outgoing.items():
-            self.link_transmissions += 1
-            bucket = self._pending.get(nxt)
-            if bucket is None:
-                self._pending[nxt] = tset
-            else:
-                bucket |= tset
 
     def _decompose(
         self, router: int, targets: Iterable[int], cycle: int

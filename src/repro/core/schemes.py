@@ -92,8 +92,6 @@ class PowerGatedScheme(PowerPolicy):
         self.fabric: Optional[PunchFabric] = None
         self._slack2_hold: Dict[int, int] = {}
         # --- active-set kernel state (see attach) -----------------------
-        #: Whether the attached network runs the active-set kernel.
-        self._active = False
         #: Controllers whose FSM step is non-trivial this cycle: every
         #: non-OFF controller.  A controller leaves when a step observes
         #: it OFF and re-enters via its ``wake_hook`` the moment any
@@ -181,9 +179,6 @@ class PowerGatedScheme(PowerPolicy):
             # Mirror retry events into the network-wide counters so
             # campaign dumps see them without walking controllers.
             controller.stats = network.stats
-        # Every kernel but the naive oracle runs the active-set
-        # machinery whenever the vector engine is not engaged.
-        self._active = cfg.kernel != "naive"
         self._vector_bank = None
         self._bank_dirty = False
         self._faulted = False
@@ -191,10 +186,9 @@ class PowerGatedScheme(PowerPolicy):
         self._stepped_through = -1
         self._punch_cache = {}
         self._sleep_deadlines = {}
-        if self._active:
-            for controller in self.controllers:
-                controller.clock = self._controller_clock
-                controller.wake_hook = self._armed.add
+        for controller in self.controllers:
+            controller.clock = self._controller_clock
+            controller.wake_hook = self._armed.add
         # Punch targets are always derived from the static XY view:
         # under fault-tolerant rerouting the live routing tables change
         # when routers die, but the fabric memoizes decompositions and
@@ -202,11 +196,6 @@ class PowerGatedScheme(PowerPolicy):
         # baseline — ``static_view`` is the pure-XY twin either way.
         static = network.routing.static_view
         self.fabric = PunchFabric(static, self._on_punch)
-        # Punch routing is static: memoizing the per-(router, targets)
-        # relay decomposition is behavior-exact, but it is gated to the
-        # active kernel so the naive kernel stays a faithful seed-cost
-        # reference for the benchmarks.
-        self.fabric.memoize = self._active
         # Targeted-router lookups happen for every buffered head flit
         # every cycle; memoize per (current, destination) at the fixed
         # punch horizon.
@@ -276,11 +265,10 @@ class PowerGatedScheme(PowerPolicy):
         # resume per-cycle stepping for every parked controller and
         # stop parking from here on.
         self._faulted = True
-        if self._active:
-            for controller in self.controllers:
-                if controller._quiescent_since is not None:
-                    controller.settle_quiescence()
-                    self._armed.add(controller.router_id)
+        for controller in self.controllers:
+            if controller._quiescent_since is not None:
+                controller.settle_quiescence()
+                self._armed.add(controller.router_id)
 
     def on_router_disturbed(self, router_id: int) -> None:
         """A flit was sent toward ``router_id``: its controller's
@@ -405,160 +393,149 @@ class PowerGatedScheme(PowerPolicy):
     def begin_cycle(self, cycle: int) -> None:
         """Deliver punches, apply slack-2 holds, step the armed FSMs.
 
-        Under the active-set kernel only controllers in the armed set
-        (non-OFF) and nodes whose NI has work are visited: for every
-        other node the naive per-node iteration is a provable no-op —
-        ``wants_local_router`` is false without NI work, and an OFF
-        controller's step only accrues ``off_cycles`` (accounted lazily
-        against ``_stepped_through``) and clears an already-clear
-        ``wu_seen``.  Visiting in sorted node order reproduces the
-        naive index-order interleaving of ``request_wakeup``/``step``.
+        Only controllers in the armed set (non-OFF) and nodes whose NI
+        has work are visited: for every other node the per-node
+        iteration of the full-scan reference (``repro.noc.reference``)
+        is a provable no-op — ``wants_local_router`` is false without NI
+        work, and an OFF controller's step only accrues ``off_cycles``
+        (accounted lazily against ``_stepped_through``) and clears an
+        already-clear ``wu_seen``.  Visiting in sorted node order
+        reproduces the reference's index-order interleaving of
+        ``request_wakeup``/``step``.
         """
         self.fabric.deliver(cycle)
         controllers = self.controllers
         if self._slack2_hold:
-            expired = []
-            for node, until in self._slack2_hold.items():
-                if cycle > until:
-                    expired.append(node)
-                else:
-                    controllers[node].request_wakeup(cycle, 0)
-            for node in expired:
-                del self._slack2_hold[node]
+            for node in self._slack2_held(cycle):
+                controllers[node].request_wakeup(cycle, 0)
         interfaces = self.network.interfaces
         routers = self.network.routers
-        if self._active:
-            armed = self._armed
-            active_nis = self.network.active_nis
-            due = self._sleep_deadlines.pop(cycle, None)
-            # Parked quiescent controllers whose sleep decision fires
-            # this cycle are visited at their sorted node position so
-            # the decision step lands exactly where the naive kernel's
-            # per-node step would — in particular *after* this node's
-            # own NI wakeup request, which (as in the seed) prevents
-            # rather than cancels the sleep.
-            due_map = dict(due) if due else None
-            visit = armed | active_nis
-            if due_map:
-                visit |= due_map.keys()
-            for node in sorted(visit):
-                ni_wants = node in active_nis and interfaces[
-                    node
-                ].wants_local_router(cycle)
-                if ni_wants:
-                    # The NI's WU wire into its local PG controller;
-                    # this re-arms an OFF (or parked) controller via
-                    # its wake_hook.
-                    controllers[node].request_wakeup(cycle, 0)
-                if node in armed:
-                    controller = controllers[node]
-                    empty = routers[node].datapath_empty()
-                    controller.step(cycle, empty, ni_wants)
-                    state = controller.state
-                    if state is PGState.OFF:
-                        if controller.retry_at is None:
-                            armed.discard(node)
-                        # else: a pending wakeup retry needs per-cycle
-                        # OFF steps until its deadline fires.
-                    elif self._faulted:
-                        # Fault dispositions are drawn per delivered
-                        # wakeup request, so controllers must stay on
-                        # the fully stepped path.
-                        pass
-                    elif state is PGState.ACTIVE:
-                        if empty:
-                            # Empty-datapath ACTIVE step: every input
-                            # the FSM reacts to from here on arrives as
-                            # a request_wakeup (absorbed lazily while
-                            # parked) or as a disturbance hook when a
-                            # flit heads this way — park the controller
-                            # until its sleep decision, due when the
-                            # idle timeout has elapsed and any punch
-                            # forewarning window has passed.
-                            deadline = (
-                                cycle + controller.timeout - controller.idle_cycles
-                            )
-                            expect_gate = controller.expect_until + 1
-                            if expect_gate > deadline:
-                                deadline = expect_gate
-                            armed.discard(node)
-                            controller.enter_quiescence(cycle)
-                            self._sleep_deadlines.setdefault(deadline, []).append(
-                                (node, cycle)
-                            )
-                        else:
-                            # Busy ACTIVE step: every further step is
-                            # ``busy`` until the datapath empties, and
-                            # the network reports that departure via
-                            # the disturbance hook.
-                            armed.discard(node)
-                            controller.enter_busy_skip(cycle)
-                    else:
-                        # WAKING: the FSM ticks deterministically until
-                        # ``wake_at``; park it until then.
+        armed = self._armed
+        active_nis = self.network.active_nis
+        due = self._sleep_deadlines.pop(cycle, None)
+        # Parked quiescent controllers whose sleep decision fires
+        # this cycle are visited at their sorted node position so
+        # the decision step lands exactly where the reference's
+        # per-node step would — in particular *after* this node's
+        # own NI wakeup request, which (as in the seed) prevents
+        # rather than cancels the sleep.
+        due_map = dict(due) if due else None
+        visit = armed | active_nis
+        if due_map:
+            visit |= due_map.keys()
+        for node in sorted(visit):
+            ni_wants = node in active_nis and interfaces[node].wants_local_router(cycle)
+            if ni_wants:
+                # The NI's WU wire into its local PG controller;
+                # this re-arms an OFF (or parked) controller via
+                # its wake_hook.
+                controllers[node].request_wakeup(cycle, 0)
+            if node in armed:
+                controller = controllers[node]
+                empty = routers[node].datapath_empty()
+                controller.step(cycle, empty, ni_wants)
+                state = controller.state
+                if state is PGState.OFF:
+                    if controller.retry_at is None:
+                        armed.discard(node)
+                    # else: a pending wakeup retry needs per-cycle
+                    # OFF steps until its deadline fires.
+                elif self._faulted:
+                    # Fault dispositions are drawn per delivered
+                    # wakeup request, so controllers must stay on
+                    # the fully stepped path.
+                    pass
+                elif state is PGState.ACTIVE:
+                    if empty:
+                        # Empty-datapath ACTIVE step: every input
+                        # the FSM reacts to from here on arrives as
+                        # a request_wakeup (absorbed lazily while
+                        # parked) or as a disturbance hook when a
+                        # flit heads this way — park the controller
+                        # until its sleep decision, due when the
+                        # idle timeout has elapsed and any punch
+                        # forewarning window has passed.
+                        deadline = cycle + controller.timeout - controller.idle_cycles
+                        expect_gate = controller.expect_until + 1
+                        if expect_gate > deadline:
+                            deadline = expect_gate
                         armed.discard(node)
                         controller.enter_quiescence(cycle)
-                        self._sleep_deadlines.setdefault(
-                            controller.wake_at, []
-                        ).append((node, cycle))
-                elif due_map is not None:
-                    since = due_map.get(node)
-                    controller = controllers[node]
-                    # Busy parks never carry a sleep deadline: a
-                    # matching entry is a stale quiescent one whose
-                    # park was converted in place by the disturb hook.
-                    if (
-                        since is not None
-                        and controller._quiescent_since == since
-                        and not controller._parked_busy
-                    ):
-                        if controller.state is PGState.WAKING:
-                            # The wake-at transition step: fold the
-                            # owed WAKING cycles and run it for real.
-                            controller.settle_quiescence()
-                            controller.step(
-                                cycle, routers[node].datapath_empty(), ni_wants
-                            )
-                            armed.add(node)
-                            continue
-                        # Wakeups absorbed while parked reset the idle
-                        # count (and may have extended the forewarning
-                        # window): recompute the true sleep cycle and
-                        # re-park if it moved past this deadline.
-                        last = controller._parked_reset_last
-                        deadline = controller.expect_until + 1
-                        if last is not None:
-                            timed_out = last + controller.timeout
-                            if timed_out > deadline:
-                                deadline = timed_out
-                        if last is not None and deadline > cycle:
-                            self._sleep_deadlines.setdefault(
-                                deadline, []
-                            ).append((node, since))
-                        else:
-                            # Undisturbed through its deadline: fold
-                            # the owed quiescent steps and run the real
-                            # sleep decision step the naive kernel
-                            # would run now.
-                            controller.settle_quiescence()
-                            controller.step(cycle, True, False)
-                            if controller.state is not PGState.OFF:
-                                armed.add(node)  # safety net
-        else:
-            for node, controller in enumerate(controllers):
-                ni_wants = interfaces[node].wants_local_router(cycle)
-                if ni_wants:
-                    # The NI's WU wire into its local PG controller.
-                    controller.request_wakeup(cycle, 0)
-                controller.step(cycle, routers[node].datapath_empty(), ni_wants)
+                        self._sleep_deadlines.setdefault(deadline, []).append(
+                            (node, cycle)
+                        )
+                    else:
+                        # Busy ACTIVE step: every further step is
+                        # ``busy`` until the datapath empties, and
+                        # the network reports that departure via
+                        # the disturbance hook.
+                        armed.discard(node)
+                        controller.enter_busy_skip(cycle)
+                else:
+                    # WAKING: the FSM ticks deterministically until
+                    # ``wake_at``; park it until then.
+                    armed.discard(node)
+                    controller.enter_quiescence(cycle)
+                    self._sleep_deadlines.setdefault(
+                        controller.wake_at, []
+                    ).append((node, cycle))
+            elif due_map is not None:
+                since = due_map.get(node)
+                controller = controllers[node]
+                # Busy parks never carry a sleep deadline: a
+                # matching entry is a stale quiescent one whose
+                # park was converted in place by the disturb hook.
+                if (
+                    since is not None
+                    and controller._quiescent_since == since
+                    and not controller._parked_busy
+                ):
+                    if controller.state is PGState.WAKING:
+                        # The wake-at transition step: fold the
+                        # owed WAKING cycles and run it for real.
+                        controller.settle_quiescence()
+                        controller.step(cycle, routers[node].datapath_empty(), ni_wants)
+                        armed.add(node)
+                        continue
+                    # Wakeups absorbed while parked reset the idle
+                    # count (and may have extended the forewarning
+                    # window): recompute the true sleep cycle and
+                    # re-park if it moved past this deadline.
+                    last = controller._parked_reset_last
+                    deadline = controller.expect_until + 1
+                    if last is not None:
+                        timed_out = last + controller.timeout
+                        if timed_out > deadline:
+                            deadline = timed_out
+                    if last is not None and deadline > cycle:
+                        self._sleep_deadlines.setdefault(deadline, []).append(
+                            (node, since)
+                        )
+                    else:
+                        # Undisturbed through its deadline: fold
+                        # the owed quiescent steps and run the real
+                        # sleep decision step the reference
+                        # would run now.
+                        controller.settle_quiescence()
+                        controller.step(cycle, True, False)
+                        if controller.state is not PGState.OFF:
+                            armed.add(node)  # safety net
         self._stepped_through = cycle
+
+    def _slack2_held(self, cycle: int):
+        """Nodes still inside their slack-2 window (their local WU stays
+        asserted), oldest first; closed windows are forgotten."""
+        hold = self._slack2_hold
+        for node in [node for node, until in hold.items() if cycle > until]:
+            del hold[node]
+        return hold
 
     def end_cycle(self, cycle: int) -> None:
         # Punch/WU wires are combinational functions of the wakeup
         # requirements visible this cycle (Sec. 6.6(1)): regenerate them
         # from every buffered head flit and every pending injection.
         # Routers outside the network's active set have no buffered
-        # flits, so iterating the active set matches the naive scan; the
+        # flits, so iterating the active set matches the full scan; the
         # per-router target set is memoized on ``head_version`` so a
         # router whose heads are merely stalled does not recompute it.
         """Regenerate punch signals from this cycle's wakeup requirements."""
@@ -566,65 +543,53 @@ class PowerGatedScheme(PowerPolicy):
         hops = self.punch_hops
         fabric = self.fabric
         routers = self.network.routers
-        if self._active:
-            cache = self._punch_cache
-            singles = self._singleton_targets
-            local = Direction.LOCAL
-            for rid in sorted(self.network.active_routers):
-                router = routers[rid]
-                if not router._occupied:
-                    continue
-                version = router.head_version
-                cached = cache.get(rid)
-                if cached is not None and cached[0] == version:
-                    targets = cached[1]
-                else:
-                    # ``head_flit_requirements`` inlined (occupied VCs
-                    # are never empty), with the ubiquitous one-head
-                    # case building its frozenset once per (router,
-                    # destination) instead of once per cycle.
-                    connected = router.connected
-                    first = first_dest = None
-                    rest = None
-                    for vc in router._occupied:
-                        front = vc.flits[0]
-                        if not front.is_head:
-                            continue
-                        route = vc.route
-                        if route is None or route is local:
-                            continue
-                        if connected[route] is None:
-                            continue
-                        dest = front.packet.destination
-                        target = ahead(rid, dest, hops)
-                        if first is None:
-                            first, first_dest = target, dest
-                        elif rest is None:
-                            rest = {first, target}
-                        else:
-                            rest.add(target)
-                    if rest is not None:
-                        targets = frozenset(rest)
-                    elif first is not None:
-                        key = (rid, first_dest)
-                        targets = singles.get(key)
-                        if targets is None:
-                            targets = singles[key] = frozenset((first,))
+        cache = self._punch_cache
+        singles = self._singleton_targets
+        local = Direction.LOCAL
+        for rid in sorted(self.network.active_routers):
+            router = routers[rid]
+            if not router._occupied:
+                continue
+            version = router.head_version
+            cached = cache.get(rid)
+            if cached is not None and cached[0] == version:
+                targets = cached[1]
+            else:
+                # ``head_flit_requirements`` inlined (occupied VCs
+                # are never empty), with the ubiquitous one-head
+                # case building its frozenset once per (router,
+                # destination) instead of once per cycle.
+                connected = router.connected
+                first = first_dest = None
+                rest = None
+                for vc in router._occupied:
+                    front = vc.flits[0]
+                    if not front.is_head:
+                        continue
+                    route = vc.route
+                    if route is None or route is local:
+                        continue
+                    if connected[route] is None:
+                        continue
+                    dest = front.packet.destination
+                    target = ahead(rid, dest, hops)
+                    if first is None:
+                        first, first_dest = target, dest
+                    elif rest is None:
+                        rest = {first, target}
                     else:
-                        targets = _EMPTY_TARGETS
-                    cache[rid] = (version, targets)
-                if targets:
-                    fabric.send_local(rid, targets, cycle)
-        else:
-            # Seed-cost reference path: recompute every cycle.
-            for router in routers:
-                if not router._occupied:
-                    continue
-                requirements = router.head_flit_requirements()
-                if not requirements:
-                    continue
-                rid = router.router_id
-                targets = {ahead(rid, dest, hops) for _next, dest in requirements}
+                        rest.add(target)
+                if rest is not None:
+                    targets = frozenset(rest)
+                elif first is not None:
+                    key = (rid, first_dest)
+                    targets = singles.get(key)
+                    if targets is None:
+                        targets = singles[key] = frozenset((first,))
+                else:
+                    targets = _EMPTY_TARGETS
+                cache[rid] = (version, targets)
+            if targets:
                 fabric.send_local(rid, targets, cycle)
         self._generate_injection_punches(cycle)
 
@@ -632,15 +597,10 @@ class PowerGatedScheme(PowerPolicy):
         """Injection-side wakeup generation; scheme-specific."""
 
     def _punching_interfaces(self):
-        """NIs that may hold punch-generating packets, in node order.
-
-        Under the active-set kernel only NIs with queued/streaming work
-        can punch; the naive kernel scans every NI like the seed did.
-        """
+        """NIs that may hold punch-generating packets, in node order:
+        only an NI with queued or streaming work can punch."""
         interfaces = self.network.interfaces
-        if self._active:
-            return [interfaces[node] for node in sorted(self.network.active_nis)]
-        return interfaces
+        return [interfaces[node] for node in sorted(self.network.active_nis)]
 
     # ------------------------------------------------------------------
     # NI hooks

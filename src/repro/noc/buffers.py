@@ -164,6 +164,8 @@ class OutputPort:
         self.credits: List[int] = [depths_by_vc[vc] for vc in sorted(depths_by_vc)]
         #: (input_direction, input_vc) owning each downstream VC, or None.
         self.owner: List[Optional[Tuple[Direction, int]]] = [None] * len(self.credits)
+        #: Round-robin pointers: VC allocation's probe start, and switch
+        #: allocation's pick among the input ports nominating this output.
         self.vc_rr_pointer = 0
         self.sa_rr_pointer = 0
 

@@ -58,7 +58,7 @@ class NoCConfig:
     #: (routers with occupied VCs, NIs with queued/streaming packets,
     #: armed PG-controller FSMs); ``"vector"`` engages the array engine
     #: at the first step and keeps it; ``"naive"`` scans every component
-    #: every cycle and is the oracle the others are proven against.
+    #: every cycle (``repro.noc.reference``): the oracle for the others.
     #: All are cycle-exact, and configurations the array engine does not
     #: cover (faults, invariant checkers, non-whitelisted schemes) run
     #: on the active kernel whatever is asked.

@@ -414,7 +414,7 @@ class InvariantChecker:
         policy = network.policy
         armed = getattr(policy, "_armed", None)
         controllers = getattr(policy, "controllers", None)
-        if armed is None or not controllers or not getattr(policy, "_active", False):
+        if armed is None or not controllers:
             return
         from ..powergate.controller import PGState
 

@@ -18,9 +18,8 @@ Per-cycle ordering:
 6. power policy ``end_cycle`` (punch-signal generation from the
    wakeup requirements visible this cycle, energy accounting).
 
-Active-set kernel: unless ``NoCConfig.kernel == "naive"`` the kernel
-maintains explicit work-sets so the per-cycle cost scales with activity
-instead of mesh size:
+Active-set kernel: the kernel maintains explicit work-sets so the
+per-cycle cost scales with activity instead of mesh size:
 
 * ``active_routers`` — router ids with occupied input VCs.  A router
   enters when a flit is buffered into it (``_deliver_flits``, the only
@@ -30,11 +29,12 @@ instead of mesh size:
   NI enters when a packet is (re)queued (the NI fires the kernel's
   ``on_work`` callback) and leaves once its queues and streams empty.
 
-Both sets are iterated in sorted id order, which matches the naive
-kernel's index-order scans exactly — components outside the sets would
-be no-ops — so the two kernels are cycle-exact replicas of each other.
-``kernel == "naive"`` keeps the full per-cycle scans as the reference
-implementation for equivalence tests and benchmarks.
+Both sets are iterated in sorted id order, which matches an index-order
+scan of every component exactly — components outside the sets would be
+no-ops.  That full scan is the reference implementation the equivalence
+tests and the benchmark hold this kernel to; it lives in
+``repro.noc.reference`` and ``kernel="naive"`` builds it (see
+``Network.__new__``).
 
 Engine selection: the default ``kernel == "auto"`` runs the active-set
 kernel while the active set is sparse and hands the run to the
@@ -113,6 +113,16 @@ _NEVER = 1 << 60
 class Network:
     """A complete mesh NoC instance."""
 
+    def __new__(cls, config: NoCConfig, policy: Optional[PowerPolicy] = None):
+        """The constructor's choice of stepper: ``kernel="naive"`` builds
+        the full-scan reference (a subclass, imported only here — like
+        ``repro.noc.vector``, only by a network that runs it)."""
+        if cls is Network and config.kernel == "naive":
+            from .reference import FullScanNetwork
+
+            cls = FullScanNetwork
+        return super().__new__(cls)
+
     def __init__(
         self,
         config: NoCConfig,
@@ -140,10 +150,6 @@ class Network:
             for direction, neighbor in self.topology.neighbors(router.router_id):
                 router.connected[direction] = neighbor
 
-        #: Active-set kernel work-sets (see module docstring).  They are
-        #: maintained under both kernels — entry is event-driven and
-        #: cheap — but only the active kernel iterates them in ``step``.
-        self._active_kernel = config.kernel != "naive"
         #: Engaged vector engine (see ``repro.noc.vector``), or None.
         self._engine = None
         #: Layout constants the engine keeps across engagements.
@@ -156,6 +162,7 @@ class Network:
             config.kernel, _NEVER
         )
         self._occupied_sum = 0
+        #: Active-set kernel work-sets (see module docstring).
         self._active_routers: Set[int] = set()
         self.active_nis: Set[int] = set()
 
@@ -361,8 +368,8 @@ class Network:
         Scans only the active sets: components outside them cannot hold
         work (NIs fire ``on_work`` whenever a packet is queued; routers
         are added when a flit is buffered, and in-flight flits show up
-        in ``_flit_events``).  Stale entries — possible under the naive
-        kernel, which never prunes — are re-checked and dropped here.
+        in ``_flit_events``).  Stale entries are re-checked and dropped
+        here.
         """
         if self._engine is not None:
             return self._engine.is_drained()
@@ -482,19 +489,14 @@ class Network:
         self._deliver_flits(cycle)
         self._deliver_credits(cycle)
         self.policy.begin_cycle(cycle)
-        if self._active_kernel:
-            # Sorted iteration reproduces the naive kernel's index-order
-            # scan (NIs it skips have no work and would be no-ops).
-            for node in sorted(self.active_nis):
-                ni = self.interfaces[node]
-                if ni.has_work():
-                    ni.step(cycle)
-                if not ni.has_work():
-                    self.active_nis.discard(node)
-        else:
-            for ni in self.interfaces:
-                if ni.has_work():
-                    ni.step(cycle)
+        # Sorted iteration reproduces the reference kernel's index-order
+        # scan (NIs it skips have no work and would be no-ops).
+        for node in sorted(self.active_nis):
+            ni = self.interfaces[node]
+            if ni.has_work():
+                ni.step(cycle)
+            if not ni.has_work():
+                self.active_nis.discard(node)
         # A flit granted SA this cycle lands downstream _SA_TO_ARRIVAL
         # cycles later; a waking router that completes by then may be
         # used (see PowerPolicy.is_router_available_by).  The probe is
@@ -502,10 +504,7 @@ class Network:
         # SA-ready VC instead of a closure hop plus the probe.
         available_by = self.policy.is_router_available_by
         arrival_cycle = cycle + _SA_TO_ARRIVAL
-        if self._active_kernel:
-            busy = [self.routers[rid] for rid in sorted(self._active_routers)]
-        else:
-            busy = [router for router in self.routers if router._occupied]
+        busy = [self.routers[rid] for rid in sorted(self._active_routers)]
         if self.faults is not None:
             # A stalled router buffers arrivals but performs no VA/SA.
             busy = [
@@ -513,30 +512,24 @@ class Network:
                 for router in busy
                 if not self.faults.is_stalled(router.router_id, cycle)
             ]
-        if self._active_kernel:
-            # Allocator rounds before a router's wake deadline are
-            # provable no-ops (no eligible VC, no blocked-VC report, no
-            # arbitration-pointer movement), so the active kernel skips
-            # them; the deadlines are recomputed by every round that
-            # does run and only lowered by eligibility-creating events.
-            for router in busy:
-                if cycle >= router._va_wake_at:
-                    router.do_vc_allocation(cycle)
-            discard = self._active_routers.discard
-            for router in busy:
-                if cycle >= router._sa_wake_at:
-                    self._run_switch_allocation(router, cycle, available_by, arrival_cycle)
-                    # Routers drain only through this SA round (stalled
-                    # routers were filtered from ``busy`` but stay
-                    # occupied); a skipped round cannot drain.
-                    if not router._occupied:
-                        discard(router.router_id)
-            self._occupied_sum += len(self._active_routers)
-        else:
-            for router in busy:
+        # Allocator rounds before a router's wake deadline are provable
+        # no-ops (no eligible VC, no blocked-VC report, no arbitration-
+        # pointer movement), so they are skipped; the deadlines are
+        # recomputed by every round that does run and only lowered by
+        # eligibility-creating events.
+        for router in busy:
+            if cycle >= router._va_wake_at:
                 router.do_vc_allocation(cycle)
-            for router in busy:
+        discard = self._active_routers.discard
+        for router in busy:
+            if cycle >= router._sa_wake_at:
                 self._run_switch_allocation(router, cycle, available_by, arrival_cycle)
+                # Routers drain only through this SA round (stalled
+                # routers were filtered from ``busy`` but stay
+                # occupied); a skipped round cannot drain.
+                if not router._occupied:
+                    discard(router.router_id)
+        self._occupied_sum += len(self._active_routers)
         self.policy.end_cycle(cycle)
         self.stats.cycles = cycle + 1
         if self.invariants is not None:
@@ -606,10 +599,9 @@ class Network:
         self._flit_events[cycle + _NI_TO_ARRIVAL].append(
             (node, Direction.LOCAL, vc, flit)
         )
-        if self._active_kernel:
-            # The local router's datapath is no longer empty: a parked
-            # quiescent PG controller must resume per-cycle stepping.
-            self.policy.on_router_disturbed(node)
+        # The local router's datapath is no longer empty: a parked
+        # quiescent PG controller must resume per-cycle stepping.
+        self.policy.on_router_disturbed(node)
 
     def _run_switch_allocation(
         self,
@@ -677,12 +669,11 @@ class Network:
             self._flit_events[cycle + _SA_TO_ARRIVAL].append(
                 (neighbor, out_dir.opposite, out_vc, flit)
             )
-            if self._active_kernel:
-                # The neighbor's datapath is no longer empty: its
-                # PG controller (if quiescently skipped) must
-                # resume per-cycle stepping from the next cycle.
-                self.policy.on_router_disturbed(neighbor)
-        if self._active_kernel and not router._occupied:
+            # The neighbor's datapath is no longer empty: its PG
+            # controller (if quiescently skipped) must resume per-cycle
+            # stepping from the next cycle.
+            self.policy.on_router_disturbed(neighbor)
+        if not router._occupied:
             if not router.incoming_in_flight and not router._live_vcs:
                 # This departure emptied the router's datapath (no
                 # buffered flits, nothing in flight, no live mid-packet
@@ -1071,11 +1062,6 @@ class Network:
             if router._occupied:
                 continue
             self._active_routers.discard(router.router_id)
-            if (
-                was_busy
-                and self._active_kernel
-                and not router.incoming_in_flight
-                and not router._live_vcs
-            ):
+            if was_busy and not router.incoming_in_flight and not router._live_vcs:
                 self.policy.on_router_emptied(router.router_id)
 

@@ -2,9 +2,9 @@
 
 The NoC simulator is power-scheme agnostic: routers consult a
 :class:`PowerPolicy` for neighbor availability and notify it of the
-events power-gating schemes care about (head-flit activation for
-early wakeups, switch-allocation stalls caused by gated-off routers,
-message creation and injection checks at network interfaces).  The
+events power-gating schemes care about (switch-allocation stalls caused
+by gated-off routers, message creation and injection checks at network
+interfaces, flits heading toward or draining out of a router).  The
 concrete schemes live in :mod:`repro.powergate` and
 :mod:`repro.core.schemes`; :class:`AlwaysOnPolicy` is the No-PG
 baseline.
@@ -72,13 +72,6 @@ class PowerPolicy:
     def end_cycle(self, cycle: int) -> None:
         """Called at the end of every simulated cycle."""
 
-    def note_head_activated(
-        self, router_id: int, next_router: int, cycle: int
-    ) -> None:
-        """A head flit at ``router_id`` just learned it will go to
-        ``next_router`` (look-ahead routing).  ConvOpt-PG uses this to
-        assert its one-hop-early wakeup signal."""
-
     def note_blocked(
         self, router_id: int, next_router: int, packet: "Packet", cycle: int
     ) -> None:
@@ -102,17 +95,16 @@ class PowerPolicy:
         local router early."""
 
     def on_router_disturbed(self, router_id: int) -> None:
-        """A flit was just sent toward ``router_id`` (active-set kernel
-        only).  Schemes that suspend per-cycle stepping of quiescent PG
-        controllers resume stepping this router's controller here: its
-        datapath-empty input is about to change without any wakeup
-        signal necessarily being asserted."""
+        """A flit was just sent toward ``router_id``.  Schemes that
+        suspend per-cycle stepping of quiescent PG controllers resume
+        stepping this router's controller here: its datapath-empty
+        input is about to change without any wakeup signal necessarily
+        being asserted."""
 
     def on_router_emptied(self, router_id: int) -> None:
-        """The last flit left ``router_id``'s datapath (active-set
-        kernel only).  Schemes that suspend per-cycle stepping of
-        busy controllers resume stepping here: the sleep precondition
-        just became true."""
+        """The last flit left ``router_id``'s datapath.  Schemes that
+        suspend per-cycle stepping of busy controllers resume stepping
+        here: the sleep precondition just became true."""
 
     # ------------------------------------------------------------------
     # Reporting

@@ -75,8 +75,6 @@ class Router:
         #: power-gating controller must not cut power to — see
         #: :meth:`datapath_empty`.
         self._live_vcs = 0
-        #: Switch-allocation round-robin pointer per output direction.
-        self._sa_out_rr: Dict[Direction, int] = {d: 0 for d in ports}
         #: Non-empty input VCs (the per-cycle working set).  A dict is
         #: used as an insertion-ordered set so iteration order — and
         #: therefore arbitration and the whole simulation — is
@@ -103,11 +101,6 @@ class Router:
     # ------------------------------------------------------------------
     # Datapath state queries
     # ------------------------------------------------------------------
-    @property
-    def is_idle(self) -> bool:
-        """No buffered flits and nothing in flight toward this router."""
-        return not self._occupied and not self.incoming_in_flight
-
     def datapath_empty(self) -> bool:
         """True when all input buffers are empty and nothing is in flight.
 
@@ -309,7 +302,7 @@ class Router:
             in_dir = winner.port_direction
             self.input_ports[in_dir].sa_rr_pointer += 1
             out_dir = winner.route
-            self._sa_out_rr[out_dir] += 1
+            output_ports[out_dir].sa_rr_pointer += 1
             flit, out_vc = self._commit_departure(winner, out_dir, cycle)
             depart(flit, in_dir, winner.vc_index, out_dir, out_vc)
             self._sa_wake_at = cycle + 1
@@ -328,9 +321,9 @@ class Router:
         # Stage 2: each output port grants one nomination.
         granted = 0
         for out_dir, contenders in nominations.items():
-            rr = self._sa_out_rr[out_dir]
-            winner = contenders[rr % len(contenders)]
-            self._sa_out_rr[out_dir] = rr + 1
+            out_port = output_ports[out_dir]
+            winner = contenders[out_port.sa_rr_pointer % len(contenders)]
+            out_port.sa_rr_pointer += 1
             in_dir, in_vc = winner.port_direction, winner.vc_index
             flit, out_vc = self._commit_departure(winner, out_dir, cycle)
             depart(flit, in_dir, in_vc, out_dir, out_vc)

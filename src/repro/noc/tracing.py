@@ -105,8 +105,8 @@ class PacketTracer:
 
     def _install(self) -> None:
         network = self.network
-        # The switch-allocation hook below exists on the object kernels
-        # only: keep (or put) the run there.
+        # The switch-allocation sinks wrapped below exist on the object
+        # kernels only: keep (or put) the run there.
         network._disengage_vector()
 
         # Wrap injection (message creation).
@@ -118,45 +118,34 @@ class PacketTracer:
 
         network.inject = inject  # type: ignore[method-assign]
 
-        # Wrap every router's switch allocation via the kernel hook.
-        original_run_sa = network._run_switch_allocation
+        # Wrap the kernel's two switch-allocation sinks once; the router
+        # and cycle of the round in progress are on the network
+        # (``_sa_router`` / ``_sa_cycle``, see _run_switch_allocation).
+        depart, note_blocked = network._sa_depart, network._sa_note_blocked
 
-        def run_sa(router, cycle, available_by, arrival_cycle):
-            def depart_hook(flit, in_dir, in_vc, out_dir, out_vc):
-                if flit.is_head:
-                    self._record(
-                        cycle,
-                        flit.packet,
-                        "sw-grant",
-                        router.router_id,
-                        f"{in_dir.name}->{out_dir.name} vc{in_vc}->vc{out_vc}",
-                    )
+        def sa_depart(flit, in_dir, in_vc, out_dir, out_vc):
+            if flit.is_head:
+                self._record(
+                    network._sa_cycle,
+                    flit.packet,
+                    "sw-grant",
+                    network._sa_router.router_id,
+                    f"{in_dir.name}->{out_dir.name} vc{in_vc}->vc{out_vc}",
+                )
+            depart(flit, in_dir, in_vc, out_dir, out_vc)
 
-            # Temporarily chain our hook by wrapping depart inside the
-            # original call: easiest via note on the router; instead we
-            # intercept with a shim around do_switch_allocation.
-            original_do_sa = router.do_switch_allocation
+        def sa_note_blocked(neighbor, flit):
+            self._record(
+                network._sa_cycle,
+                flit.packet,
+                "blocked",
+                network._sa_router.router_id,
+                f"next R{neighbor} off",
+            )
+            note_blocked(neighbor, flit)
 
-            def shim(c, avail, arrival, depart, note_blocked):
-                def depart_traced(flit, in_dir, in_vc, out_dir, out_vc):
-                    depart_hook(flit, in_dir, in_vc, out_dir, out_vc)
-                    depart(flit, in_dir, in_vc, out_dir, out_vc)
-
-                def blocked_traced(neighbor, flit):
-                    self._record(
-                        c, flit.packet, "blocked", router.router_id, f"next R{neighbor} off"
-                    )
-                    note_blocked(neighbor, flit)
-
-                return original_do_sa(c, avail, arrival, depart_traced, blocked_traced)
-
-            router.do_switch_allocation = shim
-            try:
-                original_run_sa(router, cycle, available_by, arrival_cycle)
-            finally:
-                router.do_switch_allocation = original_do_sa
-
-        network._run_switch_allocation = run_sa  # type: ignore[method-assign]
+        network._sa_depart = sa_depart  # type: ignore[method-assign]
+        network._sa_note_blocked = sa_note_blocked  # type: ignore[method-assign]
 
         # Delivery events via the standard listener.
         network.add_delivery_listener(

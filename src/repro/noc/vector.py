@@ -55,6 +55,7 @@ bounded benchmark and test workloads this is a few MB at most.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 try:  # numpy backs the vector kernel only
@@ -154,6 +155,64 @@ def _group_bounds(keys):
     _np.subtract(start[1:], start[:-1], out=cnt[:-1])
     cnt[-1] = keys.size - start[-1]
     return start, cnt
+
+
+# ----------------------------------------------------------------------
+# The object/array seam
+# ----------------------------------------------------------------------
+# ``VectorEngine._import`` and ``materialize`` are loops over the two
+# tables below, read in opposite directions; ``__init__`` allocates from
+# the first.  Conversions take the engine first (a VC's owner is a packet
+# id on the object side, a registry index in the arrays).
+
+def _as_is(eng, value, *_router):
+    return value
+
+
+def _only(eng, row, *_router):
+    return row[0]
+
+
+def _optional(kind=int):
+    """Conversions of an optional small int: ``None`` is -1 in the array."""
+    return (
+        lambda eng, value: -1 if value is None else int(value),
+        lambda eng, code: None if code < 0 else kind(code),
+    )
+
+
+#: Allocation state of a live (non-``IDLE``) input VC, one row per
+#: field: engine array, ``VirtualChannel`` attribute, dtype, value of an
+#: ``IDLE`` VC, to-array, to-object.
+VC_FIELDS = (
+    ("state", "state", "int8", 0,
+     lambda eng, state: VC_STATE_CODES[state], lambda eng, code: VC_STATE_FROM_CODE[code]),
+    ("route", "route", "int8", -1, *_optional(Direction)),
+    ("out_vc", "out_vc", "int64", -1, *_optional()),
+    ("owner_eid", "owner_packet", "int64", -1,
+     lambda eng, pid: eng._pid_eid[pid], lambda eng, eid: eng.packets[eid].packet_id),
+    ("va_el", "va_eligible_at", "int64", 0, _as_is, _as_is),
+    ("sa_el", "sa_eligible_at", "int64", 0, _as_is, _as_is),
+)
+#: The other ``VirtualChannel`` slots: flits cross slot by slot through
+#: the ring buffers; position and depth are the flat index and ``depth_flat``.
+VC_FIELDS_ELSEWHERE = ("flits", "arrivals", "port_direction", "vc_index", "depth")
+
+#: Output-side state, one engine array per row: which of the router's
+#: port maps (built in port-code order) holds the field, under what
+#: attribute, and the conversions of one port's value, which also get
+#: the router id.  ``credits`` and ``owner`` are lists, one entry per
+#: downstream VC — an owner is ``(direction, vc)`` of an input VC of the
+#: same router, its flat index in the array; the rest are one pointer.
+PORT_FIELDS = (
+    ("credits_out", "output_ports", "credits", _as_is, _as_is),
+    ("owner_out", "output_ports", "owner",
+     lambda eng, owners, router: [-1 if o is None else eng._flat(router, *o) for o in owners],
+     lambda eng, flats, router: [None if f < 0 else eng._unflat(f)[1:] for f in flats]),
+    ("out_vc_rr", "output_ports", "vc_rr_pointer", _as_is, _only),
+    ("sa_rr_in", "input_ports", "sa_rr_pointer", _as_is, _only),
+    ("sa_rr_out", "output_ports", "sa_rr_pointer", _as_is, _only),
+)
 
 
 def try_engage(net) -> Optional["VectorEngine"]:
@@ -271,12 +330,8 @@ class VectorEngine:
 
         # --- input VC state (flat, one entry per (router, port, vc)) ---
         self.occ = _np.zeros(S, dtype=_np.int64)
-        self.state = _np.zeros(S, dtype=_np.int8)
-        self.route = _np.full(S, -1, dtype=_np.int8)
-        self.out_vc = _np.full(S, -1, dtype=_np.int64)
-        self.owner_eid = _np.full(S, -1, dtype=_np.int64)
-        self.va_el = _np.zeros(S, dtype=_np.int64)
-        self.sa_el = _np.zeros(S, dtype=_np.int64)
+        for array, _attr, dtype, idle, _to_array, _to_object in VC_FIELDS:
+            setattr(self, array, _np.full(S, idle, dtype=dtype))
         #: ``_occupied`` insertion order: assigned from a global counter
         #: on every 0 -> 1 occupancy transition, in event order.
         self.seq = _np.zeros(S, dtype=_np.int64)
@@ -302,14 +357,13 @@ class VectorEngine:
         self.pkt_nflits = _np.zeros(cap, dtype=_np.int64)
         self.pkt_hops = _np.zeros(cap, dtype=_np.int64)
 
-        # --- event queues (cycle -> list of array chunks) ------------
-        #: Flit events: ``(f, eid, idx)`` with arrays (a whole SA round,
-        #: list order = emission order) or python ints (one NI send).
+        # --- event queues (cycle -> list of chunks, see _event_queues) -
+        #: ``(f, eid, idx)``: arrays (a whole SA round, list order =
+        #: emission order) or python ints (one NI send).
         self._flit_ev: Dict[int, list] = {}
-        #: Credit events: encoded int arrays — ``>= 0`` is an output-VC
-        #: flat index, ``< 0`` encodes an NI credit ``-(node*V+vc)-1``.
+        #: Int arrays of ``_credit_code`` values.
         self._credit_ev: Dict[int, list] = {}
-        #: Eject events: ``(router, eid, idx)`` array triples.
+        #: ``(router, eid, idx)`` array triples.
         self._eject_ev: Dict[int, list] = {}
 
         self._import()
@@ -321,7 +375,7 @@ class VectorEngine:
             # Parked and lazily-accounted controllers are settled by the
             # snapshot, so the bank starts from what per-cycle stepping
             # through the previous cycle would have left.
-            self.bank = ControllerArrayBank.from_controllers(sch._controllers)
+            self.bank = ControllerArrayBank(sch._controllers)
             sch._vector_bank = self.bank
             sch._bank_dirty = False
             self._wants = _np.zeros(R, dtype=bool)
@@ -357,7 +411,8 @@ class VectorEngine:
 
     def _import(self) -> None:
         """Move the object model's live datapath state into the arrays
-        — the inverse of :meth:`materialize`, field for field.
+        — the inverse of :meth:`materialize`; both read the seam tables
+        at the top of this module.
 
         Buffered flits, VC allocations and the three in-flight event
         queues are *moved*: the objects are left empty, so
@@ -367,31 +422,22 @@ class VectorEngine:
         every one of them.
         """
         net = self.net
-        V = self.V
-        P = self.P
         register = self._register
-        ports = [Direction(p) for p in range(P)]
-        credits: List[int] = []
-        owners: List[int] = []
-        out_vc_rr: List[int] = []
-        sa_rr_in: List[int] = []
-        sa_rr_out: List[int] = []
+        for array, ports, attr, to_array, _to_object in PORT_FIELDS:
+            # ``ravel`` lays (router, port[, vc]) out in flat-index order.
+            per_port = [
+                to_array(self, getattr(port, attr), router.router_id)
+                for router in net.routers
+                for port in getattr(router, ports).values()
+            ]
+            setattr(self, array, _np.array(per_port, dtype=_np.int64).ravel())
         seq = 0
         for router in net.routers:
-            base = router.router_id * P
-            for d in ports:
-                out_port = router.output_ports[d]
-                credits += out_port.credits
-                for ow in out_port.owner:
-                    owners.append(-1 if ow is None else (base + ow[0]) * V + ow[1])
-                out_vc_rr.append(out_port.vc_rr_pointer)
-                sa_rr_in.append(router.input_ports[d].sa_rr_pointer)
-                sa_rr_out.append(router._sa_out_rr[d])
             # Buffers in ``_occupied`` order: only the order *within* a
             # router is ever compared (every sort keys on a per-router
             # port first), so a per-router walk reproduces it.
             for vc in router._occupied:
-                f = (base + vc.port_direction) * V + vc.vc_index
+                f = self._flat(router.router_id, vc.port_direction, vc.vc_index)
                 self.seq[f] = seq
                 seq += 1
                 for j, flit in enumerate(vc.flits):
@@ -405,11 +451,6 @@ class VectorEngine:
             router._occupied.clear()
         self.next_seq = seq
         self.buffered_total = int(self.router_occ.sum())
-        self.credits_out = _np.array(credits, dtype=_np.int64)
-        self.owner_out = _np.array(owners, dtype=_np.int64)
-        self.out_vc_rr = _np.array(out_vc_rr, dtype=_np.int64)
-        self.sa_rr_in = _np.array(sa_rr_in, dtype=_np.int64)
-        self.sa_rr_out = _np.array(sa_rr_out, dtype=_np.int64)
         self.incoming = _np.array(
             [router.incoming_in_flight for router in net.routers], dtype=_np.int64
         )
@@ -419,29 +460,11 @@ class VectorEngine:
         # in the same order (all its flits target distinct VCs and all
         # its credits distinct output VCs — they are at most one SA
         # round plus one NI pass).
-        for c, events in net._flit_events.items():
-            if events:
-                self._flit_ev[c] = [(
-                    _np.array([(r * P + d) * V + vc for r, d, vc, _ in events]),
-                    _np.array([register(e[3].packet) for e in events]),
-                    _np.array([e[3].index for e in events]),
-                )]
-        for c, events in net._credit_events.items():
-            if events:
-                self._credit_ev[c] = [_np.array([
-                    (r * P + d) * V + vc if r >= 0 else -((-r - 1) * V + vc) - 1
-                    for r, d, vc in events
-                ])]
-        for c, events in net._eject_events.items():
-            if events:
-                self._eject_ev[c] = [(
-                    _np.array([node for node, _ in events]),
-                    _np.array([register(flit.packet) for _, flit in events]),
-                    _np.array([flit.index for _, flit in events]),
-                )]
-        net._flit_events.clear()
-        net._credit_events.clear()
-        net._eject_events.clear()
+        for engine_queue, object_queue, encode, _decode in self._event_queues():
+            for c, events in object_queue.items():
+                if events:
+                    engine_queue[c] = [encode(events)]
+            object_queue.clear()
 
         # Allocation state, including drained-but-owned ACTIVE VCs.  The
         # owner of such a VC may have no flit buffered or in flight
@@ -453,20 +476,71 @@ class VectorEngine:
         for router in net.routers:
             if not router._live_vcs:
                 continue
-            base = router.router_id * P
             for port in router.input_ports.values():
                 for vc in port.vcs:
                     if vc.state is VCState.IDLE:
                         continue
-                    f = (base + vc.port_direction) * V + vc.vc_index
-                    self.state[f] = VC_STATE_CODES[vc.state]
-                    self.route[f] = vc.route
-                    if vc.out_vc is not None:
-                        self.out_vc[f] = vc.out_vc
-                    self.owner_eid[f] = self._pid_eid[vc.owner_packet]
-                    self.va_el[f] = vc.va_eligible_at
-                    self.sa_el[f] = vc.sa_eligible_at
+                    f = self._flat(router.router_id, vc.port_direction, vc.vc_index)
+                    for array, attr, _dtype, _idle, to_array, _to_object in VC_FIELDS:
+                        getattr(self, array)[f] = to_array(self, getattr(vc, attr))
                     vc.reset_for_next_packet()
+
+    # ==================================================================
+    # The flat index and the event-queue encodings, each direction once
+    # ==================================================================
+    def _flat(self, router: int, direction: int, vc: int) -> int:
+        """Flat index of input (or output) VC ``(router, direction, vc)``."""
+        return (router * self.P + direction) * self.V + vc
+
+    def _unflat(self, f: int):
+        """``(router, Direction, vc)`` of a flat VC index."""
+        return f // self._pv, Direction((f // self.V) % self.P), f % self.V
+
+    def _pack(self, events, code):
+        """One cycle's ``(*where, flit)`` events as one array chunk:
+        ``code(*where)``, the packet's registry id, the flit's index."""
+        return (
+            _np.array([code(*event[:-1]) for event in events]),
+            _np.array([self._register(event[-1].packet) for event in events]),
+            _np.array([event[-1].index for event in events]),
+        )
+
+    def _unpack(self, chunk, where):
+        """``(*where(code), Flit)`` events of a chunk (arrays, or the
+        python ints of one NI send)."""
+        codes, eids, idxs = (
+            part.tolist() if isinstance(part, _np.ndarray) else (part,) for part in chunk
+        )
+        packets = self.packets
+        return [(*where(c), Flit(packets[e], i)) for c, e, i in zip(codes, eids, idxs)]
+
+    def _credit_code(self, router: int, direction, vc: int) -> int:
+        """An object credit event names an NI as a negative router id;
+        its code is a flat output-VC index, or ``-(node * V + vc) - 1``."""
+        if router >= 0:
+            return self._flat(router, direction, vc)
+        return -((-router - 1) * self.V + vc) - 1
+
+    def _credit_event(self, code: int):
+        if code >= 0:
+            return self._unflat(code)
+        node, vc = divmod(-code - 1, self.V)
+        return -node - 1, Direction.LOCAL, vc
+
+    def _event_queues(self):
+        """The three in-flight event queues: (engine queue, network
+        queue, one cycle's object events -> one chunk, one chunk ->
+        object events).  List order on either side is delivery order."""
+        net = self.net
+        return (
+            (self._flit_ev, net._flit_events,
+             partial(self._pack, code=self._flat), partial(self._unpack, where=self._unflat)),
+            (self._credit_ev, net._credit_events,
+             lambda events: _np.array([self._credit_code(*event) for event in events]),
+             lambda chunk: [self._credit_event(code) for code in chunk.tolist()]),
+            (self._eject_ev, net._eject_events,
+             partial(self._pack, code=int), partial(self._unpack, where=lambda node: (node,))),
+        )
 
     # ==================================================================
     # NI-facing hooks (object NIs drive the SoA mirror directly)
@@ -563,21 +637,17 @@ class VectorEngine:
             # cycle, onto its own node's LOCAL port) and a chunk
             # assigns sequence numbers in array order, so batching
             # preserves the event order exactly.
-            run_f = []
-            run_e = []
-            run_i = []
-            for f, eid, idx in ev:
-                if isinstance(f, _np.ndarray):
-                    if run_f:
-                        self._flush_singles(run_f, run_e, run_i, cycle)
-                        run_f, run_e, run_i = [], [], []
-                    self._push_chunk(f, eid, idx, cycle)
+            run = []
+            for entry in ev:
+                if isinstance(entry[0], _np.ndarray):
+                    if run:
+                        self._flush_singles(run, cycle)
+                        run = []
+                    self._push_chunk(*entry, cycle)
                 else:
-                    run_f.append(f)
-                    run_e.append(eid)
-                    run_i.append(idx)
-            if run_f:
-                self._flush_singles(run_f, run_e, run_i, cycle)
+                    run.append(entry)
+            if run:
+                self._flush_singles(run, cycle)
         ej = self._eject_ev.pop(cycle, None)
         if ej:
             interfaces = self.net.interfaces
@@ -646,16 +716,14 @@ class VectorEngine:
             # object kernel only lowers an allocator wake deadline; the
             # engine runs every allocator round anyway.
 
-    def _flush_singles(self, fs, eids, idxs, cycle: int) -> None:
-        """Batch a run of NI-injected flits (distinct LOCAL-port VCs)
-        into one chunk push (route codes are identical: engagement
-        precludes dead routers, so ``output_direction`` is the static
-        routing relation — the XY closed form or the snapshot table)."""
+    def _flush_singles(self, run, cycle: int) -> None:
+        """Batch a run of NI-injected ``(f, eid, idx)`` flits (distinct
+        LOCAL-port VCs) into one chunk push (route codes are identical:
+        engagement precludes dead routers, so ``output_direction`` is
+        the static routing relation — the XY closed form or the
+        snapshot table)."""
         self._push_chunk(
-            _np.array(fs, dtype=_np.int64),
-            _np.array(eids, dtype=_np.int64),
-            _np.array(idxs, dtype=_np.int64),
-            cycle,
+            *(_np.array(part, dtype=_np.int64) for part in zip(*run)), cycle
         )
 
     def _route_codes(self, nodes, dests):
@@ -668,12 +736,13 @@ class VectorEngine:
     def _overflow(self, fs, o, eids, cycle: int) -> None:
         """Raise the reference overflow error for the first offender."""
         bad = int(fs[_np.argmax(o >= self.depth_flat[fs])])
+        _router, port, vc = self._unflat(bad)
         raise BufferOverflowError(
             f"VC overflow: {int(self.occ[bad])}/{int(self.depth_flat[bad])} "
             "flits buffered, credit flow control violated",
             cycle=cycle,
-            port=Direction((bad // self.V) % self.P),
-            vc=bad % self.V,
+            port=port,
+            vc=vc,
             packet=self.packets[int(eids[0])].packet_id,
         )
 
@@ -782,16 +851,9 @@ class VectorEngine:
         # Punch wavefront: batched matrix delivery, wakeups flushed in
         # one ``request_batch`` before anything below reads the bank.
         self._deliver_punches(cycle)
-        hold = sch._slack2_hold
-        if hold:
-            expired = []
-            for node, until in hold.items():
-                if cycle > until:
-                    expired.append(node)
-                else:
-                    bank.request_scalar(node, cycle, 0)
-            for node in expired:
-                del hold[node]
+        if sch._slack2_hold:
+            for node in sch._slack2_held(cycle):
+                bank.request_scalar(node, cycle, 0)
         wants = self._wants
         wants[:] = False
         nodes = []
@@ -1089,12 +1151,10 @@ class VectorEngine:
         hh = int(self.h[f])
         eid = int(self.buf_eid[f, hh])
         if int(self.buf_idx[f, hh]) != 0:
+            router, port, vc = self._unflat(f)
             raise SimulationError(
                 "VC activation without a head flit at the buffer front",
-                cycle=cycle,
-                router=f // self._pv,
-                port=Direction((f // self.V) % self.P),
-                vc=f % self.V,
+                cycle=cycle, router=router, port=port, vc=vc,
             )
         self.state[f] = 1
         self.owner_eid[f] = eid
@@ -1182,15 +1242,15 @@ class VectorEngine:
 
     def in_flight_packets(self) -> int:
         pending = sum(ni.pending_packets() for ni in self.net.interfaces)
+        # ``np.size`` of a chunk's first part counts an array's flits and
+        # takes the python int of one NI send for one.
         flying = sum(
-            (e[0].size if isinstance(e[0], _np.ndarray) else 1)
-            for chunk in self._flit_ev.values()
-            for e in chunk
+            _np.size(chunk[0])
+            for queue in (self._flit_ev, self._eject_ev)
+            for chunks in queue.values()
+            for chunk in chunks
         )
-        ejecting = sum(
-            e[0].size for chunk in self._eject_ev.values() for e in chunk
-        )
-        return pending + int(self.buffered_total) + flying + ejecting
+        return pending + int(self.buffered_total) + flying
 
     def occupied_routers(self) -> set:
         """Routers holding flits: ``Network.active_routers`` while engaged."""
@@ -1215,22 +1275,17 @@ class VectorEngine:
         unhook the engine, so the active kernel can continue mid-run
         (e.g. when a fault injector or invariant checker is installed).
         """
-        from ..powergate.controller import PGState
-
         net = self.net
-        cycle = net.cycle
         routers = net.routers
         packets = self.packets
-        V = self.V
-        P = self.P
         pv = self._pv
         # Buffered flits, in global seq order so each router's
         # ``_occupied`` dict regains the reference insertion order.
         occ_f = _np.where(self.occ > 0)[0]
         occ_f = occ_f[_np.argsort(self.seq[occ_f], kind="stable")]
         for f in occ_f.tolist():
-            router = routers[f // pv]
-            vc = router.input_ports[Direction((f // V) % P)].vcs[f % V]
+            r, direction, index = self._unflat(f)
+            vc = routers[r].input_ports[direction].vcs[index]
             hh = int(self.h[f])
             for j in range(int(self.occ[f])):
                 slot = (hh + j) % self.D
@@ -1238,37 +1293,20 @@ class VectorEngine:
                     Flit(packets[int(self.buf_eid[f, slot])], int(self.buf_idx[f, slot]))
                 )
                 vc.arrivals.append(int(self.buf_arr[f, slot]))
-            router._occupied[vc] = None
+            routers[r]._occupied[vc] = None
         # Allocation state — includes drained-but-owned ACTIVE VCs,
         # which hold no flits and live outside ``_occupied``.
         for f in _np.where(self.state != 0)[0].tolist():
-            router = routers[f // pv]
-            vc = router.input_ports[Direction((f // V) % P)].vcs[f % V]
-            vc.state = VC_STATE_FROM_CODE[int(self.state[f])]
-            rt = int(self.route[f])
-            vc.route = Direction(rt) if rt >= 0 else None
-            ov = int(self.out_vc[f])
-            vc.out_vc = ov if ov >= 0 else None
-            oe = int(self.owner_eid[f])
-            vc.owner_packet = packets[oe].packet_id if oe >= 0 else None
-            vc.va_eligible_at = int(self.va_el[f])
-            vc.sa_eligible_at = int(self.sa_el[f])
-        for r in range(self.R):
-            router = routers[r]
-            base = r * P
-            for p in range(P):
-                d = Direction(p)
-                k = base + p
-                out_port = router.output_ports[d]
-                for v in range(V):
-                    out_port.credits[v] = int(self.credits_out[k * V + v])
-                    ow = int(self.owner_out[k * V + v])
-                    out_port.owner[v] = (
-                        None if ow < 0 else (Direction((ow // V) % P), ow % V)
-                    )
-                out_port.vc_rr_pointer = int(self.out_vc_rr[k])
-                router.input_ports[d].sa_rr_pointer = int(self.sa_rr_in[k])
-                router._sa_out_rr[d] = int(self.sa_rr_out[k])
+            r, direction, index = self._unflat(f)
+            vc = routers[r].input_ports[direction].vcs[index]
+            for array, attr, _dtype, _idle, _to_array, to_object in VC_FIELDS:
+                setattr(vc, attr, to_object(self, int(getattr(self, array)[f])))
+        for array, ports, attr, _to_array, to_object in PORT_FIELDS:
+            rows = iter(getattr(self, array).reshape(self.R * self.P, -1).tolist())
+            for router in routers:
+                for port in getattr(router, ports).values():
+                    setattr(port, attr, to_object(self, next(rows), router.router_id))
+        for r, router in enumerate(routers):
             router.incoming_in_flight = int(self.incoming[r])
             router._live_vcs = int(
                 _np.count_nonzero(self.state[r * pv : (r + 1) * pv])
@@ -1283,49 +1321,11 @@ class VectorEngine:
             packet.hops_taken = int(self.pkt_hops[eid])
         # In-flight events back into the object queues (list order is
         # the delivery order the object kernel will honor).
-        for c, entries in self._flit_ev.items():
-            out = net._flit_events[c]
-            for f, eid, idx in entries:
-                if isinstance(f, _np.ndarray):
-                    for ff, ee, ii in zip(f.tolist(), eid.tolist(), idx.tolist()):
-                        out.append(
-                            (
-                                ff // pv,
-                                Direction((ff // V) % P),
-                                ff % V,
-                                Flit(packets[ee], ii),
-                            )
-                        )
-                else:
-                    out.append(
-                        (
-                            f // pv,
-                            Direction((f // V) % P),
-                            f % V,
-                            Flit(packets[eid], idx),
-                        )
-                    )
-        for c, arrays in self._credit_ev.items():
-            out = net._credit_events[c]
-            for enc in arrays:
-                for e in enc.tolist():
-                    if e >= 0:
-                        out.append(
-                            (e // pv, Direction((e // V) % P), e % V)
-                        )
-                    else:
-                        v2 = -e - 1
-                        out.append((-(v2 // V) - 1, Direction.LOCAL, v2 % V))
-        for c, entries in self._eject_ev.items():
-            out = net._eject_events[c]
-            for nodes, eids, idxs in entries:
-                for nn, ee, ii in zip(
-                    nodes.tolist(), eids.tolist(), idxs.tolist()
-                ):
-                    out.append((nn, Flit(packets[ee], ii)))
-        self._flit_ev.clear()
-        self._credit_ev.clear()
-        self._eject_ev.clear()
+        for engine_queue, object_queue, _encode, decode in self._event_queues():
+            for c, chunks in engine_queue.items():
+                for chunk in chunks:
+                    object_queue[c].extend(decode(chunk))
+            engine_queue.clear()
         net._active_routers.update(self.occupied_routers())
         self.fold_link_counts()
         for ni in net.interfaces:
@@ -1345,26 +1345,16 @@ class VectorEngine:
             # set's bound ``add`` (``PowerGatedScheme.attach``), so a
             # rebound set would never hear a controller leave OFF.
             sch._armed.clear()
-            sch._armed.update(
-                c.router_id for c in controllers if c.state is not PGState.OFF
-            )
+            sch._armed.update(c.router_id for c in controllers if not c.is_off)
             sch._sleep_deadlines = {}
             sch._punch_cache = {}
-            sch._stepped_through = cycle - 1
+            sch._stepped_through = net.cycle - 1
             # In-flight punch wavefronts return to the object fabric's
-            # pending dict (values as mutable sets, the shape its
-            # non-memoized path mutates in place).
+            # pending dict.
             w = self._pend_writes
             if w:
-                fab = sch.fabric
-                key = _np.unique(w[0] if len(w) == 1 else _np.concatenate(w))
+                pending = sch.fabric._pending
+                for key in _np.unique(_np.concatenate(w)).tolist():
+                    pending.setdefault(key // self.R, set()).add(key % self.R)
                 w.clear()
-                r_all = key // self.R
-                t_all = key - r_all * self.R
-                start, cnt = _group_bounds(r_all)
-                for i in range(start.size):
-                    lo = int(start[i])
-                    fab._pending[int(r_all[lo])] = set(
-                        t_all[lo : lo + int(cnt[i])].tolist()
-                    )
         net._engine = None

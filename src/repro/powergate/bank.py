@@ -22,6 +22,55 @@ _NO_WAKE = 1 << 60
 _NO_SLEEP = -1
 
 
+def _optional(none: int):
+    """Conversions of an ``Optional[int]`` field kept as ``none``."""
+    return (
+        lambda value: none if value is None else value,
+        lambda stored: None if stored == none else stored,
+    )
+
+
+#: The object/array seam, one row per mirrored field: bank array,
+#: :class:`PowerGateController` attribute, dtype, to-array, to-object.
+#: The constructor and ``flush_into`` read this table and name no field
+#: themselves.
+MIRRORED_FIELDS = (
+    ("state", "state", _np.int8, PG_STATE_CODES.get, PG_STATE_FROM_CODE.get),
+    ("idle", "idle_cycles", _np.int64, int, int),
+    ("wake_at", "wake_at", _np.int64, *_optional(_NO_WAKE)),
+    ("expect", "expect_until", _np.int64, int, int),
+    ("wu", "wu_seen", bool, bool, bool),
+    ("last_sleep", "last_sleep_cycle", _np.int64, *_optional(_NO_SLEEP)),
+    ("accounted", "_accounted_through", _np.int64, int, int),
+    ("active_cycles", "_active_cycles", _np.int64, int, int),
+    ("off_cycles", "_off_cycles", _np.int64, int, int),
+    ("waking_cycles", "_waking_cycles", _np.int64, int, int),
+    ("wake_events", "wake_events", _np.int64, int, int),
+    ("sleep_events", "sleep_events", _np.int64, int, int),
+    ("cancelled_sleeps", "cancelled_sleeps", _np.int64, int, int),
+    ("off_sum", "off_period_lengths_sum", _np.int64, int, int),
+)
+#: What only the objects hold.  The bank steps every controller every
+#: cycle, fault-free, so it carries no parked span and no retry: a flush
+#: leaves these as an unparked, unfaulted controller has them ...
+RESET_BY_FLUSH = {
+    "_quiescent_since": None,
+    "_parked_reset_prev": None,
+    "_parked_reset_last": None,
+    "_parked_busy": False,
+    "retry_at": None,
+    "retry_backoff": 0,
+}
+#: ... and never touches these: identity and configuration (the two
+#: latencies are bank-wide scalars), the scheme's hooks, and counters
+#: only a fault injector moves.
+OBJECT_ONLY_FIELDS = (
+    "router_id", "wakeup_latency", "timeout", "retry_timeout", "retry_cap",
+    "faults", "clock", "wake_hook", "stats",
+    "wakeup_retries", "short_sleeps", "faulted_wakeups",
+)
+
+
 class ControllerArrayBank:
     """All :class:`PowerGateController` FSMs of one mesh as flat arrays.
 
@@ -48,28 +97,8 @@ class ControllerArrayBank:
     have produced.
     """
 
-    def __init__(self, num_nodes: int, wakeup_latency: int, timeout: int) -> None:
-        n = num_nodes
-        self.wakeup_latency = wakeup_latency
-        self.timeout = timeout
-        self.state = _np.zeros(n, dtype=_np.int8)
-        self.idle = _np.zeros(n, dtype=_np.int64)
-        self.wake_at = _np.full(n, _NO_WAKE, dtype=_np.int64)
-        self.expect = _np.full(n, -1, dtype=_np.int64)
-        self.wu = _np.zeros(n, dtype=bool)
-        self.last_sleep = _np.full(n, _NO_SLEEP, dtype=_np.int64)
-        self.accounted = _np.full(n, -1, dtype=_np.int64)
-        self.active_cycles = _np.zeros(n, dtype=_np.int64)
-        self.off_cycles = _np.zeros(n, dtype=_np.int64)
-        self.waking_cycles = _np.zeros(n, dtype=_np.int64)
-        self.wake_events = _np.zeros(n, dtype=_np.int64)
-        self.sleep_events = _np.zeros(n, dtype=_np.int64)
-        self.cancelled_sleeps = _np.zeros(n, dtype=_np.int64)
-        self.off_sum = _np.zeros(n, dtype=_np.int64)
-
-    @classmethod
-    def from_controllers(cls, controllers) -> "ControllerArrayBank":
-        """Snapshot live controller objects into a fresh bank.
+    def __init__(self, controllers) -> None:
+        """Snapshot live controller objects.
 
         Engagement can happen at any step boundary, so every mutable
         FSM field is copied, and what the active-set kernel owes a
@@ -77,28 +106,14 @@ class ControllerArrayBank:
         is settled first: the bank steps every controller every cycle
         and has no lazy clock to fold in later.
         """
-        first = controllers[0]
-        bank = cls(len(controllers), first.wakeup_latency, first.timeout)
-        for i, c in enumerate(controllers):
+        self.wakeup_latency = controllers[0].wakeup_latency
+        self.timeout = controllers[0].timeout
+        for c in controllers:
             c.settle_quiescence()
             c._settle_off_accounting()
-            bank.state[i] = PG_STATE_CODES[c.state]
-            bank.idle[i] = c.idle_cycles
-            bank.wake_at[i] = _NO_WAKE if c.wake_at is None else c.wake_at
-            bank.expect[i] = c.expect_until
-            bank.wu[i] = c.wu_seen
-            bank.last_sleep[i] = (
-                _NO_SLEEP if c.last_sleep_cycle is None else c.last_sleep_cycle
-            )
-            bank.accounted[i] = c._accounted_through
-            bank.active_cycles[i] = c._active_cycles
-            bank.off_cycles[i] = c._off_cycles
-            bank.waking_cycles[i] = c._waking_cycles
-            bank.wake_events[i] = c.wake_events
-            bank.sleep_events[i] = c.sleep_events
-            bank.cancelled_sleeps[i] = c.cancelled_sleeps
-            bank.off_sum[i] = c.off_period_lengths_sum
-        return bank
+        for array, attr, dtype, to_array, _to_object in MIRRORED_FIELDS:
+            column = [to_array(getattr(c, attr)) for c in controllers]
+            setattr(self, array, _np.array(column, dtype=dtype))
 
     # ------------------------------------------------------------------
     def request_batch(self, nodes, cycle: int, window: int, allow_cancel: bool) -> None:
@@ -193,26 +208,9 @@ class ControllerArrayBank:
 
     def flush_into(self, controllers) -> None:
         """Write the arrays back onto the controller objects."""
-        for i, c in enumerate(controllers):
-            c.state = PG_STATE_FROM_CODE[int(self.state[i])]
-            c.idle_cycles = int(self.idle[i])
-            wake = int(self.wake_at[i])
-            c.wake_at = None if wake == _NO_WAKE else wake
-            c.expect_until = int(self.expect[i])
-            c.wu_seen = bool(self.wu[i])
-            sleep = int(self.last_sleep[i])
-            c.last_sleep_cycle = None if sleep == _NO_SLEEP else sleep
-            c._accounted_through = int(self.accounted[i])
-            c._active_cycles = int(self.active_cycles[i])
-            c._off_cycles = int(self.off_cycles[i])
-            c._waking_cycles = int(self.waking_cycles[i])
-            c.wake_events = int(self.wake_events[i])
-            c.sleep_events = int(self.sleep_events[i])
-            c.cancelled_sleeps = int(self.cancelled_sleeps[i])
-            c.off_period_lengths_sum = int(self.off_sum[i])
-            c._quiescent_since = None
-            c._parked_reset_prev = None
-            c._parked_reset_last = None
-            c._parked_busy = False
-            c.retry_at = None
-            c.retry_backoff = 0
+        for array, attr, _dtype, _to_array, to_object in MIRRORED_FIELDS:
+            for c, stored in zip(controllers, getattr(self, array).tolist()):
+                setattr(c, attr, to_object(stored))
+        for c in controllers:
+            for attr, value in RESET_BY_FLUSH.items():
+                setattr(c, attr, value)

@@ -47,8 +47,10 @@ start, the ``active_cycles`` property folds the owed span in lazily,
 and :meth:`settle_quiescence` materializes it when an event (or the
 scheme's precomputed sleep deadline) ends the skip.
 
-With the hooks left at ``None`` (unit tests, the naive kernel) the
-controller behaves exactly as if stepped every cycle.
+With the hooks left at ``None`` (unit tests) the controller behaves
+exactly as if stepped every cycle; the full-scan reference
+(``repro.noc.reference``) keeps the hooks and simply steps every
+controller every cycle, so the lazy clock never owes it anything.
 """
 
 from __future__ import annotations

@@ -23,11 +23,15 @@ Layers of evidence:
 * a hypothesis property — at every cycle the active kernel's work-sets
   contain every component the naive scan would visit (routers with
   occupied VCs, NIs with work, non-OFF controllers);
+* oracle independence — the naive kernel (``repro.noc.reference``)
+  reproduces its own results with every work-set made unreadable, so it
+  cannot be the active kernel with its sets filled in;
 * the seam — an exhaustive check on 2x2 and 3x3 meshes that engaging
   the vector engine from live state before *any* cycle and
   materializing it back 1, 2 or 9 cycles later changes nothing, a
-  hypothesis property over random switch schedules on 6x6/8x8, and a
-  closed-loop ``Chip`` run switched twice;
+  hypothesis property over random switch schedules on 6x6/8x8, a
+  closed-loop ``Chip`` run switched twice, and a census of the two
+  mirrored classes' slots against the seam tables;
 * the decision — which side of the seam the default kernel runs the
   repo's own workloads on.
 """
@@ -41,10 +45,11 @@ from hypothesis import strategies as st
 from repro.baselines import NoRDLike
 from repro.core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
 from repro.noc import Network, NoCConfig
+from repro.noc.buffers import VirtualChannel
 from repro.noc.network import _ENGAGE_ABOVE, _NEVER, _SELECT_WINDOW
 from repro.noc.faults import FaultInjector, FaultSchedule, FaultSpec
 from repro.noc.invariants import InvariantChecker
-from repro.powergate.controller import PGState
+from repro.powergate.controller import PGState, PowerGateController
 from repro.system import Chip, get_profile
 from repro.traffic import SyntheticTraffic, measure
 
@@ -268,7 +273,7 @@ class TestActiveSetCoverageProperty:
         )
         traffic = SyntheticTraffic(net, "uniform_random", rate, seed=seed)
         policy = net.policy
-        scheme_like = getattr(policy, "_active", False)
+        scheme_like = hasattr(policy, "_armed")
         for _ in range(150):
             traffic.step()
             net.step()
@@ -288,6 +293,94 @@ class TestActiveSetCoverageProperty:
                             controller.router_id in policy._armed
                             or controller._quiescent_since is not None
                         )
+
+
+class _WriteOnly:
+    """Stand-in for a work-set (or the sleep-deadline dict): takes every
+    write the shared event paths make, fails the test on any read."""
+
+    def add(self, item):
+        pass
+
+    discard = add
+
+    def update(self, items):
+        pass
+
+    def setdefault(self, key, default):
+        return default
+
+    def _read(self, *args):
+        raise AssertionError("the full-scan reference read a work-set")
+
+    __iter__ = __contains__ = __len__ = __getitem__ = get = pop = _read
+
+
+def _poison_work_sets(net):
+    """Swap out everything the active-set kernel skips work by.  The
+    NIs' ``on_work`` and the controllers' ``wake_hook`` stay bound to
+    the real sets' ``add`` — writes, which the reference may make."""
+    net.active_nis = _WriteOnly()
+    net._active_routers = _WriteOnly()
+    if hasattr(net.policy, "_armed"):
+        net.policy._armed = _WriteOnly()
+        net.policy._sleep_deadlines = _WriteOnly()
+
+
+class TestOracleIndependence:
+    """``kernel="naive"`` is an independent full scan, not the active
+    kernel with its sets filled in: with every work-set unreadable from
+    construction to drain, it still produces the naive results."""
+
+    def test_golden_harness_without_work_sets(self):
+        net = Network(NoCConfig(topology="mesh", kernel="naive"), PowerPunchPG())
+        _poison_work_sets(net)
+        traffic = SyntheticTraffic(net, "uniform_random", 0.01, seed=7)
+        measure(net, traffic, warmup=500, measurement=2000)
+        # tests/test_goldens.py pins the same harness, work-sets intact.
+        assert net.stats.total_blocked_routers == 653
+        assert net.stats.delivered == 515
+
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_every_scheme_without_work_sets(self, scheme_name):
+        net = Network(NoCConfig(kernel="naive"), SCHEMES[scheme_name]())
+        _poison_work_sets(net)
+        traffic = SyntheticTraffic(net, "uniform_random", 0.02, seed=7)
+        measure(net, traffic, warmup=200, measurement=800)
+        assert _dump(net) == _naive_synthetic(scheme_name, 7)
+
+    def test_reroute_around_a_stalled_router_without_work_sets(self):
+        dumps = []
+        for poisoned in (False, True):
+            config = NoCConfig(
+                width=4,
+                height=4,
+                kernel="naive",
+                degradation="reroute",
+                dead_router_threshold=50,
+            )
+            net = Network(config, PowerPunchPG())
+            net.install_faults(
+                FaultInjector(
+                    FaultSchedule([FaultSpec(kind="router_stall", router=5, start=100)])
+                )
+            )
+            if poisoned:
+                _poison_work_sets(net)
+            traffic = SyntheticTraffic(net, "uniform_random", 0.05, seed=3)
+            traffic.run(400)
+            traffic.drain()
+            assert net.dead_routers == {5} and net.stats.rerouted_packets > 0
+            dumps.append((net.cycle, _dump(net)))
+        assert dumps[0] == dumps[1]
+
+    def test_the_poison_bites(self):
+        # The same swap on the active-set kernel must trip at once, or
+        # the two tests above prove nothing.
+        net = Network(NoCConfig(kernel="active"), PowerPunchPG())
+        _poison_work_sets(net)
+        with pytest.raises(AssertionError, match="read a work-set"):
+            net.step()
 
 
 GATED_SCHEMES = ["ConvOptPG", "PowerPunchSignal", "PowerPunchPG"]
@@ -342,6 +435,27 @@ class TestExhaustiveSwitchPoints:
             for k in (1, 2, 9):
                 got, _ = _run_switched(*workload, schedule=(c, c + k))
                 assert got == naive, (c, k)
+
+
+class TestSeamCoverage:
+    """Every field of the two mirrored classes is on exactly one side of
+    the object/array seam: a row of the table ``_import`` /
+    ``materialize`` (``ControllerArrayBank()`` / ``flush_into``) loop
+    over, or a name in the list next to it.  A new slot that neither
+    direction would carry fails here, not in a switched run."""
+
+    def test_every_controller_slot(self):
+        bank = pytest.importorskip("repro.powergate.bank")
+        named = [row[1] for row in bank.MIRRORED_FIELDS]
+        named += [*bank.RESET_BY_FLUSH, *bank.OBJECT_ONLY_FIELDS]
+        assert sorted(named) == sorted(PowerGateController.__slots__)
+
+    def test_every_virtual_channel_slot(self):
+        pytest.importorskip("numpy")
+        from repro.noc import vector
+
+        named = [row[1] for row in vector.VC_FIELDS] + [*vector.VC_FIELDS_ELSEWHERE]
+        assert sorted(named) == sorted(VirtualChannel.__slots__)
 
 
 class TestSwitchScheduleProperty:

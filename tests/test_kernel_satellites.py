@@ -165,7 +165,9 @@ class TestNumpyOnlyWhenTheVectorEngineEngages:
         object kernel never pay for it (150 ms, 16 MB)."""
         code = (
             "import repro.campaign, repro.system, repro.bench, sys; "
-            "assert 'numpy' not in sys.modules"
+            "assert 'numpy' not in sys.modules; "
+            # ... nor for the full-scan oracle: only kernel='naive' imports it.
+            "assert 'repro.noc.reference' not in sys.modules"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
