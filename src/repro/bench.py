@@ -132,12 +132,3 @@ def _stats_fingerprint(net: Network) -> Dict[str, int]:
         dump["total_off_cycles"] = policy.total_off_cycles()
         dump["total_wake_events"] = policy.total_wake_events()
     return dump
-
-
-def parse_fabric(spec: str) -> Tuple[str, int, int]:
-    """Parse a fabric spec: ``8x8`` (mesh), ``torus:8x8``, ``ring:16``."""
-    topology, sep, dims = spec.partition(":")
-    if not sep:
-        topology, dims = "mesh", spec
-    width, sep, height = dims.partition("x")
-    return (topology, int(width), int(height) if sep else 1)

@@ -3,10 +3,10 @@
 Experiments declare frozen :class:`CellSpec` cells — one simulation
 each — and run them through :func:`execute_cells` / :class:`Campaign`:
 a supervised process-pool executor with a content-addressed on-disk
-cache (:class:`CellCache`), crash isolation and pool respawn, per-cell
-wall-clock timeouts, retry classification with a persistent
-:class:`QuarantineLedger`, periodic :class:`CampaignCheckpoint`
-snapshots for ``kill -9`` recovery, and a structured JSONL progress
+cache (:class:`CellCache`, written once per finished cell, so a
+``kill -9``'d campaign resumes from it), crash isolation and pool
+respawn, per-cell wall-clock timeouts, retry classification with a
+persistent :class:`QuarantineLedger`, and a structured JSONL progress
 log.  See ``docs/campaigns.md`` and ``docs/resilience.md``.
 
 Campaigns also run distributed through the same front door:
@@ -14,8 +14,8 @@ Campaigns also run distributed through the same front door:
 ``--hosts`` on any campaign CLI) carries the cells on the
 :mod:`repro.campaign.service` subpackage — an orchestrator leasing
 cells from one queue to heartbeating TCP worker hosts — instead
-of the process pool, with the same cache, log, checkpoint and
-quarantine behaviour (see ``docs/service.md``).
+of the process pool, with the same cache, log and quarantine
+behaviour (see ``docs/service.md``).
 """
 
 from .cache import CellCache, code_salt, decode_payload, encode_payload
@@ -45,7 +45,6 @@ from .engine import (
 from .runner import build_scheme, run_cell, run_parsec, run_synthetic
 from .spec import CellSpec, freeze_items
 from .supervisor import (
-    CampaignCheckpoint,
     CellTimeoutError,
     FailureReport,
     QuarantinedCellError,
@@ -59,7 +58,6 @@ from .supervisor import (
 __all__ = [
     "ENGINE_OPTION_KEYS",
     "Campaign",
-    "CampaignCheckpoint",
     "CampaignError",
     "CampaignInterrupted",
     "CampaignStats",

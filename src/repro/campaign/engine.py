@@ -3,9 +3,10 @@
 ``execute_cells`` is the one code path every experiment goes through,
 whatever carries the cells:
 
-1. each cell is looked up in the content-addressed cache, then in the
-   campaign checkpoint (hits skip simulation entirely, which is also
-   what makes interrupted — even ``kill -9``'d — campaigns resumable);
+1. each cell is looked up in the content-addressed cache (hits skip
+   simulation entirely; the store is written once per finished cell,
+   which is also what makes interrupted — even ``kill -9``'d —
+   campaigns resumable);
 2. cells already condemned by the :class:`QuarantineLedger` are
    reported as failed immediately instead of burning retries again;
 3. the misses go to one of three **carriers**, which do nothing but
@@ -18,9 +19,9 @@ whatever carries the cells:
 4. every report lands in the one :class:`_Run` that counts, retries
    with exponential backoff and deterministic jitter, classifies (a
    cell failing twice with the identical signature is quarantined,
-   not re-run), writes the cache and the periodic checkpoint, appends
-   a structured event to the JSONL progress log, and files structured
-   failure reports carrying any post-mortem the error captured.
+   not re-run), writes the cache, appends a structured event to the
+   JSONL progress log, and files structured failure reports carrying
+   any post-mortem the error captured.
 
 Results always come back in declared cell order regardless of
 completion order.  With ``failure_mode="raise"`` (the default) a
@@ -60,7 +61,6 @@ from .cache import CellCache, Payload, code_salt
 from .runner import run_cell
 from .spec import CellSpec, ItemsLike
 from .supervisor import (
-    CampaignCheckpoint,
     CellTimeoutError,
     FailureReport,
     QuarantinedCellError,
@@ -92,8 +92,6 @@ class CampaignStats:
     hits: int = 0
     executed: int = 0
     retried: int = 0
-    #: Cells recovered from the campaign checkpoint (subset of hits).
-    restored: int = 0
     #: Worker-pool deaths detected and survived (respawns).
     crashes: int = 0
     #: Cells killed for exceeding the wall-clock budget (attempt count).
@@ -111,9 +109,9 @@ class CampaignStats:
 class CampaignInterrupted(KeyboardInterrupt):
     """A SIGTERM/SIGINT arrived mid-campaign.
 
-    Raised *after* the engine's cleanup has a chance to run (checkpoint
-    flush, event-log close, pool-worker kill), so a Ctrl-C'd or
-    systemd-stopped campaign resumes cleanly from its checkpoint.
+    Raised *after* the engine's cleanup has a chance to run (event-log
+    close, pool-worker kill), so a Ctrl-C'd or systemd-stopped campaign
+    resumes cleanly from its store.
     Subclasses :class:`KeyboardInterrupt` so callers that already treat
     Ctrl-C as fatal keep their semantics.
     """
@@ -128,11 +126,11 @@ def _interruptible() -> Iterator[None]:
     """Convert SIGTERM/SIGINT into :class:`CampaignInterrupted`.
 
     Wrapped around the whole of ``execute_cells`` so termination
-    unwinds through the engine's cleanup (checkpoint and event-log
-    flush, pool-worker kill) instead of dying mid-write.  Signal
-    handlers are a main-thread-only facility; anywhere else (e.g. a
-    worker host running the engine on a thread) this is a no-op and
-    the surrounding process owns signal handling.
+    unwinds through the engine's cleanup (event-log close, pool-worker
+    kill) instead of dying mid-write.  Signal handlers are a
+    main-thread-only facility; anywhere else (e.g. a worker host
+    running the engine on a thread) this is a no-op and the surrounding
+    process owns signal handling.
     """
 
     def interrupt(signum: int, frame) -> None:
@@ -274,17 +272,15 @@ class _Run:
     * ``fail(index, exc, classification)`` — a final verdict reached
       elsewhere (a worker host already classified the failure).
 
-    Counting, classification, the cache, the checkpoint, quarantine,
-    the event log and the callbacks all happen here, so they are the
-    same under every carrier.  As a context manager it guarantees the
-    checkpoint flush and the log close however the run unwinds.
+    Counting, classification, the cache, quarantine, the event log and
+    the callbacks all happen here, so they are the same under every
+    carrier.  As a context manager it guarantees the log close however
+    the run unwinds.
     """
 
     cells: List[CellSpec]
     cache: Optional[CellCache]
     quarantine: Optional[QuarantineLedger]
-    checkpoint: Optional[CampaignCheckpoint]
-    checkpoint_every: int
     policy: RetryPolicy
     log: EventLog
     name: str
@@ -301,9 +297,7 @@ class _Run:
         self.signatures: Dict[int, List[str]] = {}
         #: Whether events carry the content address (computing it only
         #: for the log would put a hash on every cache-less cell).
-        self.keyed = not (
-            self.cache is None and self.quarantine is None and self.checkpoint is None
-        )
+        self.keyed = not (self.cache is None and self.quarantine is None)
         self._keys: List[Optional[str]] = [None] * count
 
     def __enter__(self) -> "_Run":
@@ -314,14 +308,12 @@ class _Run:
             self.log.emit(
                 {"event": "interrupted", "name": self.name, "signal": exc.signum}
             )
-        if self.checkpoint is not None:
-            self.checkpoint.flush()
         self.log.close()
 
     def key_of(self, index: int) -> str:
         """The content address of ``cells[index]``: hashed here, once a
-        run, and nowhere else — the store, the checkpoint, the ledger
-        and the log are all handed this string."""
+        run, and nowhere else — the store, the ledger and the log are
+        all handed this string."""
         key = self._keys[index]
         if key is None:
             salt = self.cache.salt if self.cache is not None else code_salt()
@@ -351,12 +343,9 @@ class _Run:
 
     # -- lookup ---------------------------------------------------------
     def lookup(self, resume: bool) -> List[int]:
-        """Answer what the cache, the checkpoint and the quarantine
-        ledger can; returns the indices left to run, in declared order."""
+        """Answer what the cache and the quarantine ledger can; returns
+        the indices left to run, in declared order."""
         cache = self.cache if resume else None
-        checkpoint = self.checkpoint if resume else None
-        if checkpoint is not None:
-            checkpoint.load()
         runnable: List[int] = []
         for index, spec in enumerate(self.cells):
             payload = (
@@ -364,12 +353,6 @@ class _Run:
             )
             if payload is not None:
                 self._deliver(index, payload, "hit", store=False)
-                continue
-            if checkpoint is not None:
-                payload = checkpoint.get(self.key_of(index))
-            if payload is not None:
-                self.stats.restored += 1
-                self._deliver(index, payload, "restored")  # heals the cache
             elif self.quarantine is not None and self.quarantine.is_quarantined(
                 self.key_of(index)
             ):
@@ -424,19 +407,6 @@ class _Run:
             self.stats.hits += 1
         if store and self.cache is not None:
             self.cache.put(spec, payload, self.key_of(index))
-        if self.checkpoint is not None:
-            self.checkpoint.record(self.key_of(index), payload)
-            # Only fresh results drive the periodic flush: a warm run
-            # would otherwise rewrite the whole file every few hits.
-            if fresh and self.checkpoint.due(self.checkpoint_every):
-                self.checkpoint.flush()
-                self.log.emit(
-                    {
-                        "event": "checkpoint",
-                        "name": self.name,
-                        "completed": len(self.checkpoint.entries),
-                    }
-                )
         self._log_cell(status, index, key=self._event_key(index), **extra)
         if self.on_result is not None:
             self.on_result(index, spec, payload, not fresh)
@@ -513,8 +483,6 @@ def execute_cells(
     max_retries: int = 2,
     timeout: Optional[float] = None,
     quarantine: Optional[Union[QuarantineLedger, str, Path]] = None,
-    checkpoint: Optional[Union[CampaignCheckpoint, str, Path]] = None,
-    checkpoint_every: int = 4,
     failure_mode: str = "raise",
     log_path: Optional[Union[str, Path]] = None,
     log_host: Optional[str] = None,
@@ -537,38 +505,29 @@ def execute_cells(
     is a per-cell wall-clock budget in seconds; enforcing it requires
     process isolation, so a timeout forces the pool path even for
     ``workers=1``.  ``quarantine`` is a :class:`QuarantineLedger` (or
-    its directory); ``checkpoint`` a :class:`CampaignCheckpoint` (or
-    its file path).  ``resume=False`` ignores cached/checkpointed
-    entries (they are recomputed and overwritten) while still writing
-    fresh results.  ``on_result`` is called as ``(index, spec, payload,
-    was_hit)`` in completion order — hits first, then runs as they
-    finish; ``on_failure`` as ``(index, spec, exception,
-    classification)`` when a cell fails for good.  ``log_host`` stamps
-    every event with a host identity (multi-host campaigns merge their
-    logs deterministically).
+    its directory).  ``resume=False`` ignores cached entries (they are
+    recomputed and overwritten) while still writing fresh results.
+    ``on_result`` is called as ``(index, spec, payload, was_hit)`` in
+    completion order — hits first, then runs as they finish;
+    ``on_failure`` as ``(index, spec, exception, classification)`` when
+    a cell fails for good.  ``log_host`` stamps every event with a host
+    identity (multi-host campaigns merge their logs deterministically).
 
     While the engine runs on the main thread, SIGTERM/SIGINT are
-    converted into :class:`CampaignInterrupted`: the checkpoint and
-    event log are flushed and pool workers killed before the exception
-    propagates, so an interrupted campaign resumes cleanly.
+    converted into :class:`CampaignInterrupted`: the event log is
+    closed and pool workers killed before the exception propagates.
+    Every finished cell is already in the store (one atomic ``put``
+    each), so an interrupted campaign resumes cleanly.
     """
     if failure_mode not in ("raise", "continue"):
         raise ValueError("failure_mode must be 'raise' or 'continue'")
     cells = list(cells)
     if isinstance(quarantine, (str, Path)):
         quarantine = QuarantineLedger(quarantine)
-    if isinstance(checkpoint, (str, Path)):
-        checkpoint = CampaignCheckpoint(
-            Path(checkpoint),
-            salt=cache.salt if cache is not None else code_salt(),
-            name=name,
-        )
     run = _Run(
         cells,
         cache=cache,
         quarantine=quarantine,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
         policy=RetryPolicy(max_retries=max_retries, timeout=timeout),
         log=EventLog(log_path, host=log_host),
         name=name,
@@ -587,7 +546,6 @@ def execute_cells(
             "max_retries": max_retries,
             "timeout": timeout,
             "quarantine": str(quarantine.root) if quarantine else None,
-            "checkpoint": str(checkpoint.path) if checkpoint else None,
         }
     )
     start = perf_counter()
@@ -830,10 +788,10 @@ class Campaign:
     and the CI cache-hit smoke check — can assert hit/run counts.
 
     With a ``cache_dir``, the supervision artifacts land beside the
-    cell cache by default: the JSONL event log, the campaign
-    checkpoint, and the quarantine ledger (under
-    ``<cache_dir>/quarantine``) — whichever carrier (``workers``,
-    ``hosts``) runs the cells.
+    cell cache by default: the JSONL event log and the quarantine
+    ledger (under ``<cache_dir>/quarantine``) — whichever carrier
+    (``workers``, ``hosts``) runs the cells.  The cache is the only
+    record of finished cells: rerunning resumes from it.
     """
 
     name: str
@@ -854,7 +812,6 @@ class Campaign:
         max_retries: int = 2,
         timeout: Optional[float] = None,
         quarantine_dir: Optional[Union[str, Path]] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
         failure_mode: str = "raise",
         log_path: Optional[Union[str, Path]] = None,
         on_result: Optional[Callable] = None,
@@ -873,7 +830,6 @@ class Campaign:
                 c if c.isalnum() or c in "-_" else "-" for c in self.name
             )
             log_path = log_path or root / f"{safe}.events.jsonl"
-            checkpoint_path = checkpoint_path or root / f"{safe}.checkpoint.json"
             quarantine_dir = quarantine_dir or root / "quarantine"
         payloads, stats = execute_cells(
             cells,
@@ -884,7 +840,6 @@ class Campaign:
             max_retries=max_retries,
             timeout=timeout,
             quarantine=quarantine_dir,
-            checkpoint=checkpoint_path,
             failure_mode=failure_mode,
             log_path=log_path,
             name=self.name,

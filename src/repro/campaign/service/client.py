@@ -4,11 +4,10 @@
 :func:`~repro.campaign.engine.execute_cells`: it submits the cells the
 front door could not answer itself, and reports each streamed verdict
 into the run — a payload, a store hit, or a failure a worker host
-already classified.  Everything else (counting, the cache, the
-checkpoint, quarantine, the event log, ``failure_mode``) is the front
-door's, exactly as under the process pool, and because cells are pure
-functions of their specs the payloads are bit-identical to a
-single-host run.
+already classified.  Everything else (counting, the cache, quarantine,
+the event log, ``failure_mode``) is the front door's, exactly as under
+the process pool, and because cells are pure functions of their specs
+the payloads are bit-identical to a single-host run.
 
 :class:`LocalCluster` spins up an ephemeral service on this machine
 (orchestrator on a background thread, worker hosts as subprocesses);

@@ -67,11 +67,11 @@ MISS_LIMIT = 3
 RECONNECT_BACKOFF_BASE = 0.5
 RECONNECT_BACKOFF_CAP = 30.0
 #: Times one cell is requeued after losing its lease (host gone, lease
-#: expired, undecodable payload); the next loss fails it as
-#: ``host-loss``.  A cell that takes its host down with it would
-#: otherwise be handed to every host in turn and leave its campaign
-#: waiting for good, and that many losses in a row are far likelier
-#: the cell's doing than unrelated machine failures.
+#: expired, undecodable payload, host engine error); the next loss
+#: fails it as ``host-loss``.  A cell that takes its host down with it
+#: would otherwise be handed to every host in turn and leave its
+#: campaign waiting for good, and that many losses in a row are far
+#: likelier the cell's doing than unrelated machine failures.
 MAX_REQUEUES = 3
 
 
@@ -515,11 +515,17 @@ class Orchestrator:
         if cell is None or cell.status == "failed":
             return
         self._release_lease(cell)
+        classification = str(message.get("classification", "unknown"))
+        if classification == "host-error":
+            # The host's engine broke around the cell, not the cell: run
+            # it elsewhere now instead of waiting out the lease clock.
+            await self._requeue(cell, reason="host-error")
+            return
         await self._fail_cell(
             cell,
             record.name,
             str(message.get("error", "unknown failure")),
-            str(message.get("classification", "unknown")),
+            classification,
         )
 
     async def _fail_cell(
@@ -682,9 +688,10 @@ class Orchestrator:
                 "shared": shared,
             }
         )
-        if campaign.remaining == 0:
+        if not docs:
+            # No cell for ``_send_cell`` to finish the campaign with.
             await self._send_done(campaign)
-        else:
+        elif campaign.remaining:
             self._poke_soon()
         return campaign
 

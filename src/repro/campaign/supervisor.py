@@ -17,10 +17,6 @@ workers; this module gives it the pieces to stop doing that:
   cell, including any :class:`~repro.noc.invariants.PostMortem` the
   failure carried) consulted at campaign start so known-bad cells are
   skipped without burning their retry budget again;
-* :class:`CampaignCheckpoint` — an atomically rewritten snapshot of
-  completed cell payloads, keyed like the cell cache, so a campaign
-  hard-killed mid-flight (``kill -9``) resumes from its last
-  checkpoint with bit-identical results;
 * :class:`WorkerCrashError` / :class:`CellTimeoutError` /
   :class:`QuarantinedCellError` — typed stand-ins for failures that
   happen *around* a cell rather than inside it (a worker process died,
@@ -42,7 +38,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from .cache import code_salt, decode_payload, encode_payload
 from .spec import CellSpec
 
 
@@ -297,89 +292,3 @@ class QuarantineLedger:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
         self._keys[report.key] = entry
 
-
-@dataclass
-class CampaignCheckpoint:
-    """Atomic snapshot of completed cell payloads for crash recovery.
-
-    The cell cache already persists each payload as it completes; the
-    checkpoint additionally works for campaigns run *without* a cache
-    directory and gives ``kill -9`` recovery a single self-describing
-    artifact (campaign name, salt, entry count).  Entries are keyed
-    exactly like the cache (``spec.cache_key(salt)``) and store the
-    same type-tagged payload encoding, so recovery is bit-identical to
-    a cache hit.
-    """
-
-    path: Path
-    salt: str = field(default_factory=code_salt)
-    name: str = "campaign"
-    entries: Dict[str, dict] = field(default_factory=dict)
-    #: Completions since the last flush (drives periodic flushing).
-    dirty: int = 0
-
-    def __post_init__(self) -> None:
-        self.path = Path(self.path)
-
-    def load(self) -> int:
-        """Read entries recorded under this salt; returns the count.
-
-        A checkpoint written under a different salt (the simulator
-        changed underneath it) is ignored wholesale, exactly like a
-        stale cache entry.
-        """
-        try:
-            doc = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            return 0
-        if not isinstance(doc, dict) or doc.get("salt") != self.salt:
-            return 0
-        entries = doc.get("entries")
-        if isinstance(entries, dict):
-            self.entries.update(entries)
-        return len(self.entries)
-
-    def get(self, key: str):
-        """Decoded payload for ``key``, or ``None``."""
-        doc = self.entries.get(key)
-        if doc is None:
-            return None
-        try:
-            return decode_payload(doc)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def record(self, key: str, payload) -> None:
-        self.entries[key] = encode_payload(payload)
-        self.dirty += 1
-
-    def due(self, every: int) -> bool:
-        """Whether enough completions are unflushed to rewrite the file.
-
-        Every ``every`` completions while the campaign is small; past
-        ``8 * every`` entries, once an eighth of what is recorded is
-        unflushed.  Each rewrite is then at least 8/7 the size of the
-        one before, so the bytes written over a whole campaign stay
-        within a constant factor (about 8) of the final file instead of
-        growing with the square of the cell count — at the price that a
-        ``kill -9`` can lose up to an eighth of the recorded cells
-        rather than up to ``every`` (the cell cache, when there is
-        one, still has each of them).
-        """
-        return self.dirty >= max(every, len(self.entries) // 8)
-
-    def flush(self) -> None:
-        """Atomically rewrite the checkpoint file."""
-        if not self.dirty:
-            return
-        _atomic_write_json(
-            self.path,
-            {
-                "version": 1,
-                "name": self.name,
-                "salt": self.salt,
-                "completed": len(self.entries),
-                "entries": self.entries,
-            },
-        )
-        self.dirty = 0

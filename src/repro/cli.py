@@ -30,7 +30,8 @@ bounds each cell's wall clock, ``--max-retries N`` caps attempts
 before a cell is quarantined, and ``--quarantine-dir`` relocates the
 persistent quarantine ledger (default: ``<cache-dir>/quarantine``).
 Worker crashes (OOM kills, segfaults) are isolated and the pool is
-respawned; a ``kill -9``'d campaign resumes from its checkpoint.
+respawned; a ``kill -9``'d campaign resumes from its cell cache,
+which holds every cell that finished before the kill.
 
 Robustness flags (before or after the command; see
 ``docs/fault_model.md``)::

@@ -2,11 +2,13 @@
 
 Covers the cell-spec hashing contract, the content-addressed cache
 (hit / miss / stale-salt / corrupt-entry paths), the executor
-(ordering, parallel equivalence, retry, event log) and the shared
-CLI plumbing.
+(ordering, parallel equivalence, retry, event log), resuming from the
+store alone and the shared CLI plumbing.
 """
 
 import builtins
+import dataclasses
+import inspect
 import json
 import random
 import shutil
@@ -14,10 +16,12 @@ from pathlib import Path
 
 import pytest
 
+import repro.campaign
 from repro.campaign import (
     ENGINE_OPTION_KEYS,
     Campaign,
     CampaignError,
+    CampaignStats,
     CellCache,
     CellSpec,
     EventLog,
@@ -369,11 +373,10 @@ class TestOneAddressPerCell:
         assert counts == {"hash": self.N, "open": self.N}
         assert payloads == [{"seed": spec.seed} for spec in cells]
 
-    def test_log_checkpoint_and_ledger_reuse_the_key(self, tmp_path, counts):
+    def test_log_and_ledger_reuse_the_key(self, tmp_path, counts):
         """Everything keyed like the cache is handed the same string."""
         cells = self.cells()
         options = dict(
-            checkpoint=tmp_path / "ck.json",
             quarantine=tmp_path / "q",
             log_path=tmp_path / "events.jsonl",
         )
@@ -386,8 +389,6 @@ class TestOneAddressPerCell:
         events = [e for e in iter_events(options["log_path"]) if e["event"] == "cell"]
         assert [e["key"] for e in events] == keys + keys
         assert [e["status"] for e in events] == ["done"] * self.N + ["hit"] * self.N
-        entries = json.loads(options["checkpoint"].read_text())["entries"]
-        assert sorted(entries) == sorted(keys)
 
     def test_a_key_is_only_ever_paired_with_its_own_cell(self, tmp_path, counts):
         """Shuffle the declared order of a stored sweep: payload *i* of
@@ -513,6 +514,92 @@ class TestCampaign:
         assert campaign.last_stats.total == 1
         # Default event log lands next to the cache.
         assert list(tmp_path.glob("*.events.jsonl"))
+
+
+class TestStoreIsTheRecord:
+    """A finished cell is recorded once, in the store: resuming is a
+    store hit, and no second record is written or read beside it."""
+
+    N = 6
+
+    def cells(self):
+        return tuple(
+            CellSpec.parsec("canneal", "No-PG", instructions=100, seed=seed)
+            for seed in range(self.N)
+        )
+
+    @pytest.fixture(autouse=True)
+    def instant_cells(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.campaign.engine.run_cell", lambda spec: {"seed": spec.seed}
+        )
+
+    def test_resume_hits_exactly_the_cells_a_cut_short_run_stored(self, tmp_path):
+        cells = self.cells()
+        stored = cells[:2] + cells[4:5]
+        Campaign(name="cut", cells=stored).run(cache_dir=tmp_path)
+        campaign = Campaign(name="cut", cells=cells)
+        payloads = campaign.run(cache_dir=tmp_path)
+        assert payloads == [{"seed": spec.seed} for spec in cells]
+        assert campaign.last_stats.hits == len(stored)
+        assert campaign.last_stats.executed == self.N - len(stored)
+        events = [
+            e for e in iter_events(tmp_path / "cut.events.jsonl") if e["event"] == "cell"
+        ][len(stored):]
+        status = {e["seed"]: e["status"] for e in events}
+        assert status == {
+            spec.seed: "hit" if spec in stored else "done" for spec in cells
+        }
+
+    def test_a_leftover_checkpoint_file_is_never_read(self, tmp_path):
+        """A ``<name>.checkpoint.json`` from an older release, with the
+        current salt and every key, answers nothing and is left as is."""
+        cells = self.cells()
+        cache = CellCache(tmp_path)
+        leftover = tmp_path / "unit.checkpoint.json"
+        leftover.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "name": "unit",
+                    "salt": cache.salt,
+                    "completed": self.N,
+                    "entries": {
+                        cache.key_for(spec): encode_payload({"seed": -1})
+                        for spec in cells
+                    },
+                }
+            )
+        )
+        before = leftover.read_bytes()
+        campaign = Campaign(name="unit", cells=cells)
+        payloads = campaign.run(cache_dir=tmp_path)
+        assert payloads == [{"seed": spec.seed} for spec in cells]
+        assert campaign.last_stats.executed == self.N
+        assert campaign.last_stats.hits == 0
+        assert leftover.read_bytes() == before
+
+    def test_without_a_store_a_rerun_executes_every_cell(self, tmp_path):
+        campaign = Campaign(name="unit", cells=self.cells())
+        for _ in ("first", "again"):
+            payloads = campaign.run(log_path=tmp_path / "events.jsonl")
+            assert payloads == [{"seed": spec.seed} for spec in self.cells()]
+            assert campaign.last_stats.executed == self.N
+            assert campaign.last_stats.hits == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.jsonl"]
+
+    def test_no_checkpoint_surface_is_left(self, tmp_path):
+        assert not hasattr(repro.campaign, "CampaignCheckpoint")
+        for function in (execute_cells, Campaign.run):
+            names = inspect.signature(function).parameters
+            assert not [n for n in names if "checkpoint" in n], function
+        assert "restored" not in {f.name for f in dataclasses.fields(CampaignStats)}
+        Campaign(name="unit", cells=self.cells()).run(cache_dir=tmp_path)
+        events = list(iter_events(tmp_path / "unit.events.jsonl"))
+        assert "checkpoint" not in events[0]
+        assert {e["event"] for e in events} == {"campaign-start", "cell", "campaign-end"}
+        assert {e["status"] for e in events if e["event"] == "cell"} == {"done"}
+        assert not list(tmp_path.rglob("*.checkpoint.json"))
 
 
 class TestRunCell:

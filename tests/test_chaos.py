@@ -32,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import (
+    Campaign,
     CampaignError,
     CellCache,
     CellSpec,
@@ -128,26 +129,33 @@ class TestWorkerKill:
         assert report["signatures"][-2:] == ["worker-crash", "worker-crash"]
 
 
-_ORCHESTRATOR_SCRIPT = """
-import os, signal, sys
-from repro.campaign import CellCache, execute_cells
+_VICTIM_SCRIPT = """
+import json, os, signal, sys
+from repro.campaign import Campaign, CampaignInterrupted
 from tests.test_chaos import orchestrator_cells
 
-cells = orchestrator_cells()
-cache = CellCache(sys.argv[1])
+cache_dir, signame, carrier = sys.argv[1:4]
 seen = []
 
 def on_result(index, spec, payload, was_hit):
     seen.append(index)
     if len(seen) == 3:
-        os.kill(os.getpid(), signal.SIGKILL)  # kill -9, no cleanup
+        os.kill(os.getpid(), getattr(signal, signame))
 
-execute_cells(cells, cache=cache, on_result=on_result)
+campaign = Campaign(name="victim", cells=orchestrator_cells())
+try:
+    campaign.run(cache_dir=cache_dir, on_result=on_result, **json.loads(carrier))
+except CampaignInterrupted as exc:
+    sys.exit(40 + (1 if exc.signum == signal.SIGTERM else 2))
+sys.exit(0)
 """
+
+#: The three carriers a campaign can run on; resume means the same on each.
+CARRIERS = [{"workers": 1}, {"workers": 2}, {"hosts": "local:1"}]
 
 
 def orchestrator_cells():
-    """Real (tiny) simulation cells for the orchestrator-kill test —
+    """Real (tiny) simulation cells for the orchestrator-kill tests —
     the child process cannot see the parent's monkeypatches."""
     return [
         CellSpec.synthetic(
@@ -164,38 +172,71 @@ def orchestrator_cells():
     ]
 
 
-class TestOrchestratorKill:
-    def test_kill_dash_9_then_resume_bit_identical(self, tmp_path):
-        """kill -9 the whole campaign after 3 completed cells; a
-        resumed run must recover those 3 from the cache and finish with
-        100% coverage and payload hashes identical to an undisturbed
-        run."""
-        cache_dir = tmp_path / "cache"
-        env = dict(os.environ)
-        repo = Path(__file__).resolve().parent.parent
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(repo / "src"), str(repo), env.get("PYTHONPATH", "")]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", _ORCHESTRATOR_SCRIPT, str(cache_dir)],
+def run_victim(tmp_path, signame, carrier):
+    """Run ``Campaign(name="victim").run(cache_dir=tmp_path / "store")``
+    in a child that signals itself ``signame`` after 3 results; returns
+    ``(exit code, stderr)``.  The child gets its own session, so pool
+    workers or worker hosts a ``kill -9`` orphaned are killed with it."""
+    env = dict(os.environ)
+    repo = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), str(repo), env.get("PYTHONPATH", "")]
+    )
+    err = tmp_path / "victim.stderr"
+    with open(err, "w") as stderr:
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                _VICTIM_SCRIPT,
+                str(tmp_path / "store"),
+                signame,
+                json.dumps(carrier),
+            ],
             env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+            start_new_session=True,
         )
-        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        try:
+            proc.wait(timeout=300)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    return proc.returncode, err.read_text()
 
-        cells = orchestrator_cells()
-        cache = CellCache(cache_dir)
-        resumed, stats = execute_cells(cells, cache=cache)
+
+def resume_from_store(tmp_path, carrier):
+    """Rerun the victim's campaign against its store; check it matches
+    an undisturbed run bit for bit and that neither run wrote a
+    checkpoint beside the store.  Returns the rerun's stats."""
+    cells = orchestrator_cells()
+    campaign = Campaign(name="victim", cells=tuple(cells))
+    resumed = campaign.run(cache_dir=tmp_path / "store", **carrier)
+    stats = campaign.last_stats
+    assert stats.failed == 0 and stats.hits + stats.executed == len(cells)
+    undisturbed, _ = execute_cells(cells)
+    assert [payload_hash(p) for p in resumed] == [
+        payload_hash(p) for p in undisturbed
+    ]
+    assert not list((tmp_path / "store").rglob("*.checkpoint.json"))
+    return stats
+
+
+class TestOrchestratorKill:
+    @pytest.mark.parametrize("carrier", CARRIERS, ids=str)
+    def test_kill_dash_9_then_resume_bit_identical(self, tmp_path, carrier):
+        """kill -9 the whole campaign after 3 completed cells; a
+        resumed run must recover those 3 from the store alone and
+        finish with 100% coverage and payload hashes identical to an
+        undisturbed run."""
+        code, stderr = run_victim(tmp_path, "SIGKILL", carrier)
+        assert code == -signal.SIGKILL, stderr
+        stats = resume_from_store(tmp_path, carrier)
         assert stats.hits == 3, "completed cells were not salvaged"
         assert stats.executed == 3
-        assert all(p is not None for p in resumed)
-
-        undisturbed, _ = execute_cells(cells, cache=CellCache(tmp_path / "fresh"))
-        assert [payload_hash(p) for p in resumed] == [
-            payload_hash(p) for p in undisturbed
-        ]
 
 
 class TestQuarantine:
@@ -430,83 +471,6 @@ class TestTimeout:
         assert payloads[1] == well_behaved(cells[1])
 
 
-class TestCheckpointRecovery:
-    def test_campaign_restores_from_checkpoint_without_cache(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(
-            "repro.campaign.engine.run_cell", well_behaved
-        )
-        ckpt = tmp_path / "campaign.checkpoint.json"
-        cells = specs(4)
-        _, cold = execute_cells(cells, checkpoint=ckpt, checkpoint_every=1)
-        assert cold.executed == 4
-
-        def must_not_run(spec):  # pragma: no cover - failure mode
-            raise AssertionError("cell re-ran despite checkpoint")
-
-        monkeypatch.setattr("repro.campaign.engine.run_cell", must_not_run)
-        payloads, warm = execute_cells(cells, checkpoint=ckpt)
-        assert warm.executed == 0
-        assert warm.hits == 4 and warm.restored == 4
-        assert payloads == [well_behaved(spec) for spec in cells]
-
-    def test_checkpoint_heals_wiped_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.campaign.engine.run_cell", well_behaved)
-        ckpt = tmp_path / "c.json"
-        cache_dir = tmp_path / "cache"
-        cells = specs(2)
-        execute_cells(
-            cells,
-            cache=CellCache(cache_dir, salt="s1"),
-            checkpoint=ckpt,
-            checkpoint_every=1,
-        )
-        # Simulate losing the cache but keeping the checkpoint.
-        for entry in cache_dir.rglob("*.json"):
-            entry.unlink()
-        cache = CellCache(cache_dir, salt="s1")
-        _, stats = execute_cells(cells, cache=cache, checkpoint=ckpt)
-        assert stats.restored == 2 and stats.executed == 0
-        # Restored entries were written back into the cache.
-        assert cache.get(cells[0]) == well_behaved(cells[0])
-
-
-    def test_checkpoint_bytes_written_are_linear_in_cells(
-        self, tmp_path, monkeypatch
-    ):
-        """400 instant cells: the periodic rewrites add up to a constant
-        multiple of the final file (every-4 rewrites wrote ~50x the
-        final file here and ~400x at 3 200 cells), and a small campaign
-        still flushes every ``checkpoint_every`` completions."""
-        from repro.campaign import supervisor
-
-        monkeypatch.setattr("repro.campaign.engine.run_cell", well_behaved)
-        written = []
-        real_write = supervisor._atomic_write_json
-
-        def measuring_write(path, doc):
-            real_write(path, doc)
-            written.append(path.stat().st_size)
-
-        monkeypatch.setattr(supervisor, "_atomic_write_json", measuring_write)
-        ckpt = tmp_path / "c.json"
-        log = tmp_path / "events.jsonl"
-        _, stats = execute_cells(specs(400), checkpoint=ckpt, log_path=log)
-        assert stats.executed == 400
-        final = ckpt.stat().st_size
-        assert written[-1] == final
-        assert len(json.loads(ckpt.read_text())["entries"]) == 400
-        assert sum(written) <= 12 * final
-        flushed_at = [
-            e["completed"] for e in iter_events(log) if e["event"] == "checkpoint"
-        ]
-        assert flushed_at[:8] == [4, 8, 12, 16, 20, 24, 28, 32]
-        # Never more than an eighth of the recorded cells unflushed.
-        for before, after in zip(flushed_at, flushed_at[1:]):
-            assert after - before <= max(4, after // 8)
-
-
 class TestPoolBacklog:
     def test_only_completions_wake_the_supervisor(self, monkeypatch):
         """200 instant cells, 2 workers, nothing to retry and no
@@ -541,85 +505,26 @@ class TestPoolBacklog:
         assert max(inflight for inflight, _ in waits) <= 2
 
 
-_GRACEFUL_SCRIPT = """
-import os, signal, sys
-from repro.campaign import CampaignInterrupted, CellCache, execute_cells
-from tests.test_chaos import orchestrator_cells
-
-cells = orchestrator_cells()
-cache_dir, log_path, ckpt_path = sys.argv[1:4]
-seen = []
-
-def on_result(index, spec, payload, was_hit):
-    seen.append(index)
-    if len(seen) == 3:
-        os.kill(os.getpid(), signal.SIGTERM)  # systemd-style stop
-
-try:
-    execute_cells(
-        cells,
-        cache=CellCache(cache_dir),
-        checkpoint=ckpt_path,
-        checkpoint_every=100,  # only the shutdown path may flush
-        log_path=log_path,
-        on_result=on_result,
-    )
-except CampaignInterrupted as exc:
-    sys.exit(40 + (1 if exc.signum == signal.SIGTERM else 2))
-sys.exit(0)
-"""
-
-
 class TestGracefulShutdown:
-    def test_sigterm_flushes_state_and_resumes_cleanly(self, tmp_path):
-        """SIGTERM mid-campaign: the engine flushes the checkpoint and
-        event log, re-raises as CampaignInterrupted, and a resumed run
-        restores the completed cells bit-identically."""
-        cache_dir = tmp_path / "cache"
-        log = tmp_path / "events.jsonl"
-        ckpt = tmp_path / "campaign.checkpoint.json"
-        env = dict(os.environ)
-        repo = Path(__file__).resolve().parent.parent
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(repo / "src"), str(repo), env.get("PYTHONPATH", "")]
-        )
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                _GRACEFUL_SCRIPT,
-                str(cache_dir),
-                str(log),
-                str(ckpt),
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+    @pytest.mark.parametrize("carrier", CARRIERS, ids=str)
+    def test_sigterm_flushes_state_and_resumes_cleanly(self, tmp_path, carrier):
+        """SIGTERM mid-campaign: the engine closes the event log,
+        re-raises as CampaignInterrupted, and a resumed run finds every
+        cell the victim finished in the store."""
+        code, stderr = run_victim(tmp_path, "SIGTERM", carrier)
         # 41 == CampaignInterrupted propagated carrying SIGTERM.
-        assert proc.returncode == 41, proc.stderr
+        assert code == 41, stderr
 
         # The shutdown path recorded the interruption in the event log.
-        events = list(iter_events(log))
+        events = list(iter_events(tmp_path / "store" / "victim.events.jsonl"))
         interrupted = [e for e in events if e.get("event") == "interrupted"]
         assert interrupted and interrupted[-1]["signal"] == signal.SIGTERM
-        # The checkpoint was flushed despite checkpoint_every=100.
-        ckpt_doc = json.loads(ckpt.read_text())
-        assert len(ckpt_doc["entries"]) >= 3
+        done = [e for e in events if e.get("status") == "done"]
+        assert len(done) >= 3
 
-        # Clean resume from checkpoint alone (no cache): completed
-        # cells restore, the rest run, hashes match an undisturbed run.
-        cells = orchestrator_cells()
-        resumed, stats = execute_cells(cells, checkpoint=ckpt)
-        assert stats.restored >= 3
-        assert stats.restored + stats.executed == len(cells)
-        undisturbed, _ = execute_cells(
-            cells, cache=CellCache(tmp_path / "fresh")
-        )
-        assert [payload_hash(p) for p in resumed] == [
-            payload_hash(p) for p in undisturbed
-        ]
+        # Every cell the victim logged as done is a hit; the rest run.
+        stats = resume_from_store(tmp_path, carrier)
+        assert stats.hits == len(done)
 
     def test_torn_log_and_corrupt_cache_degrade_to_recompute(
         self, tmp_path, monkeypatch

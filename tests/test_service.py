@@ -44,6 +44,7 @@ from repro.campaign.service import (
     parse_address,
 )
 from repro.campaign.service import protocol
+from repro.campaign.service.orchestrator import MAX_REQUEUES
 from repro.noc import NoCConfig
 
 
@@ -353,6 +354,89 @@ class TestOrchestratorScheduling:
             worker.close()
 
         self._run(scenario)
+
+    def test_each_submit_gets_exactly_one_done(self, tmp_path):
+        """A submit answered entirely from the store, and one with no
+        cells at all, each end with one ``done`` message and one
+        ``campaign-done`` event — counted on the raw wire, where a
+        second ``done`` would otherwise be read as the next submit's."""
+        cells = specs(3)
+        log = tmp_path / "service.events.jsonl"
+
+        async def scenario(orch):
+            for spec in cells:
+                orch.store.put(spec, {"seed": spec.seed})
+            reader, writer = await protocol.open_connection("127.0.0.1", orch.port)
+            await protocol.send(
+                writer, {"type": "hello", "role": "client", "salt": orch.store.salt}
+            )
+            for name, docs in (("stored", cells), ("empty", [])):
+                await protocol.send(
+                    writer,
+                    {
+                        "type": "submit",
+                        "name": name,
+                        "cells": [spec.canonical() for spec in docs],
+                    },
+                )
+            messages = []
+            while not messages or messages[-1] != ("done", "empty"):
+                message = await asyncio.wait_for(protocol.recv(reader), 5.0)
+                messages.append((message["type"], message.get("name")))
+            writer.close()
+            assert messages == [("cell", None)] * 3 + [
+                ("done", "stored"),
+                ("done", "empty"),
+            ]
+
+        self._run(scenario, log_path=str(log))
+        done_events = [
+            e["name"] for e in iter_events(log) if e["event"] == "campaign-done"
+        ]
+        assert done_events == ["stored", "empty"]
+
+    def test_host_engine_error_requeues_until_host_loss(self, tmp_path):
+        """A worker host whose engine broke reports its leases as
+        ``host-error``: the cell goes back on the queue at once and is
+        granted again, and the ``MAX_REQUEUES`` bound still ends a cell
+        that keeps doing it as ``host-loss``."""
+        cells = specs(1)
+        log = tmp_path / "service.events.jsonl"
+
+        async def scenario(orch):
+            worker = FakeWorker(orch, "w0")
+            await worker.connect()
+            client = asyncio.ensure_future(submit_cells(orch, cells))
+            await until(lambda: orch.queue)
+            keys = []
+            for _ in range(MAX_REQUEUES + 1):
+                leases, _ = await worker.request()
+                assert len(leases) == 1
+                keys.append(leases[0]["key"])
+                await worker.send(
+                    {
+                        "type": "failure",
+                        "lease_id": leases[0]["lease_id"],
+                        "key": leases[0]["key"],
+                        "error": "worker host engine error: boom",
+                        "classification": "host-error",
+                    }
+                )
+                if len(keys) == 1:
+                    await until(lambda: orch.stats["requeues"] == 1)
+                    assert not client.done()
+            assert keys == [orch.store.key_for(cells[0])] * (MAX_REQUEUES + 1)
+            payloads, statuses, done = await client
+            assert statuses == ["failed"] and payloads == [None]
+            assert done["failed"] == 1
+            (cell,) = orch.cells.values()
+            assert cell.classification == "host-loss"
+            assert orch.stats["requeues"] == MAX_REQUEUES
+            worker.close()
+
+        self._run(scenario, log_path=str(log))
+        requeues = [e for e in iter_events(log) if e["event"] == "requeue"]
+        assert [e["reason"] for e in requeues] == ["host-error"] * MAX_REQUEUES
 
     def test_lease_expiry_requeues_and_late_result_is_deduped(self):
         cells = specs(1)
@@ -781,8 +865,8 @@ class TestOneFrontDoor:
         assert (tmp_path / "quarantine" / "ledger.jsonl").exists()
 
     def test_hosted_campaign_leaves_what_a_pool_campaign_leaves(self, tmp_path):
-        """The artifacts ``Campaign.run(cache_dir=D)`` promises — event
-        log, checkpoint, quarantine ledger — under ``hosts`` too, and a
+        """The artifacts ``Campaign.run(cache_dir=D)`` promises — store,
+        event log, quarantine ledger — under ``hosts`` too, and a
         failed cell is raised only after the others are done."""
         campaign = Campaign(name="probe", cells=tuple(self.CELLS))
         with pytest.raises(CampaignError) as first:
@@ -796,8 +880,10 @@ class TestOneFrontDoor:
             "campaign-end",
         ]
         assert events[-1]["executed"] == 3 and events[-1]["failed"] == 1
-        checkpoint = json.loads((tmp_path / "probe.checkpoint.json").read_text())
-        assert len(checkpoint["entries"]) == 3
+        store = CellCache(tmp_path)
+        assert [store.get(cell) is not None for cell in self.CELLS] == [
+            True, True, False, True
+        ]
         assert (tmp_path / "quarantine" / "ledger.jsonl").exists()
         # The service's own logs are separate files beside the campaign's.
         service_log = tmp_path / "service.events.jsonl"
@@ -818,19 +904,21 @@ class TestOneFrontDoor:
     def test_explicit_artifact_paths_are_honoured_under_hosts(self, tmp_path):
         cells = sim_cells(seeds=(1,))
         campaign = Campaign(name="explicit", cells=tuple(cells))
+        store = tmp_path / "store"
         campaign.run(
             hosts="local:1",
+            cache_dir=store,
             log_path=tmp_path / "logs" / "mine.jsonl",
-            checkpoint_path=tmp_path / "ck.json",
             quarantine_dir=tmp_path / "q",
         )
         assert campaign.last_stats.executed == len(cells)
         assert (tmp_path / "logs" / "mine.jsonl").exists()
         assert (tmp_path / "logs" / "service.events.jsonl").exists()
-        assert len(json.loads((tmp_path / "ck.json").read_text())["entries"]) == 2
-        # Resumes from the checkpoint alone, with nothing left to carry.
-        campaign.run(hosts="local:1", checkpoint_path=tmp_path / "ck.json")
-        assert campaign.last_stats.restored == len(cells)
+        assert not list(store.glob("*.jsonl"))
+        # Resumes from the store alone, with nothing left to carry.
+        campaign.run(hosts="local:1", cache_dir=store)
+        assert campaign.last_stats.hits == len(cells)
+        assert campaign.last_stats.executed == 0
 
 
 def _stat_fields(pid):

@@ -2,20 +2,17 @@
 
 Covers the retry policy (deterministic backoff/jitter), the
 transient-vs-deterministic failure classifier, the quarantine ledger
-(persistence, torn lines, structured reports with post-mortems), the
-campaign checkpoint (salt guard, corrupt-file tolerance, payload
-round-trip) and the pickling contract of the typed error hierarchy —
+(persistence, torn lines, structured reports with post-mortems) and
+the pickling contract of the typed error hierarchy —
 worker exceptions must survive the process-pool boundary without
 breaking the pool.
 """
 
-import json
 import pickle
 
 import pytest
 
 from repro.campaign import (
-    CampaignCheckpoint,
     CellSpec,
     CellTimeoutError,
     FailureReport,
@@ -23,7 +20,6 @@ from repro.campaign import (
     RetryPolicy,
     WorkerCrashError,
     classify_attempts,
-    encode_payload,
     error_signature,
 )
 from repro.noc.errors import (
@@ -175,61 +171,3 @@ class TestQuarantineLedger:
         assert reopened.is_quarantined("k1")
         assert not reopened.is_quarantined("k2")
 
-
-class TestCampaignCheckpoint:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "c.checkpoint.json"
-        ckpt = CampaignCheckpoint(path, salt="s1", name="unit")
-        ckpt.record("k1", {"latency": 3.5})
-        ckpt.flush()
-        fresh = CampaignCheckpoint(path, salt="s1", name="unit")
-        assert fresh.load() == 1
-        assert fresh.get("k1") == {"latency": 3.5}
-        assert fresh.get("k2") is None
-
-    def test_wrong_salt_ignored_wholesale(self, tmp_path):
-        path = tmp_path / "c.json"
-        old = CampaignCheckpoint(path, salt="s1")
-        old.record("k1", {"x": 1})
-        old.flush()
-        fresh = CampaignCheckpoint(path, salt="s2")
-        assert fresh.load() == 0
-        assert fresh.get("k1") is None
-
-    def test_corrupt_file_ignored(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text("{ torn mid-write")
-        ckpt = CampaignCheckpoint(path, salt="s1")
-        assert ckpt.load() == 0
-
-    def test_flush_is_noop_when_clean(self, tmp_path):
-        path = tmp_path / "c.json"
-        ckpt = CampaignCheckpoint(path, salt="s1")
-        ckpt.flush()
-        assert not path.exists()
-        ckpt.record("k1", {"x": 1})
-        ckpt.flush()
-        doc = json.loads(path.read_text())
-        assert doc["salt"] == "s1" and doc["completed"] == 1
-        assert doc["entries"]["k1"] == encode_payload({"x": 1})
-
-    def test_flush_cadence_is_every_n_then_an_eighth_of_the_file(self, tmp_path):
-        ckpt = CampaignCheckpoint(tmp_path / "c.json", salt="s1")
-        for i in range(3):
-            ckpt.record(f"k{i}", {"x": i})
-        assert not ckpt.due(4)
-        ckpt.record("k3", {"x": 3})
-        assert ckpt.due(4) and ckpt.due(1) and not ckpt.due(100)
-        ckpt.flush()
-        assert not ckpt.due(1)
-        # 800 recorded: four unflushed completions are no longer enough,
-        # an eighth of the file is.
-        for i in range(4, 800):
-            ckpt.record(f"k{i}", {"x": i})
-        ckpt.flush()
-        for i in range(800, 899):
-            ckpt.record(f"k{i}", {"x": i})
-        assert not ckpt.due(4)
-        for i in range(899, 915):
-            ckpt.record(f"k{i}", {"x": i})
-        assert ckpt.due(4)

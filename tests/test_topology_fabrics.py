@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import parse_fabric
 from repro.campaign import require_mesh_topology
 from repro.core import ConvOptPG, NoPG, PowerPunchPG
 from repro.noc import (
@@ -292,11 +291,6 @@ class TestConfigPlumbing:
         with pytest.raises(SystemExit, match="mesh-only"):
             require_mesh_topology(args, "fig12")
         require_mesh_topology(argparse.Namespace(topology="mesh"), "fig12")
-
-    def test_parse_fabric_specs(self):
-        assert parse_fabric("8x8") == ("mesh", 8, 8)
-        assert parse_fabric("torus:8x8") == ("torus", 8, 8)
-        assert parse_fabric("ring:16") == ("ring", 16, 1)
 
     def test_transpose_rejects_one_dimensional_fabrics(self):
         rng = random.Random(0)
