@@ -22,19 +22,13 @@ from contextlib import closing
 from time import perf_counter
 from typing import Callable, Dict, List, Tuple
 
-from .baselines import NoRDLike
-from .core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
+from .experiments.common import ALL_SCHEMES
 from .noc import Network, NoCConfig
 from .noc.packet import Packet, VirtualNetwork
 from .traffic import SyntheticTraffic
 
-SCHEMES: Dict[str, Callable] = {
-    "NoPG": NoPG,
-    "ConvOptPG": ConvOptPG,
-    "PowerPunchSignal": PowerPunchSignal,
-    "PowerPunchPG": PowerPunchPG,
-    "NoRDLike": NoRDLike,
-}
+#: The experiments' scheme registry, keyed by class name ("NoPG", ...).
+SCHEMES: Dict[str, Callable] = {cls.__name__: cls for cls in ALL_SCHEMES.values()}
 
 #: One trace event: ("inject", source, dest, vnet, size) or ("notice", node).
 TraceEvent = Tuple

@@ -156,12 +156,6 @@ class FailureReport:
         classification: str,
     ) -> "FailureReport":
         post_mortem = getattr(exc, "post_mortem", None)
-        rendered = None
-        if post_mortem is not None:
-            try:
-                rendered = post_mortem.render()
-            except Exception:  # pragma: no cover - defensive
-                rendered = repr(post_mortem)
         return cls(
             key=key,
             label=spec.label,
@@ -171,7 +165,7 @@ class FailureReport:
             signatures=list(signatures),
             error=str(exc),
             error_type=type(exc).__qualname__,
-            post_mortem=rendered,
+            post_mortem=None if post_mortem is None else post_mortem.render(),
             fault_spec=getattr(exc, "fault_spec", None),
             dead_routers=sorted(getattr(exc, "dead_routers", ()) or ()),
         )

@@ -113,15 +113,13 @@ class BoundChecker:
         self, packet: "Packet", cycle: int, observed: int, terms
     ) -> BoundViolationError:
         route = self.model.routing.path(packet.source, packet.destination)
-        post_mortem = None
-        invariants = self.network.invariants if self.network else None
-        if invariants is not None:
-            post_mortem = invariants.build_post_mortem(
-                cycle,
-                f"pkt#{packet.packet_id} exceeded its certified "
-                f"latency bound ({observed} > {terms.total})",
-                packets=[packet],
-            )
+        invariants = self.network.invariants
+        post_mortem = None if invariants is None else invariants.build_post_mortem(
+            cycle,
+            f"pkt#{packet.packet_id} exceeded its certified "
+            f"latency bound ({observed} > {terms.total})",
+            packets=[packet],
+        )
         return BoundViolationError(
             f"pkt#{packet.packet_id} {packet.source}->{packet.destination} "
             f"delivered in {observed} cycles, bound {terms.total} "

@@ -24,7 +24,6 @@ from .errors import (
 from .faults import (
     FAULT_KINDS,
     SAMPLABLE_FAULT_KINDS,
-    FaultEvent,
     FaultInjector,
     FaultSchedule,
     FaultSpec,
@@ -82,7 +81,6 @@ __all__ = [
     "DrainTimeoutError",
     "DroppedPacket",
     "FAULT_KINDS",
-    "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
     "FaultSpec",

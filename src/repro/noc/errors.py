@@ -11,7 +11,9 @@ The hierarchy deliberately subclasses :class:`RuntimeError` so legacy
 callers (and tests) written against ``except RuntimeError`` keep
 working.
 
-* :class:`SimulationError` — base, structured context.
+* :class:`SimulationError` — base, structured context, and the one
+  carrier of a :class:`~repro.noc.invariants.PostMortem` (rendered
+  under the message by ``__str__``).
 * :class:`TopologyError` — a router/link lookup hit a hole in the mesh
   (an internal wiring bug, never a workload property).
 * :class:`BufferOverflowError` — a flit was pushed into a full VC,
@@ -24,8 +26,7 @@ working.
   was stepped or injected into.
 * :class:`InvariantViolation` — an opt-in runtime invariant failed
   (see :mod:`repro.noc.invariants`).
-* :class:`DeadlockError` — the deadlock/livelock watchdog tripped;
-  carries a structured :class:`~repro.noc.invariants.PostMortem`.
+* :class:`DeadlockError` — the deadlock/livelock watchdog tripped.
 * :class:`BoundViolationError` — a delivered packet exceeded its
   certified worst-case latency bound (see :mod:`repro.guarantees`).
 * :class:`DegradedNetworkError` — the graceful-degradation policy
@@ -72,13 +73,23 @@ class SimulationError(RuntimeError):
         port: Optional[object] = None,
         vc: Optional[int] = None,
         packet: Optional[int] = None,
+        post_mortem=None,
     ) -> None:
         self.cycle = cycle
         self.router = router
         self.port = port
         self.vc = vc
         self.packet = packet
+        #: A :class:`repro.noc.invariants.PostMortem` (stuck packets,
+        #: per-router state, recent events) when the failure dumped one.
+        self.post_mortem = post_mortem
         super().__init__(self._decorate(message))
+
+    def __str__(self) -> str:
+        base = super().__str__()
+        if self.post_mortem is None:
+            return base
+        return f"{base}\n{self.post_mortem.render()}"
 
     def _decorate(self, message: str) -> str:
         parts = []
@@ -130,21 +141,12 @@ class InvariantViolation(SimulationError):
 
 
 class DeadlockError(InvariantViolation):
-    """The deadlock/livelock watchdog flagged a stuck packet.
+    """The deadlock/livelock watchdog flagged a stuck packet; its
+    post-mortem has the blocked packets, per-router state and recent
+    event history."""
 
-    ``post_mortem`` is a :class:`repro.noc.invariants.PostMortem` with
-    the blocked packets, per-router state and recent event history.
-    """
-
-    def __init__(self, message: str, post_mortem=None, **context) -> None:
-        self.post_mortem = post_mortem
+    def __init__(self, message: str, **context) -> None:
         super().__init__("deadlock-watchdog", message, **context)
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if self.post_mortem is None:
-            return base
-        return f"{base}\n{self.post_mortem.render()}"
 
 
 class BoundViolationError(InvariantViolation):
@@ -155,8 +157,8 @@ class BoundViolationError(InvariantViolation):
     latencies in cycles, the bound's term-by-term decomposition
     (``terms``), the packet's ``route`` (router walk, endpoints
     inclusive), and — when an invariant checker is installed alongside
-    the bound checker — a :class:`~repro.noc.invariants.PostMortem`
-    with the flight recorder's recent events.
+    the bound checker — a post-mortem with the flight recorder's
+    recent events.
     """
 
     def __init__(
@@ -167,21 +169,13 @@ class BoundViolationError(InvariantViolation):
         bound: Optional[int] = None,
         terms: Optional[dict] = None,
         route=(),
-        post_mortem=None,
         **context,
     ) -> None:
         self.observed = observed
         self.bound = bound
         self.terms = dict(terms) if terms else {}
         self.route = list(route)
-        self.post_mortem = post_mortem
         super().__init__("latency-bound", message, **context)
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if self.post_mortem is None:
-            return base
-        return f"{base}\n{self.post_mortem.render()}"
 
 
 class DegradedNetworkError(SimulationError):

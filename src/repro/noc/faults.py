@@ -73,7 +73,9 @@ class FaultSpec:
     ``rate`` is the per-opportunity firing probability (``router_stall``
     ignores it: a stall is a deterministic window).  ``router`` narrows
     the rule to one router (``None`` = any).  The rule is armed for
-    cycles ``start <= cycle <= end`` and fires at most ``count`` times.
+    cycles ``start <= cycle <= end`` and fires at most ``count`` times;
+    ``router_stall`` refuses ``count``, since a window is not a number
+    of firings (bound it with ``end`` instead).
     """
 
     kind: str
@@ -96,6 +98,11 @@ class FaultSpec:
         if self.end is not None and self.end < self.start:
             raise FaultSpecError(
                 f"fault window ends ({self.end}) before it starts ({self.start})"
+            )
+        if self.kind == "router_stall" and self.count is not None:
+            raise FaultSpecError(
+                "router_stall takes no count (a stall is a window); "
+                "bound it with end= instead"
             )
 
     def active_at(self, cycle: int) -> bool:
@@ -191,20 +198,6 @@ class FaultSchedule:
         return list(seen)
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One fault that actually fired."""
-
-    cycle: int
-    kind: str
-    router: int
-    detail: str = ""
-
-    def __str__(self) -> str:
-        text = f"[{self.cycle:6d}] fault {self.kind:12s} R{self.router}"
-        return f"{text} {self.detail}".rstrip()
-
-
 class FaultInjector:
     """Executes a :class:`FaultSchedule` against one network.
 
@@ -214,19 +207,14 @@ class FaultInjector:
     the punch fabric and PG controllers of power-gated schemes.
     """
 
-    #: Cap on the retained fault-event log (the full log of a heavily
-    #: faulted million-cycle run would dominate memory).
-    MAX_EVENTS = 10_000
-
     def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
         self.rng = random.Random(schedule.seed)
         #: Firing count per spec index (enforces ``count`` budgets).
         self._fired: List[int] = [0] * len(schedule.specs)
-        self.events: List[FaultEvent] = []
-        self.dropped_events = 0
-        #: Optional shared ring buffer (see :class:`repro.noc.tracing.EventRing`);
-        #: wired up when an invariant checker is installed alongside.
+        #: The network's flight recorder (:class:`repro.noc.tracing.EventRing`),
+        #: handed over by ``Network.install_faults``; every fired fault
+        #: lands there.
         self.ring = None
         #: Totals per fault kind, for reports and tests.
         self.counts: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
@@ -239,23 +227,11 @@ class FaultInjector:
 
         ``action`` is ``"ok"``, ``"drop"``, ``"delay"`` or ``"dup"``.
         """
-        for kind in ("punch_drop", "punch_delay", "punch_dup"):
-            spec = self._roll(kind, router, cycle)
-            if spec is not None:
-                action = kind.split("_", 1)[1]
-                self._record(cycle, kind, router)
-                return action, spec.delay
-        return "ok", 0
+        return self._disposition(("punch_drop", "punch_delay", "punch_dup"), router, cycle)
 
     def wakeup_disposition(self, router: int, cycle: int) -> Tuple[str, int]:
         """Fate of a ``request_wakeup`` at ``router``: ``(action, delay)``."""
-        for kind in ("wakeup_fail", "wakeup_delay"):
-            spec = self._roll(kind, router, cycle)
-            if spec is not None:
-                action = kind.split("_", 1)[1]
-                self._record(cycle, kind, router)
-                return action, spec.delay
-        return "ok", 0
+        return self._disposition(("wakeup_fail", "wakeup_delay"), router, cycle)
 
     def is_stalled(self, router: int, cycle: int) -> bool:
         """Whether an open ``router_stall`` window freezes ``router``.
@@ -264,12 +240,10 @@ class FaultInjector:
         flip, so it can model both transient glitches and the hard
         failure the deadlock watchdog must catch.
         """
-        for index, spec in enumerate(self.schedule.specs):
+        for spec in self.schedule.specs:
             if spec.kind != "router_stall":
                 continue
             if not (spec.matches(router) and spec.active_at(cycle)):
-                continue
-            if spec.count is not None and self._fired[index] >= spec.count:
                 continue
             if cycle == spec.start:
                 # Count each window once, on entry.
@@ -347,12 +321,20 @@ class FaultInjector:
             return spec
         return None
 
+    def _disposition(
+        self, kinds: Tuple[str, ...], router: int, cycle: int
+    ) -> Tuple[str, int]:
+        """``(action, delay)`` of the first of ``kinds`` that fires, in
+        order (the action is the kind's suffix), else ``("ok", 0)``."""
+        for kind in kinds:
+            spec = self._roll(kind, router, cycle)
+            if spec is not None:
+                self._record(cycle, kind, router)
+                return kind.split("_", 1)[1], spec.delay
+        return "ok", 0
+
     def _record(self, cycle: int, kind: str, router: int, detail: str = "") -> None:
         self.counts[kind] += 1
-        if len(self.events) < self.MAX_EVENTS:
-            self.events.append(FaultEvent(cycle, kind, router, detail))
-        else:
-            self.dropped_events += 1
         if self.ring is not None:
             self.ring.record(cycle, f"fault:{kind}", router, detail)
 

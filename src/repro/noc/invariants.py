@@ -25,7 +25,8 @@ whose NI-queue age exceeds ``max_queue_age``) trips a
 :class:`~repro.noc.errors.DeadlockError` carrying a structured
 :class:`PostMortem` — the stuck packets with their routes, the state
 of every router on those routes (PG state, VC occupancy), and the last
-N events from a bounded :class:`~repro.noc.tracing.EventRing`.
+N events from the network's flight recorder (``Network.ring``), where
+the checker logs packet creations, deliveries and drops.
 
 With ``strict=True`` (the default) violations raise immediately; with
 ``strict=False`` they accumulate in :attr:`InvariantChecker.violations`
@@ -126,10 +127,7 @@ class InvariantChecker:
         check_interval: int = 1,
         max_network_age: int = 10_000,
         max_queue_age: Optional[int] = None,
-        ring_capacity: int = 256,
     ) -> None:
-        from .tracing import EventRing  # deferred: tracing imports network
-
         if check_interval < 1:
             raise ValueError("check_interval must be positive")
         if max_network_age < 1:
@@ -138,7 +136,6 @@ class InvariantChecker:
         self.check_interval = check_interval
         self.max_network_age = max_network_age
         self.max_queue_age = max_queue_age
-        self.ring = EventRing(ring_capacity)
         self.network: Optional["Network"] = None
         #: Violations recorded in non-strict mode (strict mode raises).
         self.violations: List[InvariantViolation] = []
@@ -167,14 +164,14 @@ class InvariantChecker:
     def on_packet_created(self, packet: "Packet", cycle: int) -> None:
         """A packet entered the system (NI enqueue)."""
         self.live[packet.packet_id] = packet
-        self.ring.record(
+        self.network.ring.record(
             cycle, "created", packet.source,
             f"->{packet.destination}", packet.packet_id,
         )
 
     def _on_delivered(self, packet: "Packet", cycle: int) -> None:
         self.live.pop(packet.packet_id, None)
-        self.ring.record(
+        self.network.ring.record(
             cycle, "delivered", packet.destination,
             f"lat={packet.network_latency}", packet.packet_id,
         )
@@ -218,7 +215,7 @@ class InvariantChecker:
         """A packet was dropped whole: it will never be delivered, so it
         leaves the live set (and the watchdog's jurisdiction)."""
         self.live.pop(packet.packet_id, None)
-        self.ring.record(
+        self.network.ring.record(
             cycle, "dropped", packet.source,
             f"->{packet.destination}", packet.packet_id,
         )
@@ -516,7 +513,7 @@ class InvariantChecker:
             reason=reason,
             stuck_packets=stuck_dumps,
             routers=router_dumps,
-            recent_events=self.ring.snapshot(),
+            recent_events=self.network.ring.snapshot(),
         )
 
     def _route_of(self, packet: "Packet") -> List[int]:

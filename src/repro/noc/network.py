@@ -45,9 +45,11 @@ structure-of-arrays engine of ``repro.noc.vector`` while it is dense
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, DefaultDict, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, DefaultDict, Dict, Iterator, List, Optional, Set, Tuple,
+)
 
-from .buffers import VCState
+from .buffers import VCState, VirtualChannel
 from .config import NoCConfig
 from .errors import (
     DegradedNetworkError,
@@ -63,6 +65,7 @@ from .router import Router
 from .routing import FaultTolerantRouting, RoutingAlgorithm, default_routing
 from .stats import NetworkStats
 from .topology import Direction
+from .tracing import EventRing
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .invariants import InvariantChecker
@@ -196,6 +199,10 @@ class Network:
         #: Optional robustness layer (see install_faults / install_invariants).
         self.faults: Optional[FaultInjector] = None
         self.invariants: Optional["InvariantChecker"] = None
+        #: The flight recorder the injector, the checker and the
+        #: degradation policy all write; made by the first of
+        #: install_faults / install_invariants (see _flight_recorder).
+        self.ring: Optional[EventRing] = None
         #: Optional latency-bound checker (see install_bounds).
         self.bounds = None
         #: Graceful-degradation state (see _check_degradation): routers
@@ -239,22 +246,27 @@ class Network:
             )
         self._disengage_vector()
         self.faults = injector
+        injector.ring = self._flight_recorder()
         self.policy.on_faults_installed(injector)
-        if self.invariants is not None:
-            injector.ring = self.invariants.ring
 
     def install_invariants(self, checker: "InvariantChecker") -> None:
         """Attach a runtime invariant checker (see repro.noc.invariants)."""
         self._disengage_vector()
+        self._flight_recorder()
         self.invariants = checker
         checker.attach(self)
-        if self.faults is not None:
-            self.faults.ring = checker.ring
         if self.routing.restricts_vcs:
             # Wrapped fabrics certify their dateline VC-class scheme up
             # front: an acyclic channel-dependency graph, or a loud
             # InvariantViolation before the first cycle runs.
             self.routing.verify_deadlock_free()
+
+    def _flight_recorder(self) -> EventRing:
+        """The network's one event ring, made on first use: whichever
+        robustness layer installs first, every writer shares it."""
+        if self.ring is None:
+            self.ring = EventRing()
+        return self.ring
 
     def install_bounds(self, checker) -> None:
         """Attach a :class:`repro.guarantees.BoundChecker`.
@@ -277,7 +289,8 @@ class Network:
         run — routers, NIs, event queues, fault injector, checkers — is
         released.  ``config``, ``topology``, ``cycle``, ``stats``,
         ``link_counts``, ``dead_routers`` and the policy's counters stay
-        readable (``EnergyModel.account`` still works); ``step`` and
+        readable (``EnergyModel.account`` still works), and so does the
+        flight recorder ``ring``; ``step`` and
         ``inject`` raise :class:`NetworkClosedError`.  Idempotent.
         """
         if self.closed:
@@ -402,20 +415,18 @@ class Network:
         deadline = self.cycle + max_cycles
         while not self.is_drained():
             if self.cycle >= deadline:
-                post_mortem = None
-                if self.invariants is not None:
-                    post_mortem = self.invariants.build_post_mortem(
-                        self.cycle, "drain timeout"
-                    )
                 error = DrainTimeoutError(
                     f"network failed to drain within {max_cycles} cycles; "
                     f"{self.in_flight_packets()} packet(s) still in flight",
                     cycle=self.cycle,
+                    post_mortem=(
+                        None if self.invariants is None
+                        else self.invariants.build_post_mortem(
+                            self.cycle, "drain timeout"
+                        )
+                    ),
                 )
-                error.post_mortem = post_mortem
                 self.attach_fault_context(error)
-                if post_mortem is not None:
-                    error.args = (f"{error.args[0]}\n{post_mortem.render()}",)
                 raise error
             self.step()
 
@@ -737,17 +748,17 @@ class Network:
             return
         self.dead_routers.update(newly)
         self._route_crosses_dead.clear()
-        ring = self.invariants.ring if self.invariants is not None else self.faults.ring
-        if ring is not None:
-            for rid in newly:
-                ring.record(
-                    cycle, "router-dead", rid,
-                    f"stalled >= {self.config.dead_router_threshold} cycles",
-                )
+        for rid in newly:
+            self.ring.record(
+                cycle, "router-dead", rid,
+                f"stalled >= {self.config.dead_router_threshold} cycles",
+            )
         if self.config.degradation == "reroute":
             self._apply_reroute(cycle)
             return
-        doomed = self._blast_radius()
+        # The blast radius: every live packet whose remaining XY route
+        # crosses a dead router, from any site one of its flits holds.
+        doomed = self._doomed(self._crosses_dead)
         if self.config.degradation == "fail_fast":
             error = DegradedNetworkError(
                 f"router(s) {newly} declared permanently dead after "
@@ -786,53 +797,18 @@ class Network:
         (releasing any downstream VC grant that pointed the old way).
         """
         routing = self.routing
-        routing.set_dead(frozenset(self.dead_routers))
+        dead = self.dead_routers
+        routing.set_dead(frozenset(dead))
         if self.invariants is not None:
             routing.verify_deadlock_free()
-        doomed = self._stranded_packets()
+        # Stranded packets only — merely routing *through* the dead
+        # region is cured by the detour.  ``reachable`` is already False
+        # at a dead router, so one test serves every site.
+        reachable = routing.reachable
+        doomed = self._doomed(lambda at, dest: at in dead or not reachable(at, dest))
         if doomed:
             self._purge_doomed(doomed, cycle)
         self._recompute_head_routes(cycle)
-
-    def _stranded_packets(self) -> Dict[int, Packet]:
-        """Packets fault-tolerant rerouting cannot save.
-
-        Far narrower than :meth:`_blast_radius`: a packet is stranded
-        only if one of its flits sits inside (or flies toward) a dead
-        router, or if its current location / destination fell outside
-        the live component — merely *routing through* the dead region
-        is cured by the detour instead.
-        """
-        dead = self.dead_routers
-        reachable = self.routing.reachable
-        doomed: Dict[int, Packet] = {}
-
-        def doom(packet: Packet) -> None:
-            doomed.setdefault(packet.packet_id, packet)
-
-        for ni in self.interfaces:
-            node = ni.node
-            for queue in ni.queues:
-                for packet in queue:
-                    if not reachable(node, packet.destination):
-                        doom(packet)
-            for stream in ni.streams.values():
-                if not reachable(node, stream.packet.destination):
-                    doom(stream.packet)
-        for router in self.routers:
-            rid = router.router_id
-            in_dead = rid in dead
-            for vc in router._occupied:
-                for flit in vc.flits:
-                    if in_dead or not reachable(rid, flit.packet.destination):
-                        doom(flit.packet)
-        for events in self._flit_events.values():
-            for router_id, _direction, _vc, flit in events:
-                if router_id in dead or not reachable(
-                    router_id, flit.packet.destination
-                ):
-                    doom(flit.packet)
-        return doomed
 
     def _recompute_head_routes(self, cycle: int) -> None:
         """Re-resolve every surviving front head flit's output port.
@@ -860,58 +836,64 @@ class Network:
                 )
                 if new_route == vc.route:
                     continue
-                if (
-                    vc.state is VCState.ACTIVE
-                    and vc.route is not None
-                    and vc.out_vc is not None
-                ):
-                    out_port = router.output_ports[vc.route]
-                    if out_port.owner[vc.out_vc] == (
-                        vc.port_direction,
-                        vc.vc_index,
-                    ):
-                        out_port.owner[vc.out_vc] = None
+                self._release_grant(router, vc)
                 vc.route = new_route
                 vc.out_vc = None
                 vc.state = VCState.WAIT_VA
+                # A buffered front arrived before this cycle, so it is
+                # VA-eligible next cycle — what _wake_allocators lowers to.
                 vc.va_eligible_at = max(cycle + 1, vc.front_arrival() + 1)
-                if vc.va_eligible_at < router._va_wake_at:
-                    router._va_wake_at = vc.va_eligible_at
                 router.head_version += 1
                 touched = True
-            if touched and router._sa_wake_at > cycle + 1:
-                router._sa_wake_at = cycle + 1
+            if touched:
+                self._wake_allocators(router, cycle)
 
-    def _blast_radius(self) -> Dict[int, Packet]:
-        """Live packets whose remaining route crosses a dead router.
-
-        A packet's remaining route is evaluated from every location one
-        of its flits currently occupies (NI queue/stream, router
-        buffer, or link in flight); flits already queued for ejection
-        have cleared every router and contribute nothing.
-        """
-        doomed: Dict[int, Packet] = {}
-
-        def doom(packet: Packet, at: int) -> None:
-            if packet.packet_id not in doomed and self._crosses_dead(
-                at, packet.destination
-            ):
-                doomed[packet.packet_id] = packet
-
+    def _live_sites(self) -> Iterator[Tuple[Packet, int]]:
+        """Every ``(packet, router)`` site a live packet occupies: NI
+        queues and streams (at their node), buffered flits (at their
+        router) and flits on links (at the router they fly toward).
+        Flits queued for ejection have cleared every router: no site."""
         for ni in self.interfaces:
             for queue in ni.queues:
                 for packet in queue:
-                    doom(packet, ni.node)
+                    yield packet, ni.node
             for stream in ni.streams.values():
-                doom(stream.packet, ni.node)
+                yield stream.packet, ni.node
         for router in self.routers:
             for vc in router._occupied:
                 for flit in vc.flits:
-                    doom(flit.packet, router.router_id)
+                    yield flit.packet, router.router_id
         for events in self._flit_events.values():
             for router_id, _direction, _vc, flit in events:
-                doom(flit.packet, router_id)
+                yield flit.packet, router_id
+
+    def _doomed(self, at_risk: Callable[[int, int], bool]) -> Dict[int, Packet]:
+        """Live packets with a site ``at`` where ``at_risk(at,
+        destination)``, keyed by id in walk order (the order their drops
+        are recorded in)."""
+        doomed: Dict[int, Packet] = {}
+        for packet, at in self._live_sites():
+            if packet.packet_id not in doomed and at_risk(at, packet.destination):
+                doomed[packet.packet_id] = packet
         return doomed
+
+    @staticmethod
+    def _release_grant(router: Router, vc: VirtualChannel) -> None:
+        """Give back the downstream VC an ACTIVE input VC won at VA, if
+        the output port still records it as the owner."""
+        if vc.state is VCState.ACTIVE and vc.route is not None and vc.out_vc is not None:
+            owner = router.output_ports[vc.route].owner
+            if owner[vc.out_vc] == (vc.port_direction, vc.vc_index):
+                owner[vc.out_vc] = None
+
+    @staticmethod
+    def _wake_allocators(router: Router, cycle: int) -> None:
+        """Run the router's VA and SA from next cycle: a change made
+        outside the allocators may have made a front eligible."""
+        if router._va_wake_at > cycle + 1:
+            router._va_wake_at = cycle + 1
+        if router._sa_wake_at > cycle + 1:
+            router._sa_wake_at = cycle + 1
 
     def _restore_upstream_credit(
         self, router: Router, direction: Direction, vc_index: int
@@ -1010,22 +992,9 @@ class Network:
             released = False
             for port in router.input_ports.values():
                 for vc in port.vcs:
-                    if (
-                        vc.state is VCState.IDLE
-                        or vc.owner_packet not in doomed
-                    ):
+                    if vc.state is VCState.IDLE or vc.owner_packet not in doomed:
                         continue
-                    if (
-                        vc.state is VCState.ACTIVE
-                        and vc.route is not None
-                        and vc.out_vc is not None
-                    ):
-                        out_port = router.output_ports[vc.route]
-                        if out_port.owner[vc.out_vc] == (
-                            vc.port_direction,
-                            vc.vc_index,
-                        ):
-                            out_port.owner[vc.out_vc] = None
+                    self._release_grant(router, vc)
                     router._live_vcs -= 1
                     vc.reset_for_next_packet()
                     router.head_version += 1
@@ -1033,12 +1002,9 @@ class Network:
                     if vc.flits:
                         router._activate_front(vc, cycle)
             if touched or released:
-                # Conservative allocator wake-up: surviving fronts may
-                # have become eligible by the purge.
-                if router._va_wake_at > cycle + 1:
-                    router._va_wake_at = cycle + 1
-                if router._sa_wake_at > cycle + 1:
-                    router._sa_wake_at = cycle + 1
+                # Conservative: surviving fronts may have become
+                # eligible by the purge.
+                self._wake_allocators(router, cycle)
         # Flits queued for ejection never reach their NI.
         for when in list(self._eject_events):
             kept_ejects = []

@@ -10,17 +10,20 @@ explicitly enabled.
 ring of the last N events, cheap enough to leave on for entire runs so
 the invariant checker's post-mortem dumps (see
 :mod:`repro.noc.invariants`) can show what happened just before a
-deadlock or invariant violation.
+deadlock or invariant violation.  A network has at most one, as
+``Network.ring``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Set
 
-from .network import Network
 from .packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover - network.py imports EventRing from here
+    from .network import Network
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,9 @@ class EventRing:
     Unlike :class:`PacketTracer` this never grows: the newest
     ``capacity`` events displace the oldest.  Events are free-form
     ``(cycle, kind, where, detail)`` tuples rendered like
-    :class:`TraceEvent` lines; producers include the invariant checker
-    (injections, deliveries, blocks) and the fault injector (every
-    fired fault).
+    :class:`TraceEvent` lines; the producers are the invariant checker
+    (creations, deliveries, drops), the fault injector (every fired
+    fault) and the degradation policy (router deaths).
     """
 
     def __init__(self, capacity: int = 256) -> None:

@@ -188,6 +188,9 @@ class TestSpecGrammar:
             "punch_drop,delay=0",
             "punch_drop,rate",
             "router_stall,start=5,end=2",
+            # A stall is a window, not a number of firings.
+            "router_stall,router=3,count=1",
+            "router_stall,count=0",
             "seed=x",
             "seed=3,rate=1",
         ],

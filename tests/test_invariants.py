@@ -190,7 +190,7 @@ class TestSafetyFaultDetection:
         )
         net.inject(control_packet(0, 3, VirtualNetwork.REQUEST, 0))
         net.run(60)
-        kinds = {e.kind for e in checker.ring.snapshot()}
+        kinds = {e.kind for e in net.ring.snapshot()}
         assert "fault:credit_drop" in kinds
 
 

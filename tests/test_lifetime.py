@@ -12,7 +12,7 @@ that re-introduces a cycle fails here and not in the next benchmark.
 import gc
 import hashlib
 import weakref
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 import pytest
 
@@ -24,6 +24,9 @@ from repro.experiments.common import SCHEME_ORDER, make_scheme
 from repro.guarantees import BoundChecker
 from repro.noc import (
     DeadlockError,
+    FaultInjector,
+    FaultSchedule,
+    InvariantChecker,
     Network,
     NetworkClosedError,
     NoCConfig,
@@ -31,6 +34,7 @@ from repro.noc import (
     VirtualNetwork,
     control_packet,
 )
+from repro.noc.packet import reset_packet_ids
 from repro.power import EnergyModel
 from repro.system import Chip, get_profile
 from repro.traffic import SyntheticTraffic
@@ -220,6 +224,38 @@ class TestFailedCell:
         # rendered post-mortem, which quarantine compares verbatim.
         assert len(signature) == 4329
         assert hashlib.sha256(signature.encode()).hexdigest()[:16] == "90b9bfa3d10ff948"
+
+    def test_flight_recorder_is_independent_of_install_order(self):
+        """The network owns the one ring: installing the checker before
+        the injector or after it records the same events and renders
+        the same post-mortem (the ring outlives ``close``)."""
+
+        def run(checker_first):
+            reset_packet_ids()
+            chip = Chip(
+                NoCConfig(), make_scheme("PowerPunch-PG"), get_profile("bodytrack"),
+                instructions_per_core=300, seed=1, benchmark="bodytrack",
+            )
+            network = chip.network
+            installs = [
+                lambda: network.install_invariants(
+                    InvariantChecker(strict=True, max_network_age=STALLED.watchdog)
+                ),
+                lambda: network.install_faults(
+                    FaultInjector(FaultSchedule.parse(STALLED.faults))
+                ),
+            ]
+            for install in installs if checker_first else installs[::-1]:
+                install()
+            assert network.faults.ring is network.ring is not None
+            with closing(chip), pytest.raises(DeadlockError) as excinfo:
+                chip.run()
+            ring = network.ring
+            return ring.recorded, ring.snapshot(), excinfo.value.post_mortem.render()
+
+        recorded, events, rendered = run(checker_first=True)
+        assert {"created", "delivered"} <= {e.kind for e in events}
+        assert run(checker_first=False) == (recorded, events, rendered)
 
     def test_a_failed_cell_does_not_pin_its_chip(self, monkeypatch):
         """An inline ``failure_mode="continue"`` campaign keeps every

@@ -23,8 +23,10 @@ from repro.campaign import (
     error_signature,
 )
 from repro.noc.errors import (
+    BoundViolationError,
     DeadlockError,
     DegradedNetworkError,
+    DrainTimeoutError,
     InvariantViolation,
     SimulationError,
 )
@@ -106,11 +108,26 @@ class TestErrorPickling:
         assert err.invariant == "flit-conservation"
         assert err.cycle == 9
 
-    def test_deadlock_error_keeps_post_mortem(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda pm: DeadlockError("stuck", post_mortem=pm, cycle=10),
+            lambda pm: DrainTimeoutError("undrained", post_mortem=pm, cycle=10),
+            lambda pm: BoundViolationError(
+                "late", observed=9, bound=5, post_mortem=pm, cycle=10
+            ),
+        ],
+        ids=["DeadlockError", "DrainTimeoutError", "BoundViolationError"],
+    )
+    def test_error_keeps_post_mortem(self, make):
         pm = PostMortem(cycle=10, reason="watchdog")
-        err = self.roundtrip(DeadlockError("stuck", post_mortem=pm, cycle=10))
+        original = make(pm)
+        err = self.roundtrip(original)
+        assert type(err) is type(original)
         assert err.post_mortem is not None
         assert err.post_mortem.reason == "watchdog"
+        assert str(err) == str(original)
+        assert str(err).endswith("\n" + pm.render())
         assert "post-mortem" in str(err)
 
     def test_degraded_network_error(self):
