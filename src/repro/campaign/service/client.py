@@ -10,27 +10,29 @@ the process pool, and because cells are pure functions of their specs
 the payloads are bit-identical to a single-host run.
 
 :class:`LocalCluster` spins up an ephemeral service on this machine
-(orchestrator on a background thread, worker hosts as subprocesses);
-``hosts="local:N"`` starts one for the length of a campaign.
+(orchestrator on a background thread, worker hosts forked from this
+process); ``hosts="local:N"`` starts one for the length of a campaign.
 """
 
 from __future__ import annotations
 
 import asyncio
+import atexit
+import multiprocessing
 import os
-import subprocess
-import sys
+import select
+import stat
 import threading
-import time
 from pathlib import Path
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from ..cache import CellCache, Payload, code_salt, decode_payload
 from ..engine import CampaignStats, execute_cells
 from ..spec import CellSpec
 from . import protocol
 from .orchestrator import Orchestrator
+from .worker import run_worker
 
 class ServiceError(RuntimeError):
     """The service refused the request (salt mismatch, protocol error)
@@ -75,22 +77,10 @@ async def _submit_and_stream(
     host, port = protocol.parse_address(address)
     reader, writer = await protocol.open_connection(host, port)
     try:
+        await protocol.send(writer, {"type": "hello", "role": "client", "salt": code_salt()})
+        cells = [run.cells[index].canonical() for index in runnable]
         await protocol.send(
-            writer,
-            {
-                "type": "hello",
-                "role": "client",
-                "salt": code_salt(),
-            },
-        )
-        await protocol.send(
-            writer,
-            {
-                "type": "submit",
-                "name": run.name,
-                "resume": resume,
-                "cells": [run.cells[index].canonical() for index in runnable],
-            },
+            writer, {"type": "submit", "name": run.name, "resume": resume, "cells": cells}
         )
         submitted = perf_counter()
         reported = 0
@@ -137,14 +127,42 @@ async def _submit_and_stream(
         writer.close()
 
 
-class LocalCluster:
-    """An ephemeral local service: in-process orchestrator plus worker
-    subprocesses.
+def _forked_host(address: str, **options) -> None:
+    """A forked worker host's entry: point every socket inherited from
+    the client at ``/dev/null``, then run the host.  ``dup2``, not
+    ``close``: the number stays taken, so a late finalizer of an
+    inherited socket object can never close a socket the host opened
+    itself, and no host keeps its client's listening socket alive."""
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd in map(int, os.listdir("/dev/fd")):
+        try:
+            if fd > 2 and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:
+            pass  # the descriptor the listing itself read through
+    os.close(devnull)
+    run_worker(address, **options)
 
-    The orchestrator runs on a daemon thread with its own event loop;
-    each worker host is a real ``python -m repro.campaign.service``
-    subprocess, so chaos tests can SIGKILL one exactly as a machine
-    failure would.  Use as a context manager::
+
+def _exits_within(pid: int, timeout: float) -> bool:
+    """Whether process ``pid`` exits within ``timeout`` s, seen on its
+    pidfd: a host's sentinel stays open while its pool workers live."""
+    pidfd = os.pidfd_open(pid)
+    exited = select.select([pidfd], [], [], timeout)[0]
+    os.close(pidfd)
+    return bool(exited)
+
+
+class LocalCluster:
+    """An ephemeral local service: an in-process orchestrator plus
+    worker hosts forked from this process.
+
+    :meth:`start` binds the orchestrator, forks the hosts (no re-exec,
+    no re-import) and returns once every host has joined; only then
+    does the orchestrator's loop move to a daemon thread, so no thread
+    of the cluster's own is ever forked over.  :attr:`workers` holds
+    the hosts' :class:`~multiprocessing.Process` handles, so chaos
+    tests can SIGKILL one exactly as a machine failure would::
 
         with LocalCluster(3, cache_dir=cache) as cluster:
             payloads, stats = execute_cells(cells, hosts=cluster.address)
@@ -157,7 +175,7 @@ class LocalCluster:
         cache_dir: Optional[Union[str, Path]] = None,
         capacity: int = 1,
         timeout: Optional[float] = None,
-        max_retries: Optional[int] = 2,
+        max_retries: int = 2,
         lease_duration: float = 20.0,
         heartbeat_interval: float = 0.5,
         miss_limit: int = 3,
@@ -167,19 +185,24 @@ class LocalCluster:
         if num_workers < 1:
             raise ValueError("a cluster needs at least one worker host")
         self.num_workers = num_workers
-        self.capacity = max(1, capacity)
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.log_path = Path(log_path) if log_path is not None else None
+        #: ``run_worker`` arguments of every host, its name aside.
+        self._host_options = dict(
+            capacity=max(1, capacity),
+            timeout=timeout,
+            max_retries=max_retries,
+            log_dir=log_path and Path(log_path).parent,
+            reconnect=3,
+        )
         self.orchestrator = Orchestrator(
             CellCache(cache_dir),
             lease_duration=lease_duration,
             heartbeat_interval=heartbeat_interval,
             miss_limit=miss_limit,
-            log_path=str(self.log_path) if self.log_path else None,
+            log_path=log_path,
             name=name,
         )
-        self.workers: List[subprocess.Popen] = []
+        self.workers: List[multiprocessing.Process] = []
+        self._exited: Set[str] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -188,100 +211,90 @@ class LocalCluster:
         return self.orchestrator.address
 
     def start(self) -> "LocalCluster":
-        started = threading.Event()
-
-        def _serve() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
+        # Bind, fork and wait for the joins on this thread: the hosts
+        # are forked before the cluster has started any thread.
+        loop = self._loop = asyncio.new_event_loop()
+        fork = multiprocessing.get_context("fork")
+        try:
             loop.run_until_complete(self.orchestrator.start())
-            started.set()
-            loop.run_until_complete(self.orchestrator.serve_forever())
+            for index in range(self.num_workers):
+                host = fork.Process(
+                    target=_forked_host,
+                    args=(self.address,),
+                    kwargs=dict(self._host_options, name=f"w{index}"),
+                    name=f"w{index}",
+                )
+                host.start()
+                self.workers.append(host)
+                # Plain values: asyncio debug mode reprs callback args; a Process repr reaps.
+                pidfd = os.pidfd_open(host.pid)
+                loop.add_reader(pidfd, self._host_exited, pidfd, host.name)
+            loop.run_until_complete(self._until_hosts_joined())
+        except BaseException:
+            for host in self.workers:
+                host.kill()  # none has started a pool to take along
+            self.stop()
+            loop.run_until_complete(self.orchestrator.stop())
             loop.close()
-
+            raise
         self._thread = threading.Thread(
-            target=_serve, name="campaign-orchestrator", daemon=True
+            target=self._serve, name="campaign-orchestrator", daemon=True
         )
         self._thread.start()
-        if not started.wait(timeout=10.0):  # pragma: no cover - defensive
-            raise RuntimeError("orchestrator failed to start")
-        for index in range(self.num_workers):
-            self.workers.append(self.spawn_worker(f"w{index}"))
-        # A worker that dies this fast is a launch bug (bad argv, import
-        # error); fail loudly instead of letting a campaign hang on a
-        # cluster that will never produce results.
-        time.sleep(0.2)
-        dead = [p.poll() for p in self.workers if p.poll() is not None]
-        if len(dead) == len(self.workers):
-            self.stop()
-            raise RuntimeError(
-                f"all {len(dead)} worker hosts exited at launch "
-                f"(exit codes {dead})"
-            )
-        threading.Thread(
-            target=self._stop_serving_when_hosts_are_gone,
-            name="campaign-hosts",
-            daemon=True,
-        ).start()
+        # Interpreter exit joins every live non-daemon child: stop the
+        # hosts before that, or a forgotten stop() hangs the exit.
+        atexit.register(self.stop)
         return self
 
-    def _stop_serving_when_hosts_are_gone(self) -> None:
-        # Hosts here are never respawned: once the last one has exited
-        # no cell will ever get a verdict.  Stopping the orchestrator
-        # hangs up on every waiting client, which raises there instead
-        # of waiting for good.
-        for proc in list(self.workers):
-            proc.wait()
-        self._signal_stop()
+    async def _until_hosts_joined(self) -> None:
+        """Until every host has joined or exited, for at most a lease;
+        raise if one did neither, or if none joined."""
+        names = {host.name for host in self.workers}
+        changed = self.orchestrator.hosts_changed
+        deadline = self._loop.time() + self.orchestrator.lease_duration
+        while late := names - self.orchestrator.hosts.keys() - self._exited:
+            changed.clear()
+            try:
+                await asyncio.wait_for(changed.wait(), deadline - self._loop.time())
+            except asyncio.TimeoutError:
+                break
+        unjoined = [host for host in self.workers if host.name not in self.orchestrator.hosts]
+        if late or len(unjoined) == len(self.workers):
+            raise RuntimeError(
+                f"worker hosts {[host.name for host in unjoined]} never joined (exit codes "
+                f"{[host.exitcode for host in unjoined]}, None: alive after a lease)"
+            )
 
-    def _signal_stop(self) -> None:
-        try:
-            self._loop.call_soon_threadsafe(self.orchestrator.signal_stop)
-        except RuntimeError:
-            pass  # the loop is closed: the service already stopped
+    def _host_exited(self, pidfd: int, name: str) -> None:
+        # On the loop, from a host's pidfd (readable once the host exits,
+        # whoever holds its pipes); never reaps.  Hosts are never respawned:
+        # with the last one gone, stopping hangs up on waiting clients.
+        self._loop.remove_reader(pidfd)
+        os.close(pidfd)
+        self._exited.add(name)
+        self.orchestrator.hosts_changed.set()  # a leave it may never see
+        if len(self._exited) == len(self.workers):
+            self.orchestrator.signal_stop()
 
-    def spawn_worker(self, name: str) -> subprocess.Popen:
-        """Start one worker-host subprocess dialed into this cluster."""
-        command = [
-            sys.executable,
-            "-m",
-            "repro.campaign.service",
-            "--connect",
-            self.address,
-            "--name",
-            name,
-            "--capacity",
-            str(self.capacity),
-            "--reconnect",
-            "3",
-        ]
-        if self.max_retries is not None:
-            command += ["--max-retries", str(self.max_retries)]
-        if self.timeout is not None:
-            command += ["--timeout", str(self.timeout)]
-        if self.log_path is not None:
-            command += ["--log-dir", str(self.log_path.parent)]
-        env = os.environ.copy()
-        src_root = str(Path(__file__).resolve().parents[3])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p
-        )
-        return subprocess.Popen(command, env=env)
+    def _serve(self) -> None:
+        self._loop.run_until_complete(self.orchestrator.serve_forever())
+        self._loop.close()
 
     def stop(self) -> None:
-        for proc in self.workers:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self.workers:
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
-                proc.wait()
-        if self._loop is not None and self._thread is not None:
+        atexit.unregister(self.stop)
+        for host in self.workers:
+            host.terminate()
+        for host in self.workers:
+            if host.exitcode is None and not _exits_within(host.pid, 10.0):
+                host.kill()  # pragma: no cover - defensive
+            host.join()
+        if self._thread is not None:
             # serve_forever performs the full shutdown before returning,
             # so signalling is all the other thread needs from us.
-            self._signal_stop()
+            try:
+                self._loop.call_soon_threadsafe(self.orchestrator.signal_stop)
+            except RuntimeError:
+                pass  # the loop is closed: the service already stopped
             self._thread.join(timeout=10.0)
 
     def __enter__(self) -> "LocalCluster":

@@ -164,7 +164,7 @@ class Orchestrator:
         lease_duration: float = LEASE_DURATION,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         miss_limit: int = MISS_LIMIT,
-        log_path: Optional[str] = None,
+        log_path: Optional[Union[str, Path]] = None,
         name: str = "service",
     ) -> None:
         if lease_duration <= 0 or heartbeat_interval <= 0:
@@ -195,6 +195,8 @@ class Orchestrator:
         # Created inside the running loop (3.9 binds primitives at
         # construction time).
         self._stopped: Optional[asyncio.Event] = None
+        #: Set whenever a worker host joins or leaves; a waiter clears it.
+        self.hosts_changed: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -202,6 +204,7 @@ class Orchestrator:
     async def start(self) -> None:
         """Bind the server and start the lease/heartbeat monitor."""
         self._stopped = asyncio.Event()
+        self.hosts_changed = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.bind_host,
@@ -344,6 +347,7 @@ class Orchestrator:
         record.send_lock = send_lock
         record.connected = True
         record.last_heartbeat = self._now()
+        self.hosts_changed.set()
         if record.deaths:
             record.penalty_until = self._now() + record.backoff()
         self.log.emit(
@@ -485,7 +489,6 @@ class Orchestrator:
             payload = decode_payload(encoded)
         except (KeyError, TypeError, ValueError):
             # An invalid payload does not win: requeue the cell.
-            self._release_lease(cell)
             await self._requeue(cell, reason="invalid-payload")
             return
         self._release_lease(cell)
@@ -553,6 +556,7 @@ class Orchestrator:
             return
         record.connected = False
         record.writer = None
+        self.hosts_changed.set()
         requeued = await self._requeue_host_leases(record)
         if requeued:
             # The host died holding work: charge a death so its next
@@ -575,7 +579,6 @@ class Orchestrator:
         for key in leases.values():
             cell = self.cells.get(key)
             if cell is not None and cell.status == "leased":
-                self._release_lease(cell)
                 await self._requeue(cell, reason="host-gone")
                 requeued += 1
         return requeued
@@ -586,6 +589,7 @@ class Orchestrator:
         cell.lease_deadline = 0.0
 
     async def _requeue(self, cell: _Cell, *, reason: str) -> None:
+        self._release_lease(cell)
         if cell.requeues >= MAX_REQUEUES:
             await self._fail_cell(
                 cell,
@@ -810,17 +814,13 @@ class Orchestrator:
                             "label": cell.spec.label,
                         }
                     )
-                    self._release_lease(cell)
                     await self._requeue(cell, reason="lease-expired")
 
     def _poke_soon(self) -> None:
         """Nudge idle connected hosts that new work is available."""
         for record in self.hosts.values():
             if record.connected and len(record.leases) < record.capacity:
-                asyncio.ensure_future(self._poke(record))
-
-    async def _poke(self, record: _Host) -> None:
-        await self._send_host(record, {"type": "poke"})
+                asyncio.ensure_future(self._send_host(record, {"type": "poke"}))
 
     async def _send_host(self, record: _Host, message: dict) -> None:
         writer = record.writer

@@ -14,9 +14,10 @@ which renews them) and forwarding results as the engine's
 ``on_result``/``on_failure`` callbacks deliver them — a long batch
 neither starves heartbeats nor delays result streaming.
 
-``python -m repro.campaign.service --connect HOST:PORT`` runs a host
-standalone (``repro.cli work`` is the front door); it reconnects with
-exponential backoff when the orchestrator goes away, and takes its
+:func:`run_worker` runs this process as a host: forked by a
+:class:`~.client.LocalCluster`, or standalone through ``python -m
+repro.cli work --connect HOST:PORT`` (:func:`main`).  It reconnects
+with exponential backoff when the orchestrator goes away, and takes its
 pool workers with it when it is told to stop.
 """
 
@@ -286,8 +287,12 @@ class WorkerHost:
 
 
 def run_worker(address: str, *, reconnect: int = 0, **kwargs) -> None:
-    """Run a worker host, reconnecting up to ``reconnect`` extra times
-    with doubling (capped) backoff when the orchestrator goes away."""
+    """Run this process as a worker host, reconnecting up to
+    ``reconnect`` extra times with doubling (capped) backoff when the
+    orchestrator goes away.  SIGTERM/SIGINT end the process, and the
+    engine's pool workers with it (:func:`_stop_with_pool_workers`)."""
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop_with_pool_workers)
 
     async def _main() -> None:
         attempts = 0
@@ -328,7 +333,7 @@ def _stop_with_pool_workers(signum: int, frame) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(
-        prog="repro.campaign.service.worker",
+        prog="repro.cli work",
         description="campaign worker host (see docs/service.md)",
     )
     parser.add_argument(
@@ -356,8 +361,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         help="extra connection attempts after the orchestrator goes away",
     )
     args = parser.parse_args(argv)
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, _stop_with_pool_workers)
     run_worker(
         args.connect,
         reconnect=args.reconnect,
@@ -367,7 +370,3 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         max_retries=args.max_retries,
         log_dir=args.log_dir,
     )
-
-
-if __name__ == "__main__":
-    main()

@@ -6,10 +6,11 @@ lease expiry, heartbeat lapse, the queue's order, dedup and the
 reconnect penalty are each exercised in isolation with tight clocks.
 
 The acceptance chaos scenario runs at the bottom: a three-worker local
-cluster (real worker subprocesses), one SIGKILLed mid-campaign, must
-finish with payloads bit-identical to a single-host run, serve a warm
-rerun entirely from the shared store, and leave the lease/heartbeat
-record in the merged event log.
+cluster (real worker processes, forked), one SIGKILLed mid-campaign,
+must finish with payloads bit-identical to a single-host run, serve a
+warm rerun entirely from the shared store, and leave the
+lease/heartbeat record in the merged event log.  The standalone host
+(``repro.cli work``) runs as a program of its own beside them.
 """
 
 import asyncio
@@ -18,13 +19,17 @@ import itertools
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.campaign import (
     Campaign,
     CampaignError,
@@ -43,6 +48,7 @@ from repro.campaign.service import (
     merged_events,
     parse_address,
 )
+from repro.campaign.service import client as service_client
 from repro.campaign.service import protocol
 from repro.campaign.service.orchestrator import MAX_REQUEUES
 from repro.noc import NoCConfig
@@ -266,7 +272,7 @@ class TestOrchestratorScheduling:
             welcome = await worker.connect()
             assert welcome["type"] == "welcome"
             client = asyncio.ensure_future(submit_cells(orch, cells))
-            await asyncio.sleep(0.05)  # let the submit land
+            await until(lambda: orch.queue)  # the submit landed
             leases, end = await worker.request(slots=4)
             assert end["granted"] == len(leases) == 3
             for lease in leases:
@@ -307,7 +313,7 @@ class TestOrchestratorScheduling:
             client = asyncio.ensure_future(
                 submit_cells(orch, [stored, cold], docs=tampered)
             )
-            await asyncio.sleep(0.05)
+            await until(lambda: orch.queue)
             leases, _ = await worker.request(slots=2)
             assert [lease["key"] for lease in leases] == [orch.store.key_for(cold)]
             assert CellSpec.from_canonical(leases[0]["spec"]) == cold
@@ -328,7 +334,7 @@ class TestOrchestratorScheduling:
             worker = FakeWorker(orch, "w0", capacity=2)
             await worker.connect()
             client = asyncio.ensure_future(submit_cells(orch, cells))
-            await asyncio.sleep(0.05)
+            await until(lambda: orch.queue)
             leases, _ = await worker.request(slots=2)
             await worker.finish(leases[0], {"ok": True})
             await worker.send(
@@ -445,13 +451,12 @@ class TestOrchestratorScheduling:
             slow = FakeWorker(orch, "slow")
             await slow.connect()
             client = asyncio.ensure_future(submit_cells(orch, cells))
-            await asyncio.sleep(0.05)
+            await until(lambda: orch.queue)
             leases, _ = await slow.request()
             assert len(leases) == 1
             # No heartbeat lists the lease, so it expires and requeues.
-            await asyncio.sleep(0.8)
+            await until(lambda: orch.stats["requeues"] >= 1)
             assert orch.stats["expired"] >= 1
-            assert orch.stats["requeues"] >= 1
             fast = FakeWorker(orch, "fast")
             await fast.connect()
             leases2, _ = await fast.request()
@@ -462,8 +467,7 @@ class TestOrchestratorScheduling:
             assert payloads == [{"winner": "fast"}]
             # The original host reports late: logged and discarded.
             await slow.finish(leases[0], {"winner": "slow"})
-            await asyncio.sleep(0.1)
-            assert orch.stats["duplicates"] == 1
+            await until(lambda: orch.stats["duplicates"] == 1)
             assert orch.store.get(cells[0]) == {"winner": "fast"}
             slow.close()
             fast.close()
@@ -482,7 +486,7 @@ class TestOrchestratorScheduling:
             worker = FakeWorker(orch, "w0")
             await worker.connect()
             client = asyncio.ensure_future(submit_cells(orch, cells))
-            await asyncio.sleep(0.05)
+            await until(lambda: orch.queue)
             leases, _ = await worker.request()
             await worker.send(
                 {
@@ -492,8 +496,7 @@ class TestOrchestratorScheduling:
                     "payload": {"bogus": "shape"},
                 }
             )
-            await asyncio.sleep(0.1)
-            assert orch.stats["requeues"] >= 1
+            await until(lambda: orch.stats["requeues"] >= 1)
             assert orch.stats["completed"] == 0
             leases2, _ = await worker.request()
             await worker.finish(leases2[0], {"ok": 1})
@@ -510,15 +513,12 @@ class TestOrchestratorScheduling:
             worker = FakeWorker(orch, "w0")
             await worker.connect()
             client = asyncio.ensure_future(submit_cells(orch, cells))
-            await asyncio.sleep(0.05)
+            await until(lambda: orch.queue)
             leases, _ = await worker.request()
             assert leases
             # Silence: miss_limit heartbeats lapse, the host is declared
             # dead and its leases requeue immediately.
-            deadline = time.monotonic() + 5.0
-            while orch.stats["dead_hosts"] < 1:
-                assert time.monotonic() < deadline, "host never declared dead"
-                await asyncio.sleep(0.05)
+            await until(lambda: orch.stats["dead_hosts"] >= 1)
             assert orch.stats["requeues"] >= 1
             # The reconnect pays a doubled-per-death, capped penalty
             # before it is trusted with leases again.
@@ -670,7 +670,7 @@ class TestOrchestratorScheduling:
 
         async def scenario(orch):
             client = asyncio.ensure_future(submit_cells(orch, cells))
-            await asyncio.sleep(0.05)
+            await until(lambda: orch.queue)
             for n in range(8):
                 if client.done():
                     break
@@ -679,7 +679,8 @@ class TestOrchestratorScheduling:
                 leases, _ = await doomed.request()
                 assert len(leases) == 1
                 doomed.close()  # dies holding the lease
-                await asyncio.sleep(0.1)
+                # Requeued, or failed for good and streamed to the client.
+                await until(lambda: orch.queue or client.done())
             payloads, statuses, done = await asyncio.wait_for(client, 5.0)
             assert statuses == ["failed"] and payloads == [None]
             assert done["failed"] == 1
@@ -691,8 +692,16 @@ class TestOrchestratorScheduling:
         self._run(scenario)
 
 
+def wait_for(predicate, timeout=10.0):
+    """``until`` for a test thread beside a cluster's serving thread."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 # ----------------------------------------------------------------------
-# Local cluster: real subprocess worker hosts
+# Local cluster: worker hosts forked from the test process
 # ----------------------------------------------------------------------
 class TestLocalCluster:
     def test_chaos_sigkill_worker_bit_identical_and_warm_rerun(self, tmp_path):
@@ -720,9 +729,9 @@ class TestLocalCluster:
             def on_result(index, spec, payload, was_hit):
                 if not killed:
                     victim = cluster.workers[-1]
-                    victim.send_signal(signal.SIGKILL)
-                    victim.wait()
-                    killed["pid"] = victim.pid
+                    victim.kill()
+                    victim.join()
+                    killed["name"] = victim.name
 
             from repro.campaign.service import execute_cells_remote
 
@@ -730,9 +739,13 @@ class TestLocalCluster:
                 cells, cluster.address, name="chaos", on_result=on_result
             )
             # Fast cells can finish inside the first heartbeat window;
-            # keep the cluster up a beat so the survivors' heartbeats
-            # land in the log before shutdown.
-            time.sleep(3 * 0.25)
+            # keep the cluster up until a survivor's heartbeat is logged.
+            wait_for(
+                lambda: any(
+                    e["event"] == "heartbeat" and e["host_name"] != killed["name"]
+                    for e in iter_events(log_path)
+                )
+            )
 
         assert killed, "the chaos kill never fired"
         assert stats.failed == 0
@@ -945,7 +958,145 @@ def _children_of(pid):
     return children
 
 
+def _descriptors(pid):
+    """What the open descriptors of ``pid`` point at (``socket:[N]``,
+    paths, ...)."""
+    links = set()
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            links.add(os.readlink(fd))
+        except OSError:
+            pass  # closed while listed
+    return links
+
+
+def _repro_env():
+    """Environment of a ``python`` subprocess that imports this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+#: A client that starts a two-host cluster, prints the host pids and
+#: holds the cluster until it is killed.
+_CLUSTER_HOLDER = """
+import sys
+from repro.campaign.service import LocalCluster
+cluster = LocalCluster(2).start()
+print(*(host.pid for host in cluster.workers), flush=True)
+sys.stdin.read()
+"""
+
+
 class TestWorkerHostProcess:
+    def test_start_returns_once_every_host_has_joined(self):
+        with LocalCluster(2) as cluster:
+            hosts = cluster.orchestrator.hosts
+            assert sorted(hosts) == ["w0", "w1"]
+            assert all(host.connected for host in hosts.values())
+
+    def test_start_raises_once_every_host_exited_unjoined(self, monkeypatch):
+        monkeypatch.setattr(
+            service_client, "run_worker", lambda address, **options: sys.exit(3)
+        )
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"exit codes \[3, 3\]"):
+            LocalCluster(2).start()
+        assert time.monotonic() - started < 2.0
+
+    def test_start_raises_once_a_lease_passes_without_every_host(self, monkeypatch):
+        """A host that neither joins nor exits (wedged at birth) must not
+        hold ``start()`` for good: it is killed once a lease has passed."""
+        monkeypatch.setattr(
+            service_client, "run_worker", lambda address, **options: signal.pause()
+        )
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"\['w0', 'w1'\] never joined"):
+            LocalCluster(2, lease_duration=0.5).start()
+        assert time.monotonic() - started < 3.0
+
+    def test_exit_without_stop_does_not_hang(self):
+        """Interpreter exit joins live non-daemon children: a cluster
+        nobody stopped must not hold its client's exit hostage."""
+        code = (
+            "from repro.campaign.service import LocalCluster\n"
+            "LocalCluster(2).start()\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code], env=_repro_env(), check=True, timeout=30
+        )
+
+    def test_forked_hosts_hold_no_listening_socket(self):
+        """A forked host inherits every descriptor of its client; it
+        must keep no copy of its own orchestrator's listening socket,
+        nor of another cluster's open beside it."""
+        with LocalCluster(1) as first, LocalCluster(2) as second:
+            listening = {
+                f"socket:[{os.fstat(sock.fileno()).st_ino}]"
+                for cluster in (first, second)
+                for sock in cluster.orchestrator._server.sockets
+            }
+            for cluster in (first, second):
+                for host in cluster.workers:
+                    assert not _descriptors(host.pid) & listening, host.name
+
+    def test_hosts_of_a_killed_client_exit(self):
+        """SIGKILL the client holding a cluster: with nothing left to
+        dial, both hosts exit within their ``reconnect=3`` budget."""
+        with subprocess.Popen(
+            [sys.executable, "-c", _CLUSTER_HOLDER],
+            env=_repro_env(),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+        ) as holder:
+            pids = [int(pid) for pid in holder.stdout.readline().split()]
+            holder.kill()
+        assert len(pids) == 2
+        try:
+            wait_for(lambda: not any(_alive(pid) for pid in pids), timeout=8.0)
+        finally:
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_exec_host_joins_beside_forked_hosts(self, tmp_path):
+        """``repro.cli work``, the standalone host, is a program of its
+        own: it joins a local cluster, takes leases, returns payloads
+        bit-identical to an inline run and exits 128+SIGTERM when
+        terminated."""
+        cells = sim_cells()
+        inline, _ = execute_cells(cells)
+        log = tmp_path / "service.events.jsonl"
+        with LocalCluster(1, log_path=log) as cluster:
+            host = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "work",
+                    "--connect", cluster.address, "--name", "exec",
+                    "--capacity", "1", "--reconnect", "0",
+                ],
+                env=_repro_env(),
+            )
+            try:
+                wait_for(lambda: "exec" in cluster.orchestrator.hosts, timeout=60.0)
+                with ThreadPoolExecutor(1) as pool:
+                    campaign = pool.submit(execute_cells, cells, hosts=cluster.address)
+                    wait_for(
+                        lambda: any(
+                            e["event"] == "lease" and e["host_name"] == "exec"
+                            for e in iter_events(log)
+                        )
+                    )
+                    payloads, stats = campaign.result(timeout=60.0)
+                assert stats.executed == len(cells)
+                assert [payload_hash(p) for p in payloads] == [
+                    payload_hash(p) for p in inline
+                ]
+                host.terminate()
+                assert host.wait(timeout=10.0) == 128 + signal.SIGTERM
+            finally:
+                host.kill()
+                host.wait()
+
     def test_terminated_host_takes_its_pool_workers_with_it(self):
         """SIGTERM a capacity-2 host mid-batch: the engine's pool
         workers must not survive it as orphans."""
@@ -977,7 +1128,7 @@ class TestWorkerHostProcess:
                 deadline = time.monotonic() + 30.0
                 while len(_children_of(host.pid)) < 2:
                     assert time.monotonic() < deadline, "pool workers never started"
-                    assert host.poll() is None, "host exited early"
+                    assert host.is_alive(), "host exited early"
                     await asyncio.sleep(0.05)
                 writer.close()
 
@@ -985,15 +1136,10 @@ class TestWorkerHostProcess:
             pool_workers = _children_of(host.pid)
             assert len(pool_workers) >= 2
             host.terminate()
-            host.wait(timeout=10.0)
-            deadline = time.monotonic() + 5.0
+            host.join(timeout=10.0)
+            assert host.exitcode == 128 + signal.SIGTERM
             try:
-                while any(_alive(pid) for pid in pool_workers):
-                    assert time.monotonic() < deadline, (
-                        f"orphaned pool workers: "
-                        f"{[pid for pid in pool_workers if _alive(pid)]}"
-                    )
-                    time.sleep(0.05)
+                wait_for(lambda: not any(_alive(pid) for pid in pool_workers), 5.0)
             finally:
                 for pid in pool_workers:
                     if _alive(pid):
@@ -1012,7 +1158,7 @@ class TestWorkerHostProcess:
             host = cluster.workers[0]
 
             def kill_the_only_host():
-                time.sleep(0.5)
+                wait_for(lambda: cluster.orchestrator.hosts["w0"].leases)
                 host.kill()
 
             killer = threading.Thread(target=kill_the_only_host)
@@ -1023,3 +1169,43 @@ class TestWorkerHostProcess:
             finally:
                 killer.join(timeout=5.0)
             assert not killer.is_alive()
+
+    def test_killed_host_is_seen_gone_while_its_pool_workers_live(self):
+        """SIGKILL the only host mid-batch at capacity 2: its orphaned
+        pool workers still hold every pipe it had, yet the cluster must
+        see it gone and hang up on the campaign at once."""
+        cells = [
+            CellSpec.synthetic(
+                "uniform_random", 0.02, "No-PG",
+                warmup=100, measurement=60_000, drain=False, seed=seed,
+            )
+            for seed in (1, 2)
+        ]
+        pool_workers, killed_at, hung_up = [], [], threading.Event()
+        with LocalCluster(1, capacity=2) as cluster:
+            host = cluster.workers[0]
+
+            def kill_the_host_mid_batch():
+                wait_for(lambda: len(_children_of(host.pid)) >= 2, timeout=30.0)
+                pool_workers.extend(_children_of(host.pid))
+                killed_at.append(time.monotonic())
+                host.kill()
+                # Bounded either way: a watcher blind to the host's exit
+                # waits for these orphans, so end them after a while.
+                hung_up.wait(timeout=10.0)
+                for pid in pool_workers:
+                    if _alive(pid):
+                        os.kill(pid, signal.SIGKILL)
+
+            killer = threading.Thread(target=kill_the_host_mid_batch)
+            killer.start()
+            try:
+                with pytest.raises(ServiceError, match="went away"):
+                    execute_cells(cells, hosts=cluster.address)
+                waited = time.monotonic() - killed_at[0]
+            finally:
+                hung_up.set()
+                killer.join(timeout=15.0)
+            assert not killer.is_alive()
+        assert len(pool_workers) >= 2
+        assert waited < 5.0, f"campaign hung up {waited:.1f} s after the kill"
