@@ -4,18 +4,19 @@ Experiments declare frozen :class:`CellSpec` cells — one simulation
 each — and run them through :func:`execute_cells` / :class:`Campaign`:
 a supervised process-pool executor with a content-addressed on-disk
 cache (:class:`CellCache`, written once per finished cell, so a
-``kill -9``'d campaign resumes from it), crash isolation and pool
-respawn, per-cell wall-clock timeouts, retry classification with a
-persistent :class:`QuarantineLedger`, and a structured JSONL progress
-log.  See ``docs/campaigns.md`` and ``docs/resilience.md``.
+``kill -9``'d campaign resumes from it, and once per failed one, so a
+condemned cell is skipped by the next), crash isolation and pool
+respawn, per-cell wall-clock timeouts, retry classification, and a
+structured JSONL progress log.  See ``docs/campaigns.md`` and
+``docs/resilience.md``.
 
 Campaigns also run distributed through the same front door:
 ``execute_cells(cells, hosts=...)`` (``Campaign.run(hosts=...)``,
 ``--hosts`` on any campaign CLI) carries the cells on the
 :mod:`repro.campaign.service` subpackage — an orchestrator leasing
 cells from one queue to heartbeating TCP worker hosts — instead
-of the process pool, with the same cache, log and quarantine
-behaviour (see ``docs/service.md``).
+of the process pool, with the same cache and log behaviour (see
+``docs/service.md``).
 """
 
 from .cache import CellCache, code_salt, decode_payload, encode_payload
@@ -48,7 +49,6 @@ from .supervisor import (
     CellTimeoutError,
     FailureReport,
     QuarantinedCellError,
-    QuarantineLedger,
     RetryPolicy,
     WorkerCrashError,
     classify_attempts,
@@ -66,7 +66,6 @@ __all__ = [
     "CellTimeoutError",
     "EventLog",
     "FailureReport",
-    "QuarantineLedger",
     "QuarantinedCellError",
     "RetryPolicy",
     "WorkerCrashError",

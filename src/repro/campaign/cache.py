@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Union
 
 from ..experiments.common import RunRecord
 from .spec import CellSpec
+from .supervisor import FailureReport
 
 #: Source trees whose content feeds the code-version salt.
 SALT_PACKAGES = (
@@ -104,14 +105,17 @@ def decode_payload(doc: dict) -> Payload:
 
 
 class CellCache:
-    """Content-addressed cell results, in a directory or in memory.
+    """Content-addressed cell verdicts, in a directory or in memory.
 
+    A cell's entry holds either its payload (``"payload"``) or, when it
+    failed for good, its :class:`FailureReport` (``"failure"``); the
+    one :meth:`put` writes both, and a payload put replaces a failure.
     With a ``root``, entries live at ``<root>/<key[:2]>/<key>.json``
-    and carry the canonical spec and salt alongside the payload for
-    debuggability (compact JSON: ``python -m json.tool`` shows one);
-    the key alone decides hits.  Writes are atomic (temp file +
-    ``os.replace``) so parallel workers and interrupted runs can never
-    leave a truncated entry behind.
+    and carry the canonical spec and salt alongside for debuggability
+    (compact JSON: ``python -m json.tool`` shows one); the key alone
+    decides hits.  Writes are atomic (temp file + ``os.replace``) so
+    parallel workers and interrupted runs can never leave a truncated
+    entry behind.
 
     ``CellCache(None)`` keeps the entries in this process instead (the
     campaign service's store for cache-less runs and tests), in the
@@ -139,8 +143,11 @@ class CellCache:
     def _entry(self, key: str) -> str:
         return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
-    def get(self, spec: CellSpec, key: Optional[str] = None) -> Optional[Payload]:
-        """The cached payload for ``spec``, or ``None`` on a miss.
+    def lookup(
+        self, spec: CellSpec, key: Optional[str] = None
+    ) -> Union[Payload, FailureReport, None]:
+        """What the store holds for ``spec``: its payload, its
+        :class:`FailureReport`, or ``None`` on a miss.
 
         ``key`` is ``key_for(spec)`` when the caller already holds it
         (the engine hashes each cell once per run); it is computed here
@@ -150,36 +157,48 @@ class CellCache:
         """
         if key is None:
             key = self.key_for(spec)
-        if self.root is None:
-            doc = self._memory.get(key)
-            return None if doc is None else decode_payload(doc)
         try:
-            # Unbuffered: the entry is read whole, once.
-            with open(self._entry(key), "rb", buffering=0) as fh:
-                doc = json.loads(fh.read())
+            if self.root is None:
+                doc = self._memory[key]
+            else:
+                # Unbuffered: the entry is read whole, once.
+                with open(self._entry(key), "rb", buffering=0) as fh:
+                    doc = json.loads(fh.read())
+            if "failure" in doc:
+                return FailureReport(**doc["failure"])
             return decode_payload(doc["payload"])
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
+    def get(self, spec: CellSpec, key: Optional[str] = None) -> Optional[Payload]:
+        """The cached payload for ``spec`` (as :meth:`lookup`), or
+        ``None`` when there is none — a failure is not a payload."""
+        entry = self.lookup(spec, key)
+        return None if isinstance(entry, FailureReport) else entry
+
     def put(
-        self, spec: CellSpec, payload: Payload, key: Optional[str] = None
+        self,
+        spec: CellSpec,
+        payload: Union[Payload, FailureReport],
+        key: Optional[str] = None,
     ) -> Optional[Path]:
-        """Store ``payload`` for ``spec`` (under ``key``, as for
-        :meth:`get`); returns the entry path, if the cache has a
+        """Store ``payload`` — or a :class:`FailureReport`, the cell's
+        failure verdict — as ``spec``'s entry (under ``key``, as for
+        :meth:`lookup`); returns the entry path, if the cache has a
         directory."""
         if key is None:
             key = self.key_for(spec)
+        if isinstance(payload, FailureReport):
+            entry = {"failure": payload.as_dict()}
+        else:
+            entry = {"payload": encode_payload(payload)}
         if self.root is None:
-            self._memory[key] = encode_payload(payload)
+            self._memory[key] = entry
             return None
         path = self._entry(key)
         shard, name = os.path.split(path)
         blob = json.dumps(
-            {
-                "salt": self.salt,
-                "spec": spec.canonical(),
-                "payload": encode_payload(payload),
-            },
+            {"salt": self.salt, "spec": spec.canonical(), **entry},
             separators=(",", ":"),
         ).encode("utf-8")
         # Per-key prefix: concurrent writers of the *same* entry each

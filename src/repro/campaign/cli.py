@@ -25,7 +25,6 @@ _ENGINE_FLAGS = (
     "resume",
     "timeout",
     "max_retries",
-    "quarantine_dir",
     "hosts",
 )
 #: Every key :func:`engine_options` returns.
@@ -60,7 +59,7 @@ def add_campaign_args(
         "--cache-dir",
         default=None,
         help="content-addressed cell cache directory (enables caching, "
-        "resume, and the JSONL progress log)",
+        "resume, quarantine, and the JSONL progress log)",
     )
     group.add_argument(
         "--resume",
@@ -81,11 +80,6 @@ def add_campaign_args(
         default=2,
         help="total attempts per cell before it is quarantined "
         "(identical failures twice in a row quarantine immediately)",
-    )
-    group.add_argument(
-        "--quarantine-dir",
-        default=None,
-        help="quarantine ledger directory (default: <cache-dir>/quarantine)",
     )
     group.add_argument(
         "--hosts",

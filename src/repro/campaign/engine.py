@@ -3,25 +3,25 @@
 ``execute_cells`` is the one code path every experiment goes through,
 whatever carries the cells:
 
-1. each cell is looked up in the content-addressed cache (hits skip
-   simulation entirely; the store is written once per finished cell,
-   which is also what makes interrupted — even ``kill -9``'d —
-   campaigns resumable);
-2. cells already condemned by the :class:`QuarantineLedger` are
-   reported as failed immediately instead of burning retries again;
-3. the misses go to one of three **carriers**, which do nothing but
+1. each cell's entry is read from the content-addressed cache once: a
+   payload is a hit (simulation skipped entirely; the store is written
+   once per finished cell, which is also what makes interrupted — even
+   ``kill -9``'d — campaigns resumable), and a condemning
+   :class:`FailureReport` fails the cell at once instead of burning
+   retries again;
+2. the rest go to one of three **carriers**, which do nothing but
    run attempts and report them back: the inline loop (``workers=1``
    without a timeout), the supervised process pool
    (:func:`_supervise_pool`: sliding submission window, per-cell
    wall-clock timeouts, detection of worker death with automatic pool
    respawn) or, with ``hosts``, the campaign service
    (:mod:`repro.campaign.service`: worker hosts over TCP);
-4. every report lands in the one :class:`_Run` that counts, retries
+3. every report lands in the one :class:`_Run` that counts, retries
    with exponential backoff and deterministic jitter, classifies (a
    cell failing twice with the identical signature is quarantined,
-   not re-run), writes the cache, appends a structured event to the
-   JSONL progress log, and files structured failure reports carrying
-   any post-mortem the error captured.
+   not re-run), writes the cache — a payload, or a structured failure
+   report carrying any post-mortem the error captured — and appends a
+   structured event to the JSONL progress log.
 
 Results always come back in declared cell order regardless of
 completion order.  With ``failure_mode="raise"`` (the default) a
@@ -64,7 +64,6 @@ from .supervisor import (
     CellTimeoutError,
     FailureReport,
     QuarantinedCellError,
-    QuarantineLedger,
     RetryPolicy,
     WorkerCrashError,
     classify_attempts,
@@ -96,8 +95,8 @@ class CampaignStats:
     crashes: int = 0
     #: Cells killed for exceeding the wall-clock budget (attempt count).
     timeouts: int = 0
-    #: Cells condemned to the quarantine ledger this run, plus cells
-    #: skipped because a previous run condemned them.
+    #: Cells condemned in the store this run, plus cells skipped
+    #: because a previous run condemned them.
     quarantined: int = 0
     failed: int = 0
     elapsed: float = 0.0
@@ -190,9 +189,9 @@ def iter_events(path: Union[str, Path]) -> Iterator[dict]:
     """Yield the events of a JSONL log, skipping torn/corrupt lines.
 
     A crashed (or SIGKILLed) writer can leave a truncated trailing
-    line; like ``QuarantineLedger._load``, a line that does not parse
-    as a JSON object is silently skipped so readers degrade to the
-    events that were durably written instead of crashing.
+    line; a line that does not parse as a JSON object is silently
+    skipped so readers degrade to the events that were durably written
+    instead of crashing.
     """
     try:
         lines = Path(path).read_text().splitlines()
@@ -272,15 +271,14 @@ class _Run:
     * ``fail(index, exc, classification)`` — a final verdict reached
       elsewhere (a worker host already classified the failure).
 
-    Counting, classification, the cache, quarantine, the event log and
-    the callbacks all happen here, so they are the same under every
-    carrier.  As a context manager it guarantees the log close however
-    the run unwinds.
+    Counting, classification, the cache (payloads and verdicts alike),
+    the event log and the callbacks all happen here, so they are the
+    same under every carrier.  As a context manager it guarantees the
+    log close however the run unwinds.
     """
 
     cells: List[CellSpec]
     cache: Optional[CellCache]
-    quarantine: Optional[QuarantineLedger]
     policy: RetryPolicy
     log: EventLog
     name: str
@@ -297,7 +295,7 @@ class _Run:
         self.signatures: Dict[int, List[str]] = {}
         #: Whether events carry the content address (computing it only
         #: for the log would put a hash on every cache-less cell).
-        self.keyed = not (self.cache is None and self.quarantine is None)
+        self.keyed = self.cache is not None
         self._keys: List[Optional[str]] = [None] * count
 
     def __enter__(self) -> "_Run":
@@ -312,8 +310,8 @@ class _Run:
 
     def key_of(self, index: int) -> str:
         """The content address of ``cells[index]``: hashed here, once a
-        run, and nowhere else — the store, the ledger and the log are
-        all handed this string."""
+        run, and nowhere else — the store and the log are both handed
+        this string."""
         key = self._keys[index]
         if key is None:
             salt = self.cache.salt if self.cache is not None else code_salt()
@@ -343,37 +341,40 @@ class _Run:
 
     # -- lookup ---------------------------------------------------------
     def lookup(self, resume: bool) -> List[int]:
-        """Answer what the cache and the quarantine ledger can; returns
-        the indices left to run, in declared order."""
-        cache = self.cache if resume else None
+        """Answer what the store can, reading each entry once: a payload
+        is a hit (with ``resume``), a condemning failure a
+        quarantined-skip (always); returns the indices left to run, in
+        declared order."""
+        if self.cache is None:
+            return list(range(len(self.cells)))
         runnable: List[int] = []
         for index, spec in enumerate(self.cells):
-            payload = (
-                cache.get(spec, self.key_of(index)) if cache is not None else None
-            )
-            if payload is not None:
-                self._deliver(index, payload, "hit", store=False)
-            elif self.quarantine is not None and self.quarantine.is_quarantined(
-                self.key_of(index)
-            ):
-                self._skip_quarantined(index)
-            else:
-                runnable.append(index)
+            entry = self.cache.lookup(spec, self.key_of(index))
+            if isinstance(entry, FailureReport):
+                if entry.condemned:
+                    self._skip_quarantined(index, entry)
+                    continue
+            elif entry is not None and resume:
+                self._deliver(index, entry, "hit", store=False)
+                continue
+            runnable.append(index)
         return runnable
 
-    def _skip_quarantined(self, index: int) -> None:
-        spec, key = self.cells[index], self.key_of(index)
-        entry = self.quarantine.entry_for(key) or {}
+    def _skip_quarantined(self, index: int, report: FailureReport) -> None:
+        spec = self.cells[index]
+        where = (
+            self.cache.path_for(spec)
+            if self.cache.root is not None
+            else "its entry in the in-memory store"
+        )
         exc = QuarantinedCellError(
             f"cell {spec.label} is quarantined "
-            f"({entry.get('classification', 'unknown')}: "
-            f"{entry.get('error', 'see ledger')}); remove "
-            f"{self.quarantine.report_path(key)} to retry"
+            f"({report.classification}: {report.error}); remove {where} to retry"
         )
         self.stats.quarantined += 1
         self.stats.failed += 1
         self.failures[index] = CampaignError(spec, exc, 0)
-        self._log_cell("quarantined-skip", index, key=key)
+        self._log_cell("quarantined-skip", index, key=self.key_of(index))
         if self.on_failure is not None:
             self.on_failure(index, spec, exc, "quarantined")
 
@@ -441,7 +442,12 @@ class _Run:
     def fail(self, index: int, exc: BaseException, classification: str) -> None:
         spec = self.cells[index]
         self.stats.failed += 1
-        if self.quarantine is not None:
+        if self.cache is not None:
+            # The verdict becomes the cell's store entry.  A condemning
+            # one is skipped by later campaigns; any other ("exhausted":
+            # the budget ran out on differing signatures, "host-loss")
+            # keeps its post-mortem there until a later run's payload
+            # replaces it.
             report = FailureReport.from_failure(
                 spec,
                 self.key_of(index),
@@ -450,16 +456,9 @@ class _Run:
                 self.signatures.get(index, []),
                 classification,
             )
-            if classification in ("deterministic", "fatal"):
-                self.quarantine.quarantine(report)
+            self.cache.put(spec, report, report.key)
+            if report.condemned:
                 self.stats.quarantined += 1
-            else:
-                # "exhausted" means the budget ran out on *differing*
-                # signatures — a flaky cell, not a condemned one (and a
-                # lost host condemns nobody).  Keep the structured
-                # report for post-mortems but write no ledger line, so
-                # the next campaign retries it.
-                self.quarantine.record_failure(report)
         self._log_cell(
             "failed",
             index,
@@ -482,7 +481,6 @@ def execute_cells(
     resume: bool = True,
     max_retries: int = 2,
     timeout: Optional[float] = None,
-    quarantine: Optional[Union[QuarantineLedger, str, Path]] = None,
     failure_mode: str = "raise",
     log_path: Optional[Union[str, Path]] = None,
     log_host: Optional[str] = None,
@@ -504,9 +502,11 @@ def execute_cells(
     ``max_retries`` is the total per-cell attempt budget.  ``timeout``
     is a per-cell wall-clock budget in seconds; enforcing it requires
     process isolation, so a timeout forces the pool path even for
-    ``workers=1``.  ``quarantine`` is a :class:`QuarantineLedger` (or
-    its directory).  ``resume=False`` ignores cached entries (they are
-    recomputed and overwritten) while still writing fresh results.
+    ``workers=1``.  ``cache`` is the record of every verdict: a
+    payload, or the :class:`FailureReport` of a cell that failed for
+    good; without one, nothing is remembered.  ``resume=False`` ignores
+    cached payloads (they are recomputed and overwritten) while still
+    writing fresh results; a condemned cell is skipped either way.
     ``on_result`` is called as ``(index, spec, payload, was_hit)`` in
     completion order — hits first, then runs as they finish;
     ``on_failure`` as ``(index, spec, exception, classification)`` when
@@ -522,12 +522,9 @@ def execute_cells(
     if failure_mode not in ("raise", "continue"):
         raise ValueError("failure_mode must be 'raise' or 'continue'")
     cells = list(cells)
-    if isinstance(quarantine, (str, Path)):
-        quarantine = QuarantineLedger(quarantine)
     run = _Run(
         cells,
         cache=cache,
-        quarantine=quarantine,
         policy=RetryPolicy(max_retries=max_retries, timeout=timeout),
         log=EventLog(log_path, host=log_host),
         name=name,
@@ -545,7 +542,6 @@ def execute_cells(
             "salt": cache.salt if cache else None,
             "max_retries": max_retries,
             "timeout": timeout,
-            "quarantine": str(quarantine.root) if quarantine else None,
         }
     )
     start = perf_counter()
@@ -787,11 +783,10 @@ class Campaign:
     stats of the latest run are kept on ``last_stats`` so callers —
     and the CI cache-hit smoke check — can assert hit/run counts.
 
-    With a ``cache_dir``, the supervision artifacts land beside the
-    cell cache by default: the JSONL event log and the quarantine
-    ledger (under ``<cache_dir>/quarantine``) — whichever carrier
-    (``workers``, ``hosts``) runs the cells.  The cache is the only
-    record of finished cells: rerunning resumes from it.
+    With a ``cache_dir``, the JSONL event log lands beside the cell
+    cache by default, whichever carrier (``workers``, ``hosts``) runs
+    the cells.  The cache is the only record of finished and failed
+    cells: rerunning resumes from it and skips what it condemned.
     """
 
     name: str
@@ -811,7 +806,6 @@ class Campaign:
         resume: bool = True,
         max_retries: int = 2,
         timeout: Optional[float] = None,
-        quarantine_dir: Optional[Union[str, Path]] = None,
         failure_mode: str = "raise",
         log_path: Optional[Union[str, Path]] = None,
         on_result: Optional[Callable] = None,
@@ -830,7 +824,6 @@ class Campaign:
                 c if c.isalnum() or c in "-_" else "-" for c in self.name
             )
             log_path = log_path or root / f"{safe}.events.jsonl"
-            quarantine_dir = quarantine_dir or root / "quarantine"
         payloads, stats = execute_cells(
             cells,
             workers=workers,
@@ -839,7 +832,6 @@ class Campaign:
             resume=resume,
             max_retries=max_retries,
             timeout=timeout,
-            quarantine=quarantine_dir,
             failure_mode=failure_mode,
             log_path=log_path,
             name=self.name,

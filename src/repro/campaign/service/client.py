@@ -4,10 +4,11 @@
 :func:`~repro.campaign.engine.execute_cells`: it submits the cells the
 front door could not answer itself, and reports each streamed verdict
 into the run — a payload, a store hit, or a failure a worker host
-already classified.  Everything else (counting, the cache, quarantine,
-the event log, ``failure_mode``) is the front door's, exactly as under
-the process pool, and because cells are pure functions of their specs
-the payloads are bit-identical to a single-host run.
+already classified.  Everything else (counting, the cache and the
+verdicts it keeps, the event log, ``failure_mode``) is the front
+door's, exactly as under the process pool, and because cells are pure
+functions of their specs the payloads are bit-identical to a
+single-host run.
 
 :class:`LocalCluster` spins up an ephemeral service on this machine
 (orchestrator on a background thread, worker hosts forked from this
@@ -30,6 +31,7 @@ from typing import List, Optional, Sequence, Set, Tuple, Union
 from ..cache import CellCache, Payload, code_salt, decode_payload
 from ..engine import CampaignStats, execute_cells
 from ..spec import CellSpec
+from ..supervisor import HostedCellError
 from . import protocol
 from .orchestrator import Orchestrator
 from .worker import run_worker
@@ -114,14 +116,13 @@ async def _submit_and_stream(
                 # One attempt as seen from here, however many the host
                 # spent before it gave its verdict.
                 run.attempts[index] += 1
-                classification = message.get("classification", "unknown")
                 run.fail(
                     index,
-                    RuntimeError(
-                        f"[{classification}] "
-                        f"{message.get('error', 'unknown failure')}"
+                    HostedCellError(
+                        message.get("error", "unknown failure"),
+                        message.get("error_type"),
                     ),
-                    classification,
+                    message.get("classification", "unknown"),
                 )
     finally:
         writer.close()

@@ -34,11 +34,12 @@ Scheduling model
   and its next connection pays an exponentially growing reconnect
   penalty (doubling per death, capped), mirroring the wakeup
   retry/backoff state machine of ``powergate/controller.py``.
-* **The store answers for finished cells** — a cell is held here only
-  while it is cold or leased, or once it has failed (a failure has no
-  store entry); a completed one is written to the store, streamed to
-  its waiters and forgotten, so a standing service does not grow with
-  the campaigns it has served.
+* **A verdict is forgotten once given** — a cell is held here only
+  while it is cold or leased.  A completed one is written to the store,
+  streamed to its waiters and forgotten; a failed one is streamed and
+  forgotten, and the submitting client's own store keeps the verdict.
+  So a standing service does not grow with the campaigns it has
+  served, and a cell submitted again after a failure is leased again.
 
 Results stream back to submitting clients incrementally (hits first,
 then completions in arrival order); the client reassembles declared
@@ -106,20 +107,20 @@ class _Cell:
     """Scheduler state of one distinct (content-addressed) cell."""
 
     __slots__ = (
-        "key", "spec", "status", "payload", "error",
-        "classification", "lease_id", "lease_host", "lease_deadline",
-        "waiters", "requeues",
+        "key", "spec", "status", "payload", "failure",
+        "lease_id", "lease_host", "lease_deadline", "waiters", "requeues",
     )
 
     def __init__(self, key: str, spec: CellSpec) -> None:
         self.key = key
         self.spec = spec
-        #: cold | leased | failed, and "done" on the way out: a done
-        #: cell is streamed to its waiters, never held in ``cells``.
+        #: cold | leased, and "done" or "failed" on the way out: a cell
+        #: with a verdict is streamed to its waiters, never held in
+        #: ``cells``.
         self.status = "cold"
         self.payload: Optional[dict] = None  # encoded form
-        self.error: Optional[str] = None
-        self.classification: Optional[str] = None
+        #: ``classification``, ``error`` and ``error_type`` of a failure.
+        self.failure: Optional[dict] = None
         self.lease_id: Optional[str] = None
         self.lease_host: Optional[str] = None
         self.lease_deadline = 0.0
@@ -178,7 +179,7 @@ class Orchestrator:
         self.name = name
         self.log = EventLog(log_path, host="orchestrator")
         self.hosts: Dict[str, _Host] = {}
-        #: Open cells (cold or leased) and failed verdicts, by key.
+        #: Open cells (cold or leased), by key.
         self.cells: Dict[str, _Cell] = {}
         #: Keys of cold cells, oldest first.  A key whose cell got its
         #: verdict while it waited here is skipped when it is popped.
@@ -474,7 +475,7 @@ class Orchestrator:
         lease_id = str(message.get("lease_id"))
         record.leases.pop(lease_id, None)
         cell = self.cells.get(key)
-        if cell is None or cell.status == "failed":
+        if cell is None:
             # No open cell under this key: a host whose lease expired
             # reports after the cell got its verdict elsewhere.  The
             # first valid payload won; this one is bit-identical by
@@ -515,7 +516,7 @@ class Orchestrator:
         lease_id = str(message.get("lease_id"))
         record.leases.pop(lease_id, None)
         cell = self.cells.get(key)
-        if cell is None or cell.status == "failed":
+        if cell is None:
             return
         self._release_lease(cell)
         classification = str(message.get("classification", "unknown"))
@@ -527,26 +528,29 @@ class Orchestrator:
         await self._fail_cell(
             cell,
             record.name,
-            str(message.get("error", "unknown failure")),
-            classification,
+            classification=classification,
+            error=str(message.get("error", "unknown failure")),
+            error_type=message.get("error_type"),
         )
 
     async def _fail_cell(
-        self, cell: _Cell, host_name: Optional[str], error: str, classification: str
+        self, cell: _Cell, host_name: Optional[str], **failure: Optional[str]
     ) -> None:
-        """A final failure verdict: record it and stream it to waiters."""
+        """A final failure verdict: stream it to the waiters and forget
+        the cell (their stores record it)."""
         cell.status = "failed"
-        cell.error = error
-        cell.classification = classification
+        cell.failure = failure
         self.stats["failed"] += 1
+        # Forgotten before the first await, as a completed cell is.
+        del self.cells[cell.key]
         self.log.emit(
             {
                 "event": "cell-failed",
                 "host_name": host_name,
                 "key": cell.key,
                 "label": cell.spec.label,
-                "classification": classification,
-                "error": error,
+                "classification": failure["classification"],
+                "error": failure["error"],
             }
         )
         await self._deliver(cell)
@@ -594,9 +598,9 @@ class Orchestrator:
             await self._fail_cell(
                 cell,
                 None,
-                f"lease lost {cell.requeues + 1} times (last: {reason}); "
+                classification="host-loss",
+                error=f"lease lost {cell.requeues + 1} times (last: {reason}); "
                 "not handing the cell to another host",
-                "host-loss",
             )
             return
         cell.status = "cold"
@@ -660,10 +664,6 @@ class Orchestrator:
             # Always from the spec as sent: whatever key a client might
             # put beside it is outside input and is never looked at.
             key = self.store.key_for(spec)
-            cell = self.cells.get(key)
-            if resume and cell is not None and cell.status == "failed":
-                await self._send_cell(campaign, index, cell, was_hit=True)
-                continue
             if resume:
                 payload = self.store.get(spec, key)
                 if payload is not None:
@@ -673,8 +673,8 @@ class Orchestrator:
                     hits += 1
                     await self._send_cell(campaign, index, hit, was_hit=True)
                     continue
-            if cell is None or cell.status == "failed":
-                # (failed but resume=False: recompute fresh)
+            cell = self.cells.get(key)
+            if cell is None:
                 cell = self.cells[key] = _Cell(key, spec)
                 self.queue.append(key)
                 cold += 1
@@ -714,9 +714,7 @@ class Orchestrator:
         message = {"type": "cell", "index": index}
         if cell.status == "failed":
             campaign.failed += 1
-            message.update(
-                status="failed", error=cell.error, classification=cell.classification
-            )
+            message.update(status="failed", **cell.failure)
         elif was_hit:
             campaign.hits += 1
             message.update(status="hit", payload=cell.payload)

@@ -3,9 +3,10 @@
 A :class:`WorkerHost` dials the orchestrator, requests cell leases and
 runs each batch through :func:`~repro.campaign.engine.execute_cells`
 — so per-cell wall-clock timeouts, worker crash isolation with pool
-respawn, retry classification and quarantine all keep working *inside*
-each host exactly as they do in a single-host campaign.  The service
-layer above only adds host-level failure handling (leases, heartbeats,
+respawn and retry classification all keep working *inside* each host
+exactly as they do in a single-host campaign; the verdict travels back
+to the submitting client, whose store records it.  The service layer
+above only adds host-level failure handling (leases, heartbeats,
 requeue).
 
 Concurrency: the engine batch runs on an executor thread while the

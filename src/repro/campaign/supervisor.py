@@ -12,16 +12,16 @@ workers; this module gives it the pieces to stop doing that:
   the *identical* signature is deterministically broken and gets
   quarantined instead of re-run, while differing signatures (or worker
   crashes) stay retryable within the budget;
-* :class:`QuarantineLedger` — a persistent ledger beside the cell
-  cache (``ledger.jsonl`` plus one structured report per quarantined
-  cell, including any :class:`~repro.noc.invariants.PostMortem` the
-  failure carried) consulted at campaign start so known-bad cells are
-  skipped without burning their retry budget again;
+* :class:`FailureReport` — the structured verdict on a cell that
+  failed for good (including any
+  :class:`~repro.noc.invariants.PostMortem` the failure carried); the
+  cell cache stores it as the cell's entry, so a condemned cell is
+  skipped by later campaigns without burning its retry budget again;
 * :class:`WorkerCrashError` / :class:`CellTimeoutError` /
-  :class:`QuarantinedCellError` — typed stand-ins for failures that
-  happen *around* a cell rather than inside it (a worker process died,
-  a wall-clock deadline expired, the ledger already condemned the
-  cell).
+  :class:`QuarantinedCellError` / :class:`HostedCellError` — typed
+  stand-ins for failures that happen *around* a cell rather than
+  inside it (a worker process died, a wall-clock deadline expired, the
+  store already condemned the cell, a service host gave the verdict).
 
 See ``docs/resilience.md`` for the failure taxonomy and recovery
 semantics.
@@ -30,13 +30,8 @@ semantics.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from .spec import CellSpec
 
@@ -50,7 +45,17 @@ class CellTimeoutError(RuntimeError):
 
 
 class QuarantinedCellError(RuntimeError):
-    """The quarantine ledger already condemned this cell."""
+    """The store already holds a condemning verdict on this cell."""
+
+
+class HostedCellError(RuntimeError):
+    """A failure verdict streamed back by the campaign service: the
+    host's error text, and in ``error_type`` the name of the exception
+    the host saw (``None`` when the orchestrator gave the verdict)."""
+
+    def __init__(self, error: str, error_type: Optional[str]) -> None:
+        super().__init__(error)
+        self.error_type = error_type
 
 
 #: Signature prefix for failures that happened around the cell rather
@@ -125,7 +130,8 @@ class RetryPolicy:
 
 @dataclass
 class FailureReport:
-    """Structured account of one cell's demise."""
+    """Structured account of one cell's demise; the cell cache holds it
+    as the cell's entry (``CellCache.put``) until a payload replaces it."""
 
     key: str
     label: str
@@ -164,11 +170,18 @@ class FailureReport:
             classification=classification,
             signatures=list(signatures),
             error=str(exc),
-            error_type=type(exc).__qualname__,
+            error_type=getattr(exc, "error_type", None) or type(exc).__qualname__,
             post_mortem=None if post_mortem is None else post_mortem.render(),
             fault_spec=getattr(exc, "fault_spec", None),
             dead_routers=sorted(getattr(exc, "dead_routers", ()) or ()),
         )
+
+    @property
+    def condemned(self) -> bool:
+        """Whether later campaigns skip the cell.  ``exhausted`` (the
+        budget ran out on differing signatures) and ``host-loss`` do
+        not condemn: the cell runs again, and its payload replaces this."""
+        return self.classification in ("deterministic", "fatal")
 
     def as_dict(self) -> dict:
         return {
@@ -184,105 +197,3 @@ class FailureReport:
             "fault_spec": self.fault_spec,
             "dead_routers": self.dead_routers,
         }
-
-
-def _atomic_write_json(path: Path, doc: dict) -> None:
-    """Write ``doc`` to ``path`` via temp file + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-class QuarantineLedger:
-    """Persistent record of cells condemned as deterministically broken.
-
-    Lives beside the cell cache (``<dir>/ledger.jsonl`` plus
-    ``<dir>/reports/<key>.json``) and survives across campaigns: a
-    quarantined cell is skipped — reported as failed without burning
-    its retry budget — until the operator deletes its ledger entry or
-    the code salt moves (keys embed the salt, so a simulator fix
-    automatically paroles every affected cell).
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.ledger_path = self.root / "ledger.jsonl"
-        self.reports_dir = self.root / "reports"
-        self._keys: Dict[str, dict] = {}
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            lines = self.ledger_path.read_text().splitlines()
-        except OSError:
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                self._keys[entry["key"]] = entry
-            except (ValueError, KeyError, TypeError):
-                continue  # a torn line quarantines nobody
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def keys(self):
-        return self._keys.keys()
-
-    def is_quarantined(self, key: str) -> bool:
-        return key in self._keys
-
-    def entry_for(self, key: str) -> Optional[dict]:
-        return self._keys.get(key)
-
-    def report_path(self, key: str) -> Path:
-        return self.reports_dir / f"{key}.json"
-
-    def load_report(self, key: str) -> Optional[dict]:
-        """The full structured report for ``key``, if present."""
-        try:
-            return json.loads(self.report_path(key).read_text())
-        except (OSError, ValueError):
-            return None
-
-    def record_failure(self, report: FailureReport) -> None:
-        """Write the structured report *without* condemning the cell.
-
-        Used for ``exhausted`` failures (retry budget ran out on
-        differing signatures): the post-mortem evidence is kept under
-        ``reports/`` but no ledger line is appended, so the cell stays
-        retryable in the next campaign.
-        """
-        _atomic_write_json(self.report_path(report.key), report.as_dict())
-
-    def quarantine(self, report: FailureReport) -> None:
-        """Condemn a cell: append the ledger line, write the report."""
-        entry = {
-            "ts": round(time.time(), 3),
-            "key": report.key,
-            "label": report.label,
-            "classification": report.classification,
-            "attempts": report.attempts,
-            "error_type": report.error_type,
-            "error": report.error,
-        }
-        _atomic_write_json(self.report_path(report.key), report.as_dict())
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.ledger_path, "a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._keys[report.key] = entry
-

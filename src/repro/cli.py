@@ -26,12 +26,13 @@ and robustness flag it was given to every sub-command::
     python -m repro.cli all --out results/ --workers 4   # warm: 0 cells re-run
 
 Execution is supervised (``docs/resilience.md``): ``--timeout SECS``
-bounds each cell's wall clock, ``--max-retries N`` caps attempts
-before a cell is quarantined, and ``--quarantine-dir`` relocates the
-persistent quarantine ledger (default: ``<cache-dir>/quarantine``).
-Worker crashes (OOM kills, segfaults) are isolated and the pool is
-respawned; a ``kill -9``'d campaign resumes from its cell cache,
-which holds every cell that finished before the kill.
+bounds each cell's wall clock, and ``--max-retries N`` caps attempts
+before a cell is quarantined: its failure report becomes its entry in
+``--cache-dir``, and later runs skip it until that entry is deleted or
+the simulator sources change.  Worker crashes (OOM kills, segfaults)
+are isolated and the pool is respawned; a ``kill -9``'d campaign
+resumes from its cell cache, which holds every cell that finished
+before the kill.
 
 Robustness flags (before or after the command; see
 ``docs/fault_model.md``)::

@@ -70,7 +70,7 @@ def run_suite(
     ``workers > 1`` the matrix fans out over a process pool; results
     come back in the same benchmark-major order either way.  Extra
     keyword arguments (``workers``, ``cache_dir``, ``resume``,
-    ``timeout``, ``max_retries``, ``quarantine_dir``, ...) go straight
+    ``timeout``, ``max_retries``, ``hosts``, ...) go straight
     to :meth:`repro.campaign.Campaign.run`.
     """
     campaign = suite_campaign(

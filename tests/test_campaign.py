@@ -373,20 +373,17 @@ class TestOneAddressPerCell:
         assert counts == {"hash": self.N, "open": self.N}
         assert payloads == [{"seed": spec.seed} for spec in cells]
 
-    def test_log_and_ledger_reuse_the_key(self, tmp_path, counts):
+    def test_log_and_store_reuse_the_key(self, tmp_path, counts):
         """Everything keyed like the cache is handed the same string."""
         cells = self.cells()
-        options = dict(
-            quarantine=tmp_path / "q",
-            log_path=tmp_path / "events.jsonl",
-        )
+        log_path = tmp_path / "events.jsonl"
         cache = CellCache(tmp_path / "store", salt="s1")
         for _ in ("cold", "warm"):
             counts["hash"] = 0
-            execute_cells(cells, cache=cache, **options)
+            execute_cells(cells, cache=cache, log_path=log_path)
             assert counts["hash"] == self.N
         keys = [cache.key_for(spec) for spec in cells]
-        events = [e for e in iter_events(options["log_path"]) if e["event"] == "cell"]
+        events = [e for e in iter_events(log_path) if e["event"] == "cell"]
         assert [e["key"] for e in events] == keys + keys
         assert [e["status"] for e in events] == ["done"] * self.N + ["hit"] * self.N
 
@@ -654,8 +651,7 @@ class TestSharedArgparser:
         args = parser.parse_args(
             [
                 "--workers", "3", "--cache-dir", "/tmp/c", "--no-resume",
-                "--timeout", "12.5", "--max-retries", "4",
-                "--quarantine-dir", "/tmp/q", "--hosts", "local:3",
+                "--timeout", "12.5", "--max-retries", "4", "--hosts", "local:3",
             ]
         )
         assert engine_options(args) == {
@@ -664,7 +660,6 @@ class TestSharedArgparser:
             "resume": False,
             "timeout": 12.5,
             "max_retries": 4,
-            "quarantine_dir": "/tmp/q",
             "hosts": "local:3",
             "config_overrides": (),
         }
@@ -677,7 +672,6 @@ class TestSharedArgparser:
             "resume": True,
             "timeout": None,
             "max_retries": 2,
-            "quarantine_dir": None,
             "hosts": None,
             "config_overrides": (),
         }
@@ -694,6 +688,16 @@ class TestSharedArgparser:
         with pytest.raises(SystemExit):
             campaign_argparser("desc").parse_args(["--cache", "suite.json"])
 
+    def test_the_cache_dir_is_the_only_record_directory(self):
+        parser = campaign_argparser("desc")
+        flags = [flag for action in parser._actions for flag in action.option_strings]
+        assert [flag for flag in flags if flag.endswith("-dir")] == ["--cache-dir"]
+        # The failure ledger's directory flag is gone, not ignored.
+        record = "quarantine"
+        with pytest.raises(SystemExit):
+            parser.parse_args([f"--{record}-dir", "/tmp/q"])
+        assert not [key for key in ENGINE_OPTION_KEYS if record in key]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -703,7 +707,6 @@ class TestSharedArgparser:
             ["--no-resume"],
             ["--timeout", "12.5"],
             ["--max-retries", "4"],
-            ["--quarantine-dir", "/tmp/q"],
             ["--hosts", "local:3"],
             ["--faults", "punch_drop,rate=0.5;seed=7", "--reroute"],
             ["--strict-invariants", "--watchdog", "300", "--hosts", "h:1"],

@@ -9,9 +9,10 @@ The acceptance scenarios of the resilience layer live here:
 * the *orchestrator* is killed dead (``kill -9``, no cleanup) — a
   resumed campaign recovers the completed cells from the cache and
   finishes with 100% coverage and identical payload hashes;
-* a deterministically failing cell lands in the quarantine ledger
-  after exactly ``--max-retries`` attempts without blocking other
-  cells, and later campaigns skip it outright;
+* a deterministically failing cell is condemned in the store (its
+  failure report becomes its entry) after exactly ``--max-retries``
+  attempts without blocking other cells, and later campaigns skip it
+  outright until that entry is deleted;
 * a cell that exceeds its wall-clock budget is killed, classified as
   a timeout, and does not stall the rest of the matrix.
 
@@ -23,6 +24,7 @@ after the patch.  That holds on Linux/CPython (the platforms CI runs).
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -36,8 +38,8 @@ from repro.campaign import (
     CampaignError,
     CellCache,
     CellSpec,
+    FailureReport,
     QuarantinedCellError,
-    QuarantineLedger,
     encode_payload,
     execute_cells,
     iter_events,
@@ -107,13 +109,11 @@ class TestWorkerKill:
             return well_behaved(spec)
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", always_kills)
-        ledger = QuarantineLedger(tmp_path / "q")
         cache = CellCache(tmp_path / "cache", salt="s1")
         payloads, stats = execute_cells(
             specs(3),
             workers=2,
             cache=cache,
-            quarantine=ledger,
             max_retries=3,
             failure_mode="continue",
         )
@@ -122,11 +122,10 @@ class TestWorkerKill:
         assert payloads[1] is None
         assert payloads[0] == well_behaved(specs(3)[0])
         assert payloads[2] == well_behaved(specs(3)[2])
-        key = cache.key_for(specs(3)[1])
-        assert ledger.is_quarantined(key)
-        report = ledger.load_report(key)
-        assert report["classification"] == "deterministic"
-        assert report["signatures"][-2:] == ["worker-crash", "worker-crash"]
+        report = cache.lookup(specs(3)[1])
+        assert isinstance(report, FailureReport) and report.condemned
+        assert report.classification == "deterministic"
+        assert report.signatures[-2:] == ["worker-crash", "worker-crash"]
 
 
 _VICTIM_SCRIPT = """
@@ -253,20 +252,16 @@ class TestQuarantine:
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", mostly_fine)
         cache = CellCache(tmp_path / "cache", salt="s1")
-        ledger = QuarantineLedger(tmp_path / "q")
         cells = specs(3)
         with pytest.raises(CampaignError) as excinfo:
-            execute_cells(
-                cells, cache=cache, quarantine=ledger, max_retries=2
-            )
+            execute_cells(cells, cache=cache, max_retries=2)
         # Exactly --max-retries attempts, then condemned.
         assert calls.count(2) == 2
         assert excinfo.value.attempts == 2
         assert isinstance(excinfo.value.cause, SimulationError)
-        key = cache.key_for(cells[1])
-        entry = ledger.entry_for(key)
-        assert entry["classification"] == "deterministic"
-        assert entry["attempts"] == 2
+        report = cache.lookup(cells[1])
+        assert report.classification == "deterministic"
+        assert report.attempts == 2
         # The failure did not block the other cells: both are cached.
         assert cache.get(cells[0]) is not None
         assert cache.get(cells[2]) is not None
@@ -281,21 +276,18 @@ class TestQuarantine:
             return well_behaved(spec)
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", mostly_fine)
-        cache = CellCache(tmp_path / "cache", salt="s1")
-        ledger = QuarantineLedger(tmp_path / "q")
         cells = specs(3)
         with pytest.raises(CampaignError):
-            execute_cells(cells, cache=cache, quarantine=ledger)
+            execute_cells(cells, cache=CellCache(tmp_path / "cache", salt="s1"))
         first_run_calls = list(calls)
 
         payloads, stats = execute_cells(
             cells,
-            cache=cache,
-            quarantine=QuarantineLedger(tmp_path / "q"),  # reopened from disk
+            cache=CellCache(tmp_path / "cache", salt="s1"),  # reopened
             failure_mode="continue",
         )
         # No new attempts at all: goods hit the cache, the bad cell is
-        # skipped by the ledger without burning its retry budget.
+        # skipped on its stored verdict without burning its retry budget.
         assert calls == first_run_calls
         assert stats.hits == 2 and stats.executed == 0
         assert stats.quarantined == 1
@@ -303,9 +295,10 @@ class TestQuarantine:
 
     def test_exhausted_flaky_cell_is_not_quarantined(self, tmp_path, monkeypatch):
         """A cell whose budget runs out on *differing* signatures is
-        flaky, not condemned: its structured report is written for
-        post-mortems, but no ledger line — the next campaign retries
-        it with a fresh budget instead of skipping it forever."""
+        flaky, not condemned: its structured report is stored for
+        post-mortems, but the next campaign retries it with a fresh
+        budget instead of skipping it forever, and its payload then
+        replaces the report."""
         calls = []
 
         def flaky(spec):
@@ -316,33 +309,25 @@ class TestQuarantine:
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", flaky)
         cache = CellCache(tmp_path / "cache", salt="s1")
-        ledger = QuarantineLedger(tmp_path / "q")
         cells = specs(3)
         payloads, stats = execute_cells(
-            cells,
-            cache=cache,
-            quarantine=ledger,
-            max_retries=2,
-            failure_mode="continue",
+            cells, cache=cache, max_retries=2, failure_mode="continue"
         )
         assert payloads[1] is None
         assert stats.failed == 1 and stats.quarantined == 0
-        key = cache.key_for(cells[1])
-        assert not ledger.is_quarantined(key)
-        report = ledger.load_report(key)
-        assert report["classification"] == "exhausted"
-        assert len(set(report["signatures"])) == 2  # genuinely differing
+        report = cache.lookup(cells[1])
+        assert report.classification == "exhausted" and not report.condemned
+        assert len(set(report.signatures)) == 2  # genuinely differing
 
         attempts_before = calls.count(2)
-        execute_cells(
-            cells,
-            cache=cache,
-            quarantine=QuarantineLedger(tmp_path / "q"),  # reopened
-            max_retries=2,
-            failure_mode="continue",
-        )
+        execute_cells(cells, cache=cache, max_retries=2, failure_mode="continue")
         # A fresh budget was spent — the cell was not skipped.
         assert calls.count(2) == attempts_before + 2
+
+        monkeypatch.setattr("repro.campaign.engine.run_cell", well_behaved)
+        payloads, stats = execute_cells(cells, cache=cache)
+        assert (stats.hits, stats.executed) == (2, 1)
+        assert cache.lookup(cells[1]) == well_behaved(cells[1])
 
     def test_quarantined_cell_raises_typed_error(self, tmp_path, monkeypatch):
         def always_fails(spec):
@@ -352,11 +337,60 @@ class TestQuarantine:
         cache = CellCache(tmp_path / "cache", salt="s1")
         cells = specs(1)
         with pytest.raises(CampaignError):
-            execute_cells(cells, cache=cache, quarantine=tmp_path / "q")
+            execute_cells(cells, cache=cache)
         with pytest.raises(CampaignError) as excinfo:
-            execute_cells(cells, cache=cache, quarantine=tmp_path / "q")
+            execute_cells(cells, cache=cache)
         assert isinstance(excinfo.value.cause, QuarantinedCellError)
         assert excinfo.value.attempts == 0
+
+    def test_condemned_cell_is_skipped_without_resume_too(self, tmp_path, monkeypatch):
+        calls = []
+
+        def always_fails(spec):
+            calls.append(spec.seed)
+            raise SimulationError("kaboom")
+
+        monkeypatch.setattr("repro.campaign.engine.run_cell", always_fails)
+        cache = CellCache(tmp_path / "cache", salt="s1")
+        cells = specs(1)
+        execute_cells(cells, cache=cache, failure_mode="continue")
+        _, stats = execute_cells(
+            cells, cache=cache, resume=False, failure_mode="continue"
+        )
+        assert len(calls) == 2 and stats.quarantined == 1 and stats.executed == 0
+
+    def test_deleting_the_entry_the_message_names_paroles_the_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """The skip message names the one place the verdict is kept:
+        deleting exactly that path makes the next run attempt the cell."""
+        calls = []
+
+        def mostly_fine(spec):
+            calls.append(spec.seed)
+            if spec.seed == 2:
+                raise SimulationError("deterministic kaboom", cycle=5)
+            return well_behaved(spec)
+
+        monkeypatch.setattr("repro.campaign.engine.run_cell", mostly_fine)
+        store = tmp_path / "store"
+        campaign = Campaign(name="parole", cells=tuple(specs(3)))
+        with pytest.raises(CampaignError):
+            campaign.run(cache_dir=store)
+        with pytest.raises(CampaignError) as skipped:
+            campaign.run(cache_dir=store)
+        assert isinstance(skipped.value.cause, QuarantinedCellError)
+        assert calls.count(2) == 2
+        named = Path(re.search(r"remove (\S+) to retry", str(skipped.value)).group(1))
+        assert named == CellCache(store).path_for(specs(3)[1])
+        named.unlink()
+        with pytest.raises(CampaignError) as retried:
+            campaign.run(cache_dir=store)
+        assert isinstance(retried.value.cause, SimulationError)
+        assert calls.count(2) == 4
+        last = list(iter_events(store / "parole.events.jsonl"))[-1]
+        assert (last["hits"], last["quarantined"]) == (2, 1)
+        assert not (store / "quarantine").exists()
 
 
 class TestTimeout:
@@ -369,7 +403,6 @@ class TestTimeout:
             return well_behaved(spec)
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", sleepy)
-        ledger = QuarantineLedger(tmp_path / "q")
         cache = CellCache(tmp_path / "cache", salt="s1")
         cells = specs(3)
         start = time.monotonic()
@@ -379,7 +412,6 @@ class TestTimeout:
             timeout=0.75,
             max_retries=1,
             cache=cache,
-            quarantine=ledger,
             failure_mode="continue",
         )
         elapsed = time.monotonic() - start
@@ -388,9 +420,9 @@ class TestTimeout:
         assert payloads[1] is None
         assert payloads[0] == well_behaved(cells[0])
         assert payloads[2] == well_behaved(cells[2])
-        report = ledger.load_report(cache.key_for(cells[1]))
-        assert report["signatures"] == ["timeout"]
-        assert report["error_type"] == "CellTimeoutError"
+        report = cache.lookup(cells[1])
+        assert report.signatures == ["timeout"]
+        assert report.error_type == "CellTimeoutError"
 
     def test_timeout_kill_collateral_is_not_charged(self, tmp_path, monkeypatch):
         """Enforcing one cell's deadline kills the whole pool; cells

@@ -52,6 +52,7 @@ from repro.campaign.service import client as service_client
 from repro.campaign.service import protocol
 from repro.campaign.service.orchestrator import MAX_REQUEUES
 from repro.noc import NoCConfig
+from repro.noc.errors import SimulationError
 
 
 def specs(n=4):
@@ -343,6 +344,7 @@ class TestOrchestratorScheduling:
                     "lease_id": leases[1]["lease_id"],
                     "key": leases[1]["key"],
                     "error": "kaboom",
+                    "error_type": "SimulationError",
                     "classification": "deterministic",
                 }
             )
@@ -350,13 +352,20 @@ class TestOrchestratorScheduling:
             assert sorted(statuses) == ["done", "failed"]
             assert done["failed"] == 1
             assert orch.stats["failed"] == 1
-            # A failure has no store entry, so its verdict stays here
-            # and a resubmit gets it back without another lease.
-            assert [cell.status for cell in orch.cells.values()] == ["failed"]
-            _, statuses2, done2 = await submit_cells(orch, cells)
-            assert sorted(statuses2) == ["failed", "hit"]
-            assert done2["hits"] == 1 and done2["failed"] == 1
-            assert orch.stats["leases"] == 2
+            # Streamed and forgotten, like a completed cell: the
+            # submitter's store keeps the verdict, and a resubmit
+            # leases the cell again.
+            assert not orch.cells
+            client2 = asyncio.ensure_future(submit_cells(orch, cells))
+            await until(lambda: orch.queue)
+            leases2, _ = await worker.request(slots=2)
+            assert [lease["key"] for lease in leases2] == [leases[1]["key"]]
+            await worker.finish(leases2[0], {"ok": "second time"})
+            payloads2, statuses2, done2 = await client2
+            assert sorted(statuses2) == ["done", "hit"]
+            assert done2["hits"] == 1 and done2["failed"] == 0
+            assert orch.stats["leases"] == 3
+            assert not orch.cells
             worker.close()
 
         self._run(scenario)
@@ -435,14 +444,14 @@ class TestOrchestratorScheduling:
             payloads, statuses, done = await client
             assert statuses == ["failed"] and payloads == [None]
             assert done["failed"] == 1
-            (cell,) = orch.cells.values()
-            assert cell.classification == "host-loss"
+            assert not orch.cells
             assert orch.stats["requeues"] == MAX_REQUEUES
             worker.close()
 
         self._run(scenario, log_path=str(log))
         requeues = [e for e in iter_events(log) if e["event"] == "requeue"]
         assert [e["reason"] for e in requeues] == ["host-error"] * MAX_REQUEUES
+        assert failed_classifications(log) == ["host-loss"]
 
     def test_lease_expiry_requeues_and_late_result_is_deduped(self):
         cells = specs(1)
@@ -662,11 +671,12 @@ class TestOrchestratorScheduling:
                     lambda orch: self._drive_queue(orch, order, kill_at=kill_at)
                 )
 
-    def test_cell_that_keeps_losing_its_host_fails_as_host_loss(self):
+    def test_cell_that_keeps_losing_its_host_fails_as_host_loss(self, tmp_path):
         """A cell that takes every host down with it must get a verdict:
         after a bounded number of lost leases it fails as ``host-loss``
         instead of being handed to the next host for ever."""
         cells = specs(1)
+        log = tmp_path / "service.events.jsonl"
 
         async def scenario(orch):
             client = asyncio.ensure_future(submit_cells(orch, cells))
@@ -684,12 +694,17 @@ class TestOrchestratorScheduling:
             payloads, statuses, done = await asyncio.wait_for(client, 5.0)
             assert statuses == ["failed"] and payloads == [None]
             assert done["failed"] == 1
-            (cell,) = orch.cells.values()
-            assert cell.classification == "host-loss"
+            assert not orch.cells
             assert 1 <= orch.stats["requeues"] < 8
             assert orch.stats["dead_hosts"] == orch.stats["requeues"] + 1
 
-        self._run(scenario)
+        self._run(scenario, log_path=str(log))
+        assert failed_classifications(log) == ["host-loss"]
+
+
+def failed_classifications(log):
+    """The classifications of an orchestrator log's ``cell-failed`` events."""
+    return [e["classification"] for e in iter_events(log) if e["event"] == "cell-failed"]
 
 
 def wait_for(predicate, timeout=10.0):
@@ -799,6 +814,31 @@ class TestLocalCluster:
             payload_hash(p) for p in single
         ]
 
+    def test_standing_cluster_leases_an_exhausted_cell_again(
+        self, tmp_path, monkeypatch
+    ):
+        """A flaky cell whose budget ran out is not condemned: a second
+        campaign on the same standing cluster runs it again, exactly as
+        a second pool campaign would."""
+        attempts = itertools.count(1)
+
+        def flaky(spec):
+            raise SimulationError(f"flaky kaboom #{next(attempts)}")
+
+        # Hosts are forked from this process: they run the patched cell.
+        monkeypatch.setattr("repro.campaign.engine.run_cell", flaky)
+        cells = specs(1)
+        cache = CellCache(tmp_path / "store")
+        with LocalCluster(1, max_retries=2) as cluster:
+            for campaign in (1, 2):
+                _, stats = execute_cells(
+                    cells, hosts=cluster.address, cache=cache, failure_mode="continue"
+                )
+                assert (stats.failed, stats.quarantined) == (1, 0)
+                assert cluster.orchestrator.stats["leases"] == campaign
+            assert not cluster.orchestrator.cells
+        assert cache.lookup(cells[0]).classification == "exhausted"
+
 
 
 def failing_cell():
@@ -849,10 +889,10 @@ class TestOneFrontDoor:
     def test_carriers_agree(self, tmp_path, reference, carrier):
         expected, expected_stats = reference
         log = tmp_path / "campaign.events.jsonl"
+        cache = CellCache(tmp_path / "cache")
         payloads, stats = execute_cells(
             self.CELLS,
-            cache=CellCache(tmp_path / "cache"),
-            quarantine=tmp_path / "quarantine",
+            cache=cache,
             log_path=log,
             failure_mode="continue",
             **carrier,
@@ -873,14 +913,29 @@ class TestOneFrontDoor:
         }
         events = [e["event"] for e in iter_events(log)]
         assert events[0] == "campaign-start" and events[-1] == "campaign-end"
-        # The verdict reached the caller's own ledger, whoever ran the cell.
+        # The verdict reached the caller's own store, whoever ran the cell.
         assert stats.quarantined == 1
-        assert (tmp_path / "quarantine" / "ledger.jsonl").exists()
+        report = cache.lookup(self.CELLS[2])
+        assert report.condemned and report.error_type == "DeadlockError"
+
+    def test_hosted_failure_keeps_the_hosts_error(self, tmp_path):
+        """A verdict streamed back from a host is stored as the pool
+        stores it: same classification, exception type and text."""
+        cells = [failing_cell()] + sim_cells(seeds=(1,), schemes=("No-PG",))
+        stored = []
+        for carrier in ({"workers": 2}, {"hosts": "local:1"}):
+            cache = CellCache(tmp_path / f"store-{len(stored)}")
+            execute_cells(cells, cache=cache, failure_mode="continue", **carrier)
+            report = cache.lookup(cells[0])
+            stored.append((report.classification, report.error_type, report.error))
+        assert stored[0] == stored[1]
+        assert stored[0][:2] == ("deterministic", "DeadlockError")
 
     def test_hosted_campaign_leaves_what_a_pool_campaign_leaves(self, tmp_path):
-        """The artifacts ``Campaign.run(cache_dir=D)`` promises — store,
-        event log, quarantine ledger — under ``hosts`` too, and a
-        failed cell is raised only after the others are done."""
+        """The artifacts ``Campaign.run(cache_dir=D)`` promises — the
+        store, holding payloads and the failure verdict, and the event
+        log — under ``hosts`` too, and a failed cell is raised only
+        after the others are done."""
         campaign = Campaign(name="probe", cells=tuple(self.CELLS))
         with pytest.raises(CampaignError) as first:
             campaign.run(cache_dir=tmp_path, hosts="local:1")
@@ -897,7 +952,8 @@ class TestOneFrontDoor:
         assert [store.get(cell) is not None for cell in self.CELLS] == [
             True, True, False, True
         ]
-        assert (tmp_path / "quarantine" / "ledger.jsonl").exists()
+        assert store.lookup(self.CELLS[2]).condemned
+        assert not (tmp_path / "quarantine").exists()
         # The service's own logs are separate files beside the campaign's.
         service_log = tmp_path / "service.events.jsonl"
         kinds = {e.get("event") for e in merged_events(service_log)}
@@ -922,7 +978,6 @@ class TestOneFrontDoor:
             hosts="local:1",
             cache_dir=store,
             log_path=tmp_path / "logs" / "mine.jsonl",
-            quarantine_dir=tmp_path / "q",
         )
         assert campaign.last_stats.executed == len(cells)
         assert (tmp_path / "logs" / "mine.jsonl").exists()

@@ -1,26 +1,31 @@
 """Tests for the campaign supervision primitives.
 
 Covers the retry policy (deterministic backoff/jitter), the
-transient-vs-deterministic failure classifier, the quarantine ledger
-(persistence, torn lines, structured reports with post-mortems) and
-the pickling contract of the typed error hierarchy —
+transient-vs-deterministic failure classifier, failure verdicts as
+cell-cache entries (round trip, torn entries, structured reports with
+post-mortems, a payload replacing them) and the pickling contract of
+the typed error hierarchy —
 worker exceptions must survive the process-pool boundary without
 breaking the pool.
 """
 
+import json
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.campaign import (
+    CellCache,
     CellSpec,
     CellTimeoutError,
     FailureReport,
-    QuarantineLedger,
     RetryPolicy,
     WorkerCrashError,
     classify_attempts,
     error_signature,
+    execute_cells,
 )
 from repro.noc.errors import (
     BoundViolationError,
@@ -31,6 +36,9 @@ from repro.noc.errors import (
     SimulationError,
 )
 from repro.noc.invariants import PostMortem
+
+#: A cell store written by an older ``CellCache.put`` (payloads only).
+PARENT_STORE = Path(__file__).parent / "fixtures" / "parent_store"
 
 
 class TestRetryPolicy:
@@ -140,51 +148,80 @@ class TestErrorPickling:
         assert err.affected_packets == (1, 2)
 
 
-class TestQuarantineLedger:
-    def report(self, key="k1", classification="deterministic"):
-        spec = CellSpec.parsec("canneal", "No-PG")
-        exc = SimulationError("boom", cycle=3)
+class TestFailureEntries:
+    """A failed cell's verdict is its entry in the cell cache."""
+
+    def spec(self, seed=1):
+        return CellSpec.parsec("canneal", "No-PG", seed=seed)
+
+    def report(self, spec, classification="deterministic", exc=None):
+        exc = exc or SimulationError("boom", cycle=3)
         return FailureReport.from_failure(
-            spec, key, exc, 2, [error_signature(exc)] * 2, classification
+            spec, "k", exc, 2, [error_signature(exc)] * 2, classification
         )
 
-    def test_quarantine_persists_across_instances(self, tmp_path):
-        ledger = QuarantineLedger(tmp_path / "q")
-        assert len(ledger) == 0
-        ledger.quarantine(self.report("k1"))
-        reopened = QuarantineLedger(tmp_path / "q")
-        assert reopened.is_quarantined("k1")
-        assert not reopened.is_quarantined("k2")
-        entry = reopened.entry_for("k1")
-        assert entry["classification"] == "deterministic"
-        assert entry["attempts"] == 2
+    @pytest.mark.parametrize("directory", [True, False], ids=["files", "memory"])
+    def test_failure_entry_round_trips(self, tmp_path, directory):
+        cache = CellCache(tmp_path if directory else None, salt="s1")
+        spec = self.spec()
+        report = self.report(spec)
+        cache.put(spec, report)
+        reopened = CellCache(tmp_path, salt="s1") if directory else cache
+        assert reopened.lookup(spec) == report
+        assert reopened.lookup(spec).condemned
+        assert reopened.get(spec) is None  # a failure is not a payload
+        assert reopened.lookup(self.spec(2)) is None
 
-    def test_report_carries_spec_and_signatures(self, tmp_path):
-        ledger = QuarantineLedger(tmp_path / "q")
-        ledger.quarantine(self.report("k1"))
-        doc = QuarantineLedger(tmp_path / "q").load_report("k1")
-        assert doc["error_type"] == "SimulationError"
-        assert len(doc["signatures"]) == 2
-        assert doc["spec"]["workload"] == "canneal"
-
-    def test_post_mortem_rendered_into_report(self, tmp_path):
+    def test_entry_carries_spec_signatures_and_post_mortem(self, tmp_path):
         pm = PostMortem(cycle=10, reason="watchdog")
+        spec = self.spec()
+        cache = CellCache(tmp_path, salt="s1")
         exc = DeadlockError("stuck", post_mortem=pm, cycle=10)
-        spec = CellSpec.parsec("canneal", "No-PG")
-        report = FailureReport.from_failure(
-            spec, "k2", exc, 2, ["s", "s"], "deterministic"
-        )
-        ledger = QuarantineLedger(tmp_path / "q")
-        ledger.quarantine(report)
-        doc = ledger.load_report("k2")
-        assert doc["post_mortem"] is not None
+        cache.put(spec, self.report(spec, exc=exc))
+        doc = json.loads(cache.path_for(spec).read_text())
+        assert list(doc) == ["salt", "spec", "failure"]
+        assert doc["spec"] == spec.canonical()
+        failure = doc["failure"]
+        assert failure["error_type"] == "DeadlockError"
+        assert len(failure["signatures"]) == 2
+        assert failure["spec"]["workload"] == "canneal"
+        assert failure["post_mortem"] is not None
 
-    def test_torn_ledger_line_is_skipped(self, tmp_path):
-        ledger = QuarantineLedger(tmp_path / "q")
-        ledger.quarantine(self.report("k1"))
-        with open(ledger.ledger_path, "a") as fh:
-            fh.write('{"key": "k2", "trunc')  # torn mid-write
-        reopened = QuarantineLedger(tmp_path / "q")
-        assert reopened.is_quarantined("k1")
-        assert not reopened.is_quarantined("k2")
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            b'{"salt": "s1", "spec": {}, "failure": {"key": "k", "lab',
+            b'{"failure": null}',
+            b'{"failure": {"key": "k"}}',
+            b'{"failure": {"bogus": 1}}',
+            b'{"failure": "deterministic"}',
+        ],
+    )
+    def test_torn_or_corrupt_failure_entry_is_a_miss(self, tmp_path, damage):
+        cache = CellCache(tmp_path, salt="s1")
+        spec = self.spec()
+        cache.put(spec, self.report(spec))
+        cache.path_for(spec).write_bytes(damage)
+        assert cache.lookup(spec) is None
 
+    def test_payload_put_overwrites_an_exhausted_failure(self, tmp_path):
+        cache = CellCache(tmp_path, salt="s1")
+        spec = self.spec()
+        report = self.report(spec, "exhausted")
+        cache.put(spec, report)
+        assert cache.lookup(spec) == report and not report.condemned
+        cache.put(spec, {"seed": 1})
+        assert cache.lookup(spec) == {"seed": 1}
+        assert list(json.loads(cache.path_for(spec).read_text())) == [
+            "salt", "spec", "payload"
+        ]
+
+    def test_parent_store_stays_all_hits(self, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(PARENT_STORE, store)
+        cells = [
+            CellSpec.from_canonical(json.loads(path.read_text())["spec"])
+            for path in sorted(store.glob("*/*.json"))
+        ]
+        _, stats = execute_cells(cells, cache=CellCache(store, salt="parent-format"))
+        assert (stats.hits, stats.executed, stats.failed) == (len(cells), 0, 0)
