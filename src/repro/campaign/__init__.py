@@ -5,8 +5,9 @@ each — and run them through :func:`execute_cells` / :class:`Campaign`:
 a supervised process-pool executor with a content-addressed on-disk
 cache (:class:`CellCache`, written once per finished cell, so a
 ``kill -9``'d campaign resumes from it, and once per failed one, so a
-condemned cell is skipped by the next), crash isolation and pool
-respawn, per-cell wall-clock timeouts, retry classification, and a
+condemned cell is skipped by the next), one worker process per pool
+slot (a worker's crash or timeout is its own cell's verdict),
+per-cell wall-clock timeouts, retry classification, and a
 structured JSONL progress log.  See ``docs/campaigns.md`` and
 ``docs/resilience.md``.
 

@@ -12,16 +12,17 @@ whatever carries the cells:
 2. the rest go to one of three **carriers**, which do nothing but
    run attempts and report them back: the inline loop (``workers=1``
    without a timeout), the supervised process pool
-   (:func:`_supervise_pool`: sliding submission window, per-cell
-   wall-clock timeouts, detection of worker death with automatic pool
-   respawn) or, with ``hosts``, the campaign service
-   (:mod:`repro.campaign.service`: worker hosts over TCP);
-3. every report lands in the one :class:`_Run` that counts, retries
-   with exponential backoff and deterministic jitter, classifies (a
-   cell failing twice with the identical signature is quarantined,
-   not re-run), writes the cache — a payload, or a structured failure
-   report carrying any post-mortem the error captured — and appends a
-   structured event to the JSONL progress log.
+   (:func:`_supervise_pool`: one forked worker per slot, per-cell
+   wall-clock timeouts; a worker's death or timeout is its own cell's
+   verdict, and only that worker is replaced) or, with ``hosts``, the
+   campaign service (:mod:`repro.campaign.service`: worker hosts over
+   TCP);
+3. every report lands in the one :class:`_Run` that counts, retries,
+   classifies (a cell failing twice with the identical signature is
+   quarantined, not re-run), writes the cache — a payload, or a
+   structured failure report carrying any post-mortem the error
+   captured — and appends a structured event to the JSONL progress
+   log.
 
 Results always come back in declared cell order regardless of
 completion order.  With ``failure_mode="raise"`` (the default) a
@@ -34,14 +35,15 @@ failed cells instead.  That holds on every carrier.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import pickle
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from time import perf_counter
 from typing import (
@@ -51,7 +53,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -91,7 +92,7 @@ class CampaignStats:
     hits: int = 0
     executed: int = 0
     retried: int = 0
-    #: Worker-pool deaths detected and survived (respawns).
+    #: Pool workers that died mid-cell (each one replaced).
     crashes: int = 0
     #: Cells killed for exceeding the wall-clock budget (attempt count).
     timeouts: int = 0
@@ -229,9 +230,9 @@ def merge_event_streams(paths: Sequence[Union[str, Path]]) -> List[dict]:
 def _one_attempt(spec: CellSpec) -> Payload:
     """One attempt at one cell, wherever it runs.
 
-    Pool workers receive this function by name and resolve ``run_cell``
-    in their own copy of this module, so a replaced ``run_cell`` (the
-    chaos tests patch it before the pool forks) is what they call.
+    Pool workers are forks of this process and resolve ``run_cell`` in
+    their copy of this module, so a replaced ``run_cell`` (the chaos
+    tests patch it before the pool forks) is what they call.
     """
     return run_cell(spec)
 
@@ -244,15 +245,35 @@ def _retryable(exc: BaseException) -> bool:
     return isinstance(exc, (SimulationError, WorkerCrashError, CellTimeoutError))
 
 
-def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
-    """Hard-kill every worker of ``pool`` (per-cell timeout enforcement;
-    the resulting ``BrokenProcessPool`` is handled by the supervisor)."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except Exception:  # pragma: no cover - already-dead workers
-            pass
+def _pool_worker(conn: Connection, inherited: List[Connection]) -> None:
+    """One pool slot's process: run each spec it is sent and send back
+    ``(ok, payload or exception)``, until the supervisor hangs up.
+
+    It first closes the supervisor's ends of the pipes it was forked
+    holding (its own among them), so the supervisor's exit is its EOF.
+    An outcome that will not pickle comes back as a ``RuntimeError``
+    naming the cause: it costs that attempt, not the worker.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the engine's handler
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the supervisor's
+    for other in inherited:
+        other.close()
+    try:
+        while True:
+            spec = conn.recv()
+            try:
+                outcome = (True, _one_attempt(spec))
+            except Exception as exc:
+                outcome = (False, exc)
+            try:
+                message = pickle.dumps(outcome)
+            except Exception as exc:
+                message = pickle.dumps(
+                    (False, RuntimeError(f"cell {spec.label}: unpicklable outcome: {exc!r}"))
+                )
+            conn.send_bytes(message)
+    except (EOFError, OSError):
+        pass  # the supervisor hung up
 
 
 @dataclass
@@ -265,9 +286,8 @@ class _Run:
 
     * ``complete(index, payload, secs, was_hit=False)`` — a payload
       (``was_hit``: a service store answered, nothing ran);
-    * ``attempt_failed(index, exc)`` — one attempt raised; returns the
-      seconds to wait before the next attempt, or ``None`` when the
-      cell has failed for good (``fail`` has then been called);
+    * ``attempt_failed(index, exc)`` — one attempt raised; returns
+      whether the cell runs again (if not, ``fail`` has been called);
     * ``fail(index, exc, classification)`` — a final verdict reached
       elsewhere (a worker host already classified the failure).
 
@@ -412,7 +432,7 @@ class _Run:
         if self.on_result is not None:
             self.on_result(index, spec, payload, not fresh)
 
-    def attempt_failed(self, index: int, exc: BaseException) -> Optional[float]:
+    def attempt_failed(self, index: int, exc: BaseException) -> bool:
         signatures = self.signatures.setdefault(index, [])
         signatures.append(error_signature(exc))
         self.attempts[index] += 1
@@ -423,21 +443,12 @@ class _Run:
         elif self.attempts[index] >= self.policy.max_retries:
             verdict = "exhausted"
         else:
-            spec = self.cells[index]
-            delay = self.policy.delay_before(
-                self.attempts[index] + 1,
-                self.key_of(index) if self.keyed else spec.canonical_json(),
-            )
             self._log_cell(
-                "retry",
-                index,
-                attempts=self.attempts[index],
-                error=str(exc),
-                delay=round(delay, 3),
+                "retry", index, attempts=self.attempts[index], error=str(exc)
             )
-            return delay
+            return True
         self.fail(index, exc, verdict)
-        return None
+        return False
 
     def fail(self, index: int, exc: BaseException, classification: str) -> None:
         spec = self.cells[index]
@@ -580,198 +591,138 @@ def _run_inline(run: _Run, runnable: List[int]) -> None:
             try:
                 payload = _one_attempt(spec)
             except Exception as exc:
-                delay = run.attempt_failed(index, exc)
-                if delay is None:
-                    break
-                time.sleep(delay)
+                if run.attempt_failed(index, exc):
+                    continue
             else:
                 run.complete(index, payload, perf_counter() - started)
-                break
+            break
 
 
 def _supervise_pool(run: _Run, runnable: List[int], *, workers: int) -> None:
-    """The supervised process-pool loop.
+    """The process-pool carrier: one forked worker process per slot.
 
-    Submissions are single attempts through a sliding window of at
-    most ``workers`` in-flight futures (so a wall-clock deadline
-    measured from submission is a faithful per-cell budget).  Worker
-    death breaks every in-flight future; the supervisor charges the
-    attempt only to the cells that were actually *running* (the likely
-    culprits), resubmits the queued innocents for free, and respawns
-    the pool.  A timed-out cell is killed by killing the whole pool —
-    the only portable lever — and classified ``timeout`` rather than
-    ``worker-crash``; cells that merely shared the pool with it
-    (running but within their own deadline) are collateral damage and
-    are resubmitted without being charged an attempt, so back-to-back
-    timeout kills cannot condemn an innocent cell as deterministic.
+    Each free worker is sent the next cell in declared order (a retried
+    cell rejoins at the tail), at most ``workers`` at a time, and the
+    supervisor waits on the busy workers' pipes, with a timeout only
+    while a deadline is armed.  An attempt ends one way, and touches
+    no other cell: its outcome arrives (the worker is reused), its
+    worker dies (:class:`WorkerCrashError`; that worker is replaced),
+    or its deadline passes (:class:`CellTimeoutError`; that worker
+    alone is killed and replaced).  A worker found dead before a cell
+    is sent to it is replaced without charging anyone.
     """
     cells, stats, log, timeout = run.cells, run.stats, run.log, run.policy.timeout
-    pool = ProcessPoolExecutor(max_workers=workers)
-    inflight: Dict[Future, int] = {}
-    deadlines: Dict[Future, float] = {}
-    first_start: Dict[int, float] = {}
-    #: Never-submitted cells, consumed in declared order whenever the
-    #: window has room; they are always ready, so they never wake the
-    #: loop — a completion does.
+    fork = multiprocessing.get_context("fork")
+    slots = min(workers, len(runnable))
     backlog = deque(runnable)
-    #: (ready_at, index) of cells waiting out a retry delay (or for a
-    #: respawned pool), served in this order once the backlog is empty.
-    retries: List[Tuple[float, int]] = []
-    timed_out: Set[int] = set()
-    running_snapshot: Set[Future] = set()
-    #: True while a pool break was supervisor-initiated (timeout
-    #: enforcement) rather than a spontaneous worker death.
-    supervisor_kill = False
+    first_start: Dict[int, float] = {}
+    #: Every worker by the supervisor's end of its pipe; the idle ones;
+    #: and what each busy one runs: ``(cell index, deadline or None)``.
+    procs: Dict[Connection, multiprocessing.process.BaseProcess] = {}
+    idle: List[Connection] = []
+    busy: Dict[Connection, Tuple[int, Optional[float]]] = {}
 
-    def respawn() -> None:
-        nonlocal pool
-        pool.shutdown(wait=False)
-        pool = ProcessPoolExecutor(max_workers=workers)
+    def spawn() -> Connection:
+        conn, child = fork.Pipe()
+        proc = fork.Process(target=_pool_worker, args=(child, [*procs, conn]))
+        proc.start()
+        child.close()
+        procs[conn] = proc
+        return conn
 
-    def submit(index: int) -> None:
-        for _ in range(2):
-            try:
-                future = pool.submit(_one_attempt, cells[index])
-            except BrokenProcessPool:
-                respawn()
-                continue
-            now = perf_counter()
-            inflight[future] = index
-            first_start.setdefault(index, now)
-            if timeout is not None:
-                deadlines[future] = now + timeout
-            return
-        raise RuntimeError("process pool kept breaking on submit")
+    def retire(conn: Connection) -> None:
+        proc = procs.pop(conn)
+        proc.kill()
+        proc.join()
+        conn.close()
 
-    def handle_outcome(index: int, exc: Optional[BaseException], payload) -> None:
-        timed_out.discard(index)
-        if exc is None:
-            run.complete(index, payload, perf_counter() - first_start[index])
-            return
-        delay = run.attempt_failed(index, exc)
-        if delay is not None:
-            retries.append((perf_counter() + delay, index))
+    def settle(index: int, ok: bool, outcome) -> None:
+        if ok:
+            run.complete(index, outcome, perf_counter() - first_start[index])
+        elif run.attempt_failed(index, outcome):
+            backlog.append(index)
 
     try:
-        while inflight or backlog or retries:
-            now = perf_counter()
-            while backlog and len(inflight) < workers:
-                submit(backlog.popleft())
-            if retries and len(inflight) < workers:
-                not_yet: List[Tuple[float, int]] = []
-                for ready_at, index in retries:
-                    if len(inflight) < workers and ready_at <= now:
-                        submit(index)
-                    else:
-                        not_yet.append((ready_at, index))
-                retries = not_yet
-            if not inflight:
-                next_ready = min(ready_at for ready_at, _ in retries)
-                time.sleep(min(max(0.0, next_ready - now), 0.25))
-                continue
-
-            running_snapshot = {f for f in inflight if f.running()}
-            wait_timeout = None
-            if deadlines:
-                wait_timeout = max(0.01, min(deadlines.values()) - now)
-            if retries and len(inflight) < workers:
-                # A free slot and a retry still serving its delay: wake
-                # when it is ready.  A full window needs no alarm — the
-                # completion that frees a slot ends the wait.
-                next_ready = max(0.01, min(r for r, _ in retries) - now)
-                wait_timeout = (
-                    next_ready
-                    if wait_timeout is None
-                    else min(wait_timeout, next_ready)
-                )
-            finished, _ = wait(
-                list(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED
-            )
-
-            if timeout is not None and not finished:
+        while backlog or busy:
+            while backlog and len(busy) < slots:
+                conn = idle.pop() if idle else spawn()
+                index = backlog.popleft()
+                try:
+                    conn.send(cells[index])
+                except OSError:  # it died idle: nobody's attempt
+                    retire(conn)
+                    backlog.appendleft(index)
+                    continue
                 now = perf_counter()
-                expired = [
-                    future
-                    for future, deadline in deadlines.items()
-                    if deadline <= now and not future.done()
-                ]
-                if expired:
-                    for future in expired:
-                        timed_out.add(inflight[future])
-                        stats.timeouts += 1
+                first_start.setdefault(index, now)
+                busy[conn] = (index, None if timeout is None else now + timeout)
+
+            wait_timeout = None
+            if timeout is not None:
+                soonest = min(deadline for _, deadline in busy.values())
+                wait_timeout = max(0.0, soonest - perf_counter())
+            for conn in wait(list(busy), wait_timeout):
+                index, _ = busy.pop(conn)
+                try:
+                    message = conn.recv_bytes()
+                except (EOFError, OSError):
+                    stats.crashes += 1
+                    log.emit(
+                        {
+                            "event": "pool-respawn",
+                            "name": run.name,
+                            "victims": [cells[index].label],
+                        }
+                    )
+                    retire(conn)
+                    settle(
+                        index,
+                        False,
+                        WorkerCrashError(
+                            "worker process died mid-cell "
+                            "(killed, out-of-memory, or crashed)"
+                        ),
+                    )
+                    continue
+                idle.append(conn)
+                try:
+                    ok, outcome = pickle.loads(message)
+                except Exception as exc:
+                    ok, outcome = False, RuntimeError(
+                        f"cell {cells[index].label}: outcome could not be "
+                        f"unpickled: {exc!r}"
+                    )
+                settle(index, ok, outcome)
+
+            now = perf_counter()
+            for conn, (index, deadline) in list(busy.items()):
+                if deadline is not None and deadline <= now:
+                    del busy[conn]
+                    stats.timeouts += 1
                     log.emit(
                         {
                             "event": "timeout-kill",
                             "name": run.name,
-                            "cells": [
-                                cells[inflight[f]].label for f in expired
-                            ],
+                            "cells": [cells[index].label],
                         }
                     )
-                    running_snapshot = {f for f in inflight if f.running()}
-                    running_snapshot.update(expired)
-                    supervisor_kill = True
-                    _kill_pool_workers(pool)
-                continue
-
-            # A broken pool still returns results from futures that
-            # completed before the break, so harvest every finished
-            # future first; only futures that broke (or are still
-            # pending in-flight) become victims.
-            victims: Dict[Future, int] = {}
-            for future in finished:
-                index = inflight.pop(future)
-                deadlines.pop(future, None)
-                try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    victims[future] = index
-                except Exception as exc:
-                    handle_outcome(index, exc, None)
-                else:
-                    handle_outcome(index, None, payload)
-
-            if victims:
-                victims.update(inflight)
-                inflight.clear()
-                deadlines.clear()
-                stats.crashes += 1
-                log.emit(
-                    {
-                        "event": "pool-respawn",
-                        "name": run.name,
-                        "victims": [cells[i].label for i in victims.values()],
-                    }
-                )
-                now = perf_counter()
-                for future, index in victims.items():
-                    if index in timed_out:
-                        exc: BaseException = CellTimeoutError(
+                    retire(conn)
+                    settle(
+                        index,
+                        False,
+                        CellTimeoutError(
                             f"cell exceeded its {timeout:.3f}s wall-clock budget"
-                        )
-                        handle_outcome(index, exc, None)
-                    elif future in running_snapshot and not supervisor_kill:
-                        exc = WorkerCrashError(
-                            "worker process died mid-cell "
-                            "(killed, out-of-memory, or crashed)"
-                        )
-                        handle_outcome(index, exc, None)
-                    else:
-                        # Queued innocent — or collateral damage of a
-                        # supervisor timeout kill: resubmit without
-                        # charging an attempt.
-                        retries.append((now, index))
-                supervisor_kill = False
-                respawn()
-    except BaseException:
-        # An interrupt (SIGTERM/SIGINT via CampaignInterrupted) or an
-        # engine bug is unwinding the campaign; without this, running
-        # pool workers would survive the orchestrating process as
-        # orphans still burning CPU on cells nobody will collect.
-        _kill_pool_workers(pool)
-        raise
+                        ),
+                    )
     finally:
-        pool.shutdown(wait=False)
+        # However the loop exits — an interrupt, an engine bug — no
+        # worker outlives it as an orphan burning CPU on a cell nobody
+        # will collect.
+        for proc in procs.values():
+            proc.kill()
+        for conn, proc in procs.items():
+            proc.join()
+            conn.close()
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 A :class:`WorkerHost` dials the orchestrator, requests cell leases and
 runs each batch through :func:`~repro.campaign.engine.execute_cells`
-— so per-cell wall-clock timeouts, worker crash isolation with pool
-respawn and retry classification all keep working *inside* each host
+— so per-cell wall-clock timeouts, a dead pool worker charged to its
+own cell alone, and retry classification all keep working *inside* each host
 exactly as they do in a single-host campaign; the verdict travels back
 to the submitting client, whose store records it.  The service layer
 above only adds host-level failure handling (leases, heartbeats,

@@ -3,10 +3,8 @@
 The executor in :mod:`repro.campaign.engine` used to trust its
 workers; this module gives it the pieces to stop doing that:
 
-* :class:`RetryPolicy` — per-cell attempt budget, wall-clock timeout,
-  and exponential backoff with *deterministic* jitter (hashed from the
-  cell key and attempt number, never from a clock or RNG, so two runs
-  of the same campaign back off identically);
+* :class:`RetryPolicy` — per-cell attempt budget and wall-clock
+  timeout;
 * :func:`error_signature` / :func:`classify_attempts` — the
   transient-vs-deterministic classifier: a cell that fails twice with
   the *identical* signature is deterministically broken and gets
@@ -29,7 +27,6 @@ semantics.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -88,44 +85,24 @@ def classify_attempts(signatures: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Attempt budget, timeout and deterministic backoff for one cell.
+    """Attempt budget and wall-clock timeout for one cell.
 
     ``max_retries`` is the *total* attempt budget (the CLI flag of the
     same name): with the default of 2, a deterministic failure is
     observed twice — exactly enough for the identical-twice classifier
-    — and then quarantined.
+    — and then quarantined.  A retry runs as soon as a worker is free:
+    an attempt's failure is its own, so there is no crowd of co-failed
+    cells to spread out.
     """
 
     max_retries: int = 2
     timeout: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1 (total attempts)")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (seconds)")
-
-    def delay_before(self, attempt: int, key: str) -> float:
-        """Seconds to wait before ``attempt`` (2-based) of cell ``key``.
-
-        Exponential in the attempt number, plus up to +50% jitter
-        derived from ``sha256(key, attempt)`` — deterministic, so a
-        re-run of the same campaign replays the same schedule, but
-        de-correlated across cells so a crashed pool's survivors do
-        not thundering-herd their retries.
-        """
-        if attempt <= 1:
-            return 0.0
-        base = min(
-            self.backoff_cap,
-            self.backoff_base * self.backoff_factor ** (attempt - 2),
-        )
-        digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
-        jitter = digest[0] / 255.0 * 0.5
-        return base * (1.0 + jitter)
 
 
 @dataclass

@@ -29,8 +29,8 @@ Execution is supervised (``docs/resilience.md``): ``--timeout SECS``
 bounds each cell's wall clock, and ``--max-retries N`` caps attempts
 before a cell is quarantined: its failure report becomes its entry in
 ``--cache-dir``, and later runs skip it until that entry is deleted or
-the simulator sources change.  Worker crashes (OOM kills, segfaults)
-are isolated and the pool is respawned; a ``kill -9``'d campaign
+the simulator sources change.  A worker crash (OOM kill, segfault)
+is charged to its own cell and the worker replaced; a ``kill -9``'d campaign
 resumes from its cell cache, which holds every cell that finished
 before the kill.
 

@@ -2,10 +2,11 @@
 
 The acceptance scenarios of the resilience layer live here:
 
-* a worker process is SIGKILLed mid-campaign — the supervisor detects
-  the broken pool, salvages every completed cell, respawns, and the
-  campaign finishes with payloads bit-identical to an undisturbed
-  sequential run;
+* a worker process is SIGKILLed mid-campaign — the supervisor charges
+  that attempt to that worker's cell alone, replaces the worker, and
+  the campaign finishes with payloads bit-identical to an undisturbed
+  sequential run; the cell running beside it is neither charged nor
+  restarted;
 * the *orchestrator* is killed dead (``kill -9``, no cleanup) — a
   resumed campaign recovers the completed cells from the cache and
   finishes with 100% coverage and identical payload hashes;
@@ -68,8 +69,8 @@ class TestWorkerKill:
     def test_sigkill_worker_is_isolated_and_campaign_completes(
         self, tmp_path, monkeypatch
     ):
-        """SIGKILL one worker mid-cell: the supervisor must respawn the
-        pool, re-run the victim, and deliver bit-identical payloads."""
+        """SIGKILL one worker mid-cell: the supervisor must replace the
+        worker, re-run the victim, and deliver bit-identical payloads."""
         sentinel = tmp_path / "killed-once"
 
         def homicidal(spec):
@@ -127,6 +128,101 @@ class TestWorkerKill:
         assert report.classification == "deterministic"
         assert report.signatures[-2:] == ["worker-crash", "worker-crash"]
 
+    def test_a_crash_condemns_only_its_own_cell(self, tmp_path, monkeypatch):
+        """Cell 2 SIGKILLs its worker on every attempt while cell 1 is
+        running: cell 1 runs once, undisturbed, and its payload is
+        stored; cell 2 alone is condemned.  Cell 1 stays running until
+        cell 2's worker has died twice (sentinel files, not sleeps)."""
+        starts, crashes = tmp_path / "starts", tmp_path / "crashes"
+
+        def poison_beside_innocent(spec):
+            with open(starts, "a") as fh:
+                fh.write(f"{spec.seed}\n")
+            if spec.seed == 2:
+                with open(crashes, "a") as fh:
+                    fh.write("crash\n")
+                os.kill(os.getpid(), signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while len(lines(crashes)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return well_behaved(spec)
+
+        monkeypatch.setattr("repro.campaign.engine.run_cell", poison_beside_innocent)
+        cache = CellCache(tmp_path / "cache", salt="s1")
+        cells = specs(2)
+        payloads, stats = execute_cells(
+            cells, workers=2, max_retries=3, cache=cache, failure_mode="continue"
+        )
+        assert lines(starts).count("1") == 1
+        assert payloads[0] == cache.lookup(cells[0]) == well_behaved(cells[0])
+        report = cache.lookup(cells[1])
+        assert isinstance(report, FailureReport) and report.condemned
+        assert report.signatures == ["worker-crash", "worker-crash"]
+        assert (stats.crashes, stats.quarantined, stats.failed) == (2, 1, 1)
+
+    def test_an_outcome_that_will_not_unpickle_costs_only_its_attempt(
+        self, monkeypatch
+    ):
+        """Seed 2's exception pickles in its worker but refuses to
+        unpickle here: that attempt fails with a ``RuntimeError`` naming
+        the cause, no worker is lost, and every other cell completes."""
+
+        def refusing(spec):
+            if spec.seed == 2:
+                raise Unloadable()
+            return {"seed": spec.seed, "pid": os.getpid()}
+
+        monkeypatch.setattr("repro.campaign.engine.run_cell", refusing)
+        failures = []
+        payloads, stats = execute_cells(
+            specs(4),
+            workers=2,
+            failure_mode="continue",
+            on_failure=lambda i, spec, exc, verdict: failures.append((verdict, exc)),
+        )
+        assert payloads[1] is None and stats.executed == 3 and stats.crashes == 0
+        [(verdict, exc)] = failures
+        assert verdict == "fatal" and isinstance(exc, RuntimeError)
+        assert "could not be unpickled" in str(exc) and "refused" in str(exc)
+        assert len({payload["pid"] for payload in payloads if payload}) <= 2
+
+
+class Unloadable(Exception):
+    """Pickles fine; unpickling it raises."""
+
+    def __reduce__(self):
+        return (_refuse_to_unpickle, ())
+
+
+def _refuse_to_unpickle():
+    raise RuntimeError("refused to unpickle")
+
+
+def lines(path):
+    """The lines a staged cell appended to ``path`` so far."""
+    return path.read_text().split() if path.exists() else []
+
+
+def alive(pid):
+    """Whether process ``pid`` exists (a killed pool worker is reaped
+    as it is replaced)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def child_env():
+    """Environment of a ``python`` child that imports this ``repro``
+    and these tests."""
+    env = dict(os.environ)
+    repo = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), str(repo), env.get("PYTHONPATH", "")]
+    )
+    return env
+
 
 _VICTIM_SCRIPT = """
 import json, os, signal, sys
@@ -176,11 +272,6 @@ def run_victim(tmp_path, signame, carrier):
     in a child that signals itself ``signame`` after 3 results; returns
     ``(exit code, stderr)``.  The child gets its own session, so pool
     workers or worker hosts a ``kill -9`` orphaned are killed with it."""
-    env = dict(os.environ)
-    repo = Path(__file__).resolve().parent.parent
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(repo / "src"), str(repo), env.get("PYTHONPATH", "")]
-    )
     err = tmp_path / "victim.stderr"
     with open(err, "w") as stderr:
         proc = subprocess.Popen(
@@ -192,7 +283,7 @@ def run_victim(tmp_path, signame, carrier):
                 signame,
                 json.dumps(carrier),
             ],
-            env=env,
+            env=child_env(),
             stdout=subprocess.DEVNULL,
             stderr=stderr,
             start_new_session=True,
@@ -424,40 +515,46 @@ class TestTimeout:
         assert report.signatures == ["timeout"]
         assert report.error_type == "CellTimeoutError"
 
-    def test_timeout_kill_collateral_is_not_charged(self, tmp_path, monkeypatch):
-        """Enforcing one cell's deadline kills the whole pool; cells
-        that were merely running inside their own deadline are
-        collateral damage and must be resubmitted free of charge.
-        With ``max_retries=1`` a single wrongly-charged attempt would
-        fail the innocent cell outright.
+    def test_a_timeout_kills_only_its_own_cell(self, tmp_path, monkeypatch):
+        """Seed 1 hangs past its deadline while seed 3 is running: only
+        seed 1's worker is killed.  The bystander keeps running until
+        that worker is gone, started exactly once, and completes on
+        attempt 1.
 
         The order of events is staged on sentinel files, not sleeps:
         the supervisor's clock only advances when a worker reports it
         got somewhere, so the hung cell's deadline cannot pass before
         the bystander is running, however loaded the box is.
         """
-        hung_started = tmp_path / "hung-cell-started"
-        bystander_started = tmp_path / "bystander-started"
+        hung = tmp_path / "hung-cell-pid"
+        bystander = tmp_path / "bystander-starts"
+        log = tmp_path / "events.jsonl"
 
         def clock():
             # The supervisor's time: 0.0 until the hung cell runs, 1.9
-            # until the bystander runs, 2.9 from then on.  Seed 1 is
-            # submitted at 0.0 (deadline 2.0); seed 3 only once seed 2
+            # until the bystander runs, 2.9 from then on.  Seeds 1 and 2
+            # are sent at 0.0 (deadline 2.0); seed 3 only once seed 2
             # has seen seed 1 running, so at 1.9 (deadline 3.9).  At
             # 2.9 exactly one deadline has passed, and it cannot pass
             # before the bystander is running.
-            return 1.9 * hung_started.exists() + 1.0 * bystander_started.exists()
+            return 1.9 * hung.exists() + 1.0 * bystander.exists()
 
         def staged(spec):
             if spec.seed == 1:
-                hung_started.touch()
+                pid = tmp_path / "pid"
+                pid.write_text(str(os.getpid()))
+                pid.replace(hung)
                 time.sleep(60)  # the genuine timeout
             if spec.seed == 2:
-                while not hung_started.exists():
+                while not hung.exists():
                     time.sleep(0.01)  # frees the slot for seed 3
-            if spec.seed == 3 and not bystander_started.exists():
-                bystander_started.touch()
-                time.sleep(60)  # asleep when seed 1's kill lands
+            if spec.seed == 3:
+                with open(bystander, "a") as fh:
+                    fh.write("started\n")
+                # Running when seed 1's kill lands; done once it has.
+                hung_pid, deadline = int(hung.read_text()), time.monotonic() + 30
+                while alive(hung_pid) and time.monotonic() < deadline:
+                    time.sleep(0.01)
             return well_behaved(spec)
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", staged)
@@ -469,14 +566,17 @@ class TestTimeout:
             timeout=2.0,
             max_retries=1,
             failure_mode="continue",
+            log_path=log,
         )
-        assert bystander_started.exists(), "the collateral cell never ran"
-        assert stats.timeouts == 1
-        assert payloads[0] is None  # the hung cell, charged and failed
-        assert payloads[1] == well_behaved(cells[1])
-        # The innocent bystander survived despite the 1-attempt budget.
-        assert payloads[2] == well_behaved(cells[2])
-        assert stats.failed == 1
+        assert lines(bystander) == ["started"]
+        assert (stats.timeouts, stats.failed) == (1, 1)
+        assert payloads == [None] + [well_behaved(spec) for spec in cells[1:]]
+        done = {
+            e["seed"]: e["attempts"]
+            for e in iter_events(log)
+            if e.get("status") == "done"
+        }
+        assert done == {2: 1, 3: 1}
 
     def test_timeout_forces_isolation_even_with_one_worker(
         self, tmp_path, monkeypatch
@@ -506,35 +606,60 @@ class TestTimeout:
 class TestPoolBacklog:
     def test_only_completions_wake_the_supervisor(self, monkeypatch):
         """200 instant cells, 2 workers, nothing to retry and no
-        deadline: every ``wait`` blocks until a future completes (no
-        alarm while a backlog exists), at most ``workers`` futures are
-        in flight, and cells are submitted in declared order."""
+        deadline: every ``wait`` blocks until a worker reports (no
+        wait timeout without a deadline), at most ``workers`` cells
+        are in flight, and cells are sent in declared order."""
+        from multiprocessing.connection import Connection
+
         from repro.campaign import engine
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", well_behaved)
         waits = []
-        submitted = []
+        sent = []
+        wait, send = engine.wait, Connection.send
 
-        def counting_wait(futures, timeout=None, return_when=None):
-            waits.append((len(futures), timeout))
-            return wait(futures, timeout=timeout, return_when=return_when)
+        def counting_wait(connections, timeout=None):
+            waits.append((len(connections), timeout))
+            return wait(connections, timeout)
 
-        class RecordingPool(engine.ProcessPoolExecutor):
-            def submit(self, fn, spec):
-                submitted.append(spec)
-                return super().submit(fn, spec)
+        def recording_send(connection, obj):
+            sent.append(obj)
+            return send(connection, obj)
 
-        wait = engine.wait
         monkeypatch.setattr(engine, "wait", counting_wait)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(Connection, "send", recording_send)
         cells = specs(200)
         payloads, stats = execute_cells(cells, workers=2)
         assert payloads == [well_behaved(spec) for spec in cells]
         assert stats.executed == 200 and stats.retried == 0
-        assert submitted == cells
+        assert sent == cells
         assert len(waits) <= len(cells) + 5
         assert {timeout for _, timeout in waits} == {None}
         assert max(inflight for inflight, _ in waits) <= 2
+
+
+#: Two ``workers=2`` campaigns: in the first, seed 2 SIGKILLs its pool
+#: worker on every attempt; the second SIGTERMs its own process group
+#: (itself and its pool workers) at the first result.
+_TERMINATED_GROUP_SCRIPT = """
+import os, signal, time
+import repro.campaign.engine as engine
+from repro.campaign import CellSpec, execute_cells
+
+def cell(spec):
+    if spec.seed == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.2)
+    return {"seed": spec.seed}
+
+def terminate_group(index, spec, payload, was_hit):
+    os.killpg(os.getpgrp(), signal.SIGTERM)
+
+engine.run_cell = cell
+cells = [CellSpec.parsec("canneal", "No-PG", instructions=100, seed=s) for s in (1, 2, 3, 4)]
+execute_cells(cells, workers=2, failure_mode="continue")
+execute_cells(cells[2:] + cells[:1], workers=2, on_result=terminate_group)
+"""
 
 
 class TestGracefulShutdown:
@@ -557,6 +682,28 @@ class TestGracefulShutdown:
         # Every cell the victim logged as done is a hit; the rest run.
         stats = resume_from_store(tmp_path, carrier)
         assert stats.hits == len(done)
+
+    def test_pool_workers_print_no_tracebacks(self, tmp_path):
+        """A campaign whose cell SIGKILLs its worker, then a second one
+        whose whole process group is SIGTERMed mid-run (a service
+        manager stopping it): the only traceback on stderr is the
+        campaign's own ``CampaignInterrupted``.  A pool worker never
+        runs the engine's signal handler, and nothing complains about
+        a worker it lost."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _TERMINATED_GROUP_SCRIPT],
+            env=child_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+            timeout=120,
+        )
+        stderr = proc.stderr
+        assert stderr.count("Traceback") == 1, stderr
+        assert stderr.rstrip().endswith(
+            "CampaignInterrupted: campaign interrupted by signal 15"
+        ), stderr
 
     def test_torn_log_and_corrupt_cache_degrade_to_recompute(
         self, tmp_path, monkeypatch
