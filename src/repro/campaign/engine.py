@@ -237,6 +237,14 @@ def _one_attempt(spec: CellSpec) -> Payload:
     return run_cell(spec)
 
 
+#: One pool-worker fork at a time in this process: a worker host runs
+#: one engine call per lease, each on its own thread.  A fork taken
+#: while another call's new worker still has its pipe end open here
+#: would inherit that end, and that worker's death would reach its
+#: supervisor as EOF only once the other fork had exited too.
+_SPAWN_LOCK = threading.Lock()
+
+
 def _retryable(exc: BaseException) -> bool:
     """Whether a failure is worth another attempt at all: typed
     simulator errors and failures of the *machinery around* the cell
@@ -567,7 +575,7 @@ def execute_cells(
             carry_on_service(
                 run, runnable, hosts, workers=max(1, workers), resume=resume
             )
-        elif timeout is not None or (workers > 1 and len(runnable) > 1):
+        elif timeout is not None or workers > 1:
             _supervise_pool(run, runnable, workers=max(1, workers))
         else:
             _run_inline(run, runnable)
@@ -623,10 +631,11 @@ def _supervise_pool(run: _Run, runnable: List[int], *, workers: int) -> None:
     busy: Dict[Connection, Tuple[int, Optional[float]]] = {}
 
     def spawn() -> Connection:
-        conn, child = fork.Pipe()
-        proc = fork.Process(target=_pool_worker, args=(child, [*procs, conn]))
-        proc.start()
-        child.close()
+        with _SPAWN_LOCK:
+            conn, child = fork.Pipe()
+            proc = fork.Process(target=_pool_worker, args=(child, [*procs, conn]))
+            proc.start()
+            child.close()
         procs[conn] = proc
         return conn
 

@@ -1,7 +1,7 @@
 """Fault-tolerant distributed campaign service.
 
 An orchestrator (one queue of cold cells, leases, heartbeats) plus TCP
-worker hosts that run the supervised single-host engine per batch.
+worker hosts that run the supervised single-host engine per leased cell.
 See ``docs/service.md`` for the protocol and the failure model;
 results are bit-identical to single-host runs because cells are pure
 functions of their specs and the shared store is content-addressed.

@@ -12,7 +12,7 @@ Scheduling model
 ----------------
 
 * **One queue** — cold cells wait in a single FIFO in submission
-  order, and a host that asks for work is granted the oldest ones.
+  order; a host asking for work is granted the oldest, one per request.
   Which host runs a cell is decided by who asks first and by nothing
   else: results are looked up in the store before a cell is queued and
   payloads are pure functions of the spec, so no host is a better
@@ -376,7 +376,7 @@ class Orchestrator:
                     break
                 kind = message["type"]
                 if kind == "request":
-                    await self._grant(record, int(message.get("slots", 1)))
+                    await self._grant(record)
                 elif kind == "heartbeat":
                     self._heartbeat(record, message)
                 elif kind == "result":
@@ -392,60 +392,52 @@ class Orchestrator:
         finally:
             await self._host_gone(record, reason="disconnect")
 
-    async def _grant(self, record: _Host, slots: int) -> None:
-        """Grant up to ``slots`` leases to a requesting host."""
+    async def _grant(self, record: _Host) -> None:
+        """Grant the oldest cold cell to a requesting host with a free
+        slot; the ``grant-end`` that follows says whether one was."""
         now = self._now()
-        granted = 0
-        slots = max(0, min(slots, record.capacity - len(record.leases)))
+        end = {"type": "grant-end", "granted": 0}
         if now < record.penalty_until:
             # Reconnect backoff: a recently dead host waits before it
             # is trusted with leases again (wakeup-retry style).
-            await self._send_host(
-                record,
-                {
-                    "type": "grant-end",
-                    "granted": 0,
-                    "retry_after": round(record.penalty_until - now, 3),
-                },
-            )
-            return
-        while granted < slots and self.queue:
-            key = self.queue.popleft()
-            cell = self.cells.get(key)
-            if cell is None or cell.status != "cold":
-                # A late report from an expired lease settled the cell
-                # while it waited to be leased again.
-                continue
-            lease_id = f"L{next(self._lease_ids)}"
-            cell.status = "leased"
-            cell.lease_id = lease_id
-            cell.lease_host = record.name
-            cell.lease_deadline = now + self.lease_duration
-            record.leases[lease_id] = key
-            self.stats["leases"] += 1
-            self.log.emit(
-                {
-                    "event": "lease",
-                    "host_name": record.name,
-                    "key": key,
-                    "label": cell.spec.label,
-                    "lease_id": lease_id,
-                    "requeues": cell.requeues,
-                }
-            )
-            await self._send_host(
-                record,
-                {
-                    "type": "lease",
-                    "lease_id": lease_id,
-                    "key": key,
-                    "spec": cell.spec.canonical(),
-                },
-            )
-            granted += 1
-        await self._send_host(
-            record, {"type": "grant-end", "granted": granted}
-        )
+            end["retry_after"] = round(record.penalty_until - now, 3)
+        elif len(record.leases) < record.capacity:
+            while self.queue:
+                key = self.queue.popleft()
+                cell = self.cells.get(key)
+                if cell is None or cell.status != "cold":
+                    # A late report from an expired lease settled the
+                    # cell while it waited to be leased again.
+                    continue
+                lease_id = f"L{next(self._lease_ids)}"
+                cell.status = "leased"
+                cell.lease_id = lease_id
+                cell.lease_host = record.name
+                cell.lease_deadline = now + self.lease_duration
+                record.leases[lease_id] = key
+                self.stats["leases"] += 1
+                self.log.emit(
+                    {
+                        "event": "lease",
+                        "host_name": record.name,
+                        "key": key,
+                        "label": cell.spec.label,
+                        "lease_id": lease_id,
+                        "requeues": cell.requeues,
+                    }
+                )
+                await self._send_host(
+                    record,
+                    {
+                        "type": "lease",
+                        "lease_id": lease_id,
+                        "key": key,
+                        "spec": cell.spec.canonical(),
+                    },
+                )
+                end["granted"] = 1
+                break
+        await self._send_host(record, end)
 
     def _heartbeat(self, record: _Host, message: dict) -> None:
         now = self._now()

@@ -1,7 +1,7 @@
 """Worker host: a leased-cell agent around the supervised engine.
 
 A :class:`WorkerHost` dials the orchestrator, requests cell leases and
-runs each batch through :func:`~repro.campaign.engine.execute_cells`
+runs each leased cell through :func:`~repro.campaign.engine.execute_cells`
 — so per-cell wall-clock timeouts, a dead pool worker charged to its
 own cell alone, and retry classification all keep working *inside* each host
 exactly as they do in a single-host campaign; the verdict travels back
@@ -9,11 +9,13 @@ to the submitting client, whose store records it.  The service layer
 above only adds host-level failure handling (leases, heartbeats,
 requeue).
 
-Concurrency: the engine batch runs on an executor thread while the
-asyncio side keeps heartbeating (listing the outstanding lease ids,
-which renews them) and forwarding results as the engine's
-``on_result``/``on_failure`` callbacks deliver them — a long batch
-neither starves heartbeats nor delays result streaming.
+Concurrency: the host holds up to ``capacity`` leases and asks for
+one more the moment a slot frees, so no slot waits on its neighbour's
+cell.  Each lease is its own engine call (``workers=capacity``, so the
+cell runs in a forked process of its own) on a thread of the host's
+executor, and sends its one verdict when that call returns; meanwhile
+the asyncio side keeps heartbeating, listing the outstanding lease
+ids, which renews them.
 
 :func:`run_worker` runs this process as a host: forked by a
 :class:`~.client.LocalCluster`, or standalone through ``python -m
@@ -30,9 +32,10 @@ import multiprocessing
 import os
 import signal
 import socket
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Set, Tuple, Union
 
 from ..cache import code_salt, encode_payload
 from ..engine import execute_cells
@@ -103,27 +106,29 @@ class WorkerHost:
             }
         )
         reader_task = asyncio.ensure_future(self._read_loop(reader))
-        welcome = await self._next_message()
-        if welcome is None:
+        welcome = await self._incoming.get()
+        if welcome is None or welcome.get("type") != "welcome":
             reader_task.cancel()
-            raise ConnectionError("orchestrator closed during handshake")
-        if welcome.get("type") == "error":
-            reader_task.cancel()
-            raise WorkerError(welcome.get("error", "refused"))
-        if welcome.get("type") != "welcome":
-            reader_task.cancel()
+            if welcome is None:
+                raise ConnectionError("orchestrator closed during handshake")
+            if welcome.get("type") == "error":
+                raise WorkerError(welcome.get("error", "refused"))
             raise protocol.ProtocolError(f"expected welcome, got {welcome!r}")
         self.heartbeat_interval = float(
             welcome.get("heartbeat_interval", self.heartbeat_interval)
         )
         heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
+        executor = ThreadPoolExecutor(self.capacity)
+        leases: Set[asyncio.Future] = set()
         try:
             while not self._stop:
-                leases, retry_after = await self._request_batch()
-                if leases:
-                    await self._run_batch(leases)
+                lease, retry_after = None, None
+                if len(leases) < self.capacity:
+                    lease, retry_after = await self._request_lease()
+                if lease is not None:
+                    leases.add(asyncio.ensure_future(self._run_lease(lease, executor)))
                 else:
-                    await self._idle_wait(retry_after)
+                    await self._wait(leases, retry_after)
         except ConnectionError:
             pass
         finally:
@@ -134,6 +139,11 @@ class WorkerHost:
             except Exception:  # pragma: no cover - defensive
                 pass
             self._writer = None
+            # An engine call cannot be cancelled: the next session starts
+            # once every call of this one has run out (the orchestrator
+            # has requeued their cells, so their verdicts go nowhere).
+            await asyncio.gather(*leases, return_exceptions=True)
+            executor.shutdown()
 
     def stop(self) -> None:
         self._stop = True
@@ -147,9 +157,6 @@ class WorkerHost:
                     return
         except (ConnectionError, asyncio.IncompleteReadError):
             await self._incoming.put(None)
-
-    async def _next_message(self) -> Optional[dict]:
-        return await self._incoming.get()
 
     async def _send(self, message: dict) -> None:
         if self._writer is None:
@@ -174,117 +181,90 @@ class WorkerHost:
             seq += 1
 
     # ------------------------------------------------------------------
-    # Lease acquisition
+    # Leases
     # ------------------------------------------------------------------
-    async def _request_batch(self) -> Tuple[List[dict], Optional[float]]:
-        """Ask for up to ``capacity`` leases; returns ``(leases,
-        retry_after_hint)``."""
-        await self._send({"type": "request", "slots": self.capacity})
-        leases: List[dict] = []
+    async def _request_lease(self) -> Tuple[Optional[dict], Optional[float]]:
+        """Ask for one lease; returns ``(lease or None, retry_after_hint)``."""
+        await self._send({"type": "request"})
+        lease = None
         while True:
-            message = await self._next_message()
+            message = await self._incoming.get()
             if message is None:
                 raise ConnectionError("orchestrator went away")
-            kind = message.get("type")
-            if kind == "lease":
-                leases.append(message)
-            elif kind == "grant-end":
-                return leases, message.get("retry_after")
-            elif kind == "poke":
-                continue  # already requesting
-            elif kind == "error":
-                raise WorkerError(message.get("error", "refused"))
+            if message["type"] == "lease":
+                lease = message
+            elif message["type"] == "grant-end":
+                return lease, message.get("retry_after")
+            # Anything else is a poke, and this host is already asking.
 
-    async def _idle_wait(self, retry_after: Optional[float]) -> None:
-        """Sleep until poked or a poll interval elapses."""
-        delay = retry_after if retry_after else self.heartbeat_interval
-        try:
-            message = await asyncio.wait_for(
-                self._next_message(), timeout=max(0.05, delay)
-            )
-            if message is None:
-                raise ConnectionError("orchestrator went away")
-        except asyncio.TimeoutError:
-            pass
+    async def _wait(
+        self, leases: Set[asyncio.Future], retry_after: Optional[float]
+    ) -> None:
+        """Wait until a lease ends, a message arrives (a poke, or the
+        orchestrator's EOF) or, while a slot is free, a poll interval
+        elapses.  An engine error of an ended lease ends the session."""
+        message = asyncio.ensure_future(self._incoming.get())
+        poll = None
+        if len(leases) < self.capacity:
+            poll = max(0.05, retry_after or self.heartbeat_interval)
+        done, _ = await asyncio.wait(
+            {message, *leases}, timeout=poll, return_when=asyncio.FIRST_COMPLETED
+        )
+        message.cancel()
+        if message in done and message.result() is None:
+            raise ConnectionError("orchestrator went away")
+        for lease in done - {message}:
+            leases.discard(lease)
+            lease.result()
 
-    # ------------------------------------------------------------------
-    # Batch execution
-    # ------------------------------------------------------------------
-    async def _run_batch(self, leases: List[dict]) -> None:
-        specs = [CellSpec.from_canonical(lease["spec"]) for lease in leases]
-        self._running.update(lease["lease_id"] for lease in leases)
-        loop = asyncio.get_running_loop()
-        outbox: asyncio.Queue = asyncio.Queue()
+    async def _run_lease(self, lease: dict, executor: ThreadPoolExecutor) -> None:
+        """Run one leased cell as its own engine call on ``executor``,
+        then send its one verdict."""
+        lease_id = lease["lease_id"]
+        verdict: dict = {}
 
         def on_result(index, spec, payload, was_hit) -> None:
-            lease = leases[index]
-            loop.call_soon_threadsafe(
-                outbox.put_nowait,
-                {
-                    "type": "result",
-                    "lease_id": lease["lease_id"],
-                    "key": lease["key"],
-                    "payload": encode_payload(payload),
-                },
-            )
+            verdict.update(type="result", payload=encode_payload(payload))
 
         def on_failure(index, spec, exc, classification) -> None:
-            lease = leases[index]
-            loop.call_soon_threadsafe(
-                outbox.put_nowait,
-                {
-                    "type": "failure",
-                    "lease_id": lease["lease_id"],
-                    "key": lease["key"],
-                    "error": str(exc),
-                    "error_type": type(exc).__qualname__,
-                    "classification": classification,
-                },
+            verdict.update(
+                type="failure",
+                error=str(exc),
+                error_type=type(exc).__qualname__,
+                classification=classification,
             )
 
         run = partial(
             execute_cells,
-            specs,
+            [CellSpec.from_canonical(lease["spec"])],
             workers=self.capacity,
             timeout=self.timeout,
             max_retries=self.max_retries,
             failure_mode="continue",
             log_path=self.log_path,
             log_host=self.name,
-            name=f"{self.name}-batch",
+            name=f"{self.name}-{lease_id}",
             on_result=on_result,
             on_failure=on_failure,
         )
-        exec_future = loop.run_in_executor(None, run)
-        exec_future.add_done_callback(lambda _f: outbox.put_nowait(None))
-        reported = 0
-        while True:
-            message = await outbox.get()
-            if message is None:
-                break
-            self._running.discard(message["lease_id"])
-            reported += 1
-            await self._send(message)
-        # Engine-level crash (not a cell failure): report the leases
-        # that never got a verdict so the orchestrator can requeue them
-        # without waiting out the lease clock, then propagate.
-        exc = exec_future.exception()
-        if exc is not None:
-            for lease in leases:
-                if lease["lease_id"] in self._running:
-                    self._running.discard(lease["lease_id"])
-                    await self._send(
-                        {
-                            "type": "failure",
-                            "lease_id": lease["lease_id"],
-                            "key": lease["key"],
-                            "error": f"worker host engine error: {exc}",
-                            "error_type": type(exc).__qualname__,
-                            "classification": "host-error",
-                        }
-                    )
-            raise exc
-        assert reported == len(leases), "engine under-reported a batch"
+        self._running.add(lease_id)
+        try:
+            await asyncio.get_running_loop().run_in_executor(executor, run)
+        except Exception as exc:
+            # Engine-level crash (not a cell failure): report the lease
+            # so the orchestrator requeues it without waiting out the
+            # lease clock, then end the session.
+            if not verdict:
+                verdict.update(
+                    type="failure",
+                    error=f"worker host engine error: {exc}",
+                    error_type=type(exc).__qualname__,
+                    classification="host-error",
+                )
+            raise
+        finally:
+            self._running.discard(lease_id)
+            await self._send({"lease_id": lease_id, "key": lease["key"], **verdict})
 
 
 def run_worker(address: str, *, reconnect: int = 0, **kwargs) -> None:
@@ -322,7 +302,7 @@ def _stop_with_pool_workers(signum: int, frame) -> None:
 
     The engine runs on an executor thread here, where its own signal
     guard cannot be installed and which would keep the process alive
-    until the batch is through.  So the host goes down hard — its
+    until its cells are through.  So the host goes down hard — its
     leases requeue when the connection drops — and first kills the
     engine's pool workers, which would otherwise outlive it as orphans
     burning CPU on cells nobody will collect.

@@ -99,6 +99,7 @@ from .campaign import (
     add_robustness_args,
     campaign_argparser,
     engine_argv,
+    require_mesh_topology,
     robustness_argv,
 )
 from .experiments import (
@@ -140,6 +141,8 @@ def _run_all(argv: Sequence[str]) -> None:
     parser = campaign_argparser(prog="repro.cli all", instructions=True)
     parser.add_argument("--out", default="results")
     args = parser.parse_args(argv)
+    # The evaluation below is the mesh paper's; --topology is not forwarded.
+    require_mesh_topology(args, "repro.cli all")
     # One shared cell cache under the output directory unless the user
     # pointed somewhere else: every command below reuses (and resumes
     # from) the same content-addressed cells, so the four PARSEC

@@ -45,6 +45,7 @@ from repro.campaign import (
     execute_cells,
     iter_events,
 )
+from repro.campaign.service import LocalCluster
 from repro.noc.errors import SimulationError
 
 
@@ -313,6 +314,66 @@ def resume_from_store(tmp_path, carrier):
     ]
     assert not list((tmp_path / "store").rglob("*.checkpoint.json"))
     return stats
+
+
+#: One cell that SIGKILLs its own process, run with ``workers=2``
+#: into the store at argv[1]; prints the campaign's crash count.
+_LONE_POISON_SCRIPT = """
+import os, signal, sys
+import repro.campaign.engine as engine
+from repro.campaign import CellCache, CellSpec, execute_cells
+
+def poison(spec):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+engine.run_cell = poison
+cell = CellSpec.parsec("canneal", "No-PG", instructions=100, seed=1)
+_, stats = execute_cells(
+    [cell], workers=2, max_retries=3, cache=CellCache(sys.argv[1]),
+    failure_mode="continue",
+)
+print(stats.crashes)
+"""
+
+
+def suicidal(spec):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestLoneCellIsolation:
+    """``workers > 1`` means one process per cell attempt, even when a
+    single cell is left to run."""
+
+    def test_a_lone_poison_cell_does_not_kill_its_caller(self, tmp_path):
+        store = tmp_path / "store"
+        proc = subprocess.run(
+            [sys.executable, "-c", _LONE_POISON_SCRIPT, str(store)],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2"]
+        report = CellCache(store).lookup(specs(1)[0])
+        assert isinstance(report, FailureReport) and report.condemned
+        assert report.classification == "deterministic"
+
+    def test_a_lone_poison_lease_keeps_its_host(self, tmp_path, monkeypatch):
+        """A capacity-2 host granted one poison lease runs it in a pool
+        worker of its own: the host survives and the client records the
+        cell's verdict."""
+        monkeypatch.setattr("repro.campaign.engine.run_cell", suicidal)
+        cells = specs(1)
+        cache = CellCache(tmp_path / "store")
+        with LocalCluster(1, capacity=2, max_retries=3) as cluster:
+            payloads, stats = execute_cells(
+                cells, hosts=cluster.address, cache=cache, failure_mode="continue"
+            )
+            assert cluster.orchestrator.stats["dead_hosts"] == 0
+        assert payloads == [None] and stats.failed == 1
+        report = cache.lookup(cells[0])
+        assert report.condemned and report.classification == "deterministic"
 
 
 class TestOrchestratorKill:

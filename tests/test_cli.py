@@ -169,6 +169,14 @@ class TestRobustnessFlags:
             assert (args.hosts, args.timeout, args.resume) == ("local:2", 5.0, False), name
             assert args.cache_dir == f"{tmp_path}/cellcache", name
 
+    def test_all_rejects_a_topology_it_would_not_forward(self, sub_argv, tmp_path):
+        """``all`` is the mesh evaluation: a non-mesh ``--topology`` is
+        refused before any command runs, not silently dropped."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["all", "--out", str(tmp_path), "--topology", "torus"])
+        assert "'topologies'" in str(excinfo.value.code)
+        assert sub_argv == {}
+
 
 class TestRunOptionsAreCellConfiguration:
     """The two hazards of the old process-global options, driven through

@@ -174,9 +174,10 @@ class FakeWorker:
     async def send(self, message):
         await protocol.send(self.writer, message)
 
-    async def request(self, slots=1):
-        """Returns ``(leases, grant_end_message)``, skipping pokes."""
-        await self.send({"type": "request", "slots": slots})
+    async def request(self):
+        """Ask for one lease: returns ``(leases, grant_end_message)``,
+        at most one lease, skipping pokes."""
+        await self.send({"type": "request"})
         leases = []
         while True:
             message = await self.recv()
@@ -184,6 +185,15 @@ class FakeWorker:
                 return leases, message
             if message["type"] == "lease":
                 leases.append(message)
+
+    async def request_times(self, n):
+        """Ask ``n`` times: returns ``(leases, granted count per request)``."""
+        leases, granted = [], []
+        for _ in range(n):
+            got, end = await self.request()
+            leases += got
+            granted.append(end["granted"])
+        return leases, granted
 
     async def finish(self, lease, payload):
         await self.send(
@@ -274,8 +284,8 @@ class TestOrchestratorScheduling:
             assert welcome["type"] == "welcome"
             client = asyncio.ensure_future(submit_cells(orch, cells))
             await until(lambda: orch.queue)  # the submit landed
-            leases, end = await worker.request(slots=4)
-            assert end["granted"] == len(leases) == 3
+            leases, granted = await worker.request_times(4)
+            assert granted == [1, 1, 1, 0]
             for lease in leases:
                 spec = CellSpec.from_canonical(lease["spec"])
                 await worker.finish(lease, {"seed": spec.seed})
@@ -315,7 +325,8 @@ class TestOrchestratorScheduling:
                 submit_cells(orch, [stored, cold], docs=tampered)
             )
             await until(lambda: orch.queue)
-            leases, _ = await worker.request(slots=2)
+            leases, granted = await worker.request_times(2)
+            assert granted == [1, 0]
             assert [lease["key"] for lease in leases] == [orch.store.key_for(cold)]
             assert CellSpec.from_canonical(leases[0]["spec"]) == cold
             await worker.finish(leases[0], {"cell": "cold"})
@@ -336,7 +347,7 @@ class TestOrchestratorScheduling:
             await worker.connect()
             client = asyncio.ensure_future(submit_cells(orch, cells))
             await until(lambda: orch.queue)
-            leases, _ = await worker.request(slots=2)
+            leases, _ = await worker.request_times(2)
             await worker.finish(leases[0], {"ok": True})
             await worker.send(
                 {
@@ -358,7 +369,7 @@ class TestOrchestratorScheduling:
             assert not orch.cells
             client2 = asyncio.ensure_future(submit_cells(orch, cells))
             await until(lambda: orch.queue)
-            leases2, _ = await worker.request(slots=2)
+            leases2, _ = await worker.request_times(2)
             assert [lease["key"] for lease in leases2] == [leases[1]["key"]]
             await worker.finish(leases2[0], {"ok": "second time"})
             payloads2, statuses2, done2 = await client2
@@ -546,10 +557,10 @@ class TestOrchestratorScheduling:
                 )
                 seq += 1
                 await asyncio.sleep(0.05)
-            leases3, _ = await reborn.request(slots=1)
+            leases3, _ = await reborn.request()
             assert len(leases3) == 1
             await reborn.finish(leases3[0], {"seed": 1})
-            leases4, _ = await reborn.request(slots=1)
+            leases4, _ = await reborn.request()
             await reborn.finish(leases4[0], {"seed": 2})
             await client
             worker.close()
@@ -567,22 +578,18 @@ class TestOrchestratorScheduling:
 
     @classmethod
     def request_orders(cls, cells):
-        """Every order in which the two hosts can ask, each request
-        taking up to the host's capacity, until ``cells`` are leased."""
-        if cells == 0:
-            return [()]
-        return [
-            (name,) + rest
-            for name, capacity in cls.CAPACITY.items()
-            for rest in cls.request_orders(max(0, cells - capacity))
-        ]
+        """Every order in which the two hosts can ask, one lease per
+        request, until ``cells`` are leased."""
+        return list(itertools.product(cls.CAPACITY, repeat=cells))
 
     async def _drive_queue(self, orch, order, join_late=(), kill_at=None):
         """Four cells, hosts asking in ``order``, checked lease by
-        lease against a plain deque.  A host finishes what it holds
-        before it asks again, so the other host's leases are open
-        while it is served.  With ``kill_at``, the host asking at that
-        position dies holding what it was just granted."""
+        lease against a plain deque.  A host holding its capacity is
+        refused while cold cells wait (the capacity cap), then
+        finishes its oldest lease and asks again, so the other host's
+        leases are open while it is served.  With ``kill_at``, the
+        host asking at that position dies holding every lease it has,
+        the one just granted among them."""
         cells = specs(4)
         hosts = {}
 
@@ -590,10 +597,10 @@ class TestOrchestratorScheduling:
             hosts[name] = FakeWorker(orch, host_name or name, capacity=capacity)
             assert (await hosts[name].connect())["type"] == "welcome"
 
-        async def finish(name):
-            for lease in held.pop(name, ()):
-                spec = CellSpec.from_canonical(lease["spec"])
-                await hosts[name].finish(lease, {"seed": spec.seed})
+        async def finish_oldest(name):
+            lease = held[name].pop(0)
+            spec = CellSpec.from_canonical(lease["spec"])
+            await hosts[name].finish(lease, {"seed": spec.seed})
 
         await join("idle", 8)  # connected, never asks
         for name, capacity in self.CAPACITY.items():
@@ -604,7 +611,7 @@ class TestOrchestratorScheduling:
         for name in join_late:
             await join(name, self.CAPACITY[name])
         model = deque(orch.store.key_for(spec) for spec in cells)
-        held = {}
+        held = {name: [] for name in self.CAPACITY}
         killed = 0
         # (After a kill the given order runs out before the queue does.)
         for position, name in enumerate(
@@ -612,29 +619,30 @@ class TestOrchestratorScheduling:
         ):
             if not model:
                 break
-            await finish(name)
-            leases, end = await hosts[name].request(slots=self.CAPACITY[name])
-            expected = [
-                model.popleft()
-                for _ in range(min(self.CAPACITY[name], len(model)))
-            ]
+            if len(held[name]) == self.CAPACITY[name]:
+                leases, end = await hosts[name].request()
+                assert leases == [] and end["granted"] == 0
+                await finish_oldest(name)
+            leases, end = await hosts[name].request()
             # Oldest first, each once, and never refused while a cold
-            # cell exists.
-            assert [lease["key"] for lease in leases] == expected
-            assert end["granted"] == len(expected) >= 1
+            # cell exists and the host has a free slot.
+            assert [lease["key"] for lease in leases] == [model.popleft()]
+            assert end["granted"] == 1
+            held[name] += leases
             if position == kill_at:
                 hosts[name].close()
-                model.extend(expected)  # back at the tail, in lease order
-                killed += len(expected)
+                # Back at the tail, in lease order.
+                model.extend(lease["key"] for lease in held[name])
+                killed += len(held[name])
+                held[name] = []
                 await until(lambda: orch.stats["requeues"] == killed)
                 # A replacement under a new name: the old one would sit
                 # out its reconnect penalty.
                 await join(name, self.CAPACITY[name], f"{name}-reborn")
-            else:
-                held[name] = leases
         for name in self.CAPACITY:
-            await finish(name)
-            leases, end = await hosts[name].request(slots=self.CAPACITY[name])
+            while held[name]:
+                await finish_oldest(name)
+            leases, end = await hosts[name].request()
             assert leases == [] and end["granted"] == 0
         payloads, statuses, done = await client
         assert payloads == [{"seed": spec.seed} for spec in cells]
@@ -652,7 +660,7 @@ class TestOrchestratorScheduling:
         and with hosts that join only after the submit (they are
         served from the same queue; nothing is re-dealt on a join)."""
         orders = self.request_orders(4)
-        assert len(orders) == 8
+        assert len(orders) == 16
         for order in orders:
             for join_late in ((), ("b",), ("a", "b")):
                 self._run(
@@ -839,6 +847,33 @@ class TestLocalCluster:
             assert not cluster.orchestrator.cells
         assert cache.lookup(cells[0]).classification == "exhausted"
 
+
+class TestHostSlots:
+    def test_a_free_slot_does_not_wait_for_its_neighbour(
+        self, tmp_path, monkeypatch
+    ):
+        """A capacity-2 host given three cells: when cell 2 ends, its
+        slot takes cell 3 while cell 1 still runs.  Cell 1 holds its
+        slot until cell 3's sentinel exists (one bounded poll) and
+        reports whether it saw it."""
+        started = tmp_path / "cell-3-started"
+
+        def staged(spec):
+            if spec.seed == 3:
+                started.touch()
+            deadline = time.monotonic() + 10.0
+            while spec.seed == 1 and not started.exists():
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.005)
+            return {"seed": spec.seed, "saw_cell_3": started.exists()}
+
+        # Hosts are forked from this process: they run the patched cell.
+        monkeypatch.setattr("repro.campaign.engine.run_cell", staged)
+        with LocalCluster(1, capacity=2) as cluster:
+            payloads, stats = execute_cells(specs(3), hosts=cluster.address)
+        assert payloads[0] == {"seed": 1, "saw_cell_3": True}
+        assert stats.executed == 3 and stats.failed == 0
 
 
 def failing_cell():
