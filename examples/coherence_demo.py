@@ -52,7 +52,8 @@ def watch(chip, nodes, label, cycles=250):
 def main():
     chip = make_chip()
     # Trace protocol packets on the NoC.
-    chip.network.add_delivery_listener(
+    chip.network.subscribe(
+        "delivered",
         lambda p, c: isinstance(p.payload, CoherenceMessage)
         and p.payload.block == BLOCK
         and print(f"      [NoC] {p.payload} {p.source}->{p.destination} "

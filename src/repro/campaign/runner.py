@@ -246,7 +246,7 @@ def _run_reliability_cell(spec: CellSpec) -> dict:
     failures (watchdog deadlock, drain timeout, fail-fast degradation)
     are *outcomes*, not crashes — they are folded into the payload so
     the estimator sees them; genuine invariant violations still
-    propagate to quarantine.
+    propagate as the cell's failure.
     """
     from ..noc import FaultInjector, InvariantChecker
     from ..noc.errors import DeadlockError, DegradedNetworkError, DrainTimeoutError

@@ -9,10 +9,11 @@ structured :class:`~repro.noc.errors.BoundViolationError` on the first
 violation, ``strict=False`` accumulates violations for campaign-style
 reporting.
 
-Because it is a pure delivery listener it composes with **all three
-cycle kernels** — the vector engine fires ejection listeners exactly
-like the object kernels — and never perturbs simulation state, so a
-checked run is bit-identical to an unchecked one.
+Because it subscribes to the network's ``delivered`` event only, it
+composes with **all three cycle kernels** — the vector engine announces
+deliveries exactly like the object kernels — and never perturbs
+simulation state, so a checked run is bit-identical to an unchecked
+one.
 
 A violation carries the full story: the offending packet's route
 (source→destination router walk), the bound's term-by-term
@@ -81,7 +82,7 @@ class BoundChecker:
                 wakeup_penalty_per_hop=self._penalty_override,
             )
         self.network = network
-        network.add_delivery_listener(self._on_delivered)
+        network.subscribe("delivered", self._on_delivered)
 
     # ------------------------------------------------------------------
     def _on_delivered(self, packet: "Packet", cycle: int) -> None:

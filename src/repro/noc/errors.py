@@ -35,14 +35,14 @@ working.
 * :class:`FaultSpecError` — a fault-schedule specification could not
   be parsed (a :class:`ValueError`, since it is a config problem).
 
-Every class in the hierarchy pickles faithfully: campaign cells run on
-process-pool workers, and an exception whose ``__init__`` signature
+Every class in the hierarchy pickles faithfully: campaign cells run in
+forked pool workers, and an exception whose ``__init__`` signature
 does not match its ``args`` (e.g. ``InvariantViolation``) would
-otherwise fail to unpickle on the way back to the parent — which
-``concurrent.futures`` surfaces as a ``BrokenProcessPool``, taking the
-whole campaign down with it.  ``__reduce__`` below rebuilds instances
-from their full ``__dict__`` instead, so structured context (including
-post-mortems) survives the trip.
+otherwise fail to unpickle on the way back to the parent — which the
+campaign engine reports as a ``RuntimeError`` naming the unpickling
+failure, in place of the cell's own error.  ``__reduce__`` below
+rebuilds instances from their full ``__dict__`` instead, so structured
+context (including post-mortems) survives the trip.
 """
 
 from __future__ import annotations

@@ -240,16 +240,17 @@ class FaultInjector:
         flip, so it can model both transient glitches and the hard
         failure the deadlock watchdog must catch.
         """
+        return any(
+            spec.kind == "router_stall" and spec.matches(router) and spec.active_at(cycle)
+            for spec in self.schedule.specs
+        )
+
+    def open_stall_windows(self, cycle: int) -> None:
+        """Count and record each ``router_stall`` window opening at
+        ``cycle``, once, busy router or idle (a wildcard one at ``-1``)."""
         for spec in self.schedule.specs:
-            if spec.kind != "router_stall":
-                continue
-            if not (spec.matches(router) and spec.active_at(cycle)):
-                continue
-            if cycle == spec.start:
-                # Count each window once, on entry.
-                self._record(cycle, "router_stall", router)
-            return True
-        return False
+            if spec.kind == "router_stall" and spec.start == cycle:
+                self._record(cycle, "router_stall", -1 if spec.router is None else spec.router)
 
     def dead_routers(self, cycle: int, threshold: int) -> List[int]:
         """Routers whose stall window has been open ``>= threshold`` cycles.

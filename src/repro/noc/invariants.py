@@ -113,8 +113,9 @@ def _coord_pair(topology, node: int) -> tuple:
 class InvariantChecker:
     """Per-cycle runtime verification for one :class:`Network`.
 
-    Install with :meth:`Network.install_invariants`; the network then
-    calls the ``on_*`` hooks from its kernel loop.  The checker is
+    Install with :meth:`Network.install_invariants`; :meth:`attach`
+    subscribes the ``on_*`` hooks to the network's events (which pins
+    the object kernel: they are per-flit events).  The checker is
     opt-in precisely because the structural checks cost O(ports x VCs)
     per check — ``check_interval`` amortizes that for long experiment
     runs while keeping detection latency bounded.
@@ -154,14 +155,17 @@ class InvariantChecker:
     # Installation
     # ------------------------------------------------------------------
     def attach(self, network: "Network") -> None:
-        """Bind to ``network`` and subscribe to its delivery stream."""
+        """Bind to ``network``; subscribe ``on_<event>`` to every event
+        but ``granted`` and ``blocked``."""
         self.network = network
-        network.add_delivery_listener(self._on_delivered)
+        for event in ("created", "refused", "sent", "arrived", "ejected", "delivered",
+                      "purged", "dropped", "cycle_end"):
+            network.subscribe(event, getattr(self, "on_" + event))
 
     # ------------------------------------------------------------------
-    # Kernel hooks (called by Network when a checker is installed)
+    # Event hooks (see attach)
     # ------------------------------------------------------------------
-    def on_packet_created(self, packet: "Packet", cycle: int) -> None:
+    def on_created(self, packet: "Packet", cycle: int) -> None:
         """A packet entered the system (NI enqueue)."""
         self.live[packet.packet_id] = packet
         self.network.ring.record(
@@ -169,18 +173,19 @@ class InvariantChecker:
             f"->{packet.destination}", packet.packet_id,
         )
 
-    def _on_delivered(self, packet: "Packet", cycle: int) -> None:
+    def on_delivered(self, packet: "Packet", cycle: int) -> None:
+        """A packet completed: it leaves the live set."""
         self.live.pop(packet.packet_id, None)
         self.network.ring.record(
             cycle, "delivered", packet.destination,
             f"lat={packet.network_latency}", packet.packet_id,
         )
 
-    def on_flit_sent(self, node: int, flit: "Flit", cycle: int) -> None:
+    def on_sent(self, node: int, flit: "Flit", cycle: int) -> None:
         """An NI pushed a flit into the mesh."""
         self.flits_sent += 1
 
-    def on_flit_arrival(self, router_id: int, flit: "Flit", cycle: int) -> None:
+    def on_arrived(self, router_id: int, flit: "Flit", cycle: int) -> None:
         """A flit landed in a router input buffer: PG-safety checks."""
         network = self.network
         if not network.policy.is_router_available_by(router_id, cycle):
@@ -203,22 +208,25 @@ class InvariantChecker:
                 )
             )
 
-    def on_flit_ejected(self, node: int, flit: "Flit", cycle: int) -> None:
+    def on_ejected(self, node: int, flit: "Flit", cycle: int) -> None:
         """A flit left the mesh through an NI."""
         self.flits_ejected += 1
 
-    def on_flit_dropped(self, flit: "Flit", cycle: int) -> None:
+    def on_purged(self, flit: "Flit", cycle: int) -> None:
         """A sent flit was purged by the graceful-degradation policy."""
         self.flits_dropped += 1
 
-    def on_packet_dropped(self, packet: "Packet", cycle: int) -> None:
-        """A packet was dropped whole: it will never be delivered, so it
-        leaves the live set (and the watchdog's jurisdiction)."""
+    def on_dropped(self, packet: "Packet", cycle: int) -> None:
+        """A packet was dropped whole (or refused at the door): it will
+        never be delivered, so it leaves the live set (and the
+        watchdog's jurisdiction)."""
         self.live.pop(packet.packet_id, None)
         self.network.ring.record(
             cycle, "dropped", packet.source,
             f"->{packet.destination}", packet.packet_id,
         )
+
+    on_refused = on_dropped
 
     def on_cycle_end(self, cycle: int) -> None:
         """Interval checks + watchdog; called once per simulated cycle."""

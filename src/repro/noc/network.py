@@ -40,6 +40,11 @@ Engine selection: the default ``kernel == "auto"`` runs the active-set
 kernel while the active set is sparse and hands the run to the
 structure-of-arrays engine of ``repro.noc.vector`` while it is dense
 (see ``_select_engine``); ``"active"`` and ``"vector"`` pin one side.
+
+Observation seam: every observer (``PacketTracer``, the checkers, a
+chip) attaches through :meth:`Network.subscribe`, to the ``EVENTS`` the
+network announces; an event nobody subscribed to costs an empty-tuple
+loop (docs/architecture.md, "The observation seam").
 """
 
 from __future__ import annotations
@@ -112,6 +117,26 @@ _DISENGAGE_BELOW = 36
 #: ``_select_at`` of a network whose engine is never reconsidered.
 _NEVER = 1 << 60
 
+#: The events :meth:`Network.subscribe` accepts, with the arguments
+#: their subscribers are called with.
+EVENTS = {
+    "created": "packet, cycle",  # inject() queued a packet
+    "refused": "packet, cycle",  # inject() refused it: a dead route
+    "sent": "node, flit, cycle",  # an NI sent a flit into its router
+    "arrived": "router, flit, cycle",  # a router buffered a flit
+    "granted": "router, flit, in_dir, in_vc, out_dir, out_vc, cycle",
+    "blocked": "router, neighbor, flit, cycle",  # neighbor is off
+    "ejected": "node, flit, cycle",  # a flit left the mesh
+    "delivered": "packet, cycle",  # a tail ejected, or out of band
+    "purged": "flit, cycle",  # graceful degradation removed a flit
+    "dropped": "packet, cycle",  # graceful degradation dropped a packet
+    "cycle_end": "cycle",
+}
+#: Events only the object kernel announces: subscribing to one pins it.
+PER_FLIT_EVENTS = frozenset(
+    {"sent", "arrived", "granted", "blocked", "ejected", "purged", "cycle_end"}
+)
+
 
 class Network:
     """A complete mesh NoC instance."""
@@ -168,6 +193,9 @@ class Network:
         #: Active-set kernel work-sets (see module docstring).
         self._active_routers: Set[int] = set()
         self.active_nis: Set[int] = set()
+        #: The subscription table (see ``subscribe``): event -> tuple of
+        #: callables.  The NIs share it to announce their deliveries.
+        self._subscribers: Dict[str, Tuple[Callable, ...]] = dict.fromkeys(EVENTS, ())
 
         self.interfaces: List[NetworkInterface] = [
             NetworkInterface(
@@ -176,6 +204,7 @@ class Network:
                 self.routers[node],
                 self.policy,
                 self._ni_send,
+                self._subscribers,
                 on_work=self.active_nis.add,
             )
             for node in range(config.num_nodes)
@@ -250,8 +279,9 @@ class Network:
         self.policy.on_faults_installed(injector)
 
     def install_invariants(self, checker: "InvariantChecker") -> None:
-        """Attach a runtime invariant checker (see repro.noc.invariants)."""
-        self._disengage_vector()
+        """Attach a runtime invariant checker (see repro.noc.invariants):
+        it subscribes to the network's events, and stays readable as
+        ``invariants`` for post-mortems and reroute re-certification."""
         self._flight_recorder()
         self.invariants = checker
         checker.attach(self)
@@ -271,13 +301,23 @@ class Network:
     def install_bounds(self, checker) -> None:
         """Attach a :class:`repro.guarantees.BoundChecker`.
 
-        Unlike faults/invariants this is a pure delivery listener — it
-        reads completed packets and never perturbs simulation state —
-        so it does **not** disengage the vector kernel: the SoA engine
-        fires ejection listeners exactly like the object kernels.
+        It subscribes to ``delivered`` only — it reads completed
+        packets and never perturbs simulation state — so either engine
+        may run the network.
         """
         self.bounds = checker
         checker.attach(self)
+
+    def subscribe(self, event: str, fn: Callable) -> None:
+        """Call ``fn``, with the arguments ``EVENTS[event]`` names, each
+        time the network announces ``event`` until :meth:`close`.  A
+        subscriber to one of ``PER_FLIT_EVENTS`` pins the object kernel
+        for good: the vector engine announces packet events only."""
+        if event not in EVENTS:
+            raise ValueError(f"unknown network event {event!r}; expected one of {list(EVENTS)}")
+        if event in PER_FLIT_EVENTS:
+            self._disengage_vector()
+        self._subscribers[event] += (fn,)
 
     def close(self) -> None:
         """Finish the run: sever every edge that points back at this
@@ -286,8 +326,8 @@ class Network:
         An engaged vector engine is materialized away, the policy is
         detached (controller clocks, punch sink, ``policy.network``),
         the NIs drop their callbacks, and what nothing reads after a
-        run — routers, NIs, event queues, fault injector, checkers — is
-        released.  ``config``, ``topology``, ``cycle``, ``stats``,
+        run — routers, NIs, event queues, subscribers, fault injector,
+        checkers — is released.  ``config``, ``topology``, ``cycle``, ``stats``,
         ``link_counts``, ``dead_routers`` and the policy's counters stay
         readable (``EnergyModel.account`` still works), and so does the
         flight recorder ``ring``; ``step`` and
@@ -305,6 +345,7 @@ class Network:
         self._flit_events.clear()
         self._credit_events.clear()
         self._eject_events.clear()
+        self._subscribers.update(dict.fromkeys(EVENTS, ()))
         self._sa_router = self._vector_static = None
         self.faults = self.invariants = self.bounds = None
 
@@ -336,32 +377,27 @@ class Network:
             # subset of the drop counters.
             packet.created_at = self.cycle
             self.stats.record_refusal(packet, self.cycle, self.dead_routers)
-            if self.invariants is not None:
-                self.invariants.on_packet_dropped(packet, self.cycle)
+            for fn in self._subscribers["refused"]:
+                fn(packet, self.cycle)
             return
         self.interfaces[packet.source].enqueue(packet, self.cycle)
         self.stats.record_injection(packet)
-        if self.invariants is not None:
-            self.invariants.on_packet_created(packet, self.cycle)
-
-    def add_delivery_listener(self, listener: Callable[[Packet, int], None]) -> None:
-        """Register a callback fired for every delivered packet."""
-        for ni in self.interfaces:
-            ni.add_eject_listener(listener)
+        for fn in self._subscribers["created"]:
+            fn(packet, self.cycle)
 
     def deliver_out_of_band(self, packet: Packet, cycle: int) -> None:
         """Complete a packet that bypassed the mesh datapath.
 
         Used by schemes with auxiliary transport (e.g. the NoRD-like
-        bypass ring): records the delivery statistics and fires the
-        destination NI's delivery listeners exactly as a normal
-        ejection would.
+        bypass ring): records the delivery statistics and announces
+        ``delivered`` exactly as a normal ejection would.
         """
         packet.delivered_at = cycle
         self.stats.record_delivery(
             packet, self.topology.hop_distance(packet.source, packet.destination)
         )
-        self.interfaces[packet.destination].notify_delivery(packet, cycle)
+        for fn in self._subscribers["delivered"]:
+            fn(packet, cycle)
 
     def in_flight_packets(self) -> int:
         """Flits/packets created but not yet delivered, counted over the
@@ -448,8 +484,8 @@ class Network:
 
     def _disengage_vector(self) -> None:
         """Materialize and drop the vector engine (and never re-engage):
-        called before attaching mid-run machinery — fault injectors,
-        invariant checkers, packet tracers — the engine does not model."""
+        called before attaching what the engine does not model — a
+        fault injector, a per-flit subscriber — and by ``close``."""
         self._select_at = _NEVER
         if self._engine is not None:
             self._engine.materialize()
@@ -515,14 +551,7 @@ class Network:
         # SA-ready VC instead of a closure hop plus the probe.
         available_by = self.policy.is_router_available_by
         arrival_cycle = cycle + _SA_TO_ARRIVAL
-        busy = [self.routers[rid] for rid in sorted(self._active_routers)]
-        if self.faults is not None:
-            # A stalled router buffers arrivals but performs no VA/SA.
-            busy = [
-                router
-                for router in busy
-                if not self.faults.is_stalled(router.router_id, cycle)
-            ]
+        busy = self._unstalled([self.routers[rid] for rid in sorted(self._active_routers)], cycle)
         # Allocator rounds before a router's wake deadline are provable
         # no-ops (no eligible VC, no blocked-VC report, no arbitration-
         # pointer movement), so they are skipped; the deadlines are
@@ -541,51 +570,67 @@ class Network:
                 if not router._occupied:
                     discard(router.router_id)
         self._occupied_sum += len(self._active_routers)
-        self.policy.end_cycle(cycle)
-        self.stats.cycles = cycle + 1
-        if self.invariants is not None:
-            self.invariants.on_cycle_end(cycle)
-        self.cycle = cycle + 1
+        self._close_cycle(cycle)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _unstalled(self, busy: List[Router], cycle: int) -> List[Router]:
+        """``busy`` less the routers an open ``router_stall`` window
+        freezes (they buffer arrivals but perform no VA/SA); every
+        window opening this cycle is recorded, busy router or not."""
+        faults = self.faults
+        if faults is None:
+            return busy
+        faults.open_stall_windows(cycle)
+        return [r for r in busy if not faults.is_stalled(r.router_id, cycle)]
+
+    def _close_cycle(self, cycle: int) -> None:
+        """The policy's end-of-cycle work, then ``cycle_end``."""
+        self.policy.end_cycle(cycle)
+        self.stats.cycles = cycle + 1
+        for fn in self._subscribers["cycle_end"]:
+            fn(cycle)
+        self.cycle = cycle + 1
+
     def _deliver_flits(self, cycle: int) -> None:
         events = self._flit_events.pop(cycle, None)
         faults = self.faults
-        invariants = self.invariants
         if events:
             routers = self.routers
             mark_active = self._active_routers.add
+            arrived = self._subscribers["arrived"]
             for router_id, direction, vc, flit in events:
                 router = routers[router_id]
                 router.incoming_in_flight -= 1
                 if faults is not None:
                     faults.maybe_corrupt(router_id, flit, cycle)
-                if invariants is not None:
-                    invariants.on_flit_arrival(router_id, flit, cycle)
+                for fn in arrived:
+                    fn(router_id, flit, cycle)
                 router.receive_flit(direction, vc, flit, cycle)
                 mark_active(router_id)
         ejections = self._eject_events.pop(cycle, None)
         if ejections:
-            interfaces = self.interfaces
-            hop_distance = self.topology.hop_distance
-            stats = self.stats
-            record_delivery = stats.record_delivery
+            ejected = self._subscribers["ejected"]
             for node, flit in ejections:
-                if invariants is not None:
-                    invariants.on_flit_ejected(node, flit, cycle)
-                interfaces[node].eject_flit(flit, cycle)
-                if flit.is_tail:
-                    packet = flit.packet
-                    hops = hop_distance(packet.source, packet.destination)
-                    record_delivery(packet, hops)
-                    detour = packet.hops_taken - hops
-                    if detour > 0:
-                        # Only fault-tolerant rerouting produces
-                        # non-minimal paths; XY keeps this branch cold.
-                        stats.rerouted_packets += 1
-                        stats.detour_hops += detour
+                for fn in ejected:
+                    fn(node, flit, cycle)
+                self._eject(node, flit, cycle)
+
+    def _eject(self, node: int, flit: Flit, cycle: int) -> None:
+        """Hand ``flit`` to ``node``'s NI; a tail completes its packet
+        (the vector engine ejects its tails through here too)."""
+        self.interfaces[node].eject_flit(flit, cycle)
+        if flit.is_tail:
+            packet = flit.packet
+            hops = self.topology.hop_distance(packet.source, packet.destination)
+            self.stats.record_delivery(packet, hops)
+            detour = packet.hops_taken - hops
+            if detour > 0:
+                # Only fault-tolerant rerouting produces non-minimal
+                # paths; XY keeps this branch cold.
+                self.stats.rerouted_packets += 1
+                self.stats.detour_hops += detour
 
     def _deliver_credits(self, cycle: int) -> None:
         events = self._credit_events.pop(cycle, None)
@@ -605,8 +650,8 @@ class Network:
     def _ni_send(self, node: int, vc: int, flit: Flit, cycle: int) -> None:
         router = self.routers[node]
         router.incoming_in_flight += 1
-        if self.invariants is not None:
-            self.invariants.on_flit_sent(node, flit, cycle)
+        for fn in self._subscribers["sent"]:
+            fn(node, flit, cycle)
         self._flit_events[cycle + _NI_TO_ARRIVAL].append(
             (node, Direction.LOCAL, vc, flit)
         )
@@ -645,6 +690,8 @@ class Network:
     ) -> None:
         router = self._sa_router
         cycle = self._sa_cycle
+        for fn in self._subscribers["granted"]:
+            fn(router.router_id, flit, in_dir, in_vc, out_dir, out_vc, cycle)
         self.stats.router_traversals += 1
         self._link_counts[router.router_id][out_dir] += 1
         # ``_schedule_credit_return`` inlined: one call per granted flit.
@@ -695,12 +742,13 @@ class Network:
                 self.policy.on_router_emptied(router.router_id)
 
     def _sa_note_blocked(self, neighbor: int, flit: Flit) -> None:
+        router_id, cycle = self._sa_router.router_id, self._sa_cycle
+        for fn in self._subscribers["blocked"]:
+            fn(router_id, neighbor, flit, cycle)
         packet = flit.packet
         packet.blocked_routers.add(neighbor)
         packet.wakeup_wait_cycles += 1
-        self.policy.note_blocked(
-            self._sa_router.router_id, neighbor, packet, self._sa_cycle
-        )
+        self.policy.note_blocked(router_id, neighbor, packet, cycle)
 
     # ------------------------------------------------------------------
     # Graceful degradation under permanent faults
@@ -776,9 +824,9 @@ class Network:
     def attach_fault_context(self, error: Exception) -> None:
         """Stamp ``error`` with the fault spec and dead-router set.
 
-        The supervised campaign executor copies both into the
-        quarantine ``reports/<key>.json`` post-mortem, so a reroute or
-        deadlock failure is reproducible from the report alone.
+        The campaign engine copies both into the failed cell's
+        ``FailureReport`` in the store, so a reroute or deadlock
+        failure is reproducible from that entry alone.
         """
         if getattr(error, "fault_spec", None) is None and self.faults is not None:
             error.fault_spec = self.faults.schedule.to_spec()
@@ -919,7 +967,7 @@ class Network:
         restoring credits, VC state and downstream ownership so the
         surviving traffic (and the invariant checker) see a consistent
         network."""
-        invariants = self.invariants
+        purged = self._subscribers["purged"]
         pre_busy = [
             bool(router._occupied) or router.incoming_in_flight > 0
             for router in self.routers
@@ -945,8 +993,8 @@ class Network:
                     router = self.routers[router_id]
                     router.incoming_in_flight -= 1
                     self._restore_upstream_credit(router, direction, vc_index)
-                    if invariants is not None:
-                        invariants.on_flit_dropped(flit, cycle)
+                    for fn in purged:
+                        fn(flit, cycle)
                 else:
                     kept_events.append((router_id, direction, vc_index, flit))
             if kept_events:
@@ -968,8 +1016,8 @@ class Network:
                         self._restore_upstream_credit(
                             router, vc.port_direction, vc.vc_index
                         )
-                        if invariants is not None:
-                            invariants.on_flit_dropped(flit, cycle)
+                        for fn in purged:
+                            fn(flit, cycle)
                     else:
                         kept_pairs.append((flit, arrival))
                 vc.flits.clear()
@@ -1010,8 +1058,8 @@ class Network:
             kept_ejects = []
             for node, flit in self._eject_events[when]:
                 if flit.packet.packet_id in doomed:
-                    if invariants is not None:
-                        invariants.on_flit_dropped(flit, cycle)
+                    for fn in purged:
+                        fn(flit, cycle)
                 else:
                     kept_ejects.append((node, flit))
             if kept_ejects:
@@ -1022,8 +1070,8 @@ class Network:
         # routers the purge emptied.
         for packet in doomed.values():
             self.stats.record_drop(packet, cycle, self.dead_routers)
-            if invariants is not None:
-                invariants.on_packet_dropped(packet, cycle)
+            for fn in self._subscribers["dropped"]:
+                fn(packet, cycle)
         for router, was_busy in zip(self.routers, pre_busy):
             if router._occupied:
                 continue

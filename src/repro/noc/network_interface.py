@@ -18,7 +18,7 @@ blocking that Power Punch's second mechanism removes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .buffers import VCState
 from .config import NoCConfig
@@ -56,6 +56,7 @@ class NetworkInterface:
         router: Router,
         policy: PowerPolicy,
         send_flit: Callable[[int, int, Flit, int], None],
+        subscribers: Dict[str, Tuple[Callable, ...]],
         on_work: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.node = node
@@ -65,6 +66,9 @@ class NetworkInterface:
         #: Kernel callback: (node, local_vc, flit, cycle) -> schedules the
         #: flit into the local input port next cycle.
         self._send_flit = send_flit
+        #: The network's subscription table (see ``Network.subscribe``):
+        #: a tail ejection announces ``delivered`` through it.
+        self._subscribers = subscribers
         #: Kernel callback fired whenever this NI gains work (a packet
         #: was queued), so the active-set kernel re-schedules it.
         self._on_work = on_work
@@ -82,8 +86,6 @@ class NetworkInterface:
         self._vn_rr = 0
         #: Packets whose injection check already fired (id set).
         self._checked: set = set()
-        # Ejection-side state: flits of partially received packets.
-        self._eject_listeners: List[Callable[[Packet, int], None]] = []
         # Statistics
         self.injected_packets = 0
         self.ejected_packets = 0
@@ -120,26 +122,11 @@ class NetworkInterface:
         """Forward a slack-2 style early notice to the power policy."""
         self.policy.early_local_notice(self.node, cycle)
 
-    def add_eject_listener(self, listener: Callable[[Packet, int], None]) -> None:
-        """Register a callback fired when packets finish ejecting here."""
-        self._eject_listeners.append(listener)
-
     def close(self) -> None:
-        """Unwire from the kernel, the policy and every eject listener
-        (see :meth:`Network.close`)."""
+        """Unwire from the kernel, the policy and the subscription
+        table (see :meth:`Network.close`)."""
         self.router = self.policy = self._vc_probe = None
-        self._send_flit = self._on_work = None
-        self._eject_listeners = []
-
-    def notify_delivery(self, packet: Packet, cycle: int) -> None:
-        """Announce an out-of-band delivery at this node.
-
-        Fires the same eject listeners a mesh ejection would, so
-        bypass paths (e.g. NoRD's ring) stay observationally identical
-        to normal deliveries without reaching into private state.
-        """
-        for listener in self._eject_listeners:
-            listener(packet, cycle)
+        self._send_flit = self._on_work = self._subscribers = None
 
     # ------------------------------------------------------------------
     # Sleep-gating signal toward the local PG controller
@@ -255,10 +242,10 @@ class NetworkInterface:
         self.credits[vc] += 1
 
     def eject_flit(self, flit: Flit, cycle: int) -> None:
-        """Receive an ejected flit; fire listeners on the tail."""
+        """Receive an ejected flit; a tail announces ``delivered``."""
         if flit.is_tail:
             packet = flit.packet
             packet.delivered_at = cycle
             self.ejected_packets += 1
-            for listener in self._eject_listeners:
-                listener(packet, cycle)
+            for fn in self._subscribers["delivered"]:
+                fn(packet, cycle)

@@ -136,20 +136,9 @@ class FullScanNetwork(Network):
                 ni.step(cycle)
         available_by = self.policy.is_router_available_by
         arrival_cycle = cycle + _SA_TO_ARRIVAL
-        busy = [router for router in self.routers if router._occupied]
-        if self.faults is not None:
-            # A stalled router buffers arrivals but performs no VA/SA.
-            busy = [
-                router
-                for router in busy
-                if not self.faults.is_stalled(router.router_id, cycle)
-            ]
+        busy = self._unstalled([router for router in self.routers if router._occupied], cycle)
         for router in busy:
             router.do_vc_allocation(cycle)
         for router in busy:
             self._run_switch_allocation(router, cycle, available_by, arrival_cycle)
-        self.policy.end_cycle(cycle)
-        self.stats.cycles = cycle + 1
-        if self.invariants is not None:
-            self.invariants.on_cycle_end(cycle)
-        self.cycle = cycle + 1
+        self._close_cycle(cycle)

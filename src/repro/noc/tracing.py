@@ -1,10 +1,12 @@
 """Per-packet event tracing.
 
-Attaches to a network and records the lifecycle of selected packets:
-creation, injection, per-router switch traversals, blocking stalls and
+:class:`PacketTracer` subscribes to a network's events (see
+``Network.subscribe``) and records the lifecycle of selected packets:
+creation, per-router switch grants of head flits, blocking stalls and
 delivery.  Useful for debugging power-gating interactions and for the
-``punch_anatomy`` style of guided tour; kept out of the hot path unless
-explicitly enabled.
+``punch_anatomy`` style of guided tour.  Its ``granted`` / ``blocked``
+subscriptions are per-flit events, so a traced network runs on the
+object kernel; an untraced one pays nothing for the tracer.
 
 :class:`EventRing` is the bounded flight-recorder variant: a fixed-size
 ring of the last N events, cheap enough to leave on for entire runs so
@@ -96,7 +98,12 @@ class PacketTracer:
         self.match = match or (lambda packet: True)
         self.max_events = max_events
         self.events: List[TraceEvent] = []
-        self._install()
+        # A refused packet is traced as created: it was, at the door.
+        for event, hook in (
+            ("created", self._created), ("refused", self._created), ("granted", self._granted),
+            ("blocked", self._blocked), ("delivered", self._delivered),
+        ):
+            network.subscribe(event, hook)
 
     # ------------------------------------------------------------------
     def _record(self, cycle: int, packet: Packet, kind: str, where: int, detail=""):
@@ -106,57 +113,20 @@ class PacketTracer:
             return
         self.events.append(TraceEvent(cycle, packet.packet_id, kind, where, detail))
 
-    def _install(self) -> None:
-        network = self.network
-        # The switch-allocation sinks wrapped below exist on the object
-        # kernels only: keep (or put) the run there.
-        network._disengage_vector()
+    def _created(self, packet: Packet, cycle: int) -> None:
+        self._record(cycle, packet, "created", packet.source)
 
-        # Wrap injection (message creation).
-        original_inject = network.inject
+    def _granted(self, router, flit, in_dir, in_vc, out_dir, out_vc, cycle) -> None:
+        if flit.is_head:
+            detail = f"{in_dir.name}->{out_dir.name} vc{in_vc}->vc{out_vc}"
+            self._record(cycle, flit.packet, "sw-grant", router, detail)
 
-        def inject(packet: Packet) -> None:
-            original_inject(packet)
-            self._record(network.cycle, packet, "created", packet.source)
+    def _blocked(self, router: int, neighbor: int, flit, cycle: int) -> None:
+        self._record(cycle, flit.packet, "blocked", router, f"next R{neighbor} off")
 
-        network.inject = inject  # type: ignore[method-assign]
-
-        # Wrap the kernel's two switch-allocation sinks once; the router
-        # and cycle of the round in progress are on the network
-        # (``_sa_router`` / ``_sa_cycle``, see _run_switch_allocation).
-        depart, note_blocked = network._sa_depart, network._sa_note_blocked
-
-        def sa_depart(flit, in_dir, in_vc, out_dir, out_vc):
-            if flit.is_head:
-                self._record(
-                    network._sa_cycle,
-                    flit.packet,
-                    "sw-grant",
-                    network._sa_router.router_id,
-                    f"{in_dir.name}->{out_dir.name} vc{in_vc}->vc{out_vc}",
-                )
-            depart(flit, in_dir, in_vc, out_dir, out_vc)
-
-        def sa_note_blocked(neighbor, flit):
-            self._record(
-                network._sa_cycle,
-                flit.packet,
-                "blocked",
-                network._sa_router.router_id,
-                f"next R{neighbor} off",
-            )
-            note_blocked(neighbor, flit)
-
-        network._sa_depart = sa_depart  # type: ignore[method-assign]
-        network._sa_note_blocked = sa_note_blocked  # type: ignore[method-assign]
-
-        # Delivery events via the standard listener.
-        network.add_delivery_listener(
-            lambda packet, cycle: self._record(
-                cycle, packet, "delivered", packet.destination,
-                f"lat={packet.network_latency}",
-            )
-        )
+    def _delivered(self, packet: Packet, cycle: int) -> None:
+        lat = f"lat={packet.network_latency}"
+        self._record(cycle, packet, "delivered", packet.destination, lat)
 
     # ------------------------------------------------------------------
     def for_packet(self, packet_id: int) -> List[TraceEvent]:

@@ -39,13 +39,14 @@ cycle-exact active kernel).
 Engagement: :func:`try_engage` builds the engine **from live state** at
 any step boundary (the importer in ``VectorEngine._import`` is the
 inverse of :meth:`VectorEngine.materialize`), and only for
-configurations it covers exactly — no fault injector, no invariant
-checker, an empty dead-router set and a whitelisted power policy.
+configurations it covers exactly — no fault injector, an empty
+dead-router set and a whitelisted power policy; a per-flit subscriber
+(``Network.subscribe``) never lets it be asked.
 ``Network`` decides *when*: ``kernel="vector"`` engages at the first
 step, the default ``kernel="auto"`` engages when the active set is
 dense and materializes back when it thins (see ``Network._select_engine``).
-Anything the engine does not cover (including faults installed mid-run,
-which trigger :meth:`VectorEngine.materialize`) runs on the active
+Anything the engine does not cover (including faults or a per-flit
+subscriber added mid-run, which trigger :meth:`VectorEngine.materialize`) runs on the active
 kernel, which is cycle-exact by construction.
 
 The engine keeps a registry of every packet it has carried (flat
@@ -221,12 +222,12 @@ def try_engage(net) -> Optional["VectorEngine"]:
 
     Returns ``None`` unless every covered-configuration condition
     holds.  All of them are permanent properties of a network (faults
-    and checkers are never uninstalled, the policy and topology never
-    change), so a ``None`` is final: the caller stops asking.
+    are never uninstalled, the policy and topology never change), so a
+    ``None`` is final: the caller stops asking.
     """
     if _np is None:
         return None
-    if net.faults is not None or net.invariants is not None:
+    if net.faults is not None:
         return None
     if net.dead_routers or getattr(net.routing, "dead", None):
         return None
@@ -650,14 +651,12 @@ class VectorEngine:
                 self._flush_singles(run, cycle)
         ej = self._eject_ev.pop(cycle, None)
         if ej:
-            interfaces = self.net.interfaces
-            stats = self.net.stats
-            hop_distance = self.net.topology.hop_distance
+            eject = self.net._eject
             packets = self.packets
             for nodes, eids, idxs in ej:
                 # Non-tail ejections are no-ops in the object kernel
-                # (``eject_flit`` only acts on tails, the invariant
-                # checker is never installed while engaged).
+                # (``eject_flit`` only acts on tails, and nothing
+                # subscribes to ``ejected`` while engaged).
                 tails = idxs == (self.pkt_nflits[eids] - 1)
                 if not tails.any():
                     continue
@@ -668,13 +667,7 @@ class VectorEngine:
                 ):
                     packet = packets[eid]
                     packet.hops_taken = int(self.pkt_hops[eid])
-                    interfaces[node].eject_flit(Flit(packet, idx), cycle)
-                    hops = hop_distance(packet.source, packet.destination)
-                    stats.record_delivery(packet, hops)
-                    detour = packet.hops_taken - hops
-                    if detour > 0:  # pragma: no cover - XY is minimal
-                        stats.rerouted_packets += 1
-                        stats.detour_hops += detour
+                    eject(node, Flit(packet, idx), cycle)
 
     def _push_chunk(self, fs, eids, idxs, cycle: int) -> None:
         """Buffer one SA round's arrivals (flat VC indices are unique:
@@ -1089,7 +1082,7 @@ class VectorEngine:
 
     def _commit(self, W, gk, cycle: int) -> None:
         """Apply every grant's departure effects (batched
-        ``Router._commit_departure`` + ``Network._sa_depart``)."""
+        ``Router._commit_departure`` + the network's departure sink)."""
         V = self.V
         hh = self.h[W]
         eids = self.buf_eid[W, hh]
@@ -1273,7 +1266,7 @@ class VectorEngine:
     def materialize(self) -> None:
         """Write every mirrored field back onto the object model and
         unhook the engine, so the active kernel can continue mid-run
-        (e.g. when a fault injector or invariant checker is installed).
+        (e.g. when a fault injector or a per-flit subscriber is added).
         """
         net = self.net
         routers = net.routers

@@ -233,7 +233,7 @@ class Chip:
                 latency=memory_latency,
                 early_notice=ni.early_notice,
             )
-        self.network.add_delivery_listener(self._on_packet_delivered)
+        self.network.subscribe("delivered", self._on_packet_delivered)
         #: Cores not yet seen finished, and the latest ``done_at`` of
         #: those that were (a core may finish ahead of the clock).
         self._cores_remaining = n
@@ -353,8 +353,8 @@ class Chip:
     def close(self) -> None:
         """Finish the run: close the network (``Network.close``) and
         release the node models, whose senders, completion callbacks
-        and delivery listener all point back at this chip — so nothing
-        the chip built outlives it.  Take :meth:`result` first (``run``
+        and ``delivered`` subscription all point back at this chip — so
+        nothing the chip built outlives it.  Take :meth:`result` first (``run``
         returns it); ``execution_time`` stays.  Idempotent.
         """
         self.network.close()

@@ -255,3 +255,23 @@ class TestInjectorAccounting:
         assert all(injector.is_stalled(5, c) for c in range(10, 21))
         assert not injector.is_stalled(5, 21)
         assert not injector.is_stalled(4, 15)  # other routers unaffected
+        # Asking is pure: a window's opening is recorded by the network.
+        assert injector.counts["router_stall"] == 0
+
+    @pytest.mark.parametrize("kernel", ["auto", "naive"])
+    def test_an_idle_routers_stall_window_reaches_the_ring(self, kernel):
+        """Every window's opening is recorded at its start, once,
+        whether or not its router holds flits then."""
+        net = Network(
+            NoCConfig(
+                width=4, height=4, kernel=kernel,
+                faults="router_stall,router=5,start=10;router_stall,start=12,end=13",
+            )
+        )
+        net.run(20)
+        assert not net.active_routers
+        assert [(e.cycle, e.kind, e.where) for e in net.ring.snapshot()] == [
+            (10, "fault:router_stall", 5),
+            (12, "fault:router_stall", -1),
+        ]
+        assert net.faults.counts["router_stall"] == 2

@@ -8,10 +8,9 @@ active-set kernel rework.
 * ``NetworkStats.record_delivery`` raises a typed ``SimulationError``
   (with packet context) instead of a bare ``assert`` that vanishes
   under ``python -O``.
-* ``Network.deliver_out_of_band`` goes through the public
-  ``NetworkInterface.notify_delivery`` instead of reaching into
-  ``_eject_listeners``; NoRD's ring re-entry goes through the public
-  ``reinject``.
+* ``Network.deliver_out_of_band`` announces ``delivered`` to the same
+  subscribers a mesh ejection reaches; NoRD's ring re-entry goes
+  through the public ``reinject``.
 """
 
 import os
@@ -124,25 +123,30 @@ class TestRecordDeliveryTypedError:
 
 
 class TestPublicNIDeliveryPaths:
-    def test_notify_delivery_fires_listeners(self):
+    def test_out_of_band_and_mesh_deliveries_reach_the_same_subscribers(self):
         net = Network(NoCConfig())
         seen = []
-        net.interfaces[5].add_eject_listener(lambda p, c: seen.append((p, c)))
-        packet = control_packet(1, 5, VirtualNetwork.REQUEST, 0)
-        net.interfaces[5].notify_delivery(packet, 42)
-        assert seen == [(packet, 42)]
+        net.subscribe("delivered", lambda p, c: seen.append((p, c)))
+        meshed = control_packet(1, 5, VirtualNetwork.REQUEST, 0)
+        net.inject(meshed)
+        net.run_until_drained(500)
+        bypass = control_packet(1, 5, VirtualNetwork.REQUEST, 0)
+        bypass.injected_at = 0
+        net.deliver_out_of_band(bypass, 42)
+        assert seen == [(meshed, meshed.delivered_at), (bypass, 42)]
 
-    def test_deliver_out_of_band_routes_through_notify_delivery(self):
+    def test_deliver_out_of_band_announces_delivered_once(self):
         net = Network(NoCConfig())
         calls = []
-        ni = net.interfaces[7]
-        original = ni.notify_delivery
-        ni.notify_delivery = lambda p, c: (calls.append((p, c)), original(p, c))
+        net.subscribe("delivered", lambda p, c: calls.append((p, c)))
         packet = control_packet(2, 7, VirtualNetwork.REQUEST, 0)
         packet.injected_at = 0
         net.deliver_out_of_band(packet, 30)
         assert calls == [(packet, 30)]
+        assert packet.delivered_at == 30
         assert net.stats.delivered == 1
+        # Not a mesh ejection: the destination NI's count is untouched.
+        assert net.interfaces[7].ejected_packets == 0
 
     def test_reinject_requeues_and_reactivates(self):
         net = Network(NoCConfig())

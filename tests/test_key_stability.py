@@ -4,9 +4,17 @@ The robustness options (``faults``, ``strict_invariants``, ``watchdog``,
 ``bounds``) are ``NoCConfig`` fields, hence part of every cell's cache
 key — but only when set: a default-option spec must hash to the very
 bytes it hashed to before the fields existed.
+
+The content address does not cover ``PYTHONHASHSEED``, so a payload
+must not depend on it either: a cell's bytes are the same under any
+hash seed.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.campaign import CellSpec
 from repro.campaign.spec import CELL_KINDS
@@ -77,3 +85,38 @@ class TestKeyStability:
         assert len(keys) == 7
         # An override that restates the default is no override.
         assert spec.with_config_overrides({"bounds": False}) == spec
+
+
+_PAYLOAD_PROBE = """
+import json
+from repro.campaign import CellSpec
+from repro.campaign.cache import encode_payload
+from repro.campaign.runner import run_cell
+from repro.noc import NoCConfig
+cells = (
+    CellSpec.synthetic("uniform_random", 0.05, "PowerPunch-PG", warmup=100,
+                       measurement=300, config=NoCConfig(width=4, height=4)),
+    CellSpec.parsec("bodytrack", "PowerPunch-PG", instructions=300),
+)
+for spec in cells:
+    print(json.dumps(encode_payload(run_cell(spec)), sort_keys=True))
+"""
+
+
+def test_payload_bytes_do_not_depend_on_the_hash_seed():
+    """One synthetic and one parsec cell, in two fresh interpreters
+    whose string hashing (set and dict-of-str orders) differs."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _PAYLOAD_PROBE],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]

@@ -106,7 +106,7 @@ class TestOrderingAndIntegrity:
         """Two packets of one VN between the same pair stay ordered."""
         net = Network(NoCConfig())
         delivered = []
-        net.add_delivery_listener(lambda p, c: delivered.append(p.packet_id))
+        net.subscribe("delivered", lambda p, c: delivered.append(p.packet_id))
         packets = [
             control_packet(2, 50, VirtualNetwork.REQUEST, 0) for _ in range(6)
         ]

@@ -81,7 +81,7 @@ class TestEjection:
     def test_listener_fires_on_tail(self):
         net = make_net()
         seen = []
-        net.add_delivery_listener(lambda p, c: seen.append((p.packet_id, c)))
+        net.subscribe("delivered", lambda p, c: seen.append((p.packet_id, c)))
         p = data_packet(0, 9, VirtualNetwork.RESPONSE, 0)
         net.inject(p)
         net.run_until_drained(500)

@@ -139,7 +139,7 @@ class TestArbitrationFairness:
         """Two flows converging on one output both make progress."""
         net = make_net()
         flows = {1: [], 4: []}
-        net.add_delivery_listener(lambda p, c: flows[p.source].append(c))
+        net.subscribe("delivered", lambda p, c: flows[p.source].append(c))
         for _ in range(10):
             net.inject(control_packet(1, 7, VirtualNetwork.REQUEST, net.cycle))
             net.inject(control_packet(4, 7, VirtualNetwork.REQUEST, net.cycle))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ConvOptPG, NoPG
 from repro.noc import MeshTopology, Network, NoCConfig, VirtualNetwork, control_packet
+from repro.noc.packet import Packet, reset_packet_ids
 from repro.noc.tracing import PacketTracer
 from repro.viz import (
     gated_fraction_map,
@@ -122,6 +123,88 @@ class TestPacketTracer:
         net.run_until_drained(500)
         text = tracer.render(p.packet_id)
         assert "created" in text and "delivered" in text
+
+
+#: ``PacketTracer.render()`` of the scenario below, recorded before the
+#: tracer moved onto ``Network.subscribe`` (it rebound kernel methods
+#: then): pkt#3 is purged behind the dead R5, pkt#4 refused at the door.
+DEAD_ROUTER_TRACE = """\
+[     0] pkt#0 created    R0
+[     0] pkt#1 created    R4
+[     5] pkt#0 blocked    R0 next R1 off
+[     5] pkt#1 blocked    R4 next R5 off
+[     6] pkt#0 sw-grant   R0 LOCAL->XPOS vc4->vc4
+[     6] pkt#1 sw-grant   R4 LOCAL->XPOS vc0->vc0
+[    10] pkt#0 blocked    R1 next R2 off
+[    10] pkt#1 blocked    R5 next R6 off
+[    11] pkt#0 sw-grant   R1 XNEG->XPOS vc4->vc4
+[    11] pkt#1 sw-grant   R5 XNEG->XPOS vc0->vc0
+[    15] pkt#0 blocked    R2 next R3 off
+[    15] pkt#1 blocked    R6 next R7 off
+[    16] pkt#0 sw-grant   R2 XNEG->XPOS vc4->vc4
+[    16] pkt#1 sw-grant   R6 XNEG->XPOS vc0->vc0
+[    20] pkt#2 created    R12
+[    20] pkt#0 sw-grant   R3 XNEG->YPOS vc4->vc4
+[    20] pkt#1 sw-grant   R7 XNEG->LOCAL vc0->vc0
+[    21] pkt#1 delivered  R7 lat=18
+[    24] pkt#3 created    R4
+[    24] pkt#0 blocked    R7 next R11 off
+[    25] pkt#0 sw-grant   R7 YNEG->YPOS vc4->vc4
+[    28] pkt#2 blocked    R12 next R13 off
+[    29] pkt#0 blocked    R11 next R15 off
+[    29] pkt#2 sw-grant   R12 LOCAL->XPOS vc0->vc0
+[    30] pkt#0 sw-grant   R11 YNEG->YPOS vc4->vc4
+[    32] pkt#3 blocked    R4 next R5 off
+[    33] pkt#3 sw-grant   R4 LOCAL->XPOS vc0->vc1
+[    33] pkt#2 blocked    R13 next R14 off
+[    34] pkt#2 sw-grant   R13 XNEG->XPOS vc0->vc0
+[    34] pkt#0 sw-grant   R15 YNEG->LOCAL vc4->vc4
+[    38] pkt#2 sw-grant   R14 XNEG->XPOS vc0->vc0
+[    42] pkt#0 delivered  R15 lat=39
+[    42] pkt#2 blocked    R15 next R11 off
+[    43] pkt#2 sw-grant   R15 XNEG->YNEG vc0->vc0
+[    45] pkt#4 created    R1
+[    45] pkt#5 created    R8
+[    47] pkt#2 blocked    R11 next R7 off
+[    48] pkt#2 sw-grant   R11 YPOS->YNEG vc0->vc0
+[    52] pkt#2 blocked    R7 next R3 off
+[    53] pkt#2 sw-grant   R7 YPOS->YNEG vc0->vc0
+[    53] pkt#5 blocked    R8 next R9 off
+[    54] pkt#5 sw-grant   R8 LOCAL->XPOS vc4->vc4
+[    57] pkt#2 sw-grant   R3 YPOS->LOCAL vc0->vc0
+[    58] pkt#2 delivered  R3 lat=32
+[    58] pkt#5 blocked    R9 next R10 off
+[    59] pkt#5 sw-grant   R9 XNEG->XPOS vc4->vc4
+[    63] pkt#5 blocked    R10 next R6 off
+[    64] pkt#5 sw-grant   R10 XNEG->YNEG vc4->vc4
+[    68] pkt#5 blocked    R6 next R2 off
+[    69] pkt#5 sw-grant   R6 YPOS->YNEG vc4->vc4
+[    73] pkt#5 sw-grant   R2 YPOS->LOCAL vc4->vc4
+[    81] pkt#5 delivered  R2 lat=30"""
+
+
+class TestPacketTracerRender:
+    def test_dead_router_scenario_renders_as_recorded(self):
+        """Several ConvOpt-PG packets around a router that dies at cycle
+        40 (``drop`` degradation): blocking, purge and refusal."""
+        reset_packet_ids()
+        config = NoCConfig(
+            width=4, height=4, faults="router_stall,router=5,start=30",
+            degradation="drop", dead_router_threshold=10,
+        )
+        net = Network(config, ConvOptPG(wakeup_latency=4))
+        tracer = PacketTracer(net)
+        plan = {0: [(0, 15, 5), (4, 7, 1)], 20: [(12, 3, 1)], 24: [(4, 6, 1)],
+                45: [(1, 13, 1), (8, 2, 5)]}
+        for cycle in range(60):
+            for source, dest, flits in plan.get(cycle, ()):
+                vnet = VirtualNetwork.RESPONSE if flits > 1 else VirtualNetwork.REQUEST
+                net.inject(Packet(source, dest, vnet, flits, net.cycle))
+            net.step()
+        net.run_until_drained(2000)
+        assert tracer.render() == DEAD_ROUTER_TRACE
+        stats = net.stats
+        assert (stats.refused_packets, stats.dropped_packets, stats.delivered) == (1, 2, 4)
 
 
 class TestLinkLoadMap:
