@@ -4,7 +4,7 @@ One front door for every harness in the repository::
 
     python -m repro.cli table1
     python -m repro.cli parsec-suite --out results/parsec.json
-    python -m repro.cli fig7-fig8 --cache-dir results/cellcache
+    python -m repro.cli report --cache-dir results/cellcache
     python -m repro.cli fig12 --patterns uniform_random
     python -m repro.cli ablations
     python -m repro.cli baselines
@@ -17,10 +17,11 @@ fans independent cells out over a process pool, ``--cache-dir`` keeps
 a content-addressed cell cache so re-runs recompute only invalidated
 cells, and ``--resume`` (default) lets an interrupted ``all`` pick up
 where it stopped.  That cache is the only place a result is looked
-up: Figs 7-11 and ``headline`` run the PARSEC matrix like
-``parsec-suite`` does and find its 32 cells there (``parsec-suite
---out`` is an export, not an input), and ``all`` hands every engine
-and robustness flag it was given to every sub-command::
+up: ``report`` (Figs 7-11 and every paper claim, over seeds 1-5)
+runs the PARSEC matrix like ``parsec-suite`` does and finds its 32
+seed-1 cells there (``parsec-suite --out`` is an export, not an
+input), and ``all`` hands every engine and robustness flag it was
+given to every sub-command::
 
     python -m repro.cli all --out results/ --workers 4
     python -m repro.cli all --out results/ --workers 4   # warm: 0 cells re-run
@@ -37,7 +38,7 @@ before the kill.
 Robustness flags (before or after the command; see
 ``docs/fault_model.md``)::
 
-    python -m repro.cli --strict-invariants headline
+    python -m repro.cli --strict-invariants report
     python -m repro.cli --faults "punch_drop,rate=0.5;seed=7" fig12
     python -m repro.cli --strict-invariants --watchdog 50000 baselines
     python -m repro.cli --reroute --faults "router_stall,router=27" fig12
@@ -104,14 +105,11 @@ from .campaign import (
 )
 from .experiments import (
     ablations,
-    headline,
     baselines_compare,
-    fig7_fig8,
-    fig9_fig10,
-    fig11,
     fig12,
     fig13,
     guarantees,
+    headline,
     parsec_suite,
     reliability,
     scalability,
@@ -122,16 +120,13 @@ from .experiments import (
 _COMMANDS = {
     "table1": table1.main,
     "parsec-suite": parsec_suite.main,
-    "fig7-fig8": fig7_fig8.main,
-    "fig9-fig10": fig9_fig10.main,
-    "fig11": fig11.main,
+    "report": headline.main,
     "fig12": fig12.main,
     "fig13": fig13.main,
     "scalability": scalability.main,
     "ablations": ablations.main,
     "baselines": baselines_compare.main,
     "guarantees": guarantees.main,
-    "headline": headline.main,
     "reliability": reliability.main,
     "topologies": topologies.main,
 }
@@ -145,18 +140,15 @@ def _run_all(argv: Sequence[str]) -> None:
     require_mesh_topology(args, "repro.cli all")
     # One shared cell cache under the output directory unless the user
     # pointed somewhere else: every command below reuses (and resumes
-    # from) the same content-addressed cells, so the four PARSEC
-    # figures are 32 hits of what parsec-suite just stored.
+    # from) the same content-addressed cells, so report finds seed 1
+    # of its PARSEC suite where parsec-suite just stored it.
     args.cache_dir = args.cache_dir or f"{args.out}/cellcache"
     # Engine, supervision and robustness flags reach every sub-command.
     engine_flags = engine_argv(args)
     suite = ["--instructions", str(args.instructions)]
     for name, extra in (
         ("parsec-suite", ["--out", f"{args.out}/parsec_suite.json"] + suite),
-        ("fig7-fig8", suite),
-        ("fig9-fig10", suite),
-        ("fig11", suite),
-        ("headline", suite),
+        ("report", suite),
         ("table1", []),
         ("fig12", []),
         ("fig13", []),

@@ -66,11 +66,12 @@ def report(results) -> str:
     nord = per["NoRD-like"]["latency"] - base["latency"]
     ratio = nord / pp if pp > 0 else float("inf")
     paper = PAPER["penalty_cycles"]
+    paper_ratio = paper["NoRD"] / paper["PowerPunch"]
     return (
         table
-        + f"\n\nDetour-based penalty is {ratio:.1f}x Power Punch's "
-        f"(paper: ~{paper['NoRD'] / paper['PowerPunch']:.0f}x, {paper['NoRD']} vs "
-        f"{paper['PowerPunch']} cycles; our simplified NoRD detours more)."
+        + f"\n\nDetour-based penalty is {ratio:.1f}x Power Punch's, "
+        f"{'above' if ratio > paper_ratio else 'below'} the paper's ratio "
+        f"(~{paper_ratio:.0f}x: {paper['NoRD']} vs {paper['PowerPunch']} cycles)."
     )
 
 

@@ -1,29 +1,19 @@
-"""Full PARSEC x scheme sweep shared by Figures 7-11.
+"""Full PARSEC x scheme sweep behind Figures 7-11.
 
 The 8-benchmark, 4-scheme matrix is declared as campaign cells and
 executed through :mod:`repro.campaign`: with ``--cache-dir`` every
 (benchmark, scheme, config, seed) cell is content-addressed on disk,
-so re-runs recompute only invalidated cells, and ``--workers N`` fans
-the matrix out over a process pool.  The per-figure scripts run the
-same matrix through :func:`run_suite`, so with the same ``--cache-dir``
-they are 32 hits of what this command stored — and misses as soon as
-anything that changes a result differs::
-
-    python -m repro.experiments.parsec_suite --out results/parsec_suite.json \\
-        --workers 4 --cache-dir results/cellcache
-    python -m repro.cli fig7-fig8 --cache-dir results/cellcache
-
-``--out`` / ``--csv`` are export products for external plotting; no
-command reads them back.
-
-The matrix is reduced once, by :func:`summarize`; Figs 7-11 and
-``headline`` only format that summary (:func:`suite_report_main` is
-their shared ``main``).
+and ``--workers N`` fans the matrix out over a process pool.
+``repro.cli report`` (:mod:`.headline`) runs the same matrix at seeds
+1-5, so against the same ``--cache-dir`` this command's seed is 32
+hits there.  ``--out`` / ``--csv`` are export products for external
+plotting; no command reads them back.  :func:`summarize` reduces one
+seed's matrix; the report formats and checks those summaries.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..campaign import Campaign, CellSpec, campaign_argparser, parse_campaign_args
 from ..system import PARSEC_BENCHMARKS
@@ -31,7 +21,6 @@ from .common import (
     CANONICAL_INSTRUCTIONS,
     SCHEME_ORDER,
     RunRecord,
-    format_table,
     mean,
     pivot,
     save_csv,
@@ -122,29 +111,6 @@ def summarize(records: Sequence[RunRecord]):
         for name, metric in SUMMARY_METRICS.items()
     }
     return by_bench, avg
-
-
-def bench_table(title: str, by_bench, schemes: Sequence[str], value, avg_row: list) -> str:
-    """A benchmark x scheme table of ``value(per_scheme_records, scheme)``
-    closed by ``avg_row`` — the shape of Figs 7-10."""
-    rows = [
-        [bench] + [value(per, scheme) for scheme in schemes]
-        for bench, per in by_bench.items()
-    ]
-    return format_table(["benchmark"] + list(schemes), rows + [avg_row], title=title)
-
-
-def suite_report_main(
-    doc: str,
-    what: str,
-    report: Callable[[List[RunRecord]], str],
-    argv: Optional[Sequence[str]],
-) -> None:
-    """``main`` of a script that runs the suite and prints ``report``."""
-    args, engine = parse_campaign_args(
-        campaign_argparser(doc, instructions=True), argv, mesh_only=what
-    )
-    print(report(run_suite(instructions=args.instructions, **engine)))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:

@@ -44,6 +44,7 @@ from repro.campaign import (
     encode_payload,
     execute_cells,
     iter_events,
+    run_cell,
 )
 from repro.campaign.service import LocalCluster
 from repro.noc.errors import SimulationError
@@ -129,11 +130,13 @@ class TestWorkerKill:
         assert report.classification == "deterministic"
         assert report.signatures[-2:] == ["worker-crash", "worker-crash"]
 
-    def test_a_crash_condemns_only_its_own_cell(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("simulated", [False, True], ids=["stub", "simulated-neighbour"])
+    def test_a_crash_condemns_only_its_own_cell(self, tmp_path, monkeypatch, simulated):
         """Cell 2 SIGKILLs its worker on every attempt while cell 1 is
         running: cell 1 runs once, undisturbed, and its payload is
         stored; cell 2 alone is condemned.  Cell 1 stays running until
-        cell 2's worker has died twice (sentinel files, not sleeps)."""
+        cell 2's worker has died twice (sentinel files, not sleeps);
+        ``simulated`` makes it then run a real synthetic simulation."""
         starts, crashes = tmp_path / "starts", tmp_path / "crashes"
 
         def poison_beside_innocent(spec):
@@ -146,20 +149,27 @@ class TestWorkerKill:
             deadline = time.monotonic() + 30
             while len(lines(crashes)) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            return well_behaved(spec)
+            return run_cell(spec) if simulated else well_behaved(spec)
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", poison_beside_innocent)
         cache = CellCache(tmp_path / "cache", salt="s1")
         cells = specs(2)
+        if simulated:
+            cells[0] = CellSpec.synthetic(
+                "uniform_random", 0.02, "PowerPunch-PG",
+                warmup=50, measurement=200, drain=False, seed=1,
+            )
         payloads, stats = execute_cells(
             cells, workers=2, max_retries=3, cache=cache, failure_mode="continue"
         )
         assert lines(starts).count("1") == 1
-        assert payloads[0] == cache.lookup(cells[0]) == well_behaved(cells[0])
+        assert payloads[0] is not None and payloads[0] == cache.lookup(cells[0])
+        if not simulated:
+            assert payloads[0] == well_behaved(cells[0])
         report = cache.lookup(cells[1])
         assert isinstance(report, FailureReport) and report.condemned
         assert report.signatures == ["worker-crash", "worker-crash"]
-        assert (stats.crashes, stats.quarantined, stats.failed) == (2, 1, 1)
+        assert (stats.executed, stats.crashes, stats.quarantined, stats.failed) == (1, 2, 1, 1)
 
     def test_an_outcome_that_will_not_unpickle_costs_only_its_attempt(
         self, monkeypatch

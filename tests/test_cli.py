@@ -21,17 +21,17 @@ class TestDispatch:
         for name in (
             "table1",
             "parsec-suite",
-            "fig7-fig8",
-            "fig9-fig10",
-            "fig11",
+            "report",
             "fig12",
             "fig13",
             "scalability",
             "ablations",
             "baselines",
-            "headline",
         ):
             assert name in cli._COMMANDS
+        # The PARSEC figures and the headline are all ``report`` now.
+        for name in ("fig7-fig8", "fig9-fig10", "fig11", "headline"):
+            assert name not in cli._COMMANDS
 
     def test_unknown_command_raises(self):
         with pytest.raises(SystemExit):
@@ -151,7 +151,7 @@ class TestRobustnessFlags:
 
     def test_all_forwards_the_flags_to_every_subcommand(self, sub_argv, tmp_path):
         cli.main(["--faults", FAULTS, "all", "--out", str(tmp_path), "--bounds"])
-        assert len(sub_argv) == 12
+        assert len(sub_argv) == 9
         for argv in sub_argv.values():
             assert argv[argv.index("--faults") + 1] == FAULTS
             assert "--bounds" in argv
@@ -163,7 +163,7 @@ class TestRobustnessFlags:
             ["all", "--out", str(tmp_path), "--hosts", "local:2", "--timeout", "5",
              "--no-resume"]
         )
-        assert len(sub_argv) == 12
+        assert len(sub_argv) == 9
         for name, argv in sub_argv.items():
             args, _ = campaign_argparser().parse_known_args(argv)
             assert (args.hosts, args.timeout, args.resume) == ("local:2", 5.0, False), name

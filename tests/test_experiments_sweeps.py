@@ -5,6 +5,8 @@ the cell beside it actually runs — the check the old "build the keys
 again and ``zip`` them on" pairing never had.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign import CellSpec
@@ -109,6 +111,42 @@ class TestKeysDescribeTheirCells:
         assert len(set(names)) == len(names) == 5
         for _name, _title, declare in ablations.SWEEPS:
             assert all(cell.measurement == 700 for _, cell in declare(measurement=700))
+
+
+class TestSyntheticShapes:
+    """The paper's shape of Fig. 12 and Sec. 6.6(2), each at the
+    smallest window that still shows it."""
+
+    def test_fig12_lowest_load(self):
+        cells = [
+            ((pattern, scheme), cell)
+            for pattern, loads in fig12.DEFAULT_LOADS.items()
+            for (_, scheme), cell in fig12.sweep_cells(
+                pattern, [min(loads)], warmup=100, measurement=300
+            )
+        ]
+        for pattern, per in pivot(run_keyed("test-fig12", cells)).items():
+            nopg, conv, ppg = (per[s] for s in ("No-PG", "ConvOpt-PG", "PowerPunch-PG"))
+            # ConvOpt-PG's power-gating curve is at its worst here, while
+            # PowerPunch-PG tracks No-PG and keeps most of the static saving.
+            assert conv.avg_total_latency > 1.3 * nopg.avg_total_latency, pattern
+            assert ppg.avg_total_latency < 1.2 * nopg.avg_total_latency, pattern
+            assert ppg.static_power_w() < 0.7 * nopg.static_power_w(), pattern
+
+    def test_scalability_reduction_at_4x4_and_8x8(self):
+        cells = scalability.scalability_cells(sizes=(4, 8), load=0.01, measurement=300)
+        per_size = pivot(run_keyed("test-scalability", [
+            (key, replace(cell, warmup=100)) for key, cell in cells
+        ]))
+        for size, per in per_size.items():
+            conv = per["ConvOpt-PG"].avg_total_latency
+            assert 1 - per["PowerPunch-PG"].avg_total_latency / conv > 0.30, size
+        # ConvOpt-PG's absolute penalty accumulates with hop count.
+        penalty = {
+            size: per["ConvOpt-PG"].avg_total_latency - per["No-PG"].avg_total_latency
+            for size, per in per_size.items()
+        }
+        assert penalty[8] > penalty[4]
 
 
 class TestRunKeyedAndPivot:

@@ -1,12 +1,13 @@
 """Tests for the shared PARSEC-sweep runner and the one store behind it."""
 
-import re
+import contextlib
+import io
 
 import pytest
 
 from repro import cli
 from repro.campaign import iter_events
-from repro.experiments import fig7_fig8, parsec_suite
+from repro.experiments import headline, parsec_suite
 from repro.experiments.parsec_suite import run_suite
 
 
@@ -21,6 +22,11 @@ class TestRunSuite:
         assert len(records) == 2
         assert {r.scheme for r in records} == {"No-PG", "PowerPunch-PG"}
         assert all(r.workload == "swaptions" for r in records)
+        # Fig. 11's components: dynamic and static energy under every
+        # scheme, power-gating overhead only where routers are gated.
+        for r in records:
+            assert r.dynamic_energy > 0 and r.static_energy > 0
+            assert (r.overhead_energy > 0) == (r.scheme != "No-PG"), r
 
     def test_records_ordered_by_benchmark_then_scheme(self):
         records = run_suite(
@@ -32,73 +38,65 @@ class TestRunSuite:
         assert [r.workload for r in records] == ["swaptions", "blackscholes"]
 
 
-FIGURES = ("fig7-fig8", "fig9-fig10", "fig11", "headline")
 FAULTS = "punch_drop,rate=0.9;seed=7"
 
 
 class TestFiguresReadTheCellCache:
-    """What Figs 7-11 and ``headline`` print is looked up in the
-    content-addressed cell cache and nowhere else, so anything that
-    changes a result changes what they print.  Driven the way
-    ``repro.cli all`` feeds them, on a one-benchmark suite."""
+    """What ``report`` prints is looked up in the content-addressed
+    cell cache and nowhere else, so anything that changes a result
+    changes what it prints.  Driven the way ``repro.cli all`` feeds
+    it, on a one-benchmark suite (4 cells a seed, 20 for the report)."""
 
-    @pytest.fixture
-    def run_all(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(parsec_suite, "PARSEC_BENCHMARKS", ["swaptions"])
-        for name in set(cli._COMMANDS) - {"parsec-suite", *FIGURES}:
-            monkeypatch.setitem(cli._COMMANDS, name, lambda argv: None)
-        log = tmp_path / "cellcache" / "parsec-suite.events.jsonl"
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Four ``all`` calls, in order, over one output directory:
+        ``{label: (report, hits)}``, the hits being those of the suite's
+        campaign and then the report's."""
+        out = tmp_path_factory.mktemp("all")
+        logs = [out / "cellcache" / f"{name}.events.jsonl" for name in ("parsec-suite", "report")]
+
+        def ends(log):
+            return [e for e in iter_events(log) if e["event"] == "campaign-end"]
 
         def run(*flags):
-            """One ``all`` over the same output directory: each
-            figure's report, and the hit count of every PARSEC
-            campaign it ran (the suite's, then one per figure)."""
-            before = len(list(iter_events(log)))
-            cli.main(["all", "--out", str(tmp_path), *flags])
-            parts = re.split(r"\n==== (\S+) ====\n", capsys.readouterr().out)
-            reports = {
-                name: "\n".join(
-                    line for line in body.splitlines()
-                    if not line.startswith("[suite]")
-                )
-                for name, body in zip(parts[1::2], parts[2::2])
-                if name in FIGURES
+            before = [len(ends(log)) for log in logs]
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                cli.main(["all", "--out", str(out), *flags])
+            report = stdout.getvalue().split("\n==== report ====\n")[1].split("\n==== ")[0]
+            hits = [end["hits"] for log, seen in zip(logs, before) for end in ends(log)[seen:]]
+            return report, hits
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parsec_suite, "PARSEC_BENCHMARKS", ["swaptions"])
+            for name in set(cli._COMMANDS) - {"parsec-suite", "report"}:
+                patch.setitem(cli._COMMANDS, name, lambda argv: None)
+            return {
+                "first": run("--instructions", "100"),
+                "longer": run("--instructions", "150"),
+                "faulted": run("--instructions", "100", "--faults", FAULTS),
+                "again": run("--instructions", "100"),
             }
-            assert set(reports) == set(FIGURES)
-            hits = [
-                event["hits"]
-                for event in list(iter_events(log))[before:]
-                if event["event"] == "campaign-end"
-            ]
-            return reports, hits
 
-        return run
+    def test_other_instruction_count_is_a_miss(self, runs):
+        longer, hits = runs["longer"]
+        assert longer != runs["first"][0]
+        # The suite finds nothing of the first run; the report then
+        # reads seed 1 where the suite just stored it.
+        assert runs["first"][1] == hits == [0, 4]
 
-    def test_other_instruction_count_is_a_miss(self, run_all):
-        short, _ = run_all("--instructions", "150")
-        longer, hits = run_all("--instructions", "300")
-        for name in FIGURES:
-            assert longer[name] != short[name], name
-        # The suite finds nothing of the first run; every figure then
-        # reads what the suite just stored.
-        assert hits == [0, 4, 4, 4, 4]
+    def test_fault_schedule_is_a_miss(self, runs):
+        faulted, hits = runs["faulted"]
+        assert faulted != runs["first"][0]
+        assert hits == [0, 4]
 
-    def test_fault_schedule_is_a_miss(self, run_all):
-        clean, _ = run_all("--instructions", "150")
-        faulted, hits = run_all("--instructions", "150", "--faults", FAULTS)
-        for name in FIGURES:
-            assert faulted[name] != clean[name], name
-        assert hits == [0, 4, 4, 4, 4]
-
-    def test_same_call_twice_is_all_hits(self, run_all):
-        first, _ = run_all("--instructions", "150")
-        second, hits = run_all("--instructions", "150")
-        assert hits == [4, 4, 4, 4, 4]
-        assert second == first
+    def test_same_call_twice_is_all_hits(self, runs):
+        again, hits = runs["again"]
+        assert hits == [4, 20]
+        assert again == runs["first"][0]
 
     def test_records_file_is_not_an_input(self, tmp_path):
         with pytest.raises(SystemExit) as refused:
-            fig7_fig8.main(["--cache", str(tmp_path / "x.json")])
+            headline.main(["--cache", str(tmp_path / "x.json")])
         assert refused.value.code == 2
 
 

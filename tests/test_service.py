@@ -871,9 +871,13 @@ class TestHostSlots:
         # Hosts are forked from this process: they run the patched cell.
         monkeypatch.setattr("repro.campaign.engine.run_cell", staged)
         with LocalCluster(1, capacity=2) as cluster:
+            began = time.monotonic()
             payloads, stats = execute_cells(specs(3), hosts=cluster.address)
+            elapsed = time.monotonic() - began
         assert payloads[0] == {"seed": 1, "saw_cell_3": True}
         assert stats.executed == 3 and stats.failed == 0
+        # Cell 3 started at once, not after cell 1's 10 s poll gave up.
+        assert elapsed < 5.0, elapsed
 
 
 def failing_cell():
