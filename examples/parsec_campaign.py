@@ -10,7 +10,8 @@ to fan out or reuse cached cells, e.g.:
     python examples/parsec_campaign.py canneal dedup x264 --workers 3
 """
 
-from repro.campaign import Campaign, CellSpec, campaign_argparser, engine_options
+from repro.campaign import Campaign, CellSpec
+from repro.cli import campaign_argparser, engine_options
 from repro.system import PARSEC_BENCHMARKS
 
 

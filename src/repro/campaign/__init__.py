@@ -13,7 +13,7 @@ structured JSONL progress log.  See ``docs/campaigns.md`` and
 
 Campaigns also run distributed through the same front door:
 ``execute_cells(cells, hosts=...)`` (``Campaign.run(hosts=...)``,
-``--hosts`` on any campaign CLI) carries the cells on the
+``--hosts`` on any campaign command) carries the cells on the
 :mod:`repro.campaign.service` subpackage — an orchestrator leasing
 cells from one queue to heartbeating TCP worker hosts — instead
 of the process pool, with the same cache and log behaviour (see
@@ -21,19 +21,6 @@ of the process pool, with the same cache and log behaviour (see
 """
 
 from .cache import CellCache, code_salt, decode_payload, encode_payload
-from .cli import (
-    ENGINE_OPTION_KEYS,
-    add_campaign_args,
-    add_robustness_args,
-    add_sprt_args,
-    campaign_argparser,
-    engine_argv,
-    engine_options,
-    parse_campaign_args,
-    require_mesh_topology,
-    robustness_argv,
-    sprt_options,
-)
 from .engine import (
     Campaign,
     CampaignError,
@@ -57,7 +44,6 @@ from .supervisor import (
 )
 
 __all__ = [
-    "ENGINE_OPTION_KEYS",
     "Campaign",
     "CampaignError",
     "CampaignInterrupted",
@@ -70,27 +56,17 @@ __all__ = [
     "QuarantinedCellError",
     "RetryPolicy",
     "WorkerCrashError",
-    "add_campaign_args",
-    "add_robustness_args",
-    "add_sprt_args",
     "build_scheme",
-    "campaign_argparser",
     "classify_attempts",
     "code_salt",
     "decode_payload",
     "encode_payload",
-    "engine_argv",
-    "engine_options",
     "error_signature",
     "execute_cells",
     "freeze_items",
     "iter_events",
     "merge_event_streams",
-    "parse_campaign_args",
-    "require_mesh_topology",
-    "robustness_argv",
     "run_cell",
     "run_parsec",
     "run_synthetic",
-    "sprt_options",
 ]

@@ -27,7 +27,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..experiments.common import RunRecord
+from .runner import RunRecord
 from .spec import CellSpec
 from .supervisor import FailureReport
 

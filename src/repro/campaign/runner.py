@@ -4,26 +4,102 @@
 on process-pool workers — so it and everything it dispatches to must
 stay importable at module top level (picklability) and must derive all
 behavior from the spec alone (determinism).  The former
-``common.run_parsec``/``common.run_synthetic`` loops live here now.
+``common.run_parsec``/``common.run_synthetic`` loops live here now,
+and so does what a payload is made of: the scheme registry
+(:func:`make_scheme`) and the :class:`RunRecord` measurement row, below
+the experiments layer, which re-exports them.
 """
 
 from __future__ import annotations
 
 import traceback
 from contextlib import closing
+from dataclasses import dataclass
 from typing import Optional
 
-from ..experiments.common import (
-    CANONICAL_INSTRUCTIONS,
-    RunRecord,
-    make_scheme,
-)
+from ..baselines import NoRDLike
+from ..core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
 from ..noc import Network, NoCConfig
 from ..noc.packet import reset_packet_ids
-from ..power import EnergyModel
+from ..power import DEFAULT_CONSTANTS, EnergyModel
 from ..system import Chip, get_profile
 from ..traffic import SyntheticTraffic
-from .spec import CellSpec
+from .spec import CANONICAL_INSTRUCTIONS, CellSpec
+
+#: The four evaluated schemes, in the paper's order (Sec. 5).
+SCHEMES = {
+    "No-PG": NoPG,
+    "ConvOpt-PG": ConvOptPG,
+    "PowerPunch-Signal": PowerPunchSignal,
+    "PowerPunch-PG": PowerPunchPG,
+}
+
+SCHEME_ORDER = list(SCHEMES)
+
+#: The three power-gating schemes (everything but the No-PG baseline).
+PG_SCHEMES = SCHEME_ORDER[1:]
+
+#: The schemes of the synthetic sweeps (Figs 12-13, Sec. 6.6(2)).
+SWEEP_SCHEMES = ["No-PG", "ConvOpt-PG", "PowerPunch-PG"]
+
+#: Schemes runnable by name but outside the paper's headline four
+#: (Sec. 6.6(3) comparison baselines).
+EXTRA_SCHEMES = {
+    "NoRD-like": NoRDLike,
+}
+
+ALL_SCHEMES = {**SCHEMES, **EXTRA_SCHEMES}
+
+
+def make_scheme(name: str, **kwargs):
+    """Instantiate a scheme by registry name.
+
+    Unexpected kwargs always fail loudly: parameterized schemes raise
+    ``TypeError`` from their constructors, and No-PG (which takes no
+    parameters) rejects any kwargs explicitly so a typo in a sweep
+    spec cannot silently evaporate.
+    """
+    cls = ALL_SCHEMES[name]
+    if cls is NoPG:
+        if kwargs:
+            raise TypeError(
+                f"No-PG accepts no scheme kwargs, got {sorted(kwargs)}"
+            )
+        return cls()
+    return cls(**kwargs)
+
+
+@dataclass
+class RunRecord:
+    """One (workload, scheme) measurement."""
+
+    workload: str
+    scheme: str
+    execution_time: int
+    avg_packet_latency: float
+    avg_total_latency: float
+    avg_blocked_routers: float
+    avg_wakeup_wait: float
+    injection_rate: float
+    dynamic_energy: float
+    static_energy: float
+    overhead_energy: float
+    cycles: int
+
+    @property
+    def net_static_energy(self) -> float:
+        """Static energy charged with the PG overhead (Sec. 6.3 fairness)."""
+        return self.static_energy + self.overhead_energy
+
+    @property
+    def total_energy(self) -> float:
+        """Dynamic + static + overhead energy of the run."""
+        return self.dynamic_energy + self.net_static_energy
+
+    def static_power_w(self) -> float:
+        """Average net router static power (watts) over the run."""
+        seconds = self.cycles / DEFAULT_CONSTANTS.frequency
+        return self.net_static_energy / seconds if seconds else 0.0
 
 
 def build_scheme(spec: CellSpec):

@@ -19,14 +19,13 @@ ids, which renews them.
 
 :func:`run_worker` runs this process as a host: forked by a
 :class:`~.client.LocalCluster`, or standalone through ``python -m
-repro.cli work --connect HOST:PORT`` (:func:`main`).  It reconnects
-with exponential backoff when the orchestrator goes away, and takes its
-pool workers with it when it is told to stop.
+repro.cli work --connect HOST:PORT``.  It reconnects with exponential
+backoff when the orchestrator goes away, and takes its pool workers
+with it when it is told to stop.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import multiprocessing
 import os
@@ -35,7 +34,7 @@ import socket
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Set, Tuple, Union
 
 from ..cache import code_salt, encode_payload
 from ..engine import execute_cells
@@ -311,43 +310,3 @@ def _stop_with_pool_workers(signum: int, frame) -> None:
         child.kill()
     os._exit(128 + signum)
 
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    parser = argparse.ArgumentParser(
-        prog="repro.cli work",
-        description="campaign worker host (see docs/service.md)",
-    )
-    parser.add_argument(
-        "--connect", required=True, help="orchestrator address host:port"
-    )
-    parser.add_argument("--name", default=None, help="stable host identity")
-    parser.add_argument(
-        "--capacity",
-        type=int,
-        default=2,
-        help="cells leased and run concurrently (the in-host pool size)",
-    )
-    parser.add_argument("--timeout", type=float, default=None)
-    parser.add_argument("--max-retries", type=int, default=2)
-    parser.add_argument(
-        "--log-dir",
-        default=None,
-        help="directory for this host's JSONL event log "
-        "(<log-dir>/hosts/<name>.events.jsonl)",
-    )
-    parser.add_argument(
-        "--reconnect",
-        type=int,
-        default=0,
-        help="extra connection attempts after the orchestrator goes away",
-    )
-    args = parser.parse_args(argv)
-    run_worker(
-        args.connect,
-        reconnect=args.reconnect,
-        name=args.name,
-        capacity=args.capacity,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-        log_dir=args.log_dir,
-    )

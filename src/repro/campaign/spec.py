@@ -11,7 +11,7 @@ Cell kinds and their payloads:
 
 ``parsec``
     Closed-loop CMP run of one PARSEC-profile benchmark under one
-    scheme → :class:`~repro.experiments.common.RunRecord`.
+    scheme → :class:`~repro.campaign.runner.RunRecord`.
 ``synthetic``
     Open-loop synthetic-traffic point → ``RunRecord``.
 ``synthetic_metrics``
@@ -47,8 +47,12 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from ..experiments.common import CANONICAL_INSTRUCTIONS
 from ..noc import NoCConfig
+
+#: The per-core instruction budget of the documented PARSEC runs
+#: (EXPERIMENTS.md): every default points here, so the documented run
+#: and the default run are the same.
+CANONICAL_INSTRUCTIONS = 2000
 
 #: Sorted, hashable ``(key, value)`` pairs — the wire form of every
 #: mapping-valued spec field.

@@ -20,7 +20,7 @@ where it stopped.  That cache is the only place a result is looked
 up: ``report`` (Figs 7-11 and every paper claim, over seeds 1-5)
 runs the PARSEC matrix like ``parsec-suite`` does and finds its 32
 seed-1 cells there (``parsec-suite --out`` is an export, not an
-input), and ``all`` hands every engine and robustness flag it was
+input), and ``all`` hands every engine and robustness option it was
 given to every sub-command::
 
     python -m repro.cli all --out results/ --workers 4
@@ -75,6 +75,11 @@ delivered packet to exceed its certified worst-case bound raises a
 structured ``BoundViolationError``.  Bounds certify the fault-free
 pipeline, so ``--bounds`` and ``--faults`` are mutually exclusive.
 
+Two commands take ``--topology mesh|torus|ring``: ``topologies``
+(narrows the cross-fabric comparison to one fabric) and
+``guarantees`` (the fabric to certify and validate).  Every other
+command reproduces a mesh-only figure and rejects the flag.
+
 Distributed campaigns (``docs/service.md``)::
 
     python -m repro.cli serve --cache-dir results/cellcache --port 8765
@@ -88,21 +93,20 @@ attaches a worker host.  ``--hosts`` on any campaign command routes
 that campaign through the service — ``local:N`` stands up an
 ephemeral N-worker cluster just for the run.  Results are
 bit-identical to single-host execution either way.
+
+This module is the only one that parses a command line, once: each
+experiment module declares its flags (``add_arguments(parser)``) and
+runs from what was parsed (``run(args, engine)``).  Custom scripts
+build on :func:`campaign_argparser` (``docs/campaigns.md``).
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from .campaign import (
-    add_robustness_args,
-    campaign_argparser,
-    engine_argv,
-    require_mesh_topology,
-    robustness_argv,
-)
+from .campaign import freeze_items
+from .campaign.spec import CANONICAL_INSTRUCTIONS, Items
 from .experiments import (
     ablations,
     baselines_compare,
@@ -116,63 +120,269 @@ from .experiments import (
     table1,
     topologies,
 )
+from .noc.config import VALID_DEGRADATIONS
 
-_COMMANDS = {
-    "table1": table1.main,
-    "parsec-suite": parsec_suite.main,
-    "report": headline.main,
-    "fig12": fig12.main,
-    "fig13": fig13.main,
-    "scalability": scalability.main,
-    "ablations": ablations.main,
-    "baselines": baselines_compare.main,
-    "guarantees": guarantees.main,
-    "reliability": reliability.main,
-    "topologies": topologies.main,
+#: Every experiment command and the module that declares its flags
+#: (``add_arguments(parser)``) and runs it (``run(args, engine)``).
+EXPERIMENTS = {
+    "table1": table1,
+    "parsec-suite": parsec_suite,
+    "report": headline,
+    "fig12": fig12,
+    "fig13": fig13,
+    "scalability": scalability,
+    "ablations": ablations,
+    "baselines": baselines_compare,
+    "guarantees": guarantees,
+    "reliability": reliability,
+    "topologies": topologies,
 }
 
+#: ``Campaign.run`` keyword arguments read straight off the namespace.
+_ENGINE_FLAGS = (
+    "workers",
+    "cache_dir",
+    "resume",
+    "timeout",
+    "max_retries",
+    "hosts",
+)
+#: Every key :func:`engine_options` returns.
+ENGINE_OPTION_KEYS = _ENGINE_FLAGS + ("config_overrides",)
 
-def _run_all(argv: Sequence[str]) -> None:
-    parser = campaign_argparser(prog="repro.cli all", instructions=True)
+#: ``NoCConfig`` fields the robustness flags override; each flag's
+#: argparse ``dest`` is the field name.
+_ROBUSTNESS_FIELDS = (
+    "faults",
+    "strict_invariants",
+    "watchdog",
+    "degradation",
+    "dead_router_threshold",
+    "bounds",
+)
+_ROBUSTNESS_TITLE = "robustness (cell configuration)"
+
+
+# ----------------------------------------------------------------------
+# The shared flags (also what custom campaign scripts build on)
+# ----------------------------------------------------------------------
+def add_campaign_args(parser: argparse.ArgumentParser) -> None:
+    """Attach the shared engine flags to an existing parser."""
+    group = parser.add_argument_group("campaign engine")
+    group.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process-pool fan-out (cells are independent and seeded)",
+    )
+    group.add_argument(
+        "--cache-dir",
+        default=None,
+        help="content-addressed cell cache directory (enables caching, "
+        "resume, quarantine, and the JSONL progress log)",
+    )
+    group.add_argument(
+        "--resume",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="reuse cached cells (--no-resume recomputes and overwrites)",
+    )
+    group.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="per-cell wall-clock budget in seconds (enforced via "
+        "process isolation; the offending worker is killed)",
+    )
+    group.add_argument(
+        "--max-retries",
+        type=int,
+        default=2,
+        help="total attempts per cell before it is quarantined "
+        "(identical failures twice in a row quarantine immediately)",
+    )
+    group.add_argument(
+        "--hosts",
+        default=None,
+        help="run the campaign on the distributed service instead of "
+        "the in-process pool: 'local:N' spins up an ephemeral "
+        "N-worker cluster on this machine, 'HOST:PORT' submits to "
+        "a running 'repro.cli serve' orchestrator (results are "
+        "bit-identical either way; see docs/service.md)",
+    )
+
+
+def _declare_robustness(group) -> None:
+    """Declare the robustness flags on ``group`` — the one place they
+    are declared.
+
+    Every flag overrides the ``NoCConfig`` field of the same name on
+    every cell of the campaign (see :func:`config_overrides`), so the
+    setting is part of each cell's content address and reaches pool
+    workers and service hosts inside the spec.  Unset flags (``None``
+    / ``False``) leave the cell's own value alone.  No flag states a
+    default, so a group built with ``argument_default=SUPPRESS`` records
+    only the flags given (see :func:`_parser`).
+    """
+    group.add_argument(
+        "--faults",
+        metavar="SPEC",
+        help="fault schedule injected into every network, e.g. "
+        "'punch_drop,rate=0.5;seed=7' (see docs/fault_model.md)",
+    )
+    group.add_argument(
+        "--strict-invariants",
+        action="store_true",
+        help="run the per-cycle invariant checker and deadlock watchdog "
+        "on every network; the first violation raises",
+    )
+    group.add_argument(
+        "--watchdog",
+        type=int,
+        metavar="CYCLES",
+        help="deadlock-watchdog bound for --strict-invariants",
+    )
+    group.add_argument(
+        "--degradation",
+        choices=VALID_DEGRADATIONS,
+        help="graceful-degradation mode of every network",
+    )
+    group.add_argument(
+        "--reroute",
+        action="store_const",
+        const="reroute",
+        dest="degradation",
+        help="shorthand for --degradation reroute",
+    )
+    group.add_argument(
+        "--dead-router-threshold",
+        type=int,
+        metavar="CYCLES",
+        help="continuously stalled cycles before a router is declared "
+        "permanently dead",
+    )
+    group.add_argument(
+        "--bounds",
+        action="store_true",
+        help="enforce certified worst-case latency bounds on every "
+        "network (strict; fault-free runs only, see docs/guarantees.md)",
+    )
+
+
+def campaign_argparser(
+    description: Optional[str] = None, *, prog: Optional[str] = None
+) -> argparse.ArgumentParser:
+    """A fresh parser pre-loaded with the shared engine and robustness
+    flags."""
+    # No abbreviations: a script still passing the retired records-file
+    # flag ``--cache FILE`` must fail, not be read as ``--cache-dir FILE``.
+    parser = argparse.ArgumentParser(
+        prog=prog, description=description, allow_abbrev=False
+    )
+    add_campaign_args(parser)
+    _declare_robustness(parser.add_argument_group(_ROBUSTNESS_TITLE))
+    return parser
+
+
+def config_overrides(args: argparse.Namespace) -> Items:
+    """The set robustness flags as ``NoCConfig`` override items."""
+    # Identity, not equality: ``--watchdog 0`` must reach NoCConfig and
+    # be rejected there, not vanish because ``0 == False``.
+    return freeze_items(
+        [
+            (name, value)
+            for name in _ROBUSTNESS_FIELDS
+            if (value := getattr(args, name, None)) is not None
+            and value is not False
+        ]
+    )
+
+
+def engine_options(args: argparse.Namespace) -> dict:
+    """Extract ``Campaign.run`` kwargs from a parsed namespace."""
+    options = {key: getattr(args, key) for key in _ENGINE_FLAGS}
+    options["config_overrides"] = config_overrides(args)
+    return options
+
+
+# ----------------------------------------------------------------------
+# The command tree
+# ----------------------------------------------------------------------
+def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The one argparse tree, and its campaign commands by name.
+
+    The robustness flags sit on the root (before the command) and on
+    every campaign command (after it).  The root's copies carry the
+    defaults; a command's copies record only the flags given, so the
+    same flag after the command overrides it before the command, and
+    an absent one leaves the root's value alone.
+    """
+    root = argparse.ArgumentParser(
+        prog="repro.cli",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
+    _declare_robustness(root.add_argument_group(_ROBUSTNESS_TITLE))
+    subparsers = root.add_subparsers(dest="command", title="commands")
+    campaigns = {}
+
+    def campaign(name: str, doc: str) -> argparse.ArgumentParser:
+        parser = subparsers.add_parser(
+            name, help=doc.strip().splitlines()[0], description=doc, allow_abbrev=False
+        )
+        add_campaign_args(parser)
+        _declare_robustness(
+            parser.add_argument_group(_ROBUSTNESS_TITLE, argument_default=argparse.SUPPRESS)
+        )
+        campaigns[name] = parser
+        return parser
+
+    for name, experiment in EXPERIMENTS.items():
+        experiment.add_arguments(campaign(name, experiment.__doc__))
+    parser = campaign("all", _run_all.__doc__)
     parser.add_argument("--out", default="results")
-    args = parser.parse_args(argv)
-    # The evaluation below is the mesh paper's; --topology is not forwarded.
-    require_mesh_topology(args, "repro.cli all")
+    parser.add_argument("--instructions", type=int, default=CANONICAL_INSTRUCTIONS)
+    for name, declare, what in (
+        ("serve", _serve_arguments, "campaign-service orchestrator"),
+        ("work", _work_arguments, "campaign worker host"),
+    ):
+        declare(
+            subparsers.add_parser(name, help=what, description=f"{what} (see docs/service.md)")
+        )
+    return root, campaigns
+
+
+def _run_all(args: argparse.Namespace, engine: dict, campaigns: dict) -> None:
+    """Regenerate the complete evaluation: every figure command in turn."""
     # One shared cell cache under the output directory unless the user
     # pointed somewhere else: every command below reuses (and resumes
     # from) the same content-addressed cells, so report finds seed 1
     # of its PARSEC suite where parsec-suite just stored it.
-    args.cache_dir = args.cache_dir or f"{args.out}/cellcache"
-    # Engine, supervision and robustness flags reach every sub-command.
-    engine_flags = engine_argv(args)
-    suite = ["--instructions", str(args.instructions)]
-    for name, extra in (
-        ("parsec-suite", ["--out", f"{args.out}/parsec_suite.json"] + suite),
+    engine = {**engine, "cache_dir": engine["cache_dir"] or f"{args.out}/cellcache"}
+    suite = {"instructions": args.instructions}
+    for name, options in (
+        ("parsec-suite", {"out": f"{args.out}/parsec_suite.json", **suite}),
         ("report", suite),
-        ("table1", []),
-        ("fig12", []),
-        ("fig13", []),
-        ("scalability", []),
-        ("ablations", []),
-        ("baselines", []),
-        ("topologies", []),
+        ("table1", {}),
+        ("fig12", {}),
+        ("fig13", {}),
+        ("scalability", {}),
+        ("ablations", {}),
+        ("baselines", {}),
+        ("topologies", {}),
     ):
         print(f"\n==== {name} ====")
-        _COMMANDS[name](extra + engine_flags)
+        # The command's own defaults (its empty command line), with the
+        # options ``all`` sets; engine and robustness options are ``all``'s.
+        sub = campaigns[name].parse_args([])
+        vars(sub).update(options)
+        EXPERIMENTS[name].run(sub, engine)
 
 
-def _serve(argv: Sequence[str]) -> None:
-    """Run the campaign-service orchestrator until interrupted."""
-    import asyncio
-
-    from .campaign import CellCache
-    from .campaign.service import Orchestrator
+def _serve_arguments(parser: argparse.ArgumentParser) -> None:
     from .campaign.service import orchestrator as orchestrator_defaults
 
-    parser = argparse.ArgumentParser(
-        prog="repro.cli serve",
-        description="campaign-service orchestrator (see docs/service.md)",
-    )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8765)
     parser.add_argument(
@@ -205,7 +415,15 @@ def _serve(argv: Sequence[str]) -> None:
         help="orchestrator JSONL event log (default: "
         "<cache-dir>/service.events.jsonl when --cache-dir is set)",
     )
-    args = parser.parse_args(argv)
+
+
+def _serve(args: argparse.Namespace) -> None:
+    """Run the campaign-service orchestrator until interrupted."""
+    import asyncio
+
+    from .campaign import CellCache
+    from .campaign.service import Orchestrator
+
     store = CellCache(args.cache_dir)
     log_path = args.log_path
     if log_path is None and args.cache_dir is not None:
@@ -238,38 +456,68 @@ def _serve(argv: Sequence[str]) -> None:
         print("[serve] stopped")
 
 
-def _work(argv: Sequence[str]) -> None:
-    """Run a worker host attached to an orchestrator."""
-    from .campaign.service.worker import main as worker_main
+def _work_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--connect", required=True, help="orchestrator address host:port"
+    )
+    parser.add_argument("--name", default=None, help="stable host identity")
+    parser.add_argument(
+        "--capacity",
+        type=int,
+        default=2,
+        help="cells leased and run concurrently (the in-host pool size)",
+    )
+    parser.add_argument("--timeout", type=float, default=None)
+    parser.add_argument("--max-retries", type=int, default=2)
+    parser.add_argument(
+        "--log-dir",
+        default=None,
+        help="directory for this host's JSONL event log "
+        "(<log-dir>/hosts/<name>.events.jsonl)",
+    )
+    parser.add_argument(
+        "--reconnect",
+        type=int,
+        default=0,
+        help="extra connection attempts after the orchestrator goes away",
+    )
 
-    worker_main(list(argv))
+
+def _work(args: argparse.Namespace) -> None:
+    """Run a worker host attached to an orchestrator."""
+    from .campaign.service import run_worker
+
+    run_worker(
+        args.connect,
+        reconnect=args.reconnect,
+        name=args.name,
+        capacity=args.capacity,
+        timeout=args.timeout,
+        max_retries=args.max_retries,
+        log_dir=args.log_dir,
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Dispatch a CLI command (see module docstring for the list)."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # The robustness flags are accepted on either side of the command:
-    # pick them out with the same argparse group every campaign parser
-    # carries, and hand them to the command as its own flags.
-    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    options, argv = add_robustness_args(parser).parse_known_args(argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(__doc__)
-        print("commands:", ", ".join(sorted(_COMMANDS)), ", all, serve, work")
+    """Parse the command line once and run its command."""
+    root, campaigns = _parser()
+    args = root.parse_args(argv)
+    if args.command is None:
+        root.print_help()
         return
-    command, rest = argv[0], argv[1:]
-    robustness = robustness_argv(options)
-    if robustness:
-        print(f"[robustness] {' '.join(robustness)} applies to every cell")
-    runner = {**_COMMANDS, "all": _run_all, "serve": _serve, "work": _work}.get(
-        command
-    )
-    if runner is None:
-        raise SystemExit(
-            f"unknown command {command!r}; available: "
-            f"{sorted(_COMMANDS)} + ['all', 'serve', 'work']"
-        )
-    runner(rest + robustness)
+    if args.command not in campaigns:
+        if config_overrides(args):
+            root.error(f"{args.command} takes no robustness flags")
+        (_serve if args.command == "serve" else _work)(args)
+        return
+    engine = engine_options(args)
+    if engine["config_overrides"]:
+        settings = " ".join(f"{k}={v}" for k, v in engine["config_overrides"])
+        print(f"[robustness] {settings} applies to every cell")
+    if args.command == "all":
+        _run_all(args, engine, campaigns)
+    else:
+        EXPERIMENTS[args.command].run(args, engine)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Per-figure/table experiment declarations (see DESIGN.md experiment index).
 
-Each module is runnable (``python -m repro.experiments.fig7_fig8``) and
-only declares: ``*_cells()`` sweeps of ``(key, CellSpec)`` pairs run by
-``common.run_keyed`` and a ``report`` that formats the keyed results.
-Modules are imported lazily to keep ``python -m`` invocations clean.
+Each module is one ``repro.cli`` command and only declares: ``*_cells()``
+sweeps of ``(key, CellSpec)`` pairs run by ``common.run_keyed``, a
+``report`` that formats the keyed results, its flags
+(``add_arguments(parser)``) and its run from the parsed options
+(``run(args, engine)``).  The package itself imports none of them.
 """

@@ -23,9 +23,9 @@ the figure scripts.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from ..campaign import CellSpec
 from .common import format_table, run_keyed
 
 DEFAULT_LOAD = 0.01
@@ -175,16 +175,14 @@ def _table(title: str, rows: List[Tuple[object, dict]]) -> str:
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Run and print all ablation tables."""
-    parser = campaign_argparser(__doc__)
+def add_arguments(parser) -> None:
+    """``repro.cli ablations`` flags."""
     parser.add_argument("--measurement", type=int, default=4000)
-    args, engine = parse_campaign_args(parser, argv, mesh_only="the ablations experiment")
+
+
+def run(args, engine: dict) -> None:
+    """Run and print all ablation tables."""
     for index, (name, title, declare) in enumerate(SWEEPS):
         if index:
             print()
         print(_table(title, run_keyed(name, declare(measurement=args.measurement), **engine)))
-
-
-if __name__ == "__main__":
-    main()

@@ -14,9 +14,7 @@ per scheme.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from ..campaign import CellSpec
 from .common import format_table, run_keyed
 from .paper_targets import PAPER
 
@@ -75,18 +73,16 @@ def report(results) -> str:
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point."""
-    parser = campaign_argparser(__doc__)
+def add_arguments(parser) -> None:
+    """``repro.cli baselines`` flags."""
     parser.add_argument("--load", type=float, default=0.01)
     parser.add_argument("--measurement", type=int, default=5000)
-    args, engine = parse_campaign_args(parser, argv, mesh_only="the baselines comparison")
+
+
+def run(args, engine: dict) -> None:
+    """Run the comparison and print its table."""
     cells = comparison_cells(load=args.load, measurement=args.measurement)
     results = run_keyed("baselines-compare", cells, **engine)
     for name, row in results:
         print(f"[baselines] {name:15s} lat={row['latency']:7.2f}")
     print(report(results))
-
-
-if __name__ == "__main__":
-    main()

@@ -5,9 +5,9 @@ experiments declare :class:`~repro.campaign.CellSpec` cells and hand
 them to the campaign engine, which runs them (optionally in parallel,
 against a content-addressed cache) via :mod:`repro.campaign.runner`.
 This module keeps only what every consumer shares: the scheme
-registry, the :class:`RunRecord` measurement row with its persistence
-helpers, the keyed-sweep convention (:func:`run_keyed`, :func:`pivot`)
-and plain-text table formatting.
+registry and :class:`RunRecord` (re-exported from the runner) with its
+persistence helpers, the keyed-sweep convention (:func:`run_keyed`,
+:func:`pivot`) and plain-text table formatting.
 """
 
 from __future__ import annotations
@@ -15,94 +15,25 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Dict, Iterable, Sequence, Tuple
 
-from ..baselines import NoRDLike
-from ..core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
+from ..campaign import Campaign
 
-#: The canonical per-core instruction budget of the documented PARSEC
-#: runs (EXPERIMENTS.md: ``--instructions 2000``).  Every default —
-#: ``run_parsec``, the suite, the campaign argparser, ``run-all`` —
-#: points here so the documented run and the default run are the same.
-CANONICAL_INSTRUCTIONS = 2000
-
-#: The four evaluated schemes, in the paper's order (Sec. 5).
-SCHEMES = {
-    "No-PG": NoPG,
-    "ConvOpt-PG": ConvOptPG,
-    "PowerPunch-Signal": PowerPunchSignal,
-    "PowerPunch-PG": PowerPunchPG,
-}
-
-SCHEME_ORDER = list(SCHEMES)
-
-#: The three power-gating schemes (everything but the No-PG baseline).
-PG_SCHEMES = SCHEME_ORDER[1:]
-
-#: The schemes of the synthetic sweeps (Figs 12-13, Sec. 6.6(2)).
-SWEEP_SCHEMES = ["No-PG", "ConvOpt-PG", "PowerPunch-PG"]
-
-#: Schemes runnable by name but outside the paper's headline four
-#: (Sec. 6.6(3) comparison baselines).
-EXTRA_SCHEMES = {
-    "NoRD-like": NoRDLike,
-}
-
-ALL_SCHEMES = {**SCHEMES, **EXTRA_SCHEMES}
-
-
-def make_scheme(name: str, **kwargs):
-    """Instantiate a scheme by registry name.
-
-    Unexpected kwargs always fail loudly: parameterized schemes raise
-    ``TypeError`` from their constructors, and No-PG (which takes no
-    parameters) rejects any kwargs explicitly so a typo in a sweep
-    spec cannot silently evaporate.
-    """
-    cls = ALL_SCHEMES[name]
-    if cls is NoPG:
-        if kwargs:
-            raise TypeError(
-                f"No-PG accepts no scheme kwargs, got {sorted(kwargs)}"
-            )
-        return cls()
-    return cls(**kwargs)
-
-
-@dataclass
-class RunRecord:
-    """One (workload, scheme) measurement."""
-
-    workload: str
-    scheme: str
-    execution_time: int
-    avg_packet_latency: float
-    avg_total_latency: float
-    avg_blocked_routers: float
-    avg_wakeup_wait: float
-    injection_rate: float
-    dynamic_energy: float
-    static_energy: float
-    overhead_energy: float
-    cycles: int
-
-    @property
-    def net_static_energy(self) -> float:
-        """Static energy charged with the PG overhead (Sec. 6.3 fairness)."""
-        return self.static_energy + self.overhead_energy
-
-    @property
-    def total_energy(self) -> float:
-        """Dynamic + static + overhead energy of the run."""
-        return self.dynamic_energy + self.net_static_energy
-
-    def static_power_w(self) -> float:
-        """Average net router static power (watts) over the run."""
-        from ..power import DEFAULT_CONSTANTS
-
-        seconds = self.cycles / DEFAULT_CONSTANTS.frequency
-        return self.net_static_energy / seconds if seconds else 0.0
+# The scheme registry and the measurement row live below the campaign
+# layer (the cell runner builds and returns them); re-exported here,
+# where every experiment and report reads them.
+from ..campaign.runner import (  # noqa: F401
+    ALL_SCHEMES,
+    EXTRA_SCHEMES,
+    PG_SCHEMES,
+    SCHEME_ORDER,
+    SCHEMES,
+    SWEEP_SCHEMES,
+    RunRecord,
+    make_scheme,
+)
+from ..campaign.spec import CANONICAL_INSTRUCTIONS  # noqa: F401
 
 
 # ----------------------------------------------------------------------
@@ -118,8 +49,6 @@ def run_keyed(name: str, keyed_cells: Iterable[Tuple[object, object]], **engine)
     ``config_overrides``, ...: what ``engine_options(args)`` returns)
     — goes straight to :meth:`repro.campaign.Campaign.run`.
     """
-    from ..campaign import Campaign  # the campaign layer imports this module
-
     pairs = list(keyed_cells)
     campaign = Campaign(name=name, cells=tuple(cell for _, cell in pairs))
     payloads = campaign.run(**engine)

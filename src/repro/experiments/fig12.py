@@ -16,9 +16,9 @@ performance cost.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from ..campaign import CellSpec
 from .common import SWEEP_SCHEMES, format_table, pivot, run_keyed, save_csv
 
 #: Sweep loads per pattern (flits/node/cycle).  Transpose and
@@ -77,15 +77,17 @@ def report(pattern: str, results) -> str:
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point."""
-    parser = campaign_argparser(__doc__)
+def add_arguments(parser) -> None:
+    """``repro.cli fig12`` flags."""
     parser.add_argument(
         "--patterns", nargs="*", default=list(DEFAULT_LOADS), help="patterns to sweep"
     )
     parser.add_argument("--measurement", type=int, default=5000)
     parser.add_argument("--csv", default=None, help="export all rows as CSV")
-    args, engine = parse_campaign_args(parser, argv, mesh_only="the Fig. 12 experiment")
+
+
+def run(args, engine: dict) -> None:
+    """Sweep each pattern and print its table."""
     all_records = []
     for pattern in args.patterns:
         cells = sweep_cells(pattern, DEFAULT_LOADS[pattern], measurement=args.measurement)
@@ -103,7 +105,3 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     if args.csv:
         save_csv(all_records, args.csv)
         print(f"saved CSV to {args.csv}")
-
-
-if __name__ == "__main__":
-    main()

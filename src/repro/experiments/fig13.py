@@ -13,9 +13,9 @@ paper reports 9.2% there and notes a 4-hop punch removes it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from ..campaign import CellSpec
 from ..noc import NoCConfig
 from .common import SWEEP_SCHEMES, format_table, pivot, run_keyed
 
@@ -93,12 +93,14 @@ def report(results) -> str:
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point."""
-    parser = campaign_argparser(__doc__)
+def add_arguments(parser) -> None:
+    """``repro.cli fig13`` flags."""
     parser.add_argument("--load", type=float, default=PARSEC_AVG_LOAD)
     parser.add_argument("--measurement", type=int, default=5000)
-    args, engine = parse_campaign_args(parser, argv, mesh_only="the Fig. 13 experiment")
+
+
+def run(args, engine: dict) -> None:
+    """Run the sensitivity sweep and print its table."""
     cells = sensitivity_cells(load=args.load, measurement=args.measurement)
     results = run_keyed("fig13", cells, **engine)
     for ((stages, twakeup), scheme), record in results:
@@ -107,7 +109,3 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             f"lat={record.avg_total_latency:7.2f}"
         )
     print(report(results))
-
-
-if __name__ == "__main__":
-    main()

@@ -20,7 +20,7 @@ Two complementary guarantees for the power-gated NoC:
    violations, which are *data* in the default non-strict mode).
 
 The module also hosts the **SPRT driver** used by
-``repro.experiments.reliability --sprt``: sequential statistical model
+``repro.cli reliability --sprt``: sequential statistical model
 checking of the clean-trial probability, stopping as soon as Wald's
 test decides instead of burning the full fixed-sample budget.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
-from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from ..campaign import CellSpec
 from ..core import ConvOptPG, PowerPunchPG
 from ..guarantees import SPRT, certify_non_blocking
 from ..noc import NoCConfig
@@ -303,9 +303,8 @@ def report_sprt(estimate: dict) -> str:
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point."""
-    parser = campaign_argparser(__doc__)
+def add_arguments(parser) -> None:
+    """``repro.cli guarantees`` flags."""
     parser.add_argument(
         "--loads",
         type=float,
@@ -337,8 +336,16 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "without simulating",
     )
     parser.add_argument("--out", default=None, help="write results as JSON")
-    args, engine = parse_campaign_args(parser, argv)
+    parser.add_argument(
+        "--topology",
+        choices=("mesh", "torus", "ring"),
+        default="mesh",
+        help="fabric to certify and validate (a ring has --mesh squared nodes)",
+    )
 
+
+def run(args, engine: dict) -> None:
+    """Print the certificates, then validate the bounds by simulation."""
     config = _build_config(args.mesh, args.topology)
     certificates = certificate_report(config)
     print(render_certificates(certificates))
@@ -364,7 +371,3 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             json.dump(results, fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"saved results to {args.out}")
-
-
-if __name__ == "__main__":
-    main()

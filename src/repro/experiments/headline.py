@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Sequence, Union
 
-from ..campaign import campaign_argparser, parse_campaign_args
 from .common import (
+    CANONICAL_INSTRUCTIONS,
     PG_SCHEMES,
     SCHEME_ORDER,
     RunRecord,
@@ -279,12 +279,14 @@ def report(by_seed: Dict[int, List[RunRecord]]) -> str:
     return "\n\n".join(parts)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point: the suite at every seed of :data:`SEEDS`, keyed
-    by seed, run as one campaign."""
-    args, engine = parse_campaign_args(
-        campaign_argparser(__doc__, instructions=True), argv, mesh_only="the PARSEC report"
-    )
+def add_arguments(parser) -> None:
+    """``repro.cli report`` flags."""
+    parser.add_argument("--instructions", type=int, default=CANONICAL_INSTRUCTIONS)
+
+
+def run(args, engine: dict) -> None:
+    """The suite at every seed of :data:`SEEDS`, keyed by seed, run as
+    one campaign."""
     cells = [
         (seed, cell)
         for seed in SEEDS
@@ -294,7 +296,3 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     for seed, record in run_keyed("report", cells, **engine):
         by_seed.setdefault(seed, []).append(record)
     print(report(by_seed))
-
-
-if __name__ == "__main__":
-    main()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..campaign import Campaign, CellSpec, campaign_argparser, parse_campaign_args
+from ..campaign import Campaign, CellSpec
 from ..system import PARSEC_BENCHMARKS
 from .common import (
     CANONICAL_INSTRUCTIONS,
@@ -113,14 +113,17 @@ def summarize(records: Sequence[RunRecord]):
     return by_bench, avg
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point: run the matrix and write the JSON product."""
-    parser = campaign_argparser(__doc__, instructions=True)
+def add_arguments(parser) -> None:
+    """``repro.cli parsec-suite`` flags."""
+    parser.add_argument("--instructions", type=int, default=CANONICAL_INSTRUCTIONS)
     parser.add_argument("--out", default="results/parsec_suite.json")
     parser.add_argument("--csv", default=None, help="also export rows as CSV")
     parser.add_argument("--benchmarks", nargs="*", default=None)
     parser.add_argument("--seed", type=int, default=1)
-    args, engine = parse_campaign_args(parser, argv, mesh_only="the PARSEC suite")
+
+
+def run(args, engine: dict) -> None:
+    """Run the matrix and write the JSON product."""
     records = run_suite(
         benchmarks=args.benchmarks,
         instructions=args.instructions,
@@ -132,7 +135,3 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     if args.csv:
         save_csv(records, args.csv)
         print(f"saved CSV to {args.csv}")
-
-
-if __name__ == "__main__":
-    main()

@@ -25,7 +25,7 @@ output of two runs to prove it).
 Usage::
 
     python -m repro.cli reliability --samples 200 --workers 4
-    python -m repro.experiments.reliability --samples 50 --mesh 4 \
+    python -m repro.cli reliability --samples 50 --mesh 4 \
         --measurement 2000 --out results/reliability.json
 """
 
@@ -34,14 +34,7 @@ from __future__ import annotations
 import json
 from typing import List, Optional, Sequence
 
-from ..campaign import (
-    Campaign,
-    CellSpec,
-    add_sprt_args,
-    campaign_argparser,
-    parse_campaign_args,
-    sprt_options,
-)
+from ..campaign import Campaign, CellSpec
 from ..noc import NoCConfig
 
 # Hoisted to the shared stats layer (the SPRT model checker uses the
@@ -186,15 +179,8 @@ def _fmt_ci(ci: List[float]) -> str:
     return f"[{ci[0]:.4f}, {ci[1]:.4f}]"
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point."""
-    parser = campaign_argparser(__doc__)
-    add_sprt_args(parser)
-    # Trials are built to survive faults: this experiment's defaults
-    # for the shared robustness flags differ from "leave cells alone".
-    parser.set_defaults(
-        degradation="reroute", dead_router_threshold=200, watchdog=50_000
-    )
+def add_arguments(parser) -> None:
+    """``repro.cli reliability`` flags, the ``--sprt`` family included."""
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--pattern", default="uniform_random")
     parser.add_argument("--rate", type=float, default=0.02)
@@ -206,20 +192,73 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--measurement", type=int, default=4000)
     parser.add_argument("--base-seed", type=int, default=1)
     parser.add_argument("--out", default=None, help="write the estimate as JSON")
-    args, engine = parse_campaign_args(parser, argv, mesh_only="the reliability campaign")
+    group = parser.add_argument_group("guarantees")
+    group.add_argument(
+        "--sprt",
+        action="store_true",
+        help="sequential probability ratio test mode: stop sampling "
+        "as soon as the delivery-probability hypothesis is "
+        "accepted or rejected instead of burning the full "
+        "--samples budget",
+    )
+    group.add_argument(
+        "--sprt-p0",
+        type=float,
+        default=0.9,
+        help="null hypothesis: P(clean trial) >= p0 (accept)",
+    )
+    group.add_argument(
+        "--sprt-p1",
+        type=float,
+        default=0.6,
+        help="alternative hypothesis: P(clean trial) <= p1 (reject); "
+        "must be < p0",
+    )
+    group.add_argument(
+        "--sprt-alpha",
+        type=float,
+        default=0.05,
+        help="bound on the false-rejection probability",
+    )
+    group.add_argument(
+        "--sprt-beta",
+        type=float,
+        default=0.05,
+        help="bound on the false-acceptance probability",
+    )
+    group.add_argument(
+        "--sprt-batch",
+        type=int,
+        default=8,
+        help="trials declared per sequential round (larger batches "
+        "parallelize better, smaller ones stop earlier)",
+    )
+
+
+def run(args, engine: dict) -> None:
+    """Run the campaign (or the sequential test) and print its estimate."""
+    # Trials are built to survive faults: this experiment's values for
+    # the robustness flags left unset differ from "leave cells alone".
+    overrides = {
+        "degradation": "reroute",
+        "dead_router_threshold": 200,
+        "watchdog": 50_000,
+        **dict(engine["config_overrides"]),
+    }
+    engine = {**engine, "config_overrides": overrides}
     trial = dict(
         pattern=args.pattern,
         injection_rate=args.rate,
         scheme=args.scheme,
         width=args.mesh,
         height=args.mesh,
-        degradation=args.degradation,
-        dead_router_threshold=args.dead_router_threshold,
+        degradation=overrides["degradation"],
+        dead_router_threshold=overrides["dead_router_threshold"],
         max_faults=args.max_faults,
         horizon=args.horizon,
         warmup=args.warmup,
         measurement=args.measurement,
-        watchdog=args.watchdog,
+        watchdog=overrides["watchdog"],
     )
     if args.sprt:
         # Sequential statistical model checking: stop as soon as the
@@ -230,7 +269,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             trial,
             base_seed=args.base_seed,
             max_samples=args.samples,
-            **sprt_options(args),
+            p0=args.sprt_p0,
+            p1=args.sprt_p1,
+            alpha=args.sprt_alpha,
+            beta=args.sprt_beta,
+            batch=args.sprt_batch,
             **engine,
         )
         print(report_sprt(estimate))
@@ -243,7 +286,3 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             json.dump(estimate, fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"saved estimate to {args.out}")
-
-
-if __name__ == "__main__":
-    main()

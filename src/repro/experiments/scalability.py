@@ -9,9 +9,9 @@ punch signals keep hiding it, so the relative win grows with mesh size.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from ..campaign import CellSpec
 from ..noc import NoCConfig
 from .common import SWEEP_SCHEMES, format_table, pivot, run_keyed
 from .paper_targets import PAPER
@@ -70,15 +70,15 @@ def report(results) -> str:
     return table + f"\n\nPaper reference: {reference}; the reduction {verdict}."
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point."""
-    parser = campaign_argparser(__doc__)
+def add_arguments(parser) -> None:
+    """``repro.cli scalability`` flags."""
     parser.add_argument("--sizes", nargs="*", type=int, default=[4, 8, 16])
     parser.add_argument("--load", type=float, default=0.01)
     parser.add_argument("--measurement", type=int, default=4000)
-    args, engine = parse_campaign_args(
-        parser, argv, mesh_only="the scalability experiment"
-    )
+
+
+def run(args, engine: dict) -> None:
+    """Run the mesh-size sweep and print its table."""
     cells = scalability_cells(args.sizes, load=args.load, measurement=args.measurement)
     results = run_keyed("scalability", cells, **engine)
     for (size, scheme), record in results:
@@ -87,7 +87,3 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             f"lat={record.avg_total_latency:7.2f}"
         )
     print(report(results))
-
-
-if __name__ == "__main__":
-    main()

@@ -11,9 +11,7 @@ routing and 3-hop punch slack:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..campaign import CellSpec, campaign_argparser, parse_campaign_args
+from ..campaign import CellSpec
 from ..core import PunchEncodingAnalysis
 from ..noc import Direction, MeshTopology
 from .common import format_table, run_keyed
@@ -70,19 +68,17 @@ def report(width: int = 8, hops: int = 3, router: int = 27) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point."""
-    parser = campaign_argparser(__doc__)
+def add_arguments(parser) -> None:
+    """``repro.cli table1`` flags."""
     parser.add_argument("--width", type=int, default=8)
     parser.add_argument("--hops", type=int, default=3)
     parser.add_argument("--router", type=int, default=27)
-    args, engine = parse_campaign_args(parser, argv, mesh_only="the Table 1 experiment")
-    engine.pop("workers")  # a single analysis cell never needs a pool
-    # The exhaustive enumeration is a single cacheable analysis cell.
+
+
+def run(args, engine: dict) -> None:
+    """Print Table 1 for the parsed options."""
+    # The exhaustive enumeration is a single cacheable analysis cell,
+    # which never needs a pool.
     cell = CellSpec.analysis("table1", width=args.width, hops=args.hops, router=args.router)
-    ((_, payload),) = run_keyed("table1", [("table1", cell)], **engine)
+    ((_, payload),) = run_keyed("table1", [("table1", cell)], **{**engine, "workers": 1})
     print(payload["report"])
-
-
-if __name__ == "__main__":
-    main()

@@ -16,9 +16,9 @@ directed bisection link count (8x8 mesh: 16, 8x8 torus: 32, 64-ring:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from ..campaign import Campaign, CellSpec, campaign_argparser, parse_campaign_args
+from ..campaign import Campaign, CellSpec
 from ..noc import NoCConfig
 from .common import format_table, pivot, run_keyed
 
@@ -138,12 +138,20 @@ def report(results) -> str:
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """CLI entry point."""
-    parser = campaign_argparser(__doc__)
+def add_arguments(parser) -> None:
+    """``repro.cli topologies`` flags."""
     parser.add_argument("--base-rate", type=float, default=0.02)
     parser.add_argument("--measurement", type=int, default=4000)
-    args, engine = parse_campaign_args(parser, argv)
+    parser.add_argument(
+        "--topology",
+        choices=("mesh", "torus", "ring"),
+        default="mesh",
+        help="torus or ring narrows the comparison to that one fabric",
+    )
+
+
+def run(args, engine: dict) -> None:
+    """Run the cross-fabric comparison and print its table."""
     # This experiment spans all fabrics by default; a non-default
     # --topology narrows the comparison to that single fabric.
     fabrics = FABRICS
@@ -158,7 +166,3 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             f"E={record.total_energy * 1e6:8.2f}uJ"
         )
     print(report(results))
-
-
-if __name__ == "__main__":
-    main()

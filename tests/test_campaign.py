@@ -12,30 +12,29 @@ import inspect
 import json
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import repro.campaign
 from repro.campaign import (
-    ENGINE_OPTION_KEYS,
     Campaign,
     CampaignError,
     CampaignStats,
     CellCache,
     CellSpec,
     EventLog,
-    campaign_argparser,
     decode_payload,
     encode_payload,
-    engine_argv,
-    engine_options,
     execute_cells,
     freeze_items,
     iter_events,
     merge_event_streams,
     run_cell,
 )
+from repro.cli import ENGINE_OPTION_KEYS, campaign_argparser, engine_options
 from repro.experiments.common import CANONICAL_INSTRUCTIONS, RunRecord
 from repro.noc import NoCConfig
 from repro.noc.errors import SimulationError
@@ -677,11 +676,6 @@ class TestSharedArgparser:
         }
         assert tuple(engine_options(args)) == ENGINE_OPTION_KEYS
 
-    def test_instructions_variant(self):
-        args = campaign_argparser("desc", instructions=True).parse_args([])
-        assert args.instructions == CANONICAL_INSTRUCTIONS
-        assert not hasattr(campaign_argparser("desc").parse_args([]), "instructions")
-
     def test_a_records_file_is_not_a_cache_dir(self):
         # No abbreviations: a script still passing the retired
         # ``--cache FILE`` must not have it read as ``--cache-dir FILE``.
@@ -698,22 +692,19 @@ class TestSharedArgparser:
             parser.parse_args([f"--{record}-dir", "/tmp/q"])
         assert not [key for key in ENGINE_OPTION_KEYS if record in key]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            [],
-            ["--workers", "3"],
-            ["--cache-dir", "/tmp/c"],
-            ["--no-resume"],
-            ["--timeout", "12.5"],
-            ["--max-retries", "4"],
-            ["--hosts", "local:3"],
-            ["--faults", "punch_drop,rate=0.5;seed=7", "--reroute"],
-            ["--strict-invariants", "--watchdog", "300", "--hosts", "h:1"],
-        ],
+
+def test_the_campaign_layer_imports_neither_argparse_nor_the_experiments():
+    """``repro.campaign`` sits below the experiments layer and parses no
+    command line: a fresh interpreter importing it loads neither."""
+    probe = (
+        "import sys, repro.campaign; print(sorted(name for name in sys.modules "
+        "if name == 'argparse' or name.startswith('repro.experiments')))"
     )
-    def test_engine_argv_is_the_inverse_of_engine_options(self, argv):
-        parser = campaign_argparser("desc")
-        args = parser.parse_args(argv)
-        forwarded = parser.parse_args(engine_argv(args))
-        assert engine_options(forwarded) == engine_options(args)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(Path(repro.campaign.__file__).parents[2]), "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

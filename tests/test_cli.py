@@ -1,18 +1,12 @@
 """Tests for the CLI front door."""
 
-import functools
+import types
 
 import pytest
 
 from repro import cli
-from repro.campaign import (
-    Campaign,
-    CampaignError,
-    CellSpec,
-    campaign_argparser,
-    encode_payload,
-    engine_options,
-)
+from repro.campaign import Campaign, CampaignError, CellSpec, encode_payload
+from repro.experiments.common import CANONICAL_INSTRUCTIONS
 from repro.noc import DeadlockError, FaultSpecError, NoCConfig
 
 
@@ -28,10 +22,10 @@ class TestDispatch:
             "ablations",
             "baselines",
         ):
-            assert name in cli._COMMANDS
+            assert name in cli.EXPERIMENTS
         # The PARSEC figures and the headline are all ``report`` now.
         for name in ("fig7-fig8", "fig9-fig10", "fig11", "headline"):
-            assert name not in cli._COMMANDS
+            assert name not in cli.EXPERIMENTS
 
     def test_unknown_command_raises(self):
         with pytest.raises(SystemExit):
@@ -74,14 +68,13 @@ def _probe_cells():
 
 @pytest.fixture
 def probe(monkeypatch):
-    """A miniature experiment command: the shared parser, a four-cell
-    campaign, ``engine_options`` — nothing robustness-specific.  Each
-    invocation appends ``(encoded payloads, stats, overrides)``."""
+    """A miniature experiment command: no flags of its own, a four-cell
+    campaign run with the engine options it is handed — nothing
+    robustness-specific.  Each run appends ``(encoded payloads, stats,
+    overrides)``."""
     runs = []
 
-    def main(argv):
-        args = campaign_argparser("probe").parse_args(argv)
-        engine = engine_options(args)
+    def run(args, engine):
         campaign = Campaign("probe", _probe_cells())
         payloads = campaign.run(**engine)
         runs.append(
@@ -92,8 +85,58 @@ def probe(monkeypatch):
             )
         )
 
-    monkeypatch.setitem(cli._COMMANDS, "probe", main)
+    command = types.SimpleNamespace(
+        __doc__="A four-cell probe campaign.", add_arguments=lambda parser: None, run=run
+    )
+    monkeypatch.setitem(cli.EXPERIMENTS, "probe", command)
     return runs
+
+
+@pytest.fixture
+def sub_runs(monkeypatch):
+    """``{command: (args, engine)}``: what each experiment command's
+    ``run`` was called with (nothing simulates)."""
+    seen = {}
+    for name, experiment in cli.EXPERIMENTS.items():
+        monkeypatch.setattr(
+            experiment,
+            "run",
+            lambda args, engine, name=name: seen.__setitem__(name, (args, engine)),
+        )
+    return seen
+
+
+#: The commands whose experiment reads ``--topology``.
+TOPOLOGY_COMMANDS = {"topologies", "guarantees"}
+
+
+@pytest.mark.parametrize("command", [*cli.EXPERIMENTS, "all", "serve", "work"])
+def test_every_command_has_help_and_topology_only_where_honored(
+    command, sub_runs, tmp_path, capsys
+):
+    with pytest.raises(SystemExit) as helped:
+        cli.main([command, "--help"])
+    assert helped.value.code == 0
+    assert command in capsys.readouterr().out
+    argv = [command, "--topology", "torus"]
+    if command == "all":
+        argv += ["--out", str(tmp_path)]
+    if command in TOPOLOGY_COMMANDS:
+        cli.main(argv)
+        assert sub_runs[command][0].topology == "torus"
+        return
+    with pytest.raises(SystemExit) as refused:
+        cli.main(argv)
+    assert refused.value.code == 2
+    assert sub_runs == {}
+
+
+def test_the_parsec_commands_default_to_the_canonical_budget(sub_runs, tmp_path):
+    cli.main(["all", "--out", str(tmp_path)])
+    cli.main(["parsec-suite"])
+    assert sub_runs["parsec-suite"][0].instructions == CANONICAL_INSTRUCTIONS
+    assert sub_runs["report"][0].instructions == CANONICAL_INSTRUCTIONS
+    assert not hasattr(cli.campaign_argparser().parse_args([]), "instructions")
 
 
 class TestRobustnessFlags:
@@ -110,7 +153,7 @@ class TestRobustnessFlags:
         assert probe[0][2] == probe[1][2] == expected
         assert probe[0][0] == probe[1][0]
         out = capsys.readouterr().out
-        assert "[robustness]" in out and "--strict-invariants" in out
+        assert "[robustness]" in out and "strict_invariants=True" in out
 
     def test_checkers_are_observers(self, probe):
         """--strict-invariants / --bounds change no payload."""
@@ -139,43 +182,50 @@ class TestRobustnessFlags:
             cli.main(["--bounds", "--faults", FAULTS, "probe"])
         assert probe == []
 
-    @pytest.fixture
-    def sub_argv(self, monkeypatch):
-        """The argv each sub-command of ``all`` is dispatched with."""
-        seen = {}
-        for name in cli._COMMANDS:
-            monkeypatch.setitem(
-                cli._COMMANDS, name, functools.partial(seen.__setitem__, name)
-            )
-        return seen
-
-    def test_all_forwards_the_flags_to_every_subcommand(self, sub_argv, tmp_path):
-        cli.main(["--faults", FAULTS, "all", "--out", str(tmp_path), "--bounds"])
-        assert len(sub_argv) == 9
-        for argv in sub_argv.values():
-            assert argv[argv.index("--faults") + 1] == FAULTS
-            assert "--bounds" in argv
-
-    def test_all_forwards_the_engine_flags_to_every_subcommand(
-        self, sub_argv, tmp_path
+    def test_all_hands_its_robustness_options_to_every_subcommand(
+        self, sub_runs, tmp_path
     ):
-        cli.main(
-            ["all", "--out", str(tmp_path), "--hosts", "local:2", "--timeout", "5",
-             "--no-resume"]
-        )
-        assert len(sub_argv) == 9
-        for name, argv in sub_argv.items():
-            args, _ = campaign_argparser().parse_known_args(argv)
-            assert (args.hosts, args.timeout, args.resume) == ("local:2", 5.0, False), name
-            assert args.cache_dir == f"{tmp_path}/cellcache", name
+        cli.main(["--faults", FAULTS, "all", "--out", str(tmp_path), "--bounds"])
+        assert len(sub_runs) == 9
+        for _, engine in sub_runs.values():
+            assert dict(engine["config_overrides"]) == {"faults": FAULTS, "bounds": True}
 
-    def test_all_rejects_a_topology_it_would_not_forward(self, sub_argv, tmp_path):
-        """``all`` is the mesh evaluation: a non-mesh ``--topology`` is
-        refused before any command runs, not silently dropped."""
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["all", "--out", str(tmp_path), "--topology", "torus"])
-        assert "'topologies'" in str(excinfo.value.code)
-        assert sub_argv == {}
+    def test_all_hands_every_subcommand_its_own_options(self, sub_runs, tmp_path):
+        out = str(tmp_path)
+        cli.main(["all", "--out", out, "--instructions", "300"])
+        assert sub_runs["parsec-suite"][0].out == f"{out}/parsec_suite.json"
+        assert sub_runs["parsec-suite"][0].instructions == 300
+        assert sub_runs["report"][0].instructions == 300
+        # Everything else is the command's own default.
+        assert sub_runs["fig12"][0].measurement == 5000
+        assert sub_runs["topologies"][0].topology == "mesh"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--workers", "3"],
+            ["--cache-dir", "/tmp/c"],
+            ["--no-resume"],
+            ["--timeout", "12.5"],
+            ["--max-retries", "4"],
+            ["--hosts", "local:3"],
+            ["--faults", "punch_drop,rate=0.5;seed=7", "--reroute"],
+            ["--strict-invariants", "--watchdog", "300", "--hosts", "h:1"],
+        ],
+    )
+    def test_all_runs_each_command_with_the_engine_options_of_its_flags(
+        self, sub_runs, tmp_path, flags
+    ):
+        """What ``all`` hands a command is what the same flags given to
+        that command directly produce (``all``'s default cache aside)."""
+        cli.main(["all", "--out", str(tmp_path), *flags])
+        via_all = {name: engine for name, (_, engine) in sub_runs.items()}
+        assert len(via_all) == 9
+        cache = [] if "--cache-dir" in flags else ["--cache-dir", f"{tmp_path}/cellcache"]
+        for name, engine in via_all.items():
+            cli.main([name, *flags, *cache])
+            assert sub_runs[name][1] == engine, name
 
 
 class TestRunOptionsAreCellConfiguration:

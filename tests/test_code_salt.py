@@ -97,7 +97,7 @@ def test_unsalted_layers_do_not_invalidate_results():
         "cli.py",
         "viz.py",
         "campaign/engine.py",
-        "campaign/cli.py",
+        "experiments/reliability.py",
         "experiments/fig12.py",
         "experiments/headline.py",
     ):

@@ -7,7 +7,7 @@ import pytest
 
 from repro import cli
 from repro.campaign import iter_events
-from repro.experiments import headline, parsec_suite
+from repro.experiments import parsec_suite
 from repro.experiments.parsec_suite import run_suite
 
 
@@ -68,8 +68,8 @@ class TestFiguresReadTheCellCache:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(parsec_suite, "PARSEC_BENCHMARKS", ["swaptions"])
-            for name in set(cli._COMMANDS) - {"parsec-suite", "report"}:
-                patch.setitem(cli._COMMANDS, name, lambda argv: None)
+            for name in set(cli.EXPERIMENTS) - {"parsec-suite", "report"}:
+                patch.setattr(cli.EXPERIMENTS[name], "run", lambda args, engine: None)
             return {
                 "first": run("--instructions", "100"),
                 "longer": run("--instructions", "150"),
@@ -96,7 +96,7 @@ class TestFiguresReadTheCellCache:
 
     def test_records_file_is_not_an_input(self, tmp_path):
         with pytest.raises(SystemExit) as refused:
-            headline.main(["--cache", str(tmp_path / "x.json")])
+            cli.main(["report", "--cache", str(tmp_path / "x.json")])
         assert refused.value.code == 2
 
 

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.campaign import CellSpec, FailureReport, run_cell
-from repro.campaign import campaign_argparser, engine_options
 from repro.campaign.spec import CELL_KINDS
+from repro.cli import campaign_argparser, engine_options
 from repro.experiments.reliability import (
     aggregate,
     reliability_campaign,
@@ -352,11 +352,11 @@ class TestRobustnessArgs:
     def test_cli_defaults_are_the_experiments_not_the_flags(self, tmp_path, capsys):
         """``reliability`` re-defaults the shared flags (reroute / 200 /
         50 000) instead of declaring its own."""
-        from repro.experiments import reliability
+        from repro import cli
 
         out = tmp_path / "estimate.json"
-        reliability.main(
-            ["--samples", "2", "--mesh", "4", "--warmup", "50",
+        cli.main(
+            ["reliability", "--samples", "2", "--mesh", "4", "--warmup", "50",
              "--measurement", "300", "--out", str(out)]
         )
         capsys.readouterr()
@@ -365,3 +365,33 @@ class TestRobustnessArgs:
             2, width=4, height=4, warmup=50, measurement=300
         ).run()
         assert via_cli == direct
+
+    def test_a_given_flag_beats_the_experiments_default_on_either_side(
+        self, monkeypatch
+    ):
+        """Only the flags left unset take reliability's defaults, whether
+        the others come before the command or after it."""
+        from repro import cli
+        from repro.experiments import reliability
+
+        class Declared(Exception):
+            pass
+
+        trials = []
+
+        def declare(samples, *, base_seed, **trial):
+            trials.append(trial)
+            raise Declared
+
+        monkeypatch.setattr(reliability, "reliability_campaign", declare)
+        for argv in (
+            ["reliability"],
+            ["--degradation", "drop", "--watchdog", "7", "reliability"],
+            ["reliability", "--degradation", "drop", "--watchdog", "7"],
+        ):
+            with pytest.raises(Declared):
+                cli.main(argv)
+        assert [
+            (t["degradation"], t["watchdog"], t["dead_router_threshold"])
+            for t in trials
+        ] == [("reroute", 50_000, 200), ("drop", 7, 200), ("drop", 7, 200)]

@@ -15,14 +15,12 @@ The topology layer's acceptance criteria in one file:
   the wrapped fabrics.
 """
 
-import argparse
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import require_mesh_topology
 from repro.core import ConvOptPG, NoPG, PowerPunchPG
 from repro.noc import (
     ConfigError,
@@ -285,12 +283,6 @@ class TestConfigPlumbing:
     def test_one_hop_wakeup_runs_on_any_fabric(self):
         net = Network(NoCConfig(width=4, height=4, topology="torus"), ConvOptPG())
         net.step()
-
-    def test_mesh_only_experiments_reject_topology_flag(self):
-        args = argparse.Namespace(topology="ring")
-        with pytest.raises(SystemExit, match="mesh-only"):
-            require_mesh_topology(args, "fig12")
-        require_mesh_topology(argparse.Namespace(topology="mesh"), "fig12")
 
     def test_transpose_rejects_one_dimensional_fabrics(self):
         rng = random.Random(0)
