@@ -253,6 +253,18 @@ def _run_synthetic_cell(spec: CellSpec) -> RunRecord:
     )
 
 
+def _gating_metrics(scheme) -> dict:
+    """The share of controller cycles spent gated off, and the wakeup
+    count, over the whole run (zero for an always-on scheme)."""
+    controllers = getattr(scheme, "controllers", None) or []
+    off = sum(c.off_cycles for c in controllers)
+    total = off + sum(c.active_cycles + c.waking_cycles for c in controllers)
+    return {
+        "off_fraction": off / total if total else 0.0,
+        "wake_events": sum(c.wake_events for c in controllers),
+    }
+
+
 def _run_metrics_cell(spec: CellSpec) -> dict:
     """Extended metrics payload (ablations / baselines comparison)."""
     scheme = build_scheme(spec)
@@ -261,16 +273,10 @@ def _run_metrics_cell(spec: CellSpec) -> dict:
             network, spec, spec.warmup, spec.measurement, spec.drain, EnergyModel()
         )
     stats = network.stats
-    controllers = getattr(scheme, "controllers", None) or []
-    off = sum(c.off_cycles for c in controllers)
-    total = sum(
-        c.active_cycles + c.off_cycles + c.waking_cycles for c in controllers
-    )
     return {
         "latency": stats.avg_total_latency,
         "wait": stats.avg_wakeup_wait,
-        "off_fraction": off / total if total else 0.0,
-        "wake_events": scheme.total_wake_events() if controllers else 0,
+        **_gating_metrics(scheme),
         "net_static": energy.net_static,
         "delivered": stats.delivered,
         "detoured": getattr(scheme, "detoured_packets", 0),
@@ -296,8 +302,7 @@ def _run_bet_cell(spec: CellSpec) -> dict:
     return {
         "latency": network.stats.avg_total_latency,
         "wait": network.stats.avg_wakeup_wait,
-        "off_fraction": 0.0,
-        "wake_events": scheme.total_wake_events(),
+        **_gating_metrics(scheme),
         "net_static": energy.net_static,
     }
 

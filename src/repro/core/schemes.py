@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..noc.errors import UnsupportedTopologyError
 from ..noc.network import Network
-from ..noc.packet import Packet
+from ..noc.packet import Packet, meet_powered_off
 from ..noc.policy import AlwaysOnPolicy, PowerPolicy
 from ..noc.topology import Direction
 from ..powergate.controller import PGState, PowerGateController
@@ -230,11 +230,6 @@ class PowerGatedScheme(PowerPolicy):
         return self._stepped_through
 
     def _on_punch(self, router: int, cycle: int) -> None:
-        bank = self._vector_bank
-        if bank is not None:
-            # Vector kernel: the controller FSMs live in the array bank.
-            bank.request_scalar(router, cycle, self.expectation_window)
-            return
         controller = self._controllers[router]
         if controller._quiescent_since is not None and controller.faults is None:
             # Parked controller: absorb the wakeup without waking the
@@ -375,16 +370,10 @@ class PowerGatedScheme(PowerPolicy):
 
     def router_is_off(self, router_id: int) -> bool:
         """Whether the router is currently gated off."""
-        bank = self._vector_bank
-        if bank is not None:
-            return bank.state[router_id] == 1
         return self.controllers[router_id].is_off
 
     def router_is_waking(self, router_id: int) -> bool:
         """Whether the router is mid-wakeup (PG still asserted)."""
-        bank = self._vector_bank
-        if bank is not None:
-            return bank.state[router_id] == 2
         return self.controllers[router_id].is_waking
 
     # ------------------------------------------------------------------
@@ -591,10 +580,14 @@ class PowerGatedScheme(PowerPolicy):
                 cache[rid] = (version, targets)
             if targets:
                 fabric.send_local(rid, targets, cycle)
-        self._generate_injection_punches(cycle)
+        for node, targets in self._generate_injection_punches(cycle):
+            fabric.send_local(node, targets, cycle)
 
-    def _generate_injection_punches(self, cycle: int) -> None:
-        """Injection-side wakeup generation; scheme-specific."""
+    def _generate_injection_punches(self, cycle: int) -> List[Tuple[int, Set[int]]]:
+        """Injection-side wakeup generation, scheme-specific: the
+        ``(node, targets)`` punches this cycle's NIs send, for the
+        caller to hand to the fabric."""
+        return []
 
     def _punching_interfaces(self):
         """NIs that may hold punch-generating packets, in node order:
@@ -612,7 +605,7 @@ class PowerGatedScheme(PowerPolicy):
         # even when the wakeup wait itself ends up partially hidden.
         """Record a blocked-router encounter at the availability check."""
         if not self.is_router_available(node):
-            packet.blocked_routers.add(node)
+            meet_powered_off(self.network._subscribers, packet, node, node, False, cycle)
 
     def early_local_notice(self, node: int, cycle: int) -> None:
         """Slack 2: wake/hold the local router ahead of a certain message."""
@@ -664,11 +657,11 @@ class ConvOptPG(PowerGatedScheme):
             slack2=False,
         )
 
-    def _generate_injection_punches(self, cycle: int) -> None:
+    def _generate_injection_punches(self, cycle: int) -> List[Tuple[int, Set[int]]]:
         # Conventional PG only asserts the local WU when the NI checks
         # availability; that wire is already modeled in begin_cycle via
         # ``wants_local_router`` + ``request_wakeup``.
-        return
+        return []
 
 
 class PowerPunchSignal(PowerGatedScheme):
@@ -691,12 +684,13 @@ class PowerPunchSignal(PowerGatedScheme):
             slack2=False,
         )
 
-    def _generate_injection_punches(self, cycle: int) -> None:
+    def _generate_injection_punches(self, cycle: int) -> List[Tuple[int, Set[int]]]:
         # Punches for packets whose NI processing has completed (the
         # availability-check point of Fig. 6 — no slack exploited).
         ni_latency = self.network.config.ni_latency
         ahead = self._router_ahead
         hops = self.punch_hops
+        sends = []
         for ni in self._punching_interfaces():
             targets = None
             for queue in ni.queues:
@@ -707,7 +701,8 @@ class PowerPunchSignal(PowerGatedScheme):
                             targets = set()
                         targets.add(ahead(ni.node, packet.destination, hops))
             if targets:
-                self.fabric.send_local(ni.node, targets, cycle)
+                sends.append((ni.node, targets))
+        return sends
 
 
 class PowerPunchPG(PowerPunchSignal):
@@ -740,14 +735,15 @@ class PowerPunchPG(PowerPunchSignal):
         # slack may hide most or all of the wakeup wait (Fig. 10).
         """Slack-1 wakeup-issue point: count powered-off encounters here."""
         if not self.is_router_available(node):
-            packet.blocked_routers.add(node)
+            meet_powered_off(self.network._subscribers, packet, node, node, False, cycle)
 
-    def _generate_injection_punches(self, cycle: int) -> None:
+    def _generate_injection_punches(self, cycle: int) -> List[Tuple[int, Set[int]]]:
         # Slack 1: wakeup information is available as soon as the
         # message enters the NI, so every queued packet punches —
         # including those still inside the NI pipeline (Fig. 6).
         ahead = self._router_ahead
         hops = self.punch_hops
+        sends = []
         for ni in self._punching_interfaces():
             targets = None
             for queue in ni.queues:
@@ -756,4 +752,5 @@ class PowerPunchPG(PowerPunchSignal):
                         targets = set()
                     targets.add(ahead(ni.node, packet.destination, hops))
             if targets:
-                self.fabric.send_local(ni.node, targets, cycle)
+                sends.append((ni.node, targets))
+        return sends

@@ -6,7 +6,7 @@ pieces the simulator already defines:
 
 ``zero_load``
     The pinned zero-load pipeline formula (see ``tests/test_network``):
-    one NI→router link cycle, ``router_stages + link_latency`` per hop,
+    one NI→router link cycle, ``router_stages + LINK_LATENCY`` per hop,
     and the destination router's remaining ``router_stages - 1`` pipe
     stages.
 ``serialization``
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..noc import DATA_PACKET_FLITS, NoCConfig
+from ..noc.config import LINK_LATENCY
 from ..noc.routing import RoutingAlgorithm, default_routing
 
 
@@ -216,7 +217,7 @@ class LatencyBoundModel:
             size_flits = self.max_packet_flits
         cfg = self.config
         hops = self.hops(source, destination)
-        per_hop = cfg.router_stages + cfg.link_latency
+        per_hop = cfg.hop_latency
         zero_load = (
             1 + hops * per_hop + (cfg.router_stages - 1) if hops else 0
         )
@@ -237,7 +238,7 @@ class LatencyBoundModel:
             "scheme": getattr(self.scheme, "name", "No-PG"),
             "topology": self.config.topology,
             "router_stages": self.config.router_stages,
-            "link_latency": self.config.link_latency,
+            "link_latency": LINK_LATENCY,
             "num_vcs": self.config.num_vcs,
             "max_packet_flits": self.max_packet_flits,
             "contention_per_router": self.contention_per_router,

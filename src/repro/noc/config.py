@@ -24,6 +24,8 @@ from .topology import TOPOLOGIES, Topology, make_topology
 VALID_KERNELS = ("auto", "active", "naive", "vector")
 VALID_DEGRADATIONS = ("none", "drop", "reroute", "fail_fast")
 VALID_TOPOLOGIES = tuple(sorted(TOPOLOGIES))
+#: Link traversal latency in cycles: every link is single-cycle.
+LINK_LATENCY = 1
 
 
 @dataclass
@@ -35,8 +37,6 @@ class NoCConfig:
     #: Router pipeline depth: 4 (BW/VA/SA/ST, Fig. 3a) or 3 (speculative
     #: SA merged with VA, Fig. 3b).
     router_stages: int = 3
-    #: Link traversal latency in cycles.
-    link_latency: int = 1
     #: Virtual channels per virtual network.
     vcs_per_vnet: int = 2
     #: Buffer depth (flits) for data VCs (response network).
@@ -116,8 +116,6 @@ class NoCConfig:
             raise ValueError("dead_router_threshold must be positive")
         if self.vcs_per_vnet < 1:
             raise ValueError("need at least one VC per virtual network")
-        if self.link_latency != 1:
-            raise ValueError("only single-cycle links are supported")
         if self.watchdog is not None and self.watchdog < 1:
             raise ValueError("watchdog must be positive")
         if self.faults is not None:
@@ -183,7 +181,7 @@ class NoCConfig:
     @property
     def hop_latency(self) -> int:
         """Per-hop latency of a packet: Trouter + Tlink (Sec. 3)."""
-        return self.router_stages + self.link_latency
+        return self.router_stages + LINK_LATENCY
 
     def depths_by_vc(self) -> Dict[int, int]:
         """Buffer depth for each flat VC index."""

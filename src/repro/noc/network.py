@@ -64,7 +64,7 @@ from .errors import (
 )
 from .faults import FaultInjector, FaultSchedule
 from .network_interface import NetworkInterface
-from .packet import Flit, Packet
+from .packet import Flit, Packet, meet_powered_off
 from .policy import AlwaysOnPolicy, PowerPolicy
 from .router import Router
 from .routing import FaultTolerantRouting, RoutingAlgorithm, default_routing
@@ -125,7 +125,8 @@ EVENTS = {
     "sent": "node, flit, cycle",  # an NI sent a flit into its router
     "arrived": "router, flit, cycle",  # a router buffered a flit
     "granted": "router, flit, in_dir, in_vc, out_dir, out_vc, cycle",
-    "blocked": "router, neighbor, flit, cycle",  # neighbor is off
+    # a packet at ``at`` met the powered-off ``off`` (see meet_powered_off)
+    "blocked": "packet, at, off, waited, cycle",
     "ejected": "node, flit, cycle",  # a flit left the mesh
     "delivered": "packet, cycle",  # a tail ejected, or out of band
     "purged": "flit, cycle",  # graceful degradation removed a flit
@@ -134,7 +135,7 @@ EVENTS = {
 }
 #: Events only the object kernel announces: subscribing to one pins it.
 PER_FLIT_EVENTS = frozenset(
-    {"sent", "arrived", "granted", "blocked", "ejected", "purged", "cycle_end"}
+    {"sent", "arrived", "granted", "ejected", "purged", "cycle_end"}
 )
 
 
@@ -312,7 +313,8 @@ class Network:
         """Call ``fn``, with the arguments ``EVENTS[event]`` names, each
         time the network announces ``event`` until :meth:`close`.  A
         subscriber to one of ``PER_FLIT_EVENTS`` pins the object kernel
-        for good: the vector engine announces packet events only."""
+        for good: the vector engine announces packet events only
+        (``blocked`` among them)."""
         if event not in EVENTS:
             raise ValueError(f"unknown network event {event!r}; expected one of {list(EVENTS)}")
         if event in PER_FLIT_EVENTS:
@@ -743,11 +745,8 @@ class Network:
 
     def _sa_note_blocked(self, neighbor: int, flit: Flit) -> None:
         router_id, cycle = self._sa_router.router_id, self._sa_cycle
-        for fn in self._subscribers["blocked"]:
-            fn(router_id, neighbor, flit, cycle)
         packet = flit.packet
-        packet.blocked_routers.add(neighbor)
-        packet.wakeup_wait_cycles += 1
+        meet_powered_off(self._subscribers, packet, router_id, neighbor, True, cycle)
         self.policy.note_blocked(router_id, neighbor, packet, cycle)
 
     # ------------------------------------------------------------------

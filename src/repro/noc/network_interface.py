@@ -23,7 +23,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from .buffers import VCState
 from .config import NoCConfig
 from .errors import NIQueueOverflowError
-from .packet import NUM_VNETS, Flit, Packet, VirtualNetwork, make_flits
+from .packet import NUM_VNETS, Flit, Packet, VirtualNetwork, make_flits, meet_powered_off
 from .policy import PowerPolicy
 from .router import Router
 from .topology import Direction
@@ -67,7 +67,8 @@ class NetworkInterface:
         #: flit into the local input port next cycle.
         self._send_flit = send_flit
         #: The network's subscription table (see ``Network.subscribe``):
-        #: a tail ejection announces ``delivered`` through it.
+        #: a tail ejection announces ``delivered`` through it, an
+        #: injection stall behind the gated local router ``blocked``.
         self._subscribers = subscribers
         #: Kernel callback fired whenever this NI gains work (a packet
         #: was queued), so the active-set kernel re-schedules it.
@@ -89,7 +90,6 @@ class NetworkInterface:
         # Statistics
         self.injected_packets = 0
         self.ejected_packets = 0
-        self.injection_stalled_cycles = 0
 
     # ------------------------------------------------------------------
     # Producer-side API
@@ -187,9 +187,9 @@ class NetworkInterface:
             if not self.policy.is_router_available_by(
                 self.router.router_id, cycle + 1
             ):
-                packet.blocked_routers.add(self.router.router_id)
-                packet.wakeup_wait_cycles += 1
-                self.injection_stalled_cycles += 1
+                meet_powered_off(
+                    self._subscribers, packet, self.node, self.router.router_id, True, cycle
+                )
                 continue
             vc = self._free_local_vc(VirtualNetwork(vn))
             if vc is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 
 class VirtualNetwork(enum.IntEnum):
@@ -75,8 +75,6 @@ class Packet:
         packet_id: Optional[int] = None,
         injected_at: Optional[int] = None,
         delivered_at: Optional[int] = None,
-        blocked_routers: Optional[Set[int]] = None,
-        wakeup_wait_cycles: int = 0,
         hops_taken: int = 0,
     ) -> None:
         self.source = source
@@ -92,13 +90,12 @@ class Packet:
         self.injected_at = injected_at
         self.delivered_at = delivered_at
         #: Distinct routers that were powered off (or still waking up) when
-        #: this packet needed them (Fig. 9 metric).
-        self.blocked_routers: Set[int] = (
-            set() if blocked_routers is None else blocked_routers
-        )
+        #: this packet needed them (Fig. 9 metric).  Written, like
+        #: ``wakeup_wait_cycles``, by :func:`meet_powered_off` only.
+        self.blocked_routers: Set[int] = set()
         #: Total cycles this packet stalled waiting for router wakeup
         #: (Fig. 10 metric).
-        self.wakeup_wait_cycles = wakeup_wait_cycles
+        self.wakeup_wait_cycles = 0
         #: Router-to-router links actually traversed (head-flit departures
         #: toward a neighbor).  Equals the minimal hop distance under XY;
         #: the surplus is the detour length under fault-tolerant rerouting.
@@ -123,6 +120,26 @@ class Packet:
             f"Packet(#{self.packet_id} {self.source}->{self.destination} "
             f"vn={int(self.vnet)} {self.size_flits}f)"
         )
+
+
+def meet_powered_off(
+    subscribers: Dict[str, Tuple[Callable, ...]],
+    packet: Packet,
+    at: int,
+    off: int,
+    waited: bool,
+    cycle: int,
+) -> None:
+    """``packet``, at router (or NI) ``at``, needs router ``off`` while
+    it is powered off or still waking: the only writer of the packet's
+    Fig. 9/10 fields, and the announcer of ``blocked`` on the network's
+    subscription table.  ``waited`` is whether the packet stalls a
+    cycle for it (false for an encounter counted at an availability
+    check)."""
+    packet.blocked_routers.add(off)
+    packet.wakeup_wait_cycles += waited
+    for fn in subscribers["blocked"]:
+        fn(packet, at, off, waited, cycle)
 
 
 class Flit:

@@ -70,7 +70,8 @@ def _end_cycle(scheme: PowerGatedScheme, cycle: int) -> None:
             rid = router.router_id
             targets = {ahead(rid, dest, hops) for _next, dest in requirements}
             scheme.fabric.send_local(rid, targets, cycle)
-    scheme._generate_injection_punches(cycle)
+    for node, targets in scheme._generate_injection_punches(cycle):
+        scheme.fabric.send_local(node, targets, cycle)
 
 
 def _punching_interfaces(scheme: PowerGatedScheme):

@@ -2,11 +2,12 @@
 
 :class:`PacketTracer` subscribes to a network's events (see
 ``Network.subscribe``) and records the lifecycle of selected packets:
-creation, per-router switch grants of head flits, blocking stalls and
+creation, per-router switch grants of head flits, powered-off
+routers met (in the mesh, at the NI, or at an availability check) and
 delivery.  Useful for debugging power-gating interactions and for the
-``punch_anatomy`` style of guided tour.  Its ``granted`` / ``blocked``
-subscriptions are per-flit events, so a traced network runs on the
-object kernel; an untraced one pays nothing for the tracer.
+``punch_anatomy`` style of guided tour.  Its ``granted`` subscription
+is a per-flit event, so a traced network runs on the object kernel; an
+untraced one pays nothing for the tracer.
 
 :class:`EventRing` is the bounded flight-recorder variant: a fixed-size
 ring of the last N events, cheap enough to leave on for entire runs so
@@ -98,6 +99,8 @@ class PacketTracer:
         self.match = match or (lambda packet: True)
         self.max_events = max_events
         self.events: List[TraceEvent] = []
+        #: Distinct powered-off routers any traced packet met.
+        self.blocked_routers_seen: Set[int] = set()
         # A refused packet is traced as created: it was, at the door.
         for event, hook in (
             ("created", self._created), ("refused", self._created), ("granted", self._granted),
@@ -121,8 +124,11 @@ class PacketTracer:
             detail = f"{in_dir.name}->{out_dir.name} vc{in_vc}->vc{out_vc}"
             self._record(cycle, flit.packet, "sw-grant", router, detail)
 
-    def _blocked(self, router: int, neighbor: int, flit, cycle: int) -> None:
-        self._record(cycle, flit.packet, "blocked", router, f"next R{neighbor} off")
+    def _blocked(self, packet: Packet, at: int, off: int, waited: bool, cycle: int) -> None:
+        if self.match(packet):
+            self.blocked_routers_seen.add(off)
+        detail = f"{'next' if at != off else 'local'} R{off} off"
+        self._record(cycle, packet, "blocked", at, detail if waited else detail + " at check")
 
     def _delivered(self, packet: Packet, cycle: int) -> None:
         lat = f"lat={packet.network_latency}"
@@ -137,11 +143,3 @@ class PacketTracer:
         """Human-readable multi-line rendering of recorded events."""
         events = self.events if packet_id is None else self.for_packet(packet_id)
         return "\n".join(str(e) for e in events)
-
-    def blocked_routers_seen(self) -> Set[int]:
-        """Distinct routers that blocked any traced packet."""
-        return {
-            int(e.detail.split("R")[1].split(" ")[0])
-            for e in self.events
-            if e.kind == "blocked"
-        }

@@ -66,7 +66,7 @@ except ImportError:  # pragma: no cover - numpy is a declared dependency
 
 from .buffers import VC_STATE_CODES, VC_STATE_FROM_CODE, VCState
 from .errors import BufferOverflowError, SimulationError
-from .packet import Flit
+from .packet import Flit, meet_powered_off
 from .topology import Direction
 
 # ----------------------------------------------------------------------
@@ -391,10 +391,6 @@ class VectorEngine:
             # dict-of-frozensets merge (which costs ~40% of a PG run in
             # hashing and route-cache misses).
             self._pend_writes = []
-            #: Injection-pass sends captured by ``_send_local_hook``:
-            #: parallel lists of router ids and their target sets.
-            self._inj_r = []
-            self._inj_t = []
             # The wavefront queued through the object fabric last cycle.
             for router, targets in sch.fabric._pending.items():
                 self._pend_writes.append(
@@ -820,13 +816,6 @@ class VectorEngine:
             r_all[start], cycle, self.scheme.expectation_window, True
         )
 
-    def _send_local_hook(self, router: int, targets, cycle: int) -> None:
-        """Swapped in for ``fabric.send_local`` around the scheme's
-        injection-punch pass: capture the sends, process them in one
-        batch afterwards (the pass never reads the bank in between)."""
-        self._inj_r.append(router)
-        self._inj_t.append(targets)
-
     def _pg_begin(self, cycle: int) -> None:
         """Batched twin of ``PowerGatedScheme.begin_cycle``.
 
@@ -1009,7 +998,7 @@ class VectorEngine:
             if self.bank is not None:
                 ok_av = self.bank.available_by(cycle + 3)[nb]
                 if not ok_av.all():
-                    self._note_blocked(an[~ok_av], nb[~ok_av])
+                    self._note_blocked(an[~ok_av], nb[~ok_av], cycle)
             else:
                 ok_av = _np.ones(an.size, dtype=bool)
             has_credit = self.credits_out[kn * self.V + self.out_vc[an]] > 0
@@ -1069,16 +1058,16 @@ class VectorEngine:
         emit = _np.lexsort((pfs[gstart], ug // self.P))
         self._commit(winners[emit], ug[emit], cycle)
 
-    def _note_blocked(self, fs, nbs) -> None:
+    def _note_blocked(self, fs, nbs, cycle: int) -> None:
         """Per-cycle blocked accounting for VCs stalled by a gated
         neighbor (``PowerGatedScheme.note_blocked`` itself is a no-op
         while engaged: the blocking fallback only arms with faults)."""
         packets = self.packets
+        subscribers = self.net._subscribers
         eids = self.buf_eid[fs, self.h[fs]]
-        for eid, nb in zip(eids.tolist(), nbs.tolist()):
-            packet = packets[eid]
-            packet.blocked_routers.add(nb)
-            packet.wakeup_wait_cycles += 1
+        routers = fs // self._pv
+        for eid, at, nb in zip(eids.tolist(), routers.tolist(), nbs.tolist()):
+            meet_powered_off(subscribers, packets[eid], at, nb, True, cycle)
 
     def _commit(self, W, gk, cycle: int) -> None:
         """Apply every grant's departure effects (batched
@@ -1168,9 +1157,9 @@ class VectorEngine:
         """Twin of ``PowerGatedScheme.end_cycle``: mesh punches from
         every buffered front head flit (vectorized targeted-router
         computation, per-router delivery in ascending id order exactly
-        like the sorted active-set scan), then the scheme's own
-        injection-punch generator (it only touches NIs and the fabric,
-        both object-based and shared)."""
+        like the sorted active-set scan), then the sends of the
+        scheme's own injection-punch generator (it reads only the NIs,
+        which are object-based and shared)."""
         sch = self.scheme
         occ_f = _np.where(self.occ > 0)[0]
         if occ_f.size:
@@ -1193,29 +1182,21 @@ class VectorEngine:
                 r_all = key // self.R
                 start, _ = _group_bounds(r_all)
                 self._punch_sink.extend(r_all[start].tolist())
-        # The injection pass only builds target sets and sends them (no
-        # bank reads), so its sends batch the same way and its wakeups
-        # join the same phase flush.
-        fab = sch.fabric
-        fab.send_local = self._send_local_hook
-        try:
-            sch._generate_injection_punches(cycle)
-        finally:
-            del fab.send_local
-        inj_r = self._inj_r
-        if inj_r:
-            inj_t = self._inj_t
-            counts = [len(t) for t in inj_t]
+        # The injection pass only builds target sets (no bank reads),
+        # so its sends batch the same way and its wakeups join the same
+        # phase flush.
+        sends = sch._generate_injection_punches(cycle)
+        if sends:
+            inj_r = [node for node, _targets in sends]
+            counts = [len(targets) for _node, targets in sends]
             rs = _np.repeat(_np.asarray(inj_r, dtype=_np.int64), counts)
             ts = _np.fromiter(
-                (t for s in inj_t for t in s),
+                (t for _node, targets in sends for t in targets),
                 dtype=_np.int64,
                 count=rs.size,
             )
             self._relay_pairs(rs * self.R + ts, cycle)
             self._punch_sink.extend(inj_r)
-            inj_r.clear()
-            inj_t.clear()
         self._flush_sink(cycle)
 
     # ==================================================================

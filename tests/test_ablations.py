@@ -48,3 +48,6 @@ class TestAblationHarness:
         assert results[0][1]["net_static"] < results[1][1]["net_static"]
         # Same simulation: identical timing across BET values.
         assert results[0][1]["latency"] == results[1][1]["latency"]
+        # ...and the same, real, gated-off share.
+        assert results[0][1]["off_fraction"] > 0
+        assert results[0][1]["off_fraction"] == results[1][1]["off_fraction"]

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import ConvOptPG, NoPG
+from repro.core import ConvOptPG, NoPG, PowerPunchPG
 from repro.noc import Network, NoCConfig
 from repro.noc.network import _NEVER, EVENTS, PER_FLIT_EVENTS
 from repro.noc.topology import Direction
@@ -21,7 +21,7 @@ from .test_kernel_equivalence import _engaged_cycles
 
 def _count_everything(net):
     """Subscribe one counter to every event; ``granted`` is also
-    counted apart toward non-local ports, ``blocked`` per router."""
+    counted apart toward non-local ports."""
     counts = Counter()
     for event in EVENTS:
         net.subscribe(event, lambda *args, event=event: counts.update([event]))
@@ -34,11 +34,30 @@ def _count_everything(net):
     return counts
 
 
+def _blocked_ledger(net):
+    """Subscribe to ``blocked``: the waited cycles it announces, and
+    the distinct ``(packet, off)`` encounters."""
+    waited, met = Counter(), set()
+
+    def on_blocked(packet, at, off, did_wait, cycle):
+        waited["cycles"] += did_wait
+        met.add((packet.packet_id, off))
+
+    net.subscribe("blocked", on_blocked)
+    return waited, met
+
+
+def _assert_blocked_reconciles(stats, waited, met):
+    assert waited["cycles"] == stats.total_wakeup_wait_cycles
+    assert len(met) == stats.total_blocked_routers
+
+
 class TestSeamContract:
     def test_counts_reconcile_with_network_stats(self):
         net = Network(NoCConfig(width=4, height=4), ConvOptPG())
         assert net.stats.measure_from == 0
         counts = _count_everything(net)
+        waited, met = _blocked_ledger(net)
         traffic = SyntheticTraffic(net, "uniform_random", 0.05, seed=3)
         for _ in range(300):
             traffic.step()
@@ -50,8 +69,7 @@ class TestSeamContract:
         assert counts["delivered"] == stats.delivered == stats.injected_packets
         assert counts["granted"] == stats.router_traversals
         assert counts["granted-link"] == stats.link_traversals
-        stalled = sum(ni.injection_stalled_cycles for ni in net.interfaces)
-        assert counts["blocked"] + stalled == stats.total_wakeup_wait_cycles
+        _assert_blocked_reconciles(stats, waited, met)
         assert counts["sent"] == counts["ejected"] == stats.delivered_flits
         assert counts["arrived"] == stats.router_traversals
         assert counts["cycle_end"] == net.cycle == stats.cycles
@@ -87,6 +105,21 @@ class TestKernelPinRule:
         # A per-flit subscriber arriving mid-run hands the run back.
         net.subscribe("granted", lambda *args: None)
         assert net._engine is None and net._select_at == _NEVER
+
+    @pytest.mark.parametrize("kernel", ["auto", "active"])
+    def test_blocked_subscriber_rides_either_engine(self, kernel):
+        """Both engines announce every powered-off encounter: the
+        ledger a ``blocked`` subscriber keeps matches ``NetworkStats``
+        on a dense PowerPunch-PG run, engaged or not, and the two runs
+        agree."""
+        pytest.importorskip("numpy")
+        net = Network(NoCConfig(width=12, height=12, kernel=kernel), PowerPunchPG())
+        waited, met = _blocked_ledger(net)
+        engaged = _engaged_cycles(net, 0.08, 200)
+        assert bool(engaged) == (kernel == "auto")
+        net.run_until_drained(5000)
+        _assert_blocked_reconciles(net.stats, waited, met)
+        assert (waited["cycles"], len(met)) == (113, 109)
 
     @pytest.mark.parametrize("event", sorted(PER_FLIT_EVENTS))
     def test_per_flit_subscriber_pins_the_object_kernel(self, event):

@@ -101,7 +101,7 @@ class TestPacketTracer:
         p = control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle)
         net.inject(p)
         net.run_until_drained(2000)
-        assert tracer.blocked_routers_seen()
+        assert tracer.blocked_routers_seen
         assert any(e.kind == "blocked" for e in tracer.events)
 
     def test_filter(self):
@@ -127,7 +127,9 @@ class TestPacketTracer:
 
 #: ``PacketTracer.render()`` of the scenario below, recorded before the
 #: tracer moved onto ``Network.subscribe`` (it rebound kernel methods
-#: then): pkt#3 is purged behind the dead R5, pkt#4 refused at the door.
+#: then), plus the NI-side ``local`` lines of packets that met their
+#: gated source router: pkt#3 is purged behind the dead R5, pkt#4
+#: refused at the door.
 DEAD_ROUTER_TRACE = """\
 [     0] pkt#0 created    R0
 [     0] pkt#1 created    R4
@@ -147,10 +149,18 @@ DEAD_ROUTER_TRACE = """\
 [    20] pkt#0 sw-grant   R3 XNEG->YPOS vc4->vc4
 [    20] pkt#1 sw-grant   R7 XNEG->LOCAL vc0->vc0
 [    21] pkt#1 delivered  R7 lat=18
+[    23] pkt#2 blocked    R12 local R12 off at check
+[    23] pkt#2 blocked    R12 local R12 off
 [    24] pkt#3 created    R4
+[    24] pkt#2 blocked    R12 local R12 off
 [    24] pkt#0 blocked    R7 next R11 off
+[    25] pkt#2 blocked    R12 local R12 off
 [    25] pkt#0 sw-grant   R7 YNEG->YPOS vc4->vc4
+[    27] pkt#3 blocked    R4 local R4 off at check
+[    27] pkt#3 blocked    R4 local R4 off
+[    28] pkt#3 blocked    R4 local R4 off
 [    28] pkt#2 blocked    R12 next R13 off
+[    29] pkt#3 blocked    R4 local R4 off
 [    29] pkt#0 blocked    R11 next R15 off
 [    29] pkt#2 sw-grant   R12 LOCAL->XPOS vc0->vc0
 [    30] pkt#0 sw-grant   R11 YNEG->YPOS vc4->vc4
@@ -166,7 +176,11 @@ DEAD_ROUTER_TRACE = """\
 [    45] pkt#4 created    R1
 [    45] pkt#5 created    R8
 [    47] pkt#2 blocked    R11 next R7 off
+[    48] pkt#5 blocked    R8 local R8 off at check
+[    48] pkt#5 blocked    R8 local R8 off
 [    48] pkt#2 sw-grant   R11 YPOS->YNEG vc0->vc0
+[    49] pkt#5 blocked    R8 local R8 off
+[    50] pkt#5 blocked    R8 local R8 off
 [    52] pkt#2 blocked    R7 next R3 off
 [    53] pkt#2 sw-grant   R7 YPOS->YNEG vc0->vc0
 [    53] pkt#5 blocked    R8 next R9 off
