@@ -30,10 +30,10 @@ from .traffic import SyntheticTraffic
 #: The experiments' scheme registry, keyed by class name ("NoPG", ...).
 SCHEMES: Dict[str, Callable] = {cls.__name__: cls for cls in ALL_SCHEMES.values()}
 
-#: One trace event: ("inject", source, dest, vnet, size) or ("notice", node).
-TraceEvent = Tuple
+#: One replayed event: ("inject", source, dest, vnet, size) or ("notice", node).
+ReplayEvent = Tuple
 #: A recorded trace: events per cycle over a fixed window.
-Trace = Dict[int, List[TraceEvent]]
+Trace = Dict[int, List[ReplayEvent]]
 
 
 class _RecorderNI:

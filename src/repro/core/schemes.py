@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..noc.errors import UnsupportedTopologyError
 from ..noc.network import Network
+from ..noc.network_interface import NetworkInterface
 from ..noc.packet import Packet, meet_powered_off
 from ..noc.policy import AlwaysOnPolicy, PowerPolicy
 from ..noc.topology import Direction
@@ -580,20 +581,33 @@ class PowerGatedScheme(PowerPolicy):
                 cache[rid] = (version, targets)
             if targets:
                 fabric.send_local(rid, targets, cycle)
-        for node, targets in self._generate_injection_punches(cycle):
+        # Only an NI with queued or streaming work can punch.
+        interfaces = self.network.interfaces
+        working = [interfaces[node] for node in sorted(self.network.active_nis)]
+        for node, targets in self._generate_injection_punches(cycle, working):
             fabric.send_local(node, targets, cycle)
 
-    def _generate_injection_punches(self, cycle: int) -> List[Tuple[int, Set[int]]]:
-        """Injection-side wakeup generation, scheme-specific: the
-        ``(node, targets)`` punches this cycle's NIs send, for the
-        caller to hand to the fabric."""
-        return []
+    def _generate_injection_punches(
+        self, cycle: int, interfaces: List[NetworkInterface]
+    ) -> List[Tuple[int, Set[int]]]:
+        """Injection-side wakeup generation: the ``(node, targets)``
+        punches that the ``interfaces`` the caller scans (in node order)
+        send this cycle, for the caller to hand to the fabric."""
+        ahead = self._router_ahead
+        hops = self.punch_hops
+        sends = []
+        for ni in interfaces:
+            packets = self._punching_packets(ni, cycle)
+            if packets:
+                sends.append((ni.node, {ahead(ni.node, p.destination, hops) for p in packets}))
+        return sends
 
-    def _punching_interfaces(self):
-        """NIs that may hold punch-generating packets, in node order:
-        only an NI with queued or streaming work can punch."""
-        interfaces = self.network.interfaces
-        return [interfaces[node] for node in sorted(self.network.active_nis)]
+    def _punching_packets(self, ni: NetworkInterface, cycle: int) -> List[Packet]:
+        """The packets queued at ``ni`` that punch this cycle, scheme-
+        specific.  None here: conventional PG only asserts the local WU
+        when the NI checks availability, and ``begin_cycle`` models that
+        wire via ``wants_local_router`` + ``request_wakeup``."""
+        return []
 
     # ------------------------------------------------------------------
     # NI hooks
@@ -657,12 +671,6 @@ class ConvOptPG(PowerGatedScheme):
             slack2=False,
         )
 
-    def _generate_injection_punches(self, cycle: int) -> List[Tuple[int, Set[int]]]:
-        # Conventional PG only asserts the local WU when the NI checks
-        # availability; that wire is already modeled in begin_cycle via
-        # ``wants_local_router`` + ``request_wakeup``.
-        return []
-
 
 class PowerPunchSignal(PowerGatedScheme):
     """Power Punch with multi-hop punch signals only (no NI slack)."""
@@ -684,25 +692,11 @@ class PowerPunchSignal(PowerGatedScheme):
             slack2=False,
         )
 
-    def _generate_injection_punches(self, cycle: int) -> List[Tuple[int, Set[int]]]:
-        # Punches for packets whose NI processing has completed (the
-        # availability-check point of Fig. 6 — no slack exploited).
-        ni_latency = self.network.config.ni_latency
-        ahead = self._router_ahead
-        hops = self.punch_hops
-        sends = []
-        for ni in self._punching_interfaces():
-            targets = None
-            for queue in ni.queues:
-                if queue:
-                    packet = queue[0]
-                    if cycle >= packet.created_at + ni_latency:
-                        if targets is None:
-                            targets = set()
-                        targets.add(ahead(ni.node, packet.destination, hops))
-            if targets:
-                sends.append((ni.node, targets))
-        return sends
+    def _punching_packets(self, ni: NetworkInterface, cycle: int) -> List[Packet]:
+        # Each queue's front packet once its NI processing has completed
+        # (the availability-check point of Fig. 6 — no slack exploited).
+        ready = cycle - self.network.config.ni_latency
+        return [queue[0] for queue in ni.queues if queue and queue[0].created_at <= ready]
 
 
 class PowerPunchPG(PowerPunchSignal):
@@ -737,20 +731,8 @@ class PowerPunchPG(PowerPunchSignal):
         if not self.is_router_available(node):
             meet_powered_off(self.network._subscribers, packet, node, node, False, cycle)
 
-    def _generate_injection_punches(self, cycle: int) -> List[Tuple[int, Set[int]]]:
+    def _punching_packets(self, ni: NetworkInterface, cycle: int) -> List[Packet]:
         # Slack 1: wakeup information is available as soon as the
         # message enters the NI, so every queued packet punches —
         # including those still inside the NI pipeline (Fig. 6).
-        ahead = self._router_ahead
-        hops = self.punch_hops
-        sends = []
-        for ni in self._punching_interfaces():
-            targets = None
-            for queue in ni.queues:
-                for packet in queue:
-                    if targets is None:
-                        targets = set()
-                    targets.add(ahead(ni.node, packet.destination, hops))
-            if targets:
-                sends.append((ni.node, targets))
-        return sends
+        return [packet for queue in ni.queues for packet in queue]

@@ -5,18 +5,14 @@ and advances them cycle by cycle.  The kernel owns all cross-component
 event queues (flits on links, credits in flight) so routers and NIs
 stay simple and synchronous.
 
-Per-cycle ordering:
-
-1. deliver flits that finished their link traversal (BW this cycle);
-2. deliver returning credits;
-3. power policy ``begin_cycle`` (punch-fabric propagation, PG
-   controller FSM updates, sleep/wake decisions);
-4. NIs attempt injection (availability checks fire WU/punch hooks);
-5. all routers run VC allocation, then all run switch allocation
-   (VA-then-SA ordering inside one cycle is what permits the 3-stage
-   router's speculative SA);
-6. power policy ``end_cycle`` (punch-signal generation from the
-   wakeup requirements visible this cycle, energy accounting).
+A cycle is one phase table: :meth:`Network.step` runs ``phases``, an
+ordered tuple of callables each called with the cycle number.  The
+object kernel's table (``Network._cycle_phases``) is: deliver flits,
+deliver credits, policy ``begin_cycle``, NI injection, VC then switch
+allocation, policy ``end_cycle``, cycle close — led by the
+degradation check once a fault injector is installed.  The vector
+engine installs its own table while it holds the run, and the
+full-scan reference declares its own.
 
 Active-set kernel: the kernel maintains explicit work-sets so the
 per-cycle cost scales with activity instead of mesh size:
@@ -244,6 +240,8 @@ class Network:
         self._sa_router: Optional[Router] = None
         self._sa_cycle = 0
         self.policy.attach(self)
+        #: The cycle :meth:`step` runs (see ``_cycle_phases``).
+        self.phases = self._cycle_phases()
         if config.faults is not None:
             self.install_faults(FaultInjector(FaultSchedule.parse(config.faults)))
         if config.strict_invariants:
@@ -278,6 +276,7 @@ class Network:
         self.faults = injector
         injector.ring = self._flight_recorder()
         self.policy.on_faults_installed(injector)
+        self.phases = self._cycle_phases()
 
     def install_invariants(self, checker: "InvariantChecker") -> None:
         """Attach a runtime invariant checker (see repro.noc.invariants):
@@ -328,11 +327,11 @@ class Network:
         An engaged vector engine is materialized away, the policy is
         detached (controller clocks, punch sink, ``policy.network``),
         the NIs drop their callbacks, and what nothing reads after a
-        run — routers, NIs, event queues, subscribers, fault injector,
-        checkers — is released.  ``config``, ``topology``, ``cycle``, ``stats``,
-        ``link_counts``, ``dead_routers`` and the policy's counters stay
-        readable (``EnergyModel.account`` still works), and so does the
-        flight recorder ``ring``; ``step`` and
+        run — routers, NIs, event queues, subscribers, phase table,
+        fault injector, checkers — is released.  ``config``, ``topology``,
+        ``cycle``, ``stats``, ``link_counts``, ``dead_routers`` and the
+        policy's counters stay readable (``EnergyModel.account`` still
+        works), and so does the flight recorder ``ring``; ``step`` and
         ``inject`` raise :class:`NetworkClosedError`.  Idempotent.
         """
         if self.closed:
@@ -348,6 +347,7 @@ class Network:
         self._credit_events.clear()
         self._eject_events.clear()
         self._subscribers.update(dict.fromkeys(EVENTS, ()))
+        self.phases = ()
         self._sa_router = self._vector_static = None
         self.faults = self.invariants = self.bounds = None
 
@@ -524,35 +524,59 @@ class Network:
             self._engine.materialize()
 
     def step(self) -> None:
-        """Advance one cycle (see module docstring for phase order)."""
+        """Advance one cycle: run the installed ``phases`` table."""
         if self.closed:
             raise NetworkClosedError("step() on a closed network", cycle=self.cycle)
         if self.cycle >= self._select_at:
             self._select_engine()
-        if self._engine is not None:
-            self._engine.step()
-            return
         cycle = self.cycle
+        for phase in self.phases:
+            phase(cycle)
+
+    def _cycle_phases(self) -> Tuple[Callable[[int], None], ...]:
+        """The object kernel's cycle, in order (the vector engine's
+        twin is ``VectorEngine._cycle_phases``).  A harness may time
+        the phases by putting wrapped callables in ``phases``."""
+        return self._degradation_phase() + (
+            self._deliver_flits,
+            self._deliver_credits,
+            self._policy_begin,
+            self._step_interfaces,
+            self._allocate,
+            self._policy_end,
+            self._close_cycle,
+        )
+
+    def _degradation_phase(self) -> Tuple[Callable[[int], None], ...]:
+        """The degradation check, leading a faulted degrading network's cycle."""
         if self.faults is not None and self.config.degradation != "none":
-            self._check_degradation(cycle)
-        self._deliver_flits(cycle)
-        self._deliver_credits(cycle)
+            return (self._check_degradation,)
+        return ()
+
+    # The policy phases look ``begin_cycle`` / ``end_cycle`` up afresh
+    # each cycle, so a caller may wrap either on the policy instance
+    # (``bench/mesh.py``'s traced pass does).
+    def _policy_begin(self, cycle: int) -> None:
         self.policy.begin_cycle(cycle)
-        # Sorted iteration reproduces the reference kernel's index-order
-        # scan (NIs it skips have no work and would be no-ops).
+
+    def _policy_end(self, cycle: int) -> None:
+        self.policy.end_cycle(cycle)
+
+    def _step_interfaces(self, cycle: int) -> None:
+        """NI injection, on both engines.  Sorted iteration reproduces
+        the reference kernel's index-order scan (NIs it skips have no
+        work and would be no-ops)."""
         for node in sorted(self.active_nis):
             ni = self.interfaces[node]
             if ni.has_work():
                 ni.step(cycle)
             if not ni.has_work():
                 self.active_nis.discard(node)
-        # A flit granted SA this cycle lands downstream _SA_TO_ARRIVAL
-        # cycles later; a waking router that completes by then may be
-        # used (see PowerPolicy.is_router_available_by).  The probe is
-        # passed unbound with its arrival cycle — one probe call per
-        # SA-ready VC instead of a closure hop plus the probe.
-        available_by = self.policy.is_router_available_by
-        arrival_cycle = cycle + _SA_TO_ARRIVAL
+
+    def _allocate(self, cycle: int) -> None:
+        """VC allocation, then switch allocation, in every busy router
+        no fault stalls (VA-then-SA inside one cycle is what permits the
+        3-stage router's speculative SA)."""
         busy = self._unstalled([self.routers[rid] for rid in sorted(self._active_routers)], cycle)
         # Allocator rounds before a router's wake deadline are provable
         # no-ops (no eligible VC, no blocked-VC report, no arbitration-
@@ -562,6 +586,13 @@ class Network:
         for router in busy:
             if cycle >= router._va_wake_at:
                 router.do_vc_allocation(cycle)
+        # A flit granted SA this cycle lands downstream _SA_TO_ARRIVAL
+        # cycles later; a waking router that completes by then may be
+        # used (see PowerPolicy.is_router_available_by).  The probe is
+        # passed unbound with its arrival cycle — one probe call per
+        # SA-ready VC instead of a closure hop plus the probe.
+        available_by = self.policy.is_router_available_by
+        arrival_cycle = cycle + _SA_TO_ARRIVAL
         discard = self._active_routers.discard
         for router in busy:
             if cycle >= router._sa_wake_at:
@@ -571,8 +602,8 @@ class Network:
                 # occupied); a skipped round cannot drain.
                 if not router._occupied:
                     discard(router.router_id)
+        # The engine-selection quantity: routers still holding flits.
         self._occupied_sum += len(self._active_routers)
-        self._close_cycle(cycle)
 
     # ------------------------------------------------------------------
     # Internals
@@ -588,8 +619,7 @@ class Network:
         return [r for r in busy if not faults.is_stalled(r.router_id, cycle)]
 
     def _close_cycle(self, cycle: int) -> None:
-        """The policy's end-of-cycle work, then ``cycle_end``."""
-        self.policy.end_cycle(cycle)
+        """Count the cycle, announce ``cycle_end``, advance the clock."""
         self.stats.cycles = cycle + 1
         for fn in self._subscribers["cycle_end"]:
             fn(cycle)

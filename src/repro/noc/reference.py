@@ -18,17 +18,16 @@ filled in" would agree with that kernel by construction.
 
 One entry point: ``Network(NoCConfig(kernel="naive"), policy)`` returns
 a :class:`FullScanNetwork` (``Network.__new__``); nothing else imports
-this module.  Both steppers call ``self.policy.begin_cycle(cycle)`` /
-``.end_cycle(cycle)`` afresh every cycle, so a caller may wrap either
-on the policy instance after construction (``bench/mesh.py`` does).
+this module.  Its cycle is its own phase table: scans between the
+object kernel's deliveries and cycle close.  A power-gated scheme's
+policy phases are scans too, so nothing is put on the scheme instance —
+unless the scheme overrides one wholesale (``NoRDLike``), which then
+already is a full scan and is called through ``self.policy``.
 """
 
 from __future__ import annotations
 
-from types import MethodType
-
 from ..core.schemes import PowerGatedScheme
-from .errors import NetworkClosedError
 from .network import _SA_TO_ARRIVAL, Network
 
 
@@ -40,74 +39,85 @@ class _ForgetfulMemo(dict):
         pass
 
 
-def _begin_cycle(scheme: PowerGatedScheme, cycle: int) -> None:
-    """``PowerGatedScheme.begin_cycle`` as a scan of every node: the
-    NI's WU wire, then one real FSM step, in index order."""
-    scheme.fabric.deliver(cycle)
-    controllers = scheme.controllers
-    for node in scheme._slack2_held(cycle):
-        controllers[node].request_wakeup(cycle, 0)
-    interfaces = scheme.network.interfaces
-    routers = scheme.network.routers
-    for node, controller in enumerate(controllers):
-        ni_wants = interfaces[node].wants_local_router(cycle)
-        if ni_wants:
-            controller.request_wakeup(cycle, 0)
-        controller.step(cycle, routers[node].datapath_empty(), ni_wants)
-    # Every controller was just stepped, so its lazy-accounting clock
-    # (read by ``off_cycles`` and friends) owes it nothing.
-    scheme._stepped_through = cycle
-
-
-def _end_cycle(scheme: PowerGatedScheme, cycle: int) -> None:
-    """``PowerGatedScheme.end_cycle`` recomputed from scratch: punch
-    targets of every buffered head flit, every router, every cycle."""
-    ahead = scheme._router_ahead
-    hops = scheme.punch_hops
-    for router in scheme.network.routers:
-        requirements = router.head_flit_requirements()
-        if requirements:
-            rid = router.router_id
-            targets = {ahead(rid, dest, hops) for _next, dest in requirements}
-            scheme.fabric.send_local(rid, targets, cycle)
-    for node, targets in scheme._generate_injection_punches(cycle):
-        scheme.fabric.send_local(node, targets, cycle)
-
-
-def _punching_interfaces(scheme: PowerGatedScheme):
-    """Every NI is asked for injection punches, queued work or not."""
-    return scheme.network.interfaces
-
-
-#: What the reference puts in place of a power-gated scheme's work-set
-#: methods.  A scheme that overrides one of them wholesale (``NoRDLike``
-#: steps every controller itself and sends no transit punches) keeps
-#: its own: it already is a full scan.
-_SCHEME_SCANS = {
-    "begin_cycle": _begin_cycle,
-    "end_cycle": _end_cycle,
-    "_punching_interfaces": _punching_interfaces,
-}
-
-
 class FullScanNetwork(Network):
     """A :class:`Network` stepped by full scans (see module docstring)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        scheme = self.policy
-        if isinstance(scheme, PowerGatedScheme):
-            scheme.fabric._route_cache = _ForgetfulMemo()
-            for name, scan in _SCHEME_SCANS.items():
-                if getattr(type(scheme), name) is getattr(PowerGatedScheme, name):
-                    setattr(scheme, name, MethodType(scan, scheme))
+        if isinstance(self.policy, PowerGatedScheme):
+            self.policy.fabric._route_cache = _ForgetfulMemo()
 
-    def close(self) -> None:
-        """Also take the scans back off the policy: a bound method in an
-        instance's own ``__dict__`` is a reference cycle."""
-        super().close()
-        for name in _SCHEME_SCANS:
-            vars(self.policy).pop(name, None)
+    def _cycle_phases(self):
+        """The phases of :meth:`Network._cycle_phases`, each a scan of
+        every component in index order."""
+        begin, end = self._policy_begin, self._policy_end
+        scheme = type(self.policy)
+        if issubclass(scheme, PowerGatedScheme):
+            if scheme.begin_cycle is PowerGatedScheme.begin_cycle:
+                begin = self._scan_controllers
+            if scheme.end_cycle is PowerGatedScheme.end_cycle:
+                end = self._scan_punches
+        return self._degradation_phase() + (
+            self._deliver_flits,
+            self._deliver_credits,
+            begin,
+            self._scan_interfaces,
+            self._scan_allocation,
+            end,
+            self._close_cycle,
+        )
+
+    def _scan_controllers(self, cycle: int) -> None:
+        """``PowerGatedScheme.begin_cycle`` as a scan of every node: the
+        NI's WU wire, then one real FSM step, in index order."""
+        scheme = self.policy
+        scheme.fabric.deliver(cycle)
+        controllers = scheme.controllers
+        for node in scheme._slack2_held(cycle):
+            controllers[node].request_wakeup(cycle, 0)
+        interfaces = self.interfaces
+        routers = self.routers
+        for node, controller in enumerate(controllers):
+            ni_wants = interfaces[node].wants_local_router(cycle)
+            if ni_wants:
+                controller.request_wakeup(cycle, 0)
+            controller.step(cycle, routers[node].datapath_empty(), ni_wants)
+        # Every controller was just stepped, so its lazy-accounting clock
+        # (read by ``off_cycles`` and friends) owes it nothing.
+        scheme._stepped_through = cycle
+
+    def _scan_interfaces(self, cycle: int) -> None:
+        """NI injection, asked of every NI in index order."""
+        for ni in self.interfaces:
+            if ni.has_work():
+                ni.step(cycle)
+
+    def _scan_allocation(self, cycle: int) -> None:
+        """A VA, then an SA round in every router holding a flit that no
+        fault stalls — no allocator wake deadline."""
+        available_by = self.policy.is_router_available_by
+        arrival_cycle = cycle + _SA_TO_ARRIVAL
+        busy = self._unstalled([router for router in self.routers if router._occupied], cycle)
+        for router in busy:
+            router.do_vc_allocation(cycle)
+        for router in busy:
+            self._run_switch_allocation(router, cycle, available_by, arrival_cycle)
+
+    def _scan_punches(self, cycle: int) -> None:
+        """``PowerGatedScheme.end_cycle`` recomputed from scratch: punch
+        targets of every buffered head flit, every router, every cycle;
+        every NI is asked for injection punches, queued work or not."""
+        scheme = self.policy
+        ahead = scheme._router_ahead
+        hops = scheme.punch_hops
+        for router in self.routers:
+            requirements = router.head_flit_requirements()
+            if requirements:
+                rid = router.router_id
+                targets = {ahead(rid, dest, hops) for _next, dest in requirements}
+                scheme.fabric.send_local(rid, targets, cycle)
+        for node, targets in scheme._generate_injection_punches(cycle, self.interfaces):
+            scheme.fabric.send_local(node, targets, cycle)
 
     def is_drained(self) -> bool:
         """Whether no packet, flit, credit or policy work is outstanding
@@ -120,26 +130,3 @@ class FullScanNetwork(Network):
             if any(queue.values()):
                 return False
         return self.policy.pending_work() == 0
-
-    def step(self) -> None:
-        """Advance one cycle: the phases of :meth:`Network.step`, each a
-        scan of every component in index order."""
-        if self.closed:
-            raise NetworkClosedError("step() on a closed network", cycle=self.cycle)
-        cycle = self.cycle
-        if self.faults is not None and self.config.degradation != "none":
-            self._check_degradation(cycle)
-        self._deliver_flits(cycle)
-        self._deliver_credits(cycle)
-        self.policy.begin_cycle(cycle)
-        for ni in self.interfaces:
-            if ni.has_work():
-                ni.step(cycle)
-        available_by = self.policy.is_router_available_by
-        arrival_cycle = cycle + _SA_TO_ARRIVAL
-        busy = self._unstalled([router for router in self.routers if router._occupied], cycle)
-        for router in busy:
-            router.do_vc_allocation(cycle)
-        for router in busy:
-            self._run_switch_allocation(router, cycle, available_by, arrival_cycle)
-        self._close_cycle(cycle)

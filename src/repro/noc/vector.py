@@ -401,10 +401,11 @@ class VectorEngine:
         else:
             self.bank = None
 
-        # --- NI wiring -----------------------------------------------
+        # --- NI wiring and the cycle ---------------------------------
         for ni in net.interfaces:
             ni._send_flit = self._ni_send
             ni._vc_probe = self._probe_local_vc
+        net.phases = self._cycle_phases()
 
     def _import(self) -> None:
         """Move the object model's live datapath state into the arrays
@@ -589,35 +590,23 @@ class VectorEngine:
         return None
 
     # ==================================================================
-    # Cycle step
+    # The cycle (installed as ``net.phases`` while engaged)
     # ==================================================================
-    def step(self) -> None:
-        """Advance one cycle (same phase order as ``Network.step``)."""
+    def _cycle_phases(self):
+        """The engine's cycle, in ``Network._cycle_phases``' order: the
+        NI phase and the cycle close are the object kernel's own, and
+        the power-gating phases are in the table only for a gated scheme."""
         net = self.net
-        cycle = net.cycle
-        self._deliver(cycle)
-        self._credits(cycle)
-        if self.bank is not None:
-            self._pg_begin(cycle)
-        active_nis = net.active_nis
-        if active_nis:
-            interfaces = net.interfaces
-            for node in sorted(active_nis):
-                ni = interfaces[node]
-                if ni.has_work():
-                    ni.step(cycle)
-                if not ni.has_work():
-                    active_nis.discard(node)
-        if self.buffered_total:
-            self._va(cycle)
-            self._sa(cycle)
-        if self.bank is not None:
-            self._pg_end(cycle)
-        # The engine-selection quantity (``Network._select_engine``):
-        # routers holding flits, the twin of ``len(active_routers)``.
-        net._occupied_sum += int(_np.count_nonzero(self.router_occ))
-        net.stats.cycles = cycle + 1
-        net.cycle = cycle + 1
+        if self.bank is None:
+            return (self._deliver, self._credits, net._step_interfaces, self._va, self._sa,
+                    self._census, net._close_cycle)
+        return (self._deliver, self._credits, self._pg_begin, net._step_interfaces, self._va,
+                self._sa, self._pg_end, self._census, net._close_cycle)
+
+    def _census(self, cycle: int) -> None:
+        """The engine-selection quantity (``Network._select_engine``):
+        routers holding flits, the twin of ``len(active_routers)``."""
+        self.net._occupied_sum += int(_np.count_nonzero(self.router_occ))
 
     # ------------------------------------------------------------------
     # Phase 1: link arrivals and ejections
@@ -873,6 +862,8 @@ class VectorEngine:
         are granted with array ops and only ports contended by several
         candidates fall back to a scalar loop in ``seq`` order.
         """
+        if not self.buffered_total:
+            return
         cand = _np.where((self.state == 1) & (self.va_el <= cycle))[0]
         if cand.size == 0:
             return
@@ -976,6 +967,8 @@ class VectorEngine:
         """Whole-mesh SA round: readiness masks, the two round-robin
         arbitration stages as grouped array ops, then a batched commit.
         """
+        if not self.buffered_total:
+            return
         occ = self.occ
         act = _np.where((self.state == 2) & (occ > 0))[0]
         if act.size == 0:
@@ -1185,7 +1178,9 @@ class VectorEngine:
         # The injection pass only builds target sets (no bank reads),
         # so its sends batch the same way and its wakeups join the same
         # phase flush.
-        sends = sch._generate_injection_punches(cycle)
+        interfaces = self.net.interfaces
+        working = [interfaces[node] for node in sorted(self.net.active_nis)]
+        sends = sch._generate_injection_punches(cycle, working)
         if sends:
             inj_r = [node for node, _targets in sends]
             counts = [len(targets) for _node, targets in sends]
@@ -1245,9 +1240,10 @@ class VectorEngine:
     # Disengagement
     # ==================================================================
     def materialize(self) -> None:
-        """Write every mirrored field back onto the object model and
-        unhook the engine, so the active kernel can continue mid-run
-        (e.g. when a fault injector or a per-flit subscriber is added).
+        """Write every mirrored field back onto the object model, unhook
+        the engine and restore the object kernel's phase table, so the
+        active kernel can continue mid-run (e.g. when a fault injector
+        or a per-flit subscriber is added).
         """
         net = self.net
         routers = net.routers
@@ -1331,4 +1327,5 @@ class VectorEngine:
                 for key in _np.unique(_np.concatenate(w)).tolist():
                     pending.setdefault(key // self.R, set()).add(key % self.R)
                 w.clear()
+        net.phases = net._cycle_phases()
         net._engine = None

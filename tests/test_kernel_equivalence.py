@@ -25,7 +25,8 @@ Layers of evidence:
   occupied VCs, NIs with work, non-OFF controllers);
 * oracle independence — the naive kernel (``repro.noc.reference``)
   reproduces its own results with every work-set made unreadable, so it
-  cannot be the active kernel with its sets filled in;
+  cannot be the active kernel with its sets filled in, and it puts
+  nothing on the scheme instance;
 * the seam — an exhaustive check on 2x2 and 3x3 meshes that engaging
   the vector engine from live state before *any* cycle and
   materializing it back 1, 2 or 9 cycles later changes nothing, a
@@ -373,6 +374,17 @@ class TestOracleIndependence:
             assert net.dead_routers == {5} and net.stats.rerouted_packets > 0
             dumps.append((net.cycle, _dump(net)))
         assert dumps[0] == dumps[1]
+
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_nothing_put_on_the_policy_instance(self, scheme_name):
+        # The scans are the reference's own phases: it leaves the
+        # scheme's instance attributes exactly as the active kernel does.
+        attributes = {}
+        for kernel in ("active", "naive"):
+            net = Network(NoCConfig(kernel=kernel), SCHEMES[scheme_name]())
+            SyntheticTraffic(net, "uniform_random", 0.02, seed=7).run(50)
+            attributes[kernel] = set(vars(net.policy))
+        assert attributes["naive"] == attributes["active"]
 
     def test_the_poison_bites(self):
         # The same swap on the active-set kernel must trip at once, or
