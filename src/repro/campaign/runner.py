@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import traceback
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ..baselines import NoRDLike
 from ..core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
-from ..noc import Network, NoCConfig
+from ..noc import Activity, Network, NoCConfig
 from ..noc.packet import reset_packet_ids
-from ..power import DEFAULT_CONSTANTS, EnergyModel
+from ..power import DEFAULT_CONSTANTS, EnergyModel, account
 from ..system import Chip, get_profile
 from ..traffic import SyntheticTraffic
 from .spec import CANONICAL_INSTRUCTIONS, CellSpec
@@ -184,33 +184,27 @@ def run_synthetic(
 
 
 def _measure(
-    network: Network,
-    spec: CellSpec,
-    warmup: int,
-    measurement: int,
-    drain: bool,
-    model: Optional[EnergyModel] = None,
-):
+    network: Network, spec: CellSpec, warmup: int, measurement: int, drain: bool
+) -> Activity:
     """The one open-loop measurement every synthetic cell kind shares.
 
     Drive ``spec``'s traffic through ``network`` (built, and with
     whatever the kind observes through already installed, by the
     caller): warm up, open the statistics window, measure, then drain
     if asked.  ``warmup=0`` opens the window at cycle 0, so every packet
-    counts.  Returns ``model``'s energy over the window (``None``
-    without a model).
+    counts.  Returns the window's activity (the drain is not in it).
     """
     traffic = SyntheticTraffic(
         network, spec.workload, spec.injection_rate, seed=spec.seed
     )
     traffic.run(warmup)
-    snapshot = model.snapshot(network) if model is not None else None
+    start = network.activity()
     network.stats.measure_from = network.cycle
     traffic.run(measurement)
-    energy = model.account(network, since=snapshot) if model is not None else None
+    window = network.activity() - start
     if drain:
         traffic.drain()
-    return energy
+    return window
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +227,8 @@ def _run_synthetic_cell(spec: CellSpec) -> RunRecord:
     if spec.scheme_attrs:
         raise TypeError("RunRecord synthetic cells do not support scheme_attrs")
     with closing(Network(spec.build_config(), build_scheme(spec))) as network:
-        energy = _measure(
-            network, spec, spec.warmup, spec.measurement, spec.drain, EnergyModel()
+        energy = account(
+            _measure(network, spec, spec.warmup, spec.measurement, spec.drain)
         )
     stats = network.stats
     return RunRecord(
@@ -253,57 +247,35 @@ def _run_synthetic_cell(spec: CellSpec) -> RunRecord:
     )
 
 
-def _gating_metrics(scheme) -> dict:
-    """The share of controller cycles spent gated off, and the wakeup
-    count, over the whole run (zero for an always-on scheme)."""
-    controllers = getattr(scheme, "controllers", None) or []
-    off = sum(c.off_cycles for c in controllers)
-    total = off + sum(c.active_cycles + c.waking_cycles for c in controllers)
+def _gating_metrics(activity: Activity) -> dict:
+    """The share of router-cycles spent gated off, and the wakeup
+    count (zero for an always-on scheme)."""
+    total = activity.off_cycles + activity.on_cycles
     return {
-        "off_fraction": off / total if total else 0.0,
-        "wake_events": sum(c.wake_events for c in controllers),
+        "off_fraction": activity.off_cycles / total if total else 0.0,
+        "wake_events": activity.wake_events,
     }
 
 
 def _run_metrics_cell(spec: CellSpec) -> dict:
-    """Extended metrics payload (ablations / baselines comparison)."""
+    """Extended metrics payload (ablations / baselines comparison).
+
+    ``off_fraction`` and ``wake_events`` cover the whole run; the
+    measurement window's energy is its ``activity`` record, priced by
+    whoever reads the payload (``repro.power.account``), so one stored
+    run re-prices at any constants.
+    """
     scheme = build_scheme(spec)
     with closing(Network(spec.build_config(), scheme)) as network:
-        energy = _measure(
-            network, spec, spec.warmup, spec.measurement, spec.drain, EnergyModel()
-        )
+        window = _measure(network, spec, spec.warmup, spec.measurement, spec.drain)
     stats = network.stats
     return {
         "latency": stats.avg_total_latency,
         "wait": stats.avg_wakeup_wait,
-        **_gating_metrics(scheme),
-        "net_static": energy.net_static,
+        **_gating_metrics(network.activity()),
+        "activity": asdict(window),
         "delivered": stats.delivered,
         "detoured": getattr(scheme, "detoured_packets", 0),
-    }
-
-
-def _run_bet_cell(spec: CellSpec) -> dict:
-    """Energy re-accounting under a given break-even time.
-
-    BET only scales the per-event PG overhead, so the simulation is
-    identical across BET values — only the accounting differs (the
-    timing fields prove it: they match bit-for-bit between cells).
-    The window is the whole run, undrained.
-    """
-    from ..power import PowerConstants
-
-    model = EnergyModel(PowerConstants(break_even_cycles=dict(spec.extras)["bet"]))
-    scheme = build_scheme(spec)
-    with closing(Network(spec.build_config(), scheme)) as network:
-        energy = _measure(
-            network, spec, 0, spec.warmup + spec.measurement, False, model
-        )
-    return {
-        "latency": network.stats.avg_total_latency,
-        "wait": network.stats.avg_wakeup_wait,
-        **_gating_metrics(scheme),
-        "net_static": energy.net_static,
     }
 
 
@@ -410,7 +382,6 @@ _RUNNERS = {
     "parsec": _run_parsec_cell,
     "synthetic": _run_synthetic_cell,
     "synthetic_metrics": _run_metrics_cell,
-    "bet_account": _run_bet_cell,
     "analysis": _run_analysis_cell,
     "reliability": _run_reliability_cell,
     "guarantees": _run_guarantees_cell,

@@ -17,10 +17,8 @@ Cell kinds and their payloads:
 ``synthetic_metrics``
     Synthetic point returning the extended metrics dict used by the
     ablations and the NoRD comparison (off-fraction, wake events,
-    detours, ...).
-``bet_account``
-    Synthetic run re-accounted under a given break-even time
-    (``extras: bet``) → metrics dict.
+    detours, ..., and the measurement window's ``activity`` record,
+    which the reader prices at whatever power constants it needs).
 ``analysis``
     Deterministic non-simulation analysis (Table 1 enumeration)
     → ``{"report": str}``.
@@ -64,7 +62,6 @@ CELL_KINDS = (
     "parsec",
     "synthetic",
     "synthetic_metrics",
-    "bet_account",
     "analysis",
     "reliability",
     "guarantees",
@@ -107,8 +104,8 @@ class CellSpec:
     warmup: int = 1000
     measurement: int = 6000
     drain: bool = False
-    #: Kind-specific extension point (e.g. ``bet`` for bet_account,
-    #: enumeration parameters for analysis cells), as sorted items.
+    #: Kind-specific extension point (e.g. enumeration parameters for
+    #: analysis cells), as sorted items.
     extras: Items = ()
 
     def __post_init__(self) -> None:
@@ -175,34 +172,6 @@ class CellSpec:
             warmup=warmup,
             measurement=measurement,
             drain=drain,
-        )
-
-    @classmethod
-    def bet(
-        cls,
-        pattern: str,
-        injection_rate: float,
-        scheme: str,
-        *,
-        bet: int,
-        warmup: int = 1000,
-        measurement: int = 4000,
-        seed: int = 7,
-        config: Optional[NoCConfig] = None,
-        scheme_kwargs: ItemsLike = None,
-    ) -> "CellSpec":
-        """A break-even-time energy-accounting cell."""
-        return cls(
-            kind="bet_account",
-            workload=pattern,
-            scheme=scheme,
-            scheme_kwargs=freeze_items(scheme_kwargs),
-            config=_config_items(config),
-            seed=seed,
-            injection_rate=injection_rate,
-            warmup=warmup,
-            measurement=measurement,
-            extras=freeze_items({"bet": bet}),
         )
 
     @classmethod
@@ -358,7 +327,7 @@ class CellSpec:
     def label(self) -> str:
         """Short human-readable identity for logs."""
         work = self.workload
-        if self.kind in ("synthetic", "synthetic_metrics", "bet_account"):
+        if self.kind in ("synthetic", "synthetic_metrics"):
             work = f"{self.workload}@{self.injection_rate:g}"
         return f"{self.kind}:{work}:{self.scheme}:s{self.seed}"
 

@@ -67,7 +67,6 @@ class PowerGatedScheme(PowerPolicy):
         timeout: int = 4,
         punch_hops: Optional[int] = None,
         use_forewarning: bool = False,
-        slack1: bool = False,
         slack2: bool = False,
         slack2_window: int = 6,
     ) -> None:
@@ -77,8 +76,6 @@ class PowerGatedScheme(PowerPolicy):
         #: Whether punch arrivals open a no-sleep forewarning window
         #: (Power Punch's accurate short-idle filtering, Sec. 4.3).
         self.use_forewarning = use_forewarning
-        #: Send injection punches at message creation (start of NI delay).
-        self.slack1 = slack1
         #: Honor early local-router notices from resource accesses.
         self.slack2 = slack2
         self.slack2_window = slack2_window
@@ -637,6 +634,22 @@ class PowerGatedScheme(PowerPolicy):
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def gating_activity(self, cycles: int, num_routers: int) -> dict:
+        """The controllers' on/off/wake totals (an engaged vector bank
+        is flushed first) and the punch fabric's transmissions."""
+        on_cycles = off_cycles = wake_events = 0
+        for controller in self.controllers:
+            on_cycles += controller.active_cycles + controller.waking_cycles
+            off_cycles += controller.off_cycles
+            wake_events += controller.wake_events
+        return {
+            "on_cycles": on_cycles,
+            "off_cycles": off_cycles,
+            "wake_events": wake_events,
+            "punch_transmissions": self.fabric.link_transmissions if self.fabric else 0,
+            "gated": True,
+        }
+
     def total_off_cycles(self) -> int:
         """Sum of gated-off cycles across all routers."""
         return sum(c.off_cycles for c in self.controllers)
@@ -667,7 +680,6 @@ class ConvOptPG(PowerGatedScheme):
             timeout=timeout,
             punch_hops=1,
             use_forewarning=False,
-            slack1=False,
             slack2=False,
         )
 
@@ -688,7 +700,6 @@ class PowerPunchSignal(PowerGatedScheme):
             timeout=timeout,
             punch_hops=punch_hops,
             use_forewarning=True,
-            slack1=False,
             slack2=False,
         )
 
@@ -717,7 +728,6 @@ class PowerPunchPG(PowerPunchSignal):
             timeout=timeout,
             punch_hops=punch_hops,
             use_forewarning=True,
-            slack1=True,
             slack2=True,
             slack2_window=slack2_window,
         )

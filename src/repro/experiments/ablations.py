@@ -14,11 +14,15 @@ text argues for:
   router's wakeup;
 * **forewarning** (Sec. 4.3): punch signals double as precise
   packet-arrival predictors; disabling that filter shows the
-  wake-thrash it prevents.
+  wake-thrash it prevents;
+* **break-even time** (Sec. 2.3): BET prices each sleep/wake pair, so
+  it changes energy and nothing else.
 
-Every sweep point is a ``synthetic_metrics`` (or ``bet_account``)
-campaign cell, so ablations share the engine's cache and fan-out with
-the figure scripts.
+Every sweep point is a ``synthetic_metrics`` campaign cell, so
+ablations share the engine's cache and fan-out with the figure
+scripts.  A table row is a payload priced at a set of power constants:
+the defaults for every sweep but BET, whose one run is priced once per
+break-even time.
 """
 
 from __future__ import annotations
@@ -26,18 +30,26 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..campaign import CellSpec
-from .common import format_table, run_keyed
+from ..power import DEFAULT_CONSTANTS, PowerConstants
+from .common import format_table, net_static, run_keyed
 
 DEFAULT_LOAD = 0.01
+#: The warmup of every sweep point (``CellSpec.synthetic``'s default).
+WARMUP = 1000
 
 
 def _metrics_cell(
-    scheme: str, measurement: int, scheme_kwargs=None, scheme_attrs=None
+    scheme: str,
+    measurement: int,
+    scheme_kwargs=None,
+    scheme_attrs=None,
+    warmup: int = WARMUP,
 ) -> CellSpec:
     return CellSpec.synthetic(
         "uniform_random",
         DEFAULT_LOAD,
         scheme,
+        warmup=warmup,
         measurement=measurement,
         drain=False,
         scheme_kwargs=scheme_kwargs,
@@ -96,32 +108,6 @@ def slack_cells(measurement: int = 4000) -> List[Tuple[str, CellSpec]]:
     ]
 
 
-def bet_cells(
-    bet_values: Sequence[int] = (5, 10, 20, 40), measurement: int = 4000
-) -> List[Tuple[int, CellSpec]]:
-    """Break-even-time sensitivity (energy only).
-
-    BET scales the per-event power-gating overhead (Sec. 2.3 footnote:
-    one sleep/wake pair costs BET cycles of static energy), so larger
-    BETs erode net static savings without touching timing.  Every BET
-    cell replays the *same* deterministic simulation; only the energy
-    accounting changes, which the identical timing fields prove.
-    """
-    return [
-        (
-            bet,
-            CellSpec.bet(
-                "uniform_random",
-                DEFAULT_LOAD,
-                "PowerPunch-PG",
-                bet=bet,
-                measurement=measurement,
-            ),
-        )
-        for bet in bet_values
-    ]
-
-
 def forewarning_cells(measurement: int = 4000) -> List[Tuple[str, CellSpec]]:
     """Punch-based short-idle filtering on vs off.
 
@@ -146,18 +132,64 @@ def forewarning_cells(measurement: int = 4000) -> List[Tuple[str, CellSpec]]:
     ]
 
 
-#: (campaign name, table title, declaration), in printing order.
+def bet_cells(measurement: int = 4000) -> List[Tuple[str, CellSpec]]:
+    """The one run the break-even-time table prices (see :func:`bet_rows`).
+
+    Its window is the whole undrained run, warmup included: warmup 0
+    and a measurement of ``WARMUP + measurement`` cycles.
+    """
+    return [
+        (
+            "PowerPunch-PG",
+            _metrics_cell("PowerPunch-PG", WARMUP + measurement, warmup=0),
+        )
+    ]
+
+
+def bet_rows(results, bet_values: Sequence[int] = (5, 10, 20, 40)):
+    """Break-even-time sensitivity (energy only).
+
+    BET scales the per-event power-gating overhead (Sec. 2.3 footnote:
+    one sleep/wake pair costs BET cycles of static energy), so larger
+    BETs erode net static savings without touching timing: every row
+    is the one run of :func:`bet_cells`, priced at its BET.
+    """
+    ((_, payload),) = results
+    return [(bet, payload, PowerConstants(break_even_cycles=bet)) for bet in bet_values]
+
+
+def _at_default_constants(results):
+    """One row per sweep point, priced at the default constants."""
+    return [(key, payload, DEFAULT_CONSTANTS) for key, payload in results]
+
+
+#: (campaign name, table title, declaration, rows), in printing order.
 SWEEPS = (
-    ("ablation-punch-hops", "Ablation: punch horizon (Twakeup=8, 3-stage)", punch_hops_cells),
-    ("ablation-timeout", "Ablation: idle timeout", timeout_cells),
-    ("ablation-slack", "Ablation: injection slack decomposition", slack_cells),
-    ("ablation-forewarning", "Ablation: punch forewarning filter", forewarning_cells),
-    ("ablation-bet", "Ablation: break-even time (energy accounting only)", bet_cells),
+    (
+        "ablation-punch-hops",
+        "Ablation: punch horizon (Twakeup=8, 3-stage)",
+        punch_hops_cells,
+        _at_default_constants,
+    ),
+    ("ablation-timeout", "Ablation: idle timeout", timeout_cells, _at_default_constants),
+    (
+        "ablation-slack",
+        "Ablation: injection slack decomposition",
+        slack_cells,
+        _at_default_constants,
+    ),
+    (
+        "ablation-forewarning",
+        "Ablation: punch forewarning filter",
+        forewarning_cells,
+        _at_default_constants,
+    ),
+    ("ablation-bet", "Ablation: break-even time (energy accounting only)", bet_cells, bet_rows),
 )
 
 
 # ----------------------------------------------------------------------
-def _table(title: str, rows: List[Tuple[object, dict]]) -> str:
+def _table(title: str, rows: List[Tuple[object, dict, PowerConstants]]) -> str:
     return format_table(
         ["config", "latency", "wait/pkt", "off %", "wakes", "net static (J)"],
         [
@@ -167,9 +199,9 @@ def _table(title: str, rows: List[Tuple[object, dict]]) -> str:
                 res["wait"],
                 f"{res['off_fraction']:.1%}",
                 res["wake_events"],
-                f"{res['net_static']:.3e}",
+                f"{net_static(res, constants):.3e}",
             ]
-            for key, res in rows
+            for key, res, constants in rows
         ],
         title=title,
     )
@@ -182,7 +214,8 @@ def add_arguments(parser) -> None:
 
 def run(args, engine: dict) -> None:
     """Run and print all ablation tables."""
-    for index, (name, title, declare) in enumerate(SWEEPS):
+    for index, (name, title, declare, rows) in enumerate(SWEEPS):
         if index:
             print()
-        print(_table(title, run_keyed(name, declare(measurement=args.measurement), **engine)))
+        results = run_keyed(name, declare(measurement=args.measurement), **engine)
+        print(_table(title, rows(results)))

@@ -15,7 +15,7 @@ per scheme.
 from __future__ import annotations
 
 from ..campaign import CellSpec
-from .common import format_table, run_keyed
+from .common import format_table, net_static, run_keyed
 from .paper_targets import PAPER
 
 _SCHEMES = ["No-PG", "ConvOpt-PG", "PowerPunch-PG", "NoRD-like"]
@@ -44,6 +44,7 @@ def report(results) -> str:
     """Format the comparison table plus the paper-ratio headline."""
     per = dict(results)
     base = per["No-PG"]
+    base_static = net_static(base)
     rows = []
     for name, row in results:
         rows.append(
@@ -51,7 +52,7 @@ def report(results) -> str:
                 name,
                 row["latency"],
                 row["latency"] - base["latency"],
-                f"{row['net_static'] / base['net_static']:.1%}",
+                f"{net_static(row) / base_static:.1%}",
                 row["detoured"],
             ]
         )

@@ -7,7 +7,8 @@ against a content-addressed cache) via :mod:`repro.campaign.runner`.
 This module keeps only what every consumer shares: the scheme
 registry and :class:`RunRecord` (re-exported from the runner) with its
 persistence helpers, the keyed-sweep convention (:func:`run_keyed`,
-:func:`pivot`) and plain-text table formatting.
+:func:`pivot`), the pricing of a metrics payload (:func:`net_static`)
+and plain-text table formatting.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from ..campaign.runner import (  # noqa: F401
     make_scheme,
 )
 from ..campaign.spec import CANONICAL_INSTRUCTIONS  # noqa: F401
+from ..noc import Activity
+from ..power import DEFAULT_CONSTANTS, PowerConstants, account
 
 
 # ----------------------------------------------------------------------
@@ -62,6 +65,12 @@ def pivot(results: Iterable[Tuple[Tuple[object, object], object]]) -> Dict:
     for (row, column), payload in results:
         table.setdefault(row, {})[column] = payload
     return table
+
+
+def net_static(payload: dict, constants: PowerConstants = DEFAULT_CONSTANTS) -> float:
+    """Net static energy (J) of a ``synthetic_metrics`` payload's
+    measurement window, priced at ``constants``."""
+    return account(Activity(**payload["activity"]), constants).net_static
 
 
 # ----------------------------------------------------------------------
@@ -116,14 +125,6 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
-
-
-def geomean_ratio(values: Sequence[float]) -> float:
-    """Geometric mean of a sequence of ratios."""
-    product = 1.0
-    for v in values:
-        product *= v
-    return product ** (1.0 / len(values)) if values else 0.0
 
 
 def mean(values: Sequence[float]) -> float:

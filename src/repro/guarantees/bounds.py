@@ -128,7 +128,9 @@ def wakeup_penalty_per_hop(scheme, config: NoCConfig) -> int:
       router awake for the expectation window, so only the uncovered
       residual can ever stall the packet.
     * Non-forewarned lookahead (ConvOpt-PG): the full per-wakeup stall
-      from the controller contract (``wakeup_latency``).  The one-hop
+      from the controller contract (``wakeup_latency``: a request that
+      finds the router OFF makes it available exactly that much later,
+      and forewarning and retries only move a wakeup earlier).  The one-hop
       wakeup usually hides a few cycles in practice, but without the
       forewarning hold the neighbor may time out and re-sleep before
       the head arrives, so nothing is *certified* hidden.

@@ -52,7 +52,7 @@ from .routing import (
     XYRouting,
     default_routing,
 )
-from .stats import DroppedPacket, NetworkStats
+from .stats import Activity, DroppedPacket, NetworkStats
 from .topology import (
     ALL_DIRECTIONS,
     MESH_DIRECTIONS,
@@ -68,6 +68,7 @@ from .topology import (
 
 __all__ = [
     "ALL_DIRECTIONS",
+    "Activity",
     "AlwaysOnPolicy",
     "BoundViolationError",
     "BufferOverflowError",

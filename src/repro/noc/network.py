@@ -64,7 +64,7 @@ from .packet import Flit, Packet, meet_powered_off
 from .policy import AlwaysOnPolicy, PowerPolicy
 from .router import Router
 from .routing import FaultTolerantRouting, RoutingAlgorithm, default_routing
-from .stats import NetworkStats
+from .stats import Activity, NetworkStats
 from .topology import Direction
 from .tracing import EventRing
 
@@ -330,9 +330,10 @@ class Network:
         run — routers, NIs, event queues, subscribers, phase table,
         fault injector, checkers — is released.  ``config``, ``topology``,
         ``cycle``, ``stats``, ``link_counts``, ``dead_routers`` and the
-        policy's counters stay readable (``EnergyModel.account`` still
-        works), and so does the flight recorder ``ring``; ``step`` and
-        ``inject`` raise :class:`NetworkClosedError`.  Idempotent.
+        policy's counters stay readable (so does :meth:`activity`, and
+        ``EnergyModel.account`` with it), and so does the flight
+        recorder ``ring``; ``step`` and ``inject`` raise
+        :class:`NetworkClosedError`.  Idempotent.
         """
         if self.closed:
             return
@@ -483,6 +484,19 @@ class Network:
         if self._engine is not None:
             self._engine.fold_link_counts()
         return self._link_counts
+
+    def activity(self) -> Activity:
+        """What the run has done so far, as one :class:`Activity`
+        (readable after :meth:`close` too)."""
+        stats = self.stats
+        return Activity(
+            cycles=self.cycle,
+            num_routers=self.config.num_nodes,
+            num_ports=self.topology.num_ports,
+            router_traversals=stats.router_traversals,
+            link_traversals=stats.link_traversals,
+            **self.policy.gating_activity(self.cycle, self.config.num_nodes),
+        )
 
     def _disengage_vector(self) -> None:
         """Materialize and drop the vector engine (and never re-engage):

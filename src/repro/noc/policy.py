@@ -117,6 +117,17 @@ class PowerPolicy:
         """
         return 0
 
+    def gating_activity(self, cycles: int, num_routers: int) -> dict:
+        """This policy's fields of :class:`~repro.noc.stats.Activity`
+        after ``cycles`` cycles: here every router is on every cycle."""
+        return {
+            "on_cycles": cycles * num_routers,
+            "off_cycles": 0,
+            "wake_events": 0,
+            "punch_transmissions": 0,
+            "gated": False,
+        }
+
     def router_is_off(self, router_id: int) -> bool:
         """Whether the router is currently gated off (for power stats)."""
         return False

@@ -4,12 +4,12 @@ Collects the per-packet measurements the paper's evaluation is built
 from: average packet latency (Figs. 7, 12, 13), the number of distinct
 powered-off routers encountered per packet (Fig. 9) and the cycles per
 packet spent waiting for router wakeup (Fig. 10), plus activity counts
-feeding the energy model (Fig. 11).
+feeding the energy model (Fig. 11) — read as one :class:`Activity`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..stats_util import ReservoirQuantiles
@@ -29,6 +29,45 @@ class DroppedPacket:
     #: Routers declared dead when the drop happened (the blast radius
     #: this packet was part of).
     dead_routers: tuple = ()
+
+
+@dataclass(frozen=True)
+class Activity:
+    """What a run did: the counters its energy is a linear function of.
+
+    :meth:`Network.activity` fills one from the stats and the policy;
+    ``later - earlier`` is the activity of the window between them (the
+    network's shape — ``num_routers``, ``num_ports``, ``gated`` —
+    carries over).  ``repro.power.account`` prices a record at a set
+    of constants, and ``dataclasses.asdict`` / ``Activity(**doc)`` are
+    its JSON form, so a stored record re-prices without a simulation.
+    """
+
+    cycles: int
+    num_routers: int
+    num_ports: int
+    router_traversals: int
+    link_traversals: int
+    #: Router-cycles powered on or waking (all of them when always on).
+    on_cycles: int
+    #: Router-cycles gated off.
+    off_cycles: int
+    wake_events: int
+    punch_transmissions: int
+    #: Whether the policy power-gates (and so pays the PG overhead).
+    gated: bool
+
+    def __sub__(self, since: "Activity") -> "Activity":
+        return replace(
+            self,
+            cycles=self.cycles - since.cycles,
+            router_traversals=self.router_traversals - since.router_traversals,
+            link_traversals=self.link_traversals - since.link_traversals,
+            on_cycles=self.on_cycles - since.on_cycles,
+            off_cycles=self.off_cycles - since.off_cycles,
+            wake_events=self.wake_events - since.wake_events,
+            punch_transmissions=self.punch_transmissions - since.punch_transmissions,
+        )
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from .area import PunchAreaEstimate, RouterAreaBudget, estimate_punch_area
 from .constants import DEFAULT_CONSTANTS, PowerConstants
-from .model import EnergyBreakdown, EnergyModel
+from .model import EnergyBreakdown, EnergyModel, account
 
 __all__ = [
     "DEFAULT_CONSTANTS",
@@ -11,5 +11,6 @@ __all__ = [
     "PowerConstants",
     "PunchAreaEstimate",
     "RouterAreaBudget",
+    "account",
     "estimate_punch_area",
 ]

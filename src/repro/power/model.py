@@ -1,6 +1,9 @@
 """Router energy accounting (the paper's Fig. 11 and Fig. 12 metrics).
 
-Energy is decomposed exactly as in Fig. 11:
+Energy is a linear function of what a run did — one activity record
+(``repro.noc.Activity``: cycles, router and link traversals, powered-on
+router-cycles, wake events, punch transmissions) — decomposed exactly
+as in Fig. 11:
 
 * **dynamic** — per-flit router and link traversal energy;
 * **static** — leakage of powered-on (or waking) routers;
@@ -9,18 +12,16 @@ Energy is decomposed exactly as in Fig. 11:
   generation/propagation of punch signals.
 
 For the fair comparison of Sec. 6.3, ``net_static`` adds the overhead
-to the static component, and all values can be normalized to a No-PG
-reference run.
+to the static component.  :func:`account` prices a record and reads no
+simulator state, so a record stored in a campaign payload re-prices at
+any constants without a simulation (the break-even-time ablation does
+exactly that); :class:`EnergyModel` is its wrapper for a live network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..core.schemes import PowerGatedScheme
-from ..noc.network import Network
-from ..noc.policy import PowerPolicy
 from .constants import DEFAULT_CONSTANTS, PowerConstants
 
 
@@ -44,110 +45,52 @@ class EnergyBreakdown:
         """Static energy charged with the PG overhead (Sec. 6.3)."""
         return self.static + self.overhead
 
-    def static_power_watts(self, constants: PowerConstants = DEFAULT_CONSTANTS) -> float:
-        """Average net static power over the window (Fig. 12 bottom row)."""
-        if self.cycles == 0:
-            return 0.0
-        seconds = self.cycles / constants.frequency
-        return self.net_static / seconds
 
-    def normalized_to(self, reference: "EnergyBreakdown") -> dict:
-        """Component shares relative to a No-PG reference total."""
-        ref = reference.total
-        return {
-            "dynamic": self.dynamic / ref,
-            "static": self.static / ref,
-            "overhead": self.overhead / ref,
-            "total": self.total / ref,
-        }
+def account(activity, constants: PowerConstants = DEFAULT_CONSTANTS) -> EnergyBreakdown:
+    """The energy of one activity record (a ``repro.noc.Activity``:
+    a whole run's, or a window's) at ``constants``."""
+    c = constants
+    # The per-router energy constants are calibrated for the paper's
+    # 5-port mesh router (DSENT, Table 2).  Other fabrics scale the
+    # router-local terms by their radix: buffers and crossbar dominate
+    # both the static floor and the per-flit traversal energy, and both
+    # grow with port count.  The factor is exactly 1.0 on the mesh,
+    # leaving its numbers bit-identical.
+    port_scale = activity.num_ports / 5.0
+    dynamic = (
+        activity.router_traversals * c.flit_router_energy * port_scale
+        + activity.link_traversals * c.flit_link_energy
+    )
+    static = activity.on_cycles * c.router_static_energy_per_cycle * port_scale
 
-
-@dataclass
-class _Snapshot:
-    cycles: int
-    router_traversals: int
-    link_traversals: int
-    on_cycles: int
-    wake_events: int
-    punch_transmissions: int
+    overhead = 0.0
+    if activity.gated:
+        overhead += activity.wake_events * c.power_gate_event_energy
+        overhead += activity.punch_transmissions * c.punch_link_energy
+        overhead += (
+            activity.cycles * activity.num_routers * c.controller_static_energy_per_cycle
+        )
+    return EnergyBreakdown(
+        dynamic=dynamic,
+        static=static,
+        overhead=overhead,
+        cycles=activity.cycles,
+        num_routers=activity.num_routers,
+    )
 
 
 class EnergyModel:
-    """Computes :class:`EnergyBreakdown` from simulator activity counters."""
+    """:func:`account` at fixed constants, read off a live network."""
 
     def __init__(self, constants: PowerConstants = DEFAULT_CONSTANTS) -> None:
         self.constants = constants
 
-    # ------------------------------------------------------------------
-    def snapshot(self, network: Network) -> _Snapshot:
-        """Capture counters so a later accounting can cover a window."""
-        policy = network.policy
-        on_cycles, wake_events, punch = self._policy_counters(network, policy)
-        return _Snapshot(
-            cycles=network.cycle,
-            router_traversals=network.stats.router_traversals,
-            link_traversals=network.stats.link_traversals,
-            on_cycles=on_cycles,
-            wake_events=wake_events,
-            punch_transmissions=punch,
-        )
+    def snapshot(self, network):
+        """The network's activity so far: a later :meth:`account` can
+        cover the window since it."""
+        return network.activity()
 
-    def account(
-        self, network: Network, since: Optional[_Snapshot] = None
-    ) -> EnergyBreakdown:
+    def account(self, network, since=None) -> EnergyBreakdown:
         """Energy consumed since ``since`` (or since the beginning)."""
-        start = since or _Snapshot(0, 0, 0, 0, 0, 0)
-        end = self.snapshot(network)
-        c = self.constants
-        num_routers = network.config.num_nodes
-        cycles = end.cycles - start.cycles
-
-        # The per-router energy constants are calibrated for the
-        # paper's 5-port mesh router (DSENT, Table 2).  Other fabrics
-        # scale the router-local terms by their radix: buffers and
-        # crossbar dominate both the static floor and the per-flit
-        # traversal energy, and both grow with port count.  The factor
-        # is exactly 1.0 on the mesh, leaving its numbers bit-identical.
-        port_scale = network.topology.num_ports / 5.0
-        dynamic = (
-            (end.router_traversals - start.router_traversals)
-            * c.flit_router_energy
-            * port_scale
-            + (end.link_traversals - start.link_traversals) * c.flit_link_energy
-        )
-        static = (
-            (end.on_cycles - start.on_cycles)
-            * c.router_static_energy_per_cycle
-            * port_scale
-        )
-
-        overhead = 0.0
-        if isinstance(network.policy, PowerGatedScheme):
-            overhead += (
-                end.wake_events - start.wake_events
-            ) * c.power_gate_event_energy
-            overhead += (
-                end.punch_transmissions - start.punch_transmissions
-            ) * c.punch_link_energy
-            overhead += (
-                cycles * num_routers * c.controller_static_energy_per_cycle
-            )
-        return EnergyBreakdown(
-            dynamic=dynamic,
-            static=static,
-            overhead=overhead,
-            cycles=cycles,
-            num_routers=num_routers,
-        )
-
-    # ------------------------------------------------------------------
-    def _policy_counters(self, network: Network, policy: PowerPolicy):
-        if isinstance(policy, PowerGatedScheme):
-            on_cycles = sum(
-                ctl.active_cycles + ctl.waking_cycles for ctl in policy.controllers
-            )
-            wake_events = policy.total_wake_events()
-            punch = policy.fabric.link_transmissions if policy.fabric else 0
-            return on_cycles, wake_events, punch
-        # No-PG: every router is on every cycle.
-        return network.cycle * network.config.num_nodes, 0, 0
+        activity = network.activity()
+        return account(activity if since is None else activity - since, self.constants)

@@ -351,21 +351,6 @@ class PowerGateController:
         """Whether the router is mid-wakeup (PG still asserted)."""
         return self.state is PGState.WAKING
 
-    @property
-    def worst_case_stall(self) -> int:
-        """Certified worst-case head-flit stall at this router, in cycles.
-
-        The controller contract the guarantees layer prices: a wakeup
-        request that finds the router ``OFF`` (the worst arrival — any
-        ``WAKING`` overlap can only shorten the wait) makes the router
-        available exactly ``wakeup_latency`` cycles later, and nothing
-        in the FSM can extend that — forewarning and retries only move
-        the wakeup *earlier*.  ``repro.guarantees.bounds`` uses this
-        per hop for non-forewarned schemes and subtracts the punched
-        slack for forewarned ones.
-        """
-        return self.wakeup_latency
-
     # ------------------------------------------------------------------
     # Wakeup / forewarning inputs
     # ------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Tests for the ablation harness functions (fast configurations)."""
 
 
+from repro.campaign import build_scheme
 from repro.experiments.ablations import (
     bet_cells,
+    bet_rows,
     forewarning_cells,
     punch_hops_cells,
     slack_cells,
     timeout_cells,
 )
-from repro.experiments.common import run_keyed
+from repro.experiments.common import net_static, run_keyed
+from repro.noc import Activity, Network
+from repro.noc.packet import reset_packet_ids
+from repro.power import EnergyModel, PowerConstants, account
+from repro.traffic import SyntheticTraffic
 
 
 def run(cells):
@@ -43,11 +49,30 @@ class TestAblationHarness:
         assert on["wake_events"] <= 1.10 * off["wake_events"]
         assert on["latency"] <= 1.05 * off["latency"]
 
-    def test_bet_sweep_monotone_energy(self):
-        results = run(bet_cells(bet_values=(5, 40), measurement=800))
-        assert results[0][1]["net_static"] < results[1][1]["net_static"]
+    def test_bet_sweep_monotone_energy(self, tmp_path):
+        cells = bet_cells(measurement=800)
+        # One run, stored and read back: every row is priced from it.
+        run_keyed("test-ablations", cells, cache_dir=str(tmp_path))
+        results = run_keyed("test-ablations", cells, cache_dir=str(tmp_path))
+        rows = bet_rows(results, bet_values=(5, 40))
+        (_, low_res, low_c), (_, high_res, high_c) = rows
+        assert net_static(low_res, low_c) < net_static(high_res, high_c)
         # Same simulation: identical timing across BET values.
-        assert results[0][1]["latency"] == results[1][1]["latency"]
+        assert low_res["latency"] == high_res["latency"]
         # ...and the same, real, gated-off share.
-        assert results[0][1]["off_fraction"] > 0
-        assert results[0][1]["off_fraction"] == results[1][1]["off_fraction"]
+        assert low_res["off_fraction"] > 0
+        assert low_res["off_fraction"] == high_res["off_fraction"]
+        # A stored row is bit for bit the live run's energy at its BET.
+        ((_, spec),) = cells
+        reset_packet_ids()
+        network = Network(spec.build_config(), build_scheme(spec))
+        traffic = SyntheticTraffic(network, spec.workload, spec.injection_rate, seed=spec.seed)
+        start = EnergyModel().snapshot(network)
+        traffic.run(spec.measurement)
+        for bet, payload, constants in rows:
+            live = EnergyModel(PowerConstants(break_even_cycles=bet)).account(
+                network, since=start
+            )
+            assert account(Activity(**payload["activity"]), constants) == live
+            assert net_static(payload, constants) == live.net_static
+        assert network.stats.avg_total_latency == low_res["latency"]

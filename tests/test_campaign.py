@@ -35,9 +35,10 @@ from repro.campaign import (
     run_cell,
 )
 from repro.cli import ENGINE_OPTION_KEYS, campaign_argparser, engine_options
-from repro.experiments.common import CANONICAL_INSTRUCTIONS, RunRecord
-from repro.noc import NoCConfig
+from repro.experiments.common import CANONICAL_INSTRUCTIONS, RunRecord, net_static
+from repro.noc import Activity, NoCConfig
 from repro.noc.errors import SimulationError
+from repro.power import DEFAULT_CONSTANTS, PowerConstants, account
 
 
 #: A cell store written by the parent commit's ``CellCache.put``
@@ -610,13 +611,30 @@ class TestRunCell:
             metrics=True,
         )
         payload = run_cell(spec)
-        assert set(payload) >= {
+        assert list(payload) == [
             "latency",
             "wait",
             "off_fraction",
             "wake_events",
-            "net_static",
-        }
+            "activity",
+            "delivered",
+            "detoured",
+        ]
+        # The energy is not in the payload: its window's activity is.
+        assert payload["activity"]["cycles"] == 300 and payload["activity"]["gated"]
+
+    def test_metrics_payload_prices_the_same_after_the_store(self):
+        spec = CellSpec.synthetic(
+            "uniform_random", 0.01, "ConvOpt-PG", warmup=100, measurement=300,
+            drain=False, metrics=True,
+        )
+        payload = run_cell(spec)
+        stored = decode_payload(json.loads(json.dumps(encode_payload(payload))))
+        assert stored == payload
+        for constants in (DEFAULT_CONSTANTS, PowerConstants(break_even_cycles=40)):
+            fresh = account(Activity(**payload["activity"]), constants)
+            assert account(Activity(**stored["activity"]), constants) == fresh
+            assert net_static(stored, constants) == fresh.net_static > 0
 
     def test_scheme_attrs_applied(self):
         from repro.campaign import build_scheme

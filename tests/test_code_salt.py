@@ -33,7 +33,6 @@ cells = [
     CellSpec.parsec("swaptions", "PowerPunch-PG", instructions=30),
     CellSpec.synthetic("uniform_random", 0.05, "ConvOpt-PG", **window),
     CellSpec.synthetic("uniform_random", 0.05, "NoRD-like", metrics=True, **short),
-    CellSpec.bet("uniform_random", 0.05, "PowerPunch-Signal", bet=20, **window),
     CellSpec.analysis("table1", width=4, hops=3, router=5),
     CellSpec.reliability(3, horizon=40, **window),
     CellSpec.guarantees("uniform_random", 0.05, "PowerPunch-PG", **window),

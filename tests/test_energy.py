@@ -1,10 +1,14 @@
 """Tests for the router energy model."""
 
+import ast
+import importlib.util
+
 import pytest
 
 from repro.core import ConvOptPG
-from repro.noc import Network, NoCConfig, VirtualNetwork, control_packet
-from repro.power import DEFAULT_CONSTANTS, EnergyModel, PowerConstants
+from repro.noc import Activity, Network, NoCConfig, VirtualNetwork, control_packet
+from repro.power import DEFAULT_CONSTANTS, EnergyModel, PowerConstants, account
+from repro.power import model
 
 
 class TestConstants:
@@ -97,20 +101,67 @@ class TestBreakdownHelpers:
         assert e.net_static == pytest.approx(e.static + e.overhead)
         assert e.total == pytest.approx(e.dynamic + e.static + e.overhead)
 
-    def test_normalization(self):
-        net = Network(NoCConfig(width=4, height=4))
-        for _ in range(100):
-            net.step()
-        e = EnergyModel().account(net)
-        norm = e.normalized_to(e)
-        assert norm["total"] == pytest.approx(1.0)
-
     def test_static_power_watts(self):
         net = Network(NoCConfig(width=4, height=4))
         for _ in range(100):
             net.step()
         e = EnergyModel().account(net)
         # 16 always-on routers: static power = 16 * 27.3 mW.
-        assert e.static_power_watts() == pytest.approx(
+        seconds = e.cycles / DEFAULT_CONSTANTS.frequency
+        assert e.net_static / seconds == pytest.approx(
             16 * DEFAULT_CONSTANTS.router_static_power, rel=1e-6
+        )
+
+
+class TestActivityRecord:
+    """Energy is :func:`repro.power.account` of one activity record."""
+
+    def test_power_model_imports_no_simulator(self):
+        tree = ast.parse(open(model.__file__).read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                name = "." * node.level + (node.module or "")
+                imported.add(importlib.util.resolve_name(name, "repro.power"))
+        assert imported  # the walk saw the import statements
+        for name in imported:
+            assert not name.startswith(("repro.core", "repro.noc")), name
+
+    def test_window_is_the_difference_of_two_reads(self):
+        scheme = ConvOptPG(wakeup_latency=4)
+        net = Network(NoCConfig(width=4, height=4), scheme)
+        for _ in range(50):
+            net.step()
+        start = net.activity()
+        net.inject(control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle))
+        net.run_until_drained(500)
+        window = net.activity() - start
+        assert window.cycles == net.cycle - 50
+        assert (window.num_routers, window.num_ports, window.gated) == (16, 5, True)
+        assert window.wake_events == scheme.total_wake_events() > 0
+        assert window.off_cycles == scheme.total_off_cycles() - start.off_cycles
+        model = EnergyModel()
+        assert account(window) == model.account(net, since=start)
+        # A closed network reads the same record.
+        end = net.activity()
+        net.close()
+        assert net.activity() == end
+
+    def test_always_on_record(self):
+        net = Network(NoCConfig(width=4, height=4))
+        for _ in range(10):
+            net.step()
+        assert net.activity() == Activity(
+            cycles=10,
+            num_routers=16,
+            num_ports=5,
+            router_traversals=0,
+            link_traversals=0,
+            on_cycles=160,
+            off_cycles=0,
+            wake_events=0,
+            punch_transmissions=0,
+            gated=False,
         )

@@ -10,7 +10,6 @@ from repro.experiments.common import (
     SCHEME_ORDER,
     RunRecord,
     format_table,
-    geomean_ratio,
     make_scheme,
     mean,
     save_records,
@@ -114,10 +113,6 @@ class TestFormatting:
     def test_format_table_empty_rows(self):
         out = format_table(["x"], [])
         assert "x" in out
-
-    def test_geomean(self):
-        assert geomean_ratio([1.0, 4.0]) == pytest.approx(2.0)
-        assert geomean_ratio([]) == 0.0
 
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0

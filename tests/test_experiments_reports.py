@@ -4,7 +4,7 @@ The PARSEC report (``repro.experiments.headline``) is driven with two
 synthetic seeds; the claim rule is checked through the verdicts it
 prints."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -12,6 +12,7 @@ from repro.experiments import baselines_compare, headline, scalability
 from repro.experiments.common import PG_SCHEMES, SCHEME_ORDER, RunRecord
 from repro.experiments.paper_targets import PAPER
 from repro.experiments.parsec_suite import summarize
+from repro.noc import Activity
 
 
 def make_record(bench, scheme, latency, exec_time, blocked, wait, static, overhead):
@@ -212,9 +213,14 @@ class TestSyntheticReportVerdicts:
         assert "the reduction grows with mesh size" in scalability.report(growing)
 
     def test_baselines_says_when_the_detour_ratio_is_below_the_papers(self):
+        one_router_cycle = asdict(
+            Activity(1, 1, 5, 0, 0, on_cycles=1, off_cycles=0, wake_events=0,
+                     punch_transmissions=0, gated=False)
+        )
+
         def results(nord_penalty):
             return [
-                (scheme, {"latency": 30.0 + penalty, "net_static": 1.0, "detoured": 0})
+                (scheme, {"latency": 30.0 + penalty, "activity": one_router_cycle, "detoured": 0})
                 for scheme, penalty in (
                     ("No-PG", 0.0),
                     ("ConvOpt-PG", 20.0),

@@ -96,8 +96,10 @@ class TestKeysDescribeTheirCells:
             assert dict(cell.scheme_kwargs) == {"wakeup_latency": 8, "punch_hops": hops}
         for timeout, cell in _unique(ablations.timeout_cells()):
             assert dict(cell.scheme_kwargs) == {"timeout": timeout}
-        for bet, cell in _unique(ablations.bet_cells()):
-            assert dict(cell.extras) == {"bet": bet} and cell.kind == "bet_account"
+        # The BET table prices one whole-run, undrained cell per scheme.
+        ((scheme, cell),) = _unique(ablations.bet_cells())
+        assert scheme == cell.scheme == "PowerPunch-PG" and cell.kind == "synthetic_metrics"
+        assert (cell.warmup, cell.measurement, cell.drain) == (0, 5000, False)
         slack = dict(_unique(ablations.slack_cells()))
         assert slack["punch signals only"].scheme == "PowerPunch-Signal"
         assert dict(slack["+ slack 1 (NI pipeline)"].scheme_attrs) == {"slack2": False}
@@ -107,10 +109,14 @@ class TestKeysDescribeTheirCells:
         assert dict(forewarning["forewarning off"].scheme_attrs) == {"use_forewarning": False}
 
     def test_every_ablation_is_printed_under_its_own_campaign_name(self):
-        names = [name for name, _title, _declare in ablations.SWEEPS]
+        names = [name for name, _title, _declare, _rows in ablations.SWEEPS]
         assert len(set(names)) == len(names) == 5
-        for _name, _title, declare in ablations.SWEEPS:
-            assert all(cell.measurement == 700 for _, cell in declare(measurement=700))
+        for _name, _title, declare, _rows in ablations.SWEEPS:
+            # Every window ends 700 cycles after the warmup.
+            assert all(
+                cell.warmup + cell.measurement == ablations.WARMUP + 700
+                for _, cell in declare(measurement=700)
+            )
 
 
 class TestSyntheticShapes:

@@ -70,11 +70,17 @@ def test_convopt_pays_full_wakeup():
 
 
 def test_penalty_matches_controller_contract():
-    # The analytical per-hop price for non-forewarned schemes is the
-    # controller's own certified worst case.
+    # The analytical per-hop price for non-forewarned schemes is what
+    # the controller FSM charges: a wakeup request that finds the router
+    # OFF makes it available exactly ``wakeup_latency`` cycles later.
     controller = PowerGateController(0, wakeup_latency=8, timeout=4)
-    assert controller.worst_case_stall == 8
-    assert wakeup_penalty_per_hop(ConvOptPG(), CONFIG) == controller.worst_case_stall
+    cycle = 0
+    while not controller.is_off:
+        controller.step(cycle, datapath_empty=True, node_wants_router=False)
+        cycle += 1
+    controller.request_wakeup(cycle)
+    stall = next(n for n in range(64) if controller.available_by(cycle + n))
+    assert stall == wakeup_penalty_per_hop(ConvOptPG(), CONFIG) == 8
 
 
 def test_nord_is_unboundable():

@@ -27,7 +27,6 @@ PINNED_KEYS = {
     "parsec": "8467e333206d2a6683f30b448a6ab7f413b98bdfbc583c17999d9d4dacefef53",
     "synthetic": "c60c4bd20e9a9206f771395fb1ffc9dd5b41640e95fa258c784a9efe4a322a5c",
     "synthetic_metrics": "b766b5256a90ebbbcecb2d73be1aff774e0d7d1c783ae45aa2495b25733a4c05",
-    "bet_account": "e74e48108f0968d626732dc083a3f482eb6fcc8a9780be1471a2cd0cc7a9ca22",
     "analysis": "9c06afd943fef73b40a3a6bc5d20f133ceeea1b8ee3975a3427b1ce2724fad5a",
     "reliability": "39f8f28c27701e72562eddbe28ab2476160f324fa45984aecedfab89e08f1bec",
     "guarantees": "dd46df8dbf1c78ac9e89d67ea6bf4bf30879b261a8a3cb251be1f5ca4929ba16",
@@ -41,7 +40,6 @@ def _pinned_specs():
         "synthetic_metrics": CellSpec.synthetic(
             "transpose", 0.05, "PowerPunch-PG", metrics=True
         ),
-        "bet_account": CellSpec.bet("uniform_random", 0.02, "ConvOpt-PG", bet=10),
         "analysis": CellSpec.analysis("table1", router=36),
         "reliability": CellSpec.reliability(1),
         "guarantees": CellSpec.guarantees("uniform_random", 0.02, "PowerPunch-PG"),

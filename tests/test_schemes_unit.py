@@ -41,13 +41,24 @@ class TestConfigurationDerivation:
 
 
 class TestSlackFlags:
+    @staticmethod
+    def punches_inside_ni_pipeline(scheme) -> bool:
+        """Whether ``scheme`` punches for a packet the NI is still
+        processing (slack 1: the punch starts at message creation)."""
+        net, scheme = make(scheme)
+        packet = control_packet(0, 7, VirtualNetwork.REQUEST, net.cycle)
+        net.inject(packet)
+        punching = scheme._punching_packets(net.interfaces[0], net.cycle)
+        assert punching in ([], [packet])
+        return punching == [packet]
+
     def test_signal_scheme_has_no_slack(self):
-        net, scheme = make(PowerPunchSignal())
-        assert not scheme.slack1 and not scheme.slack2
+        assert not self.punches_inside_ni_pipeline(PowerPunchSignal())
+        assert not PowerPunchSignal().slack2
 
     def test_pg_scheme_has_both_slacks(self):
-        net, scheme = make(PowerPunchPG())
-        assert scheme.slack1 and scheme.slack2
+        assert self.punches_inside_ni_pipeline(PowerPunchPG())
+        assert PowerPunchPG().slack2
 
     def test_slack2_notice_holds_router(self):
         net, scheme = make(PowerPunchPG())
