@@ -247,23 +247,14 @@ def _run_synthetic_cell(spec: CellSpec) -> RunRecord:
     )
 
 
-def _gating_metrics(activity: Activity) -> dict:
-    """The share of router-cycles spent gated off, and the wakeup
-    count (zero for an always-on scheme)."""
-    total = activity.off_cycles + activity.on_cycles
-    return {
-        "off_fraction": activity.off_cycles / total if total else 0.0,
-        "wake_events": activity.wake_events,
-    }
-
-
 def _run_metrics_cell(spec: CellSpec) -> dict:
     """Extended metrics payload (ablations / baselines comparison).
 
-    ``off_fraction`` and ``wake_events`` cover the whole run; the
-    measurement window's energy is its ``activity`` record, priced by
-    whoever reads the payload (``repro.power.account``), so one stored
-    run re-prices at any constants.
+    ``latency``, ``wait`` and ``delivered`` count the packets created
+    in the measurement window.  The window's gating and energy are its
+    ``activity`` record, read and priced by whoever reads the payload
+    (``repro.power.account``), so one stored run re-prices at any
+    constants.
     """
     scheme = build_scheme(spec)
     with closing(Network(spec.build_config(), scheme)) as network:
@@ -272,7 +263,6 @@ def _run_metrics_cell(spec: CellSpec) -> dict:
     return {
         "latency": stats.avg_total_latency,
         "wait": stats.avg_wakeup_wait,
-        **_gating_metrics(network.activity()),
         "activity": asdict(window),
         "delivered": stats.delivered,
         "detoured": getattr(scheme, "detoured_packets", 0),

@@ -99,17 +99,6 @@ class PowerGatedScheme(PowerPolicy):
         #: Last cycle whose controller-step phase completed; the lazy
         #: OFF-cycle accounting clock for skipped controllers.
         self._stepped_through = -1
-        #: Event-driven sleep deadlines: cycle -> [(node, quiescent
-        #: since)].  When a step observes a controller fully quiescent
-        #: (ACTIVE, datapath empty, no NI demand, no wakeup signal),
-        #: its inputs cannot change without an external event — so
-        #: instead of stepping it every cycle, the scheme computes the
-        #: cycle its sleep decision will fire and parks the controller
-        #: until then.  Any disturbance (wakeup request, flit headed
-        #: its way) settles the owed accounting and re-arms stepping;
-        #: the parked entry is then stale and skipped by the ``since``
-        #: check.
-        self._sleep_deadlines: Dict[int, List[Tuple[int, int]]] = {}
         #: Per-router punch-target memo: router_id -> (head_version,
         #: targets).  Valid until the router's front head flits change.
         self._punch_cache: Dict[int, Tuple[int, Set[int]]] = {}
@@ -179,11 +168,9 @@ class PowerGatedScheme(PowerPolicy):
             controller.stats = network.stats
         self._vector_bank = None
         self._bank_dirty = False
-        self._faulted = False
         self._armed = set(range(cfg.num_nodes))
         self._stepped_through = -1
         self._punch_cache = {}
-        self._sleep_deadlines = {}
         for controller in self.controllers:
             controller.clock = self._controller_clock
             controller.wake_hook = self._armed.add
@@ -228,22 +215,7 @@ class PowerGatedScheme(PowerPolicy):
         return self._stepped_through
 
     def _on_punch(self, router: int, cycle: int) -> None:
-        controller = self._controllers[router]
-        if controller._quiescent_since is not None and controller.faults is None:
-            # Parked controller: absorb the wakeup without waking the
-            # FSM — the inline twin of ``request_wakeup``'s parked fast
-            # path (its ``clock()`` is ``self._stepped_through``).
-            reset_step = self._stepped_through + 1
-            if reset_step != controller._parked_reset_last:
-                controller._parked_reset_prev = controller._parked_reset_last
-                controller._parked_reset_last = reset_step
-            window = self.expectation_window
-            if window > 0:
-                expect = cycle + window
-                if expect > controller.expect_until:
-                    controller.expect_until = expect
-            return
-        controller.request_wakeup(cycle, self.expectation_window)
+        self._controllers[router].request_wakeup(cycle, self.expectation_window)
 
     def on_faults_installed(self, injector) -> None:
         """Wire the injector into the punch fabric and every controller,
@@ -253,74 +225,6 @@ class PowerGatedScheme(PowerPolicy):
         for controller in self.controllers:
             controller.faults = injector
         self.blocking_fallback = True
-        # Fault dispositions are drawn per delivered wakeup request, so
-        # the lazy parked-controller paths must not absorb requests:
-        # resume per-cycle stepping for every parked controller and
-        # stop parking from here on.
-        self._faulted = True
-        for controller in self.controllers:
-            if controller._quiescent_since is not None:
-                controller.settle_quiescence()
-                self._armed.add(controller.router_id)
-
-    def on_router_disturbed(self, router_id: int) -> None:
-        """A flit was sent toward ``router_id``: its controller's
-        datapath-empty input changes without a wakeup signal.
-
-        The sender already incremented ``incoming_in_flight``, so every
-        step from the next one on is provably ``busy`` until the
-        emptied hook fires — the quiescent park converts in place into
-        a busy skip instead of bouncing through the armed set for one
-        busy step.  Busy-skip parks are unaffected (the datapath stays
-        non-empty) and WAKING parks ignore the datapath until their
-        wake-at transition, which reads it fresh.
-
-        Only parked controllers are touched, and none is parked while a
-        bank is authoritative (engagement settles every park, the flush
-        resets the park fields), so no flush is needed to read them.
-        """
-        controller = self._controllers[router_id]
-        if (
-            controller._quiescent_since is not None
-            and not controller._parked_busy
-            and controller.state is PGState.ACTIVE
-        ):
-            controller.settle_quiescence()
-            if self._faulted:
-                self._armed.add(router_id)
-            else:
-                controller.enter_busy_skip(self._stepped_through)
-
-    def on_router_emptied(self, router_id: int) -> None:
-        """The last flit left ``router_id``'s datapath: a busy-skip
-        parked controller sees its sleep precondition change.
-
-        Idle counting restarts at the next step, so the controller
-        re-parks directly as quiescent with its sleep decision due a
-        full timeout from now; a wakeup still pending consumption
-        translates into a parked reset one step later, exactly as if
-        the next stepped cycle had consumed it.
-        """
-        controller = self.controllers[router_id]
-        if controller._parked_busy:
-            controller.settle_quiescence()
-            if self._faulted:
-                self._armed.add(router_id)
-                return
-            now = self._stepped_through
-            controller.enter_quiescence(now)
-            if controller.wu_seen:
-                controller.wu_seen = False
-                controller._parked_reset_last = now + 1
-                deadline = now + 1 + controller.timeout
-            else:
-                deadline = now + controller.timeout
-            expect_gate = controller.expect_until + 1
-            if expect_gate > deadline:
-                deadline = expect_gate
-            self._sleep_deadlines.setdefault(deadline, []).append(
-                (router_id, now)
-            )
 
     def note_blocked(self, router_id: int, next_router: int, packet, cycle: int) -> None:
         """A flit is stalled behind a gated-off/waking neighbor.
@@ -399,114 +303,19 @@ class PowerGatedScheme(PowerPolicy):
         routers = self.network.routers
         armed = self._armed
         active_nis = self.network.active_nis
-        due = self._sleep_deadlines.pop(cycle, None)
-        # Parked quiescent controllers whose sleep decision fires
-        # this cycle are visited at their sorted node position so
-        # the decision step lands exactly where the reference's
-        # per-node step would — in particular *after* this node's
-        # own NI wakeup request, which (as in the seed) prevents
-        # rather than cancels the sleep.
-        due_map = dict(due) if due else None
-        visit = armed | active_nis
-        if due_map:
-            visit |= due_map.keys()
-        for node in sorted(visit):
+        for node in sorted(armed | active_nis):
             ni_wants = node in active_nis and interfaces[node].wants_local_router(cycle)
             if ni_wants:
-                # The NI's WU wire into its local PG controller;
-                # this re-arms an OFF (or parked) controller via
-                # its wake_hook.
+                # The NI's WU wire into its local PG controller; this
+                # re-arms an OFF controller via its wake_hook.
                 controllers[node].request_wakeup(cycle, 0)
             if node in armed:
                 controller = controllers[node]
-                empty = routers[node].datapath_empty()
-                controller.step(cycle, empty, ni_wants)
-                state = controller.state
-                if state is PGState.OFF:
-                    if controller.retry_at is None:
-                        armed.discard(node)
-                    # else: a pending wakeup retry needs per-cycle
-                    # OFF steps until its deadline fires.
-                elif self._faulted:
-                    # Fault dispositions are drawn per delivered
-                    # wakeup request, so controllers must stay on
-                    # the fully stepped path.
-                    pass
-                elif state is PGState.ACTIVE:
-                    if empty:
-                        # Empty-datapath ACTIVE step: every input
-                        # the FSM reacts to from here on arrives as
-                        # a request_wakeup (absorbed lazily while
-                        # parked) or as a disturbance hook when a
-                        # flit heads this way — park the controller
-                        # until its sleep decision, due when the
-                        # idle timeout has elapsed and any punch
-                        # forewarning window has passed.
-                        deadline = cycle + controller.timeout - controller.idle_cycles
-                        expect_gate = controller.expect_until + 1
-                        if expect_gate > deadline:
-                            deadline = expect_gate
-                        armed.discard(node)
-                        controller.enter_quiescence(cycle)
-                        self._sleep_deadlines.setdefault(deadline, []).append(
-                            (node, cycle)
-                        )
-                    else:
-                        # Busy ACTIVE step: every further step is
-                        # ``busy`` until the datapath empties, and
-                        # the network reports that departure via
-                        # the disturbance hook.
-                        armed.discard(node)
-                        controller.enter_busy_skip(cycle)
-                else:
-                    # WAKING: the FSM ticks deterministically until
-                    # ``wake_at``; park it until then.
+                controller.step(cycle, routers[node].datapath_empty(), ni_wants)
+                # A pending wakeup retry needs per-cycle OFF steps
+                # until its deadline fires.
+                if controller.state is PGState.OFF and controller.retry_at is None:
                     armed.discard(node)
-                    controller.enter_quiescence(cycle)
-                    self._sleep_deadlines.setdefault(
-                        controller.wake_at, []
-                    ).append((node, cycle))
-            elif due_map is not None:
-                since = due_map.get(node)
-                controller = controllers[node]
-                # Busy parks never carry a sleep deadline: a
-                # matching entry is a stale quiescent one whose
-                # park was converted in place by the disturb hook.
-                if (
-                    since is not None
-                    and controller._quiescent_since == since
-                    and not controller._parked_busy
-                ):
-                    if controller.state is PGState.WAKING:
-                        # The wake-at transition step: fold the
-                        # owed WAKING cycles and run it for real.
-                        controller.settle_quiescence()
-                        controller.step(cycle, routers[node].datapath_empty(), ni_wants)
-                        armed.add(node)
-                        continue
-                    # Wakeups absorbed while parked reset the idle
-                    # count (and may have extended the forewarning
-                    # window): recompute the true sleep cycle and
-                    # re-park if it moved past this deadline.
-                    last = controller._parked_reset_last
-                    deadline = controller.expect_until + 1
-                    if last is not None:
-                        timed_out = last + controller.timeout
-                        if timed_out > deadline:
-                            deadline = timed_out
-                    if last is not None and deadline > cycle:
-                        self._sleep_deadlines.setdefault(deadline, []).append(
-                            (node, since)
-                        )
-                    else:
-                        # Undisturbed through its deadline: fold
-                        # the owed quiescent steps and run the real
-                        # sleep decision step the reference
-                        # would run now.
-                        controller.settle_quiescence()
-                        controller.step(cycle, True, False)
-                        if controller.state is not PGState.OFF:
-                            armed.add(node)  # safety net
         self._stepped_through = cycle
 
     def _slack2_held(self, cycle: int):

@@ -31,7 +31,7 @@ from typing import List, Sequence, Tuple
 
 from ..campaign import CellSpec
 from ..power import DEFAULT_CONSTANTS, PowerConstants
-from .common import format_table, net_static, run_keyed
+from .common import format_table, net_static, run_keyed, window_gating
 
 DEFAULT_LOAD = 0.01
 #: The warmup of every sweep point (``CellSpec.synthetic``'s default).
@@ -190,19 +190,22 @@ SWEEPS = (
 
 # ----------------------------------------------------------------------
 def _table(title: str, rows: List[Tuple[object, dict, PowerConstants]]) -> str:
-    return format_table(
-        ["config", "latency", "wait/pkt", "off %", "wakes", "net static (J)"],
-        [
+    body = []
+    for key, res, constants in rows:
+        off, wakes = window_gating(res)
+        body.append(
             [
                 key,
                 res["latency"],
                 res["wait"],
-                f"{res['off_fraction']:.1%}",
-                res["wake_events"],
+                f"{off:.1%}",
+                wakes,
                 f"{net_static(res, constants):.3e}",
             ]
-            for key, res, constants in rows
-        ],
+        )
+    return format_table(
+        ["config", "latency", "wait/pkt", "off %", "wakes", "net static (J)"],
+        body,
         title=title,
     )
 

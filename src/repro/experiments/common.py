@@ -73,6 +73,15 @@ def net_static(payload: dict, constants: PowerConstants = DEFAULT_CONSTANTS) -> 
     return account(Activity(**payload["activity"]), constants).net_static
 
 
+def window_gating(payload: dict) -> Tuple[float, int]:
+    """The share of router-cycles gated off and the wakeup count of a
+    ``synthetic_metrics`` payload's measurement window."""
+    activity = payload["activity"]
+    total = activity["on_cycles"] + activity["off_cycles"]
+    off = activity["off_cycles"] / total if total else 0.0
+    return off, activity["wake_events"]
+
+
 # ----------------------------------------------------------------------
 # Record persistence (the exported products of a campaign run)
 # ----------------------------------------------------------------------

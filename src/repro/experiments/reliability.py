@@ -36,10 +36,7 @@ from typing import List, Optional, Sequence
 
 from ..campaign import Campaign, CellSpec
 from ..noc import NoCConfig
-
-# Hoisted to the shared stats layer (the SPRT model checker uses the
-# same implementation); re-exported here for compatibility.
-from ..stats_util import wilson_interval  # noqa: F401
+from ..stats_util import wilson_interval
 from .common import format_table
 
 

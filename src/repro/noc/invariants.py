@@ -390,9 +390,8 @@ class InvariantChecker:
 
         * every router with occupied VCs is in ``active_routers``;
         * every NI with queued/streaming packets is in ``active_nis``;
-        * every non-OFF PG controller is either armed for stepping or
-          parked in the quiescent-skip state with lazy accounting
-          (checked only for policies exposing active-set scheme state).
+        * every non-OFF PG controller is armed for stepping (checked
+          only for policies exposing active-set scheme state).
         """
         network = self.network
         for router in network.routers:
@@ -424,17 +423,12 @@ class InvariantChecker:
         from ..powergate.controller import PGState
 
         for controller in controllers:
-            if (
-                controller.state is not PGState.OFF
-                and controller.router_id not in armed
-                and getattr(controller, "_quiescent_since", None) is None
-            ):
+            if controller.state is not PGState.OFF and controller.router_id not in armed:
                 self._violation(
                     InvariantViolation(
                         "active-set-coverage",
                         f"PG controller {controller.router_id} is "
-                        f"{controller.state.name} but neither armed for "
-                        "stepping nor parked quiescent",
+                        f"{controller.state.name} but not armed for stepping",
                         cycle=cycle, router=controller.router_id,
                     )
                 )

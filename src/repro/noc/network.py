@@ -701,9 +701,6 @@ class Network:
         self._flit_events[cycle + _NI_TO_ARRIVAL].append(
             (node, Direction.LOCAL, vc, flit)
         )
-        # The local router's datapath is no longer empty: a parked
-        # quiescent PG controller must resume per-cycle stepping.
-        self.policy.on_router_disturbed(node)
 
     def _run_switch_allocation(
         self,
@@ -773,19 +770,6 @@ class Network:
             self._flit_events[cycle + _SA_TO_ARRIVAL].append(
                 (neighbor, out_dir.opposite, out_vc, flit)
             )
-            # The neighbor's datapath is no longer empty: its PG
-            # controller (if quiescently skipped) must resume per-cycle
-            # stepping from the next cycle.
-            self.policy.on_router_disturbed(neighbor)
-        if not router._occupied:
-            if not router.incoming_in_flight and not router._live_vcs:
-                # This departure emptied the router's datapath (no
-                # buffered flits, nothing in flight, no live mid-packet
-                # allocation): its own PG controller (if parked in the
-                # busy skip) sees its sleep precondition change.  A
-                # drained-but-owned VC keeps the busy park instead —
-                # the tail's eventual departure re-runs this check.
-                self.policy.on_router_emptied(router.router_id)
 
     def _sa_note_blocked(self, neighbor: int, flit: Flit) -> None:
         router_id, cycle = self._sa_router.router_id, self._sa_cycle
@@ -1011,10 +995,6 @@ class Network:
         surviving traffic (and the invariant checker) see a consistent
         network."""
         purged = self._subscribers["purged"]
-        pre_busy = [
-            bool(router._occupied) or router.incoming_in_flight > 0
-            for router in self.routers
-        ]
         # NI queues, streams and pending injection checks.
         for ni in self.interfaces:
             for queue in ni.queues:
@@ -1109,16 +1089,13 @@ class Network:
                 self._eject_events[when] = kept_ejects
             else:
                 del self._eject_events[when]
-        # Per-packet accounting, then active-set / PG bookkeeping for
+        # Per-packet accounting, then active-set bookkeeping for
         # routers the purge emptied.
         for packet in doomed.values():
             self.stats.record_drop(packet, cycle, self.dead_routers)
             for fn in self._subscribers["dropped"]:
                 fn(packet, cycle)
-        for router, was_busy in zip(self.routers, pre_busy):
-            if router._occupied:
-                continue
-            self._active_routers.discard(router.router_id)
-            if was_busy and not router.incoming_in_flight and not router._live_vcs:
-                self.policy.on_router_emptied(router.router_id)
+        for router in self.routers:
+            if not router._occupied:
+                self._active_routers.discard(router.router_id)
 

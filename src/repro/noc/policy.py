@@ -94,18 +94,6 @@ class PowerPolicy:
         Power Punch exploits this as *slack 2* (Sec. 4.2) to wake the
         local router early."""
 
-    def on_router_disturbed(self, router_id: int) -> None:
-        """A flit was just sent toward ``router_id``.  Schemes that
-        suspend per-cycle stepping of quiescent PG controllers resume
-        stepping this router's controller here: its datapath-empty
-        input is about to change without any wakeup signal necessarily
-        being asserted."""
-
-    def on_router_emptied(self, router_id: int) -> None:
-        """The last flit left ``router_id``'s datapath.  Schemes that
-        suspend per-cycle stepping of busy controllers resume stepping
-        here: the sleep precondition just became true."""
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

@@ -9,10 +9,10 @@ relay rule and the scalar controller FSM with the active-set kernel
 (``repro.noc.network``, ``repro.core.schemes``) and reads none of its
 bookkeeping: not ``active_nis`` / ``_active_routers``, not a router's
 allocator wake deadlines, not the scheme's ``_armed`` /
-``_sleep_deadlines`` / ``_punch_cache``.  (The shared event paths still
-*write* the sets and the controllers keep their hooks; nothing is ever
-parked here, so ``on_router_disturbed`` / ``on_router_emptied`` find
-nothing to do.)  ``tests/test_kernel_equivalence.py`` poisons those
+``_punch_cache``.  (The shared event paths still *write* the sets: a
+controller's ``wake_hook`` adds to ``_armed`` when it leaves OFF, and
+its lazy OFF clock reads ``_stepped_through``, which the scan keeps
+current.)  ``tests/test_kernel_equivalence.py`` poisons those
 containers: a reference rewritten as "the active kernel with its sets
 filled in" would agree with that kernel by construction.
 

@@ -147,11 +147,6 @@ class Topology:
         self._check_node(node)
         return Coordinate(node % self.width, node // self.width)
 
-    #: Alias used by layers that render arbitrary topologies.
-    def coordinates(self, node: int) -> Coordinate:
-        """Coordinate of ``node`` — alias of :meth:`coord`."""
-        return self.coord(node)
-
     def node_at(self, x: int, y: int) -> int:
         """Node id at coordinate ``(x, y)``."""
         if not (0 <= x < self.width and 0 <= y < self.height):

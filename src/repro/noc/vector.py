@@ -563,12 +563,7 @@ class VectorEngine:
         return eid
 
     def _ni_send(self, node: int, vc: int, flit, cycle: int) -> None:
-        """Replaces ``Network._ni_send`` while engaged.
-
-        The object path's ``on_router_disturbed`` park-conversion hook
-        is intentionally absent: the bank steps every controller every
-        cycle, so there is no parked state to convert.
-        """
+        """Replaces ``Network._ni_send`` while engaged."""
         eid = self._register(flit.packet)
         self.incoming[node] += 1
         self._flit_ev.setdefault(cycle + 1, []).append(
@@ -1308,15 +1303,13 @@ class VectorEngine:
             sch._vector_bank = None
             sch._bank_dirty = False
             # Active-kernel bookkeeping: every non-OFF controller is
-            # armed, no controller is parked (flush cleared the parked
-            # fields), and the lazy-accounting clock reads the last
-            # cycle whose begin phase completed.  ``_armed`` is refilled
+            # armed, and the lazy-accounting clock reads the last cycle
+            # whose begin phase completed.  ``_armed`` is refilled
             # in place: every controller's ``wake_hook`` is this very
             # set's bound ``add`` (``PowerGatedScheme.attach``), so a
             # rebound set would never hear a controller leave OFF.
             sch._armed.clear()
             sch._armed.update(c.router_id for c in controllers if not c.is_off)
-            sch._sleep_deadlines = {}
             sch._punch_cache = {}
             sch._stepped_through = net.cycle - 1
             # In-flight punch wavefronts return to the object fabric's

@@ -42,22 +42,18 @@ MIRRORED_FIELDS = (
     ("wu", "wu_seen", bool, bool, bool),
     ("last_sleep", "last_sleep_cycle", _np.int64, *_optional(_NO_SLEEP)),
     ("accounted", "_accounted_through", _np.int64, int, int),
-    ("active_cycles", "_active_cycles", _np.int64, int, int),
+    ("active_cycles", "active_cycles", _np.int64, int, int),
     ("off_cycles", "_off_cycles", _np.int64, int, int),
-    ("waking_cycles", "_waking_cycles", _np.int64, int, int),
+    ("waking_cycles", "waking_cycles", _np.int64, int, int),
     ("wake_events", "wake_events", _np.int64, int, int),
     ("sleep_events", "sleep_events", _np.int64, int, int),
     ("cancelled_sleeps", "cancelled_sleeps", _np.int64, int, int),
     ("off_sum", "off_period_lengths_sum", _np.int64, int, int),
 )
 #: What only the objects hold.  The bank steps every controller every
-#: cycle, fault-free, so it carries no parked span and no retry: a flush
-#: leaves these as an unparked, unfaulted controller has them ...
+#: cycle, fault-free, so it carries no retry: a flush leaves these as
+#: an unfaulted controller has them ...
 RESET_BY_FLUSH = {
-    "_quiescent_since": None,
-    "_parked_reset_prev": None,
-    "_parked_reset_last": None,
-    "_parked_busy": False,
     "retry_at": None,
     "retry_backoff": 0,
 }
@@ -67,7 +63,7 @@ RESET_BY_FLUSH = {
 OBJECT_ONLY_FIELDS = (
     "router_id", "wakeup_latency", "timeout", "retry_timeout", "retry_cap",
     "faults", "clock", "wake_hook", "stats",
-    "wakeup_retries", "short_sleeps", "faulted_wakeups",
+    "wakeup_retries", "faulted_wakeups",
 )
 
 
@@ -78,8 +74,8 @@ class ControllerArrayBank:
     array ops instead of N method calls.  Semantics mirror
     :meth:`PowerGateController.step` / :meth:`request_wakeup` on the
     fault-free path exactly (the vector engine never engages with a
-    fault injector installed, so the retry/backoff and parked-skip
-    machinery has no array twin).  Two phase-batching facts make the
+    fault injector installed, so the retry/backoff machinery has no
+    array twin).  Two phase-batching facts make the
     batched request path exact:
 
     * Controllers are independent; within one delivery phase the
@@ -101,15 +97,14 @@ class ControllerArrayBank:
         """Snapshot live controller objects.
 
         Engagement can happen at any step boundary, so every mutable
-        FSM field is copied, and what the active-set kernel owes a
-        skipped controller — a parked span, lazily counted OFF cycles —
-        is settled first: the bank steps every controller every cycle
-        and has no lazy clock to fold in later.
+        FSM field is copied, and the OFF cycles the active-set kernel
+        owes a skipped controller are settled first: the bank steps
+        every controller every cycle and has no lazy clock to fold in
+        later.
         """
         self.wakeup_latency = controllers[0].wakeup_latency
         self.timeout = controllers[0].timeout
         for c in controllers:
-            c.settle_quiescence()
             c._settle_off_accounting()
         for array, attr, dtype, to_array, _to_object in MIRRORED_FIELDS:
             column = [to_array(getattr(c, attr)) for c in controllers]

@@ -22,9 +22,10 @@ the timeout alone (Sec. 4.3).
 
 Event-driven operation (active-set kernel): a controller that is
 steadily gated off has a trivial per-cycle step — it only accumulates
-``off_cycles`` and clears ``wu_seen`` — so the scheme layer may stop
-stepping it entirely and rely on :meth:`request_wakeup` events to bring
-it back.  Two optional hooks make that skip cycle-exact:
+``off_cycles`` and clears ``wu_seen`` — so the scheme layer stops
+stepping it and relies on :meth:`request_wakeup` to bring it back.
+Every other state is stepped every cycle.  Two optional hooks make the
+OFF skip cycle-exact:
 
 * ``clock`` — a callable returning the last cycle whose controller-step
   phase has completed.  While OFF and un-stepped, the skipped
@@ -34,18 +35,7 @@ it back.  Two optional hooks make that skip cycle-exact:
   counters read identically to per-cycle stepping at any observation
   point.
 * ``wake_hook`` — called with the router id whenever the controller
-  leaves the OFF state (or is disturbed out of quiescence, below), so
-  the scheme can re-arm per-cycle stepping.
-
-The same idea extends to the ACTIVE state: once a step observes the
-controller fully quiescent (datapath empty, no NI demand, no wakeup
-signal), every further step is ``active_cycles++``/``idle_cycles++``
-until either the sleep timeout expires — at a cycle computable in
-advance — or an external event (wakeup request, flit headed toward the
-router) changes an input.  :meth:`enter_quiescence` records the skip
-start, the ``active_cycles`` property folds the owed span in lazily,
-and :meth:`settle_quiescence` materializes it when an event (or the
-scheme's precomputed sleep deadline) ends the skip.
+  leaves the OFF state, so the scheme can re-arm per-cycle stepping.
 
 With the hooks left at ``None`` (unit tests) the controller behaves
 exactly as if stepped every cycle; the full-scan reference
@@ -88,16 +78,11 @@ class PowerGateController:
         "retry_backoff",
         "wakeup_retries",
         "_accounted_through",
-        "_quiescent_since",
-        "_parked_reset_prev",
-        "_parked_reset_last",
-        "_parked_busy",
-        "_active_cycles",
+        "active_cycles",
         "_off_cycles",
-        "_waking_cycles",
+        "waking_cycles",
         "wake_events",
         "sleep_events",
-        "short_sleeps",
         "cancelled_sleeps",
         "faulted_wakeups",
         "last_sleep_cycle",
@@ -156,32 +141,12 @@ class PowerGateController:
         #: Last cycle whose step effects were applied while OFF (real or
         #: lazily accounted); only meaningful in the OFF state.
         self._accounted_through = -1
-        #: Cycle of the last real step before per-cycle stepping was
-        #: suspended in the quiescent-ACTIVE state, or None when the
-        #: controller is stepped normally.
-        self._quiescent_since: Optional[int] = None
-        #: Wakeups absorbed while parked, recorded as the step cycle
-        #: that would have consumed each (resetting idle counting).
-        #: Only the latest matters for the idle count, plus — when the
-        #: latest has not been stepped past yet — the one before it;
-        #: requests arrive in non-decreasing step order, so two fields
-        #: suffice.
-        self._parked_reset_prev: Optional[int] = None
-        self._parked_reset_last: Optional[int] = None
-        #: Parked with a non-empty datapath: every skipped step is a
-        #: busy ACTIVE step (idle and forewarning reset, active_cycles
-        #: accrued); the network unparks the controller the moment its
-        #: router's datapath empties.
-        self._parked_busy = False
         # --- statistics -------------------------------------------------
-        self._active_cycles = 0
+        self.active_cycles = 0
         self._off_cycles = 0
-        self._waking_cycles = 0
+        self.waking_cycles = 0
         self.wake_events = 0
         self.sleep_events = 0
-        #: Sleeps whose off-period ended up shorter than they should be
-        #: (diagnostic for break-even accounting).
-        self.short_sleeps = 0
         #: Sleep decisions revoked by a wakeup arriving in the decision
         #: cycle itself (the supply was never actually cut).
         self.cancelled_sleeps = 0
@@ -232,118 +197,11 @@ class PowerGateController:
                 self._off_cycles += owed
                 self._accounted_through = through
 
-    @property
-    def active_cycles(self) -> int:
-        """Cycles spent powered on, including lazily accounted ones."""
-        counted = self._active_cycles
-        if (
-            self._quiescent_since is not None
-            and self.clock is not None
-            and self.state is PGState.ACTIVE
-        ):
-            owed = self.clock() - self._quiescent_since
-            if owed > 0:
-                counted += owed
-        return counted
-
-    @property
-    def waking_cycles(self) -> int:
-        """Cycles spent mid-wakeup, including lazily accounted ones."""
-        counted = self._waking_cycles
-        if (
-            self._quiescent_since is not None
-            and self.clock is not None
-            and self.state is PGState.WAKING
-        ):
-            through = self.clock()
-            if self.wake_at < through:
-                through = self.wake_at
-            owed = through - self._quiescent_since
-            if owed > 0:
-                counted += owed
-        return counted
-
-    def enter_quiescence(self, cycle: int) -> None:
-        """Suspend per-cycle stepping after a fully quiescent ACTIVE step.
-
-        ``cycle`` is the last cycle actually stepped.  Until
-        :meth:`settle_quiescence`, each elapsed step-phase cycle is owed
-        one ``active_cycles``/``idle_cycles`` increment (exactly what a
-        real quiescent step would have done).  Wakeup requests arriving
-        while parked are absorbed lazily (see :meth:`request_wakeup`):
-        a quiescent-ACTIVE controller consumes them by resetting its
-        idle count, which the settle folds in retroactively.
-        """
-        self._quiescent_since = cycle
-        self._parked_reset_prev = None
-        self._parked_reset_last = None
-        self._parked_busy = False
-
-    def enter_busy_skip(self, cycle: int) -> None:
-        """Suspend per-cycle stepping after a busy ACTIVE step.
-
-        While the datapath stays non-empty every step is ``busy``:
-        ``active_cycles`` accrues, idle counting and the forewarning
-        window are held reset.  The network unparks the controller at
-        the departure that empties the datapath (and any wakeup request
-        is absorbed just like in the quiescent skip).
-
-        A wakeup already pending consumption is cleared: the first
-        skipped step would consume it, and on a busy step it changes
-        nothing the skip does not already account for.
-        """
-        self._quiescent_since = cycle
-        self._parked_reset_prev = None
-        self._parked_reset_last = None
-        self._parked_busy = True
-        self.wu_seen = False
-
-    def settle_quiescence(self) -> None:
-        """Materialize the owed skipped steps and resume real stepping."""
-        since = self._quiescent_since
-        if since is None:
-            return
-        self._quiescent_since = None
-        now = self.clock()
-        span = now - since
-        last = self._parked_reset_last
-        self._parked_reset_last = None
-        prev = self._parked_reset_prev
-        self._parked_reset_prev = None
-        if last is not None and last > now:
-            # The latest absorbed wakeup has not been consumed by a
-            # step yet: re-materialize it for the next real step.
-            self.wu_seen = True
-            last = prev
-        if self.state is PGState.WAKING:
-            # Every skipped step was a WAKING step (the wake-at
-            # transition itself is always stepped for real).
-            if span > 0:
-                self._waking_cycles += span
-            return
-        if span > 0:
-            self._active_cycles += span
-        if self._parked_busy:
-            self._parked_busy = False
-            # Every skipped step was busy: idle counting and the
-            # forewarning window were held reset throughout.
-            self.idle_cycles = 0
-            self.expect_until = -1
-            return
-        if last is not None:
-            # Idle counting restarted at the consuming step.
-            self.idle_cycles = now - last
-        elif span > 0:
-            self.idle_cycles += span
-
     def detach(self) -> None:
-        """End of the run: fold the lazily accounted cycles into the
-        counters and drop the scheme's hooks, so the cycle counters
-        read as they did and nothing here points back at the scheme."""
+        """End of the run: fold the lazily accounted OFF cycles into the
+        counter and drop the scheme's hooks, so ``off_cycles`` reads as
+        it did and nothing here points back at the scheme."""
         self._off_cycles = self.off_cycles
-        self._active_cycles = self.active_cycles
-        self._waking_cycles = self.waking_cycles
-        self._quiescent_since = None
         self.clock = self.wake_hook = self.stats = self.faults = None
 
     @property
@@ -370,32 +228,6 @@ class PowerGateController:
         sleep-and-wake round trip and the off-period statistics were
         corrupted by a negative-length off period.
         """
-        if self._quiescent_since is not None:
-            # (A parked controller is never OFF, so there is no lazy
-            # OFF accounting to settle on this path.)
-            if self.faults is None:
-                # Parked ACTIVE/WAKING: the request's only FSM effects
-                # are resetting idle counting at the step that consumes
-                # it and extending the forewarning window — record both
-                # lazily and stay parked, so steady punch or WU streams
-                # do not churn the armed set.  (The scheme re-checks
-                # its precomputed sleep deadline against these fields
-                # before acting on it.)
-                reset_step = self.clock() + 1
-                if reset_step != self._parked_reset_last:
-                    self._parked_reset_prev = self._parked_reset_last
-                    self._parked_reset_last = reset_step
-                if expectation_window > 0:
-                    expect = cycle + expectation_window
-                    if expect > self.expect_until:
-                        self.expect_until = expect
-                return
-            # Fault injection draws a disposition per delivered request,
-            # so requests must flow through the full path: end the
-            # quiescent skip and re-arm per-cycle stepping.
-            self.settle_quiescence()
-            if self.wake_hook is not None:
-                self.wake_hook(self.router_id)
         self._settle_off_accounting()
         if self.faults is not None:
             action, delay = self.faults.wakeup_disposition(self.router_id, cycle)
@@ -478,7 +310,7 @@ class PowerGateController:
         checking availability or a stream is in flight).
         """
         if self.state is PGState.WAKING:
-            self._waking_cycles += 1
+            self.waking_cycles += 1
             if cycle >= self.wake_at:
                 self.state = PGState.ACTIVE
                 self.wake_at = None
@@ -493,7 +325,7 @@ class PowerGateController:
                 self._fire_retry(cycle)
             return
 
-        self._active_cycles += 1
+        self.active_cycles += 1
         busy = (not datapath_empty) or node_wants_router or self.wu_seen
         self.wu_seen = False
         if busy:

@@ -53,10 +53,6 @@ def node_heatmap(
     return "\n".join(lines)
 
 
-#: Back-compat name from when the mesh was the only fabric.
-mesh_heatmap = node_heatmap
-
-
 def gated_fraction_map(network: Network, title: str = "Gated-off fraction") -> str:
     """Heatmap of each router's gated-off time fraction."""
     policy = network.policy

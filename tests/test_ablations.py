@@ -10,7 +10,7 @@ from repro.experiments.ablations import (
     slack_cells,
     timeout_cells,
 )
-from repro.experiments.common import net_static, run_keyed
+from repro.experiments.common import net_static, run_keyed, window_gating
 from repro.noc import Activity, Network
 from repro.noc.packet import reset_packet_ids
 from repro.power import EnergyModel, PowerConstants, account
@@ -33,7 +33,7 @@ class TestAblationHarness:
     def test_timeout_sweep_off_fraction_monotone_ish(self):
         results = dict(run(timeout_cells(timeouts=(2, 16), measurement=1000)))
         # A 16-cycle timeout gates far less than a 2-cycle timeout.
-        assert results[16]["off_fraction"] < results[2]["off_fraction"]
+        assert window_gating(results[16])[0] < window_gating(results[2])[0]
 
     def test_slack_decomposition_strictly_improves(self):
         waits = [res["wait"] for _n, res in run(slack_cells(measurement=1200))]
@@ -46,7 +46,7 @@ class TestAblationHarness:
         on, off = results["forewarning on"], results["forewarning off"]
         assert on["wait"] < off["wait"]
         # ...and does not buy that with wake thrash or a slower network.
-        assert on["wake_events"] <= 1.10 * off["wake_events"]
+        assert window_gating(on)[1] <= 1.10 * window_gating(off)[1]
         assert on["latency"] <= 1.05 * off["latency"]
 
     def test_bet_sweep_monotone_energy(self, tmp_path):
@@ -60,8 +60,8 @@ class TestAblationHarness:
         # Same simulation: identical timing across BET values.
         assert low_res["latency"] == high_res["latency"]
         # ...and the same, real, gated-off share.
-        assert low_res["off_fraction"] > 0
-        assert low_res["off_fraction"] == high_res["off_fraction"]
+        assert window_gating(low_res)[0] > 0
+        assert window_gating(low_res) == window_gating(high_res)
         # A stored row is bit for bit the live run's energy at its BET.
         ((_, spec),) = cells
         reset_packet_ids()

@@ -614,8 +614,6 @@ class TestRunCell:
         assert list(payload) == [
             "latency",
             "wait",
-            "off_fraction",
-            "wake_events",
             "activity",
             "delivered",
             "detoured",

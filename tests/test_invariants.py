@@ -325,9 +325,9 @@ class TestTypedErrors:
 
 @pytest.mark.parametrize("kernel", ["active", "naive"])
 class TestWatchdogKernelParity:
-    """The active-set kernel parks idle routers and skips them in the
-    per-cycle loop; a parked (or power-gated) router must never
-    suppress the watchdog's progress checks.  Both kernels must detect
+    """The active-set kernel skips idle routers in the per-cycle loop;
+    a skipped (or power-gated) router must never suppress the
+    watchdog's progress checks.  Both kernels must detect
     the same deadlocks — and at the same cycle (checked below)."""
 
     def seeded_deadlock(self, kernel):
@@ -341,12 +341,12 @@ class TestWatchdogKernelParity:
             )
         )
         for _ in range(30):
-            net.step()  # the idle mesh parks (and gates off) routers
+            net.step()  # the idle mesh gates routers off
         packet = control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle)
         net.inject(packet)
         return net, packet
 
-    def test_parked_routers_do_not_suppress_watchdog(self, kernel):
+    def test_idle_routers_do_not_suppress_watchdog(self, kernel):
         net, packet = self.seeded_deadlock(kernel)
         with pytest.raises(DeadlockError) as excinfo:
             net.run(2000)

@@ -23,6 +23,8 @@ Layers of evidence:
 * a hypothesis property — at every cycle the active kernel's work-sets
   contain every component the naive scan would visit (routers with
   occupied VCs, NIs with work, non-OFF controllers);
+* one wake door — the active kernel's ``request_wakeup`` calls equal
+  the naive kernel's, as a multiset of ``(router, cycle, window)``;
 * oracle independence — the naive kernel (``repro.noc.reference``)
   reproduces its own results with every work-set made unreadable, so it
   cannot be the active kernel with its sets filled in, and it puts
@@ -38,6 +40,7 @@ Layers of evidence:
 """
 
 import functools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -286,19 +289,14 @@ class TestActiveSetCoverageProperty:
                     assert ni.node in net.active_nis
             if scheme_like:
                 for controller in policy.controllers:
+                    # Only an OFF controller may go unstepped.
                     if controller.state is not PGState.OFF:
-                        # Non-OFF controllers are either stepped every
-                        # cycle (armed) or parked in the quiescent-skip
-                        # state with a scheduled sleep deadline.
-                        assert (
-                            controller.router_id in policy._armed
-                            or controller._quiescent_since is not None
-                        )
+                        assert controller.router_id in policy._armed
 
 
 class _WriteOnly:
-    """Stand-in for a work-set (or the sleep-deadline dict): takes every
-    write the shared event paths make, fails the test on any read."""
+    """Stand-in for a work-set: takes every write the shared event
+    paths make, fails the test on any read."""
 
     def add(self, item):
         pass
@@ -308,13 +306,10 @@ class _WriteOnly:
     def update(self, items):
         pass
 
-    def setdefault(self, key, default):
-        return default
-
     def _read(self, *args):
         raise AssertionError("the full-scan reference read a work-set")
 
-    __iter__ = __contains__ = __len__ = __getitem__ = get = pop = _read
+    __iter__ = __contains__ = __len__ = __or__ = __ror__ = _read
 
 
 def _poison_work_sets(net):
@@ -325,7 +320,6 @@ def _poison_work_sets(net):
     net._active_routers = _WriteOnly()
     if hasattr(net.policy, "_armed"):
         net.policy._armed = _WriteOnly()
-        net.policy._sleep_deadlines = _WriteOnly()
 
 
 class TestOracleIndependence:
@@ -397,6 +391,35 @@ class TestOracleIndependence:
 
 GATED_SCHEMES = ["ConvOptPG", "PowerPunchSignal", "PowerPunchPG"]
 ENGINE_SCHEMES = ["NoPG"] + GATED_SCHEMES
+
+
+class TestOneWakeDoor:
+    """Every wake request of the object kernel enters through
+    ``PowerGateController.request_wakeup``: the active-set kernel makes
+    exactly the calls the full scan makes (in a different order within
+    a cycle), none absorbed on the way."""
+
+    @pytest.mark.parametrize("scheme_name", GATED_SCHEMES)
+    def test_request_wakeup_calls_match_naive(self, scheme_name, monkeypatch):
+        calls = []
+        request_wakeup = PowerGateController.request_wakeup
+
+        def recording(controller, cycle, expectation_window=0):
+            calls.append((controller.router_id, cycle, expectation_window))
+            request_wakeup(controller, cycle, expectation_window)
+
+        monkeypatch.setattr(PowerGateController, "request_wakeup", recording)
+        seen = {}
+        for kernel in ("active", "naive"):
+            calls.clear()
+            net = Network(
+                NoCConfig(width=4, height=4, kernel=kernel), SCHEMES[scheme_name]()
+            )
+            traffic = SyntheticTraffic(net, "uniform_random", 0.05, seed=3)
+            measure(net, traffic, warmup=100, measurement=500)
+            seen[kernel] = Counter(calls)
+        assert sum(seen["naive"].values()) > 0
+        assert seen["active"] == seen["naive"]
 
 
 class TestMaterializeMidRun:

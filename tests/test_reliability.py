@@ -13,18 +13,14 @@ import pytest
 from repro.campaign import CellSpec, FailureReport, run_cell
 from repro.campaign.spec import CELL_KINDS
 from repro.cli import campaign_argparser, engine_options
-from repro.experiments.reliability import (
-    aggregate,
-    reliability_campaign,
-    report,
-    wilson_interval,
-)
+from repro.experiments.reliability import aggregate, reliability_campaign, report
 from repro.noc import (
     SAMPLABLE_FAULT_KINDS,
     FaultSchedule,
     NoCConfig,
     sample_fault_schedule,
 )
+from repro.stats_util import wilson_interval
 
 
 class TestWilsonInterval:

@@ -1,7 +1,7 @@
 """Sequential model checking + shared statistics utilities.
 
 Covers Wald's SPRT (thresholds, freezing, minimal decisive runs), its
-fixed-sample Wilson counterpart, the hoisted ``wilson_interval``, the
+fixed-sample Wilson counterpart, the shared ``wilson_interval``, the
 reservoir quantile estimator (exactness below capacity, bounded
 memory, bit-exact serialization), the NetworkStats p50/p95/p99
 integration, and the acceptance cross-check: on the same seeded
@@ -16,11 +16,7 @@ import pytest
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import CellSpec
 from repro.experiments.guarantees import report_sprt, run_sprt_reliability
-from repro.experiments.reliability import (
-    aggregate,
-    reliability_campaign,
-    wilson_interval as reliability_wilson,
-)
+from repro.experiments.reliability import aggregate, reliability_campaign
 from repro.guarantees import SPRT, wilson_verdict
 from repro.noc import NoCConfig
 from repro.stats_util import ReservoirQuantiles, wilson_interval
@@ -92,13 +88,8 @@ def test_wilson_verdict_brackets():
 
 
 # ----------------------------------------------------------------------
-# Hoisted Wilson interval
+# Shared Wilson interval
 # ----------------------------------------------------------------------
-def test_wilson_interval_hoisted_identity():
-    # reliability re-exports the shared implementation, not a copy.
-    assert reliability_wilson is wilson_interval
-
-
 def test_wilson_interval_basics():
     assert wilson_interval(0, 0) == (0.0, 1.0)
     lower, upper = wilson_interval(90, 100)

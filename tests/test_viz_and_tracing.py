@@ -9,7 +9,7 @@ from repro.noc.tracing import PacketTracer
 from repro.viz import (
     gated_fraction_map,
     latency_histogram,
-    mesh_heatmap,
+    node_heatmap,
     scheme_comparison_bars,
     shade,
     wake_events_map,
@@ -31,16 +31,16 @@ class TestShade:
 
 
 class TestHeatmaps:
-    def test_mesh_heatmap_dimensions(self):
+    def test_node_heatmap_dimensions(self):
         topo = MeshTopology(4, 4)
-        out = mesh_heatmap(topo, [0.1] * 16, title="t")
+        out = node_heatmap(topo, [0.1] * 16, title="t")
         lines = out.splitlines()
         assert lines[0] == "t"
         assert len(lines) == 1 + 2 * 4  # title + (shade+number) per row
 
-    def test_mesh_heatmap_rejects_wrong_length(self):
+    def test_node_heatmap_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            mesh_heatmap(MeshTopology(4, 4), [0.0] * 15)
+            node_heatmap(MeshTopology(4, 4), [0.0] * 15)
 
     def test_gated_fraction_map_nopg_all_zero(self):
         net = Network(NoCConfig(width=4, height=4), NoPG())
