@@ -150,13 +150,14 @@ class NoRDLike(PowerGatedScheme):
         #: the mesh ahead of it (NoRD bounds its detours the same way:
         #: unbounded rides would defeat the point of the bypass).
         self.max_ring_hops = max_ring_hops
-        self.detour_wakes = 0
         self.ring: Optional[BypassRing] = None
         #: Mesh path holds: router -> hold-awake-until cycle.
         self._path_hold: Dict[int, int] = {}
+        #: Ring boardings of packets created in the measurement window
+        #: (from ``NetworkStats.measure_from`` on); the count restarts
+        #: when the window opens.
         self.detoured_packets = 0
-        self.mesh_packets = 0
-        self.emergency_wakes = 0
+        self._counted_from = 0
 
     # ------------------------------------------------------------------
     def attach(self, network: Network) -> None:
@@ -189,10 +190,6 @@ class NoRDLike(PowerGatedScheme):
                 routers[node].datapath_empty() and not held,
                 bool(ni.streams),
             )
-        # NoRD steps every controller every cycle (demand wakeups need
-        # each NI's backlog anyway), so the lazy OFF-accounting clock
-        # just tracks the real step point.
-        self._stepped_through = cycle
         self._divert_or_release(cycle)
         self.ring.step(cycle, self._try_exit)
 
@@ -229,6 +226,10 @@ class NoRDLike(PowerGatedScheme):
     def _divert_or_release(self, cycle: int) -> None:
         """Move ready NI packets whose mesh path is asleep to the ring."""
         ni_latency = self.network.config.ni_latency
+        measure_from = self.network.stats.measure_from
+        if measure_from != self._counted_from:
+            self._counted_from = measure_from
+            self.detoured_packets = 0
         for ni in self.network.interfaces:
             for queue in ni.queues:
                 while queue:
@@ -237,13 +238,13 @@ class NoRDLike(PowerGatedScheme):
                         break
                     if self._path_is_awake(ni.node, packet.destination, cycle):
                         self._hold_path(ni.node, packet.destination, cycle)
-                        self.mesh_packets += 1
                         break  # let the NI inject it normally
                     queue.popleft()
                     ni._checked.discard(packet.packet_id)
                     if packet.injected_at is None:
                         packet.injected_at = cycle
-                    self.detoured_packets += 1
+                    if packet.created_at >= measure_from:
+                        self.detoured_packets += 1
                     self.ring.board(ni.node, packet)
 
     def _try_exit(self, node: int, packet: Packet, cycle: int) -> bool:
@@ -264,10 +265,7 @@ class NoRDLike(PowerGatedScheme):
         if self.ring.hops_ridden.get(packet.packet_id, 0) >= self.max_ring_hops:
             path = self.network.routing.path(node, packet.destination)
             for router in path[: self.LOOKAHEAD_HOPS + 1]:
-                controller = self.controllers[router]
-                if controller.is_off:
-                    self.detour_wakes += 1
-                controller.request_wakeup(cycle, 0)
+                self.controllers[router].request_wakeup(cycle, 0)
                 eta = cycle + self.wakeup_latency + 4 * self._hop_latency
                 if eta > self._path_hold.get(router, -1):
                     self._path_hold[router] = eta
@@ -279,10 +277,7 @@ class NoRDLike(PowerGatedScheme):
     # ------------------------------------------------------------------
     def note_blocked(self, router_id: int, next_router: int, packet, cycle: int) -> None:
         """Emergency fallback: wake a router that caught a mesh packet."""
-        controller = self.controllers[next_router]
-        if controller.is_off:
-            self.emergency_wakes += 1
-        controller.request_wakeup(cycle, 0)
+        self.controllers[next_router].request_wakeup(cycle, 0)
 
     def on_injection_check(self, node: int, packet: Packet, cycle: int) -> None:
         # Injection never blocks on the local router: the ring is always

@@ -56,10 +56,6 @@ class PunchFabric:
         #: Link-cycles on which a (merged) punch signal was transmitted;
         #: feeds the punch-propagation energy overhead of Fig. 11.
         self.link_transmissions = 0
-        #: Total targets delivered to their final router.
-        self.targets_delivered = 0
-        #: Punch-processing steps lost or deferred to faults.
-        self.faulted_punches = 0
 
     # ------------------------------------------------------------------
     def send_local(self, router: int, targets: Iterable[int], cycle: int) -> None:
@@ -115,17 +111,14 @@ class PunchFabric:
             if action == "drop":
                 # The punch vanishes at this hop: it neither wakes this
                 # router nor relays onward.
-                self.faulted_punches += 1
                 return
             if action == "delay":
-                self.faulted_punches += 1
                 self._delayed.setdefault(cycle + delay, []).append(
                     (router, set(targets))
                 )
                 return
             if action == "dup":
                 # Processed normally now, and again next cycle.
-                self.faulted_punches += 1
                 self._delayed.setdefault(cycle + 1, []).append(
                     (router, set(targets))
                 )
@@ -146,7 +139,6 @@ class PunchFabric:
             if entry is None:
                 entry = cache[key] = self._decompose(router, targets, cycle)
             delivered, relays = entry
-            self.targets_delivered += delivered
             if delivered or relays:
                 # Implicit notification: any punch arriving at or
                 # passing through a router wakes it (Sec. 4.1 step 2).
@@ -164,15 +156,15 @@ class PunchFabric:
 
     def _decompose(
         self, router: int, targets: Iterable[int], cycle: int
-    ) -> Tuple[int, Tuple[Tuple[int, frozenset], ...]]:
-        """Split ``targets`` at ``router`` into (locally delivered count,
-        per-next-hop relay target sets) — a pure function of the static
-        XY routing, safe to memoize."""
-        delivered = 0
+    ) -> Tuple[bool, Tuple[Tuple[int, frozenset], ...]]:
+        """Split ``targets`` at ``router`` into (whether one is delivered
+        here, per-next-hop relay target sets) — a pure function of the
+        static XY routing, safe to memoize."""
+        delivered = False
         outgoing: Dict[int, Set[int]] = {}
         for target in targets:
             if target == router:
-                delivered += 1
+                delivered = True
                 continue
             nxt = self.routing.next_hop(router, target)
             if nxt is None:

@@ -96,9 +96,6 @@ class PowerGatedScheme(PowerPolicy):
         #: wakeup event pulls it out of OFF, so the invariant
         #: "non-OFF => armed" holds at every observation point.
         self._armed: Set[int] = set()
-        #: Last cycle whose controller-step phase completed; the lazy
-        #: OFF-cycle accounting clock for skipped controllers.
-        self._stepped_through = -1
         #: Per-router punch-target memo: router_id -> (head_version,
         #: targets).  Valid until the router's front head flits change.
         self._punch_cache: Dict[int, Tuple[int, Set[int]]] = {}
@@ -162,6 +159,9 @@ class PowerGatedScheme(PowerPolicy):
             PowerGateController(node, self.wakeup_latency, self.timeout)
             for node in range(cfg.num_nodes)
         ]
+        #: The run's counters, kept past ``close()``: OFF time is read
+        #: against their ``cycles``.
+        self.stats = network.stats
         for controller in self.controllers:
             # Mirror retry events into the network-wide counters so
             # campaign dumps see them without walking controllers.
@@ -169,10 +169,8 @@ class PowerGatedScheme(PowerPolicy):
         self._vector_bank = None
         self._bank_dirty = False
         self._armed = set(range(cfg.num_nodes))
-        self._stepped_through = -1
         self._punch_cache = {}
         for controller in self.controllers:
-            controller.clock = self._controller_clock
             controller.wake_hook = self._armed.add
         # Punch targets are always derived from the static XY view:
         # under fault-tolerant rerouting the live routing tables change
@@ -202,17 +200,12 @@ class PowerGatedScheme(PowerPolicy):
         self._router_ahead = cached_ahead
 
     def detach(self) -> None:
-        """Settle every controller's lazy accounting, then drop the
-        hooks bound to this scheme: controller clocks, the fabric's
-        punch sink."""
+        """Drop the hooks bound to this scheme: the controllers' wake
+        hooks, the fabric's punch sink."""
         for controller in self.controllers:
             controller.detach()
         self.fabric.close()
         super().detach()
-
-    def _controller_clock(self) -> int:
-        """Lazy OFF-accounting clock handed to skipped controllers."""
-        return self._stepped_through
 
     def _on_punch(self, router: int, cycle: int) -> None:
         self._controllers[router].request_wakeup(cycle, self.expectation_window)
@@ -288,9 +281,9 @@ class PowerGatedScheme(PowerPolicy):
         has work are visited: for every other node the per-node
         iteration of the full-scan reference (``repro.noc.reference``)
         is a provable no-op — ``wants_local_router`` is false without NI
-        work, and an OFF controller's step only accrues ``off_cycles``
-        (accounted lazily against ``_stepped_through``) and clears an
-        already-clear ``wu_seen``.  Visiting in sorted node order
+        work, and an OFF controller's step only clears an already-clear
+        ``wu_seen`` (its OFF time is the remainder of ``on_cycles``, so
+        a skipped step owes no count).  Visiting in sorted node order
         reproduces the reference's index-order interleaving of
         ``request_wakeup``/``step``.
         """
@@ -316,7 +309,6 @@ class PowerGatedScheme(PowerPolicy):
                 # until its deadline fires.
                 if controller.state is PGState.OFF and controller.retry_at is None:
                     armed.discard(node)
-        self._stepped_through = cycle
 
     def _slack2_held(self, cycle: int):
         """Nodes still inside their slack-2 window (their local WU stays
@@ -444,32 +436,29 @@ class PowerGatedScheme(PowerPolicy):
     # Reporting
     # ------------------------------------------------------------------
     def gating_activity(self, cycles: int, num_routers: int) -> dict:
-        """The controllers' on/off/wake totals (an engaged vector bank
-        is flushed first) and the punch fabric's transmissions."""
-        on_cycles = off_cycles = wake_events = 0
+        """The controllers' on/wake totals (an engaged vector bank is
+        flushed first), OFF time as their remainder of ``cycles``, and
+        the punch fabric's transmissions."""
+        on_cycles = wake_events = 0
         for controller in self.controllers:
-            on_cycles += controller.active_cycles + controller.waking_cycles
-            off_cycles += controller.off_cycles
+            on_cycles += controller.on_cycles
             wake_events += controller.wake_events
         return {
             "on_cycles": on_cycles,
-            "off_cycles": off_cycles,
+            "off_cycles": cycles * num_routers - on_cycles,
             "wake_events": wake_events,
             "punch_transmissions": self.fabric.link_transmissions if self.fabric else 0,
             "gated": True,
         }
 
     def total_off_cycles(self) -> int:
-        """Sum of gated-off cycles across all routers."""
-        return sum(c.off_cycles for c in self.controllers)
+        """Sum of gated-off cycles across all routers (readable after
+        ``close()``)."""
+        return self.gating_activity(self.stats.cycles, len(self.controllers))["off_cycles"]
 
     def total_wake_events(self) -> int:
         """Total wakeup events across all routers."""
         return sum(c.wake_events for c in self.controllers)
-
-    def currently_off(self) -> int:
-        """Number of routers gated off right now."""
-        return sum(1 for c in self.controllers if c.is_off)
 
 
 class ConvOptPG(PowerGatedScheme):

@@ -10,9 +10,8 @@ relay rule and the scalar controller FSM with the active-set kernel
 bookkeeping: not ``active_nis`` / ``_active_routers``, not a router's
 allocator wake deadlines, not the scheme's ``_armed`` /
 ``_punch_cache``.  (The shared event paths still *write* the sets: a
-controller's ``wake_hook`` adds to ``_armed`` when it leaves OFF, and
-its lazy OFF clock reads ``_stepped_through``, which the scan keeps
-current.)  ``tests/test_kernel_equivalence.py`` poisons those
+controller's ``wake_hook`` adds to ``_armed`` when it leaves OFF.)
+``tests/test_kernel_equivalence.py`` poisons those
 containers: a reference rewritten as "the active kernel with its sets
 filled in" would agree with that kernel by construction.
 
@@ -82,9 +81,6 @@ class FullScanNetwork(Network):
             if ni_wants:
                 controller.request_wakeup(cycle, 0)
             controller.step(cycle, routers[node].datapath_empty(), ni_wants)
-        # Every controller was just stepped, so its lazy-accounting clock
-        # (read by ``off_cycles`` and friends) owes it nothing.
-        scheme._stepped_through = cycle
 
     def _scan_interfaces(self, cycle: int) -> None:
         """NI injection, asked of every NI in index order."""

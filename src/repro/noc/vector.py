@@ -759,7 +759,7 @@ class VectorEngine:
             sink.clear()
 
     def _relay_pairs(self, key, cycle: int) -> None:
-        """Process one pass's unique (router, target) pair keys: count
+        """Process one pass's unique (router, target) pair keys: drop
         local deliveries, count one link transmission per distinct
         (router, next-hop) relay group, and queue relays one hop out —
         the batched body shared by ``PunchFabric.deliver`` /
@@ -770,9 +770,7 @@ class VectorEngine:
         r_arr = key // R
         t_arr = key - r_arr * R
         selfhit = t_arr == r_arr
-        delivered = int(selfhit.sum())
-        if delivered:
-            fab.targets_delivered += delivered
+        if selfhit.any():
             rel = ~selfhit
             r_arr = r_arr[rel]
             t_arr = t_arr[rel]
@@ -842,7 +840,6 @@ class VectorEngine:
             & (self.state.reshape(self.R, self._pv).max(axis=1) == 0)
         )
         bank.step_all(cycle, empty, wants)
-        sch._stepped_through = cycle
         sch._bank_dirty = True
 
     # ------------------------------------------------------------------
@@ -1303,15 +1300,13 @@ class VectorEngine:
             sch._vector_bank = None
             sch._bank_dirty = False
             # Active-kernel bookkeeping: every non-OFF controller is
-            # armed, and the lazy-accounting clock reads the last cycle
-            # whose begin phase completed.  ``_armed`` is refilled
-            # in place: every controller's ``wake_hook`` is this very
-            # set's bound ``add`` (``PowerGatedScheme.attach``), so a
-            # rebound set would never hear a controller leave OFF.
+            # armed.  ``_armed`` is refilled in place: every
+            # controller's ``wake_hook`` is this very set's bound
+            # ``add`` (``PowerGatedScheme.attach``), so a rebound set
+            # would never hear a controller leave OFF.
             sch._armed.clear()
             sch._armed.update(c.router_id for c in controllers if not c.is_off)
             sch._punch_cache = {}
-            sch._stepped_through = net.cycle - 1
             # In-flight punch wavefronts return to the object fabric's
             # pending dict.
             w = self._pend_writes

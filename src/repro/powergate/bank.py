@@ -1,6 +1,11 @@
 """Structure-of-arrays controller bank: the vector kernel's twin of
 :class:`~repro.powergate.controller.PowerGateController`.
 
+It mirrors the controller's eight per-cycle fields (``MIRRORED_FIELDS``):
+the six FSM fields and the two counters a result reads, ``on_cycles``
+and ``wake_events``.  It steps every controller every cycle, so OFF time
+stays the remainder of ``on_cycles`` here too.
+
 The only module of the package that needs numpy; ``repro.noc.vector``
 imports it when an engine engages, nothing else does.
 """
@@ -41,14 +46,8 @@ MIRRORED_FIELDS = (
     ("expect", "expect_until", _np.int64, int, int),
     ("wu", "wu_seen", bool, bool, bool),
     ("last_sleep", "last_sleep_cycle", _np.int64, *_optional(_NO_SLEEP)),
-    ("accounted", "_accounted_through", _np.int64, int, int),
-    ("active_cycles", "active_cycles", _np.int64, int, int),
-    ("off_cycles", "_off_cycles", _np.int64, int, int),
-    ("waking_cycles", "waking_cycles", _np.int64, int, int),
+    ("on_cycles", "on_cycles", _np.int64, int, int),
     ("wake_events", "wake_events", _np.int64, int, int),
-    ("sleep_events", "sleep_events", _np.int64, int, int),
-    ("cancelled_sleeps", "cancelled_sleeps", _np.int64, int, int),
-    ("off_sum", "off_period_lengths_sum", _np.int64, int, int),
 )
 #: What only the objects hold.  The bank steps every controller every
 #: cycle, fault-free, so it carries no retry: a flush leaves these as
@@ -58,12 +57,9 @@ RESET_BY_FLUSH = {
     "retry_backoff": 0,
 }
 #: ... and never touches these: identity and configuration (the two
-#: latencies are bank-wide scalars), the scheme's hooks, and counters
-#: only a fault injector moves.
+#: latencies are bank-wide scalars) and the scheme's hooks.
 OBJECT_ONLY_FIELDS = (
-    "router_id", "wakeup_latency", "timeout", "retry_timeout", "retry_cap",
-    "faults", "clock", "wake_hook", "stats",
-    "wakeup_retries", "faulted_wakeups",
+    "router_id", "wakeup_latency", "timeout", "faults", "wake_hook", "stats",
 )
 
 
@@ -88,24 +84,18 @@ class ControllerArrayBank:
       ``allow_cancel=True``.
 
     :meth:`flush_into` materializes the arrays back onto the controller
-    objects, so every object-level property (including the lazy
-    accounting ones) reads exactly what per-cycle object stepping would
-    have produced.
+    objects, so every object-level field reads exactly what per-cycle
+    object stepping would have produced.
     """
 
     def __init__(self, controllers) -> None:
         """Snapshot live controller objects.
 
         Engagement can happen at any step boundary, so every mutable
-        FSM field is copied, and the OFF cycles the active-set kernel
-        owes a skipped controller are settled first: the bank steps
-        every controller every cycle and has no lazy clock to fold in
-        later.
+        FSM field is copied.
         """
         self.wakeup_latency = controllers[0].wakeup_latency
         self.timeout = controllers[0].timeout
-        for c in controllers:
-            c._settle_off_accounting()
         for array, attr, dtype, to_array, _to_object in MIRRORED_FIELDS:
             column = [to_array(getattr(c, attr)) for c in controllers]
             setattr(self, array, _np.array(column, dtype=dtype))
@@ -128,8 +118,6 @@ class ControllerArrayBank:
             if len(cn):
                 self.state[cn] = 0
                 self.idle[cn] = 0
-                self.sleep_events[cn] -= 1
-                self.cancelled_sleeps[cn] += 1
                 self.last_sleep[cn] = _NO_SLEEP
             off = off[~cancel]
         if len(off) == 0:
@@ -137,10 +125,6 @@ class ControllerArrayBank:
         self.state[off] = 2
         self.wake_at[off] = cycle + self.wakeup_latency
         self.wake_events[off] += 1
-        ls = self.last_sleep[off]
-        slept = ls != _NO_SLEEP
-        ended = off[slept]
-        self.off_sum[ended] += cycle - ls[slept]
 
     def request_scalar(self, node: int, cycle: int, window: int) -> None:
         """One node's :meth:`PowerGateController.request_wakeup`, with
@@ -157,15 +141,11 @@ class ControllerArrayBank:
         if ls != _NO_SLEEP and cycle < ls:
             self.state[node] = 0
             self.idle[node] = 0
-            self.sleep_events[node] -= 1
-            self.cancelled_sleeps[node] += 1
             self.last_sleep[node] = _NO_SLEEP
             return
         self.state[node] = 2
         self.wake_at[node] = cycle + self.wakeup_latency
         self.wake_events[node] += 1
-        if ls != _NO_SLEEP:
-            self.off_sum[node] += cycle - ls
 
     def step_all(self, cycle: int, datapath_empty, node_wants) -> None:
         """One masked step of every FSM (snapshot masks first, so a
@@ -173,18 +153,14 @@ class ControllerArrayBank:
         this cycle, exactly like the early returns in the scalar FSM)."""
         st = self.state
         waking = st == 2
-        off = st == 1
         act = st == 0
-        self.waking_cycles[waking] += 1
+        self.on_cycles[st != 1] += 1
         done = waking & (cycle >= self.wake_at)
         self.state[done] = 0
         self.wake_at[done] = _NO_WAKE
         self.idle[done] = 0
-        self.off_cycles[off] += 1
-        self.accounted[off] = cycle
         busy = act & (~datapath_empty | node_wants | self.wu)
         self.wu[:] = False
-        self.active_cycles[act] += 1
         self.idle[busy] = 0
         self.expect[busy & ~datapath_empty] = -1
         idling = act & ~busy
@@ -192,9 +168,7 @@ class ControllerArrayBank:
         sleep = idling & (self.idle >= self.timeout) & (cycle > self.expect)
         self.state[sleep] = 1
         self.idle[sleep] = 0
-        self.sleep_events[sleep] += 1
         self.last_sleep[sleep] = cycle + 1
-        self.accounted[sleep] = cycle
 
     # ------------------------------------------------------------------
     def available_by(self, by_cycle: int):

@@ -59,10 +59,11 @@ def gated_fraction_map(network: Network, title: str = "Gated-off fraction") -> s
     if not isinstance(policy, PowerGatedScheme):
         values = [0.0] * network.config.num_nodes
     else:
-        values = []
-        for ctl in policy.controllers:
-            total = ctl.active_cycles + ctl.off_cycles + ctl.waking_cycles
-            values.append(ctl.off_cycles / total if total else 0.0)
+        cycles = network.cycle
+        values = [
+            (cycles - ctl.on_cycles) / cycles if cycles else 0.0
+            for ctl in policy.controllers
+        ]
     return node_heatmap(network.topology, values, title=title)
 
 

@@ -75,13 +75,19 @@ def _dump(net):
     if hasattr(policy, "controllers") and policy.controllers:
         dump["total_off_cycles"] = policy.total_off_cycles()
         dump["total_wake_events"] = policy.total_wake_events()
-        dump["currently_off"] = policy.currently_off()
-        dump["sleep_events"] = sum(c.sleep_events for c in policy.controllers)
-        dump["cancelled_sleeps"] = sum(
-            c.cancelled_sleeps for c in policy.controllers
-        )
-        dump["active_cycles"] = sum(c.active_cycles for c in policy.controllers)
-        dump["waking_cycles"] = sum(c.waking_cycles for c in policy.controllers)
+        dump["controllers"] = [
+            (
+                c.state,
+                c.idle_cycles,
+                c.wake_at,
+                c.expect_until,
+                c.last_sleep_cycle,
+                c.retry_at,
+                c.on_cycles,
+                c.wake_events,
+            )
+            for c in policy.controllers
+        ]
     return dump
 
 

@@ -52,7 +52,7 @@ class TestMeshShapes:
         net = Network(NoCConfig(width=16, height=16), scheme)
         for _ in range(25):
             net.step()
-        assert scheme.currently_off() == 256
+        assert sum(c.is_off for c in scheme.controllers) == 256
         p = control_packet(0, 255, VirtualNetwork.REQUEST, net.cycle)
         net.inject(p)
         net.run_until_drained(5000)

@@ -118,12 +118,9 @@ class TestNoRDScheme:
     def test_saves_static_power(self):
         scheme = NoRDLike()
         self.run_traffic(scheme, cycles=1500)
-        total = sum(
-            c.active_cycles + c.off_cycles + c.waking_cycles
-            for c in scheme.controllers
-        )
-        off = sum(c.off_cycles for c in scheme.controllers)
-        assert off / total > 0.25
+        total = scheme.network.cycle * len(scheme.controllers)
+        on = sum(c.on_cycles for c in scheme.controllers)
+        assert (total - on) / total > 0.25
 
     def test_deterministic(self):
         def run():

@@ -98,11 +98,12 @@ class TestMerging:
         fabric.deliver(3)
         assert rec.cycles_for(29) == [3]
 
-    def test_targets_delivered_counter(self):
-        fabric, _ = make_fabric()
+    def test_target_delivery_reaches_sink(self):
+        fabric, rec = make_fabric()
         fabric.send_local(27, {28}, cycle=0)
         fabric.deliver(1)
-        assert fabric.targets_delivered == 1
+        assert rec.events == [(27, 0), (28, 1)]
+        assert fabric.pending_work() == 0
 
 
 class TestYDirection:

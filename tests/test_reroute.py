@@ -30,7 +30,12 @@ from repro.noc import (
     control_packet,
 )
 from repro.noc.packet import reset_packet_ids
-from repro.powergate.controller import PGState, PowerGateController
+from repro.powergate.controller import (
+    RETRY_CAP,
+    RETRY_TIMEOUT,
+    PGState,
+    PowerGateController,
+)
 from repro.traffic import SyntheticTraffic
 
 #: Router 5 sits mid-mesh on the 4->6 XY route of a 4x4 mesh.
@@ -277,11 +282,14 @@ class TestWakeupRetry:
         return cycle
 
     def test_lost_wakeup_is_retried_with_backoff(self):
+        from repro.noc import NetworkStats
+
         controller = self._make("wakeup_fail,rate=1.0,start=0,end=100;seed=5")
+        controller.stats = stats = NetworkStats()
         cycle = self._sleep(controller)
         controller.request_wakeup(cycle, 0)
         assert controller.state is PGState.OFF  # swallowed by the fault
-        assert controller.retry_at == cycle + controller.retry_timeout
+        assert controller.retry_at == cycle + RETRY_TIMEOUT
         deadlines = []
         while cycle <= 120:
             before = controller.retry_at
@@ -294,10 +302,10 @@ class TestWakeupRetry:
         # The re-issue deadline doubled (capped) while the fault window
         # was open, then a retry finally got through and woke the router.
         assert deadlines
-        assert all(b <= controller.retry_cap for b in deadlines)
+        assert all(b <= RETRY_CAP for b in deadlines)
         assert sorted(deadlines) == deadlines
         assert controller.state in (PGState.WAKING, PGState.ACTIVE)
-        assert controller.wakeup_retries == len(deadlines) + 1
+        assert stats.wakeup_retries == len(deadlines) + 1
 
     def test_delivered_request_clears_pending_retry(self):
         controller = self._make("wakeup_fail,rate=1.0,start=0,end=10;seed=5")
@@ -326,10 +334,11 @@ class TestWakeupRetry:
         controller.stats = stats
         cycle = self._sleep(controller)
         controller.request_wakeup(cycle, 0)
-        for c in range(cycle, cycle + 2 * controller.retry_timeout):
+        for c in range(cycle, cycle + 2 * RETRY_TIMEOUT):
             controller.step(c, True, False)
-        assert controller.wakeup_retries > 0
-        assert stats.wakeup_retries == controller.wakeup_retries
+        # One re-issue at RETRY_TIMEOUT; the doubled backoff puts the
+        # next one past the window.
+        assert stats.wakeup_retries == 1
 
     @pytest.mark.parametrize("kernel", ["active", "naive"])
     def test_retries_unwedge_gated_network(self, kernel):

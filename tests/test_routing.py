@@ -160,7 +160,7 @@ class TestSharedRouteTables:
         return (
             net.stats.as_dict(),
             net.link_counts,
-            [(c.state, c.off_cycles, c.wake_events, c.sleep_events) for c in controllers],
+            [(c.state, c.on_cycles, c.wake_events, c.last_sleep_cycle) for c in controllers],
             sorted(net.dead_routers),
         )
 

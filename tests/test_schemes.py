@@ -21,7 +21,7 @@ class TestSleepBehaviour:
         scheme = ConvOptPG()
         net = make_network(scheme)
         run_idle(net, 20)
-        assert scheme.currently_off() == 64
+        assert sum(c.is_off for c in scheme.controllers) == 64
 
     def test_nopg_never_powers_off(self):
         net = make_network(NoPG())

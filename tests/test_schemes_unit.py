@@ -125,7 +125,7 @@ class TestAvailabilityInterface:
             net.step()
         assert scheme.router_is_off(5)
         assert not scheme.is_router_available(5)
-        assert scheme.currently_off() == 64
+        assert sum(c.is_off for c in scheme.controllers) == 64
 
     def test_total_counters(self):
         net, scheme = make(ConvOptPG())
