@@ -65,13 +65,11 @@ class BypassRing:
         #: Ring hops ridden per live packet id.
         self.hops_ridden: Dict[int, int] = {}
         self.ring_hops = 0
-        self.boardings = 0
 
     def board(self, node: int, packet: Packet) -> None:
         """Put a packet on the ring at ``node``."""
         self._queues[self.position[node]].append(packet)
         self.hops_ridden.setdefault(packet.packet_id, 0)
-        self.boardings += 1
 
     def step(self, cycle: int, try_exit) -> None:
         """Advance the ring one cycle.

@@ -47,7 +47,6 @@ SALT_PACKAGES = (
 #: (everything else a cell imports from outside ``repro.campaign``).
 SALT_FILES = (
     "__init__.py",
-    "stats_util.py",
     "experiments/__init__.py",
     "experiments/common.py",
     "experiments/paper_targets.py",

@@ -13,6 +13,7 @@ the experiments layer, which re-exports them.
 from __future__ import annotations
 
 import traceback
+from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -347,25 +348,46 @@ def _run_guarantees_cell(spec: CellSpec) -> dict:
     stream, so ``kernel="vector"`` cells stay engaged.  Warmup
     deliveries are checked too (a certified bound holds for every
     packet, not just measured ones); the latency quantiles cover the
-    measurement window, matching every other stats figure.
+    measurement window, matching every other stats figure, and are
+    exact: a ``delivered`` subscriber tallies each measured latency.
     """
     from ..guarantees import BoundChecker
 
     checker = BoundChecker(strict=bool(dict(spec.extras).get("strict", False)))
     scheme = build_scheme(spec) if spec.scheme != "-" else None
+    latencies: Counter = Counter()
     with closing(Network(spec.build_config(), scheme)) as network:
+        stats = network.stats
+
+        def tally(packet, cycle):
+            # The window filter ``NetworkStats.record_delivery`` applies.
+            if packet.created_at >= stats.measure_from:
+                latencies[packet.network_latency] += 1
+
         network.install_bounds(checker)
+        network.subscribe("delivered", tally)
         _measure(network, spec, spec.warmup, spec.measurement, spec.drain)
-    stats = network.stats
     return {
         **checker.report(),
         "delivered": stats.delivered,
         "avg_latency": stats.avg_packet_latency,
-        "p50": stats.p50_latency,
-        "p95": stats.p95_latency,
-        "p99": stats.p99_latency,
+        "p50": _nearest_rank(latencies, 50),
+        "p95": _nearest_rank(latencies, 95),
+        "p99": _nearest_rank(latencies, 99),
         "cycles": network.cycle,
     }
+
+
+def _nearest_rank(counts: Counter, percent: int) -> Optional[int]:
+    """The ``percent``-th nearest-rank percentile of the values
+    ``counts`` tallies: the ``ceil(percent / 100 * n)``-th smallest of
+    its ``n`` values (``None`` when it tallies none)."""
+    rank = -(-percent * sum(counts.values()) // 100)
+    for value in sorted(counts):
+        rank -= counts[value]
+        if rank <= 0:
+            return value
+    return None
 
 
 _RUNNERS = {

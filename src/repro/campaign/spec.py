@@ -33,7 +33,7 @@ Cell kinds and their payloads:
     One bound-validation run: a fault-free synthetic run with a
     :class:`repro.guarantees.BoundChecker` on the delivery stream →
     tightness dict (checked/violation counts, worst observed/bound
-    ratio with decomposition, reservoir latency quantiles, the bound
+    ratio with decomposition, exact latency quantiles, the bound
     model's parameters).  ``extras: strict`` selects raise-on-first
     enforcement instead of violation accounting.
 """

@@ -41,7 +41,7 @@ Robustness flags (before or after the command; see
     python -m repro.cli --strict-invariants report
     python -m repro.cli --faults "punch_drop,rate=0.5;seed=7" fig12
     python -m repro.cli --strict-invariants --watchdog 50000 baselines
-    python -m repro.cli --reroute --faults "router_stall,router=27" fig12
+    python -m repro.cli --degradation reroute --faults "router_stall,router=27" fig12
     python -m repro.cli fig13 --degradation drop --dead-router-threshold 500
 
 These are cell configuration, not process state: each flag overrides
@@ -54,14 +54,12 @@ every network; ``--strict-invariants`` runs the per-cycle invariant
 checker and deadlock watchdog (bound adjustable with ``--watchdog``),
 aborting on the first violation.  ``--degradation`` sets every
 network's graceful-degradation mode (``none``, ``drop``, ``reroute``,
-``fail_fast``; ``--reroute`` is shorthand for ``--degradation
-reroute``) and ``--dead-router-threshold`` the number of continuously
-stalled cycles before a router is declared dead.
+``fail_fast``) and ``--dead-router-threshold`` the number of
+continuously stalled cycles before a router is declared dead.
 
 Monte-Carlo reliability campaigns (``docs/resilience.md``)::
 
     python -m repro.cli reliability --samples 200 --workers 4
-    python -m repro.cli reliability --sprt --samples 200   # sequential
 
 Guarantees mode (``docs/guarantees.md``)::
 
@@ -246,13 +244,6 @@ def _declare_robustness(group) -> None:
         "--degradation",
         choices=VALID_DEGRADATIONS,
         help="graceful-degradation mode of every network",
-    )
-    group.add_argument(
-        "--reroute",
-        action="store_const",
-        const="reroute",
-        dest="degradation",
-        help="shorthand for --degradation reroute",
     )
     group.add_argument(
         "--dead-router-threshold",

@@ -1,4 +1,4 @@
-"""Guarantees mode: certified latency bounds + sequential model checking.
+"""Guarantees mode: certified latency bounds and their tightness.
 
 Two complementary guarantees for the power-gated NoC:
 
@@ -17,32 +17,25 @@ Two complementary guarantees for the power-gated NoC:
    synthetic traffic with a :class:`repro.guarantees.BoundChecker` on
    the delivery stream and reports, per scheme x load, how close the
    observed worst case comes to the certified bound (and any
-   violations, which are *data* in the default non-strict mode).
-
-The module also hosts the **SPRT driver** used by
-``repro.cli reliability --sprt``: sequential statistical model
-checking of the clean-trial probability, stopping as soon as Wald's
-test decides instead of burning the full fixed-sample budget.
+   violations, which are *data* in the default non-strict mode), with
+   the window's exact p50/p95/p99 network latency.
 
 Usage::
 
     python -m repro.cli guarantees --loads 0.02 0.2 --out bounds.json
     python -m repro.cli guarantees --certify-only
-    python -m repro.cli reliability --sprt --samples 200
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..campaign import CellSpec
 from ..core import ConvOptPG, PowerPunchPG
-from ..guarantees import SPRT, certify_non_blocking
+from ..guarantees import certify_non_blocking
 from ..noc import NoCConfig
-from ..stats_util import wilson_interval
 from .common import format_table, run_keyed
-from .reliability import reliability_campaign
 
 _DEFAULT_LOADS = (0.02, 0.10, 0.20)
 
@@ -199,105 +192,6 @@ def report(summary: dict) -> str:
 
 def _fmt(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:g}"
-
-
-# ----------------------------------------------------------------------
-# Sequential statistical model checking (the reliability --sprt mode)
-# ----------------------------------------------------------------------
-def run_sprt_reliability(
-    trial: dict,
-    *,
-    base_seed: int = 1,
-    max_samples: int = 100,
-    p0: float = 0.9,
-    p1: float = 0.6,
-    alpha: float = 0.05,
-    beta: float = 0.05,
-    batch: int = 8,
-    **engine,
-) -> dict:
-    """Sequentially test ``P(clean trial) >= p0`` vs ``<= p1``.
-
-    Trials are the same seeded reliability cells the fixed-sample
-    campaign runs (``trial`` holds :func:`reliability_campaign`'s
-    keywords; trial ``i`` uses ``base_seed + i``), declared
-    ``batch`` at a time so a process pool still fans out, and fed to
-    the :class:`SPRT` **in seed order** — the estimate is a pure
-    function of the seeds regardless of worker scheduling, and a
-    shared ``--cache-dir`` is hit cell-for-cell by the fixed-sample
-    campaign over the same seed range.  Stops at the first decided
-    batch or when the ``max_samples`` budget is exhausted
-    (``verdict: undecided``).
-    """
-    if batch < 1:
-        raise ValueError("batch must be positive")
-    sprt = SPRT(p0, p1, alpha=alpha, beta=beta)
-    used: List[dict] = []
-    declared = 0
-    while declared < max_samples and sprt.verdict is None:
-        n = min(batch, max_samples - declared)
-        campaign = reliability_campaign(n, base_seed=base_seed + declared, **trial)
-        outcomes = campaign.run(**engine)
-        declared += n
-        for outcome in outcomes:
-            if sprt.verdict is not None:
-                break
-            sprt.update(bool(outcome["delivered_all"]))
-            used.append(outcome)
-    ci = (
-        wilson_interval(sprt.successes, sprt.observations)
-        if sprt.observations
-        else (0.0, 1.0)
-    )
-    return {
-        "mode": "sprt",
-        "verdict": sprt.verdict or "undecided",
-        "sprt": sprt.to_dict(),
-        "samples_used": sprt.observations,
-        "samples_declared": declared,
-        "samples_budget": max_samples,
-        "base_seed": base_seed,
-        "batch": batch,
-        "clean_trials": sprt.successes,
-        "clean_trial_ci95": list(ci),
-        "trial_outcomes": used,
-    }
-
-
-def report_sprt(estimate: dict) -> str:
-    """Human-readable summary of one sequential run."""
-    sprt = estimate["sprt"]
-    rows = [
-        ["verdict", estimate["verdict"]],
-        [
-            "hypothesis",
-            f"accept: P(clean) >= {sprt['p0']:g}   "
-            f"reject: P(clean) <= {sprt['p1']:g}",
-        ],
-        [
-            "samples used",
-            f"{estimate['samples_used']} of {estimate['samples_budget']} budget",
-        ],
-        [
-            "clean trials",
-            f"{estimate['clean_trials']}/{estimate['samples_used']}",
-        ],
-        [
-            "95% CI (Wilson)",
-            f"[{estimate['clean_trial_ci95'][0]:.4f}, "
-            f"{estimate['clean_trial_ci95'][1]:.4f}]",
-        ],
-        [
-            "log-likelihood ratio",
-            f"{sprt['llr']:.4f} in "
-            f"({sprt['lower_threshold']:.4f}, {sprt['upper_threshold']:.4f})",
-        ],
-    ]
-    return format_table(
-        ["", ""],
-        rows,
-        title="Sequential probability ratio test (clean-trial probability)",
-    )
 
 
 # ----------------------------------------------------------------------

@@ -32,11 +32,11 @@ Usage::
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence
+import math
+from typing import List, Optional, Sequence, Tuple
 
 from ..campaign import Campaign, CellSpec
 from ..noc import NoCConfig
-from ..stats_util import wilson_interval
 from .common import format_table
 
 
@@ -88,6 +88,28 @@ def reliability_campaign(
         for i in range(samples)
     )
     return Campaign(name=f"reliability-{pattern}-{scheme}", cells=cells)
+
+
+def wilson_interval(
+    successes: int, trials: int, z: float = 1.96
+) -> Tuple[float, float]:
+    """Wilson score interval for a binomial proportion.
+
+    Unlike the normal approximation it stays inside [0, 1] and behaves
+    at p near 0/1 — exactly where reliability estimates live.
+    """
+    if trials <= 0:
+        return (0.0, 1.0)
+    if successes < 0 or successes > trials:
+        raise ValueError(f"successes={successes} outside [0, {trials}]")
+    p = successes / trials
+    z2 = z * z
+    denom = 1.0 + z2 / trials
+    center = (p + z2 / (2.0 * trials)) / denom
+    half = (z / denom) * math.sqrt(
+        p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)
+    )
+    return (max(0.0, center - half), min(1.0, center + half))
 
 
 def aggregate(outcomes: Sequence[dict]) -> dict:
@@ -177,7 +199,7 @@ def _fmt_ci(ci: List[float]) -> str:
 
 
 def add_arguments(parser) -> None:
-    """``repro.cli reliability`` flags, the ``--sprt`` family included."""
+    """``repro.cli reliability`` flags."""
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--pattern", default="uniform_random")
     parser.add_argument("--rate", type=float, default=0.02)
@@ -189,51 +211,10 @@ def add_arguments(parser) -> None:
     parser.add_argument("--measurement", type=int, default=4000)
     parser.add_argument("--base-seed", type=int, default=1)
     parser.add_argument("--out", default=None, help="write the estimate as JSON")
-    group = parser.add_argument_group("guarantees")
-    group.add_argument(
-        "--sprt",
-        action="store_true",
-        help="sequential probability ratio test mode: stop sampling "
-        "as soon as the delivery-probability hypothesis is "
-        "accepted or rejected instead of burning the full "
-        "--samples budget",
-    )
-    group.add_argument(
-        "--sprt-p0",
-        type=float,
-        default=0.9,
-        help="null hypothesis: P(clean trial) >= p0 (accept)",
-    )
-    group.add_argument(
-        "--sprt-p1",
-        type=float,
-        default=0.6,
-        help="alternative hypothesis: P(clean trial) <= p1 (reject); "
-        "must be < p0",
-    )
-    group.add_argument(
-        "--sprt-alpha",
-        type=float,
-        default=0.05,
-        help="bound on the false-rejection probability",
-    )
-    group.add_argument(
-        "--sprt-beta",
-        type=float,
-        default=0.05,
-        help="bound on the false-acceptance probability",
-    )
-    group.add_argument(
-        "--sprt-batch",
-        type=int,
-        default=8,
-        help="trials declared per sequential round (larger batches "
-        "parallelize better, smaller ones stop earlier)",
-    )
 
 
 def run(args, engine: dict) -> None:
-    """Run the campaign (or the sequential test) and print its estimate."""
+    """Run the campaign and print its estimate."""
     # Trials are built to survive faults: this experiment's values for
     # the robustness flags left unset differ from "leave cells alone".
     overrides = {
@@ -243,7 +224,8 @@ def run(args, engine: dict) -> None:
         **dict(engine["config_overrides"]),
     }
     engine = {**engine, "config_overrides": overrides}
-    trial = dict(
+    campaign = reliability_campaign(
+        args.samples,
         pattern=args.pattern,
         injection_rate=args.rate,
         scheme=args.scheme,
@@ -256,28 +238,10 @@ def run(args, engine: dict) -> None:
         warmup=args.warmup,
         measurement=args.measurement,
         watchdog=overrides["watchdog"],
+        base_seed=args.base_seed,
     )
-    if args.sprt:
-        # Sequential statistical model checking: stop as soon as the
-        # clean-trial hypothesis is decided (see docs/guarantees.md).
-        from .guarantees import report_sprt, run_sprt_reliability
-
-        estimate = run_sprt_reliability(
-            trial,
-            base_seed=args.base_seed,
-            max_samples=args.samples,
-            p0=args.sprt_p0,
-            p1=args.sprt_p1,
-            alpha=args.sprt_alpha,
-            beta=args.sprt_beta,
-            batch=args.sprt_batch,
-            **engine,
-        )
-        print(report_sprt(estimate))
-    else:
-        campaign = reliability_campaign(args.samples, base_seed=args.base_seed, **trial)
-        estimate = aggregate(campaign.run(**engine))
-        print(report(estimate))
+    estimate = aggregate(campaign.run(**engine))
+    print(report(estimate))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(estimate, fh, sort_keys=True, indent=2)

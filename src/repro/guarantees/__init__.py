@@ -1,6 +1,6 @@
-"""Certified worst-case latency bounds and statistical model checking.
+"""Certified worst-case latency bounds.
 
-Three layers turn the paper's non-blocking claim into a
+Two layers turn the paper's non-blocking claim into a
 machine-checkable guarantee (see ``docs/guarantees.md``):
 
 * :mod:`~repro.guarantees.bounds` — analytical per-route worst-case
@@ -9,8 +9,6 @@ machine-checkable guarantee (see ``docs/guarantees.md``):
   bound equals No-PG's route by route.
 * :mod:`~repro.guarantees.checker` — :class:`BoundChecker`, runtime
   enforcement as a delivery-stream invariant (``--bounds``).
-* :mod:`~repro.guarantees.sprt` — Wald's sequential probability ratio
-  test for early-stopping reliability campaigns (``--sprt``).
 """
 
 from .bounds import (
@@ -22,16 +20,13 @@ from .bounds import (
     wakeup_penalty_per_hop,
 )
 from .checker import BoundChecker
-from .sprt import SPRT, wilson_verdict
 
 __all__ = [
     "BoundChecker",
     "BoundTerms",
     "LatencyBoundModel",
-    "SPRT",
     "UnboundableConfigError",
     "certify_non_blocking",
     "resolved_punch_hops",
     "wakeup_penalty_per_hop",
-    "wilson_verdict",
 ]

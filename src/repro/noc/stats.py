@@ -10,9 +10,8 @@ feeding the energy model (Fig. 11) — read as one :class:`Activity`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..stats_util import ReservoirQuantiles
 from .errors import SimulationError
 from .packet import Packet
 
@@ -119,18 +118,6 @@ class NetworkStats:
     rerouted_packets: int = 0
     detour_hops: int = 0
     drops: List[DroppedPacket] = field(default_factory=list)
-    latencies: List[int] = field(default_factory=list)
-    #: Record individual latencies (disabled for long runs to bound memory).
-    keep_samples: bool = False
-    #: Streaming tail-latency estimator: a fixed-size reservoir fed
-    #: every measured network latency, so p50/p95/p99 are available in
-    #: bounded memory regardless of run length (unlike ``latencies``,
-    #: which grows per packet and stays opt-in).  Deliberately *not*
-    #: part of :meth:`as_dict` — that contract is "every integer
-    #: counter" and is golden-compared cycle-exactly across kernels;
-    #: the reservoir serializes via its own
-    #: ``quantiles.to_dict()``/``ReservoirQuantiles.from_dict``.
-    quantiles: ReservoirQuantiles = field(default_factory=ReservoirQuantiles)
 
     def record_delivery(self, packet: Packet, hops: int) -> None:
         """Account a delivered packet (ignored if created during warmup)."""
@@ -151,9 +138,6 @@ class NetworkStats:
         self.total_hops += hops
         self.total_blocked_routers += len(packet.blocked_routers)
         self.total_wakeup_wait_cycles += packet.wakeup_wait_cycles
-        if self.keep_samples:
-            self.latencies.append(packet.network_latency)
-        self.quantiles.add(packet.network_latency)
 
     def record_injection(self, packet: Packet) -> None:
         """Account a newly created packet (ignored during warmup)."""
@@ -245,21 +229,6 @@ class NetworkStats:
     def avg_blocked_routers(self) -> float:
         """Fig. 9 metric: powered-off routers encountered per packet."""
         return self.total_blocked_routers / self.delivered if self.delivered else 0.0
-
-    @property
-    def p50_latency(self) -> Optional[float]:
-        """Median measured network latency (reservoir estimate)."""
-        return self.quantiles.p50
-
-    @property
-    def p95_latency(self) -> Optional[float]:
-        """95th-percentile network latency (reservoir estimate)."""
-        return self.quantiles.p95
-
-    @property
-    def p99_latency(self) -> Optional[float]:
-        """99th-percentile network latency (reservoir estimate)."""
-        return self.quantiles.p99
 
     @property
     def avg_wakeup_wait(self) -> float:

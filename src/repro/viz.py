@@ -91,7 +91,9 @@ def link_load_map(network: Network, title: str = "Router forwarding load") -> st
 def latency_histogram(
     latencies: Sequence[int], bins: int = 12, width: int = 50, title: str = ""
 ) -> str:
-    """ASCII histogram of packet latencies (needs stats.keep_samples)."""
+    """ASCII histogram of packet latencies, e.g. each measured
+    ``packet.network_latency`` a ``Network.subscribe("delivered", ...)``
+    subscriber collected."""
     if not latencies:
         return "(no samples)"
     lo, hi = min(latencies), max(latencies)

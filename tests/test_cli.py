@@ -143,8 +143,10 @@ class TestRobustnessFlags:
     def test_flags_before_and_after_the_command_are_the_same_flags(
         self, probe, capsys
     ):
-        cli.main(["--strict-invariants", "--watchdog=5000", "probe", "--reroute"])
-        cli.main(["probe", "--strict-invariants", "--watchdog", "5000", "--reroute"])
+        cli.main(["--strict-invariants", "--watchdog=5000", "probe", "--degradation=reroute"])
+        cli.main(
+            ["probe", "--strict-invariants", "--watchdog", "5000", "--degradation", "reroute"]
+        )
         expected = {
             "strict_invariants": True,
             "watchdog": 5000,
@@ -171,6 +173,26 @@ class TestRobustnessFlags:
         ):
             with pytest.raises(SystemExit):
                 cli.main(argv)
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--reroute",
+            "--sprt",
+            "--sprt-p0=0.9",
+            "--sprt-p1=0.6",
+            "--sprt-alpha=0.05",
+            "--sprt-beta=0.05",
+            "--sprt-batch=8",
+        ],
+    )
+    def test_retired_flags_are_refused(self, flag, capsys):
+        """``--degradation reroute`` is the one spelling of rerouting,
+        and a larger ``--samples`` on a warm ``--cache-dir`` stands in
+        for the sequential test."""
+        with pytest.raises(SystemExit):
+            cli.main(["reliability", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_fault_spec_fails_before_any_cell_runs(self, probe):
         with pytest.raises(FaultSpecError):
@@ -210,7 +232,7 @@ class TestRobustnessFlags:
             ["--timeout", "12.5"],
             ["--max-retries", "4"],
             ["--hosts", "local:3"],
-            ["--faults", "punch_drop,rate=0.5;seed=7", "--reroute"],
+            ["--faults", "punch_drop,rate=0.5;seed=7", "--degradation", "reroute"],
             ["--strict-invariants", "--watchdog", "300", "--hosts", "h:1"],
         ],
     )

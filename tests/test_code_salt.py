@@ -70,7 +70,6 @@ def test_every_module_a_cell_imports_is_salted():
     [
         "guarantees/bounds.py",
         "guarantees/checker.py",
-        "stats_util.py",
         "experiments/common.py",
         "experiments/table1.py",
         "experiments/paper_targets.py",

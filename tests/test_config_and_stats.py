@@ -69,11 +69,6 @@ class TestStats:
         stats.record_delivery(self.make_packet(created=150), hops=3)
         assert stats.delivered == 1
 
-    def test_sample_recording_opt_in(self):
-        stats = NetworkStats(keep_samples=True)
-        stats.record_delivery(self.make_packet(), hops=1)
-        assert stats.latencies == [25]
-
     def test_empty_stats_safe(self):
         stats = NetworkStats()
         assert stats.avg_packet_latency == 0.0

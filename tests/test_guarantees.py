@@ -5,10 +5,14 @@ Covers the bound model term by term, the non-blocking certificate
 strictly larger; a slack-starved punch loses the certificate), the
 BoundChecker's quiet path and its firing path (proven with a
 deliberately unsatisfiable bound), the bounds/faults mutual exclusion,
-the ``bounds`` config field, the ``guarantees`` campaign cell,
-and a hypothesis property: at low load no delivered packet exceeds its
-certified bound on any topology, scheme, or cycle kernel.
+the ``bounds`` config field, the ``guarantees`` campaign cell (its
+latency percentiles exact on both engines), and a hypothesis
+property: at low load no delivered packet exceeds its certified bound
+on any topology, scheme, or cycle kernel.
 """
+
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -281,6 +285,90 @@ def test_guarantees_cell_payload():
     assert 0.0 < payload["worst_ratio"] <= 1.0
     assert payload["p50"] <= payload["p95"] <= payload["p99"]
     assert payload["model"]["scheme"] == "PowerPunch-PG"
+
+
+@pytest.mark.parametrize("kernel", ["active", "vector"])
+def test_guarantees_cell_quantiles_are_exact(monkeypatch, kernel):
+    """p50/p95/p99 are nearest-rank percentiles of every measured
+    latency, past the 512 deliveries a sampled estimate would keep."""
+    from repro.campaign import runner
+
+    observed = []
+
+    class ObservedNetwork(Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            latencies = []
+            observed.append((self, latencies))
+
+            def collect(packet, cycle):
+                if packet.created_at >= self.stats.measure_from:
+                    latencies.append(packet.network_latency)
+
+            self.subscribe("delivered", collect)
+
+    monkeypatch.setattr(runner, "Network", ObservedNetwork)
+    payload = run_cell(
+        CellSpec.guarantees(
+            "uniform_random",
+            0.1,
+            "PowerPunch-PG",
+            warmup=200,
+            measurement=1500,
+            seed=7,
+            config=NoCConfig(width=4, height=4, kernel=kernel),
+        )
+    )
+    [(network, latencies)] = observed
+    assert len(latencies) == network.stats.delivered == payload["delivered"] > 512
+    ordered = sorted(latencies)
+    for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        assert payload[name] == ordered[math.ceil(q * len(ordered)) - 1], name
+
+
+def test_guarantees_cell_without_measured_deliveries_has_no_quantiles():
+    payload = run_cell(
+        CellSpec.guarantees(
+            "uniform_random",
+            0.0,
+            "PowerPunch-PG",
+            warmup=50,
+            measurement=100,
+            config=NoCConfig(width=4, height=4),
+        )
+    )
+    assert payload["delivered"] == 0
+    assert (payload["p50"], payload["p95"], payload["p99"]) == (None, None, None)
+
+
+def test_nearest_rank_of_no_values_is_none():
+    from repro.campaign.runner import _nearest_rank
+
+    assert _nearest_rank(Counter(), 50) is None
+
+
+def test_nearest_rank_of_one_value_is_that_value():
+    from repro.campaign.runner import _nearest_rank
+
+    for percent in (1, 50, 99, 100):
+        assert _nearest_rank(Counter({23: 1}), percent) == 23
+        assert _nearest_rank(Counter({23: 40}), percent) == 23
+
+
+@pytest.mark.parametrize("percent", [1, 25, 50, 95, 99, 100])
+def test_nearest_rank_matches_the_sorted_list(percent):
+    """The tally's percentile is the ``ceil(p/100 * n)``-th smallest
+    value, at sizes either side of where that rank steps."""
+    import random
+
+    from repro.campaign.runner import _nearest_rank
+
+    rng = random.Random(percent)
+    for n in (1, 2, 3, 19, 20, 21, 99, 100, 101, 1000):
+        values = [rng.randint(10, 40) for _ in range(n)]
+        ordered = sorted(values)
+        expected = ordered[math.ceil(percent * n / 100) - 1]
+        assert _nearest_rank(Counter(values), percent) == expected, n
 
 
 def test_guarantees_cell_deterministic():

@@ -75,6 +75,30 @@ class TestSeamContract:
         assert counts["cycle_end"] == net.cycle == stats.cycles
         assert counts["refused"] == counts["purged"] == counts["dropped"] == 0
 
+    @pytest.mark.parametrize("kernel", ["active", "vector"])
+    def test_windowed_delivered_subscriber_reconciles_with_stats(self, kernel):
+        """A ``delivered`` subscriber filtering on ``created_at >=
+        stats.measure_from`` at delivery time sees exactly the packets
+        ``record_delivery`` counts, across the window opening: the
+        filter the ``guarantees`` cell's exact percentiles rely on."""
+        net = Network(NoCConfig(width=4, height=4, kernel=kernel), PowerPunchPG())
+        everything, measured = [], []
+
+        def on_delivered(packet, cycle):
+            everything.append(packet.network_latency)
+            if packet.created_at >= net.stats.measure_from:
+                measured.append(packet.network_latency)
+
+        net.subscribe("delivered", on_delivered)
+        traffic = SyntheticTraffic(net, "uniform_random", 0.1, seed=5)
+        traffic.run(200)
+        net.stats.measure_from = net.cycle
+        traffic.run(400)
+        traffic.drain()
+        stats = net.stats
+        assert len(everything) > len(measured) == stats.delivered > 0
+        assert sum(measured) == stats.total_network_latency
+
     def test_unknown_event_is_refused(self):
         net = Network(NoCConfig(width=4, height=4))
         with pytest.raises(ValueError, match="unknown network event 'ejectd'"):

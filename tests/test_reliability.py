@@ -13,14 +13,18 @@ import pytest
 from repro.campaign import CellSpec, FailureReport, run_cell
 from repro.campaign.spec import CELL_KINDS
 from repro.cli import campaign_argparser, engine_options
-from repro.experiments.reliability import aggregate, reliability_campaign, report
+from repro.experiments.reliability import (
+    aggregate,
+    reliability_campaign,
+    report,
+    wilson_interval,
+)
 from repro.noc import (
     SAMPLABLE_FAULT_KINDS,
     FaultSchedule,
     NoCConfig,
     sample_fault_schedule,
 )
-from repro.stats_util import wilson_interval
 
 
 class TestWilsonInterval:
@@ -53,6 +57,22 @@ class TestWilsonInterval:
             lo, hi = wilson_interval(successes, trials)
             p = successes / trials
             assert 0.0 <= lo < p < hi <= 1.0
+
+    def test_failures_mirror_successes(self):
+        # k successes in n trials bound the success rate exactly where
+        # n - k successes bound the failure rate.
+        for successes, trials in [(0, 6), (3, 10), (45, 100), (999, 1000)]:
+            lo, hi = wilson_interval(successes, trials)
+            mirror_lo, mirror_hi = wilson_interval(trials - successes, trials)
+            assert lo == pytest.approx(1.0 - mirror_hi, abs=1e-12)
+            assert hi == pytest.approx(1.0 - mirror_lo, abs=1e-12)
+
+    def test_more_trials_narrow_the_interval(self):
+        widths = [
+            hi - lo
+            for lo, hi in (wilson_interval(9 * n // 10, n) for n in (10, 100, 1000, 10_000))
+        ]
+        assert all(wide > narrow for wide, narrow in zip(widths, widths[1:]))
 
 
 class TestFaultSampler:
@@ -254,6 +274,37 @@ class TestReliabilityCampaign:
         assert run() == run()
 
 
+class TestCampaignGrowsOnItsCache:
+    """A reliability cell's key holds its seed, not the campaign's
+    size, so more samples on the same cache run only the new seeds."""
+
+    TRIAL = dict(width=4, height=4, warmup=50, measurement=300, horizon=200, base_seed=3)
+
+    def test_more_samples_run_only_the_new_seeds(self, tmp_path):
+        reliability_campaign(2, **self.TRIAL).run(cache_dir=tmp_path)
+        grown = reliability_campaign(4, **self.TRIAL)
+        outcomes = grown.run(cache_dir=tmp_path)
+        assert (grown.last_stats.hits, grown.last_stats.executed) == (2, 2)
+        assert outcomes == reliability_campaign(4, **self.TRIAL).run()
+
+    def test_a_grown_estimate_is_the_fresh_estimate(self, tmp_path, capsys):
+        from repro import cli
+
+        def estimate(samples, cache, out):
+            cli.main(
+                ["reliability", "--samples", str(samples), "--mesh", "4",
+                 "--warmup", "50", "--measurement", "300", "--horizon", "200",
+                 "--cache-dir", str(tmp_path / cache), "--out", str(tmp_path / out)]
+            )
+            return (tmp_path / out).read_text()
+
+        estimate(2, "shared", "small.json")
+        grown = estimate(4, "shared", "grown.json")
+        capsys.readouterr()
+        assert json.loads(grown)["trials"] == 4
+        assert grown == estimate(4, "fresh", "fresh.json")
+
+
 class TestQuarantinePostMortem:
     def test_failure_report_carries_fault_context(self):
         error = RuntimeError("router wedged")
@@ -295,8 +346,7 @@ class TestRobustnessArgs:
     def _overrides(argv):
         return dict(engine_options(campaign_argparser().parse_args(argv))["config_overrides"])
 
-    def test_reroute_is_shorthand_for_degradation(self):
-        assert self._overrides(["--reroute"]) == {"degradation": "reroute"}
+    def test_degradation_reroute_is_an_override(self):
         assert self._overrides(["--degradation", "reroute"]) == {
             "degradation": "reroute"
         }
