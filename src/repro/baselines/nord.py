@@ -64,7 +64,6 @@ class BypassRing:
         self._in_flight: List[Tuple[int, int, Packet]] = []
         #: Ring hops ridden per live packet id.
         self.hops_ridden: Dict[int, int] = {}
-        self.ring_hops = 0
 
     def board(self, node: int, packet: Packet) -> None:
         """Put a packet on the ring at ``node``."""
@@ -115,7 +114,6 @@ class BypassRing:
             self.hops_ridden[packet.packet_id] = (
                 self.hops_ridden.get(packet.packet_id, 0) + 1
             )
-            self.ring_hops += 1
 
     def in_transit(self) -> int:
         """Packets currently riding or queued on the ring."""

@@ -29,25 +29,18 @@ from ..noc.network import Network
 from ..noc.network_interface import NetworkInterface
 from ..noc.packet import Packet, meet_powered_off
 from ..noc.policy import AlwaysOnPolicy, PowerPolicy
-from ..noc.topology import Direction
 from ..powergate.controller import PGState, PowerGateController
 from .punch_fabric import PunchFabric
 
-#: Shared empty punch-target set for routers whose heads need no wakeups.
-_EMPTY_TARGETS: frozenset = frozenset()
-
 
 @lru_cache(maxsize=16)
-def _punch_tables(
-    routing: type, spec: str, hops: int
-) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], frozenset]]:
-    """Memos of the static punch relation at one horizon, both per
-    (current, destination): the targeted router, and the punch set
-    naming only it.  A function of the key alone, so every scheme
-    attached in this process to that fabric at that horizon fills and
-    reads the same two dicts (at most N^2 entries each).
+def _punch_tables(routing: type, spec: str, hops: int) -> Dict[Tuple[int, int], int]:
+    """Memo of the static punch relation at one horizon: the targeted
+    router per (current, destination).  A function of the key alone,
+    so every scheme attached in this process to that fabric at that
+    horizon fills and reads the same dict (at most N^2 entries).
     """
-    return {}, {}
+    return {}
 
 
 class NoPG(AlwaysOnPolicy):
@@ -96,9 +89,6 @@ class PowerGatedScheme(PowerPolicy):
         #: wakeup event pulls it out of OFF, so the invariant
         #: "non-OFF => armed" holds at every observation point.
         self._armed: Set[int] = set()
-        #: Per-router punch-target memo: router_id -> (head_version,
-        #: targets).  Valid until the router's front head flits change.
-        self._punch_cache: Dict[int, Tuple[int, Set[int]]] = {}
         #: Baseline blocking-wakeup fallback: when a flit is stalled by a
         #: gated neighbor, assert the one-hop WU handshake directly at
         #: that neighbor's controller.  Off by default (the punch fabric
@@ -169,7 +159,6 @@ class PowerGatedScheme(PowerPolicy):
         self._vector_bank = None
         self._bank_dirty = False
         self._armed = set(range(cfg.num_nodes))
-        self._punch_cache = {}
         for controller in self.controllers:
             controller.wake_hook = self._armed.add
         # Punch targets are always derived from the static XY view:
@@ -183,9 +172,7 @@ class PowerGatedScheme(PowerPolicy):
         # every cycle; memoize per (current, destination) at the fixed
         # punch horizon.
         hops = self.punch_hops
-        ahead_cache, self._singleton_targets = _punch_tables(
-            type(static), static.topology.spec, hops
-        )
+        ahead_cache = _punch_tables(type(static), static.topology.spec, hops)
         routing_ahead = static.router_ahead
 
         def cached_ahead(current: int, destination: int, _hops: int) -> int:
@@ -323,61 +310,16 @@ class PowerGatedScheme(PowerPolicy):
         # requirements visible this cycle (Sec. 6.6(1)): regenerate them
         # from every buffered head flit and every pending injection.
         # Routers outside the network's active set have no buffered
-        # flits, so iterating the active set matches the full scan; the
-        # per-router target set is memoized on ``head_version`` so a
-        # router whose heads are merely stalled does not recompute it.
+        # flits, so iterating the active set matches the full scan.
         """Regenerate punch signals from this cycle's wakeup requirements."""
         ahead = self._router_ahead
         hops = self.punch_hops
         fabric = self.fabric
         routers = self.network.routers
-        cache = self._punch_cache
-        singles = self._singleton_targets
-        local = Direction.LOCAL
         for rid in sorted(self.network.active_routers):
-            router = routers[rid]
-            if not router._occupied:
-                continue
-            version = router.head_version
-            cached = cache.get(rid)
-            if cached is not None and cached[0] == version:
-                targets = cached[1]
-            else:
-                # ``head_flit_requirements`` inlined (occupied VCs
-                # are never empty), with the ubiquitous one-head
-                # case building its frozenset once per (router,
-                # destination) instead of once per cycle.
-                connected = router.connected
-                first = first_dest = None
-                rest = None
-                for vc in router._occupied:
-                    front = vc.flits[0]
-                    if not front.is_head:
-                        continue
-                    route = vc.route
-                    if route is None or route is local:
-                        continue
-                    if connected[route] is None:
-                        continue
-                    dest = front.packet.destination
-                    target = ahead(rid, dest, hops)
-                    if first is None:
-                        first, first_dest = target, dest
-                    elif rest is None:
-                        rest = {first, target}
-                    else:
-                        rest.add(target)
-                if rest is not None:
-                    targets = frozenset(rest)
-                elif first is not None:
-                    key = (rid, first_dest)
-                    targets = singles.get(key)
-                    if targets is None:
-                        targets = singles[key] = frozenset((first,))
-                else:
-                    targets = _EMPTY_TARGETS
-                cache[rid] = (version, targets)
-            if targets:
+            requirements = routers[rid].head_flit_requirements()
+            if requirements:
+                targets = {ahead(rid, dest, hops) for _next, dest in requirements}
                 fabric.send_local(rid, targets, cycle)
         # Only an NI with queued or streaming work can punch.
         interfaces = self.network.interfaces

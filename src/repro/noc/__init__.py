@@ -16,7 +16,6 @@ from .errors import (
     FaultSpecError,
     InvariantViolation,
     NetworkClosedError,
-    NIQueueOverflowError,
     SimulationError,
     TopologyError,
     UnsupportedTopologyError,
@@ -93,7 +92,6 @@ __all__ = [
     "MESH_DIRECTIONS",
     "Mesh2D",
     "MeshTopology",
-    "NIQueueOverflowError",
     "Network",
     "NetworkClosedError",
     "NetworkInterface",

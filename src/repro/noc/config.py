@@ -46,8 +46,6 @@ class NoCConfig:
     #: Network-interface processing latency in cycles ("all the NI
     #: operations are packed compactly in three cycles", Sec. 5).
     ni_latency: int = 3
-    #: Maximum packets buffered per VN queue in each NI (0 = unbounded).
-    ni_queue_capacity: int = 0
     #: Per-cycle kernel.  ``"auto"`` (the default) selects the engine at
     #: run time from the size of the active set: the active-set object
     #: kernel while few routers hold flits, the structure-of-arrays

@@ -18,8 +18,6 @@ working.
   (an internal wiring bug, never a workload property).
 * :class:`BufferOverflowError` — a flit was pushed into a full VC,
   i.e. credit flow control was violated.
-* :class:`NIQueueOverflowError` — a bounded NI injection queue
-  overflowed.
 * :class:`DrainTimeoutError` — ``run_until_drained`` gave up; carries
   the in-flight census at the deadline.
 * :class:`NetworkClosedError` — a finished network (``Network.close``)
@@ -115,10 +113,6 @@ class TopologyError(SimulationError):
 
 class BufferOverflowError(SimulationError):
     """A flit arrived at a full VC buffer (credit protocol violated)."""
-
-
-class NIQueueOverflowError(SimulationError):
-    """A bounded NI injection queue overflowed."""
 
 
 class DrainTimeoutError(SimulationError):

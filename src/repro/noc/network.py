@@ -592,14 +592,8 @@ class Network:
         no fault stalls (VA-then-SA inside one cycle is what permits the
         3-stage router's speculative SA)."""
         busy = self._unstalled([self.routers[rid] for rid in sorted(self._active_routers)], cycle)
-        # Allocator rounds before a router's wake deadline are provable
-        # no-ops (no eligible VC, no blocked-VC report, no arbitration-
-        # pointer movement), so they are skipped; the deadlines are
-        # recomputed by every round that does run and only lowered by
-        # eligibility-creating events.
         for router in busy:
-            if cycle >= router._va_wake_at:
-                router.do_vc_allocation(cycle)
+            router.do_vc_allocation(cycle)
         # A flit granted SA this cycle lands downstream _SA_TO_ARRIVAL
         # cycles later; a waking router that completes by then may be
         # used (see PowerPolicy.is_router_available_by).  The probe is
@@ -609,13 +603,11 @@ class Network:
         arrival_cycle = cycle + _SA_TO_ARRIVAL
         discard = self._active_routers.discard
         for router in busy:
-            if cycle >= router._sa_wake_at:
-                self._run_switch_allocation(router, cycle, available_by, arrival_cycle)
-                # Routers drain only through this SA round (stalled
-                # routers were filtered from ``busy`` but stay
-                # occupied); a skipped round cannot drain.
-                if not router._occupied:
-                    discard(router.router_id)
+            self._run_switch_allocation(router, cycle, available_by, arrival_cycle)
+            # Routers drain only through this SA round (stalled routers
+            # were filtered from ``busy`` but stay occupied).
+            if not router._occupied:
+                discard(router.router_id)
         # The engine-selection quantity: routers still holding flits.
         self._occupied_sum += len(self._active_routers)
 
@@ -901,7 +893,6 @@ class Network:
             rid = router.router_id
             if rid in dead or not router._occupied:
                 continue
-            touched = False
             for vc in router._occupied:
                 front = vc.front
                 if front is None or not front.is_head:
@@ -915,13 +906,7 @@ class Network:
                 vc.route = new_route
                 vc.out_vc = None
                 vc.state = VCState.WAIT_VA
-                # A buffered front arrived before this cycle, so it is
-                # VA-eligible next cycle — what _wake_allocators lowers to.
                 vc.va_eligible_at = max(cycle + 1, vc.front_arrival() + 1)
-                router.head_version += 1
-                touched = True
-            if touched:
-                self._wake_allocators(router, cycle)
 
     def _live_sites(self) -> Iterator[Tuple[Packet, int]]:
         """Every ``(packet, router)`` site a live packet occupies: NI
@@ -960,15 +945,6 @@ class Network:
             owner = router.output_ports[vc.route].owner
             if owner[vc.out_vc] == (vc.port_direction, vc.vc_index):
                 owner[vc.out_vc] = None
-
-    @staticmethod
-    def _wake_allocators(router: Router, cycle: int) -> None:
-        """Run the router's VA and SA from next cycle: a change made
-        outside the allocators may have made a front eligible."""
-        if router._va_wake_at > cycle + 1:
-            router._va_wake_at = cycle + 1
-        if router._sa_wake_at > cycle + 1:
-            router._sa_wake_at = cycle + 1
 
     def _restore_upstream_credit(
         self, router: Router, direction: Direction, vc_index: int
@@ -1048,7 +1024,6 @@ class Network:
                 for flit, arrival in kept_pairs:
                     vc.flits.append(flit)
                     vc.arrivals.append(arrival)
-                router.head_version += 1
                 if not vc.flits:
                     router._occupied.pop(vc, None)
             # Release every allocation a doomed packet still holds.
@@ -1060,7 +1035,6 @@ class Network:
             # the downstream VC ownership still belong to the purged
             # packet and would otherwise leak.  A surviving follow-on
             # packet's head restarts from VA.
-            released = False
             for port in router.input_ports.values():
                 for vc in port.vcs:
                     if vc.state is VCState.IDLE or vc.owner_packet not in doomed:
@@ -1068,14 +1042,8 @@ class Network:
                     self._release_grant(router, vc)
                     router._live_vcs -= 1
                     vc.reset_for_next_packet()
-                    router.head_version += 1
-                    released = True
                     if vc.flits:
                         router._activate_front(vc, cycle)
-            if touched or released:
-                # Conservative: surviving fronts may have become
-                # eligible by the purge.
-                self._wake_allocators(router, cycle)
         # Flits queued for ejection never reach their NI.
         for when in list(self._eject_events):
             kept_ejects = []

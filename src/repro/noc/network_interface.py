@@ -22,7 +22,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .buffers import VCState
 from .config import NoCConfig
-from .errors import NIQueueOverflowError
 from .packet import NUM_VNETS, Flit, Packet, VirtualNetwork, make_flits, meet_powered_off
 from .policy import PowerPolicy
 from .router import Router
@@ -96,14 +95,6 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet, cycle: int) -> None:
         """A node hands a freshly generated message to the NI."""
-        if self.config.ni_queue_capacity and (
-            len(self.queues[int(packet.vnet)]) >= self.config.ni_queue_capacity
-        ):
-            raise NIQueueOverflowError(
-                f"NI queue overflow: vnet {int(packet.vnet)} queue already "
-                f"holds {self.config.ni_queue_capacity} packets",
-                cycle=cycle, router=self.node, packet=packet.packet_id,
-            )
         packet.created_at = cycle
         self.queues[int(packet.vnet)].append(packet)
         if self._on_work is not None:

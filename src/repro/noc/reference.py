@@ -7,10 +7,9 @@ flits and decomposes every punch relay from the routing relation — as
 the seed did.  It shares routers, allocators, NIs, the punch fabric's
 relay rule and the scalar controller FSM with the active-set kernel
 (``repro.noc.network``, ``repro.core.schemes``) and reads none of its
-bookkeeping: not ``active_nis`` / ``_active_routers``, not a router's
-allocator wake deadlines, not the scheme's ``_armed`` /
-``_punch_cache``.  (The shared event paths still *write* the sets: a
-controller's ``wake_hook`` adds to ``_armed`` when it leaves OFF.)
+bookkeeping: not ``active_nis`` / ``_active_routers``, not the
+scheme's ``_armed``.  (The shared event paths still *write* the sets:
+a controller's ``wake_hook`` adds to ``_armed`` when it leaves OFF.)
 ``tests/test_kernel_equivalence.py`` poisons those
 containers: a reference rewritten as "the active kernel with its sets
 filled in" would agree with that kernel by construction.
@@ -90,7 +89,7 @@ class FullScanNetwork(Network):
 
     def _scan_allocation(self, cycle: int) -> None:
         """A VA, then an SA round in every router holding a flit that no
-        fault stalls — no allocator wake deadline."""
+        fault stalls."""
         available_by = self.policy.is_router_available_by
         arrival_cycle = cycle + _SA_TO_ARRIVAL
         busy = self._unstalled([router for router in self.routers if router._occupied], cycle)

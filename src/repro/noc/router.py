@@ -33,10 +33,6 @@ from .topology import Direction
 #: kernel: (flit, in_direction, in_vc, out_direction, out_vc).
 DepartureSink = Callable[[Flit, Direction, int, Direction, int], None]
 
-#: Sentinel wake deadline: no VC can become allocator-eligible without
-#: an intervening event that lowers the deadline again.
-_NEVER = 1 << 60
-
 
 class Router:
     """One router; its port set comes from the routing's topology."""
@@ -80,23 +76,6 @@ class Router:
         #: therefore arbitration and the whole simulation — is
         #: deterministic.
         self._occupied: Dict[VirtualChannel, None] = {}
-        #: Bumped whenever the set of front head flits (and hence the
-        #: result of :meth:`head_flit_requirements`) may have changed.
-        #: Power schemes key their per-router punch-target caches on it
-        #: so a router whose heads are merely stalled does not recompute
-        #: targets every cycle.
-        self.head_version = 0
-        #: Earliest cycles at which a VA / SA round could do anything.
-        #: The active-set kernel skips allocator rounds before these
-        #: deadlines; both are conservative lower bounds (they may be
-        #: in the past, forcing a harmless no-op round, but are never
-        #: later than the first cycle with real allocator work).  Each
-        #: full allocator round recomputes its own deadline; events
-        #: that create new eligibility (head activation, VA grant,
-        #: stream flit landing in an empty ACTIVE VC) only ever lower
-        #: them.
-        self._va_wake_at = 0
-        self._sa_wake_at = 0
 
     # ------------------------------------------------------------------
     # Datapath state queries
@@ -147,18 +126,8 @@ class Router:
         flits.append(flit)
         vc.arrivals.append(cycle)
         self._occupied[vc] = None
-        if was_empty:
-            if flit.is_head:
-                self._activate_front(vc, cycle)
-            elif vc.state is VCState.ACTIVE:
-                # A stream's body flit landed in a drained-but-owned VC:
-                # it becomes the new front, so SA has work again once
-                # its pipeline stages complete.
-                gate = cycle + self.config.router_stages - 2
-                if vc.sa_eligible_at > gate:
-                    gate = vc.sa_eligible_at
-                if gate < self._sa_wake_at:
-                    self._sa_wake_at = gate
+        if was_empty and flit.is_head:
+            self._activate_front(vc, cycle)
 
     def _activate_front(self, vc: VirtualChannel, cycle: int) -> None:
         """Start VA for the head flit now at the front of ``vc``."""
@@ -179,22 +148,14 @@ class Router:
         vc.out_vc = None
         vc.owner_packet = head.packet.packet_id
         vc.va_eligible_at = max(cycle + 1, vc.front_arrival() + 1)
-        if vc.va_eligible_at < self._va_wake_at:
-            self._va_wake_at = vc.va_eligible_at
-        self.head_version += 1
 
     # ------------------------------------------------------------------
     # Virtual-channel allocation
     # ------------------------------------------------------------------
     def do_vc_allocation(self, cycle: int) -> None:
         """Grant free downstream VCs to head flits in WAIT_VA state."""
-        next_va = _NEVER
         for vc in self._occupied:
-            if vc.state is not VCState.WAIT_VA:
-                continue
-            if cycle < vc.va_eligible_at:
-                if vc.va_eligible_at < next_va:
-                    next_va = vc.va_eligible_at
+            if vc.state is not VCState.WAIT_VA or cycle < vc.va_eligible_at:
                 continue
             out_port = self.output_ports[vc.route]
             vnet = self.config.vnet_of_vc(vc.vc_index)
@@ -209,9 +170,6 @@ class Router:
                 )
             candidate = out_port.free_vc_in(vc_range)
             if candidate is None:
-                # All downstream VCs owned: one may free up any cycle.
-                if cycle + 1 < next_va:
-                    next_va = cycle + 1
                 continue
             out_port.owner[candidate] = (vc.port_direction, vc.vc_index)
             out_port.vc_rr_pointer = (candidate + 1) % len(out_port.credits)
@@ -220,12 +178,6 @@ class Router:
             # 4-stage routers separate VA and SA; the 3-stage router
             # speculates SA in the same cycle as VA (Fig. 3b).
             vc.sa_eligible_at = cycle + (1 if self.config.router_stages == 4 else 0)
-            gate = vc.front_arrival() + self.config.router_stages - 2
-            if vc.sa_eligible_at > gate:
-                gate = vc.sa_eligible_at
-            if gate < self._sa_wake_at:
-                self._sa_wake_at = gate
-        self._va_wake_at = next_va
 
     # ------------------------------------------------------------------
     # Switch allocation + switch/link traversal
@@ -248,14 +200,9 @@ class Router:
         """
         if not self._occupied:
             return 0
-        # Stage 1: each input port nominates one SA-ready VC.  The scan
-        # doubles as the recomputation of ``_sa_wake_at``: a VC whose
-        # pipeline stages are not yet complete contributes its known
-        # eligibility cycle; a VC stalled on a neighbor's PG signal or
-        # an exhausted credit must be re-examined every cycle (the
-        # per-cycle ``note_blocked`` report is part of the Fig. 9/10
-        # accounting contract).
-        next_sa = _NEVER
+        # Stage 1: each input port nominates one SA-ready VC.  A VC
+        # stalled on a neighbor's PG signal is reported every cycle it
+        # stalls (the Fig. 9/10 accounting contract).
         stage_gate = self.config.router_stages - 2
         active = VCState.ACTIVE
         local = Direction.LOCAL
@@ -269,8 +216,6 @@ class Router:
             if vc.sa_eligible_at > gate:
                 gate = vc.sa_eligible_at
             if cycle < gate:
-                if gate < next_sa:
-                    next_sa = gate
                 continue
             route = vc.route
             if route == local:
@@ -285,14 +230,10 @@ class Router:
                 )
             if not available_by(neighbor, arrival_cycle):
                 note_blocked(neighbor, vc.front)
-                next_sa = cycle + 1
                 continue
             if output_ports[route].credits[vc.out_vc] > 0:
                 ready_vcs.append(vc)
-            else:
-                next_sa = cycle + 1
         if not ready_vcs:
-            self._sa_wake_at = next_sa
             return 0
         if len(ready_vcs) == 1:
             # Single contender: both round-robin stages degenerate to
@@ -305,7 +246,6 @@ class Router:
             output_ports[out_dir].sa_rr_pointer += 1
             flit, out_vc = self._commit_departure(winner, out_dir, cycle)
             depart(flit, in_dir, winner.vc_index, out_dir, out_vc)
-            self._sa_wake_at = cycle + 1
             return 1
 
         by_port: Dict[Direction, List[VirtualChannel]] = {}
@@ -328,9 +268,6 @@ class Router:
             flit, out_vc = self._commit_departure(winner, out_dir, cycle)
             depart(flit, in_dir, in_vc, out_dir, out_vc)
             granted += 1
-        # Grants advanced buffer fronts (and ready VCs may have lost
-        # arbitration): the allocator has work again next cycle.
-        self._sa_wake_at = cycle + 1
         return granted
 
     def _commit_departure(
@@ -341,12 +278,6 @@ class Router:
         vc.arrivals.pop(0)
         flits = vc.flits
         flit = flits.pop(0)
-        if flit.is_head:
-            # Only a departing head changes the set of front head flits
-            # (:meth:`head_flit_requirements`): a body/tail pop leaves a
-            # non-head front behind, and the head of a follow-on packet
-            # is republished by ``_activate_front`` below.
-            self.head_version += 1
         out_port = self.output_ports[out_dir]
         out_vc = vc.out_vc
         if out_dir != Direction.LOCAL:
@@ -377,18 +308,21 @@ class Router:
 
         Power Punch recomputes punch signals combinationally every
         cycle from the wakeup requirements of the packets currently
-        buffered (Sec. 6.6(1)); this method exposes those requirements.
-        ConvOpt-PG's one-hop-early wakeup reads the same information
-        but only uses ``next_router``.
+        buffered (Sec. 6.6(1)); this method exposes those requirements,
+        and the object kernel's and the reference's punch phases ask
+        it of every router holding a flit, every cycle.  ConvOpt-PG's
+        one-hop-early wakeup reads the same information but only uses
+        ``next_router``.
         """
         requirements = []
+        connected = self.connected
+        local = Direction.LOCAL
         for vc in self._occupied:
-            front = vc.front
-            if front is None or not front.is_head:
+            front = vc.flits[0]  # an occupied VC is never empty
+            route = vc.route
+            if not front.is_head or route is None or route is local:
                 continue
-            if vc.route is None or vc.route == Direction.LOCAL:
-                continue
-            neighbor = self.connected[vc.route]
+            neighbor = connected[route]
             if neighbor is not None:
                 requirements.append((neighbor, front.packet.destination))
         return requirements

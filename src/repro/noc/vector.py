@@ -685,9 +685,8 @@ class VectorEngine:
                 self.route[nh] = self._route_codes(
                     nh // self._pv, self.pkt_dest[he]
                 )
-            # Body flit landing in a drained-but-owned ACTIVE VC: the
-            # object kernel only lowers an allocator wake deadline; the
-            # engine runs every allocator round anyway.
+            # A body flit landing in a drained-but-owned ACTIVE VC needs
+            # nothing here: every allocator round runs, on both kernels.
 
     def _flush_singles(self, run, cycle: int) -> None:
         """Batch a run of NI-injected ``(f, eid, idx)`` flits (distinct
@@ -1273,12 +1272,6 @@ class VectorEngine:
             router._live_vcs = int(
                 _np.count_nonzero(self.state[r * pv : (r + 1) * pv])
             )
-            # Conservative allocator wake deadlines (harmless no-op
-            # rounds at worst) and a head-version bump so scheme punch
-            # caches never serve pre-engagement entries.
-            router._va_wake_at = 0
-            router._sa_wake_at = 0
-            router.head_version += 1
         for eid, packet in enumerate(packets):
             packet.hops_taken = int(self.pkt_hops[eid])
         # In-flight events back into the object queues (list order is
@@ -1306,7 +1299,6 @@ class VectorEngine:
             # would never hear a controller leave OFF.
             sch._armed.clear()
             sch._armed.update(c.router_id for c in controllers if not c.is_off)
-            sch._punch_cache = {}
             # In-flight punch wavefronts return to the object fabric's
             # pending dict.
             w = self._pend_writes

@@ -592,23 +592,32 @@ class TestTimeout:
         that worker is gone, started exactly once, and completes on
         attempt 1.
 
-        The order of events is staged on sentinel files, not sleeps:
-        the supervisor's clock only advances when a worker reports it
-        got somewhere, so the hung cell's deadline cannot pass before
-        the bystander is running, however loaded the box is.
+        The order of events is staged on the supervisor's own receipts
+        and on sentinel files, not sleeps: the supervisor's clock only
+        advances when it has received seed 2's result or a worker
+        reports it got somewhere, so the hung cell's deadline cannot
+        pass before the bystander is running, however loaded the box
+        is.
         """
         hung = tmp_path / "hung-cell-pid"
         bystander = tmp_path / "bystander-starts"
         log = tmp_path / "events.jsonl"
+        received = set()
 
         def clock():
-            # The supervisor's time: 0.0 until the hung cell runs, 1.9
-            # until the bystander runs, 2.9 from then on.  Seeds 1 and 2
-            # are sent at 0.0 (deadline 2.0); seed 3 only once seed 2
-            # has seen seed 1 running, so at 1.9 (deadline 3.9).  At
-            # 2.9 exactly one deadline has passed, and it cannot pass
-            # before the bystander is running.
-            return 1.9 * hung.exists() + 1.0 * bystander.exists()
+            # The supervisor's time: 0.0 until it has received seed 2's
+            # result, 1.9 until the bystander runs, 2.9 from then on.
+            # Seeds 1 and 2 are sent, and their deadlines read, before
+            # seed 2's result can arrive, so at 0.0 (deadline 2.0);
+            # seed 3 only after it, so at 1.9 (deadline 3.9).  At 2.9
+            # exactly one deadline has passed, and it cannot pass
+            # before the bystander is running.  (Not on the hung
+            # cell's own sentinel: a worker can start between its send
+            # and the clock read that arms its deadline.)
+            return 1.9 * (2 in received) + 1.0 * bystander.exists()
+
+        def note_receipt(index, spec, payload, was_hit):
+            received.add(spec.seed)
 
         def staged(spec):
             if spec.seed == 1:
@@ -638,6 +647,7 @@ class TestTimeout:
             max_retries=1,
             failure_mode="continue",
             log_path=log,
+            on_result=note_receipt,
         )
         assert lines(bystander) == ["started"]
         assert (stats.timeouts, stats.failed) == (1, 1)

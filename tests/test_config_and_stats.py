@@ -1,8 +1,10 @@
 """Tests for NoCConfig and NetworkStats."""
 
+import dataclasses
+
 import pytest
 
-from repro.noc import NoCConfig, VirtualNetwork, control_packet
+from repro.noc import Network, NoCConfig, VirtualNetwork, control_packet
 from repro.noc.stats import NetworkStats
 
 
@@ -77,34 +79,41 @@ class TestStats:
 
 
 class TestStatsRoundTrip:
-    """``as_dict``/``from_dict`` carry every counter, both directions.
+    """``as_dict`` carries every counter.
 
     Bench fingerprints and campaign payloads persist ``as_dict`` dumps;
-    a counter missing from either half of the round-trip would escape
-    the kernel-equivalence and trend gates.
+    a counter missing from it would escape the kernel-equivalence and
+    trend gates.
     """
 
-    def _populated(self):
-        stats = NetworkStats(measure_from=17)
-        # Touch every public counter with a distinct value so a dropped
-        # or transposed field cannot cancel out.
-        for index, name in enumerate(sorted(stats.as_dict()), start=1):
-            if name != "measure_from":
-                setattr(stats, name, index * 3 + 1)
-        return stats
-
-    def test_round_trip_identity(self):
-        stats = self._populated()
-        dump = stats.as_dict()
-        assert NetworkStats.from_dict(dump).as_dict() == dump
+    def test_as_dict_holds_exactly_the_int_fields(self):
+        # Every int field, in field order, each with its own value (a
+        # distinct value per field so a dropped or transposed one
+        # cannot cancel out); ``drops`` is the only other field.
+        stats = NetworkStats()
+        expected = {}
+        for index, f in enumerate(dataclasses.fields(stats), start=1):
+            if isinstance(f.default, int):
+                expected[f.name] = index * 3 + 1
+                setattr(stats, f.name, expected[f.name])
+        assert list(stats.as_dict().items()) == list(expected.items())
+        assert {f.name for f in dataclasses.fields(stats)} - set(expected) == {"drops"}
 
     def test_every_as_dict_key_is_a_field(self):
-        # from_dict(**dump) only works if as_dict stays a subset of the
-        # constructor fields; new counters must be added to both.
-        dump = NetworkStats().as_dict()
-        rebuilt = NetworkStats.from_dict(dump)
+        # After a real run, not only on hand-set values: each key names
+        # a field and carries that field's int value as the simulator
+        # left it.
+        net = Network(NoCConfig(width=4, height=4))
+        for dest in (5, 10, 15):
+            net.inject(control_packet(0, dest, VirtualNetwork.REQUEST, net.cycle))
+        net.run_until_drained(500)
+        dump = net.stats.as_dict()
+        names = {f.name for f in dataclasses.fields(net.stats)}
+        assert dump["delivered"] == 3
         for key, value in dump.items():
-            assert getattr(rebuilt, key) == value
+            assert key in names
+            assert type(value) is int
+            assert getattr(net.stats, key) == value
 
     def test_fault_tolerance_counters_covered(self):
         # The fault-tolerance counters must flow through serialization
@@ -122,9 +131,3 @@ class TestStatsRoundTrip:
             "dropped_flits",
         ):
             assert counter in dump
-
-    def test_unknown_keys_fail_loudly(self):
-        dump = NetworkStats().as_dict()
-        dump["counter_from_the_future"] = 1
-        with pytest.raises(TypeError):
-            NetworkStats.from_dict(dump)

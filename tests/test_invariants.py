@@ -21,7 +21,6 @@ from repro.noc import (
     InvariantChecker,
     InvariantViolation,
     Network,
-    NIQueueOverflowError,
     NoCConfig,
     SimulationError,
     TopologyError,
@@ -299,7 +298,6 @@ class TestTypedErrors:
         for cls in (
             TopologyError,
             BufferOverflowError,
-            NIQueueOverflowError,
             DrainTimeoutError,
             InvariantViolation,
             DeadlockError,

@@ -25,6 +25,8 @@ Layers of evidence:
   occupied VCs, NIs with work, non-OFF controllers);
 * one wake door — the active kernel's ``request_wakeup`` calls equal
   the naive kernel's, as a multiset of ``(router, cycle, window)``;
+* every allocator round — the active kernel runs VA and SA in exactly
+  the ``(cycle, router)`` sequence the full scan does;
 * oracle independence — the naive kernel (``repro.noc.reference``)
   reproduces its own results with every work-set made unreadable, so it
   cannot be the active kernel with its sets filled in, and it puts
@@ -53,6 +55,7 @@ from repro.noc.buffers import VirtualChannel
 from repro.noc.network import _ENGAGE_ABOVE, _NEVER, _SELECT_WINDOW
 from repro.noc.faults import FaultInjector, FaultSchedule, FaultSpec
 from repro.noc.invariants import InvariantChecker
+from repro.noc.router import Router
 from repro.powergate.controller import PGState, PowerGateController
 from repro.system import Chip, get_profile
 from repro.traffic import SyntheticTraffic, measure
@@ -425,6 +428,45 @@ class TestOneWakeDoor:
             measure(net, traffic, warmup=100, measurement=500)
             seen[kernel] = Counter(calls)
         assert sum(seen["naive"].values()) > 0
+        assert seen["active"] == seen["naive"]
+
+
+class TestEveryAllocatorRound:
+    """The active-set kernel skips no allocator round: every router
+    holding a flit runs VA and then SA every cycle it is not stalled,
+    in the order the full scan runs them — the active sets restrict
+    *which* routers are visited, never *when*."""
+
+    @pytest.mark.parametrize("scheme_name", GATED_SCHEMES)
+    def test_allocator_schedule_matches_naive(self, scheme_name, monkeypatch):
+        rounds = []
+
+        def recording(stage, allocate):
+            def wrapper(router, cycle, *args):
+                if router._occupied:
+                    rounds.append((stage, cycle, router.router_id))
+                return allocate(router, cycle, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Router, "do_vc_allocation", recording("va", Router.do_vc_allocation)
+        )
+        monkeypatch.setattr(
+            Router, "do_switch_allocation", recording("sa", Router.do_switch_allocation)
+        )
+        seen = {}
+        for kernel in ("active", "naive"):
+            rounds.clear()
+            net = Network(
+                NoCConfig(width=4, height=4, kernel=kernel), SCHEMES[scheme_name]()
+            )
+            traffic = SyntheticTraffic(net, "uniform_random", 0.2, seed=3)
+            measure(net, traffic, warmup=100, measurement=300)
+            # The load stalls heads behind gated and congested routers.
+            assert net.stats.total_blocked_routers > 0
+            seen[kernel] = list(rounds)
+        assert seen["naive"]
         assert seen["active"] == seen["naive"]
 
 

@@ -1,4 +1,4 @@
-"""Tests for NI queue capacity and misc interface edges."""
+"""Tests for NI queues (unbounded) and misc interface edges."""
 
 import pytest
 
@@ -12,19 +12,11 @@ class TestQueueCapacity:
             net.inject(control_packet(0, 5, VirtualNetwork.REQUEST, net.cycle))
         assert net.interfaces[0].pending_packets() == 100
 
-    def test_bounded_queue_raises_on_overflow(self):
-        net = Network(NoCConfig(width=4, height=4, ni_queue_capacity=4))
-        for _ in range(4):
-            net.inject(control_packet(0, 5, VirtualNetwork.REQUEST, net.cycle))
-        with pytest.raises(RuntimeError, match="overflow"):
-            net.inject(control_packet(0, 5, VirtualNetwork.REQUEST, net.cycle))
-
-    def test_capacity_is_per_vnet(self):
-        net = Network(NoCConfig(width=4, height=4, ni_queue_capacity=2))
-        for vn in VirtualNetwork:
-            for _ in range(2):
-                net.inject(control_packet(0, 5, vn, net.cycle))
-        assert net.interfaces[0].pending_packets() == 6
+    def test_capacity_is_not_an_option(self):
+        # NI queues have no bound to set: a caller still passing one
+        # fails loudly instead of having it ignored.
+        with pytest.raises(TypeError, match="ni_queue_capacity"):
+            NoCConfig(width=4, height=4, ni_queue_capacity=4)
 
 
 class TestInFlightAccounting:
