@@ -73,11 +73,6 @@ delivered packet to exceed its certified worst-case bound raises a
 structured ``BoundViolationError``.  Bounds certify the fault-free
 pipeline, so ``--bounds`` and ``--faults`` are mutually exclusive.
 
-Two commands take ``--topology mesh|torus|ring``: ``topologies``
-(narrows the cross-fabric comparison to one fabric) and
-``guarantees`` (the fabric to certify and validate).  Every other
-command reproduces a mesh-only figure and rejects the flag.
-
 Distributed campaigns (``docs/service.md``)::
 
     python -m repro.cli serve --cache-dir results/cellcache --port 8765
@@ -116,7 +111,6 @@ from .experiments import (
     reliability,
     scalability,
     table1,
-    topologies,
 )
 from .noc.config import VALID_DEGRADATIONS
 
@@ -133,7 +127,6 @@ EXPERIMENTS = {
     "baselines": baselines_compare,
     "guarantees": guarantees,
     "reliability": reliability,
-    "topologies": topologies,
 }
 
 #: ``Campaign.run`` keyword arguments read straight off the namespace.
@@ -361,7 +354,6 @@ def _run_all(args: argparse.Namespace, engine: dict, campaigns: dict) -> None:
         ("scalability", {}),
         ("ablations", {}),
         ("baselines", {}),
-        ("topologies", {}),
     ):
         print(f"\n==== {name} ====")
         # The command's own defaults (its empty command line), with the

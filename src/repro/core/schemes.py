@@ -24,7 +24,6 @@ import math
 from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..noc.errors import UnsupportedTopologyError
 from ..noc.network import Network
 from ..noc.network_interface import NetworkInterface
 from ..noc.packet import Packet, meet_powered_off
@@ -34,10 +33,10 @@ from .punch_fabric import PunchFabric
 
 
 @lru_cache(maxsize=16)
-def _punch_tables(routing: type, spec: str, hops: int) -> Dict[Tuple[int, int], int]:
-    """Memo of the static punch relation at one horizon: the targeted
+def _punch_tables(spec: str, hops: int) -> Dict[Tuple[int, int], int]:
+    """Memo of the static XY punch relation at one horizon: the targeted
     router per (current, destination).  A function of the key alone,
-    so every scheme attached in this process to that fabric at that
+    so every scheme attached in this process to that mesh at that
     horizon fills and reads the same dict (at most N^2 entries).
     """
     return {}
@@ -130,18 +129,6 @@ class PowerGatedScheme(PowerPolicy):
             self.punch_hops = max(1, math.ceil(self.wakeup_latency / cfg.router_stages))
         else:
             self.punch_hops = self._punch_hops
-        if self.punch_hops > 1 and cfg.topology != "mesh":
-            # Multi-hop punch signals are Power Punch's contribution and
-            # stay mesh+XY: the contention-free encoding (Sec. 4.1) is
-            # derived from XY's turn restrictions.  One-hop wakeup
-            # (ConvOpt-PG) only needs the generic next-hop relation and
-            # runs on any fabric.
-            raise UnsupportedTopologyError(
-                f"scheme {self.name!r} (punch_hops={self.punch_hops})",
-                cfg.topology,
-                reason="multi-hop punch encoding is derived from XY "
-                "turn restrictions on the mesh",
-            )
         self.expectation_window = (
             self.punch_hops * cfg.hop_latency if self.use_forewarning else 0
         )
@@ -172,7 +159,7 @@ class PowerGatedScheme(PowerPolicy):
         # every cycle; memoize per (current, destination) at the fixed
         # punch horizon.
         hops = self.punch_hops
-        ahead_cache = _punch_tables(type(static), static.topology.spec, hops)
+        ahead_cache = _punch_tables(static.topology.spec, hops)
         routing_ahead = static.router_ahead
 
         def cached_ahead(current: int, destination: int, _hops: int) -> int:

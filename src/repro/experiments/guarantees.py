@@ -44,14 +44,6 @@ _DEFAULT_LOADS = (0.02, 0.10, 0.20)
 _DEFAULT_SCHEMES = ("-", "ConvOpt-PG", "PowerPunch-PG")
 
 
-def _build_config(mesh: int, topology: str) -> NoCConfig:
-    """The campaign fabric: ``mesh`` x ``mesh``, or the equal-node ring
-    (same convention as the topologies experiment)."""
-    if topology == "ring":
-        return NoCConfig(width=mesh * mesh, height=1, topology="ring")
-    return NoCConfig(width=mesh, height=mesh, topology=topology)
-
-
 # ----------------------------------------------------------------------
 # The non-blocking certificate
 # ----------------------------------------------------------------------
@@ -93,14 +85,13 @@ def guarantees_cells(
     schemes: Sequence[str] = _DEFAULT_SCHEMES,
     pattern: str = "uniform_random",
     mesh: int = 8,
-    topology: str = "mesh",
     warmup: int = 500,
     measurement: int = 2000,
     seed: int = 7,
     strict: bool = False,
 ):
     """Declare one bound-validation cell per ``(scheme, load)`` key."""
-    config = _build_config(mesh, topology)
+    config = NoCConfig(width=mesh, height=mesh)
     return [
         (
             (scheme, load),
@@ -230,17 +221,11 @@ def add_arguments(parser) -> None:
         "without simulating",
     )
     parser.add_argument("--out", default=None, help="write results as JSON")
-    parser.add_argument(
-        "--topology",
-        choices=("mesh", "torus", "ring"),
-        default="mesh",
-        help="fabric to certify and validate (a ring has --mesh squared nodes)",
-    )
 
 
 def run(args, engine: dict) -> None:
     """Print the certificates, then validate the bounds by simulation."""
-    config = _build_config(args.mesh, args.topology)
+    config = NoCConfig(width=args.mesh, height=args.mesh)
     certificates = certificate_report(config)
     print(render_certificates(certificates))
     results: Dict[str, object] = {"certificates": certificates}
@@ -250,13 +235,12 @@ def run(args, engine: dict) -> None:
             schemes=args.schemes,
             pattern=args.pattern,
             mesh=args.mesh,
-            topology=args.topology,
             warmup=args.warmup,
             measurement=args.measurement,
             seed=args.seed,
             strict=args.strict,
         )
-        name = f"guarantees-{args.pattern}-{args.topology}{args.mesh}"
+        name = f"guarantees-{args.pattern}-mesh{args.mesh}"
         summary = aggregate(run_keyed(name, cells, **engine))
         print(report(summary))
         results["tightness"] = summary

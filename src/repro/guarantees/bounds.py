@@ -48,7 +48,7 @@ from typing import Dict, Optional
 
 from ..noc import DATA_PACKET_FLITS, NoCConfig
 from ..noc.config import LINK_LATENCY
-from ..noc.routing import RoutingAlgorithm, default_routing
+from ..noc.routing import XYRouting, default_routing
 
 
 class UnboundableConfigError(ValueError):
@@ -170,7 +170,7 @@ class LatencyBoundModel:
     """Per-route worst-case latency calculator for one configuration.
 
     ``scheme`` may be any power policy (or ``None`` for always-on);
-    ``routing`` defaults to the topology's default algorithm.  The two
+    ``routing`` defaults to the mesh's XY routing.  The two
     override knobs exist for *negative* testing — asserting a bound a
     configuration cannot meet (e.g. ``wakeup_penalty_per_hop=0`` on a
     blocking scheme, or ``contention_per_router=0`` under load) so the
@@ -182,7 +182,7 @@ class LatencyBoundModel:
         config: NoCConfig,
         scheme=None,
         *,
-        routing: Optional[RoutingAlgorithm] = None,
+        routing: Optional[XYRouting] = None,
         contention_per_router: Optional[int] = None,
         wakeup_penalty_per_hop: Optional[int] = None,
         max_packet_flits: int = DATA_PACKET_FLITS,

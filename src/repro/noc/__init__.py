@@ -1,9 +1,5 @@
-"""NoC simulator substrate: pluggable topologies, VC wormhole routers.
-
-The default fabric is the paper's 2D mesh with XY routing; torus and
-ring fabrics (with dateline VC-class routing) are available as baseline
-comparison points via ``NoCConfig(topology=...)``.
-"""
+"""NoC simulator substrate: the paper's 2D mesh with XY routing and VC
+wormhole routers."""
 
 from .config import VALID_TOPOLOGIES, NoCConfig
 from .errors import (
@@ -18,7 +14,6 @@ from .errors import (
     NetworkClosedError,
     SimulationError,
     TopologyError,
-    UnsupportedTopologyError,
 )
 from .faults import (
     FAULT_KINDS,
@@ -45,9 +40,6 @@ from .policy import AlwaysOnPolicy, PowerPolicy
 from .router import Router
 from .routing import (
     FaultTolerantRouting,
-    RingRouting,
-    RoutingAlgorithm,
-    TorusRouting,
     XYRouting,
     default_routing,
 )
@@ -57,12 +49,7 @@ from .topology import (
     MESH_DIRECTIONS,
     Coordinate,
     Direction,
-    Mesh2D,
     MeshTopology,
-    Ring,
-    Topology,
-    Torus2D,
-    make_topology,
 )
 
 __all__ = [
@@ -90,7 +77,6 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "MESH_DIRECTIONS",
-    "Mesh2D",
     "MeshTopology",
     "Network",
     "NetworkClosedError",
@@ -101,23 +87,15 @@ __all__ = [
     "Packet",
     "PostMortem",
     "PowerPolicy",
-    "Ring",
-    "RingRouting",
     "Router",
-    "RoutingAlgorithm",
     "SAMPLABLE_FAULT_KINDS",
     "SimulationError",
-    "Topology",
     "TopologyError",
-    "TorusRouting",
-    "Torus2D",
-    "UnsupportedTopologyError",
     "VALID_TOPOLOGIES",
     "VirtualNetwork",
     "XYRouting",
     "control_packet",
     "data_packet",
     "default_routing",
-    "make_topology",
     "sample_fault_schedule",
 ]

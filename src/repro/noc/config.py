@@ -13,17 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
-from .errors import ConfigError, FaultSpecError, UnsupportedTopologyError
+from .errors import ConfigError, FaultSpecError
 from .faults import FaultSchedule
 from .packet import NUM_VNETS, VirtualNetwork
-from .topology import TOPOLOGIES, Topology, make_topology
+from .topology import MeshTopology
 
 #: Valid values of the enumerated config fields, validated at
 #: construction time so a typo (``kernel="vecotr"``) fails loudly with
 #: the option list instead of silently running some other kernel.
 VALID_KERNELS = ("auto", "active", "naive", "vector")
 VALID_DEGRADATIONS = ("none", "drop", "reroute", "fail_fast")
-VALID_TOPOLOGIES = tuple(sorted(TOPOLOGIES))
+VALID_TOPOLOGIES = ("mesh",)
 #: Link traversal latency in cycles: every link is single-cycle.
 LINK_LATENCY = 1
 
@@ -77,12 +77,8 @@ class NoCConfig:
     #: open before the router is declared permanently dead (only
     #: consulted when ``degradation`` is not ``"none"``).
     dead_router_threshold: int = 1000
-    #: Fabric shape: ``"mesh"`` (the paper's evaluation platform),
-    #: ``"torus"`` (wrap-around links, dateline VC classes) or
-    #: ``"ring"`` (a single ``width * height``-node cycle).  Non-mesh
-    #: fabrics are baseline comparison points: punch-based schemes and
-    #: ``degradation="reroute"`` stay mesh-only (validated here and at
-    #: scheme attach).
+    #: Fabric shape: always ``"mesh"``, the paper's evaluation platform
+    #: (the only accepted value).
     topology: str = "mesh"
     #: Fault schedule injected into the network at construction, in
     #: the ``--faults`` spec grammar (see ``repro.noc.faults``);
@@ -114,6 +110,10 @@ class NoCConfig:
             raise ValueError("dead_router_threshold must be positive")
         if self.vcs_per_vnet < 1:
             raise ValueError("need at least one VC per virtual network")
+        if self.data_vc_depth < 1 or self.control_vc_depth < 1:
+            raise ValueError("VC buffer depths must be at least one flit")
+        if self.ni_latency < 0:
+            raise ValueError("ni_latency must be non-negative")
         if self.watchdog is not None and self.watchdog < 1:
             raise ValueError("watchdog must be positive")
         if self.faults is not None:
@@ -125,30 +125,14 @@ class NoCConfig:
             # Parsed again by Network; validating here makes a bad spec
             # fail at config time, before any cell runs.
             FaultSchedule.parse(self.faults)
-        if self.topology != "mesh":
-            if self.degradation == "reroute":
-                # FaultTolerantRouting's up*/down* detour is certified
-                # against XY on the mesh; wrapped fabrics would need a
-                # dateline-aware variant that does not exist yet.
-                raise UnsupportedTopologyError(
-                    'degradation="reroute"', self.topology
-                )
-            if self.vcs_per_vnet < 2:
-                raise UnsupportedTopologyError(
-                    f"vcs_per_vnet={self.vcs_per_vnet}",
-                    self.topology,
-                    reason="wrap-around links need two dateline VC "
-                    "classes per virtual network",
-                )
-        # Dimension minimums differ per fabric (2x2 mesh, 3x3 torus,
-        # 3-node ring); building the topology validates them eagerly so
-        # a bad shape fails at config time, not deep in network setup.
+        # Building the mesh validates its 2x2 minimum eagerly, so a bad
+        # shape fails at config time, not deep in network setup.
         self.make_topology()
 
     # ------------------------------------------------------------------
-    def make_topology(self) -> Topology:
-        """Instantiate the configured :class:`Topology`."""
-        return make_topology(self.topology, self.width, self.height)
+    def make_topology(self) -> MeshTopology:
+        """Instantiate the configured mesh."""
+        return MeshTopology(self.width, self.height)
 
     # ------------------------------------------------------------------
     @property

@@ -201,36 +201,6 @@ class FaultSpecError(ValueError):
     """A fault-schedule specification string could not be parsed."""
 
 
-class UnsupportedTopologyError(ValueError):
-    """A feature was combined with a topology that cannot support it.
-
-    Raised at configuration/attach time (a :class:`ValueError`: it is a
-    config problem, not a runtime fault) — e.g. ``degradation="reroute"``
-    on a ring, or a punch-based power-gating scheme on anything but the
-    mesh (the paper's punch encoding is derived from XY turn
-    restrictions and has no analogue on wrapped fabrics).
-    """
-
-    def __init__(
-        self,
-        feature: str,
-        topology: str,
-        supported: tuple = ("mesh",),
-        reason: str = "",
-    ) -> None:
-        self.feature = feature
-        self.topology = topology
-        self.supported = tuple(supported)
-        options = ", ".join(repr(s) for s in self.supported)
-        message = (
-            f"{feature} is not supported on topology {topology!r} "
-            f"(supported: {options})"
-        )
-        if reason:
-            message += f": {reason}"
-        super().__init__(message)
-
-
 class ConfigError(ValueError):
     """An enumerated :class:`~repro.noc.config.NoCConfig` field held an
     unknown value (a :class:`ValueError`, since it is a config problem).

@@ -63,7 +63,7 @@ from .network_interface import NetworkInterface
 from .packet import Flit, Packet, meet_powered_off
 from .policy import AlwaysOnPolicy, PowerPolicy
 from .router import Router
-from .routing import FaultTolerantRouting, RoutingAlgorithm, default_routing
+from .routing import FaultTolerantRouting, XYRouting, default_routing
 from .stats import Activity, NetworkStats
 from .topology import Direction
 from .tracing import EventRing
@@ -157,9 +157,9 @@ class Network:
         self.topology = config.make_topology()
         # Routing is chosen before routers are built: every router holds
         # a reference to the routing object, and reroute mode swaps in
-        # the fault-tolerant one (mesh-only, validated by the config).
+        # the fault-tolerant one.
         if config.degradation == "reroute":
-            self.routing: RoutingAlgorithm = FaultTolerantRouting(self.topology)
+            self.routing: XYRouting = FaultTolerantRouting(self.topology)
         else:
             self.routing = default_routing(self.topology)
         self.policy = policy if policy is not None else AlwaysOnPolicy()
@@ -285,11 +285,6 @@ class Network:
         self._flight_recorder()
         self.invariants = checker
         checker.attach(self)
-        if self.routing.restricts_vcs:
-            # Wrapped fabrics certify their dateline VC-class scheme up
-            # front: an acyclic channel-dependency graph, or a loud
-            # InvariantViolation before the first cycle runs.
-            self.routing.verify_deadlock_free()
 
     def _flight_recorder(self) -> EventRing:
         """The network's one event ring, made on first use: whichever

@@ -26,7 +26,7 @@ from .buffers import BufferOverflowError, InputPort, OutputPort, VCState, Virtua
 from .config import NoCConfig
 from .errors import SimulationError, TopologyError
 from .packet import Flit
-from .routing import RoutingAlgorithm
+from .routing import XYRouting
 from .topology import Direction
 
 #: Callback signature used to hand a departing flit to the network
@@ -41,7 +41,7 @@ class Router:
         self,
         router_id: int,
         config: NoCConfig,
-        routing: RoutingAlgorithm,
+        routing: XYRouting,
     ) -> None:
         self.router_id = router_id
         self.config = config
@@ -159,16 +159,7 @@ class Router:
                 continue
             out_port = self.output_ports[vc.route]
             vnet = self.config.vnet_of_vc(vc.vc_index)
-            vc_range = self.config.vcs_of_vnet(vnet)
-            if self.routing.restricts_vcs:
-                # Dateline routings restrict the claimable VCs per link
-                # (deadlock freedom on wrapped fabrics); plain XY never
-                # takes this branch, keeping the mesh hot path intact.
-                vc_range = self.routing.vc_choices(
-                    self.router_id, vc.route,
-                    vc.front.packet.destination, vc_range,
-                )
-            candidate = out_port.free_vc_in(vc_range)
+            candidate = out_port.free_vc_in(self.config.vcs_of_vnet(vnet))
             if candidate is None:
                 continue
             out_port.owner[candidate] = (vc.port_direction, vc.vc_index)

@@ -8,25 +8,6 @@ which routers lie on a packet's imminent path, and its turn
 restrictions (no Y-to-X turns) are what shrink the number of wakeup
 signal sources per link from nine to three (Sec. 4.1 step 3).
 
-The XY/mesh pair is no longer the only fabric, though.
-:class:`RoutingAlgorithm` abstracts route computation (cached
-direction/next-hop lookups, path walks, ``router_ahead``) and the
-deadlock-freedom machinery (``vc_choices`` — per-link virtual-channel
-restriction — plus an explicit channel-dependency-graph check), and
-three concrete algorithms implement it:
-
-* :class:`XYRouting` — the extracted default on :class:`Mesh2D`.
-* :class:`TorusRouting` — minimal dimension-order routing on
-  :class:`Torus2D` with dateline VC classes on the wrap links.
-* :class:`RingRouting` — minimal direction choice on :class:`Ring`
-  with the same dateline argument on the single cycle.
-
-Power Punch's multi-hop punch-target decomposition stays XY-specific
-(the encoding in Sec. 4.1 is derived from XY's turn restrictions), so
-punch-based schemes refuse to attach to non-mesh fabrics; the new
-routings serve the baseline (No-PG / conventional power-gating)
-comparisons.
-
 :class:`FaultTolerantRouting` extends XY with a deadlock-free detour
 mode for the graceful-degradation policy (``NoCConfig.degradation ==
 "reroute"``): while no router is dead it is bit-identical to XY; once
@@ -41,24 +22,22 @@ punch fabric's memoized decompositions remain valid across deaths.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InvariantViolation, SimulationError
-from .topology import Direction, MeshTopology, Ring, Topology, Torus2D
+from .topology import Direction, MeshTopology
 
 #: Sentinel distance for "no pure-down path exists".
 _INF = 1 << 30
 
 
-class RoutingAlgorithm:
-    """Deterministic routing on a :class:`~repro.noc.topology.Topology`.
+class XYRouting:
+    """Deterministic XY dimension-order routing on a mesh.
 
-    Concrete algorithms implement :meth:`_compute_direction` (pure
-    output-port choice) and may override :meth:`vc_choices` to restrict
-    virtual channels per link (setting :attr:`restricts_vcs`), which is
-    how wrap-around topologies break their ring dependencies (dateline
-    VC classes).  Everything else — memoized lookups, path walks,
-    ``router_ahead`` — is shared.
+    Packets first travel in the X dimension until the destination
+    column is reached, then in the Y dimension.  Y-to-X turns are
+    therefore illegal, which avoids deadlock without any VC
+    restriction.
 
     Route lookups sit on the simulator's hottest paths (switch
     allocation and punch relaying), so both lookups are memoized.  The
@@ -67,14 +46,9 @@ class RoutingAlgorithm:
     e.g. fault-driven reroutes — can never serve stale next hops.
     """
 
-    #: Whether :meth:`vc_choices` restricts anything.  Routers skip the
-    #: hook entirely when this is False, keeping the mesh VA hot path
-    #: byte-identical to the pre-abstraction code.
-    restricts_vcs: bool = False
-
     def __init__(
         self,
-        topology: Topology,
+        topology: MeshTopology,
         *,
         direction_cache: Optional[dict] = None,
         next_hop_cache: Optional[dict] = None,
@@ -95,7 +69,7 @@ class RoutingAlgorithm:
         self._next_hop_cache.clear()
 
     @property
-    def static_view(self) -> "RoutingAlgorithm":
+    def static_view(self) -> "XYRouting":
         """The static routing relation behind this routing function.
 
         Punch targets and punch-fabric relays are computed against this
@@ -114,74 +88,23 @@ class RoutingAlgorithm:
         cached = self._direction_cache.get(key)
         if cached is not None:
             return cached
-        direction = self._compute_direction(current, destination)
+        direction = self._xy_direction(current, destination)
         self._direction_cache[key] = direction
         return direction
 
-    def _compute_direction(self, current: int, destination: int) -> Direction:
-        """Pure (uncached) output-port computation."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Virtual-channel restriction (deadlock freedom on wrapped fabrics)
-    # ------------------------------------------------------------------
-    def vc_choices(
-        self,
-        current: int,
-        direction: Direction,
-        destination: int,
-        vc_range: Sequence[int],
-    ) -> Sequence[int]:
-        """Virtual channels a packet may claim on its next link.
-
-        ``vc_range`` is the full VC range of the packet's vnet on the
-        output port chosen at ``current``.  The default (no
-        restriction) returns it unchanged; dateline routings return the
-        class subrange.  Only consulted when :attr:`restricts_vcs`.
-        """
-        return vc_range
-
-    def verify_deadlock_free(self) -> int:
-        """Prove the realized channel-dependency graph acyclic.
-
-        Returns the number of dependency edges checked.  The base
-        implementation enumerates every (source, destination) path and
-        the VC class used on each hop — a channel is ``(router,
-        out_direction, vc_class)`` — and runs a cycle check.  XY on a
-        mesh is acyclic by the classic dimension-order argument, but
-        the explicit check is cheap and keeps one code path for every
-        fabric.  Raises :class:`InvariantViolation` with a witness
-        cycle on failure.
-        """
-        deps: Dict[Tuple[int, int, int], List[Tuple[int, int, int]]] = {}
-        probe = range(2)  # representative 2-VC vnet: class 0 / class 1
-        num_nodes = self.topology.num_nodes
-
-        def channel(node: int, destination: int) -> Tuple[int, int, int]:
-            direction = self.output_direction(node, destination)
-            cls = 0
-            if self.restricts_vcs:
-                cls = 0 if 0 in self.vc_choices(
-                    node, direction, destination, probe
-                ) else 1
-            return (node, int(direction), cls)
-
-        # The routing function is memoryless, so the path from any
-        # intermediate node is a suffix: every realized consecutive
-        # channel pair is covered by one (node, destination) probe.
-        for destination in range(num_nodes):
-            for u in range(num_nodes):
-                if u == destination:
-                    continue
-                v = self.next_hop(u, destination)
-                if v is None or v == destination:
-                    continue
-                first, second = channel(u, destination), channel(v, destination)
-                bucket = deps.setdefault(first, [])
-                if second not in bucket:
-                    bucket.append(second)
-        _raise_on_cdg_cycle(deps, f"{type(self).__name__} on {self.topology.spec}")
-        return sum(len(v) for v in deps.values())
+    def _xy_direction(self, current: int, destination: int) -> Direction:
+        """Pure (uncached) XY output-port computation."""
+        cur = self.topology.coord(current)
+        dst = self.topology.coord(destination)
+        if cur.x < dst.x:
+            return Direction.XPOS
+        if cur.x > dst.x:
+            return Direction.XNEG
+        if cur.y < dst.y:
+            return Direction.YPOS
+        if cur.y > dst.y:
+            return Direction.YNEG
+        return Direction.LOCAL
 
     def next_hop(self, current: int, destination: int) -> Optional[int]:
         """Next router on the path, or ``None`` when already there."""
@@ -268,34 +191,6 @@ class RoutingAlgorithm:
                 return True
         return False
 
-
-class XYRouting(RoutingAlgorithm):
-    """Deterministic XY dimension-order routing on a mesh.
-
-    Packets first travel in the X dimension until the destination
-    column is reached, then in the Y dimension.  Y-to-X turns are
-    therefore illegal, which avoids deadlock without any VC
-    restriction (``restricts_vcs`` stays False, so the router's VA hot
-    path never consults :meth:`vc_choices`).
-    """
-
-    def _compute_direction(self, current: int, destination: int) -> Direction:
-        return self._xy_direction(current, destination)
-
-    def _xy_direction(self, current: int, destination: int) -> Direction:
-        """Pure (uncached) XY output-port computation."""
-        cur = self.topology.coord(current)
-        dst = self.topology.coord(destination)
-        if cur.x < dst.x:
-            return Direction.XPOS
-        if cur.x > dst.x:
-            return Direction.XNEG
-        if cur.y < dst.y:
-            return Direction.YPOS
-        if cur.y > dst.y:
-            return Direction.YNEG
-        return Direction.LOCAL
-
     # ------------------------------------------------------------------
     # Turn legality
     # ------------------------------------------------------------------
@@ -322,158 +217,23 @@ class XYRouting(RoutingAlgorithm):
         return True
 
 
-class _DatelineRouting(RoutingAlgorithm):
-    """Shared machinery of the wrap-around (torus/ring) routings.
-
-    Minimal routing on a wrapped dimension travels the shorter way
-    around its ring, which reintroduces the cyclic channel dependency
-    dimension-order routing normally breaks.  The classic fix is a
-    *dateline*: pick one link per ring (here the wrap link, e.g.
-    ``x = width-1 -> x = 0``) and split each vnet's VCs into two
-    classes.  A packet whose remaining travel in the current dimension
-    still has the dateline ahead allocates class 0; once past it (or if
-    it never crosses), class 1.  The wrap link is therefore only ever
-    used by class 0, the class-1 ring is broken at the dateline, class
-    transitions only go 0 -> 1, and dimension order keeps X before Y —
-    so the channel-dependency graph is acyclic
-    (:meth:`verify_deadlock_free` checks it explicitly).
-
-    The class function depends only on (current router, output
-    direction, destination), never on the source, so it is computable
-    at VC-allocation time from the head flit alone.
-    """
-
-    restricts_vcs = True
-
-    def _vc_class(
-        self, current: int, direction: Direction, destination: int
-    ) -> Optional[int]:
-        """Dateline class for the link ``current -> direction``.
-
-        ``None`` means unrestricted (ejection through LOCAL is a sink
-        and takes part in no ring dependency).
-        """
-        raise NotImplementedError
-
-    def vc_choices(
-        self,
-        current: int,
-        direction: Direction,
-        destination: int,
-        vc_range: Sequence[int],
-    ) -> Sequence[int]:
-        cls = self._vc_class(current, direction, destination)
-        if cls is None:
-            return vc_range
-        half0 = len(vc_range) // 2
-        return vc_range[:half0] if cls == 0 else vc_range[half0:]
-
-
-class TorusRouting(_DatelineRouting):
-    """Minimal dimension-order routing on a 2D torus.
-
-    Each dimension travels the shorter way around its ring (ties break
-    toward the positive direction), X strictly before Y; wrap links
-    carry dateline VC class 0 only (see :class:`_DatelineRouting`).
-    """
-
-    def __init__(self, topology: Torus2D, **caches) -> None:
-        super().__init__(topology, **caches)
-
-    def _compute_direction(self, current: int, destination: int) -> Direction:
-        cur = self.topology.coord(current)
-        dst = self.topology.coord(destination)
-        if cur.x != dst.x:
-            forward = (dst.x - cur.x) % self.topology.width
-            backward = self.topology.width - forward
-            return Direction.XPOS if forward <= backward else Direction.XNEG
-        if cur.y != dst.y:
-            forward = (dst.y - cur.y) % self.topology.height
-            backward = self.topology.height - forward
-            return Direction.YPOS if forward <= backward else Direction.YNEG
-        return Direction.LOCAL
-
-    def _vc_class(
-        self, current: int, direction: Direction, destination: int
-    ) -> Optional[int]:
-        if direction == Direction.LOCAL:
-            return None
-        cur = self.topology.coord(current)
-        dst = self.topology.coord(destination)
-        # Travelling positive, the wrap link (max -> 0) lies ahead
-        # exactly while the destination coordinate is still behind us;
-        # travelling negative, the wrap (0 -> max) while it is ahead.
-        if direction == Direction.XPOS:
-            wrap_ahead = dst.x < cur.x
-        elif direction == Direction.XNEG:
-            wrap_ahead = dst.x > cur.x
-        elif direction == Direction.YPOS:
-            wrap_ahead = dst.y < cur.y
-        else:
-            wrap_ahead = dst.y > cur.y
-        return 0 if wrap_ahead else 1
-
-
-class RingRouting(_DatelineRouting):
-    """Minimal routing on a bidirectional ring.
-
-    Packets travel the shorter way around (ties break clockwise); the
-    two wrap links (``N-1 -> 0`` clockwise and ``0 -> N-1``
-    counter-clockwise) are the datelines of their respective
-    directions.
-    """
-
-    def __init__(self, topology: Ring, **caches) -> None:
-        super().__init__(topology, **caches)
-
-    def _compute_direction(self, current: int, destination: int) -> Direction:
-        if current == destination:
-            return Direction.LOCAL
-        n = self.topology.num_nodes
-        forward = (destination - current) % n
-        return Direction.XPOS if forward <= n - forward else Direction.XNEG
-
-    def _vc_class(
-        self, current: int, direction: Direction, destination: int
-    ) -> Optional[int]:
-        if direction == Direction.LOCAL:
-            return None
-        if direction == Direction.XPOS:
-            wrap_ahead = destination < current
-        else:
-            wrap_ahead = destination > current
-        return 0 if wrap_ahead else 1
-
-
-#: Default routing algorithm per topology name.
-_DEFAULT_ROUTINGS = {
-    "mesh": XYRouting,
-    "torus": TorusRouting,
-    "ring": RingRouting,
-}
-
-
 @lru_cache(maxsize=8)
-def _static_tables(routing: type, spec: str) -> Tuple[dict, dict]:
-    """The (direction, next-hop) memos of one static routing relation.
+def _static_tables(spec: str) -> Tuple[dict, dict]:
+    """The (direction, next-hop) memos of the static XY relation.
 
-    A default routing's answers depend on its class and the fabric's
-    ``spec`` alone, so every network of the process on that fabric
-    fills and reads the same two dicts (at most N^2 entries each)
-    instead of re-deriving them per network.  Falling out of this cache
-    only ends the sharing: the routings holding the dicts keep them.
+    XY's answers depend on the mesh ``spec`` alone, so every network of
+    the process on that mesh fills and reads the same two dicts (at
+    most N^2 entries each) instead of re-deriving them per network.
+    Falling out of this cache only ends the sharing: the routings
+    holding the dicts keep them.
     """
     return {}, {}
 
 
-def default_routing(topology: Topology) -> RoutingAlgorithm:
-    """The canonical deadlock-free routing algorithm for ``topology``."""
-    try:
-        cls = _DEFAULT_ROUTINGS[topology.name]
-    except KeyError:
-        raise ValueError(f"no default routing for topology {topology.name!r}")
-    direction_cache, next_hop_cache = _static_tables(cls, topology.spec)
-    return cls(
+def default_routing(topology: MeshTopology) -> XYRouting:
+    """XY routing on ``topology``, on the mesh's shared route memos."""
+    direction_cache, next_hop_cache = _static_tables(topology.spec)
+    return XYRouting(
         topology, direction_cache=direction_cache, next_hop_cache=next_hop_cache
     )
 

@@ -44,6 +44,8 @@ class Activity:
 
     cycles: int
     num_routers: int
+    #: Ports per router (5: the mesh).  Nothing prices it; it stays
+    #: because stored ``synthetic_metrics`` payloads carry it.
     num_ports: int
     router_traversals: int
     link_traversals: int

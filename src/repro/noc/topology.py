@@ -1,4 +1,4 @@
-"""Network topologies.
+"""The 2D mesh topology.
 
 The paper evaluates Power Punch on planar 2D meshes (4x4, 8x8, 16x16)
 with dimension-order (XY) routing, matching the topologies used by most
@@ -7,19 +7,10 @@ in the paper's Figure 4: node ``y * width + x`` sits at column ``x``
 (growing in the X+ direction) and row ``y`` (growing in the Y+
 direction).
 
-The mesh is no longer hard-wired, though: :class:`Topology` abstracts
-the port model, neighbor map, coordinates, and distance metric, and the
-rest of the simulator (routers, kernels, power model, visualisation) is
-written against that interface.  :class:`Mesh2D` is the extracted
-default; :class:`Torus2D` adds wrap-around links in both dimensions and
-:class:`Ring` is a single bidirectional cycle.  The new fabrics are
-baseline comparison points — Power Punch's multi-hop punch encoding
-stays mesh+XY specific (see :mod:`repro.noc.routing`).
-
-Port model: every topology exposes ``ports``, a tuple of
-:class:`Direction` members with *contiguous* integer codes starting at
-``LOCAL == 0``.  Contiguity is a hard requirement of the vector
-kernel's flat ``(router * P + port) * V + vc`` SoA indexing, where
+Port model: the mesh exposes ``ports``, a tuple of :class:`Direction`
+members with *contiguous* integer codes starting at ``LOCAL == 0``.
+Contiguity is a hard requirement of the vector kernel's flat
+``(router * P + port) * V + vc`` SoA indexing, where
 ``P == len(ports)``.
 """
 
@@ -27,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 
 class Direction(enum.IntEnum):
@@ -36,9 +27,7 @@ class Direction(enum.IntEnum):
     ``LOCAL`` connects the router to its network interface; the four
     cardinal directions connect to neighbors.  ``XPOS`` points toward
     larger x (e.g. R27 -> R28 in the paper's Figure 4) and ``YPOS``
-    toward larger y (R27 -> R35).  On a :class:`Ring`, ``XPOS`` is the
-    clockwise port and ``XNEG`` counter-clockwise; the Y ports are
-    simply absent from ``Ring.ports``.
+    toward larger y (R27 -> R35).
     """
 
     LOCAL = 0
@@ -79,15 +68,8 @@ MESH_DIRECTIONS: Tuple[Direction, ...] = (
     Direction.YNEG,
 )
 
-#: All five router ports of a 2D mesh/torus router.
+#: All five router ports of a 2D mesh router.
 ALL_DIRECTIONS: Tuple[Direction, ...] = (Direction.LOCAL,) + MESH_DIRECTIONS
-
-#: The three ports of a ring router (local + both cycle directions).
-RING_DIRECTIONS: Tuple[Direction, ...] = (
-    Direction.LOCAL,
-    Direction.XPOS,
-    Direction.XNEG,
-)
 
 
 @dataclass(frozen=True)
@@ -98,23 +80,25 @@ class Coordinate:
     y: int
 
 
-class Topology:
-    """Abstract fabric: port model, neighbor map, coordinates, distance.
+class MeshTopology:
+    """A ``width`` x ``height`` 2D mesh.
 
-    Concrete topologies define ``name`` (the canonical config string),
-    ``ports`` (contiguous Direction codes, LOCAL first), a ``neighbor``
-    map, and a minimal ``hop_distance``.  Everything else — neighbor
-    iteration, link enumeration, radius queries, serialization — is
-    derived here.
+    Provides coordinate/node-id conversion, neighbor lookup, and hop
+    distance.  All Power Punch path computations (targeted routers,
+    punch relays) are built on top of this class together with
+    :mod:`repro.noc.routing`.
     """
 
-    #: Canonical name used by ``NoCConfig.topology`` and cache keys.
-    name: ClassVar[str] = "abstract"
     #: Router ports, contiguous codes 0..P-1 with LOCAL first.
-    ports: ClassVar[Tuple[Direction, ...]] = ALL_DIRECTIONS
+    ports: Tuple[Direction, ...] = ALL_DIRECTIONS
 
-    width: int
-    height: int
+    def __init__(self, width: int, height: Optional[int] = None) -> None:
+        if height is None:
+            height = width
+        if width < 2 or height < 2:
+            raise ValueError("mesh dimensions must be at least 2x2")
+        self.width = width
+        self.height = height
 
     @property
     def num_ports(self) -> int:
@@ -127,14 +111,9 @@ class Topology:
         return self.width * self.height
 
     @property
-    def shape(self) -> Tuple[int, int]:
-        """Grid extent as ``(width, height)`` for rendering."""
-        return (self.width, self.height)
-
-    @property
     def spec(self) -> str:
-        """Canonical serialization, e.g. ``"torus:4x4"``."""
-        return f"{self.name}:{self.width}x{self.height}"
+        """Canonical serialization, e.g. ``"mesh:8x8"``."""
+        return f"mesh:{self.width}x{self.height}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.width}x{self.height})"
@@ -144,35 +123,37 @@ class Topology:
     # ------------------------------------------------------------------
     def coord(self, node: int) -> Coordinate:
         """Coordinate of ``node`` (row-major numbering)."""
-        self._check_node(node)
+        if not (0 <= node < self.num_nodes):
+            raise ValueError(f"node {node} outside mesh of {self.num_nodes} nodes")
         return Coordinate(node % self.width, node // self.width)
 
     def node_at(self, x: int, y: int) -> int:
         """Node id at coordinate ``(x, y)``."""
         if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"coordinate ({x}, {y}) outside {self.name}")
+            raise ValueError(f"coordinate ({x}, {y}) outside mesh")
         return y * self.width + x
 
     def contains(self, x: int, y: int) -> bool:
         """Whether coordinate (x, y) lies inside the grid."""
         return 0 <= x < self.width and 0 <= y < self.height
 
-    def _check_node(self, node: int) -> None:
-        if not (0 <= node < self.num_nodes):
-            raise ValueError(
-                f"node {node} outside {self.name} of {self.num_nodes} nodes"
-            )
-
     # ------------------------------------------------------------------
     # Neighbors and links
     # ------------------------------------------------------------------
     def neighbor(self, node: int, direction: Direction) -> Optional[int]:
         """Neighbor of ``node`` in ``direction``, or ``None`` at an edge."""
-        raise NotImplementedError
+        if direction == Direction.LOCAL:
+            return node
+        c = self.coord(node)
+        dx, dy = _DELTAS[direction]
+        nx, ny = c.x + dx, c.y + dy
+        if not self.contains(nx, ny):
+            return None
+        return self.node_at(nx, ny)
 
     def neighbors(self, node: int) -> Iterator[Tuple[Direction, int]]:
         """All existing neighbors of ``node`` as (direction, id)."""
-        for direction in self.ports[1:]:
+        for direction in MESH_DIRECTIONS:
             other = self.neighbor(node, direction)
             if other is not None:
                 yield direction, other
@@ -194,13 +175,9 @@ class Topology:
     # Distance
     # ------------------------------------------------------------------
     def hop_distance(self, a: int, b: int) -> int:
-        """Minimal hop distance between nodes."""
-        raise NotImplementedError
-
-    @property
-    def diameter(self) -> int:
-        """Largest minimal hop distance between any node pair."""
-        raise NotImplementedError
+        """Manhattan (minimal-mesh) hop distance between nodes."""
+        ca, cb = self.coord(a), self.coord(b)
+        return abs(ca.x - cb.x) + abs(ca.y - cb.y)
 
     def nodes_within(self, node: int, hops: int) -> List[int]:
         """All nodes within ``hops`` of ``node``, excluding the node itself.
@@ -213,159 +190,6 @@ class Topology:
             for other in range(self.num_nodes)
             if other != node and self.hop_distance(node, other) <= hops
         ]
-
-
-class Mesh2D(Topology):
-    """A ``width`` x ``height`` 2D mesh.
-
-    Provides coordinate/node-id conversion, neighbor lookup, and hop
-    distance.  All Power Punch path computations (targeted routers,
-    punch relays) are built on top of this class together with
-    :mod:`repro.noc.routing`.
-    """
-
-    name = "mesh"
-    ports = ALL_DIRECTIONS
-
-    def __init__(self, width: int, height: Optional[int] = None) -> None:
-        if height is None:
-            height = width
-        if width < 2 or height < 2:
-            raise ValueError("mesh dimensions must be at least 2x2")
-        self.width = width
-        self.height = height
-
-    def neighbor(self, node: int, direction: Direction) -> Optional[int]:
-        """Neighbor of ``node`` in ``direction``, or ``None`` at an edge."""
-        if direction == Direction.LOCAL:
-            return node
-        c = self.coord(node)
-        dx, dy = _DELTAS[direction]
-        nx, ny = c.x + dx, c.y + dy
-        if not self.contains(nx, ny):
-            return None
-        return self.node_at(nx, ny)
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Manhattan (minimal-mesh) hop distance between nodes."""
-        ca, cb = self.coord(a), self.coord(b)
-        return abs(ca.x - cb.x) + abs(ca.y - cb.y)
-
-    @property
-    def diameter(self) -> int:
-        """Corner-to-corner Manhattan distance."""
-        return (self.width - 1) + (self.height - 1)
-
-
-#: Back-compat alias: the mesh predates the Topology abstraction and is
-#: imported under this name throughout older code and tests.
-MeshTopology = Mesh2D
-
-
-class Torus2D(Mesh2D):
-    """A ``width`` x ``height`` 2D torus (mesh plus wrap-around links).
-
-    Both dimensions must be at least 3 wide: on a 2-wide ring the XPOS
-    and XNEG neighbors coincide, making ``direction_to_neighbor`` (and
-    the credit return path, which is keyed by port) ambiguous.
-    """
-
-    name = "torus"
-
-    def __init__(self, width: int, height: Optional[int] = None) -> None:
-        super().__init__(width, height)
-        if self.width < 3 or self.height < 3:
-            raise ValueError("torus dimensions must be at least 3x3")
-
-    def neighbor(self, node: int, direction: Direction) -> Optional[int]:
-        """Neighbor of ``node`` in ``direction``; wraps at the edges."""
-        if direction == Direction.LOCAL:
-            return node
-        c = self.coord(node)
-        dx, dy = _DELTAS[direction]
-        nx = (c.x + dx) % self.width
-        ny = (c.y + dy) % self.height
-        return self.node_at(nx, ny)
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Minimal hop distance, taking the shorter way around each ring."""
-        ca, cb = self.coord(a), self.coord(b)
-        dx = abs(ca.x - cb.x)
-        dy = abs(ca.y - cb.y)
-        return min(dx, self.width - dx) + min(dy, self.height - dy)
-
-    @property
-    def diameter(self) -> int:
-        """Half-way around both rings."""
-        return self.width // 2 + self.height // 2
-
-
-class Ring(Topology):
-    """A single bidirectional ring of ``num_nodes`` routers.
-
-    Rendered as an ``N x 1`` grid (node ``i`` at coordinate ``(i, 0)``);
-    ``XPOS`` steps clockwise (increasing id, wrapping at the end) and
-    ``XNEG`` counter-clockwise.  Ring routers have only three ports, so
-    the vector kernel's flat layout shrinks to ``P == 3``.
-    """
-
-    name = "ring"
-    ports = RING_DIRECTIONS
-
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes < 3:
-            raise ValueError("ring needs at least 3 nodes")
-        self.width = num_nodes
-        self.height = 1
-
-    def neighbor(self, node: int, direction: Direction) -> Optional[int]:
-        """Neighbor of ``node`` in ``direction``; the cycle always wraps."""
-        self._check_node(node)
-        if direction == Direction.LOCAL:
-            return node
-        if direction == Direction.XPOS:
-            return (node + 1) % self.num_nodes
-        if direction == Direction.XNEG:
-            return (node - 1) % self.num_nodes
-        return None
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Minimal hop distance, the shorter way around the cycle."""
-        self._check_node(a)
-        self._check_node(b)
-        d = abs(a - b)
-        return min(d, self.num_nodes - d)
-
-    @property
-    def diameter(self) -> int:
-        """Half-way around the cycle."""
-        return self.num_nodes // 2
-
-
-#: Topology registry keyed by canonical name.
-TOPOLOGIES = {
-    "mesh": Mesh2D,
-    "torus": Torus2D,
-    "ring": Ring,
-}
-
-
-def make_topology(name: str, width: int, height: Optional[int] = None) -> Topology:
-    """Build a topology from its canonical name and grid dimensions.
-
-    A ``ring`` interprets ``width * height`` as its node count so that
-    configs stay comparable across topologies at equal node counts
-    (an 8x8 config yields a 64-node ring).
-    """
-    if height is None:
-        height = width
-    if name not in TOPOLOGIES:
-        raise ValueError(
-            f"unknown topology {name!r}; expected one of {sorted(TOPOLOGIES)}"
-        )
-    if name == "ring":
-        return Ring(width * height)
-    return TOPOLOGIES[name](width, height)
 
 
 _DELTAS = {

@@ -22,19 +22,13 @@ mesh size, and both are shared verbatim with the object kernels, which
 keeps the wakeup/forewarning timing identical by construction.
 
 Flat indexing: with ``V = config.num_vcs`` VCs per port and ``P =
-topology.num_ports`` ports per router (5 on mesh/torus, 3 on a ring),
-input VC ``(router r, port p, vc v)`` lives at flat index ``f = (r * P
-+ p) * V + v``; output VC ``(r, p, v)`` uses the same formula on the
+topology.num_ports`` ports per router (5 on the mesh), input VC
+``(router r, port p, vc v)`` lives at flat index ``f = (r * P + p) * V
++ v``; output VC ``(r, p, v)`` uses the same formula on the
 output side (``credits_out`` / ``owner_out``).  Port codes are the
 :class:`~repro.noc.topology.Direction` values (LOCAL=0), contiguous
-``0..P-1`` by the topology port-model contract.
-
-On the mesh, routing uses XY closed forms over node ids; other
-topologies pre-compute dense ``(current, destination)`` direction and
-dateline-VC-class tables from the routing object at engagement.
-Power-gated schemes engage on the mesh only: their punch-target
-decomposition is XY-specific (non-mesh + gated falls back to the
-cycle-exact active kernel).
+``0..P-1`` by the topology port-model contract.  Routing uses the XY
+closed forms over node ids.
 
 Engagement: :func:`try_engage` builds the engine **from live state** at
 any step boundary (the importer in ``VectorEngine._import`` is the
@@ -247,48 +241,19 @@ def try_engage(net) -> Optional["VectorEngine"]:
         # Unknown subclass: its hooks may read controller objects the
         # engine keeps stale mid-run.
         return None
-    if gated and net.topology.name != "mesh":
-        # Punch-target generation (`_pg_end`) and punch relaying use
-        # the XY closed forms, which only mirror the mesh routing
-        # relation; gated schemes on other fabrics stay on the
-        # cycle-exact active kernel.
-        return None
     return VectorEngine(net, gated)
 
 
 def _static_tables(net):
     """Per-network constants of the flat layout, built at the first
-    engagement and kept on the network for later ones: routing tables,
-    per-VC buffer depths and the neighbor table.
-
-    The mesh keeps its XY closed forms; other topologies snapshot the
-    (memoryless, static) routing relation into dense ``(current,
-    destination)`` tables: the output direction, and the dateline VC
-    class (-1 = unrestricted, i.e. LOCAL routes).
+    engagement and kept on the network for later ones: per-VC buffer
+    depths and the neighbor table.
     """
     if net._vector_static is not None:
         return net._vector_static
     cfg = net.config
     R = cfg.num_nodes
     P = net.topology.num_ports
-    dirs = cls = None
-    if net.topology.name != "mesh":
-        routing = net.routing
-        dirs = _np.empty((R, R), dtype=_np.int8)
-        for cur in range(R):
-            for dst in range(R):
-                dirs[cur, dst] = int(routing.output_direction(cur, dst))
-        if routing.restricts_vcs:
-            cls = _np.full((R, R), -1, dtype=_np.int8)
-            probe = range(2)
-            for cur in range(R):
-                for dst in range(R):
-                    d = Direction(int(dirs[cur, dst]))
-                    if d is Direction.LOCAL:
-                        continue
-                    allowed = routing.vc_choices(cur, d, dst, probe)
-                    if len(allowed) == 1:
-                        cls[cur, dst] = allowed[0]
     depths = cfg.depths_by_vc()
     depth_flat = _np.array(
         [depths[v] for v in range(cfg.num_vcs)] * (R * P), dtype=_np.int64
@@ -299,7 +264,7 @@ def _static_tables(net):
         for d, nb in router.connected.items():
             if nb is not None:
                 conn[base + int(d)] = nb
-    net._vector_static = (dirs, cls, depth_flat, conn)
+    net._vector_static = (depth_flat, conn)
     return net._vector_static
 
 
@@ -321,12 +286,7 @@ class VectorEngine:
         self._stage_gate = cfg.router_stages - 2
         self._sa_delta = 1 if cfg.router_stages == 4 else 0
         self.OPP = _np.array(_opposite_codes(P), dtype=_np.int64)
-        (
-            self._dir_table,
-            self._cls_table,
-            self.depth_flat,
-            self.connected_flat,
-        ) = _static_tables(net)
+        self.depth_flat, self.connected_flat = _static_tables(net)
         self.D = D = int(self.depth_flat[:V].max())
 
         # --- input VC state (flat, one entry per (router, port, vc)) ---
@@ -682,8 +642,8 @@ class VectorEngine:
                 self.owner_eid[nh] = he
                 self.out_vc[nh] = -1
                 self.va_el[nh] = cycle + 1
-                self.route[nh] = self._route_codes(
-                    nh // self._pv, self.pkt_dest[he]
+                self.route[nh] = xy_direction_codes(
+                    nh // self._pv, self.pkt_dest[he], self.width
                 )
             # A body flit landing in a drained-but-owned ACTIVE VC needs
             # nothing here: every allocator round runs, on both kernels.
@@ -692,18 +652,10 @@ class VectorEngine:
         """Batch a run of NI-injected ``(f, eid, idx)`` flits (distinct
         LOCAL-port VCs) into one chunk push (route codes are identical:
         engagement precludes dead routers, so ``output_direction`` is
-        the static routing relation — the XY closed form or the
-        snapshot table)."""
+        the static XY relation)."""
         self._push_chunk(
             *(_np.array(part, dtype=_np.int64) for part in zip(*run)), cycle
         )
-
-    def _route_codes(self, nodes, dests):
-        """Direction codes for ``nodes -> dests`` head flits (the XY
-        closed form on the mesh, the snapshot table elsewhere)."""
-        if self._dir_table is None:
-            return xy_direction_codes(nodes, dests, self.width)
-        return self._dir_table[nodes, dests]
 
     def _overflow(self, fs, o, eids, cycle: int) -> None:
         """Raise the reference overflow error for the first offender."""
@@ -890,28 +842,10 @@ class VectorEngine:
         V = self.V
         vstart = ((fs % V) // per) * per
         rr = self.out_vc_rr[ks]
-        if self._cls_table is None:
-            cstart, clen = vstart, per
-        else:
-            # Dateline VC classes: probe only the class subrange, the
-            # array twin of ``free_vc_in`` over the restricted
-            # ``vc_choices`` range (class 0 = first half of the vnet's
-            # VCs, class 1 = second half, -1 = unrestricted LOCAL).
-            dest = self.pkt_dest[self.owner_eid[fs]]
-            cls = self._cls_table[fs // self._pv, dest]
-            h0 = per // 2
-            cstart = vstart + _np.where(cls == 1, h0, 0)
-            clen = _np.where(
-                cls < 0, per, _np.where(cls == 0, h0, per - h0)
-            )
         chosen = _np.full(fs.size, -1, dtype=_np.int64)
         for i in range(per):
-            vci = cstart + (rr + i) % clen
-            pick = (
-                (chosen < 0)
-                & (i < clen)
-                & (self.owner_out[ks * V + vci] < 0)
-            )
+            vci = vstart + (rr + i) % per
+            pick = (chosen < 0) & (self.owner_out[ks * V + vci] < 0)
             if pick.any():
                 chosen[pick] = vci[pick]
         g = chosen >= 0
@@ -931,18 +865,8 @@ class VectorEngine:
         V = self.V
         vstart = ((f % V) // per) * per
         rr = int(self.out_vc_rr[k])
-        cstart, clen = vstart, per
-        if self._cls_table is not None:
-            dest = int(self.pkt_dest[self.owner_eid[f]])
-            cls = int(self._cls_table[f // self._pv, dest])
-            if cls >= 0:
-                h0 = per // 2
-                if cls == 0:
-                    clen = h0
-                else:
-                    cstart, clen = vstart + h0, per - h0
-        for i in range(clen):
-            vci = cstart + (rr + i) % clen
+        for i in range(per):
+            vci = vstart + (rr + i) % per
             if self.owner_out[k * V + vci] < 0:
                 self.owner_out[k * V + vci] = f
                 self.out_vc_rr[k] = (vci + 1) % V

@@ -50,18 +50,11 @@ def account(activity, constants: PowerConstants = DEFAULT_CONSTANTS) -> EnergyBr
     """The energy of one activity record (a ``repro.noc.Activity``:
     a whole run's, or a window's) at ``constants``."""
     c = constants
-    # The per-router energy constants are calibrated for the paper's
-    # 5-port mesh router (DSENT, Table 2).  Other fabrics scale the
-    # router-local terms by their radix: buffers and crossbar dominate
-    # both the static floor and the per-flit traversal energy, and both
-    # grow with port count.  The factor is exactly 1.0 on the mesh,
-    # leaving its numbers bit-identical.
-    port_scale = activity.num_ports / 5.0
     dynamic = (
-        activity.router_traversals * c.flit_router_energy * port_scale
+        activity.router_traversals * c.flit_router_energy
         + activity.link_traversals * c.flit_link_energy
     )
-    static = activity.on_cycles * c.router_static_energy_per_cycle * port_scale
+    static = activity.on_cycles * c.router_static_energy_per_cycle
 
     overhead = 0.0
     if activity.gated:

@@ -4,11 +4,8 @@ The paper's Fig. 12 sweeps uniform-random, transpose and bit-complement
 traffic across the full load range; a few further classics are included
 for completeness (tornado, bit-reverse, neighbor, hotspot).
 
-Patterns address nodes through the :class:`~repro.noc.topology.Topology`
-coordinate API, so they apply to every registered fabric; a pattern
-whose definition is degenerate on a topology (transpose on a
-one-dimensional ring) rejects it with a typed error instead of
-silently collapsing traffic onto one node.
+Patterns address nodes through the
+:class:`~repro.noc.topology.MeshTopology` coordinate API.
 """
 
 from __future__ import annotations
@@ -16,40 +13,31 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict
 
-from ..noc.errors import UnsupportedTopologyError
-from ..noc.topology import Topology
+from ..noc.topology import MeshTopology
 
 #: A pattern maps (source, topology, rng) -> destination (may equal the
 #: source, in which case the generator redraws or skips).
-PatternFn = Callable[[int, Topology, random.Random], int]
+PatternFn = Callable[[int, MeshTopology, random.Random], int]
 
 
-def uniform_random(source: int, topology: Topology, rng: random.Random) -> int:
+def uniform_random(source: int, topology: MeshTopology, rng: random.Random) -> int:
     """Destination drawn uniformly from all other nodes."""
     dst = rng.randrange(topology.num_nodes - 1)
     return dst if dst < source else dst + 1
 
 
-def transpose(source: int, topology: Topology, rng: random.Random) -> int:
-    """Node (x, y) sends to (y, x); requires a two-dimensional fabric."""
-    if topology.height == 1:
-        raise UnsupportedTopologyError(
-            "transpose traffic",
-            topology.name,
-            supported=("mesh", "torus"),
-            reason="(x, y) -> (y, x) is degenerate on a one-dimensional "
-            "fabric",
-        )
+def transpose(source: int, topology: MeshTopology, rng: random.Random) -> int:
+    """Node (x, y) sends to (y, x)."""
     c = topology.coord(source)
     return topology.node_at(c.y % topology.width, c.x % topology.height)
 
 
-def bit_complement(source: int, topology: Topology, rng: random.Random) -> int:
+def bit_complement(source: int, topology: MeshTopology, rng: random.Random) -> int:
     """Node i sends to N-1-i."""
     return topology.num_nodes - 1 - source
 
 
-def bit_reverse(source: int, topology: Topology, rng: random.Random) -> int:
+def bit_reverse(source: int, topology: MeshTopology, rng: random.Random) -> int:
     """Node i sends to the bit-reversal of i (power-of-two fabrics)."""
     bits = (topology.num_nodes - 1).bit_length()
     value = 0
@@ -59,13 +47,13 @@ def bit_reverse(source: int, topology: Topology, rng: random.Random) -> int:
     return value % topology.num_nodes
 
 
-def tornado(source: int, topology: Topology, rng: random.Random) -> int:
+def tornado(source: int, topology: MeshTopology, rng: random.Random) -> int:
     """Half-width offset along X (adversarial for rings, benign on mesh)."""
     c = topology.coord(source)
     return topology.node_at((c.x + topology.width // 2) % topology.width, c.y)
 
 
-def neighbor(source: int, topology: Topology, rng: random.Random) -> int:
+def neighbor(source: int, topology: MeshTopology, rng: random.Random) -> int:
     """Node (x, y) sends to (x+1, y) with wraparound."""
     c = topology.coord(source)
     return topology.node_at((c.x + 1) % topology.width, c.y)
@@ -76,7 +64,7 @@ def hotspot(
 ) -> PatternFn:
     """Uniform random with a fraction of traffic aimed at one node."""
 
-    def pattern(source: int, topology: Topology, rng: random.Random) -> int:
+    def pattern(source: int, topology: MeshTopology, rng: random.Random) -> int:
         if rng.random() < hotspot_fraction and source != hotspot_node:
             return hotspot_node
         return uniform_random(source, topology, rng)

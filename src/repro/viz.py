@@ -6,9 +6,8 @@ fraction per router), where traffic concentrates (link utilization) and
 where packets get blocked.  Everything returns plain strings so it
 composes with the experiment harnesses and tests.
 
-Heatmaps lay nodes out on the topology's ``(width, height)`` coordinate
-grid (meshes and tori render as the familiar WxH block; a ring renders
-as one row), so they work for every registered topology.
+Heatmaps lay nodes out on the mesh's ``(width, height)`` coordinate
+grid.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Callable, Dict, Sequence
 
 from .core.schemes import PowerGatedScheme
 from .noc.network import Network
-from .noc.topology import Topology
+from .noc.topology import MeshTopology
 
 #: Shade ramp from empty to full.
 _RAMP = " .:-=+*#%@"
@@ -30,21 +29,20 @@ def shade(value: float) -> str:
 
 
 def node_heatmap(
-    topology: Topology,
+    topology: MeshTopology,
     values: Sequence[float],
     title: str = "",
     fmt: Callable[[float], str] = lambda v: f"{v:4.2f}",
 ) -> str:
-    """Render per-node values on the topology's coordinate grid."""
+    """Render per-node values on the mesh's coordinate grid."""
     if len(values) != topology.num_nodes:
         raise ValueError("need one value per node")
-    width, height = topology.shape
     peak = max(values) or 1.0
     lines = [title] if title else []
-    for y in range(height):
+    for y in range(topology.height):
         shades = []
         numbers = []
-        for x in range(width):
+        for x in range(topology.width):
             v = values[topology.node_at(x, y)]
             shades.append(shade(v / peak) * 4)
             numbers.append(fmt(v))

@@ -106,25 +106,15 @@ def sub_runs(monkeypatch):
     return seen
 
 
-#: The commands whose experiment reads ``--topology``.
-TOPOLOGY_COMMANDS = {"topologies", "guarantees"}
-
-
 @pytest.mark.parametrize("command", [*cli.EXPERIMENTS, "all", "serve", "work"])
-def test_every_command_has_help_and_topology_only_where_honored(
-    command, sub_runs, tmp_path, capsys
-):
+def test_every_command_has_help_and_no_topology_flag(command, sub_runs, tmp_path, capsys):
     with pytest.raises(SystemExit) as helped:
         cli.main([command, "--help"])
     assert helped.value.code == 0
     assert command in capsys.readouterr().out
-    argv = [command, "--topology", "torus"]
+    argv = [command, "--topology", "mesh"]
     if command == "all":
         argv += ["--out", str(tmp_path)]
-    if command in TOPOLOGY_COMMANDS:
-        cli.main(argv)
-        assert sub_runs[command][0].topology == "torus"
-        return
     with pytest.raises(SystemExit) as refused:
         cli.main(argv)
     assert refused.value.code == 2
@@ -208,7 +198,7 @@ class TestRobustnessFlags:
         self, sub_runs, tmp_path
     ):
         cli.main(["--faults", FAULTS, "all", "--out", str(tmp_path), "--bounds"])
-        assert len(sub_runs) == 9
+        assert len(sub_runs) == 8
         for _, engine in sub_runs.values():
             assert dict(engine["config_overrides"]) == {"faults": FAULTS, "bounds": True}
 
@@ -220,7 +210,6 @@ class TestRobustnessFlags:
         assert sub_runs["report"][0].instructions == 300
         # Everything else is the command's own default.
         assert sub_runs["fig12"][0].measurement == 5000
-        assert sub_runs["topologies"][0].topology == "mesh"
 
     @pytest.mark.parametrize(
         "flags",
@@ -243,7 +232,7 @@ class TestRobustnessFlags:
         that command directly produce (``all``'s default cache aside)."""
         cli.main(["all", "--out", str(tmp_path), *flags])
         via_all = {name: engine for name, (_, engine) in sub_runs.items()}
-        assert len(via_all) == 9
+        assert len(via_all) == 8
         cache = [] if "--cache-dir" in flags else ["--cache-dir", f"{tmp_path}/cellcache"]
         for name, engine in via_all.items():
             cli.main([name, *flags, *cache])

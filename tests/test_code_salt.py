@@ -115,7 +115,7 @@ def test_ci_cache_keys_mirror_the_salt():
     )
     key = "key: cellcache-${{ steps.salt.outputs.salt }}"
     jobs = [job for job in re.split(r"\n  (?=[\w-]+:\n)", workflow.read_text()) if "cellcache-" in job]
-    assert len(jobs) == 3
+    assert len(jobs) == 2
     for job in jobs:
         assert re.findall(r"key: cellcache-.*", job) == [key]
         assert job.count(salt_step) == 1

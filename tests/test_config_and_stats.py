@@ -35,9 +35,18 @@ class TestConfig:
         assert NoCConfig(router_stages=3).hop_latency == 4
         assert NoCConfig(router_stages=4).hop_latency == 5
 
-    def test_invalid_stages_rejected(self):
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("router_stages", 5),
+            ("data_vc_depth", 0),
+            ("control_vc_depth", 0),
+            ("ni_latency", -2),
+        ],
+    )
+    def test_invalid_stages_rejected(self, field, value):
         with pytest.raises(ValueError):
-            NoCConfig(router_stages=5)
+            NoCConfig(**{field: value})
 
     def test_depths_by_vc(self):
         cfg = NoCConfig()

@@ -17,7 +17,6 @@ from repro.experiments import (
     fig13,
     guarantees,
     scalability,
-    topologies,
 )
 from repro.experiments.common import pivot, run_keyed
 
@@ -63,20 +62,6 @@ class TestKeysDescribeTheirCells:
             assert (config.width, config.height) == (size, size)
             assert (cell.scheme, cell.injection_rate) == (scheme, 0.03)
 
-    def test_topologies_fabric_and_scheme(self):
-        cells = _unique(topologies.topologies_cells(base_rate=0.02))
-        assert [key[0] for key, _ in cells[::2]] == ["mesh:8x8", "torus:8x8", "ring:64x1"]
-        for (fabric, scheme), cell in cells:
-            config = cell.build_config()
-            assert fabric == f"{config.topology}:{config.width}x{config.height}"
-            assert cell.scheme == scheme
-        rates = {fabric: cell.injection_rate for (fabric, _), cell in cells}
-        assert rates == {"mesh:8x8": 0.02, "torus:8x8": 0.04, "ring:64x1": 0.005}
-        # The CI warm-cache check addresses the same cells.
-        campaign = topologies.topologies_campaign(base_rate=0.02)
-        assert campaign.name == "topologies"
-        assert campaign.cells == tuple(cell for _, cell in cells)
-
     def test_baselines_scheme(self):
         cells = _unique(baselines_compare.comparison_cells(load=0.02))
         assert [key for key, _ in cells] == ["No-PG", "ConvOpt-PG", "PowerPunch-PG", "NoRD-like"]
@@ -84,11 +69,10 @@ class TestKeysDescribeTheirCells:
             assert (cell.scheme, cell.kind) == (scheme, "synthetic_metrics")
 
     def test_guarantees_scheme_and_load(self):
-        cells = _unique(guarantees.guarantees_cells(loads=(0.02, 0.1), mesh=4, topology="ring"))
+        cells = _unique(guarantees.guarantees_cells(loads=(0.02, 0.1), mesh=4))
         assert [key for key, _ in cells[:3]] == [("-", 0.02), ("-", 0.1), ("ConvOpt-PG", 0.02)]
         for (scheme, load), cell in cells:
             assert (cell.scheme, cell.injection_rate, cell.kind) == (scheme, load, "guarantees")
-            assert cell.build_config().topology == "ring"
             assert cell.build_config().num_nodes == 16
 
     def test_ablation_keys(self):

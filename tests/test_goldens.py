@@ -68,11 +68,8 @@ class TestLatencyGoldens:
 
 
 class TestTrafficGoldens:
-    # topology="mesh" is spelled out (although it is the default) so
-    # these goldens keep pinning the paper's Mesh2D fabric even if the
-    # default ever changes — the 653 below is a mesh number.
     def test_uniform_random_nopg_golden(self, kernel):
-        net = Network(NoCConfig(kernel=kernel, topology="mesh"))
+        net = Network(NoCConfig(kernel=kernel))
         traffic = SyntheticTraffic(net, "uniform_random", 0.01, seed=7)
         measure(net, traffic, warmup=500, measurement=2000)
         s = net.stats
@@ -82,7 +79,7 @@ class TestTrafficGoldens:
 
     def test_uniform_random_powerpunch_golden(self, kernel):
         scheme = PowerPunchPG()
-        net = Network(NoCConfig(kernel=kernel, topology="mesh"), scheme)
+        net = Network(NoCConfig(kernel=kernel), scheme)
         traffic = SyntheticTraffic(net, "uniform_random", 0.01, seed=7)
         measure(net, traffic, warmup=500, measurement=2000)
         s = net.stats

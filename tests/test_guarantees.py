@@ -415,31 +415,21 @@ def test_guarantees_cell_strict_raises():
 # ----------------------------------------------------------------------
 # Property: certified bounds hold at low load everywhere
 # ----------------------------------------------------------------------
-_FABRICS = (
-    ("mesh", NoCConfig(width=4, height=4)),
-    ("torus", NoCConfig(width=4, height=4, topology="torus")),
-    ("ring", NoCConfig(width=8, height=1, topology="ring")),
-)
-
 _SCHEME_BUILDERS = {
     "always-on": lambda: None,
     "No-PG": NoPG,
     "ConvOpt-PG": ConvOptPG,
-    "PowerPunch-PG": PowerPunchPG,  # mesh-only (punch fabric is XY)
+    "PowerPunch-PG": PowerPunchPG,
 }
 
 
 @st.composite
 def bound_scenarios(draw):
-    fabric, config = draw(st.sampled_from(_FABRICS))
-    names = ["always-on", "No-PG", "ConvOpt-PG"]
-    if fabric == "mesh":
-        names.append("PowerPunch-PG")
-    scheme_name = draw(st.sampled_from(names))
+    scheme_name = draw(st.sampled_from(sorted(_SCHEME_BUILDERS)))
     kernel = draw(st.sampled_from(("naive", "active", "vector")))
     rate = draw(st.sampled_from((0.01, 0.03, 0.05)))
     seed = draw(st.integers(1, 50))
-    return config, scheme_name, kernel, rate, seed
+    return scheme_name, kernel, rate, seed
 
 
 @settings(
@@ -449,13 +439,8 @@ def bound_scenarios(draw):
 )
 @given(bound_scenarios())
 def test_no_packet_exceeds_bound_at_low_load(scenario):
-    config, scheme_name, kernel, rate, seed = scenario
-    config = NoCConfig(
-        width=config.width,
-        height=config.height,
-        topology=config.topology,
-        kernel=kernel,
-    )
+    scheme_name, kernel, rate, seed = scenario
+    config = NoCConfig(width=4, height=4, kernel=kernel)
     checker = BoundChecker(strict=True)
     network = Network(config, _SCHEME_BUILDERS[scheme_name]())
     network.install_bounds(checker)

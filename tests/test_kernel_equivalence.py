@@ -649,10 +649,9 @@ class TestEngineSelection:
         "config,scheme",
         [
             (NoCConfig(width=12, height=12), NoRDLike),
-            (NoCConfig(width=12, height=12, topology="torus"), ConvOptPG),
             (NoCConfig(width=12, height=12, faults="punch_drop,rate=0.0"), NoPG),
         ],
-        ids=["nord", "gated-torus", "faults"],
+        ids=["nord", "faults"],
     )
     def test_ineligible_network_never_engages_however_dense(self, config, scheme):
         net = Network(config, scheme())

@@ -135,7 +135,6 @@ class TestSharedRouteTables:
         "mesh8": (dict(), PowerPunchPG),
         "mesh4": (dict(width=4, height=4), PowerPunchPG),
         "mesh4-one-hop": (dict(width=4, height=4), ConvOptPG),
-        "torus4": (dict(width=4, height=4, topology="torus"), ConvOptPG),
         "mesh4-reroute": (
             dict(
                 width=4, height=4, degradation="reroute", dead_router_threshold=50,
@@ -180,8 +179,6 @@ class TestSharedRouteTables:
         assert one.routing is not other.routing
         assert one.routing._next_hop_cache is other.routing._next_hop_cache
         assert one.routing._direction_cache is other.routing._direction_cache
-        torus = Network(NoCConfig(width=4, height=4, topology="torus"))
-        assert torus.routing._next_hop_cache is not one.routing._next_hop_cache
         bigger = Network(NoCConfig(width=5, height=4))
         assert bigger.routing._next_hop_cache is not one.routing._next_hop_cache
 
