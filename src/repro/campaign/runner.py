@@ -287,13 +287,13 @@ def _run_reliability_cell(spec: CellSpec) -> dict:
     network built from the cell config (the experiments layer passes a
     ``degradation="reroute"`` config), and run under strict invariants
     plus the deadlock watchdog, from cycle 0 to a full drain.  Liveness
-    failures (watchdog deadlock, drain timeout, fail-fast degradation)
-    are *outcomes*, not crashes — they are folded into the payload so
-    the estimator sees them; genuine invariant violations still
-    propagate as the cell's failure.
+    failures (watchdog deadlock, drain timeout) are *outcomes*, not
+    crashes — they are folded into the payload so the estimator sees
+    them; genuine invariant violations still propagate as the cell's
+    failure.
     """
     from ..noc import FaultInjector, InvariantChecker
-    from ..noc.errors import DeadlockError, DegradedNetworkError, DrainTimeoutError
+    from ..noc.errors import DeadlockError, DrainTimeoutError
     from ..noc.faults import sample_fault_schedule
 
     params = dict(spec.extras)
@@ -301,24 +301,20 @@ def _run_reliability_cell(spec: CellSpec) -> dict:
     schedule = sample_fault_schedule(
         spec.seed,
         config.num_nodes,
-        max_faults=int(params.get("max_faults", 2)),
-        horizon=int(params.get("horizon", 2000)),
+        max_faults=params["max_faults"],
+        horizon=params["horizon"],
     )
     scheme = build_scheme(spec) if spec.scheme != "-" else None
     outcome = "drained"
     with closing(Network(config, scheme)) as network:
         network.install_faults(FaultInjector(schedule))
         network.install_invariants(
-            InvariantChecker(
-                strict=True, max_network_age=int(params.get("watchdog", 50_000))
-            )
+            InvariantChecker(max_network_age=params["watchdog"])
         )
         try:
             _measure(network, spec, 0, spec.warmup + spec.measurement, True)
         except (DeadlockError, DrainTimeoutError):
             outcome = "deadlock"
-        except DegradedNetworkError:
-            outcome = "degraded"
     stats = network.stats
     in_flight_losses = stats.dropped_packets - stats.refused_packets
     return {

@@ -42,7 +42,7 @@ Robustness flags (before or after the command; see
     python -m repro.cli --faults "punch_drop,rate=0.5;seed=7" fig12
     python -m repro.cli --strict-invariants --watchdog 50000 baselines
     python -m repro.cli --degradation reroute --faults "router_stall,router=27" fig12
-    python -m repro.cli fig13 --degradation drop --dead-router-threshold 500
+    python -m repro.cli fig13 --degradation reroute --dead-router-threshold 500
 
 These are cell configuration, not process state: each flag overrides
 the ``NoCConfig`` field of the same name on every cell of the campaign
@@ -52,10 +52,11 @@ one) and holds under ``--workers N`` and ``--hosts`` exactly as it
 does inline.  ``--faults`` injects a deterministic fault schedule into
 every network; ``--strict-invariants`` runs the per-cycle invariant
 checker and deadlock watchdog (bound adjustable with ``--watchdog``),
-aborting on the first violation.  ``--degradation`` sets every
-network's graceful-degradation mode (``none``, ``drop``, ``reroute``,
-``fail_fast``) and ``--dead-router-threshold`` the number of
-continuously stalled cycles before a router is declared dead.
+aborting on the first violation.  ``--degradation`` sets what every
+network does with a dead router (``none`` leaves it to the watchdog,
+``reroute`` detours traffic around it) and ``--dead-router-threshold``
+the number of continuously stalled cycles before a router is declared
+dead.
 
 Monte-Carlo reliability campaigns (``docs/resilience.md``)::
 

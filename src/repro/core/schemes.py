@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..noc.network import Network
 from ..noc.network_interface import NetworkInterface
 from ..noc.packet import Packet, meet_powered_off
-from ..noc.policy import AlwaysOnPolicy, PowerPolicy
+from ..noc.policy import PowerPolicy
 from ..powergate.controller import PGState, PowerGateController
 from .punch_fabric import PunchFabric
 
@@ -42,7 +42,7 @@ def _punch_tables(spec: str, hops: int) -> Dict[Tuple[int, int], int]:
     return {}
 
 
-class NoPG(AlwaysOnPolicy):
+class NoPG(PowerPolicy):
     """Baseline without power-gating."""
 
     name = "No-PG"

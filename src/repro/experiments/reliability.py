@@ -121,7 +121,6 @@ def aggregate(outcomes: Sequence[dict]) -> dict:
     """
     trials = len(outcomes)
     deadlocks = sum(1 for o in outcomes if o["deadlocked"])
-    degraded = sum(1 for o in outcomes if o["outcome"] == "degraded")
     clean = sum(1 for o in outcomes if o["delivered_all"])
     injected = sum(o["injected"] for o in outcomes)
     delivered = sum(o["delivered"] for o in outcomes)
@@ -133,7 +132,6 @@ def aggregate(outcomes: Sequence[dict]) -> dict:
     return {
         "trials": trials,
         "deadlocks": deadlocks,
-        "degraded": degraded,
         "clean_trials": clean,
         "injected_packets": injected,
         "delivered_packets": delivered,
@@ -184,8 +182,7 @@ def report(estimate: dict) -> str:
         f"dropped={estimate['dropped_packets']} "
         f"rerouted={estimate['rerouted_packets']} "
         f"detour_hops={estimate['detour_hops']} "
-        f"wakeup_retries={estimate['wakeup_retries']} "
-        f"degraded_trials={estimate['degraded']}"
+        f"wakeup_retries={estimate['wakeup_retries']}"
     )
     return f"{table}\n{tail}"
 

@@ -140,10 +140,10 @@ def wakeup_penalty_per_hop(scheme, config: NoCConfig) -> int:
     :class:`UnboundableConfigError`.
     """
     from ..baselines.nord import NoRDLike
-    from ..core.schemes import PowerGatedScheme
-    from ..noc.policy import AlwaysOnPolicy
+    from ..core.schemes import NoPG, PowerGatedScheme
+    from ..noc.policy import PowerPolicy
 
-    if scheme is None or isinstance(scheme, AlwaysOnPolicy):
+    if scheme is None or isinstance(scheme, NoPG) or type(scheme) is PowerPolicy:
         return 0
     if isinstance(scheme, NoRDLike):
         raise UnboundableConfigError(

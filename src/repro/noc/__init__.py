@@ -7,7 +7,6 @@ from .errors import (
     BufferOverflowError,
     ConfigError,
     DeadlockError,
-    DegradedNetworkError,
     DrainTimeoutError,
     FaultSpecError,
     InvariantViolation,
@@ -36,14 +35,14 @@ from .packet import (
     control_packet,
     data_packet,
 )
-from .policy import AlwaysOnPolicy, PowerPolicy
+from .policy import PowerPolicy
 from .router import Router
 from .routing import (
     FaultTolerantRouting,
     XYRouting,
     default_routing,
 )
-from .stats import Activity, DroppedPacket, NetworkStats
+from .stats import Activity, NetworkStats
 from .topology import (
     ALL_DIRECTIONS,
     MESH_DIRECTIONS,
@@ -55,7 +54,6 @@ from .topology import (
 __all__ = [
     "ALL_DIRECTIONS",
     "Activity",
-    "AlwaysOnPolicy",
     "BoundViolationError",
     "BufferOverflowError",
     "CONTROL_PACKET_FLITS",
@@ -63,10 +61,8 @@ __all__ = [
     "Coordinate",
     "DATA_PACKET_FLITS",
     "DeadlockError",
-    "DegradedNetworkError",
     "Direction",
     "DrainTimeoutError",
-    "DroppedPacket",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultSchedule",

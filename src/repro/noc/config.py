@@ -22,7 +22,7 @@ from .topology import MeshTopology
 #: construction time so a typo (``kernel="vecotr"``) fails loudly with
 #: the option list instead of silently running some other kernel.
 VALID_KERNELS = ("auto", "active", "naive", "vector")
-VALID_DEGRADATIONS = ("none", "drop", "reroute", "fail_fast")
+VALID_DEGRADATIONS = ("none", "reroute")
 VALID_TOPOLOGIES = ("mesh",)
 #: Link traversal latency in cycles: every link is single-cycle.
 LINK_LATENCY = 1
@@ -63,19 +63,15 @@ class NoCConfig:
     kernel: str = "auto"
     #: Graceful degradation under permanent router faults (see
     #: ``docs/fault_model.md``): ``"none"`` leaves a permanently
-    #: stalled router to the deadlock watchdog; ``"drop"`` purges the
-    #: packets blocked behind a dead router (accounted as
-    #: ``DroppedPacket`` stats) and keeps the rest of the mesh live;
-    #: ``"reroute"`` switches to deadlock-free fault-tolerant routing
+    #: stalled router to the deadlock watchdog; ``"reroute"`` switches
+    #: to deadlock-free fault-tolerant routing
     #: (``repro.noc.routing.FaultTolerantRouting``) that detours live
     #: traffic around dead routers, refusing only genuinely
-    #: unreachable destinations; ``"fail_fast"`` raises
-    #: ``DegradedNetworkError`` with the blast radius the moment a
-    #: router is declared dead.
+    #: unreachable destinations.
     degradation: str = "none"
     #: Cycles a ``router_stall`` fault window must stay continuously
     #: open before the router is declared permanently dead (only
-    #: consulted when ``degradation`` is not ``"none"``).
+    #: consulted under ``degradation="reroute"``).
     dead_router_threshold: int = 1000
     #: Fabric shape: always ``"mesh"``, the paper's evaluation platform
     #: (the only accepted value).

@@ -27,9 +27,6 @@ working.
 * :class:`DeadlockError` — the deadlock/livelock watchdog tripped.
 * :class:`BoundViolationError` — a delivered packet exceeded its
   certified worst-case latency bound (see :mod:`repro.guarantees`).
-* :class:`DegradedNetworkError` — the graceful-degradation policy
-  declared a router permanently dead and failed fast; carries the
-  blast radius (dead routers + affected packets).
 * :class:`FaultSpecError` — a fault-schedule specification could not
   be parsed (a :class:`ValueError`, since it is a config problem).
 
@@ -170,31 +167,6 @@ class BoundViolationError(InvariantViolation):
         self.terms = dict(terms) if terms else {}
         self.route = list(route)
         super().__init__("latency-bound", message, **context)
-
-
-class DegradedNetworkError(SimulationError):
-    """A router was declared permanently dead under ``fail_fast``.
-
-    Carries the blast radius: ``dead_routers`` (every router currently
-    declared dead) and ``affected_packets`` (ids of live packets whose
-    remaining route crosses a dead router at declaration time).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        dead_routers=(),
-        affected_packets=(),
-        **context,
-    ) -> None:
-        self.dead_routers = tuple(dead_routers)
-        self.affected_packets = tuple(affected_packets)
-        radius = (
-            f" [dead_routers={list(self.dead_routers)} "
-            f"affected_packets={len(self.affected_packets)}]"
-        )
-        super().__init__(message + radius, **context)
 
 
 class FaultSpecError(ValueError):

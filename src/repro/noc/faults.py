@@ -45,7 +45,7 @@ Clauses are ``;``-separated; each is a fault kind followed by
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FaultSpecError
@@ -159,10 +159,6 @@ class FaultSchedule:
             specs.append(FaultSpec(kind=head, **kwargs))  # type: ignore[arg-type]
         return cls(specs=specs, seed=seed)
 
-    def with_seed(self, seed: int) -> "FaultSchedule":
-        """A copy of this schedule under a different seed."""
-        return replace(self, seed=seed)
-
     def to_spec(self) -> str:
         """Render back to the compact ``--faults`` grammar.
 
@@ -189,13 +185,6 @@ class FaultSchedule:
         if self.seed:
             clauses.append(f"seed={self.seed}")
         return ";".join(clauses)
-
-    def kinds(self) -> List[str]:
-        """Distinct fault kinds present in the schedule."""
-        seen: Dict[str, None] = {}
-        for spec in self.specs:
-            seen[spec.kind] = None
-        return list(seen)
 
 
 class FaultInjector:
@@ -291,20 +280,6 @@ class FaultInjector:
         return True
 
     # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def total_fired(self) -> int:
-        """Total faults fired so far, across all kinds."""
-        return sum(self.counts.values())
-
-    def summary(self) -> str:
-        """One-line per-kind firing summary."""
-        fired = {k: v for k, v in self.counts.items() if v}
-        if not fired:
-            return "no faults fired"
-        return ", ".join(f"{k}={v}" for k, v in fired.items())
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _roll(self, kind: str, router: int, cycle: int) -> Optional[FaultSpec]:
@@ -355,18 +330,14 @@ SAMPLABLE_FAULT_KINDS = (
     "wakeup_delay",
     "router_stall",
 )
+#: Range a sampled rate-based clause's ``rate`` is drawn from, uniformly.
+SAMPLED_RATE_RANGE = (0.05, 0.5)
+#: Largest ``delay`` a sampled delay-based clause is given.
+SAMPLED_MAX_DELAY = 8
 
 
 def sample_fault_schedule(
-    seed: int,
-    num_nodes: int,
-    *,
-    kinds: Tuple[str, ...] = SAMPLABLE_FAULT_KINDS,
-    max_faults: int = 2,
-    horizon: int = 200,
-    rate_lo: float = 0.05,
-    rate_hi: float = 0.5,
-    max_delay: int = 8,
+    seed: int, num_nodes: int, *, max_faults: int, horizon: int
 ) -> FaultSchedule:
     """Draw one fault schedule from a seeded distribution.
 
@@ -381,15 +352,16 @@ def sample_fault_schedule(
     ``router_stall`` clauses are always router-specific and permanent
     (open-ended window starting inside ``horizon``) — the shape the
     dead-router detector promotes to a death.  Rate-based kinds get a
-    rate uniform in ``[rate_lo, rate_hi]`` (rounded so the spec string
-    round-trips) and delay-based kinds a delay in ``[1, max_delay]``.
+    rate uniform in ``SAMPLED_RATE_RANGE`` (rounded so the spec string
+    round-trips) and delay-based kinds a delay in
+    ``[1, SAMPLED_MAX_DELAY]``.
     """
     if max_faults < 1:
         raise FaultSpecError("max_faults must be at least 1")
     rng = random.Random(seed)
     specs = []
     for _ in range(rng.randint(1, max_faults)):
-        kind = rng.choice(list(kinds))
+        kind = rng.choice(SAMPLABLE_FAULT_KINDS)
         if kind == "router_stall":
             specs.append(
                 FaultSpec(
@@ -400,12 +372,12 @@ def sample_fault_schedule(
             )
             continue
         kwargs = {
-            "rate": round(rng.uniform(rate_lo, rate_hi), 4),
+            "rate": round(rng.uniform(*SAMPLED_RATE_RANGE), 4),
             "start": rng.randrange(horizon),
         }
         if rng.random() < 0.5:
             kwargs["router"] = rng.randrange(num_nodes)
         if kind.endswith("_delay"):
-            kwargs["delay"] = rng.randint(1, max_delay)
+            kwargs["delay"] = rng.randint(1, SAMPLED_MAX_DELAY)
         specs.append(FaultSpec(kind=kind, **kwargs))
     return FaultSchedule(specs=specs, seed=rng.randrange(1 << 30))

@@ -2,7 +2,7 @@
 
 The simulator normally trusts its own bookkeeping; this module makes
 that trust checkable.  An :class:`InvariantChecker` attached to a
-network verifies, once per ``check_interval`` cycles:
+network verifies, every cycle:
 
 * **flit conservation** — every flit sent into the mesh is either
   buffered in a VC, in flight on a link, queued for ejection, or was
@@ -15,11 +15,11 @@ network verifies, once per ``check_interval`` cycles:
   VCs claim the same downstream VC;
 * **no gated-off traversal** — a flit never lands at a router whose
   power-gating signal says it cannot accept one (checked on every
-  arrival, not just on the interval);
+  arrival);
 * **corruption detection** — a flit marked corrupted by the fault
   injector is flagged the moment it lands.
 
-A **deadlock/livelock watchdog** runs on the same interval: any packet
+A **deadlock/livelock watchdog** runs every cycle too: any packet
 whose in-network age exceeds ``max_network_age`` (or, optionally,
 whose NI-queue age exceeds ``max_queue_age``) trips a
 :class:`~repro.noc.errors.DeadlockError` carrying a structured
@@ -28,10 +28,7 @@ of every router on those routes (PG state, VC occupancy), and the last
 N events from the network's flight recorder (``Network.ring``), where
 the checker logs packet creations, deliveries and drops.
 
-With ``strict=True`` (the default) violations raise immediately; with
-``strict=False`` they accumulate in :attr:`InvariantChecker.violations`
-for later inspection — useful inside property tests that expect a
-fault to be *detected* rather than fatal.
+Every violation raises the moment it is detected.
 """
 
 from __future__ import annotations
@@ -117,29 +114,20 @@ class InvariantChecker:
     subscribes the ``on_*`` hooks to the network's events (which pins
     the object kernel: they are per-flit events).  The checker is
     opt-in precisely because the structural checks cost O(ports x VCs)
-    per check — ``check_interval`` amortizes that for long experiment
-    runs while keeping detection latency bounded.
+    per cycle.
     """
 
     def __init__(
         self,
         *,
-        strict: bool = True,
-        check_interval: int = 1,
         max_network_age: int = 10_000,
         max_queue_age: Optional[int] = None,
     ) -> None:
-        if check_interval < 1:
-            raise ValueError("check_interval must be positive")
         if max_network_age < 1:
             raise ValueError("max_network_age must be positive")
-        self.strict = strict
-        self.check_interval = check_interval
         self.max_network_age = max_network_age
         self.max_queue_age = max_queue_age
         self.network: Optional["Network"] = None
-        #: Violations recorded in non-strict mode (strict mode raises).
-        self.violations: List[InvariantViolation] = []
         #: Packets created but not yet delivered, by id.
         self.live: Dict[int, "Packet"] = {}
         # Flit accounting (conservation check).
@@ -148,7 +136,6 @@ class InvariantChecker:
         #: Flits removed from the mesh by the graceful-degradation
         #: purge — a third, accounted way for a sent flit to leave.
         self.flits_dropped = 0
-        self.corrupted_arrivals = 0
         self.checks_run = 0
 
     # ------------------------------------------------------------------
@@ -189,23 +176,18 @@ class InvariantChecker:
         """A flit landed in a router input buffer: PG-safety checks."""
         network = self.network
         if not network.policy.is_router_available_by(router_id, cycle):
-            self._violation(
-                InvariantViolation(
-                    "gated-traversal",
-                    f"flit of pkt#{flit.packet.packet_id} arrived at a "
-                    "router whose PG signal is asserted",
-                    cycle=cycle, router=router_id, packet=flit.packet.packet_id,
-                )
+            raise InvariantViolation(
+                "gated-traversal",
+                f"flit of pkt#{flit.packet.packet_id} arrived at a "
+                "router whose PG signal is asserted",
+                cycle=cycle, router=router_id, packet=flit.packet.packet_id,
             )
         if getattr(flit, "corrupted", False):
-            self.corrupted_arrivals += 1
-            self._violation(
-                InvariantViolation(
-                    "flit-integrity",
-                    f"corrupted flit {flit.index} of pkt#{flit.packet.packet_id} "
-                    "arrived",
-                    cycle=cycle, router=router_id, packet=flit.packet.packet_id,
-                )
+            raise InvariantViolation(
+                "flit-integrity",
+                f"corrupted flit {flit.index} of pkt#{flit.packet.packet_id} "
+                "arrived",
+                cycle=cycle, router=router_id, packet=flit.packet.packet_id,
             )
 
     def on_ejected(self, node: int, flit: "Flit", cycle: int) -> None:
@@ -229,9 +211,7 @@ class InvariantChecker:
     on_refused = on_dropped
 
     def on_cycle_end(self, cycle: int) -> None:
-        """Interval checks + watchdog; called once per simulated cycle."""
-        if cycle % self.check_interval:
-            return
+        """Structural checks + watchdog; called once per simulated cycle."""
         self.checks_run += 1
         self.check_flit_conservation(cycle)
         self.check_credit_conservation(cycle)
@@ -253,15 +233,13 @@ class InvariantChecker:
         in_system = buffered + flying + ejecting
         expected = self.flits_sent - self.flits_ejected - self.flits_dropped
         if in_system != expected:
-            self._violation(
-                InvariantViolation(
-                    "flit-conservation",
-                    f"{self.flits_sent} sent - {self.flits_ejected} ejected - "
-                    f"{self.flits_dropped} dropped = "
-                    f"{expected} expected in system, found {in_system} "
-                    f"(buffered={buffered} flying={flying} ejecting={ejecting})",
-                    cycle=cycle,
-                )
+            raise InvariantViolation(
+                "flit-conservation",
+                f"{self.flits_sent} sent - {self.flits_ejected} ejected - "
+                f"{self.flits_dropped} dropped = "
+                f"{expected} expected in system, found {in_system} "
+                f"(buffered={buffered} flying={flying} ejecting={ejecting})",
+                cycle=cycle,
             )
 
     def check_credit_conservation(self, cycle: int) -> None:
@@ -292,13 +270,11 @@ class InvariantChecker:
                         + credit_inflight[(rid, direction, vc)]
                     )
                     if total != depth:
-                        self._violation(
-                            InvariantViolation(
-                                "credit-conservation",
-                                f"link R{rid}->{direction.name}->R{downstream} "
-                                f"accounts for {total} slots, depth is {depth}",
-                                cycle=cycle, router=rid, port=direction, vc=vc,
-                            )
+                        raise InvariantViolation(
+                            "credit-conservation",
+                            f"link R{rid}->{direction.name}->R{downstream} "
+                            f"accounts for {total} slots, depth is {depth}",
+                            cycle=cycle, router=rid, port=direction, vc=vc,
                         )
             # NI-to-router local link.
             ni = network.interfaces[rid]
@@ -311,13 +287,11 @@ class InvariantChecker:
                     + credit_inflight[(-rid - 1, Direction.LOCAL, vc)]
                 )
                 if total != depth:
-                    self._violation(
-                        InvariantViolation(
-                            "credit-conservation",
-                            f"NI link at node {rid} accounts for {total} "
-                            f"slots, depth is {depth}",
-                            cycle=cycle, router=rid, port=Direction.LOCAL, vc=vc,
-                        )
+                    raise InvariantViolation(
+                        "credit-conservation",
+                        f"NI link at node {rid} accounts for {total} "
+                        f"slots, depth is {depth}",
+                        cycle=cycle, router=rid, port=Direction.LOCAL, vc=vc,
                     )
 
     def check_vc_ownership(self, cycle: int) -> None:
@@ -333,27 +307,22 @@ class InvariantChecker:
                     key = (vc.route, vc.out_vc)
                     holder = (in_dir, vc.vc_index)
                     if key in claims:
-                        self._violation(
-                            InvariantViolation(
-                                "vc-ownership",
-                                f"downstream vc{vc.out_vc} of output "
-                                f"{vc.route.name} claimed by both "
-                                f"{claims[key]} and {holder}",
-                                cycle=cycle, router=rid, port=vc.route, vc=vc.out_vc,
-                            )
+                        raise InvariantViolation(
+                            "vc-ownership",
+                            f"downstream vc{vc.out_vc} of output "
+                            f"{vc.route.name} claimed by both "
+                            f"{claims[key]} and {holder}",
+                            cycle=cycle, router=rid, port=vc.route, vc=vc.out_vc,
                         )
-                        continue
                     claims[key] = holder
                     owner = router.output_ports[vc.route].owner[vc.out_vc]
                     if owner != holder:
-                        self._violation(
-                            InvariantViolation(
-                                "vc-ownership",
-                                f"input {in_dir.name}/vc{vc.vc_index} is ACTIVE "
-                                f"on {vc.route.name}/vc{vc.out_vc} but the "
-                                f"output port records owner {owner}",
-                                cycle=cycle, router=rid, port=vc.route, vc=vc.out_vc,
-                            )
+                        raise InvariantViolation(
+                            "vc-ownership",
+                            f"input {in_dir.name}/vc{vc.vc_index} is ACTIVE "
+                            f"on {vc.route.name}/vc{vc.out_vc} but the "
+                            f"output port records owner {owner}",
+                            cycle=cycle, router=rid, port=vc.route, vc=vc.out_vc,
                         )
             # Reverse direction: every recorded owner must map back to
             # an ACTIVE input VC holding exactly that downstream VC.
@@ -368,16 +337,14 @@ class InvariantChecker:
                         or ivc.route is not out_dir
                         or ivc.out_vc != out_vc
                     ):
-                        self._violation(
-                            InvariantViolation(
-                                "vc-ownership",
-                                f"output {out_dir.name}/vc{out_vc} records owner "
-                                f"{in_dir.name}/vc{in_vc}, but that input VC is "
-                                f"{ivc.state.name} on "
-                                f"{ivc.route.name if ivc.route else None}/"
-                                f"vc{ivc.out_vc}",
-                                cycle=cycle, router=rid, port=out_dir, vc=out_vc,
-                            )
+                        raise InvariantViolation(
+                            "vc-ownership",
+                            f"output {out_dir.name}/vc{out_vc} records owner "
+                            f"{in_dir.name}/vc{in_vc}, but that input VC is "
+                            f"{ivc.state.name} on "
+                            f"{ivc.route.name if ivc.route else None}/"
+                            f"vc{ivc.out_vc}",
+                            cycle=cycle, router=rid, port=out_dir, vc=out_vc,
                         )
 
     def check_active_sets(self, cycle: int) -> None:
@@ -396,24 +363,20 @@ class InvariantChecker:
         network = self.network
         for router in network.routers:
             if router._occupied and router.router_id not in network.active_routers:
-                self._violation(
-                    InvariantViolation(
-                        "active-set-coverage",
-                        f"router {router.router_id} has "
-                        f"{len(router._occupied)} occupied VC(s) but is "
-                        "missing from active_routers",
-                        cycle=cycle, router=router.router_id,
-                    )
+                raise InvariantViolation(
+                    "active-set-coverage",
+                    f"router {router.router_id} has "
+                    f"{len(router._occupied)} occupied VC(s) but is "
+                    "missing from active_routers",
+                    cycle=cycle, router=router.router_id,
                 )
         for ni in network.interfaces:
             if ni.has_work() and ni.node not in network.active_nis:
-                self._violation(
-                    InvariantViolation(
-                        "active-set-coverage",
-                        f"NI {ni.node} has queued/streaming work but is "
-                        "missing from active_nis",
-                        cycle=cycle, router=ni.node,
-                    )
+                raise InvariantViolation(
+                    "active-set-coverage",
+                    f"NI {ni.node} has queued/streaming work but is "
+                    "missing from active_nis",
+                    cycle=cycle, router=ni.node,
                 )
         policy = network.policy
         armed = getattr(policy, "_armed", None)
@@ -424,13 +387,11 @@ class InvariantChecker:
 
         for controller in controllers:
             if controller.state is not PGState.OFF and controller.router_id not in armed:
-                self._violation(
-                    InvariantViolation(
-                        "active-set-coverage",
-                        f"PG controller {controller.router_id} is "
-                        f"{controller.state.name} but not armed for stepping",
-                        cycle=cycle, router=controller.router_id,
-                    )
+                raise InvariantViolation(
+                    "active-set-coverage",
+                    f"PG controller {controller.router_id} is "
+                    f"{controller.state.name} but not armed for stepping",
+                    cycle=cycle, router=controller.router_id,
                 )
 
     def check_watchdog(self, cycle: int) -> None:
@@ -464,9 +425,7 @@ class InvariantChecker:
             packet=stuck[0].packet_id,
         )
         self.network.attach_fault_context(error)
-        if self.strict:
-            raise error
-        self.violations.append(error)
+        raise error
 
     # ------------------------------------------------------------------
     # Post-mortem construction
@@ -569,9 +528,3 @@ class InvariantChecker:
             "incoming_in_flight": router.incoming_in_flight,
             "occupied_vcs": occupied,
         }
-
-    # ------------------------------------------------------------------
-    def _violation(self, error: InvariantViolation) -> None:
-        if self.strict:
-            raise error
-        self.violations.append(error)

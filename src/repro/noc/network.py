@@ -10,7 +10,8 @@ ordered tuple of callables each called with the cycle number.  The
 object kernel's table (``Network._cycle_phases``) is: deliver flits,
 deliver credits, policy ``begin_cycle``, NI injection, VC then switch
 allocation, policy ``end_cycle``, cycle close — led by the
-degradation check once a fault injector is installed.  The vector
+degradation check once a fault injector is installed on a rerouting
+network.  The vector
 engine installs its own table while it holds the run, and the
 full-scan reference declares its own.
 
@@ -52,16 +53,11 @@ from typing import (
 
 from .buffers import VCState, VirtualChannel
 from .config import NoCConfig
-from .errors import (
-    DegradedNetworkError,
-    DrainTimeoutError,
-    NetworkClosedError,
-    TopologyError,
-)
+from .errors import DrainTimeoutError, NetworkClosedError, TopologyError
 from .faults import FaultInjector, FaultSchedule
 from .network_interface import NetworkInterface
 from .packet import Flit, Packet, meet_powered_off
-from .policy import AlwaysOnPolicy, PowerPolicy
+from .policy import PowerPolicy
 from .router import Router
 from .routing import FaultTolerantRouting, XYRouting, default_routing
 from .stats import Activity, NetworkStats
@@ -162,7 +158,7 @@ class Network:
             self.routing: XYRouting = FaultTolerantRouting(self.topology)
         else:
             self.routing = default_routing(self.topology)
-        self.policy = policy if policy is not None else AlwaysOnPolicy()
+        self.policy = policy if policy is not None else PowerPolicy()
         self.cycle = 0
         #: Set by :meth:`close`; a closed network only answers reads.
         self.closed = False
@@ -231,11 +227,8 @@ class Network:
         self.ring: Optional[EventRing] = None
         #: Optional latency-bound checker (see install_bounds).
         self.bounds = None
-        #: Graceful-degradation state (see _check_degradation): routers
-        #: declared permanently dead, and a memo of which (start, dest)
-        #: XY walks cross one (cleared whenever the dead set grows).
+        #: Routers declared permanently dead (see _check_degradation).
         self.dead_routers: Set[int] = set()
-        self._route_crosses_dead: Dict[Tuple[int, int], bool] = {}
         # Context for the bound-method SA sinks (see _run_switch_allocation).
         self._sa_router: Optional[Router] = None
         self._sa_cycle = 0
@@ -250,7 +243,7 @@ class Network:
             kwargs = {}
             if config.watchdog is not None:
                 kwargs["max_network_age"] = config.watchdog
-            self.install_invariants(InvariantChecker(strict=True, **kwargs))
+            self.install_invariants(InvariantChecker(**kwargs))
         if config.bounds:
             # Deferred import: the guarantees layer sits above noc.
             from ..guarantees import BoundChecker
@@ -354,27 +347,18 @@ class Network:
         """Hand a freshly created message to its source NI this cycle."""
         if self.closed:
             raise NetworkClosedError("inject() on a closed network", cycle=self.cycle)
-        if self.dead_routers and (
-            (
-                self.config.degradation == "drop"
-                and self._crosses_dead(packet.source, packet.destination)
-            )
-            or (
-                self.config.degradation == "reroute"
-                and not self.routing.reachable(packet.source, packet.destination)
-            )
+        if self.dead_routers and not self.routing.reachable(
+            packet.source, packet.destination
         ):
-            # Under "drop" the packet would wedge behind a dead router;
-            # under "reroute" only genuinely unreachable endpoints are
-            # refused (dead source/destination, or a node the fault cut
-            # off from the live component) — everything else detours.
-            # Either way: refuse at the door with full accounting
-            # instead of letting it (and everything behind it) pile up
-            # until the watchdog fires.  Refused packets are never
-            # record_injection()'d, so they land in the refused_*
-            # subset of the drop counters.
+            # Only genuinely unreachable endpoints are refused (dead
+            # source/destination, or a node the fault cut off from the
+            # live component); everything else detours.  Refused at the
+            # door with full accounting instead of letting it (and
+            # everything behind it) pile up until the watchdog fires.
+            # Refused packets are never record_injection()'d, so they
+            # land in the refused_* subset of the drop counters.
             packet.created_at = self.cycle
-            self.stats.record_refusal(packet, self.cycle, self.dead_routers)
+            self.stats.record_refusal(packet)
             for fn in self._subscribers["refused"]:
                 fn(packet, self.cycle)
             return
@@ -557,8 +541,8 @@ class Network:
         )
 
     def _degradation_phase(self) -> Tuple[Callable[[int], None], ...]:
-        """The degradation check, leading a faulted degrading network's cycle."""
-        if self.faults is not None and self.config.degradation != "none":
+        """The degradation check, leading a faulted rerouting network's cycle."""
+        if self.faults is not None and self.config.degradation == "reroute":
             return (self._check_degradation,)
         return ()
 
@@ -767,37 +751,19 @@ class Network:
     # ------------------------------------------------------------------
     # Graceful degradation under permanent faults
     # ------------------------------------------------------------------
-    def _crosses_dead(self, start: int, dest: int) -> bool:
-        """Whether the XY walk ``start -> dest`` touches a dead router."""
-        key = (start, dest)
-        hit = self._route_crosses_dead.get(key)
-        if hit is None:
-            dead = self.dead_routers
-            hit = start in dead
-            node = start
-            while not hit and node != dest:
-                node = self.routing.next_hop(node, dest)
-                hit = node in dead
-            self._route_crosses_dead[key] = hit
-        return hit
-
     def _check_degradation(self, cycle: int) -> None:
-        """Declare routers dead and apply the configured policy.
+        """Declare routers dead and route live traffic around them.
 
         A router is dead once its ``router_stall`` fault window has
         been continuously open for ``dead_router_threshold`` cycles
-        (see :meth:`FaultInjector.dead_routers`).  ``fail_fast`` raises
-        :class:`DegradedNetworkError` carrying the blast radius;
-        ``drop`` purges every packet whose remaining route crosses a
-        dead router — with full credit/ownership restoration, so the
-        strict invariant checker stays green — and keeps the rest of
-        the mesh live.  ``reroute`` keeps traffic flowing instead:
-        only packets physically stuck in (or flying toward, or
-        unreachable past) the dead routers are purged, every surviving
-        head flit's route is recomputed against the rebuilt
-        fault-tolerant tables, and the tables' channel-dependency
-        graph is re-certified acyclic whenever an invariant checker is
-        installed.
+        (see :meth:`FaultInjector.dead_routers`).  Order matters: the
+        tables are rebuilt first (and certified deadlock-free when an
+        invariant checker is installed), then packets that cannot be
+        saved — a flit buffered in or flying toward a dead router, or
+        an endpoint the fault disconnected — are purged with full
+        accounting, and finally every surviving buffered head flit
+        re-resolves its output port against the new tables (releasing
+        any downstream VC grant that pointed the old way).
         """
         newly = [
             rid
@@ -808,32 +774,31 @@ class Network:
         ]
         if not newly:
             return
-        self.dead_routers.update(newly)
-        self._route_crosses_dead.clear()
+        dead = self.dead_routers
+        dead.update(newly)
         for rid in newly:
             self.ring.record(
                 cycle, "router-dead", rid,
                 f"stalled >= {self.config.dead_router_threshold} cycles",
             )
-        if self.config.degradation == "reroute":
-            self._apply_reroute(cycle)
-            return
-        # The blast radius: every live packet whose remaining XY route
-        # crosses a dead router, from any site one of its flits holds.
-        doomed = self._doomed(self._crosses_dead)
-        if self.config.degradation == "fail_fast":
-            error = DegradedNetworkError(
-                f"router(s) {newly} declared permanently dead after "
-                f"{self.config.dead_router_threshold} continuously stalled cycles",
-                dead_routers=sorted(self.dead_routers),
-                affected_packets=sorted(doomed),
-                cycle=cycle,
-                router=newly[0],
-            )
-            self.attach_fault_context(error)
-            raise error
+        routing = self.routing
+        routing.set_dead(frozenset(dead))
+        if self.invariants is not None:
+            routing.verify_deadlock_free()
+        # Stranded packets only — merely routing *through* the dead
+        # region is cured by the detour.  ``reachable`` is already False
+        # at a dead router, so one test serves every site.  Keyed by id
+        # in walk order (the order their drops are recorded in).
+        reachable = routing.reachable
+        doomed: Dict[int, Packet] = {}
+        for packet, at in self._live_sites():
+            if packet.packet_id not in doomed and (
+                at in dead or not reachable(at, packet.destination)
+            ):
+                doomed[packet.packet_id] = packet
         if doomed:
             self._purge_doomed(doomed, cycle)
+        self._recompute_head_routes(cycle)
 
     def attach_fault_context(self, error: Exception) -> None:
         """Stamp ``error`` with the fault spec and dead-router set.
@@ -846,31 +811,6 @@ class Network:
             error.fault_spec = self.faults.schedule.to_spec()
         if not getattr(error, "dead_routers", None):
             error.dead_routers = tuple(sorted(self.dead_routers))
-
-    def _apply_reroute(self, cycle: int) -> None:
-        """Route live traffic around the (grown) dead set.
-
-        Order matters: the tables are rebuilt first (and certified
-        deadlock-free under the strict checker), then packets that
-        cannot be saved — a flit buffered in or flying toward a dead
-        router, or an endpoint the fault disconnected — are purged
-        with full accounting, and finally every surviving buffered
-        head flit re-resolves its output port against the new tables
-        (releasing any downstream VC grant that pointed the old way).
-        """
-        routing = self.routing
-        dead = self.dead_routers
-        routing.set_dead(frozenset(dead))
-        if self.invariants is not None:
-            routing.verify_deadlock_free()
-        # Stranded packets only — merely routing *through* the dead
-        # region is cured by the detour.  ``reachable`` is already False
-        # at a dead router, so one test serves every site.
-        reachable = routing.reachable
-        doomed = self._doomed(lambda at, dest: at in dead or not reachable(at, dest))
-        if doomed:
-            self._purge_doomed(doomed, cycle)
-        self._recompute_head_routes(cycle)
 
     def _recompute_head_routes(self, cycle: int) -> None:
         """Re-resolve every surviving front head flit's output port.
@@ -921,16 +861,6 @@ class Network:
         for events in self._flit_events.values():
             for router_id, _direction, _vc, flit in events:
                 yield flit.packet, router_id
-
-    def _doomed(self, at_risk: Callable[[int, int], bool]) -> Dict[int, Packet]:
-        """Live packets with a site ``at`` where ``at_risk(at,
-        destination)``, keyed by id in walk order (the order their drops
-        are recorded in)."""
-        doomed: Dict[int, Packet] = {}
-        for packet, at in self._live_sites():
-            if packet.packet_id not in doomed and at_risk(at, packet.destination):
-                doomed[packet.packet_id] = packet
-        return doomed
 
     @staticmethod
     def _release_grant(router: Router, vc: VirtualChannel) -> None:
@@ -1055,7 +985,7 @@ class Network:
         # Per-packet accounting, then active-set bookkeeping for
         # routers the purge emptied.
         for packet in doomed.values():
-            self.stats.record_drop(packet, cycle, self.dead_routers)
+            self.stats.record_drop(packet)
             for fn in self._subscribers["dropped"]:
                 fn(packet, cycle)
         for router in self.routers:

@@ -6,8 +6,8 @@ events power-gating schemes care about (switch-allocation stalls caused
 by gated-off routers, message creation and injection checks at network
 interfaces, flits heading toward or draining out of a router).  The
 concrete schemes live in :mod:`repro.powergate` and
-:mod:`repro.core.schemes`; :class:`AlwaysOnPolicy` is the No-PG
-baseline.
+:mod:`repro.core.schemes`; the base class itself is the always-on
+behaviour every network defaults to (``NoPG`` is its named baseline).
 """
 
 from __future__ import annotations
@@ -124,6 +124,3 @@ class PowerPolicy:
         """Whether the router is mid-wakeup (for power stats)."""
         return False
 
-
-class AlwaysOnPolicy(PowerPolicy):
-    """Explicit alias for the No-PG baseline."""

@@ -183,14 +183,6 @@ class XYRouting:
             node = nxt
         return node
 
-    def uses_link(self, source: int, target: int, link_src: int, link_dst: int) -> bool:
-        """Whether the path from ``source`` to ``target`` crosses a link."""
-        nodes = self.path(source, target)
-        for a, b in zip(nodes, nodes[1:]):
-            if a == link_src and b == link_dst:
-                return True
-        return False
-
     # ------------------------------------------------------------------
     # Turn legality
     # ------------------------------------------------------------------

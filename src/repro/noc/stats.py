@@ -9,25 +9,11 @@ feeding the energy model (Fig. 11) — read as one :class:`Activity`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List
+from dataclasses import dataclass, fields, replace
+from typing import Dict
 
 from .errors import SimulationError
 from .packet import Packet
-
-
-@dataclass(frozen=True)
-class DroppedPacket:
-    """One packet purged by the graceful-degradation policy."""
-
-    packet_id: int
-    source: int
-    destination: int
-    cycle: int
-    flits: int
-    #: Routers declared dead when the drop happened (the blast radius
-    #: this packet was part of).
-    dead_routers: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -104,7 +90,7 @@ class NetworkStats:
     dropped_packets: int = 0
     dropped_flits: int = 0
     #: Subset of the drop counters: packets refused at the NI door
-    #: because their route crossed a dead router (never injected).
+    #: because a dead router cut their destination off (never injected).
     refused_packets: int = 0
     refused_flits: int = 0
     #: Fault-tolerance counters.  ``wakeup_retries`` counts wakeup
@@ -119,7 +105,6 @@ class NetworkStats:
     wakeup_retries: int = 0
     rerouted_packets: int = 0
     detour_hops: int = 0
-    drops: List[DroppedPacket] = field(default_factory=list)
 
     def record_delivery(self, packet: Packet, hops: int) -> None:
         """Account a delivered packet (ignored if created during warmup)."""
@@ -148,34 +133,24 @@ class NetworkStats:
         self.injected_packets += 1
         self.injected_flits += packet.size_flits
 
-    def record_refusal(self, packet: Packet, cycle: int, dead_routers=()) -> None:
+    def record_refusal(self, packet: Packet) -> None:
         """Account a packet refused at injection (never entered the
         mesh).  Refusals count into the drop totals *and* into the
         ``refused_*`` subset, so consumers can separate never-injected
         losses from in-flight purges."""
         self.refused_packets += 1
         self.refused_flits += packet.size_flits
-        self.record_drop(packet, cycle, dead_routers)
+        self.record_drop(packet)
 
-    def record_drop(self, packet: Packet, cycle: int, dead_routers=()) -> None:
+    def record_drop(self, packet: Packet) -> None:
         """Account a packet purged by graceful degradation."""
         self.dropped_packets += 1
         self.dropped_flits += packet.size_flits
-        self.drops.append(
-            DroppedPacket(
-                packet_id=packet.packet_id,
-                source=packet.source,
-                destination=packet.destination,
-                cycle=cycle,
-                flits=packet.size_flits,
-                dead_routers=tuple(sorted(dead_routers)),
-            )
-        )
 
     def as_dict(self) -> Dict[str, int]:
         """Every integer counter, in field order, for cycle-exact golden
-        comparisons (``drops`` is the record list behind two of them)."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "drops"}
+        comparisons."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # ------------------------------------------------------------------
     @property

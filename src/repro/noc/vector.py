@@ -226,10 +226,10 @@ def try_engage(net) -> Optional["VectorEngine"]:
     if net.dead_routers or getattr(net.routing, "dead", None):
         return None
     from ..core import schemes
-    from .policy import AlwaysOnPolicy, PowerPolicy
+    from .policy import PowerPolicy
 
     ptype = type(net.policy)
-    if ptype in (AlwaysOnPolicy, PowerPolicy, schemes.NoPG):
+    if ptype in (PowerPolicy, schemes.NoPG):
         gated = False
     elif ptype in (
         schemes.ConvOptPG,

@@ -27,9 +27,14 @@ def uniform_random(source: int, topology: MeshTopology, rng: random.Random) -> i
 
 
 def transpose(source: int, topology: MeshTopology, rng: random.Random) -> int:
-    """Node (x, y) sends to (y, x)."""
+    """Node (x, y) sends to (y, x) (square meshes only: on any other
+    shape the map is not a permutation)."""
+    if topology.width != topology.height:
+        raise ValueError(
+            f"transpose needs a square mesh, got {topology.width}x{topology.height}"
+        )
     c = topology.coord(source)
-    return topology.node_at(c.y % topology.width, c.x % topology.height)
+    return topology.node_at(c.y, c.x)
 
 
 def bit_complement(source: int, topology: MeshTopology, rng: random.Random) -> int:
@@ -38,13 +43,20 @@ def bit_complement(source: int, topology: MeshTopology, rng: random.Random) -> i
 
 
 def bit_reverse(source: int, topology: MeshTopology, rng: random.Random) -> int:
-    """Node i sends to the bit-reversal of i (power-of-two fabrics)."""
-    bits = (topology.num_nodes - 1).bit_length()
+    """Node i sends to the bit-reversal of i (power-of-two node counts
+    only: on any other count the map is not a permutation)."""
+    n = topology.num_nodes
+    if n & (n - 1):
+        raise ValueError(
+            f"bit_reverse needs a power-of-two node count, got {n} "
+            f"({topology.width}x{topology.height})"
+        )
+    bits = (n - 1).bit_length()
     value = 0
     for b in range(bits):
         if source & (1 << b):
             value |= 1 << (bits - 1 - b)
-    return value % topology.num_nodes
+    return value
 
 
 def tornado(source: int, topology: MeshTopology, rng: random.Random) -> int:

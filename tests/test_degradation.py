@@ -2,19 +2,18 @@
 
 A router whose ``router_stall`` fault window stays continuously open
 for ``dead_router_threshold`` cycles is declared permanently dead.
-``degradation="fail_fast"`` raises :class:`DegradedNetworkError`
-carrying the blast radius; ``degradation="drop"`` purges every packet
-whose remaining route crosses a dead router — with full credit and
-VC-state restoration, verified here by running the strict invariant
-checker and draining the survivors — and accounts each loss as a
-:class:`DroppedPacket`.
+``degradation="reroute"`` then purges every packet with a flit in (or
+flying toward) a dead router — with full credit and VC-state
+restoration, verified here by running the strict invariant checker and
+draining the survivors — and accounts each loss in the ``dropped_*``
+counters.  Rerouting itself is covered in ``test_reroute.py``.
 """
 
 import pytest
 
-from repro.core import NoPG, PowerPunchPG
+from repro.core import NoPG
 from repro.noc import (
-    DegradedNetworkError,
+    ConfigError,
     FaultInjector,
     FaultSchedule,
     FaultSpec,
@@ -24,21 +23,20 @@ from repro.noc import (
     VirtualNetwork,
     control_packet,
 )
-from repro.traffic import SyntheticTraffic
 
 #: Router 5 sits mid-mesh on the 4->6 XY route of a 4x4 mesh.
 DEAD = 5
 
 
-def build(degradation, *, kernel="active", threshold=50, scheme=None):
+def build(*, kernel="active", threshold=50):
     config = NoCConfig(
         width=4,
         height=4,
         kernel=kernel,
-        degradation=degradation,
+        degradation="reroute",
         dead_router_threshold=threshold,
     )
-    net = Network(config, scheme if scheme is not None else NoPG())
+    net = Network(config, NoPG())
     net.install_faults(
         FaultInjector(
             FaultSchedule([FaultSpec(kind="router_stall", router=DEAD, start=0)])
@@ -54,6 +52,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             NoCConfig(dead_router_threshold=0)
 
+    @pytest.mark.parametrize("mode", ["drop", "fail_fast"])
+    def test_reroute_is_the_only_degradation(self, mode):
+        with pytest.raises(ConfigError) as excinfo:
+            NoCConfig(degradation=mode)
+        assert excinfo.value.valid == ("none", "reroute")
+        assert "'none', 'reroute'" in str(excinfo.value)
+
     def test_defaults_do_not_disturb_cache_identity(self):
         # New fields default to inert values, so pre-existing specs and
         # cache keys (built from non-default items) are unchanged.
@@ -62,7 +67,7 @@ class TestConfig:
 
 class TestDeathDetection:
     def test_threshold_must_elapse(self):
-        net = build("fail_fast", threshold=50)
+        net = build(threshold=50)
         for _ in range(49):
             net.step()
         assert net.dead_routers == set()
@@ -97,35 +102,15 @@ class TestDeathDetection:
         assert net.dead_routers == set()
 
 
-class TestFailFast:
-    def test_raises_with_blast_radius(self):
-        net = build("fail_fast", threshold=50)
-        packet = control_packet(4, 6, VirtualNetwork.REQUEST, 0)
-        net.inject(packet)
-        with pytest.raises(DegradedNetworkError) as excinfo:
-            net.run(200)
-        err = excinfo.value
-        assert err.dead_routers == (DEAD,)
-        assert err.affected_packets == (packet.packet_id,)
-        assert err.cycle >= 50
-        assert "dead_routers" in str(err)
-
-    def test_unaffected_traffic_not_in_blast_radius(self):
-        net = build("fail_fast", threshold=50)
-        # Column route 0 -> 4 -> 8 -> 12 never touches router 5.
-        packet = control_packet(0, 12, VirtualNetwork.REQUEST, 0)
-        net.inject(packet)
-        with pytest.raises(DegradedNetworkError) as excinfo:
-            net.run(200)
-        assert excinfo.value.affected_packets == ()
-        assert packet.delivered_at is not None
-
-
-class TestDropPolicy:
+class TestPurge:
     @pytest.mark.parametrize("kernel", ["active", "naive"])
-    def test_purge_accounts_and_network_stays_consistent(self, kernel):
-        net = build("drop", kernel=kernel, threshold=50)
-        checker = InvariantChecker(strict=True, max_network_age=100_000)
+    def test_packet_in_the_dying_router_is_purged_with_accounting(self, kernel):
+        """The 4->6 packet's head waits in the stalled router 5 when it
+        is declared dead: it is purged whole, and the purge restores
+        credits and ownership so the mesh drains clean under the strict
+        checker instead of wedging."""
+        net = build(kernel=kernel, threshold=50)
+        checker = InvariantChecker(max_network_age=100_000)
         net.install_invariants(checker)
         packet = control_packet(4, 6, VirtualNetwork.REQUEST, 0)
         net.inject(packet)
@@ -137,73 +122,7 @@ class TestDropPolicy:
         assert stats.dropped_flits == packet.size_flits
         # An in-flight purge is not a refusal: the packet was injected.
         assert stats.refused_packets == 0
-        drop = stats.drops[0]
-        assert drop.packet_id == packet.packet_id
-        assert drop.flits == packet.size_flits
-        assert DEAD in drop.dead_routers
+        assert stats.as_dict()["refused_packets"] == 0
         assert packet.delivered_at is None
-        # The purge restored credits/ownership: the mesh drains clean
-        # under the strict checker instead of wedging.
         net.run_until_drained(500)
         assert checker.flits_dropped == stats.dropped_flits
-
-    def test_drop_at_inject_once_router_is_dead(self):
-        net = build("drop", threshold=50)
-        net.run(60)
-        assert net.dead_routers == {DEAD}
-        before = net.stats.dropped_packets
-        before_refused = net.stats.refused_packets
-        before_injected = net.stats.injected_packets
-        doomed = control_packet(4, 6, VirtualNetwork.REQUEST, net.cycle)
-        net.inject(doomed)
-        assert net.stats.dropped_packets == before + 1
-        # The refusal is broken out separately and never counted as an
-        # injection, so drops-minus-refusals stays comparable with
-        # injected_packets.
-        assert net.stats.refused_packets == before_refused + 1
-        assert net.stats.refused_flits >= doomed.size_flits
-        assert net.stats.injected_packets == before_injected
-        assert doomed.delivered_at is None
-        # A route that avoids the dead router still delivers.
-        survivor = control_packet(0, 12, VirtualNetwork.REQUEST, net.cycle)
-        net.inject(survivor)
-        net.run_until_drained(500)
-        assert survivor.delivered_at is not None
-        assert net.stats.dropped_packets == before + 1
-
-    def test_stats_dict_exposes_drop_counters(self):
-        net = build("drop", threshold=50)
-        net.inject(control_packet(4, 6, VirtualNetwork.REQUEST, 0))
-        net.run(120)
-        dump = net.stats.as_dict()
-        assert dump["dropped_packets"] == 1
-        assert dump["dropped_flits"] >= 1
-        assert dump["refused_packets"] == 0  # purged in flight, not refused
-
-    @pytest.mark.parametrize("kernel", ["active", "naive"])
-    def test_drop_under_load_keeps_strict_invariants_green(self, kernel):
-        """Open-loop traffic across a dying router: every purge must
-        leave conservation, credits and VC ownership intact (the strict
-        checker raises on the first inconsistency)."""
-        net = build("drop", kernel=kernel, threshold=60, scheme=PowerPunchPG())
-        checker = InvariantChecker(strict=True, max_network_age=100_000)
-        net.install_invariants(checker)
-        traffic = SyntheticTraffic(net, "uniform_random", 0.05, seed=3)
-        traffic.run(600)
-        assert net.dead_routers == {DEAD}
-        assert net.stats.dropped_packets > 0
-        assert checker.checks_run > 0
-        # The checker only sees flits that physically entered the mesh;
-        # stats also account packets refused at injection time.
-        assert 0 < checker.flits_dropped <= net.stats.dropped_flits
-
-    def test_drop_is_kernel_exact(self):
-        """The degradation path is part of the cycle-accurate model:
-        both kernels must produce identical stats dumps."""
-        dumps = []
-        for kernel in ("active", "naive"):
-            net = build("drop", kernel=kernel, threshold=60, scheme=PowerPunchPG())
-            traffic = SyntheticTraffic(net, "uniform_random", 0.05, seed=3)
-            traffic.run(600)
-            dumps.append((net.cycle, net.stats.as_dict()))
-        assert dumps[0] == dumps[1]

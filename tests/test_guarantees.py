@@ -213,7 +213,7 @@ def test_nonstrict_checker_accumulates_violations():
 
 def test_violation_carries_post_mortem_with_invariants():
     network = Network(CONFIG, PowerPunchPG())
-    network.install_invariants(InvariantChecker(strict=True))
+    network.install_invariants(InvariantChecker())
     checker = BoundChecker(strict=True, contention_per_router=0)
     network.install_bounds(checker)
     traffic = SyntheticTraffic(network, "uniform_random", 0.2, seed=7)

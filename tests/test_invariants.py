@@ -62,12 +62,11 @@ class TestEventRing:
 class TestCleanRuns:
     def test_strict_checker_clean_on_powerpunch_traffic(self):
         net = Network(small_config(), PowerPunchPG())
-        checker = InvariantChecker(strict=True)
+        checker = InvariantChecker()
         net.install_invariants(checker)
         traffic = SyntheticTraffic(net, "uniform_random", 0.02, seed=3)
         measure(net, traffic, warmup=200, measurement=600)
         assert checker.checks_run > 0
-        assert checker.violations == []
         # Everything sent was delivered and accounted for.
         assert checker.flits_sent == checker.flits_ejected
         assert not checker.live
@@ -79,7 +78,7 @@ class TestCleanRuns:
         def run(with_checker):
             net = Network(small_config(), PowerPunchPG())
             if with_checker:
-                net.install_invariants(InvariantChecker(strict=True))
+                net.install_invariants(InvariantChecker())
             traffic = SyntheticTraffic(net, "uniform_random", 0.03, seed=11)
             measure(net, traffic, warmup=200, measurement=600)
             s = net.stats
@@ -87,16 +86,7 @@ class TestCleanRuns:
 
         assert run(True) == run(False)
 
-    def test_check_interval_amortizes_checks(self):
-        net = Network(small_config())
-        checker = InvariantChecker(strict=True, check_interval=10)
-        net.install_invariants(checker)
-        net.run(100)
-        assert checker.checks_run == 10
-
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            InvariantChecker(check_interval=0)
         with pytest.raises(ValueError):
             InvariantChecker(max_network_age=0)
 
@@ -104,9 +94,9 @@ class TestCleanRuns:
 class TestTamperDetection:
     """Each structural invariant fires when its bookkeeping is broken."""
 
-    def _checked_net(self, strict=True):
+    def _checked_net(self):
         net = Network(small_config())
-        checker = InvariantChecker(strict=strict)
+        checker = InvariantChecker()
         net.install_invariants(checker)
         return net, checker
 
@@ -141,14 +131,13 @@ class TestTamperDetection:
             checker.check_vc_ownership(net.cycle)
         assert excinfo.value.invariant == "vc-ownership"
 
-    def test_non_strict_mode_collects_instead_of_raising(self):
-        net, checker = self._checked_net(strict=False)
+    def test_running_network_raises_at_the_first_cycle_end(self):
+        net, checker = self._checked_net()
         net.routers[5].output_ports[Direction.XPOS].credits[0] -= 1
-        net.run(5)
-        assert checker.violations
-        assert all(
-            v.invariant == "credit-conservation" for v in checker.violations
-        )
+        with pytest.raises(InvariantViolation) as excinfo:
+            net.run(5)
+        assert excinfo.value.invariant == "credit-conservation"
+        assert excinfo.value.cycle == 0
 
 
 class TestSafetyFaultDetection:
@@ -156,21 +145,19 @@ class TestSafetyFaultDetection:
 
     def test_dropped_credit_breaks_credit_conservation(self):
         net = Network(small_config())
-        checker = InvariantChecker(strict=False)
-        net.install_invariants(checker)
+        net.install_invariants(InvariantChecker())
         net.install_faults(
             FaultInjector(FaultSchedule([FaultSpec(kind="credit_drop", count=1)]))
         )
         net.inject(control_packet(0, 3, VirtualNetwork.REQUEST, 0))
-        net.run(60)
+        with pytest.raises(InvariantViolation) as excinfo:
+            net.run(60)
+        assert excinfo.value.invariant == "credit-conservation"
         assert net.faults.counts["credit_drop"] == 1
-        assert any(
-            v.invariant == "credit-conservation" for v in checker.violations
-        )
 
     def test_corrupted_flit_flagged_on_arrival(self):
         net = Network(small_config())
-        net.install_invariants(InvariantChecker(strict=True))
+        net.install_invariants(InvariantChecker())
         net.install_faults(
             FaultInjector(FaultSchedule([FaultSpec(kind="flit_corrupt", count=1)]))
         )
@@ -182,13 +169,13 @@ class TestSafetyFaultDetection:
 
     def test_fault_events_reach_the_flight_recorder(self):
         net = Network(small_config())
-        checker = InvariantChecker(strict=False)
-        net.install_invariants(checker)
+        net.install_invariants(InvariantChecker())
         net.install_faults(
             FaultInjector(FaultSchedule([FaultSpec(kind="credit_drop", count=1)]))
         )
         net.inject(control_packet(0, 3, VirtualNetwork.REQUEST, 0))
-        net.run(60)
+        with pytest.raises(InvariantViolation):
+            net.run(60)
         kinds = {e.kind for e in net.ring.snapshot()}
         assert "fault:credit_drop" in kinds
 
@@ -200,7 +187,7 @@ class TestWatchdog:
         post-mortem names the route and the routers' PG states."""
         scheme = PowerPunchPG(wakeup_latency=8)
         net = Network(small_config(), scheme)
-        checker = InvariantChecker(strict=True, max_network_age=200)
+        checker = InvariantChecker(max_network_age=200)
         net.install_invariants(checker)
         net.install_faults(
             FaultInjector(
@@ -240,7 +227,7 @@ class TestWatchdog:
         its source router fails) trips the queue-age bound."""
         scheme = PowerPunchPG(wakeup_latency=8)
         net = Network(small_config(), scheme)
-        checker = InvariantChecker(strict=True, max_queue_age=100)
+        checker = InvariantChecker(max_queue_age=100)
         net.install_invariants(checker)
         net.install_faults(
             FaultInjector(
@@ -260,7 +247,7 @@ class TestWatchdog:
 
     def test_watchdog_quiet_on_healthy_run(self):
         net = Network(small_config(), PowerPunchPG())
-        net.install_invariants(InvariantChecker(strict=True, max_network_age=500))
+        net.install_invariants(InvariantChecker(max_network_age=500))
         for _ in range(30):
             net.step()
         packet = control_packet(0, 15, VirtualNetwork.REQUEST, net.cycle)
@@ -270,7 +257,7 @@ class TestWatchdog:
 
     def test_drain_timeout_carries_post_mortem(self):
         net = Network(small_config(), PowerPunchPG())
-        net.install_invariants(InvariantChecker(strict=True, max_network_age=10_000))
+        net.install_invariants(InvariantChecker(max_network_age=10_000))
         net.install_faults(
             FaultInjector(
                 FaultSchedule([FaultSpec(kind="router_stall", router=1, start=0)])
@@ -331,7 +318,7 @@ class TestWatchdogKernelParity:
     def seeded_deadlock(self, kernel):
         scheme = PowerPunchPG(wakeup_latency=8)
         net = Network(NoCConfig(width=4, height=4, kernel=kernel), scheme)
-        checker = InvariantChecker(strict=True, max_network_age=200)
+        checker = InvariantChecker(max_network_age=200)
         net.install_invariants(checker)
         net.install_faults(
             FaultInjector(
@@ -356,7 +343,7 @@ class TestWatchdogKernelParity:
         stays parked/off — the queue-age bound must still fire."""
         scheme = PowerPunchPG(wakeup_latency=8)
         net = Network(NoCConfig(width=4, height=4, kernel=kernel), scheme)
-        checker = InvariantChecker(strict=True, max_queue_age=100)
+        checker = InvariantChecker(max_queue_age=100)
         net.install_invariants(checker)
         net.install_faults(
             FaultInjector(
@@ -379,7 +366,7 @@ def test_watchdog_detection_cycle_is_kernel_exact():
     for kernel in ("active", "naive"):
         scheme = PowerPunchPG(wakeup_latency=8)
         net = Network(NoCConfig(width=4, height=4, kernel=kernel), scheme)
-        net.install_invariants(InvariantChecker(strict=True, max_network_age=200))
+        net.install_invariants(InvariantChecker(max_network_age=200))
         net.install_faults(
             FaultInjector(
                 FaultSchedule([FaultSpec(kind="router_stall", router=2, start=0)])

@@ -72,7 +72,7 @@ class TestKeyStability:
             {"strict_invariants": True},
             {"strict_invariants": True, "watchdog": 300},
             {"bounds": True},
-            {"degradation": "drop"},
+            {"degradation": "reroute"},
             {"dead_router_threshold": 7},
         ):
             stamped = spec.with_config_overrides(overrides)

@@ -241,7 +241,7 @@ class TestFailedCell:
             network = chip.network
             installs = [
                 lambda: network.install_invariants(
-                    InvariantChecker(strict=True, max_network_age=STALLED.watchdog)
+                    InvariantChecker(max_network_age=STALLED.watchdog)
                 ),
                 lambda: network.install_faults(
                     FaultInjector(FaultSchedule.parse(STALLED.faults))

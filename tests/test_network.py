@@ -211,7 +211,6 @@ class TestRobustnessLayerFromConfig:
         )
         assert latency == 31  # the checker is purely observational
         assert checked.faults is not None
-        assert checked.invariants.strict
         assert checked.invariants.max_network_age == 5000
         assert checked.invariants.checks_run > 0
 

@@ -75,7 +75,7 @@ def test_the_engine_shares_the_object_kernels_ni_phase_and_cycle_close():
     assert net._step_interfaces in net.phases and net._close_cycle in net.phases
 
 
-@pytest.mark.parametrize("degradation", ["none", "drop"])
+@pytest.mark.parametrize("degradation", ["none", "reroute"])
 def test_the_degradation_check_leads_only_a_degrading_faulted_table(degradation):
     config = NoCConfig(width=4, height=4, degradation=degradation, dead_router_threshold=50)
     net = Network(config, PowerPunchPG())

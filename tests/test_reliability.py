@@ -25,6 +25,7 @@ from repro.noc import (
     NoCConfig,
     sample_fault_schedule,
 )
+from repro.noc.faults import SAMPLED_MAX_DELAY, SAMPLED_RATE_RANGE
 
 
 class TestWilsonInterval:
@@ -81,6 +82,22 @@ class TestFaultSampler:
         b = sample_fault_schedule(42, 64, max_faults=3, horizon=1000)
         assert a.to_spec() == b.to_spec()
 
+    @pytest.mark.parametrize(
+        "seed, spec",
+        [
+            (1, "wakeup_delay,rate=0.4313,router=15,start=1564,delay=8;seed=965274705"),
+            (7, "punch_dup,rate=0.2277,router=12,start=98;"
+                "punch_delay,rate=0.3123,start=1863;seed=184570285"),
+            (42, "punch_drop,rate=0.0613,router=17,start=563;"
+                 "router_stall,router=13,start=1385;"
+                 "router_stall,router=11,start=1209;seed=906070220"),
+        ],
+    )
+    def test_pinned_draws(self, seed, spec):
+        # Every reliability estimate is a function of these draws.
+        schedule = sample_fault_schedule(seed, 64, max_faults=3, horizon=2000)
+        assert schedule.to_spec() == spec
+
     def test_different_seeds_differ(self):
         specs = {
             sample_fault_schedule(seed, 64, max_faults=3, horizon=1000).to_spec()
@@ -95,6 +112,11 @@ class TestFaultSampler:
             for spec in schedule.specs:
                 assert spec.kind in SAMPLABLE_FAULT_KINDS
                 assert 0 <= spec.start <= 500
+                if spec.kind != "router_stall":
+                    lo, hi = SAMPLED_RATE_RANGE
+                    assert lo <= spec.rate <= hi
+                if spec.kind.endswith("_delay"):
+                    assert 1 <= spec.delay <= SAMPLED_MAX_DELAY
                 if spec.router is not None:
                     assert 0 <= spec.router < 16
 
@@ -156,7 +178,7 @@ class TestReliabilityCell:
             "cycles",
         ):
             assert key in payload
-        assert payload["outcome"] in ("drained", "deadlock", "degraded")
+        assert payload["outcome"] in ("drained", "deadlock")
         assert payload["delivered"] <= payload["injected"]
         # The sampled schedule is replayable from its payload string.
         assert FaultSchedule.parse(payload["fault_spec"])
@@ -354,11 +376,11 @@ class TestRobustnessArgs:
     def test_each_flag_maps_to_its_config_field(self):
         assert self._overrides(
             [
-                "--degradation", "drop", "--dead-router-threshold", "77",
+                "--degradation", "reroute", "--dead-router-threshold", "77",
                 "--faults", "punch_dup", "--strict-invariants", "--watchdog", "9",
             ]
         ) == {
-            "degradation": "drop",
+            "degradation": "reroute",
             "dead_router_threshold": 77,
             "faults": "punch_dup",
             "strict_invariants": True,
@@ -384,11 +406,9 @@ class TestRobustnessArgs:
         spec = CellSpec.reliability(
             1, config=NoCConfig(degradation="reroute", dead_router_threshold=200)
         )
-        stamped = spec.with_config_overrides({"degradation": "drop"})
-        assert dict(stamped.config) == {
-            "degradation": "drop",
-            "dead_router_threshold": 200,
-        }
+        # The override restores the default, so the field leaves the items.
+        stamped = spec.with_config_overrides({"degradation": "none"})
+        assert dict(stamped.config) == {"dead_router_threshold": 200}
         # Restating what the cell already says changes nothing, key included.
         same = spec.with_config_overrides(
             {"degradation": "reroute", "dead_router_threshold": 200}
@@ -432,12 +452,12 @@ class TestRobustnessArgs:
         monkeypatch.setattr(reliability, "reliability_campaign", declare)
         for argv in (
             ["reliability"],
-            ["--degradation", "drop", "--watchdog", "7", "reliability"],
-            ["reliability", "--degradation", "drop", "--watchdog", "7"],
+            ["--degradation", "none", "--watchdog", "7", "reliability"],
+            ["reliability", "--degradation", "none", "--watchdog", "7"],
         ):
             with pytest.raises(Declared):
                 cli.main(argv)
         assert [
             (t["degradation"], t["watchdog"], t["dead_router_threshold"])
             for t in trials
-        ] == [("reroute", 50_000, 200), ("drop", 7, 200), ("drop", 7, 200)]
+        ] == [("reroute", 50_000, 200), ("none", 7, 200), ("none", 7, 200)]

@@ -185,7 +185,7 @@ class TestRerouteDegradation:
     @pytest.mark.parametrize("kernel", ["active", "naive"])
     def test_traffic_keeps_flowing_with_invariants_green(self, kernel):
         net = build(kernel=kernel, threshold=60)
-        checker = InvariantChecker(strict=True, max_network_age=50_000)
+        checker = InvariantChecker(max_network_age=50_000)
         net.install_invariants(checker)
         traffic = SyntheticTraffic(net, "uniform_random", 0.05, seed=3)
         traffic.run(600)
@@ -216,7 +216,7 @@ class TestRerouteDegradation:
         """A node disconnected by the fault becomes an accounted
         refusal at the NI door — never a silent hang."""
         net = build(dead=[1, 4], threshold=40)
-        net.install_invariants(InvariantChecker(strict=True, max_network_age=50_000))
+        net.install_invariants(InvariantChecker(max_network_age=50_000))
         net.run(50)
         assert net.dead_routers == {1, 4}
         stranded = control_packet(0, 15, VirtualNetwork.REQUEST, net.cycle)
@@ -235,7 +235,7 @@ class TestRerouteDegradation:
         packets injected into the mesh are delivered, under the strict
         checker and deadlock watchdog."""
         net = build(width=8, height=8, dead=27, start=500, threshold=100)
-        checker = InvariantChecker(strict=True, max_network_age=50_000)
+        checker = InvariantChecker(max_network_age=50_000)
         net.install_invariants(checker)
         traffic = SyntheticTraffic(net, "uniform_random", 0.02, seed=11)
         traffic.run(4000)
@@ -247,10 +247,11 @@ class TestRerouteDegradation:
         assert stats.rerouted_packets > 0
         assert checker.checks_run > 0
 
-    def test_fail_fast_error_carries_fault_context(self):
-        config = NoCConfig(
-            width=4, height=4, degradation="fail_fast", dead_router_threshold=50
-        )
+    def test_watchdog_error_carries_fault_context(self):
+        """With no degradation a permanently stalled router wedges the
+        packet behind it until the watchdog trips; the error names the
+        fault schedule, and no router was ever declared dead."""
+        config = NoCConfig(width=4, height=4, dead_router_threshold=50)
         net = Network(config, NoPG())
         net.install_faults(
             FaultInjector(
@@ -259,13 +260,15 @@ class TestRerouteDegradation:
                 )
             )
         )
-        from repro.noc import DegradedNetworkError
+        net.install_invariants(InvariantChecker(max_network_age=100))
+        net.inject(control_packet(4, 6, VirtualNetwork.REQUEST, 0))
+        from repro.noc import DeadlockError
 
-        with pytest.raises(DegradedNetworkError) as excinfo:
-            net.run(200)
+        with pytest.raises(DeadlockError) as excinfo:
+            net.run(300)
         err = excinfo.value
         assert "router_stall" in err.fault_spec
-        assert err.dead_routers == (DEAD,)
+        assert err.dead_routers == ()
 
 
 class TestWakeupRetry:

@@ -67,7 +67,7 @@ class TestEveryPlacementDelivers:
         anywhere on the mesh never deadlocks and never loses a packet
         injected after the reroute took effect."""
         net = _reroute_network(dead)
-        checker = InvariantChecker(strict=True, max_network_age=20_000)
+        checker = InvariantChecker(max_network_age=20_000)
         net.install_invariants(checker)
         net.run(60)  # stall at 20 + threshold 30 => declared dead by 60
         assert net.dead_routers == {dead}
@@ -95,7 +95,7 @@ class TestEveryPlacementDelivers:
         for dead in range(NODES):
             net = _reroute_network(dead)
             net.install_invariants(
-                InvariantChecker(strict=True, max_network_age=20_000)
+                InvariantChecker(max_network_age=20_000)
             )
             net.run(60)
             assert net.dead_routers == {dead}

@@ -116,14 +116,19 @@ class TestTurnLegality:
                     incoming = outgoing.opposite
 
 
-class TestUsesLink:
+class TestPathLinks:
+    @staticmethod
+    def links(routing, source, target):
+        nodes = routing.path(source, target)
+        return set(zip(nodes, nodes[1:]))
+
     def test_link_on_path(self, routing):
-        assert routing.uses_link(26, 29, 27, 28)
-        assert routing.uses_link(26, 29, 26, 27)
+        assert (27, 28) in self.links(routing, 26, 29)
+        assert (26, 27) in self.links(routing, 26, 29)
 
     def test_link_off_path(self, routing):
-        assert not routing.uses_link(26, 29, 28, 27)  # wrong direction
-        assert not routing.uses_link(26, 29, 27, 35)  # not on path
+        assert (28, 27) not in self.links(routing, 26, 29)  # wrong direction
+        assert (27, 35) not in self.links(routing, 26, 29)  # not on path
 
 
 class TestSharedRouteTables:

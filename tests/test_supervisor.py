@@ -30,7 +30,6 @@ from repro.campaign import (
 from repro.noc.errors import (
     BoundViolationError,
     DeadlockError,
-    DegradedNetworkError,
     DrainTimeoutError,
     InvariantViolation,
     SimulationError,
@@ -116,15 +115,6 @@ class TestErrorPickling:
         assert str(err) == str(original)
         assert str(err).endswith("\n" + pm.render())
         assert "post-mortem" in str(err)
-
-    def test_degraded_network_error(self):
-        err = self.roundtrip(
-            DegradedNetworkError(
-                "router died", dead_routers=(5,), affected_packets=(1, 2), cycle=3
-            )
-        )
-        assert err.dead_routers == (5,)
-        assert err.affected_packets == (1, 2)
 
 
 class TestFailureEntries:

@@ -32,6 +32,22 @@ class TestPatterns:
         # 6 bits: 000001 -> 100000.
         assert bit_reverse(1, topo, rng) == 32
 
+    @pytest.mark.parametrize("width, height", [(4, 2), (8, 8)])
+    def test_bit_reverse_is_a_permutation_on_power_of_two_counts(self, width, height):
+        mesh = MeshTopology(width, height)
+        rng = random.Random(0)
+        targets = [bit_reverse(src, mesh, rng) for src in range(mesh.num_nodes)]
+        assert sorted(targets) == list(range(mesh.num_nodes))
+
+    @pytest.mark.parametrize(
+        "pattern, width, height, shape",
+        [(transpose, 4, 2, "4x2"), (transpose, 2, 4, "2x4"), (bit_reverse, 3, 3, "3x3")],
+    )
+    def test_non_permutation_shapes_are_refused(self, pattern, width, height, shape):
+        mesh = MeshTopology(width, height)
+        with pytest.raises(ValueError, match=shape):
+            pattern(0, mesh, random.Random(0))
+
     def test_uniform_random_never_self(self, topo):
         rng = random.Random(3)
         for src in range(64):

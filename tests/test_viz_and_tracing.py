@@ -125,11 +125,10 @@ class TestPacketTracer:
         assert "created" in text and "delivered" in text
 
 
-#: ``PacketTracer.render()`` of the scenario below, recorded before the
-#: tracer moved onto ``Network.subscribe`` (it rebound kernel methods
-#: then), plus the NI-side ``local`` lines of packets that met their
-#: gated source router: pkt#3 is purged behind the dead R5, pkt#4
-#: refused at the door.
+#: ``PacketTracer.render()`` of the scenario below: pkt#3 is purged
+#: inside the dead R5 (its trace ends at the R4 grant toward it), pkt#4
+#: detours R1->R0->R4->R8->R9->R13 around it, and pkt#6, addressed to
+#: R5, is refused at the door (a refused packet is traced as created).
 DEAD_ROUTER_TRACE = """\
 [     0] pkt#0 created    R0
 [     0] pkt#1 created    R4
@@ -175,41 +174,54 @@ DEAD_ROUTER_TRACE = """\
 [    43] pkt#2 sw-grant   R15 XNEG->YNEG vc0->vc0
 [    45] pkt#4 created    R1
 [    45] pkt#5 created    R8
+[    45] pkt#6 created    R9
 [    47] pkt#2 blocked    R11 next R7 off
+[    48] pkt#4 blocked    R1 local R1 off at check
+[    48] pkt#4 blocked    R1 local R1 off
 [    48] pkt#5 blocked    R8 local R8 off at check
 [    48] pkt#5 blocked    R8 local R8 off
 [    48] pkt#2 sw-grant   R11 YPOS->YNEG vc0->vc0
+[    49] pkt#4 blocked    R1 local R1 off
 [    49] pkt#5 blocked    R8 local R8 off
+[    50] pkt#4 blocked    R1 local R1 off
 [    50] pkt#5 blocked    R8 local R8 off
 [    52] pkt#2 blocked    R7 next R3 off
+[    53] pkt#4 blocked    R1 next R0 off
 [    53] pkt#2 sw-grant   R7 YPOS->YNEG vc0->vc0
-[    53] pkt#5 blocked    R8 next R9 off
-[    54] pkt#5 sw-grant   R8 LOCAL->XPOS vc4->vc4
+[    53] pkt#5 blocked    R8 next R4 off
+[    54] pkt#4 sw-grant   R1 LOCAL->XNEG vc0->vc0
+[    54] pkt#5 sw-grant   R8 LOCAL->YNEG vc4->vc4
 [    57] pkt#2 sw-grant   R3 YPOS->LOCAL vc0->vc0
 [    58] pkt#2 delivered  R3 lat=32
-[    58] pkt#5 blocked    R9 next R10 off
-[    59] pkt#5 sw-grant   R9 XNEG->XPOS vc4->vc4
-[    63] pkt#5 blocked    R10 next R6 off
-[    64] pkt#5 sw-grant   R10 XNEG->YNEG vc4->vc4
-[    68] pkt#5 blocked    R6 next R2 off
-[    69] pkt#5 sw-grant   R6 YPOS->YNEG vc4->vc4
-[    73] pkt#5 sw-grant   R2 YPOS->LOCAL vc4->vc4
-[    81] pkt#5 delivered  R2 lat=30"""
+[    58] pkt#4 sw-grant   R0 XPOS->YPOS vc0->vc0
+[    58] pkt#5 sw-grant   R4 YPOS->YNEG vc4->vc4
+[    62] pkt#5 sw-grant   R0 YPOS->XPOS vc4->vc5
+[    62] pkt#4 sw-grant   R4 YNEG->YPOS vc0->vc0
+[    66] pkt#5 blocked    R1 next R2 off
+[    66] pkt#4 blocked    R8 next R9 off
+[    67] pkt#5 sw-grant   R1 XNEG->XPOS vc5->vc5
+[    67] pkt#4 sw-grant   R8 YNEG->XPOS vc0->vc0
+[    71] pkt#5 sw-grant   R2 XNEG->LOCAL vc5->vc4
+[    71] pkt#4 blocked    R9 next R13 off
+[    72] pkt#4 sw-grant   R9 XNEG->YPOS vc0->vc0
+[    76] pkt#4 sw-grant   R13 YNEG->LOCAL vc0->vc0
+[    77] pkt#4 delivered  R13 lat=26
+[    79] pkt#5 delivered  R2 lat=28"""
 
 
 class TestPacketTracerRender:
     def test_dead_router_scenario_renders_as_recorded(self):
         """Several ConvOpt-PG packets around a router that dies at cycle
-        40 (``drop`` degradation): blocking, purge and refusal."""
+        40 (``reroute`` degradation): blocking, purge, refusal and detour."""
         reset_packet_ids()
         config = NoCConfig(
             width=4, height=4, faults="router_stall,router=5,start=30",
-            degradation="drop", dead_router_threshold=10,
+            degradation="reroute", dead_router_threshold=10,
         )
         net = Network(config, ConvOptPG(wakeup_latency=4))
         tracer = PacketTracer(net)
         plan = {0: [(0, 15, 5), (4, 7, 1)], 20: [(12, 3, 1)], 24: [(4, 6, 1)],
-                45: [(1, 13, 1), (8, 2, 5)]}
+                45: [(1, 13, 1), (8, 2, 5), (9, 5, 1)]}
         for cycle in range(60):
             for source, dest, flits in plan.get(cycle, ()):
                 vnet = VirtualNetwork.RESPONSE if flits > 1 else VirtualNetwork.REQUEST
@@ -218,7 +230,10 @@ class TestPacketTracerRender:
         net.run_until_drained(2000)
         assert tracer.render() == DEAD_ROUTER_TRACE
         stats = net.stats
-        assert (stats.refused_packets, stats.dropped_packets, stats.delivered) == (1, 2, 4)
+        assert (
+            stats.refused_packets, stats.dropped_packets, stats.delivered,
+            stats.rerouted_packets, stats.detour_hops,
+        ) == (1, 2, 5, 1, 2)
 
 
 class TestLinkLoadMap:
