@@ -10,10 +10,10 @@ therefore resume for free — completed cells hit, missing cells run.
 What the salt covers is deliberately scoped to code that can change a
 cell's *payload* (:func:`salted_files`): the simulator trees, the
 guarantees package and quantile estimator behind the ``guarantees``
-payload, the scheme registry and ``RunRecord``, the Table 1 report
-(the ``analysis`` payload *is* its text, paper reference values
-included) and the cell runner itself.  Editing figure formatting, CLI
-plumbing or the engine does not invalidate results.
+payload, the scheme registry and ``RunRecord``, and the cell runner
+itself.  Editing figure formatting, Table 1 (a function call, not a
+cell), the paper's reference numbers, CLI plumbing or the engine does
+not invalidate results.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ SALT_FILES = (
     "__init__.py",
     "experiments/__init__.py",
     "experiments/common.py",
-    "experiments/paper_targets.py",
-    "experiments/table1.py",
     "campaign/runner.py",
 )
 

@@ -736,12 +736,12 @@ def _supervise_pool(run: _Run, runnable: List[int], *, workers: int) -> None:
 
 @dataclass
 class Campaign:
-    """A named iterable of cells plus an optional reducer.
+    """A named iterable of cells.
 
     ``run()`` executes the cells through :func:`execute_cells` and
-    returns ``reducer(payloads)`` (or the raw payload list).  The
-    stats of the latest run are kept on ``last_stats`` so callers —
-    and the CI cache-hit smoke check — can assert hit/run counts.
+    returns their payloads, in cell order.  The stats of the latest
+    run are kept on ``last_stats`` so callers — and the CI cache-hit
+    smoke check — can assert hit/run counts.
 
     With a ``cache_dir``, the JSONL event log lands beside the cell
     cache by default, whichever carrier (``workers``, ``hosts``) runs
@@ -751,7 +751,6 @@ class Campaign:
 
     name: str
     cells: Tuple[CellSpec, ...]
-    reducer: Optional[Callable[[List[Payload]], object]] = None
     last_stats: Optional[CampaignStats] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -771,10 +770,10 @@ class Campaign:
         on_result: Optional[Callable] = None,
         config_overrides: ItemsLike = (),
     ):
-        # The one point run-wide options (``--faults``, ``--bounds``,
-        # ...) enter the cells: before hashing and before any carrier,
-        # so they are in every content address and travel to pool
-        # workers and service hosts inside the spec.
+        # The one point run-wide options (``--faults``,
+        # ``--strict-invariants``, ...) enter the cells: before hashing
+        # and before any carrier, so they are in every content address
+        # and travel to pool workers and service hosts inside the spec.
         cells = tuple(
             cell.with_config_overrides(config_overrides) for cell in self.cells
         )
@@ -798,4 +797,4 @@ class Campaign:
             on_result=on_result,
         )
         self.last_stats = stats
-        return self.reducer(payloads) if self.reducer is not None else payloads
+        return payloads

@@ -1,4 +1,4 @@
-"""Cell runners: one deterministic simulation (or analysis) per spec.
+"""Cell runners: one deterministic simulation per spec.
 
 ``run_cell`` is the single entry point the engine executes — inline or
 on process-pool workers — so it and everything it dispatches to must
@@ -270,16 +270,6 @@ def _run_metrics_cell(spec: CellSpec) -> dict:
     }
 
 
-def _run_analysis_cell(spec: CellSpec) -> dict:
-    """Deterministic non-simulation analyses, dispatched by label."""
-    params = dict(spec.extras)
-    if spec.workload == "table1":
-        from ..experiments import table1
-
-        return {"report": table1.report(**params)}
-    raise ValueError(f"unknown analysis cell {spec.workload!r}")
-
-
 def _run_reliability_cell(spec: CellSpec) -> dict:
     """One Monte-Carlo reliability trial (see spec module docstring).
 
@@ -360,7 +350,7 @@ def _run_guarantees_cell(spec: CellSpec) -> dict:
             if packet.created_at >= stats.measure_from:
                 latencies[packet.network_latency] += 1
 
-        network.install_bounds(checker)
+        checker.attach(network)
         network.subscribe("delivered", tally)
         _measure(network, spec, spec.warmup, spec.measurement, spec.drain)
     return {
@@ -390,7 +380,6 @@ _RUNNERS = {
     "parsec": _run_parsec_cell,
     "synthetic": _run_synthetic_cell,
     "synthetic_metrics": _run_metrics_cell,
-    "analysis": _run_analysis_cell,
     "reliability": _run_reliability_cell,
     "guarantees": _run_guarantees_cell,
 }

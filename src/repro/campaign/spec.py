@@ -1,7 +1,7 @@
 """Declarative campaign cells.
 
 A :class:`CellSpec` is the unit of work of the experiments layer: one
-fully-described simulation (or analysis) whose result is a pure
+fully-described simulation whose result is a pure
 function of the spec and the simulator source.  Specs are frozen and
 hashable, serialize to canonical JSON, and therefore support
 content-addressed caching (see :mod:`repro.campaign.cache`) and
@@ -19,9 +19,6 @@ Cell kinds and their payloads:
     ablations and the NoRD comparison (off-fraction, wake events,
     detours, ..., and the measurement window's ``activity`` record,
     which the reader prices at whatever power constants it needs).
-``analysis``
-    Deterministic non-simulation analysis (Table 1 enumeration)
-    → ``{"report": str}``.
 ``reliability``
     One Monte-Carlo reliability trial: a fault schedule sampled from
     the cell's seed (see ``repro.noc.faults.sample_fault_schedule``)
@@ -62,7 +59,6 @@ CELL_KINDS = (
     "parsec",
     "synthetic",
     "synthetic_metrics",
-    "analysis",
     "reliability",
     "guarantees",
 )
@@ -85,8 +81,7 @@ class CellSpec:
     """One frozen, hashable unit of campaign work."""
 
     kind: str
-    #: Benchmark name (parsec), traffic pattern (synthetic*), or an
-    #: analysis label.
+    #: Benchmark name (parsec) or traffic pattern (every other kind).
     workload: str
     scheme: str = "-"
     #: Constructor kwargs for the scheme, as sorted items.
@@ -99,13 +94,13 @@ class CellSpec:
     seed: int = 1
     #: Per-core instruction budget (parsec cells only).
     instructions: int = CANONICAL_INSTRUCTIONS
-    #: Synthetic-traffic parameters (ignored by parsec/analysis cells).
+    #: Synthetic-traffic parameters (ignored by parsec cells).
     injection_rate: float = 0.0
     warmup: int = 1000
     measurement: int = 6000
     drain: bool = False
-    #: Kind-specific extension point (e.g. enumeration parameters for
-    #: analysis cells), as sorted items.
+    #: Kind-specific extension point (e.g. the reliability sampler's
+    #: parameters), as sorted items.
     extras: Items = ()
 
     def __post_init__(self) -> None:
@@ -173,11 +168,6 @@ class CellSpec:
             measurement=measurement,
             drain=drain,
         )
-
-    @classmethod
-    def analysis(cls, label: str, **params: object) -> "CellSpec":
-        """A deterministic analysis cell (no simulation)."""
-        return cls(kind="analysis", workload=label, extras=freeze_items(params))
 
     @classmethod
     def reliability(

@@ -66,13 +66,6 @@ Guarantees mode (``docs/guarantees.md``)::
 
     python -m repro.cli guarantees --certify-only
     python -m repro.cli guarantees --loads 0.02 0.2 --out bounds.json
-    python -m repro.cli --bounds fig12
-
-``--bounds`` (cell configuration, like the robustness flags) puts a
-strict latency-bound checker on every network of every cell: the first
-delivered packet to exceed its certified worst-case bound raises a
-structured ``BoundViolationError``.  Bounds certify the fault-free
-pipeline, so ``--bounds`` and ``--faults`` are mutually exclusive.
 
 Distributed campaigns (``docs/service.md``)::
 
@@ -150,7 +143,6 @@ _ROBUSTNESS_FIELDS = (
     "watchdog",
     "degradation",
     "dead_router_threshold",
-    "bounds",
 )
 _ROBUSTNESS_TITLE = "robustness (cell configuration)"
 
@@ -245,12 +237,6 @@ def _declare_robustness(group) -> None:
         metavar="CYCLES",
         help="continuously stalled cycles before a router is declared "
         "permanently dead",
-    )
-    group.add_argument(
-        "--bounds",
-        action="store_true",
-        help="enforce certified worst-case latency bounds on every "
-        "network (strict; fault-free runs only, see docs/guarantees.md)",
     )
 
 

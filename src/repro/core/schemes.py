@@ -24,6 +24,7 @@ import math
 from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..noc.config import NoCConfig
 from ..noc.network import Network
 from ..noc.network_interface import NetworkInterface
 from ..noc.packet import Packet, meet_powered_off
@@ -119,16 +120,20 @@ class PowerGatedScheme(PowerPolicy):
         self._controllers = value
 
     # ------------------------------------------------------------------
+    def punch_horizon(self, config: NoCConfig) -> int:
+        """How many hops ahead this scheme punches on ``config``: the
+        constructor's ``punch_hops``, or else just enough hop slack to
+        cover the wakeup latency — a signal H hops ahead hides
+        H * Trouter cycles (Sec. 3)."""
+        if self._punch_hops is not None:
+            return self._punch_hops
+        return max(1, math.ceil(self.wakeup_latency / config.router_stages))
+
     def attach(self, network: Network) -> None:
         """Derive punch parameters and build controllers/fabric for a network."""
         self.network = network
         cfg = network.config
-        if self._punch_hops is None:
-            # Just enough hop slack to cover the wakeup latency:
-            # a signal H hops ahead hides H * Trouter cycles (Sec. 3).
-            self.punch_hops = max(1, math.ceil(self.wakeup_latency / cfg.router_stages))
-        else:
-            self.punch_hops = self._punch_hops
+        self.punch_hops = self.punch_horizon(cfg)
         self.expectation_window = (
             self.punch_hops * cfg.hop_latency if self.use_forewarning else 0
         )

@@ -80,7 +80,11 @@ def report(pattern: str, results) -> str:
 def add_arguments(parser) -> None:
     """``repro.cli fig12`` flags."""
     parser.add_argument(
-        "--patterns", nargs="*", default=list(DEFAULT_LOADS), help="patterns to sweep"
+        "--patterns",
+        nargs="*",
+        choices=list(DEFAULT_LOADS),
+        default=list(DEFAULT_LOADS),
+        help="patterns to sweep",
     )
     parser.add_argument("--measurement", type=int, default=5000)
     parser.add_argument("--csv", default=None, help="export all rows as CSV")

@@ -2,8 +2,9 @@
 
 Every "(paper ...)" a report prints is formatted from an entry of
 :data:`PAPER`; fractions are stored as fractions (``0.079`` is the
-paper's "7.9%").  ``table1.report`` is an ``analysis`` cell payload, so
-this file is part of the cache salt (``repro.campaign.cache``).
+paper's "7.9%").  No cell payload reads them, so this file is outside
+the cache salt (``repro.campaign.cache``): editing a reference number
+re-runs no cell.
 """
 
 from __future__ import annotations

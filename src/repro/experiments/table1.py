@@ -11,10 +11,9 @@ routing and 3-hop punch slack:
 
 from __future__ import annotations
 
-from ..campaign import CellSpec
 from ..core import PunchEncodingAnalysis
 from ..noc import Direction, MeshTopology
-from .common import format_table, run_keyed
+from .common import format_table
 from .paper_targets import PAPER
 
 
@@ -76,9 +75,6 @@ def add_arguments(parser) -> None:
 
 
 def run(args, engine: dict) -> None:
-    """Print Table 1 for the parsed options."""
-    # The exhaustive enumeration is a single cacheable analysis cell,
-    # which never needs a pool.
-    cell = CellSpec.analysis("table1", width=args.width, hops=args.hops, router=args.router)
-    ((_, payload),) = run_keyed("table1", [("table1", cell)], **{**engine, "workers": 1})
-    print(payload["report"])
+    """Print Table 1 for the parsed options: a function call, not a
+    cell, so it reads no store and ignores the engine options."""
+    print(report(width=args.width, hops=args.hops, router=args.router))

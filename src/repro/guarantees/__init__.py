@@ -8,7 +8,11 @@ machine-checkable guarantee (see ``docs/guarantees.md``):
   wakeup penalty; :func:`certify_non_blocking` proves PowerPunch's
   bound equals No-PG's route by route.
 * :mod:`~repro.guarantees.checker` — :class:`BoundChecker`, runtime
-  enforcement as a delivery-stream invariant (``--bounds``).
+  enforcement as a plain ``delivered`` subscriber; the ``guarantees``
+  campaign cell attaches one to each network it runs.
+
+Bounds are priced from the configuration and the scheme alone: the
+network layer knows nothing of them.
 """
 
 from .bounds import (
@@ -16,7 +20,6 @@ from .bounds import (
     LatencyBoundModel,
     UnboundableConfigError,
     certify_non_blocking,
-    resolved_punch_hops,
     wakeup_penalty_per_hop,
 )
 from .checker import BoundChecker
@@ -27,6 +30,5 @@ __all__ = [
     "LatencyBoundModel",
     "UnboundableConfigError",
     "certify_non_blocking",
-    "resolved_punch_hops",
     "wakeup_penalty_per_hop",
 ]

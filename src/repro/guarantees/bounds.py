@@ -30,7 +30,7 @@ pieces the simulator already defines:
     (ConvOpt-PG — without the forewarning window nothing is certified
     hidden), and ``max(0, wakeup_latency - punch_hops * router_stages)``
     for punch schemes (a punch H hops ahead hides H router traversals;
-    see ``PowerGatedScheme.attach``).  Zero for always-on policies.
+    see ``PowerGatedScheme.punch_horizon``).  Zero for always-on policies.
 
 The **non-blocking certificate** is the analytical identity this
 decomposition makes checkable: with the default parameters
@@ -48,7 +48,6 @@ from typing import Dict, Optional
 
 from ..noc import DATA_PACKET_FLITS, NoCConfig
 from ..noc.config import LINK_LATENCY
-from ..noc.routing import XYRouting, default_routing
 
 
 class UnboundableConfigError(ValueError):
@@ -100,24 +99,6 @@ class BoundTerms:
         }
 
 
-def resolved_punch_hops(scheme, config: NoCConfig) -> int:
-    """The punch distance ``scheme`` uses on ``config``.
-
-    Mirrors ``PowerGatedScheme.attach`` so the analytical layer can
-    price a scheme without building a network: an explicit constructor
-    value wins, otherwise ``ceil(wakeup_latency / router_stages)`` —
-    the smallest distance whose hidden slack covers the wakeup.
-    """
-    import math
-
-    hops = getattr(scheme, "punch_hops", None)
-    if hops is None:
-        hops = getattr(scheme, "_punch_hops", None)
-    if hops is None:
-        hops = max(1, math.ceil(scheme.wakeup_latency / config.router_stages))
-    return hops
-
-
 def wakeup_penalty_per_hop(scheme, config: NoCConfig) -> int:
     """Certified worst-case wakeup stall per downstream router.
 
@@ -155,24 +136,20 @@ def wakeup_penalty_per_hop(scheme, config: NoCConfig) -> int:
             f"no certified wakeup-penalty model for scheme "
             f"{getattr(scheme, 'name', type(scheme).__name__)!r}"
         )
-    if getattr(scheme, "use_forewarning", False):
-        hidden = resolved_punch_hops(scheme, config) * config.router_stages
+    if scheme.use_forewarning:
+        hidden = scheme.punch_horizon(config) * config.router_stages
         return max(0, scheme.wakeup_latency - hidden)
     return int(scheme.wakeup_latency)
-
-
-#: Alias so ``LatencyBoundModel.__init__`` can default its same-named
-#: keyword to the function above without shadowing games.
-_default_wakeup_penalty = wakeup_penalty_per_hop
 
 
 class LatencyBoundModel:
     """Per-route worst-case latency calculator for one configuration.
 
-    ``scheme`` may be any power policy (or ``None`` for always-on);
-    ``routing`` defaults to the mesh's XY routing.  The two
-    override knobs exist for *negative* testing — asserting a bound a
-    configuration cannot meet (e.g. ``wakeup_penalty_per_hop=0`` on a
+    ``scheme`` may be any power policy (or ``None`` for always-on).
+    Bounds certify the fault-free pipeline, so every route is the
+    mesh's XY route and its length is the topology's hop distance.
+    The two override knobs exist for *negative* testing — asserting a
+    bound a configuration cannot meet (e.g. ``penalty_per_hop=0`` on a
     blocking scheme, or ``contention_per_router=0`` under load) so the
     runtime checker's firing path stays proven.
     """
@@ -182,35 +159,22 @@ class LatencyBoundModel:
         config: NoCConfig,
         scheme=None,
         *,
-        routing: Optional[XYRouting] = None,
         contention_per_router: Optional[int] = None,
-        wakeup_penalty_per_hop: Optional[int] = None,
+        penalty_per_hop: Optional[int] = None,
         max_packet_flits: int = DATA_PACKET_FLITS,
     ) -> None:
         self.config = config
         self.scheme = scheme
-        if routing is None:
-            routing = default_routing(config.make_topology())
-        self.routing = routing
+        self.topology = config.make_topology()
         self.max_packet_flits = max_packet_flits
         if contention_per_router is None:
             contention_per_router = (config.num_vcs - 1) * max_packet_flits
         self.contention_per_router = contention_per_router
-        if wakeup_penalty_per_hop is None:
-            wakeup_penalty_per_hop = _default_wakeup_penalty(scheme, config)
-        self.penalty_per_hop = wakeup_penalty_per_hop
-        self._hops_memo: Dict[tuple, int] = {}
+        if penalty_per_hop is None:
+            penalty_per_hop = wakeup_penalty_per_hop(scheme, config)
+        self.penalty_per_hop = penalty_per_hop
 
     # ------------------------------------------------------------------
-    def hops(self, source: int, destination: int) -> int:
-        """Route length via the routing algorithm's own path walk."""
-        key = (source, destination)
-        hops = self._hops_memo.get(key)
-        if hops is None:
-            hops = self.routing.path_hops(source, destination)
-            self._hops_memo[key] = hops
-        return hops
-
     def bound(
         self, source: int, destination: int, size_flits: Optional[int] = None
     ) -> BoundTerms:
@@ -218,7 +182,7 @@ class LatencyBoundModel:
         if size_flits is None:
             size_flits = self.max_packet_flits
         cfg = self.config
-        hops = self.hops(source, destination)
+        hops = self.topology.hop_distance(source, destination)
         per_hop = cfg.hop_latency
         zero_load = (
             1 + hops * per_hop + (cfg.router_stages - 1) if hops else 0

@@ -2,12 +2,12 @@
 
 A :class:`BoundChecker` subscribes to a network's delivery stream and
 compares every delivered packet's realized network latency against its
-certified per-route bound (:mod:`repro.guarantees.bounds`).  Like the
-invariant checker it is opt-in (``Network.install_bounds``, or the
-``--bounds`` CLI flag) and two-moded: ``strict=True`` raises a
-structured :class:`~repro.noc.errors.BoundViolationError` on the first
-violation, ``strict=False`` accumulates violations for campaign-style
-reporting.
+certified per-route bound (:mod:`repro.guarantees.bounds`).  It is a
+plain subscriber — :meth:`BoundChecker.attach` is the whole
+installation, and the ``guarantees`` campaign cell is its one caller —
+and two-moded: ``strict=True`` raises a structured
+:class:`~repro.noc.errors.BoundViolationError` on the first violation,
+``strict=False`` accumulates violations for campaign-style reporting.
 
 Because it subscribes to the network's ``delivered`` event only, it
 composes with **all three cycle kernels** — the vector engine announces
@@ -37,10 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class BoundChecker:
     """Delivery-time latency-bound verification for one network.
 
-    Install with :meth:`Network.install_bounds`.  ``model`` (or the
-    override knobs, forwarded to :class:`LatencyBoundModel`) defaults
-    to the bound derived from the network's own config, policy and
-    routing at attach time.
+    Install with :meth:`attach`.  ``model`` defaults to the bound
+    derived from the network's own config and policy at attach time.
     """
 
     def __init__(
@@ -48,13 +46,9 @@ class BoundChecker:
         *,
         strict: bool = True,
         model: Optional[LatencyBoundModel] = None,
-        contention_per_router: Optional[int] = None,
-        wakeup_penalty_per_hop: Optional[int] = None,
     ) -> None:
         self.strict = strict
         self.model = model
-        self._contention_override = contention_per_router
-        self._penalty_override = wakeup_penalty_per_hop
         self.network: Optional["Network"] = None
         #: Violations recorded in non-strict mode (strict mode raises).
         self.violations: List[BoundViolationError] = []
@@ -66,7 +60,12 @@ class BoundChecker:
 
     # ------------------------------------------------------------------
     def attach(self, network: "Network") -> None:
-        """Bind to ``network`` and subscribe to its delivery stream."""
+        """Bind to ``network`` and subscribe to its delivery stream.
+
+        The one place bounds and faults exclude each other: a network
+        builds ``NoCConfig.faults`` into itself before any checker can
+        attach, so a faulted network is refused here.
+        """
         if network.faults is not None:
             raise UnboundableConfigError(
                 "latency bounds are certified for the fault-free "
@@ -74,13 +73,7 @@ class BoundChecker:
                 "installed"
             )
         if self.model is None:
-            self.model = LatencyBoundModel(
-                network.config,
-                network.policy,
-                routing=network.routing,
-                contention_per_router=self._contention_override,
-                wakeup_penalty_per_hop=self._penalty_override,
-            )
+            self.model = LatencyBoundModel(network.config, network.policy)
         self.network = network
         network.subscribe("delivered", self._on_delivered)
 
@@ -113,7 +106,7 @@ class BoundChecker:
     def _build_violation(
         self, packet: "Packet", cycle: int, observed: int, terms
     ) -> BoundViolationError:
-        route = self.model.routing.path(packet.source, packet.destination)
+        route = self.network.routing.path(packet.source, packet.destination)
         invariants = self.network.invariants
         post_mortem = None if invariants is None else invariants.build_post_mortem(
             cycle,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
-from .errors import ConfigError, FaultSpecError
+from .errors import ConfigError
 from .faults import FaultSchedule
 from .packet import NUM_VNETS, VirtualNetwork
 from .topology import MeshTopology
@@ -87,11 +87,6 @@ class NoCConfig:
     #: (``None`` keeps the checker's own default; only consulted with
     #: ``strict_invariants``).
     watchdog: Optional[int] = None
-    #: Enforce the certified worst-case latency bounds of
-    #: ``repro.guarantees`` on every delivered packet (strict).  The
-    #: bounds certify the fault-free pipeline, so this excludes
-    #: ``faults``.
-    bounds: bool = False
 
     def __post_init__(self) -> None:
         if self.router_stages not in (3, 4):
@@ -113,11 +108,6 @@ class NoCConfig:
         if self.watchdog is not None and self.watchdog < 1:
             raise ValueError("watchdog must be positive")
         if self.faults is not None:
-            if self.bounds:
-                raise FaultSpecError(
-                    "bounds certify fault-free latency and cannot be "
-                    "combined with a fault schedule (--bounds with --faults)"
-                )
             # Parsed again by Network; validating here makes a bad spec
             # fail at config time, before any cell runs.
             FaultSchedule.parse(self.faults)

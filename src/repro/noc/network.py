@@ -225,8 +225,6 @@ class Network:
         #: degradation policy all write; made by the first of
         #: install_faults / install_invariants (see _flight_recorder).
         self.ring: Optional[EventRing] = None
-        #: Optional latency-bound checker (see install_bounds).
-        self.bounds = None
         #: Routers declared permanently dead (see _check_degradation).
         self.dead_routers: Set[int] = set()
         # Context for the bound-method SA sinks (see _run_switch_allocation).
@@ -244,11 +242,6 @@ class Network:
             if config.watchdog is not None:
                 kwargs["max_network_age"] = config.watchdog
             self.install_invariants(InvariantChecker(**kwargs))
-        if config.bounds:
-            # Deferred import: the guarantees layer sits above noc.
-            from ..guarantees import BoundChecker
-
-            self.install_bounds(BoundChecker(strict=True))
 
     # ------------------------------------------------------------------
     # Robustness layer
@@ -257,14 +250,6 @@ class Network:
         """Attach a fault injector; the policy wires its own fault points
         (punch fabric, PG controllers) and enables the blocking-wakeup
         fallback so lost punches degrade latency instead of liveness."""
-        if self.bounds is not None:
-            from ..guarantees.bounds import UnboundableConfigError
-
-            raise UnboundableConfigError(
-                "latency bounds are certified for the fault-free "
-                "pipeline model; remove the bound checker before "
-                "installing a fault injector"
-            )
         self._disengage_vector()
         self.faults = injector
         injector.ring = self._flight_recorder()
@@ -285,16 +270,6 @@ class Network:
         if self.ring is None:
             self.ring = EventRing()
         return self.ring
-
-    def install_bounds(self, checker) -> None:
-        """Attach a :class:`repro.guarantees.BoundChecker`.
-
-        It subscribes to ``delivered`` only — it reads completed
-        packets and never perturbs simulation state — so either engine
-        may run the network.
-        """
-        self.bounds = checker
-        checker.attach(self)
 
     def subscribe(self, event: str, fn: Callable) -> None:
         """Call ``fn``, with the arguments ``EVENTS[event]`` names, each
@@ -338,7 +313,7 @@ class Network:
         self._subscribers.update(dict.fromkeys(EVENTS, ()))
         self.phases = ()
         self._sa_router = self._vector_static = None
-        self.faults = self.invariants = self.bounds = None
+        self.faults = self.invariants = None
 
     # ------------------------------------------------------------------
     # Producer-facing API

@@ -146,21 +146,6 @@ class XYRouting:
             current = nxt
         return nodes
 
-    def hops(self, source: int, destination: int) -> int:
-        """Number of router-to-router hops on the XY path."""
-        return self.topology.hop_distance(source, destination)
-
-    def path_hops(self, source: int, destination: int) -> int:
-        """Hop count of the *realized* route, by walking :meth:`path`.
-
-        Equal to :meth:`hops` for minimal routing functions, but stays
-        honest for algorithms whose routes can exceed the topology's
-        hop metric (e.g. up*/down* detours around dead routers) — the
-        guarantees layer prices routes from this walk, never from the
-        metric.
-        """
-        return len(self.path(source, destination)) - 1
-
     def reachable(self, source: int, destination: int) -> bool:
         """Whether this routing function can deliver source→destination."""
         return True

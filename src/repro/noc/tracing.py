@@ -2,9 +2,10 @@
 
 :class:`PacketTracer` subscribes to a network's events (see
 ``Network.subscribe``) and records the lifecycle of selected packets:
-creation, per-router switch grants of head flits, powered-off
-routers met (in the mesh, at the NI, or at an availability check) and
-delivery.  Useful for debugging power-gating interactions and for the
+creation (or refusal at the door), per-router switch grants of head
+flits, powered-off routers met (in the mesh, at the NI, or at an
+availability check), and the end: delivery, or a drop when graceful
+degradation purges the packet.  Useful for debugging power-gating interactions and for the
 ``punch_anatomy`` style of guided tour.  Its ``granted`` subscription
 is a per-flit event, so a traced network runs on the object kernel; an
 untraced one pays nothing for the tracer.
@@ -101,10 +102,10 @@ class PacketTracer:
         self.events: List[TraceEvent] = []
         #: Distinct powered-off routers any traced packet met.
         self.blocked_routers_seen: Set[int] = set()
-        # A refused packet is traced as created: it was, at the door.
         for event, hook in (
-            ("created", self._created), ("refused", self._created), ("granted", self._granted),
+            ("created", self._created), ("refused", self._refused), ("granted", self._granted),
             ("blocked", self._blocked), ("delivered", self._delivered),
+            ("dropped", self._dropped),
         ):
             network.subscribe(event, hook)
 
@@ -118,6 +119,9 @@ class PacketTracer:
 
     def _created(self, packet: Packet, cycle: int) -> None:
         self._record(cycle, packet, "created", packet.source)
+
+    def _refused(self, packet: Packet, cycle: int) -> None:
+        self._record(cycle, packet, "refused", packet.source, f"->R{packet.destination}")
 
     def _granted(self, router, flit, in_dir, in_vc, out_dir, out_vc, cycle) -> None:
         if flit.is_head:
@@ -133,6 +137,9 @@ class PacketTracer:
     def _delivered(self, packet: Packet, cycle: int) -> None:
         lat = f"lat={packet.network_latency}"
         self._record(cycle, packet, "delivered", packet.destination, lat)
+
+    def _dropped(self, packet: Packet, cycle: int) -> None:
+        self._record(cycle, packet, "dropped", packet.source, f"->R{packet.destination}")
 
     # ------------------------------------------------------------------
     def for_packet(self, packet_id: int) -> List[TraceEvent]:

@@ -497,17 +497,15 @@ class TestRetry:
 
 
 class TestCampaign:
-    def test_reducer_applied_and_stats_recorded(self, tmp_path):
+    def test_run_returns_payloads_and_records_stats(self, tmp_path):
         cells = (
             CellSpec.synthetic(
                 "uniform_random", 0.01, "No-PG", warmup=100, measurement=300
             ),
         )
-        campaign = Campaign(
-            name="unit", cells=cells, reducer=lambda p: p[0].avg_packet_latency
-        )
-        latency = campaign.run(cache_dir=str(tmp_path))
-        assert latency > 0
+        campaign = Campaign(name="unit", cells=cells)
+        [record] = campaign.run(cache_dir=str(tmp_path))
+        assert record.avg_packet_latency > 0
         assert campaign.last_stats.total == 1
         # Default event log lands next to the cache.
         assert list(tmp_path.glob("*.events.jsonl"))

@@ -46,6 +46,13 @@ class TestDispatch:
         assert "22" in out
 
 
+def test_fig12_refuses_a_pattern_it_has_no_loads_for(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["fig12", "--patterns", "tornado"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'tornado'" in capsys.readouterr().err
+
+
 FAULTS = "wakeup_delay,rate=0.5,delay=8;seed=7"
 
 
@@ -148,9 +155,9 @@ class TestRobustnessFlags:
         assert "[robustness]" in out and "strict_invariants=True" in out
 
     def test_checkers_are_observers(self, probe):
-        """--strict-invariants / --bounds change no payload."""
+        """--strict-invariants changes no payload."""
         cli.main(["probe"])
-        cli.main(["--strict-invariants", "--bounds", "probe"])
+        cli.main(["--strict-invariants", "probe"])
         assert probe[0][0] == probe[1][0]
         assert probe[0][2] == {}
 
@@ -184,23 +191,29 @@ class TestRobustnessFlags:
             cli.main(["reliability", flag])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_bounds_flag_is_refused(self, capsys):
+        """Latency bounds are checked by the ``guarantees`` campaign
+        alone; no flag puts a checker on another command's networks."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--bounds", "fig12"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_fault_spec_fails_before_any_cell_runs(self, probe):
         with pytest.raises(FaultSpecError):
             cli.main(["--faults", "frobnicate,rate=0.5", "probe"])
         assert probe == []
 
-    def test_bounds_with_faults_is_rejected(self, probe):
-        with pytest.raises(FaultSpecError):
-            cli.main(["--bounds", "--faults", FAULTS, "probe"])
-        assert probe == []
-
     def test_all_hands_its_robustness_options_to_every_subcommand(
         self, sub_runs, tmp_path
     ):
-        cli.main(["--faults", FAULTS, "all", "--out", str(tmp_path), "--bounds"])
+        cli.main(["--faults", FAULTS, "all", "--out", str(tmp_path), "--strict-invariants"])
         assert len(sub_runs) == 8
         for _, engine in sub_runs.values():
-            assert dict(engine["config_overrides"]) == {"faults": FAULTS, "bounds": True}
+            assert dict(engine["config_overrides"]) == {
+                "faults": FAULTS,
+                "strict_invariants": True,
+            }
 
     def test_all_hands_every_subcommand_its_own_options(self, sub_runs, tmp_path):
         out = str(tmp_path)

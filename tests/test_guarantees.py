@@ -4,15 +4,17 @@ Covers the bound model term by term, the non-blocking certificate
 (PowerPunch-PG's bound equals No-PG's on every route; ConvOpt-PG's is
 strictly larger; a slack-starved punch loses the certificate), the
 BoundChecker's quiet path and its firing path (proven with a
-deliberately unsatisfiable bound), the bounds/faults mutual exclusion,
-the ``bounds`` config field, the ``guarantees`` campaign cell (its
-latency percentiles exact on both engines), and a hypothesis
+deliberately unsatisfiable bound), the bounds/faults mutual exclusion
+(one site: ``BoundChecker.attach``), the ``guarantees`` campaign cell
+(its latency percentiles exact on both engines), and a hypothesis
 property: at low load no delivered packet exceeds its certified bound
 on any topology, scheme, or cycle kernel.
 """
 
+import ast
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,7 +30,6 @@ from repro.guarantees import (
     LatencyBoundModel,
     UnboundableConfigError,
     certify_non_blocking,
-    resolved_punch_hops,
     wakeup_penalty_per_hop,
 )
 from repro.noc import (
@@ -36,7 +37,6 @@ from repro.noc import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    FaultSpecError,
     InvariantChecker,
     Network,
     NoCConfig,
@@ -58,14 +58,24 @@ def test_always_on_penalty_is_zero():
 def test_powerpunch_default_penalty_is_zero():
     # punch_hops = ceil(8/3) = 3 hides 9 >= 8 cycles: the certificate.
     scheme = PowerPunchPG()
-    assert resolved_punch_hops(scheme, CONFIG) == 3
+    assert scheme.punch_horizon(CONFIG) == 3
     assert wakeup_penalty_per_hop(scheme, CONFIG) == 0
 
 
 def test_slack_starved_punch_pays_residual():
     scheme = PowerPunchPG(punch_hops=1)  # hides only 3 of 8 cycles
-    assert resolved_punch_hops(scheme, CONFIG) == 1
+    assert scheme.punch_horizon(CONFIG) == 1
     assert wakeup_penalty_per_hop(scheme, CONFIG) == 5
+
+
+def test_penalty_is_priced_from_the_config_it_is_given():
+    """Attaching a scheme to a 4-stage network (horizon ceil(8/4) = 2)
+    does not change its price on the default 3-stage config."""
+    scheme = PowerPunchPG()
+    Network(NoCConfig(width=4, height=4, router_stages=4), scheme)
+    assert scheme.punch_hops == 2
+    assert scheme.punch_horizon(NoCConfig()) == 3
+    assert wakeup_penalty_per_hop(scheme, NoCConfig()) == 0
 
 
 def test_convopt_pays_full_wakeup():
@@ -167,7 +177,7 @@ def test_certificate_report_renders_both_schemes():
 # ----------------------------------------------------------------------
 def _run_with_checker(config, scheme, checker, rate=0.05, cycles=400, seed=7):
     network = Network(config, scheme)
-    network.install_bounds(checker)
+    checker.attach(network)
     traffic = SyntheticTraffic(network, "uniform_random", rate, seed=seed)
     traffic.run(cycles)
     traffic.drain()
@@ -186,12 +196,20 @@ def test_checker_quiet_at_low_load():
     assert report["model"]["wakeup_penalty_per_hop"] == 0
 
 
+def _no_contention_checker(scheme, strict):
+    """A checker whose bound allows no contention: a bound real
+    traffic cannot meet."""
+    model = LatencyBoundModel(CONFIG, scheme, contention_per_router=0)
+    return BoundChecker(strict=strict, model=model)
+
+
 def test_strict_checker_raises_on_unsatisfiable_bound():
     # Zero contention allowance is a bound real traffic cannot meet:
     # proves the firing path end to end (route + decomposition).
-    checker = BoundChecker(strict=True, contention_per_router=0)
+    scheme = PowerPunchPG()
+    checker = _no_contention_checker(scheme, strict=True)
     with pytest.raises(BoundViolationError) as excinfo:
-        _run_with_checker(CONFIG, PowerPunchPG(), checker, rate=0.2, cycles=600)
+        _run_with_checker(CONFIG, scheme, checker, rate=0.2, cycles=600)
     err = excinfo.value
     assert err.observed > err.bound
     assert err.terms["contention"] == 0
@@ -200,8 +218,9 @@ def test_strict_checker_raises_on_unsatisfiable_bound():
 
 
 def test_nonstrict_checker_accumulates_violations():
-    checker = BoundChecker(strict=False, contention_per_router=0)
-    _run_with_checker(CONFIG, PowerPunchPG(), checker, rate=0.2, cycles=600)
+    scheme = PowerPunchPG()
+    checker = _no_contention_checker(scheme, strict=False)
+    _run_with_checker(CONFIG, scheme, checker, rate=0.2, cycles=600)
     assert checker.violations
     report = checker.report()
     assert report["violations"] == len(checker.violations)
@@ -212,10 +231,10 @@ def test_nonstrict_checker_accumulates_violations():
 
 
 def test_violation_carries_post_mortem_with_invariants():
-    network = Network(CONFIG, PowerPunchPG())
+    scheme = PowerPunchPG()
+    network = Network(CONFIG, scheme)
     network.install_invariants(InvariantChecker())
-    checker = BoundChecker(strict=True, contention_per_router=0)
-    network.install_bounds(checker)
+    _no_contention_checker(scheme, strict=True).attach(network)
     traffic = SyntheticTraffic(network, "uniform_random", 0.2, seed=7)
     with pytest.raises(BoundViolationError) as excinfo:
         traffic.run(600)
@@ -232,14 +251,6 @@ def test_checker_refuses_faulted_network():
         BoundChecker().attach(network)
 
 
-def test_faults_refused_on_bounded_network():
-    network = Network(CONFIG, PowerPunchPG())
-    network.install_bounds(BoundChecker())
-    schedule = FaultSchedule((FaultSpec(kind="punch_drop", rate=0.5),))
-    with pytest.raises(UnboundableConfigError):
-        network.install_faults(FaultInjector(schedule))
-
-
 def test_full_load_strict_bounds_powerpunch():
     # The acceptance scenario: the paper's full evaluated load on the
     # 8x8 mesh under strict enforcement, zero violations.
@@ -250,18 +261,24 @@ def test_full_load_strict_bounds_powerpunch():
 
 
 # ----------------------------------------------------------------------
-# The ``bounds`` config field (what ``--bounds`` sets on every cell)
+# The network layer knows nothing of bounds
 # ----------------------------------------------------------------------
-def test_config_bounds_installs_strict_checker():
-    network = Network(NoCConfig(width=4, height=4, bounds=True), PowerPunchPG())
-    assert network.bounds is not None
-    assert network.bounds.strict is True
-    assert Network(CONFIG, PowerPunchPG()).bounds is None
+def test_config_has_no_bounds_field():
+    with pytest.raises(TypeError):
+        NoCConfig(bounds=True)
 
 
-def test_config_bounds_and_faults_are_exclusive():
-    with pytest.raises(FaultSpecError):
-        NoCConfig(bounds=True, faults="punch_drop,rate=0.5")
+def test_no_noc_module_imports_the_guarantees_layer():
+    import repro.noc
+
+    for path in sorted(Path(repro.noc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                assert not (
+                    node.level >= 2 and module.startswith("guarantees")
+                ), path.name
+                assert not module.startswith("repro.guarantees"), path.name
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +388,16 @@ def test_nearest_rank_matches_the_sorted_list(percent):
         assert _nearest_rank(Counter(values), percent) == expected, n
 
 
+def test_guarantees_cell_with_faults_is_unboundable():
+    # The network installs ``config.faults`` before the cell attaches
+    # its checker, which is the one place the exclusion lives.
+    cell = _tiny_cell(
+        config=NoCConfig(width=4, height=4, faults="punch_drop,rate=0.5")
+    )
+    with pytest.raises(UnboundableConfigError):
+        run_cell(cell)
+
+
 def test_guarantees_cell_deterministic():
     assert run_cell(_tiny_cell()) == run_cell(_tiny_cell())
 
@@ -443,7 +470,7 @@ def test_no_packet_exceeds_bound_at_low_load(scenario):
     config = NoCConfig(width=4, height=4, kernel=kernel)
     checker = BoundChecker(strict=True)
     network = Network(config, _SCHEME_BUILDERS[scheme_name]())
-    network.install_bounds(checker)
+    checker.attach(network)
     traffic = SyntheticTraffic(network, "uniform_random", rate, seed=seed)
     traffic.run(300)
     traffic.drain()

@@ -1,7 +1,7 @@
 """Content-address stability of campaign cells.
 
 The robustness options (``faults``, ``strict_invariants``, ``watchdog``,
-``bounds``) are ``NoCConfig`` fields, hence part of every cell's cache
+``degradation``, ``dead_router_threshold``) are ``NoCConfig`` fields, hence part of every cell's cache
 key — but only when set: a default-option spec must hash to the very
 bytes it hashed to before the fields existed.
 
@@ -27,7 +27,6 @@ PINNED_KEYS = {
     "parsec": "8467e333206d2a6683f30b448a6ab7f413b98bdfbc583c17999d9d4dacefef53",
     "synthetic": "c60c4bd20e9a9206f771395fb1ffc9dd5b41640e95fa258c784a9efe4a322a5c",
     "synthetic_metrics": "b766b5256a90ebbbcecb2d73be1aff774e0d7d1c783ae45aa2495b25733a4c05",
-    "analysis": "9c06afd943fef73b40a3a6bc5d20f133ceeea1b8ee3975a3427b1ce2724fad5a",
     "reliability": "39f8f28c27701e72562eddbe28ab2476160f324fa45984aecedfab89e08f1bec",
     "guarantees": "dd46df8dbf1c78ac9e89d67ea6bf4bf30879b261a8a3cb251be1f5ca4929ba16",
 }
@@ -40,7 +39,6 @@ def _pinned_specs():
         "synthetic_metrics": CellSpec.synthetic(
             "transpose", 0.05, "PowerPunch-PG", metrics=True
         ),
-        "analysis": CellSpec.analysis("table1", router=36),
         "reliability": CellSpec.reliability(1),
         "guarantees": CellSpec.guarantees("uniform_random", 0.02, "PowerPunch-PG"),
     }
@@ -61,7 +59,7 @@ class TestKeyStability:
             text = CellSpec.synthetic(
                 "uniform_random", 0.02, "No-PG", config=config
             ).canonical_json()
-            for name in ("faults", "strict_invariants", "watchdog", "bounds"):
+            for name in ("faults", "strict_invariants", "watchdog"):
                 assert name not in text
 
     def test_every_option_is_in_the_content_address(self):
@@ -71,7 +69,6 @@ class TestKeyStability:
             {"faults": "punch_drop,rate=0.5"},
             {"strict_invariants": True},
             {"strict_invariants": True, "watchdog": 300},
-            {"bounds": True},
             {"degradation": "reroute"},
             {"dead_router_threshold": 7},
         ):
@@ -80,9 +77,9 @@ class TestKeyStability:
                 json.loads(stamped.canonical_json())
             ) == stamped
             keys.add(stamped.cache_key("pin"))
-        assert len(keys) == 7
+        assert len(keys) == 6
         # An override that restates the default is no override.
-        assert spec.with_config_overrides({"bounds": False}) == spec
+        assert spec.with_config_overrides({"degradation": "none"}) == spec
 
 
 _PAYLOAD_PROBE = """

@@ -107,23 +107,24 @@ class TestFreedWithoutTheCollector:
             assert ref() is None and engine() is None
 
     @pytest.mark.parametrize(
-        "config, bounds",
+        "config, bounds_strict",
         [
-            (NoCConfig(faults="punch_drop,rate=0.5;seed=3", strict_invariants=True), False),
-            (NoCConfig(strict_invariants=True, bounds=True), False),
+            (NoCConfig(faults="punch_drop,rate=0.5;seed=3", strict_invariants=True), None),
             (NoCConfig(strict_invariants=True), True),
+            (NoCConfig(strict_invariants=True), False),
         ],
         ids=["faults+invariants", "invariants+bounds", "installed-bounds"],
     )
-    def test_robustness_layer_installed(self, config, bounds):
+    def test_robustness_layer_installed(self, config, bounds_strict):
         with collector_off():
             network = Network(config, make_scheme("PowerPunch-PG"))
-            checker = BoundChecker(strict=False) if bounds else None
-            if bounds:
-                network.install_bounds(checker)
+            checker = None
+            if bounds_strict is not None:
+                checker = BoundChecker(strict=bounds_strict)
+                checker.attach(network)
             installed = [
                 weakref.ref(part)
-                for part in (network.faults, network.invariants, network.bounds)
+                for part in (network.faults, network.invariants, checker)
                 if part is not None
             ]
             drive(network, cycles=200)

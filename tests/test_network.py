@@ -200,7 +200,6 @@ class TestRobustnessLayerFromConfig:
         plain, latency = self._zero_load(NoCConfig())
         assert latency == 31  # zero-load golden (3-stage 8x8)
         assert plain.faults is None and plain.invariants is None
-        assert plain.bounds is None
 
         checked, latency = self._zero_load(
             NoCConfig(

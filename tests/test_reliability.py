@@ -332,7 +332,7 @@ class TestQuarantinePostMortem:
         error = RuntimeError("router wedged")
         error.fault_spec = "router_stall,router=5,start=10"
         error.dead_routers = (5,)
-        spec = CellSpec.analysis("postmortem-probe")
+        spec = CellSpec.reliability(1)
         rep = FailureReport.from_failure(
             spec=spec,
             key="k1",
@@ -349,7 +349,7 @@ class TestQuarantinePostMortem:
 
     def test_plain_failures_leave_context_empty(self):
         rep = FailureReport.from_failure(
-            spec=CellSpec.analysis("plain"),
+            spec=CellSpec.reliability(2),
             key="k2",
             exc=ValueError("nope"),
             attempts=1,
@@ -387,7 +387,7 @@ class TestRobustnessArgs:
             "watchdog": 9,
         }
         # ...and the items build a config as they are.
-        NoCConfig(**self._overrides(["--bounds", "--watchdog", "9"]))
+        NoCConfig(**self._overrides(["--strict-invariants", "--watchdog", "9"]))
 
     def test_no_flags_override_nothing(self):
         assert self._overrides([]) == {}

@@ -42,12 +42,12 @@ class TestPath:
     def test_path_endpoints(self, routing):
         p = routing.path(0, 63)
         assert p[0] == 0 and p[-1] == 63
-        assert len(p) == routing.hops(0, 63) + 1
+        assert len(p) == routing.topology.hop_distance(0, 63) + 1
 
     def test_path_is_minimal(self, routing):
         topo = routing.topology
         for src, dst in [(0, 63), (7, 56), (27, 36), (12, 12)]:
-            assert routing.hops(src, dst) == topo.hop_distance(src, dst)
+            assert len(routing.path(src, dst)) - 1 == topo.hop_distance(src, dst)
 
     def test_consecutive_path_nodes_adjacent(self, routing):
         p = routing.path(5, 58)

@@ -115,7 +115,7 @@ class TestProtocol:
     def test_spec_canonical_round_trip_is_exact(self):
         for spec in sim_cells() + specs(2) + [
             CellSpec.reliability(5),
-            CellSpec.analysis("table1", width=8, hops=3),
+            CellSpec.guarantees("uniform_random", 0.05, "PowerPunch-PG", strict=True),
         ]:
             doc = json.loads(json.dumps(spec.canonical()))
             back = CellSpec.from_canonical(doc)

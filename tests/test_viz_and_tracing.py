@@ -126,9 +126,9 @@ class TestPacketTracer:
 
 
 #: ``PacketTracer.render()`` of the scenario below: pkt#3 is purged
-#: inside the dead R5 (its trace ends at the R4 grant toward it), pkt#4
-#: detours R1->R0->R4->R8->R9->R13 around it, and pkt#6, addressed to
-#: R5, is refused at the door (a refused packet is traced as created).
+#: inside the dead R5 (its trace ends with the drop when R5 dies),
+#: pkt#4 detours R1->R0->R4->R8->R9->R13 around it, and pkt#6,
+#: addressed to R5, is refused at the door.
 DEAD_ROUTER_TRACE = """\
 [     0] pkt#0 created    R0
 [     0] pkt#1 created    R4
@@ -169,12 +169,13 @@ DEAD_ROUTER_TRACE = """\
 [    34] pkt#2 sw-grant   R13 XNEG->XPOS vc0->vc0
 [    34] pkt#0 sw-grant   R15 YNEG->LOCAL vc4->vc4
 [    38] pkt#2 sw-grant   R14 XNEG->XPOS vc0->vc0
+[    40] pkt#3 dropped    R4 ->R6
 [    42] pkt#0 delivered  R15 lat=39
 [    42] pkt#2 blocked    R15 next R11 off
 [    43] pkt#2 sw-grant   R15 XNEG->YNEG vc0->vc0
 [    45] pkt#4 created    R1
 [    45] pkt#5 created    R8
-[    45] pkt#6 created    R9
+[    45] pkt#6 refused    R9 ->R5
 [    47] pkt#2 blocked    R11 next R7 off
 [    48] pkt#4 blocked    R1 local R1 off at check
 [    48] pkt#4 blocked    R1 local R1 off
