@@ -7,7 +7,7 @@ cache (:class:`CellCache`, written once per finished cell, so a
 ``kill -9``'d campaign resumes from it, and once per failed one, so a
 condemned cell is skipped by the next), one worker process per pool
 slot (a worker's crash or timeout is its own cell's verdict),
-per-cell wall-clock timeouts, retry classification, and a
+per-cell wall-clock timeouts, retries of crashes and timeouts, and a
 structured JSONL progress log.  See ``docs/campaigns.md`` and
 ``docs/resilience.md``.
 
@@ -39,8 +39,6 @@ from .supervisor import (
     QuarantinedCellError,
     RetryPolicy,
     WorkerCrashError,
-    classify_attempts,
-    error_signature,
 )
 
 __all__ = [
@@ -57,11 +55,9 @@ __all__ = [
     "RetryPolicy",
     "WorkerCrashError",
     "build_scheme",
-    "classify_attempts",
     "code_salt",
     "decode_payload",
     "encode_payload",
-    "error_signature",
     "execute_cells",
     "freeze_items",
     "iter_events",

@@ -7,8 +7,8 @@ whatever carries the cells:
    payload is a hit (simulation skipped entirely; the store is written
    once per finished cell, which is also what makes interrupted — even
    ``kill -9``'d — campaigns resumable), and a condemning
-   :class:`FailureReport` fails the cell at once instead of burning
-   retries again;
+   :class:`FailureReport` fails the cell at once instead of running it
+   again;
 2. the rest go to one of three **carriers**, which do nothing but
    run attempts and report them back: the inline loop (``workers=1``
    without a timeout), the supervised process pool
@@ -17,10 +17,10 @@ whatever carries the cells:
    verdict, and only that worker is replaced) or, with ``hosts``, the
    campaign service (:mod:`repro.campaign.service`: worker hosts over
    TCP);
-3. every report lands in the one :class:`_Run` that counts, retries,
-   classifies (a cell failing twice with the identical signature is
-   quarantined, not re-run), writes the cache — a payload, or a
-   structured failure report carrying any post-mortem the error
+3. every report lands in the one :class:`_Run` that counts, retries
+   and classifies (by the verdict rule of ``docs/resilience.md``: only
+   a crash or a timeout is retried), writes the cache — a payload, or
+   a structured failure report carrying any post-mortem the error
    captured — and appends a structured event to the JSONL progress
    log.
 
@@ -57,7 +57,6 @@ from typing import (
     Union,
 )
 
-from ..noc.errors import SimulationError
 from .cache import CellCache, Payload, code_salt
 from .runner import run_cell
 from .spec import CellSpec, ItemsLike
@@ -67,8 +66,6 @@ from .supervisor import (
     QuarantinedCellError,
     RetryPolicy,
     WorkerCrashError,
-    classify_attempts,
-    error_signature,
 )
 
 
@@ -246,11 +243,16 @@ _SPAWN_LOCK = threading.Lock()
 
 
 def _retryable(exc: BaseException) -> bool:
-    """Whether a failure is worth another attempt at all: typed
-    simulator errors and failures of the *machinery around* the cell
-    (worker death, timeout).  Anything else — ``KeyError`` and friends
-    — is a genuine bug and fails on the first observation."""
-    return isinstance(exc, (SimulationError, WorkerCrashError, CellTimeoutError))
+    """Whether a failure is worth another attempt: only a failure of
+    the *machinery around* the cell (worker death, timeout).  A cell is
+    deterministic, so anything it raises itself would only repeat."""
+    return isinstance(exc, (WorkerCrashError, CellTimeoutError))
+
+
+def _first_line(exc: BaseException) -> str:
+    """An error's first line, for the event log: the full text (with
+    any post-mortem) is in the stored report and the raised error."""
+    return str(exc).split("\n", 1)[0]
 
 
 def _pool_worker(conn: Connection, inherited: List[Connection]) -> None:
@@ -318,9 +320,8 @@ class _Run:
         self.stats = CampaignStats(total=count)
         self.results: List[Optional[Payload]] = [None] * count
         self.failures: Dict[int, CampaignError] = {}
-        #: Attempts charged to each cell, and their failure signatures.
+        #: Attempts charged to each cell.
         self.attempts = [0] * count
-        self.signatures: Dict[int, List[str]] = {}
         #: Whether events carry the content address (computing it only
         #: for the log would put a hash on every cache-less cell).
         self.keyed = self.cache is not None
@@ -441,18 +442,18 @@ class _Run:
             self.on_result(index, spec, payload, not fresh)
 
     def attempt_failed(self, index: int, exc: BaseException) -> bool:
-        signatures = self.signatures.setdefault(index, [])
-        signatures.append(error_signature(exc))
         self.attempts[index] += 1
         if not _retryable(exc):
-            verdict = "fatal"
-        elif classify_attempts(signatures) == "deterministic":
             verdict = "deterministic"
         elif self.attempts[index] >= self.policy.max_retries:
             verdict = "exhausted"
         else:
             self._log_cell(
-                "retry", index, attempts=self.attempts[index], error=str(exc)
+                "retry",
+                index,
+                attempts=self.attempts[index],
+                error=_first_line(exc),
+                key=self._event_key(index),
             )
             return True
         self.fail(index, exc, verdict)
@@ -464,16 +465,11 @@ class _Run:
         if self.cache is not None:
             # The verdict becomes the cell's store entry.  A condemning
             # one is skipped by later campaigns; any other ("exhausted":
-            # the budget ran out on differing signatures, "host-loss")
-            # keeps its post-mortem there until a later run's payload
+            # crashes or timeouts spent the budget, "host-loss") keeps
+            # its post-mortem there until a later run's payload
             # replaces it.
             report = FailureReport.from_failure(
-                spec,
-                self.key_of(index),
-                exc,
-                self.attempts[index],
-                self.signatures.get(index, []),
-                classification,
+                spec, self.key_of(index), exc, self.attempts[index], classification
             )
             self.cache.put(spec, report, report.key)
             if report.condemned:
@@ -483,7 +479,7 @@ class _Run:
             index,
             attempts=self.attempts[index],
             classification=classification,
-            error=str(exc),
+            error=_first_line(exc),
             key=self._event_key(index),
         )
         self.failures[index] = CampaignError(spec, exc, self.attempts[index])
@@ -591,19 +587,16 @@ def execute_cells(
 
 
 def _run_inline(run: _Run, runnable: List[int]) -> None:
-    """The in-process carrier: one cell at a time, retried in place."""
+    """The in-process carrier: one cell at a time, one attempt each (no
+    worker to crash and no timeout here, so nothing is retried)."""
     for index in runnable:
-        spec = run.cells[index]
         started = perf_counter()
-        while True:
-            try:
-                payload = _one_attempt(spec)
-            except Exception as exc:
-                if run.attempt_failed(index, exc):
-                    continue
-            else:
-                run.complete(index, payload, perf_counter() - started)
-            break
+        try:
+            payload = _one_attempt(run.cells[index])
+        except Exception as exc:
+            run.attempt_failed(index, exc)
+        else:
+            run.complete(index, payload, perf_counter() - started)
 
 
 def _supervise_pool(run: _Run, runnable: List[int], *, workers: int) -> None:

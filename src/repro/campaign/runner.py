@@ -401,9 +401,9 @@ def run_cell(spec: CellSpec):
         runner = _RUNNERS[spec.kind]
     except KeyError:
         raise ValueError(f"unknown cell kind {spec.kind!r}") from None
-    # Packet IDs restart per cell so a retried attempt is bit-identical
-    # to the first — error messages embed packet IDs, and the
-    # deterministic-failure classifier compares them verbatim.
+    # Packet IDs restart per cell so a cell's payload and error text
+    # (error messages embed packet IDs) do not depend on what ran
+    # before it in the same worker.
     reset_packet_ids()
     try:
         return runner(spec)

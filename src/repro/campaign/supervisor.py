@@ -5,30 +5,25 @@ workers; this module gives it the pieces to stop doing that:
 
 * :class:`RetryPolicy` — per-cell attempt budget and wall-clock
   timeout;
-* :func:`error_signature` / :func:`classify_attempts` — the
-  transient-vs-deterministic classifier: a cell that fails twice with
-  the *identical* signature is deterministically broken and gets
-  quarantined instead of re-run, while differing signatures (or worker
-  crashes) stay retryable within the budget;
 * :class:`FailureReport` — the structured verdict on a cell that
   failed for good (including any
   :class:`~repro.noc.invariants.PostMortem` the failure carried); the
   cell cache stores it as the cell's entry, so a condemned cell is
-  skipped by later campaigns without burning its retry budget again;
+  skipped by later campaigns without running again;
 * :class:`WorkerCrashError` / :class:`CellTimeoutError` /
   :class:`QuarantinedCellError` / :class:`HostedCellError` — typed
   stand-ins for failures that happen *around* a cell rather than
   inside it (a worker process died, a wall-clock deadline expired, the
   store already condemned the cell, a service host gave the verdict).
 
-See ``docs/resilience.md`` for the failure taxonomy and recovery
-semantics.
+See ``docs/resilience.md`` for the verdict rule (which failures are
+retried, which condemn), the failure taxonomy and recovery semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .spec import CellSpec
 
@@ -55,44 +50,15 @@ class HostedCellError(RuntimeError):
         self.error_type = error_type
 
 
-#: Signature prefix for failures that happened around the cell rather
-#: than inside it (no simulator traceback to fingerprint).
-_CRASH_SIGNATURE = "worker-crash"
-_TIMEOUT_SIGNATURE = "timeout"
-
-
-def error_signature(exc: BaseException) -> str:
-    """Stable fingerprint of a failure, for the deterministic-failure
-    classifier.  Simulator errors are fully deterministic (seeds live
-    inside the spec), so type + message identifies a failure mode."""
-    if isinstance(exc, WorkerCrashError):
-        return _CRASH_SIGNATURE
-    if isinstance(exc, CellTimeoutError):
-        return _TIMEOUT_SIGNATURE
-    return f"{type(exc).__qualname__}: {exc}"
-
-
-def classify_attempts(signatures: Sequence[str]) -> str:
-    """``"deterministic"`` once the last two signatures are identical,
-    else ``"transient"``.  Crash/timeout signatures participate too: a
-    cell that OOM-kills its worker (or hangs past the deadline) twice
-    in a row is as deterministically broken as one that raises the
-    same ``SimulationError`` twice."""
-    if len(signatures) >= 2 and signatures[-1] == signatures[-2]:
-        return "deterministic"
-    return "transient"
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Attempt budget and wall-clock timeout for one cell.
 
     ``max_retries`` is the *total* attempt budget (the CLI flag of the
-    same name): with the default of 2, a deterministic failure is
-    observed twice — exactly enough for the identical-twice classifier
-    — and then quarantined.  A retry runs as soon as a worker is free:
-    an attempt's failure is its own, so there is no crowd of co-failed
-    cells to spread out.
+    same name).  Only a worker crash or a timeout spends more than one
+    (the verdict rule of ``docs/resilience.md``).  A retry runs as soon
+    as a worker is free: an attempt's failure is its own, so there is
+    no crowd of co-failed cells to spread out.
     """
 
     max_retries: int = 2
@@ -115,7 +81,6 @@ class FailureReport:
     spec: dict
     attempts: int
     classification: str
-    signatures: List[str]
     error: str
     error_type: str
     #: Rendered :class:`~repro.noc.invariants.PostMortem`, when the
@@ -135,7 +100,6 @@ class FailureReport:
         key: str,
         exc: BaseException,
         attempts: int,
-        signatures: Sequence[str],
         classification: str,
     ) -> "FailureReport":
         post_mortem = getattr(exc, "post_mortem", None)
@@ -145,7 +109,6 @@ class FailureReport:
             spec=spec.canonical(),
             attempts=attempts,
             classification=classification,
-            signatures=list(signatures),
             error=str(exc),
             error_type=getattr(exc, "error_type", None) or type(exc).__qualname__,
             post_mortem=None if post_mortem is None else post_mortem.render(),
@@ -155,10 +118,11 @@ class FailureReport:
 
     @property
     def condemned(self) -> bool:
-        """Whether later campaigns skip the cell.  ``exhausted`` (the
-        budget ran out on differing signatures) and ``host-loss`` do
-        not condemn: the cell runs again, and its payload replaces this."""
-        return self.classification in ("deterministic", "fatal")
+        """Whether later campaigns skip the cell: only when the cell
+        itself raised.  ``exhausted`` (crashes or timeouts spent the
+        budget) and ``host-loss`` do not condemn: the cell runs again,
+        and its payload replaces this."""
+        return self.classification == "deterministic"
 
     def as_dict(self) -> dict:
         return {
@@ -167,7 +131,6 @@ class FailureReport:
             "spec": self.spec,
             "attempts": self.attempts,
             "classification": self.classification,
-            "signatures": self.signatures,
             "error": self.error,
             "error_type": self.error_type,
             "post_mortem": self.post_mortem,

@@ -26,14 +26,16 @@ given to every sub-command::
     python -m repro.cli all --out results/ --workers 4
     python -m repro.cli all --out results/ --workers 4   # warm: 0 cells re-run
 
-Execution is supervised (``docs/resilience.md``): ``--timeout SECS``
-bounds each cell's wall clock, and ``--max-retries N`` caps attempts
-before a cell is quarantined: its failure report becomes its entry in
-``--cache-dir``, and later runs skip it until that entry is deleted or
-the simulator sources change.  A worker crash (OOM kill, segfault)
-is charged to its own cell and the worker replaced; a ``kill -9``'d campaign
-resumes from its cell cache, which holds every cell that finished
-before the kill.
+Execution is supervised (``docs/resilience.md`` has the verdict
+rule): ``--timeout SECS`` bounds each cell's wall clock.  A cell that
+raises is quarantined on its first attempt: its failure report becomes
+its entry in ``--cache-dir``, and later runs skip it until that entry
+is deleted or the simulator sources change.  A worker crash (OOM kill,
+segfault) or a timeout is charged to its own cell, the worker
+replaced, and the cell retried up to ``--max-retries N`` total
+attempts; a budget spent that way is stored but condemns nothing.  A
+``kill -9``'d campaign resumes from its cell cache, which holds every
+cell that finished before the kill.
 
 Robustness flags (before or after the command; see
 ``docs/fault_model.md``)::
@@ -182,8 +184,8 @@ def add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "--max-retries",
         type=int,
         default=2,
-        help="total attempts per cell before it is quarantined "
-        "(identical failures twice in a row quarantine immediately)",
+        help="total attempts per cell when its worker crashes or times "
+        "out (a cell that raises fails at once; docs/resilience.md)",
     )
     group.add_argument(
         "--hosts",

@@ -454,23 +454,31 @@ class TestEventLog:
 
 
 class TestRetry:
-    def test_retries_simulation_error(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "error",
+        [SimulationError("first attempt"), RuntimeError("bug")],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_a_raising_cell_is_not_retried(self, monkeypatch, error):
+        """A cell is deterministic: a second attempt would only repeat
+        the first, so whatever the cell raises is the verdict, whatever
+        budget is left."""
         spec = CellSpec.parsec("canneal", "No-PG", instructions=100)
         calls = []
 
         def flaky(s):
             calls.append(s)
             if len(calls) == 1:
-                raise SimulationError("transient")
+                raise error
             return make_record()
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", flaky)
-        payloads, stats = execute_cells([spec])
-        assert payloads == [make_record()]
-        assert len(calls) == 2
-        assert stats.retried == 1 and stats.executed == 1
+        payloads, stats = execute_cells([spec], max_retries=4, failure_mode="continue")
+        assert payloads == [None]
+        assert len(calls) == 1
+        assert (stats.retried, stats.executed, stats.failed) == (0, 0, 1)
 
-    def test_exhausted_retries_raise_campaign_error(self, monkeypatch):
+    def test_failed_cell_raises_campaign_error_after_one_attempt(self, monkeypatch):
         spec = CellSpec.parsec("canneal", "No-PG", instructions=100)
 
         def always_fails(s):
@@ -480,20 +488,7 @@ class TestRetry:
         with pytest.raises(CampaignError) as exc:
             execute_cells([spec], max_retries=2)
         assert exc.value.spec == spec
-        assert exc.value.attempts == 2
-
-    def test_non_simulation_errors_not_retried(self, monkeypatch):
-        spec = CellSpec.parsec("canneal", "No-PG", instructions=100)
-        calls = []
-
-        def boom(s):
-            calls.append(s)
-            raise RuntimeError("bug")
-
-        monkeypatch.setattr("repro.campaign.engine.run_cell", boom)
-        with pytest.raises(CampaignError):
-            execute_cells([spec], max_retries=4)
-        assert len(calls) == 1
+        assert exc.value.attempts == 1
 
 
 class TestCampaign:

@@ -10,12 +10,14 @@ The acceptance scenarios of the resilience layer live here:
 * the *orchestrator* is killed dead (``kill -9``, no cleanup) — a
   resumed campaign recovers the completed cells from the cache and
   finishes with 100% coverage and identical payload hashes;
-* a deterministically failing cell is condemned in the store (its
-  failure report becomes its entry) after exactly ``--max-retries``
-  attempts without blocking other cells, and later campaigns skip it
-  outright until that entry is deleted;
+* a cell that raises is condemned in the store (its failure report
+  becomes its entry) on its first attempt without blocking other
+  cells, and later campaigns skip it outright until that entry is
+  deleted;
 * a cell that exceeds its wall-clock budget is killed, classified as
-  a timeout, and does not stall the rest of the matrix.
+  a timeout, and does not stall the rest of the matrix;
+* crashes and timeouts are retried within ``--max-retries``, and a
+  budget they spend ends ``exhausted``: stored, never condemning.
 
 Worker-kill tests rely on the ``fork`` start method: monkeypatched
 ``repro.campaign.engine.run_cell`` propagates into pool workers forked
@@ -99,12 +101,12 @@ class TestWorkerKill:
         events = [json.loads(line) for line in log.read_text().splitlines()]
         assert any(e["event"] == "pool-respawn" for e in events)
 
-    def test_repeated_worker_crashes_quarantine_the_culprit(
+    def test_repeated_worker_crashes_exhaust_the_culprit(
         self, tmp_path, monkeypatch
     ):
-        """A cell that kills its worker every time is classified
-        deterministic (crash twice in a row) and quarantined instead of
-        crash-looping the pool forever."""
+        """A cell that kills its worker every time spends its budget and
+        ends ``exhausted`` instead of crash-looping the pool forever; a
+        crash depends on the machine, so the verdict does not condemn."""
 
         def always_kills(spec):
             if spec.seed == 2:
@@ -120,23 +122,26 @@ class TestWorkerKill:
             max_retries=3,
             failure_mode="continue",
         )
-        assert stats.crashes >= 2
-        assert stats.quarantined == 1 and stats.failed == 1
+        assert stats.crashes == 3
+        assert stats.quarantined == 0 and stats.failed == 1
         assert payloads[1] is None
         assert payloads[0] == well_behaved(specs(3)[0])
         assert payloads[2] == well_behaved(specs(3)[2])
         report = cache.lookup(specs(3)[1])
-        assert isinstance(report, FailureReport) and report.condemned
-        assert report.classification == "deterministic"
-        assert report.signatures[-2:] == ["worker-crash", "worker-crash"]
+        assert isinstance(report, FailureReport) and not report.condemned
+        assert report.classification == "exhausted" and report.attempts == 3
+        assert report.error_type == "WorkerCrashError"
 
     @pytest.mark.parametrize("simulated", [False, True], ids=["stub", "simulated-neighbour"])
-    def test_a_crash_condemns_only_its_own_cell(self, tmp_path, monkeypatch, simulated):
+    def test_a_crash_is_charged_only_to_its_own_cell(
+        self, tmp_path, monkeypatch, simulated
+    ):
         """Cell 2 SIGKILLs its worker on every attempt while cell 1 is
         running: cell 1 runs once, undisturbed, and its payload is
-        stored; cell 2 alone is condemned.  Cell 1 stays running until
-        cell 2's worker has died twice (sentinel files, not sleeps);
-        ``simulated`` makes it then run a real synthetic simulation."""
+        stored; cell 2 alone spends its budget and ends ``exhausted``.
+        Cell 1 stays running until cell 2's worker has died twice
+        (sentinel files, not sleeps); ``simulated`` makes it then run a
+        real synthetic simulation."""
         starts, crashes = tmp_path / "starts", tmp_path / "crashes"
 
         def poison_beside_innocent(spec):
@@ -167,9 +172,10 @@ class TestWorkerKill:
         if not simulated:
             assert payloads[0] == well_behaved(cells[0])
         report = cache.lookup(cells[1])
-        assert isinstance(report, FailureReport) and report.condemned
-        assert report.signatures == ["worker-crash", "worker-crash"]
-        assert (stats.executed, stats.crashes, stats.quarantined, stats.failed) == (1, 2, 1, 1)
+        assert isinstance(report, FailureReport) and not report.condemned
+        assert (report.classification, report.attempts) == ("exhausted", 3)
+        assert lines(crashes) == ["crash"] * 3
+        assert (stats.executed, stats.crashes, stats.quarantined, stats.failed) == (1, 3, 0, 1)
 
     def test_an_outcome_that_will_not_unpickle_costs_only_its_attempt(
         self, monkeypatch
@@ -193,7 +199,7 @@ class TestWorkerKill:
         )
         assert payloads[1] is None and stats.executed == 3 and stats.crashes == 0
         [(verdict, exc)] = failures
-        assert verdict == "fatal" and isinstance(exc, RuntimeError)
+        assert verdict == "deterministic" and isinstance(exc, RuntimeError)
         assert "could not be unpickled" in str(exc) and "refused" in str(exc)
         assert len({payload["pid"] for payload in payloads if payload}) <= 2
 
@@ -364,10 +370,10 @@ class TestLoneCellIsolation:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["2"]
+        assert proc.stdout.split() == ["3"]
         report = CellCache(store).lookup(specs(1)[0])
-        assert isinstance(report, FailureReport) and report.condemned
-        assert report.classification == "deterministic"
+        assert isinstance(report, FailureReport) and not report.condemned
+        assert report.classification == "exhausted"
 
     def test_a_lone_poison_lease_keeps_its_host(self, tmp_path, monkeypatch):
         """A capacity-2 host granted one poison lease runs it in a pool
@@ -383,7 +389,8 @@ class TestLoneCellIsolation:
             assert cluster.orchestrator.stats["dead_hosts"] == 0
         assert payloads == [None] and stats.failed == 1
         report = cache.lookup(cells[0])
-        assert report.condemned and report.classification == "deterministic"
+        assert not report.condemned and report.classification == "exhausted"
+        assert report.error_type == "WorkerCrashError"
 
 
 class TestOrchestratorKill:
@@ -401,9 +408,12 @@ class TestOrchestratorKill:
 
 
 class TestQuarantine:
-    def test_deterministic_failure_quarantined_after_max_retries(
+    def test_deterministic_failure_quarantined_on_first_attempt(
         self, tmp_path, monkeypatch
     ):
+        """A cell is deterministic, so a ``SimulationError`` is its
+        verdict at once: one attempt of the two allowed, condemned, and
+        skipped unrun by the next campaign."""
         calls = []
 
         def mostly_fine(spec):
@@ -417,16 +427,50 @@ class TestQuarantine:
         cells = specs(3)
         with pytest.raises(CampaignError) as excinfo:
             execute_cells(cells, cache=cache, max_retries=2)
-        # Exactly --max-retries attempts, then condemned.
-        assert calls.count(2) == 2
-        assert excinfo.value.attempts == 2
+        assert calls.count(2) == 1
+        assert excinfo.value.attempts == 1
         assert isinstance(excinfo.value.cause, SimulationError)
         report = cache.lookup(cells[1])
-        assert report.classification == "deterministic"
-        assert report.attempts == 2
+        assert report.classification == "deterministic" and report.condemned
+        assert report.attempts == 1
         # The failure did not block the other cells: both are cached.
         assert cache.get(cells[0]) is not None
         assert cache.get(cells[2]) is not None
+        _, stats = execute_cells(
+            cells, cache=cache, max_retries=2, failure_mode="continue"
+        )
+        assert (stats.executed, stats.quarantined) == (0, 1)
+        assert calls.count(2) == 1
+
+    def test_a_cell_that_raises_in_a_worker_is_attempted_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The pool carrier gives the same verdict as the inline one: an
+        error the cell raises in its worker is not retried, whatever
+        budget is left, and condemns the cell; its neighbours run."""
+        attempts = tmp_path / "attempts"
+
+        def raises_in_worker(spec):
+            if spec.seed == 2:
+                with open(attempts, "a") as fh:
+                    fh.write("attempt\n")
+                raise SimulationError("deterministic kaboom", cycle=5)
+            return well_behaved(spec)
+
+        monkeypatch.setattr("repro.campaign.engine.run_cell", raises_in_worker)
+        cache = CellCache(tmp_path / "cache", salt="s1")
+        cells = specs(3)
+        payloads, stats = execute_cells(
+            cells, workers=2, cache=cache, max_retries=3, failure_mode="continue"
+        )
+        assert len(lines(attempts)) == 1
+        assert payloads[1] is None
+        assert payloads[0] == well_behaved(cells[0])
+        assert payloads[2] == well_behaved(cells[2])
+        assert (stats.executed, stats.retried, stats.crashes, stats.failed) == (2, 0, 0, 1)
+        report = cache.lookup(cells[1])
+        assert report.classification == "deterministic" and report.condemned
+        assert (report.attempts, report.error_type) == (1, "SimulationError")
 
     def test_second_campaign_skips_quarantined_cell(self, tmp_path, monkeypatch):
         calls = []
@@ -455,36 +499,39 @@ class TestQuarantine:
         assert stats.quarantined == 1
         assert payloads[1] is None
 
-    def test_exhausted_flaky_cell_is_not_quarantined(self, tmp_path, monkeypatch):
-        """A cell whose budget runs out on *differing* signatures is
-        flaky, not condemned: its structured report is stored for
+    def test_exhausted_crashing_cell_is_not_quarantined(self, tmp_path, monkeypatch):
+        """A cell whose budget runs out on worker crashes is unlucky,
+        not condemned: its structured report is stored for
         post-mortems, but the next campaign retries it with a fresh
         budget instead of skipping it forever, and its payload then
         replaces the report."""
-        calls = []
+        attempts = tmp_path / "attempts"
 
-        def flaky(spec):
-            calls.append(spec.seed)
+        def crashing(spec):
             if spec.seed == 2:
-                raise SimulationError(f"flaky kaboom #{len(calls)}", cycle=5)
+                with open(attempts, "a") as fh:
+                    fh.write("attempt\n")
+                os.kill(os.getpid(), signal.SIGKILL)
             return well_behaved(spec)
 
-        monkeypatch.setattr("repro.campaign.engine.run_cell", flaky)
+        monkeypatch.setattr("repro.campaign.engine.run_cell", crashing)
         cache = CellCache(tmp_path / "cache", salt="s1")
         cells = specs(3)
         payloads, stats = execute_cells(
-            cells, cache=cache, max_retries=2, failure_mode="continue"
+            cells, workers=2, cache=cache, max_retries=2, failure_mode="continue"
         )
         assert payloads[1] is None
         assert stats.failed == 1 and stats.quarantined == 0
         report = cache.lookup(cells[1])
         assert report.classification == "exhausted" and not report.condemned
-        assert len(set(report.signatures)) == 2  # genuinely differing
+        assert len(lines(attempts)) == 2
 
-        attempts_before = calls.count(2)
-        execute_cells(cells, cache=cache, max_retries=2, failure_mode="continue")
+        _, stats = execute_cells(
+            cells, workers=2, cache=cache, max_retries=2, failure_mode="continue"
+        )
         # A fresh budget was spent — the cell was not skipped.
-        assert calls.count(2) == attempts_before + 2
+        assert len(lines(attempts)) == 4
+        assert (stats.hits, stats.quarantined, stats.failed) == (2, 0, 1)
 
         monkeypatch.setattr("repro.campaign.engine.run_cell", well_behaved)
         payloads, stats = execute_cells(cells, cache=cache)
@@ -519,7 +566,7 @@ class TestQuarantine:
         _, stats = execute_cells(
             cells, cache=cache, resume=False, failure_mode="continue"
         )
-        assert len(calls) == 2 and stats.quarantined == 1 and stats.executed == 0
+        assert len(calls) == 1 and stats.quarantined == 1 and stats.executed == 0
 
     def test_deleting_the_entry_the_message_names_paroles_the_cell(
         self, tmp_path, monkeypatch
@@ -542,14 +589,14 @@ class TestQuarantine:
         with pytest.raises(CampaignError) as skipped:
             campaign.run(cache_dir=store)
         assert isinstance(skipped.value.cause, QuarantinedCellError)
-        assert calls.count(2) == 2
+        assert calls.count(2) == 1
         named = Path(re.search(r"remove (\S+) to retry", str(skipped.value)).group(1))
         assert named == CellCache(store).path_for(specs(3)[1])
         named.unlink()
         with pytest.raises(CampaignError) as retried:
             campaign.run(cache_dir=store)
         assert isinstance(retried.value.cause, SimulationError)
-        assert calls.count(2) == 4
+        assert calls.count(2) == 2
         last = list(iter_events(store / "parole.events.jsonl"))[-1]
         assert (last["hits"], last["quarantined"]) == (2, 1)
         assert not (store / "quarantine").exists()
@@ -583,8 +630,35 @@ class TestTimeout:
         assert payloads[0] == well_behaved(cells[0])
         assert payloads[2] == well_behaved(cells[2])
         report = cache.lookup(cells[1])
-        assert report.signatures == ["timeout"]
-        assert report.error_type == "CellTimeoutError"
+        assert (report.classification, report.attempts) == ("exhausted", 1)
+        assert report.error_type == "CellTimeoutError" and not report.condemned
+
+    def test_a_timeout_does_not_condemn_the_cell(self, tmp_path, monkeypatch):
+        """A cell that outlives a tight ``timeout`` twice ends
+        ``exhausted``.  ``timeout`` is not in the cell's key, so the next
+        campaign, with room to finish, runs the cell rather than
+        skipping it on the first one's verdict."""
+
+        def slow(spec):
+            time.sleep(1.0)
+            return well_behaved(spec)
+
+        monkeypatch.setattr("repro.campaign.engine.run_cell", slow)
+        cache = CellCache(tmp_path / "cache", salt="s1")
+        cells = specs(1)
+        payloads, stats = execute_cells(
+            cells, timeout=0.5, max_retries=2, cache=cache, failure_mode="continue"
+        )
+        assert payloads == [None] and stats.timeouts == 2
+        report = cache.lookup(cells[0])
+        assert (report.classification, report.attempts) == ("exhausted", 2)
+        assert not report.condemned
+
+        payloads, stats = execute_cells(
+            cells, timeout=30, max_retries=2, cache=cache, failure_mode="continue"
+        )
+        assert (stats.executed, stats.quarantined, stats.failed) == (1, 0, 0)
+        assert payloads == [well_behaved(cells[0])] == [cache.lookup(cells[0])]
 
     def test_a_timeout_kills_only_its_own_cell(self, tmp_path, monkeypatch):
         """Seed 1 hangs past its deadline while seed 3 is running: only

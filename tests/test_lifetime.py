@@ -11,15 +11,15 @@ that re-introduces a cycle fails here and not in the next benchmark.
 
 import gc
 import hashlib
+import json
 import weakref
 from contextlib import closing, contextmanager
 
 import pytest
 
 from repro.bench import SCHEMES, _stats_fingerprint, record_trace, replay
-from repro.campaign import CellSpec, execute_cells, run_cell
+from repro.campaign import CellCache, CellSpec, execute_cells, run_cell
 from repro.campaign.runner import run_parsec
-from repro.campaign.supervisor import error_signature
 from repro.experiments.common import SCHEME_ORDER, make_scheme
 from repro.guarantees import BoundChecker
 from repro.noc import (
@@ -220,13 +220,39 @@ class TestFailedCell:
         )
         with pytest.raises(DeadlockError) as excinfo:
             run_cell(spec)
-        signature = error_signature(excinfo.value)
+        exc = excinfo.value
+        signature = f"{type(exc).__qualname__}: {exc}"
         # Recorded at the parent commit (35d92a0): message plus the
         # rendered post-mortem.  Moved once since, by one ring line:
         # "[    50] - fault:router_stall R18", the stall window opening
         # while R18 held no flits (4329 chars, 90b9bfa3d10ff948 before).
         assert len(signature) == 4365
         assert hashlib.sha256(signature.encode()).hexdigest()[:16] == "07abe2944cecaa16"
+
+    def test_failed_event_is_one_line_and_the_store_keeps_the_rest(self, tmp_path):
+        """The log's ``failed`` event names the error by its first line
+        and points at the store entry (``key``) that holds the whole
+        post-mortem, instead of repeating it (~7 KB) on every line."""
+        spec = CellSpec.parsec(
+            "bodytrack", "PowerPunch-PG", instructions=300, seed=1, config=STALLED
+        )
+        log = tmp_path / "events.jsonl"
+        cache = CellCache(tmp_path / "store")
+        execute_cells([spec], cache=cache, log_path=log, failure_mode="continue")
+        [line] = [
+            text
+            for text in log.read_text().splitlines()
+            if json.loads(text).get("status") == "failed"
+        ]
+        assert len(line.encode()) < 1024, len(line)
+        event = json.loads(line)
+        assert event["attempts"] == 1 and "\n" not in event["error"]
+        key = event["key"]
+        report = json.loads((tmp_path / "store" / key[:2] / f"{key}.json").read_text())[
+            "failure"
+        ]
+        assert report["error"].startswith(event["error"])
+        assert report["post_mortem"] and report["post_mortem"] in report["error"]
 
     def test_flight_recorder_is_independent_of_install_order(self):
         """The network owns the one ring: installing the checker before

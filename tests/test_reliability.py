@@ -338,7 +338,6 @@ class TestQuarantinePostMortem:
             key="k1",
             exc=error,
             attempts=1,
-            signatures=["RuntimeError:router wedged"],
             classification="deterministic",
         )
         assert rep.fault_spec == "router_stall,router=5,start=10"
@@ -353,7 +352,6 @@ class TestQuarantinePostMortem:
             key="k2",
             exc=ValueError("nope"),
             attempts=1,
-            signatures=["ValueError:nope"],
             classification="deterministic",
         )
         assert rep.fault_spec is None

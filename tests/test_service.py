@@ -52,7 +52,6 @@ from repro.campaign.service import client as service_client
 from repro.campaign.service import protocol
 from repro.campaign.service.orchestrator import MAX_REQUEUES
 from repro.noc import NoCConfig
-from repro.noc.errors import SimulationError
 
 
 def specs(n=4):
@@ -825,19 +824,19 @@ class TestLocalCluster:
     def test_standing_cluster_leases_an_exhausted_cell_again(
         self, tmp_path, monkeypatch
     ):
-        """A flaky cell whose budget ran out is not condemned: a second
-        campaign on the same standing cluster runs it again, exactly as
-        a second pool campaign would."""
-        attempts = itertools.count(1)
+        """A cell whose budget ran out on timeouts is not condemned: a
+        second campaign on the same standing cluster runs it again,
+        exactly as a second pool campaign would.  (The host's timeout
+        puts its one slot on the pool, which enforces it.)"""
 
-        def flaky(spec):
-            raise SimulationError(f"flaky kaboom #{next(attempts)}")
+        def hangs(spec):
+            time.sleep(60)
 
         # Hosts are forked from this process: they run the patched cell.
-        monkeypatch.setattr("repro.campaign.engine.run_cell", flaky)
+        monkeypatch.setattr("repro.campaign.engine.run_cell", hangs)
         cells = specs(1)
         cache = CellCache(tmp_path / "store")
-        with LocalCluster(1, max_retries=2) as cluster:
+        with LocalCluster(1, max_retries=2, timeout=0.3) as cluster:
             for campaign in (1, 2):
                 _, stats = execute_cells(
                     cells, hosts=cluster.address, cache=cache, failure_mode="continue"

@@ -1,10 +1,9 @@
 """Tests for the campaign supervision primitives.
 
-Covers the retry policy's validation, the
-transient-vs-deterministic failure classifier, failure verdicts as
-cell-cache entries (round trip, torn entries, structured reports with
-post-mortems, a payload replacing them) and the pickling contract of
-the typed error hierarchy —
+Covers the retry policy's validation, failure verdicts as
+cell-cache entries (round trip, torn or stale entries, structured
+reports with post-mortems, a payload replacing them) and the pickling
+contract of the typed error hierarchy —
 worker exceptions must survive the process-pool boundary with their
 context.
 """
@@ -19,12 +18,8 @@ import pytest
 from repro.campaign import (
     CellCache,
     CellSpec,
-    CellTimeoutError,
     FailureReport,
     RetryPolicy,
-    WorkerCrashError,
-    classify_attempts,
-    error_signature,
     execute_cells,
 )
 from repro.noc.errors import (
@@ -46,30 +41,6 @@ class TestRetryPolicy:
             RetryPolicy(max_retries=0)
         with pytest.raises(ValueError):
             RetryPolicy(timeout=0.0)
-
-
-class TestClassifier:
-    def test_signature_types(self):
-        assert error_signature(WorkerCrashError("x")) == "worker-crash"
-        assert error_signature(CellTimeoutError("x")) == "timeout"
-        sig = error_signature(SimulationError("boom", cycle=4))
-        assert sig.startswith("SimulationError:") and "boom" in sig
-
-    def test_identical_twice_is_deterministic(self):
-        sig = error_signature(SimulationError("boom"))
-        assert classify_attempts([sig]) == "transient"
-        assert classify_attempts([sig, sig]) == "deterministic"
-
-    def test_differing_signatures_stay_transient(self):
-        a = error_signature(SimulationError("one"))
-        b = error_signature(SimulationError("two"))
-        assert classify_attempts([a, b]) == "transient"
-        # Only the *last two* matter: an old repeat does not condemn.
-        assert classify_attempts([a, a, b]) == "transient"
-
-    def test_repeated_crashes_are_deterministic(self):
-        crash = error_signature(WorkerCrashError("died"))
-        assert classify_attempts([crash, crash]) == "deterministic"
 
 
 class TestErrorPickling:
@@ -125,9 +96,7 @@ class TestFailureEntries:
 
     def report(self, spec, classification="deterministic", exc=None):
         exc = exc or SimulationError("boom", cycle=3)
-        return FailureReport.from_failure(
-            spec, "k", exc, 2, [error_signature(exc)] * 2, classification
-        )
+        return FailureReport.from_failure(spec, "k", exc, 1, classification)
 
     @pytest.mark.parametrize("directory", [True, False], ids=["files", "memory"])
     def test_failure_entry_round_trips(self, tmp_path, directory):
@@ -141,7 +110,7 @@ class TestFailureEntries:
         assert reopened.get(spec) is None  # a failure is not a payload
         assert reopened.lookup(self.spec(2)) is None
 
-    def test_entry_carries_spec_signatures_and_post_mortem(self, tmp_path):
+    def test_entry_carries_spec_and_post_mortem(self, tmp_path):
         pm = PostMortem(cycle=10, reason="watchdog")
         spec = self.spec()
         cache = CellCache(tmp_path, salt="s1")
@@ -152,7 +121,7 @@ class TestFailureEntries:
         assert doc["spec"] == spec.canonical()
         failure = doc["failure"]
         assert failure["error_type"] == "DeadlockError"
-        assert len(failure["signatures"]) == 2
+        assert failure["attempts"] == 1
         assert failure["spec"]["workload"] == "canneal"
         assert failure["post_mortem"] is not None
 
@@ -172,6 +141,33 @@ class TestFailureEntries:
         cache.put(spec, self.report(spec))
         cache.path_for(spec).write_bytes(damage)
         assert cache.lookup(spec) is None
+
+    def test_stale_failure_entry_is_a_miss_and_the_cell_runs_again(self, tmp_path):
+        """An entry written when reports still carried ``signatures``
+        (a condemning one, at that) reads as a miss: the campaign runs
+        the cell and its payload replaces the entry."""
+        cache = CellCache(tmp_path, salt="s1")
+        spec = CellSpec.synthetic(
+            "uniform_random", 0.01, "No-PG", warmup=50, measurement=100, seed=1
+        )
+        doc = {
+            "salt": "s1",
+            "spec": spec.canonical(),
+            "failure": {
+                **self.report(spec).as_dict(),
+                "key": cache.key_for(spec),
+                "attempts": 2,
+                "signatures": ["SimulationError: boom"] * 2,
+            },
+        }
+        path = cache.path_for(spec)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(doc))
+        assert cache.lookup(spec) is None
+        [payload], stats = execute_cells([spec], cache=cache)
+        assert (stats.executed, stats.quarantined, stats.failed) == (1, 0, 0)
+        assert cache.lookup(spec) == payload
+        assert list(json.loads(path.read_text())) == ["salt", "spec", "payload"]
 
     def test_payload_put_overwrites_an_exhausted_failure(self, tmp_path):
         cache = CellCache(tmp_path, salt="s1")
