@@ -249,10 +249,10 @@ def _retryable(exc: BaseException) -> bool:
     return isinstance(exc, (WorkerCrashError, CellTimeoutError))
 
 
-def _first_line(exc: BaseException) -> str:
-    """An error's first line, for the event log: the full text (with
+def first_line(error: object) -> str:
+    """An error's first line, for an event log: the full text (with
     any post-mortem) is in the stored report and the raised error."""
-    return str(exc).split("\n", 1)[0]
+    return str(error).split("\n", 1)[0]
 
 
 def _pool_worker(conn: Connection, inherited: List[Connection]) -> None:
@@ -452,7 +452,7 @@ class _Run:
                 "retry",
                 index,
                 attempts=self.attempts[index],
-                error=_first_line(exc),
+                error=first_line(exc),
                 key=self._event_key(index),
             )
             return True
@@ -479,7 +479,7 @@ class _Run:
             index,
             attempts=self.attempts[index],
             classification=classification,
-            error=_first_line(exc),
+            error=first_line(exc),
             key=self._event_key(index),
         )
         self.failures[index] = CampaignError(spec, exc, self.attempts[index])

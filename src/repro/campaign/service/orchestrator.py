@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..cache import CellCache, decode_payload, encode_payload
-from ..engine import EventLog, merge_event_streams
+from ..engine import EventLog, first_line, merge_event_streams
 from ..spec import CellSpec
 from . import protocol
 
@@ -542,7 +542,7 @@ class Orchestrator:
                 "key": cell.key,
                 "label": cell.spec.label,
                 "classification": failure["classification"],
-                "error": failure["error"],
+                "error": first_line(failure["error"]),
             }
         )
         await self._deliver(cell)

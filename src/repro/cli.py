@@ -11,8 +11,9 @@ One front door for every harness in the repository::
     python -m repro.cli all --out results/
 
 ``repro.cli all`` regenerates the complete evaluation in one go (this
-is the long way to reproduce EXPERIMENTS.md).  Every experiment runs
-through the campaign engine (``docs/campaigns.md``): ``--workers N``
+is the long way to reproduce EXPERIMENTS.md).  Every experiment but
+``table1``, a function call that takes no engine or robustness flag,
+runs through the campaign engine (``docs/campaigns.md``): ``--workers N``
 fans independent cells out over a process pool, ``--cache-dir`` keeps
 a content-addressed cell cache so re-runs recompute only invalidated
 cells, and ``--resume`` (default) lets an interrupted ``all`` pick up
@@ -21,7 +22,7 @@ up: ``report`` (Figs 7-11 and every paper claim, over seeds 1-5)
 runs the PARSEC matrix like ``parsec-suite`` does and finds its 32
 seed-1 cells there (``parsec-suite --out`` is an export, not an
 input), and ``all`` hands every engine and robustness option it was
-given to every sub-command::
+given to every campaign sub-command::
 
     python -m repro.cli all --out results/ --workers 4
     python -m repro.cli all --out results/ --workers 4   # warm: 0 cells re-run
@@ -58,7 +59,9 @@ aborting on the first violation.  ``--degradation`` sets what every
 network does with a dead router (``none`` leaves it to the watchdog,
 ``reroute`` detours traffic around it) and ``--dead-router-threshold``
 the number of continuously stalled cycles before a router is declared
-dead.
+dead.  A command takes only the flags it can honour
+(``docs/campaigns.md`` has the table); one it does not take is a usage
+error (exit 2), before or after the command, and no cell runs.
 
 Monte-Carlo reliability campaigns (``docs/resilience.md``)::
 
@@ -110,10 +113,11 @@ from .experiments import (
 )
 from .noc.config import VALID_DEGRADATIONS
 
-#: Every experiment command and the module that declares its flags
-#: (``add_arguments(parser)``) and runs it (``run(args, engine)``).
+#: Every campaign command and the module that declares its flags
+#: (``add_arguments(parser)``), names the robustness fields its cells
+#: cannot honour (``REFUSED_ROBUSTNESS``, if any) and runs it
+#: (``run(args, engine)``).  ``table1`` runs no cell: ``run(args)``.
 EXPERIMENTS = {
-    "table1": table1,
     "parsec-suite": parsec_suite,
     "report": headline,
     "fig12": fig12,
@@ -125,121 +129,102 @@ EXPERIMENTS = {
     "reliability": reliability,
 }
 
-#: ``Campaign.run`` keyword arguments read straight off the namespace.
-_ENGINE_FLAGS = (
-    "workers",
-    "cache_dir",
-    "resume",
-    "timeout",
-    "max_retries",
-    "hosts",
-)
-#: Every key :func:`engine_options` returns.
-ENGINE_OPTION_KEYS = _ENGINE_FLAGS + ("config_overrides",)
-
-#: ``NoCConfig`` fields the robustness flags override; each flag's
-#: argparse ``dest`` is the field name.
-_ROBUSTNESS_FIELDS = (
-    "faults",
-    "strict_invariants",
-    "watchdog",
-    "degradation",
-    "dead_router_threshold",
-)
-_ROBUSTNESS_TITLE = "robustness (cell configuration)"
-
-
-# ----------------------------------------------------------------------
-# The shared flags (also what custom campaign scripts build on)
-# ----------------------------------------------------------------------
-def add_campaign_args(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared engine flags to an existing parser."""
-    group = parser.add_argument_group("campaign engine")
-    group.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool fan-out (cells are independent and seeded)",
-    )
-    group.add_argument(
-        "--cache-dir",
+#: The engine flags by their argparse ``dest``: the ``Campaign.run``
+#: keyword each is handed to as it stands (see :func:`engine_options`).
+_ENGINE = {
+    "workers": dict(
+        type=int, default=1, help="process-pool fan-out (cells are independent and seeded)"
+    ),
+    "cache_dir": dict(
         default=None,
         help="content-addressed cell cache directory (enables caching, "
         "resume, quarantine, and the JSONL progress log)",
-    )
-    group.add_argument(
-        "--resume",
+    ),
+    "resume": dict(
         action=argparse.BooleanOptionalAction,
         default=True,
         help="reuse cached cells (--no-resume recomputes and overwrites)",
-    )
-    group.add_argument(
-        "--timeout",
+    ),
+    "timeout": dict(
         type=float,
         default=None,
         help="per-cell wall-clock budget in seconds (enforced via "
         "process isolation; the offending worker is killed)",
-    )
-    group.add_argument(
-        "--max-retries",
+    ),
+    "max_retries": dict(
         type=int,
         default=2,
         help="total attempts per cell when its worker crashes or times "
         "out (a cell that raises fails at once; docs/resilience.md)",
-    )
-    group.add_argument(
-        "--hosts",
+    ),
+    "hosts": dict(
         default=None,
         help="run the campaign on the distributed service instead of "
         "the in-process pool: 'local:N' spins up an ephemeral "
         "N-worker cluster on this machine, 'HOST:PORT' submits to "
         "a running 'repro.cli serve' orchestrator (results are "
         "bit-identical either way; see docs/service.md)",
-    )
+    ),
+}
+#: Every key :func:`engine_options` returns.
+ENGINE_OPTION_KEYS = (*_ENGINE, "config_overrides")
 
-
-def _declare_robustness(group) -> None:
-    """Declare the robustness flags on ``group`` — the one place they
-    are declared.
-
-    Every flag overrides the ``NoCConfig`` field of the same name on
-    every cell of the campaign (see :func:`config_overrides`), so the
-    setting is part of each cell's content address and reaches pool
-    workers and service hosts inside the spec.  Unset flags (``None``
-    / ``False``) leave the cell's own value alone.  No flag states a
-    default, so a group built with ``argument_default=SUPPRESS`` records
-    only the flags given (see :func:`_parser`).
-    """
-    group.add_argument(
-        "--faults",
+#: The robustness flags by the ``NoCConfig`` field each overrides on
+#: every cell of the campaign (its argparse ``dest``; see
+#: :func:`config_overrides`), so a setting is part of each cell's
+#: content address and reaches pool workers and service hosts inside
+#: the spec.  None states a default: an unset flag (``None`` /
+#: ``False``) leaves the cell's own value alone, and a group built with
+#: ``argument_default=SUPPRESS`` records only the flags given.
+_ROBUSTNESS = {
+    "faults": dict(
         metavar="SPEC",
         help="fault schedule injected into every network, e.g. "
         "'punch_drop,rate=0.5;seed=7' (see docs/fault_model.md)",
-    )
-    group.add_argument(
-        "--strict-invariants",
+    ),
+    "strict_invariants": dict(
         action="store_true",
         help="run the per-cycle invariant checker and deadlock watchdog "
         "on every network; the first violation raises",
-    )
-    group.add_argument(
-        "--watchdog",
-        type=int,
-        metavar="CYCLES",
-        help="deadlock-watchdog bound for --strict-invariants",
-    )
-    group.add_argument(
-        "--degradation",
-        choices=VALID_DEGRADATIONS,
-        help="graceful-degradation mode of every network",
-    )
-    group.add_argument(
-        "--dead-router-threshold",
+    ),
+    "watchdog": dict(
+        type=int, metavar="CYCLES", help="deadlock-watchdog bound for --strict-invariants"
+    ),
+    "degradation": dict(
+        choices=VALID_DEGRADATIONS, help="graceful-degradation mode of every network"
+    ),
+    "dead_router_threshold": dict(
         type=int,
         metavar="CYCLES",
         help="continuously stalled cycles before a router is declared "
         "permanently dead",
-    )
+    ),
+}
+_ROBUSTNESS_TITLE = "robustness (cell configuration)"
+
+
+# ----------------------------------------------------------------------
+# The shared flags (also what custom campaign scripts build on)
+# ----------------------------------------------------------------------
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _declare(group, flags: dict, refused: Sequence[str] = ()) -> None:
+    """Declare ``flags`` (``_ENGINE`` or ``_ROBUSTNESS``) on ``group``,
+    less ``refused`` — the one place either table is declared."""
+    for dest, options in flags.items():
+        if dest not in refused:
+            group.add_argument(_flag(dest), **options)
+
+
+def _refused(command: str) -> Tuple[str, ...]:
+    """The robustness fields ``command`` does not take: its module's
+    ``REFUSED_ROBUSTNESS``, none for ``all`` (whose sub-commands take
+    them all), and every one for a command that runs no cell."""
+    if command in EXPERIMENTS:
+        return getattr(EXPERIMENTS[command], "REFUSED_ROBUSTNESS", ())
+    return () if command == "all" else tuple(_ROBUSTNESS)
 
 
 def campaign_argparser(
@@ -252,8 +237,8 @@ def campaign_argparser(
     parser = argparse.ArgumentParser(
         prog=prog, description=description, allow_abbrev=False
     )
-    add_campaign_args(parser)
-    _declare_robustness(parser.add_argument_group(_ROBUSTNESS_TITLE))
+    _declare(parser.add_argument_group("campaign engine"), _ENGINE)
+    _declare(parser.add_argument_group(_ROBUSTNESS_TITLE), _ROBUSTNESS)
     return parser
 
 
@@ -264,7 +249,7 @@ def config_overrides(args: argparse.Namespace) -> Items:
     return freeze_items(
         [
             (name, value)
-            for name in _ROBUSTNESS_FIELDS
+            for name in _ROBUSTNESS
             if (value := getattr(args, name, None)) is not None
             and value is not False
         ]
@@ -273,7 +258,7 @@ def config_overrides(args: argparse.Namespace) -> Items:
 
 def engine_options(args: argparse.Namespace) -> dict:
     """Extract ``Campaign.run`` kwargs from a parsed namespace."""
-    options = {key: getattr(args, key) for key in _ENGINE_FLAGS}
+    options = {key: getattr(args, key) for key in _ENGINE}
     options["config_overrides"] = config_overrides(args)
     return options
 
@@ -282,10 +267,11 @@ def engine_options(args: argparse.Namespace) -> dict:
 # The command tree
 # ----------------------------------------------------------------------
 def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The one argparse tree, and its campaign commands by name.
+    """The one argparse tree, and its commands by name.
 
     The robustness flags sit on the root (before the command) and on
-    every campaign command (after it).  The root's copies carry the
+    every campaign command (after it), less the ones the command does
+    not take (:func:`_refused`).  The root's copies carry the
     defaults; a command's copies record only the flags given, so the
     same flag after the command overrides it before the command, and
     an absent one leaves the root's value alone.
@@ -296,37 +282,34 @@ def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParse
         formatter_class=argparse.RawDescriptionHelpFormatter,
         allow_abbrev=False,
     )
-    _declare_robustness(root.add_argument_group(_ROBUSTNESS_TITLE))
+    _declare(root.add_argument_group(_ROBUSTNESS_TITLE), _ROBUSTNESS)
     subparsers = root.add_subparsers(dest="command", title="commands")
-    campaigns = {}
+    commands = {}
 
-    def campaign(name: str, doc: str) -> argparse.ArgumentParser:
-        parser = subparsers.add_parser(
+    def command(name: str, doc: str) -> argparse.ArgumentParser:
+        parser = commands[name] = subparsers.add_parser(
             name, help=doc.strip().splitlines()[0], description=doc, allow_abbrev=False
         )
-        add_campaign_args(parser)
-        _declare_robustness(
-            parser.add_argument_group(_ROBUSTNESS_TITLE, argument_default=argparse.SUPPRESS)
-        )
-        campaigns[name] = parser
+        if name in EXPERIMENTS or name == "all":
+            _declare(parser.add_argument_group("campaign engine"), _ENGINE)
+            group = parser.add_argument_group(
+                _ROBUSTNESS_TITLE, argument_default=argparse.SUPPRESS
+            )
+            _declare(group, _ROBUSTNESS, _refused(name))
         return parser
 
+    table1.add_arguments(command("table1", table1.__doc__))
     for name, experiment in EXPERIMENTS.items():
-        experiment.add_arguments(campaign(name, experiment.__doc__))
-    parser = campaign("all", _run_all.__doc__)
+        experiment.add_arguments(command(name, experiment.__doc__))
+    parser = command("all", _run_all.__doc__)
     parser.add_argument("--out", default="results")
     parser.add_argument("--instructions", type=int, default=CANONICAL_INSTRUCTIONS)
-    for name, declare, what in (
-        ("serve", _serve_arguments, "campaign-service orchestrator"),
-        ("work", _work_arguments, "campaign worker host"),
-    ):
-        declare(
-            subparsers.add_parser(name, help=what, description=f"{what} (see docs/service.md)")
-        )
-    return root, campaigns
+    _serve_arguments(command("serve", "campaign-service orchestrator (see docs/service.md)"))
+    _work_arguments(command("work", "campaign worker host (see docs/service.md)"))
+    return root, commands
 
 
-def _run_all(args: argparse.Namespace, engine: dict, campaigns: dict) -> None:
+def _run_all(args: argparse.Namespace, engine: dict, commands: dict) -> None:
     """Regenerate the complete evaluation: every figure command in turn."""
     # One shared cell cache under the output directory unless the user
     # pointed somewhere else: every command below reuses (and resumes
@@ -347,9 +330,12 @@ def _run_all(args: argparse.Namespace, engine: dict, campaigns: dict) -> None:
         print(f"\n==== {name} ====")
         # The command's own defaults (its empty command line), with the
         # options ``all`` sets; engine and robustness options are ``all``'s.
-        sub = campaigns[name].parse_args([])
+        sub = commands[name].parse_args([])
         vars(sub).update(options)
-        EXPERIMENTS[name].run(sub, engine)
+        if name in EXPERIMENTS:
+            EXPERIMENTS[name].run(sub, engine)
+        else:
+            table1.run(sub)
 
 
 def _serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -472,22 +458,28 @@ def _work(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """Parse the command line once and run its command."""
-    root, campaigns = _parser()
-    args = root.parse_args(argv)
+    root, commands = _parser()
+    args, unknown = root.parse_known_args(argv)
+    if unknown:  # said by the command's own parser, so the message names it
+        commands.get(args.command, root).error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command is None:
         root.print_help()
         return
-    if args.command not in campaigns:
-        if config_overrides(args):
-            root.error(f"{args.command} takes no robustness flags")
-        (_serve if args.command == "serve" else _work)(args)
+    refused = [field for field, _ in config_overrides(args) if field in _refused(args.command)]
+    if refused:
+        # Only a flag before the command gets here: after it, argparse
+        # has already refused what the command does not declare.
+        root.error(f"{args.command} takes no {', '.join(map(_flag, refused))}")
+    plain = {"table1": table1.run, "serve": _serve, "work": _work}
+    if args.command in plain:
+        plain[args.command](args)
         return
     engine = engine_options(args)
     if engine["config_overrides"]:
         settings = " ".join(f"{k}={v}" for k, v in engine["config_overrides"])
         print(f"[robustness] {settings} applies to every cell")
     if args.command == "all":
-        _run_all(args, engine, campaigns)
+        _run_all(args, engine, commands)
     else:
         EXPERIMENTS[args.command].run(args, engine)
 

@@ -188,6 +188,10 @@ def _fmt(value: Optional[float]) -> str:
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+#: Bounds certify the fault-free pipeline, where no router dies.
+REFUSED_ROBUSTNESS = ("faults", "degradation", "dead_router_threshold")
+
+
 def add_arguments(parser) -> None:
     """``repro.cli guarantees`` flags."""
     parser.add_argument(

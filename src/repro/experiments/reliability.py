@@ -195,6 +195,10 @@ def _fmt_ci(ci: List[float]) -> str:
     return f"[{ci[0]:.4f}, {ci[1]:.4f}]"
 
 
+#: A trial installs the faults sampled from its seed and its own checker.
+REFUSED_ROBUSTNESS = ("faults", "strict_invariants")
+
+
 def add_arguments(parser) -> None:
     """``repro.cli reliability`` flags."""
     parser.add_argument("--samples", type=int, default=100)

@@ -74,7 +74,7 @@ def add_arguments(parser) -> None:
     parser.add_argument("--router", type=int, default=27)
 
 
-def run(args, engine: dict) -> None:
+def run(args) -> None:
     """Print Table 1 for the parsed options: a function call, not a
-    cell, so it reads no store and ignores the engine options."""
+    cell, so it reads no store and takes no engine options."""
     print(report(width=args.width, hops=args.hops, router=args.router))

@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.campaign import Campaign, CampaignError, CellSpec, encode_payload
+from repro.experiments import table1
 from repro.experiments.common import CANONICAL_INSTRUCTIONS
 from repro.noc import DeadlockError, FaultSpecError, NoCConfig
 
@@ -13,7 +14,6 @@ from repro.noc import DeadlockError, FaultSpecError, NoCConfig
 class TestDispatch:
     def test_known_commands_registered(self):
         for name in (
-            "table1",
             "parsec-suite",
             "report",
             "fig12",
@@ -26,6 +26,8 @@ class TestDispatch:
         # The PARSEC figures and the headline are all ``report`` now.
         for name in ("fig7-fig8", "fig9-fig10", "fig11", "headline"):
             assert name not in cli.EXPERIMENTS
+        # Table 1 is a function call, not a campaign.
+        assert "table1" not in cli.EXPERIMENTS
 
     def test_unknown_command_raises(self):
         with pytest.raises(SystemExit):
@@ -102,18 +104,19 @@ def probe(monkeypatch):
 @pytest.fixture
 def sub_runs(monkeypatch):
     """``{command: (args, engine)}``: what each experiment command's
-    ``run`` was called with (nothing simulates)."""
+    ``run`` was called with (``engine`` is ``None`` for ``table1``,
+    which takes none; nothing simulates)."""
     seen = {}
-    for name, experiment in cli.EXPERIMENTS.items():
+    for name, experiment in {**cli.EXPERIMENTS, "table1": table1}.items():
         monkeypatch.setattr(
             experiment,
             "run",
-            lambda args, engine, name=name: seen.__setitem__(name, (args, engine)),
+            lambda args, engine=None, name=name: seen.__setitem__(name, (args, engine)),
         )
     return seen
 
 
-@pytest.mark.parametrize("command", [*cli.EXPERIMENTS, "all", "serve", "work"])
+@pytest.mark.parametrize("command", [*cli.EXPERIMENTS, "table1", "all", "serve", "work"])
 def test_every_command_has_help_and_no_topology_flag(command, sub_runs, tmp_path, capsys):
     with pytest.raises(SystemExit) as helped:
         cli.main([command, "--help"])
@@ -209,6 +212,7 @@ class TestRobustnessFlags:
     ):
         cli.main(["--faults", FAULTS, "all", "--out", str(tmp_path), "--strict-invariants"])
         assert len(sub_runs) == 8
+        assert sub_runs.pop("table1")[1] is None
         for _, engine in sub_runs.values():
             assert dict(engine["config_overrides"]) == {
                 "faults": FAULTS,
@@ -245,11 +249,39 @@ class TestRobustnessFlags:
         that command directly produce (``all``'s default cache aside)."""
         cli.main(["all", "--out", str(tmp_path), *flags])
         via_all = {name: engine for name, (_, engine) in sub_runs.items()}
-        assert len(via_all) == 8
+        assert len(via_all) == 8 and via_all.pop("table1") is None
         cache = [] if "--cache-dir" in flags else ["--cache-dir", f"{tmp_path}/cellcache"]
         for name, engine in via_all.items():
             cli.main([name, *flags, *cache])
             assert sub_runs[name][1] == engine, name
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["table1", "--workers", "2"], "--workers"),
+        (["--faults", FAULTS, "table1"], "--faults"),
+        (["guarantees", "--faults", FAULTS], "--faults"),
+        (["--faults", FAULTS, "guarantees"], "--faults"),
+        (["guarantees", "--degradation", "reroute"], "--degradation"),
+        (["reliability", "--faults", FAULTS], "--faults"),
+        (["reliability", "--strict-invariants"], "--strict-invariants"),
+    ],
+    ids=[
+        "table1-workers", "faults-table1", "guarantees-faults", "faults-guarantees",
+        "guarantees-degradation", "reliability-faults", "reliability-strict-invariants",
+    ],
+)
+def test_a_flag_the_command_cannot_honour_is_a_usage_error(argv, flag, sub_runs, capsys):
+    """Refused on the command line, before or after the command, in one
+    line naming both, and before any cell runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    command = next(arg for arg in argv if arg in ("table1", "guarantees", "reliability"))
+    assert len(errors) == 1 and flag in errors[0] and command in errors[0]
+    assert sub_runs == {}
 
 
 class TestRunOptionsAreCellConfiguration:

@@ -380,6 +380,37 @@ class TestOrchestratorScheduling:
 
         self._run(scenario)
 
+    def test_cell_failed_event_carries_the_first_line(self, tmp_path):
+        """The event log gets the error's first line, as the engine's
+        ``failed`` event does: the submitter's store keeps the whole text."""
+        log = tmp_path / "service.events.jsonl"
+        error = "invariant 'deadlock-watchdog' violated\n--- post-mortem ---\nlast 256 events"
+
+        async def scenario(orch):
+            worker = FakeWorker(orch, "w0")
+            await worker.connect()
+            client = asyncio.ensure_future(submit_cells(orch, specs(1)))
+            await until(lambda: orch.queue)
+            (lease,), _ = await worker.request()
+            await worker.send(
+                {
+                    "type": "failure",
+                    "lease_id": lease["lease_id"],
+                    "key": lease["key"],
+                    "error": error,
+                    "error_type": "DeadlockError",
+                    "classification": "deterministic",
+                }
+            )
+            _, statuses, _ = await client
+            assert statuses == ["failed"]
+            worker.close()
+
+        self._run(scenario, log_path=str(log))
+        (event,) = [e for e in iter_events(log) if e["event"] == "cell-failed"]
+        assert event["error"] == "invariant 'deadlock-watchdog' violated"
+        assert "\n" not in event["error"] and event["key"]
+
     def test_each_submit_gets_exactly_one_done(self, tmp_path):
         """A submit answered entirely from the store, and one with no
         cells at all, each end with one ``done`` message and one
