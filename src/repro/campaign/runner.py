@@ -15,7 +15,7 @@ from __future__ import annotations
 import traceback
 from collections import Counter
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from ..baselines import NoRDLike
@@ -273,16 +273,15 @@ def _run_metrics_cell(spec: CellSpec) -> dict:
 def _run_reliability_cell(spec: CellSpec) -> dict:
     """One Monte-Carlo reliability trial (see spec module docstring).
 
-    The fault schedule is sampled from the cell seed, injected into a
-    network built from the cell config (the experiments layer passes a
-    ``degradation="reroute"`` config), and run under strict invariants
-    plus the deadlock watchdog, from cycle 0 to a full drain.  Liveness
-    failures (watchdog deadlock, drain timeout) are *outcomes*, not
-    crashes — they are folded into the payload so the estimator sees
-    them; genuine invariant violations still propagate as the cell's
-    failure.
+    The fault schedule is sampled from the cell seed and laid over the
+    cell config (the experiments layer passes a ``degradation="reroute"``
+    one) with strict invariants and the trial's deadlock watchdog; the
+    network built from that config runs from cycle 0 to a full drain.
+    Liveness failures (watchdog deadlock, drain timeout) are *outcomes*,
+    not crashes — they are folded into the payload so the estimator
+    sees them; genuine invariant violations still propagate as the
+    cell's failure.
     """
-    from ..noc import FaultInjector, InvariantChecker
     from ..noc.errors import DeadlockError, DrainTimeoutError
     from ..noc.faults import sample_fault_schedule
 
@@ -294,13 +293,12 @@ def _run_reliability_cell(spec: CellSpec) -> dict:
         max_faults=params["max_faults"],
         horizon=params["horizon"],
     )
+    config = replace(
+        config, faults=schedule.to_spec(), strict_invariants=True, watchdog=params["watchdog"]
+    )
     scheme = build_scheme(spec) if spec.scheme != "-" else None
     outcome = "drained"
     with closing(Network(config, scheme)) as network:
-        network.install_faults(FaultInjector(schedule))
-        network.install_invariants(
-            InvariantChecker(max_network_age=params["watchdog"])
-        )
         try:
             _measure(network, spec, 0, spec.warmup + spec.measurement, True)
         except (DeadlockError, DrainTimeoutError):
@@ -308,7 +306,7 @@ def _run_reliability_cell(spec: CellSpec) -> dict:
     stats = network.stats
     in_flight_losses = stats.dropped_packets - stats.refused_packets
     return {
-        "fault_spec": schedule.to_spec(),
+        "fault_spec": config.faults,
         "outcome": outcome,
         "deadlocked": outcome == "deadlock",
         "injected": stats.injected_packets,

@@ -111,7 +111,7 @@ from .experiments import (
     scalability,
     table1,
 )
-from .noc.config import VALID_DEGRADATIONS
+from .noc.config import VALID_DEGRADATIONS, NoCConfig
 
 #: Every campaign command and the module that declares its flags
 #: (``add_arguments(parser)``), names the robustness fields its cells
@@ -475,6 +475,14 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         plain[args.command](args)
         return
     engine = engine_options(args)
+    # A value no cell config accepts is a usage error too, before any cell runs.
+    overrides = dict(engine["config_overrides"])
+    if "strict_invariants" in _refused(args.command):
+        overrides["strict_invariants"] = True  # its cells arm their own checker
+    try:
+        NoCConfig(**overrides)
+    except ValueError as exc:  # a FaultSpecError or ConfigError too
+        root.error(f"{args.command}: {exc}")
     if engine["config_overrides"]:
         settings = " ".join(f"{k}={v}" for k, v in engine["config_overrides"])
         print(f"[robustness] {settings} applies to every cell")

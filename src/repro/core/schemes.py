@@ -93,8 +93,8 @@ class PowerGatedScheme(PowerPolicy):
         #: gated neighbor, assert the one-hop WU handshake directly at
         #: that neighbor's controller.  Off by default (the punch fabric
         #: regenerates wakeups every cycle, making the handshake
-        #: redundant and timing-perturbing); armed automatically when a
-        #: fault injector is installed, so lost/late punch signals
+        #: redundant and timing-perturbing); armed by ``attach`` on a
+        #: network with a fault injector, so lost/late punch signals
         #: degrade to the paper's blocking behavior instead of hanging.
         self.blocking_fallback = False
 
@@ -144,10 +144,14 @@ class PowerGatedScheme(PowerPolicy):
         #: The run's counters, kept past ``close()``: OFF time is read
         #: against their ``cycles``.
         self.stats = network.stats
+        # A faulted network arms the blocking fallback (see __init__).
+        faults = network.faults
+        self.blocking_fallback = faults is not None
         for controller in self.controllers:
             # Mirror retry events into the network-wide counters so
             # campaign dumps see them without walking controllers.
             controller.stats = network.stats
+            controller.faults = faults
         self._vector_bank = None
         self._bank_dirty = False
         self._armed = set(range(cfg.num_nodes))
@@ -160,6 +164,7 @@ class PowerGatedScheme(PowerPolicy):
         # baseline — ``static_view`` is the pure-XY twin either way.
         static = network.routing.static_view
         self.fabric = PunchFabric(static, self._on_punch)
+        self.fabric.faults = faults
         # Targeted-router lookups happen for every buffered head flit
         # every cycle; memoize per (current, destination) at the fixed
         # punch horizon.
@@ -188,15 +193,6 @@ class PowerGatedScheme(PowerPolicy):
 
     def _on_punch(self, router: int, cycle: int) -> None:
         self._controllers[router].request_wakeup(cycle, self.expectation_window)
-
-    def on_faults_installed(self, injector) -> None:
-        """Wire the injector into the punch fabric and every controller,
-        and arm the blocking-wakeup fallback (graceful degradation)."""
-        if self.fabric is not None:
-            self.fabric.faults = injector
-        for controller in self.controllers:
-            controller.faults = injector
-        self.blocking_fallback = True
 
     def note_blocked(self, router_id: int, next_router: int, packet, cycle: int) -> None:
         """A flit is stalled behind a gated-off/waking neighbor.

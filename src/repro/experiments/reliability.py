@@ -195,7 +195,7 @@ def _fmt_ci(ci: List[float]) -> str:
     return f"[{ci[0]:.4f}, {ci[1]:.4f}]"
 
 
-#: A trial installs the faults sampled from its seed and its own checker.
+#: A trial runs the faults sampled from its seed under its own checker.
 REFUSED_ROBUSTNESS = ("faults", "strict_invariants")
 
 
@@ -218,12 +218,14 @@ def run(args, engine: dict) -> None:
     """Run the campaign and print its estimate."""
     # Trials are built to survive faults: this experiment's values for
     # the robustness flags left unset differ from "leave cells alone".
+    # The watchdog is the trial's own (its extras), not cell config: a
+    # trial arms its checker itself.
     overrides = {
         "degradation": "reroute",
         "dead_router_threshold": 200,
-        "watchdog": 50_000,
         **dict(engine["config_overrides"]),
     }
+    watchdog = overrides.pop("watchdog", 50_000)
     engine = {**engine, "config_overrides": overrides}
     campaign = reliability_campaign(
         args.samples,
@@ -238,7 +240,7 @@ def run(args, engine: dict) -> None:
         horizon=args.horizon,
         warmup=args.warmup,
         measurement=args.measurement,
-        watchdog=overrides["watchdog"],
+        watchdog=watchdog,
         base_seed=args.base_seed,
     )
     estimate = aggregate(campaign.run(**engine))

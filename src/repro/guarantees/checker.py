@@ -17,9 +17,9 @@ one.
 
 A violation carries the full story: the offending packet's route
 (source→destination router walk), the bound's term-by-term
-decomposition, the observed latency and timeline, and — when an
-:class:`~repro.noc.invariants.InvariantChecker` is installed alongside
-— a rendered post-mortem with the flight recorder's recent events.
+decomposition, the observed latency and timeline, and — when the
+config also sets ``strict_invariants`` — a rendered post-mortem with
+the flight recorder's recent events.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ class BoundChecker:
         if network.faults is not None:
             raise UnboundableConfigError(
                 "latency bounds are certified for the fault-free "
-                "pipeline model; this network has a fault injector "
-                "installed"
+                "pipeline model; this network's config has faults"
             )
         if self.model is None:
             self.model = LatencyBoundModel(network.config, network.policy)

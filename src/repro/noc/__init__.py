@@ -22,7 +22,7 @@ from .faults import (
     FaultSpec,
     sample_fault_schedule,
 )
-from .invariants import InvariantChecker, PostMortem
+from .invariants import PostMortem
 from .network import Network
 from .network_interface import NetworkInterface
 from .packet import (
@@ -70,7 +70,6 @@ __all__ = [
     "FaultSpecError",
     "FaultTolerantRouting",
     "Flit",
-    "InvariantChecker",
     "InvariantViolation",
     "MESH_DIRECTIONS",
     "MeshTopology",

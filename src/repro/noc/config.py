@@ -84,8 +84,8 @@ class NoCConfig:
     #: strict mode (the first violation raises).
     strict_invariants: bool = False
     #: Deadlock-watchdog bound in cycles for the strict checker
-    #: (``None`` keeps the checker's own default; only consulted with
-    #: ``strict_invariants``).
+    #: (``None`` keeps ``repro.noc.invariants.DEFAULT_WATCHDOG``); set
+    #: only with ``strict_invariants``, since nothing else reads it.
     watchdog: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -105,8 +105,11 @@ class NoCConfig:
             raise ValueError("VC buffer depths must be at least one flit")
         if self.ni_latency < 0:
             raise ValueError("ni_latency must be non-negative")
-        if self.watchdog is not None and self.watchdog < 1:
-            raise ValueError("watchdog must be positive")
+        if self.watchdog is not None:
+            if self.watchdog < 1:
+                raise ValueError("watchdog must be positive")
+            if not self.strict_invariants:
+                raise ValueError("watchdog is read only with strict_invariants")
         if self.faults is not None:
             # Parsed again by Network; validating here makes a bad spec
             # fail at config time, before any cell runs.

@@ -147,8 +147,8 @@ class BoundViolationError(InvariantViolation):
     Carries the violation's full context: ``observed`` and ``bound``
     latencies in cycles, the bound's term-by-term decomposition
     (``terms``), the packet's ``route`` (router walk, endpoints
-    inclusive), and — when an invariant checker is installed alongside
-    the bound checker — a post-mortem with the flight recorder's
+    inclusive), and — when the network's config also sets
+    ``strict_invariants`` — a post-mortem with the flight recorder's
     recent events.
     """
 

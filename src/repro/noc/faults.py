@@ -191,20 +191,20 @@ class FaultInjector:
     """Executes a :class:`FaultSchedule` against one network.
 
     The injector is passive: simulator components ask it whether a
-    fault fires at each injection point.  Install it with
-    :meth:`repro.noc.network.Network.install_faults`, which also wires
-    the punch fabric and PG controllers of power-gated schemes.
+    fault fires at each injection point.  A network builds its own from
+    ``NoCConfig.faults`` (the robustness layer is config), before its
+    policy attaches, so a power-gated scheme wires it into its punch
+    fabric and PG controllers.
     """
 
-    def __init__(self, schedule: FaultSchedule) -> None:
+    def __init__(self, schedule: FaultSchedule, ring=None) -> None:
         self.schedule = schedule
         self.rng = random.Random(schedule.seed)
         #: Firing count per spec index (enforces ``count`` budgets).
         self._fired: List[int] = [0] * len(schedule.specs)
-        #: The network's flight recorder (:class:`repro.noc.tracing.EventRing`),
-        #: handed over by ``Network.install_faults``; every fired fault
-        #: lands there.
-        self.ring = None
+        #: The network's flight recorder (:class:`repro.noc.tracing.EventRing`);
+        #: every fired fault lands there.
+        self.ring = ring
         #: Totals per fault kind, for reports and tests.
         self.counts: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 

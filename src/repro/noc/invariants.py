@@ -20,15 +20,17 @@ network verifies, every cycle:
   injector is flagged the moment it lands.
 
 A **deadlock/livelock watchdog** runs every cycle too: any packet
-whose in-network age exceeds ``max_network_age`` (or, optionally,
-whose NI-queue age exceeds ``max_queue_age``) trips a
+whose in-network age exceeds ``max_network_age`` (``NoCConfig.watchdog``,
+or :data:`DEFAULT_WATCHDOG`) trips a
 :class:`~repro.noc.errors.DeadlockError` carrying a structured
 :class:`PostMortem` — the stuck packets with their routes, the state
 of every router on those routes (PG state, VC occupancy), and the last
 N events from the network's flight recorder (``Network.ring``), where
 the checker logs packet creations, deliveries and drops.
 
-Every violation raises the moment it is detected.
+Every violation raises the moment it is detected.  A packet starved
+in its NI queue has no network age: the drain's
+:class:`~repro.noc.errors.DrainTimeoutError` names it instead.
 """
 
 from __future__ import annotations
@@ -107,26 +109,23 @@ def _coord_pair(topology, node: int) -> tuple:
     return (c.x, c.y)
 
 
+#: The watchdog bound (cycles) of a strict config that sets none.
+DEFAULT_WATCHDOG = 10_000
+
+
 class InvariantChecker:
     """Per-cycle runtime verification for one :class:`Network`.
 
-    Install with :meth:`Network.install_invariants`; :meth:`attach`
-    subscribes the ``on_*`` hooks to the network's events (which pins
-    the object kernel: they are per-flit events).  The checker is
+    Built by a network whose config sets ``strict_invariants`` (the
+    robustness layer is config); :meth:`attach` subscribes the ``on_*``
+    hooks to its events (which pins the object kernel: they are
+    per-flit events).  The checker is
     opt-in precisely because the structural checks cost O(ports x VCs)
     per cycle.
     """
 
-    def __init__(
-        self,
-        *,
-        max_network_age: int = 10_000,
-        max_queue_age: Optional[int] = None,
-    ) -> None:
-        if max_network_age < 1:
-            raise ValueError("max_network_age must be positive")
+    def __init__(self, max_network_age: int) -> None:
         self.max_network_age = max_network_age
-        self.max_queue_age = max_queue_age
         self.network: Optional["Network"] = None
         #: Packets created but not yet delivered, by id.
         self.live: Dict[int, "Packet"] = {}
@@ -395,31 +394,25 @@ class InvariantChecker:
                 )
 
     def check_watchdog(self, cycle: int) -> None:
-        """Flag packets whose age exceeds the configured bounds."""
-        stuck: List["Packet"] = []
-        for packet in self.live.values():
-            if packet.injected_at is not None:
-                if cycle - packet.injected_at > self.max_network_age:
-                    stuck.append(packet)
-            elif (
-                self.max_queue_age is not None
-                and cycle - packet.created_at > self.max_queue_age
-            ):
-                stuck.append(packet)
+        """Flag packets whose in-network age exceeds the bound."""
+        bound = self.max_network_age
+        stuck: List["Packet"] = [
+            packet
+            for packet in self.live.values()
+            if packet.injected_at is not None and cycle - packet.injected_at > bound
+        ]
         if not stuck:
             return
         post_mortem = self.build_post_mortem(
             cycle,
             f"{len(stuck)} packet(s) exceeded the watchdog age bound "
-            f"(network>{self.max_network_age}"
-            + (f", queue>{self.max_queue_age}" if self.max_queue_age else "")
-            + ")",
+            f"(network>{bound})",
             stuck,
         )
         error = DeadlockError(
             f"pkt#{stuck[0].packet_id} ({stuck[0].source}->"
             f"{stuck[0].destination}) stuck for "
-            f"{cycle - (stuck[0].injected_at if stuck[0].injected_at is not None else stuck[0].created_at)} cycles",
+            f"{cycle - stuck[0].injected_at} cycles",
             post_mortem=post_mortem,
             cycle=cycle,
             packet=stuck[0].packet_id,

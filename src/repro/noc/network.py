@@ -10,8 +10,7 @@ ordered tuple of callables each called with the cycle number.  The
 object kernel's table (``Network._cycle_phases``) is: deliver flits,
 deliver credits, policy ``begin_cycle``, NI injection, VC then switch
 allocation, policy ``end_cycle``, cycle close — led by the
-degradation check once a fault injector is installed on a rerouting
-network.  The vector
+degradation check on a faulted rerouting network.  The vector
 engine installs its own table while it holds the run, and the
 full-scan reference declares its own.
 
@@ -48,13 +47,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from typing import (
-    TYPE_CHECKING, Callable, DefaultDict, Dict, Iterator, List, Optional, Set, Tuple,
+    Callable, DefaultDict, Dict, Iterator, List, Optional, Set, Tuple,
 )
 
 from .buffers import VCState, VirtualChannel
 from .config import NoCConfig
 from .errors import DrainTimeoutError, NetworkClosedError, TopologyError
 from .faults import FaultInjector, FaultSchedule
+from .invariants import DEFAULT_WATCHDOG, InvariantChecker
 from .network_interface import NetworkInterface
 from .packet import Flit, Packet, meet_powered_off
 from .policy import PowerPolicy
@@ -63,9 +63,6 @@ from .routing import FaultTolerantRouting, XYRouting, default_routing
 from .stats import Activity, NetworkStats
 from .topology import Direction
 from .tracing import EventRing
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .invariants import InvariantChecker
 
 #: Cycles from a switch-allocation grant until the flit is buffered
 #: downstream: ST (1) + link (1) + BW in the arrival cycle.
@@ -218,13 +215,15 @@ class Network:
             defaultdict(list)
         )
         self._eject_events: DefaultDict[int, List[Tuple[int, Flit]]] = defaultdict(list)
-        #: Optional robustness layer (see install_faults / install_invariants).
-        self.faults: Optional[FaultInjector] = None
-        self.invariants: Optional["InvariantChecker"] = None
-        #: The flight recorder the injector, the checker and the
-        #: degradation policy all write; made by the first of
-        #: install_faults / install_invariants (see _flight_recorder).
+        #: The robustness layer is config, built here only: the flight
+        #: recorder every writer shares, the fault injector (before
+        #: ``policy.attach`` wires it in), the checker.  None if unasked.
         self.ring: Optional[EventRing] = None
+        if config.faults is not None or config.strict_invariants:
+            self.ring = EventRing()
+        self.faults: Optional[FaultInjector] = None
+        if config.faults is not None:
+            self.faults = FaultInjector(FaultSchedule.parse(config.faults), self.ring)
         #: Routers declared permanently dead (see _check_degradation).
         self.dead_routers: Set[int] = set()
         # Context for the bound-method SA sinks (see _run_switch_allocation).
@@ -233,43 +232,10 @@ class Network:
         self.policy.attach(self)
         #: The cycle :meth:`step` runs (see ``_cycle_phases``).
         self.phases = self._cycle_phases()
-        if config.faults is not None:
-            self.install_faults(FaultInjector(FaultSchedule.parse(config.faults)))
+        self.invariants: Optional[InvariantChecker] = None
         if config.strict_invariants:
-            from .invariants import InvariantChecker
-
-            kwargs = {}
-            if config.watchdog is not None:
-                kwargs["max_network_age"] = config.watchdog
-            self.install_invariants(InvariantChecker(**kwargs))
-
-    # ------------------------------------------------------------------
-    # Robustness layer
-    # ------------------------------------------------------------------
-    def install_faults(self, injector: FaultInjector) -> None:
-        """Attach a fault injector; the policy wires its own fault points
-        (punch fabric, PG controllers) and enables the blocking-wakeup
-        fallback so lost punches degrade latency instead of liveness."""
-        self._disengage_vector()
-        self.faults = injector
-        injector.ring = self._flight_recorder()
-        self.policy.on_faults_installed(injector)
-        self.phases = self._cycle_phases()
-
-    def install_invariants(self, checker: "InvariantChecker") -> None:
-        """Attach a runtime invariant checker (see repro.noc.invariants):
-        it subscribes to the network's events, and stays readable as
-        ``invariants`` for post-mortems and reroute re-certification."""
-        self._flight_recorder()
-        self.invariants = checker
-        checker.attach(self)
-
-    def _flight_recorder(self) -> EventRing:
-        """The network's one event ring, made on first use: whichever
-        robustness layer installs first, every writer shares it."""
-        if self.ring is None:
-            self.ring = EventRing()
-        return self.ring
+            self.invariants = InvariantChecker(config.watchdog or DEFAULT_WATCHDOG)
+            self.invariants.attach(self)
 
     def subscribe(self, event: str, fn: Callable) -> None:
         """Call ``fn``, with the arguments ``EVENTS[event]`` names, each
@@ -454,8 +420,9 @@ class Network:
 
     def _disengage_vector(self) -> None:
         """Materialize and drop the vector engine (and never re-engage):
-        called before attaching what the engine does not model — a
-        fault injector, a per-flit subscriber — and by ``close``."""
+        called before a per-flit subscriber attaches (the engine does
+        not announce per-flit events) and by ``close``.  A faulted
+        network never engages: ``try_engage`` refuses it."""
         self._select_at = _NEVER
         if self._engine is not None:
             self._engine.materialize()

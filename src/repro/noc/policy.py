@@ -25,7 +25,12 @@ class PowerPolicy:
     name = "No-PG"
 
     def attach(self, network: "Network") -> None:
-        """Called once when the network is built."""
+        """Called once when the network is built, after its fault
+        injector (``network.faults``, None when fault-free) and before
+        its invariant checker: the robustness layer is config, so a
+        power-gated scheme wires the injector into its punch fabric and
+        PG controllers here; the always-on baseline has no wakeup
+        machinery to fault."""
         self.network = network
 
     def detach(self) -> None:
@@ -33,13 +38,6 @@ class PowerPolicy:
         (and, in subclasses, every hook bound to this policy) while
         keeping the run's counters readable."""
         self.network = None
-
-    def on_faults_installed(self, injector) -> None:
-        """A :class:`repro.noc.faults.FaultInjector` was installed on the
-        attached network.  Power-gated schemes override this to wire the
-        injector into their punch fabric and PG controllers and to arm
-        the blocking-wakeup fallback; the always-on baseline has no
-        wakeup machinery to fault."""
 
     # ------------------------------------------------------------------
     # Queries from routers / NIs

@@ -8,7 +8,7 @@ from repro import cli
 from repro.campaign import Campaign, CampaignError, CellSpec, encode_payload
 from repro.experiments import table1
 from repro.experiments.common import CANONICAL_INSTRUCTIONS
-from repro.noc import DeadlockError, FaultSpecError, NoCConfig
+from repro.noc import DeadlockError, NoCConfig
 
 
 class TestDispatch:
@@ -203,8 +203,9 @@ class TestRobustnessFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_fault_spec_fails_before_any_cell_runs(self, probe):
-        with pytest.raises(FaultSpecError):
+        with pytest.raises(SystemExit) as excinfo:
             cli.main(["--faults", "frobnicate,rate=0.5", "probe"])
+        assert excinfo.value.code == 2
         assert probe == []
 
     def test_all_hands_its_robustness_options_to_every_subcommand(
@@ -281,6 +282,27 @@ def test_a_flag_the_command_cannot_honour_is_a_usage_error(argv, flag, sub_runs,
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     command = next(arg for arg in argv if arg in ("table1", "guarantees", "reliability"))
     assert len(errors) == 1 and flag in errors[0] and command in errors[0]
+    assert sub_runs == {}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--watchdog", "0", "fig12"], "watchdog must be positive"),
+        (["--faults", "bogus", "fig12"], "unknown fault kind 'bogus'"),
+        (["fig12", "--faults", "punch_drop,rate=2"], "fault rate must be in [0, 1]"),
+        (["fig12", "--watchdog", "300"], "watchdog is read only with strict_invariants"),
+    ],
+    ids=["watchdog-zero", "faults-bogus", "faults-rate", "watchdog-unread"],
+)
+def test_a_bad_robustness_value_is_a_usage_error(argv, message, sub_runs, capsys):
+    """A value no cell config accepts is refused on the command line,
+    in one line naming the command, before any cell runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "fig12" in errors[0] and message in errors[0]
     assert sub_runs == {}
 
 

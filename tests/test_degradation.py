@@ -17,7 +17,6 @@ from repro.noc import (
     FaultInjector,
     FaultSchedule,
     FaultSpec,
-    InvariantChecker,
     Network,
     NoCConfig,
     VirtualNetwork,
@@ -26,23 +25,21 @@ from repro.noc import (
 
 #: Router 5 sits mid-mesh on the 4->6 XY route of a 4x4 mesh.
 DEAD = 5
+#: It stalls for good from cycle 0.
+STALL_DEAD = f"router_stall,router={DEAD}"
 
 
-def build(*, kernel="active", threshold=50):
+def build(*, kernel="active", threshold=50, **robustness):
     config = NoCConfig(
         width=4,
         height=4,
         kernel=kernel,
         degradation="reroute",
         dead_router_threshold=threshold,
+        faults=STALL_DEAD,
+        **robustness,
     )
-    net = Network(config, NoPG())
-    net.install_faults(
-        FaultInjector(
-            FaultSchedule([FaultSpec(kind="router_stall", router=DEAD, start=0)])
-        )
-    )
-    return net
+    return Network(config, NoPG())
 
 
 class TestConfig:
@@ -88,15 +85,8 @@ class TestDeathDetection:
         assert injector.dead_routers(200, 50) == []
 
     def test_none_policy_never_even_checks(self):
-        config = NoCConfig(width=4, height=4)  # degradation="none"
+        config = NoCConfig(width=4, height=4, faults=STALL_DEAD)  # degradation="none"
         net = Network(config, NoPG())
-        net.install_faults(
-            FaultInjector(
-                FaultSchedule(
-                    [FaultSpec(kind="router_stall", router=DEAD, start=0)]
-                )
-            )
-        )
         for _ in range(200):
             net.step()
         assert net.dead_routers == set()
@@ -109,9 +99,8 @@ class TestPurge:
         is declared dead: it is purged whole, and the purge restores
         credits and ownership so the mesh drains clean under the strict
         checker instead of wedging."""
-        net = build(kernel=kernel, threshold=50)
-        checker = InvariantChecker(max_network_age=100_000)
-        net.install_invariants(checker)
+        net = build(kernel=kernel, threshold=50, strict_invariants=True, watchdog=100_000)
+        checker = net.invariants
         packet = control_packet(4, 6, VirtualNetwork.REQUEST, 0)
         net.inject(packet)
         net.run(120)

@@ -159,6 +159,8 @@ class TestRunKeyedAndPivot:
     def test_engine_options_go_to_the_campaign(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.campaign.engine.run_cell", lambda spec: {"seed": spec.seed})
         cells = [(seed, CellSpec.reliability(seed)) for seed in (1, 2)]
-        run_keyed("keyed", cells, cache_dir=str(tmp_path), config_overrides={"watchdog": 9})
+        run_keyed(
+            "keyed", cells, cache_dir=str(tmp_path), config_overrides={"dead_router_threshold": 9}
+        )
         assert (tmp_path / "keyed.events.jsonl").exists()
         assert run_keyed("keyed", []) == []

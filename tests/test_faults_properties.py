@@ -11,6 +11,8 @@ excluded here; they exist to be *detected* and are covered by
 ``tests/test_invariants.py``.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
@@ -22,7 +24,6 @@ from repro.noc import (
     FaultSchedule,
     FaultSpec,
     FaultSpecError,
-    InvariantChecker,
     Network,
     NoCConfig,
     VirtualNetwork,
@@ -90,11 +91,12 @@ class TestLivenessProperties:
     @given(schedule=liveness_schedules())
     def test_delivery_and_conservation_under_liveness_faults(self, schedule):
         scheme = PowerPunchPG(wakeup_latency=8)
-        net = Network(CONFIG, scheme)
-        checker = InvariantChecker(max_network_age=20_000)
-        net.install_invariants(checker)
-        net.install_faults(FaultInjector(schedule))
-        # Installing faults arms the paper-baseline blocking fallback.
+        config = replace(
+            CONFIG, faults=schedule.to_spec(), strict_invariants=True, watchdog=20_000
+        )
+        net = Network(config, scheme)
+        checker = net.invariants
+        # A faulted network arms the paper-baseline blocking fallback.
         assert scheme.blocking_fallback
         for _ in range(30):
             net.step()
@@ -119,9 +121,8 @@ class TestLivenessProperties:
         """Same (schedule, workload) pair => identical run, bit for bit."""
 
         def run():
-            net = Network(CONFIG, PowerPunchPG())
-            injector = FaultInjector(schedule)
-            net.install_faults(injector)
+            net = Network(replace(CONFIG, faults=schedule.to_spec()), PowerPunchPG())
+            injector = net.faults
             traffic = SyntheticTraffic(net, "uniform_random", 0.02, seed=9)
             measure(net, traffic, warmup=100, measurement=300)
             s = net.stats
@@ -133,9 +134,7 @@ class TestLivenessProperties:
 class TestBlockingFallback:
     def _cold_start_latency(self, schedule):
         scheme = PowerPunchPG(wakeup_latency=8)
-        net = Network(CONFIG, scheme)
-        if schedule is not None:
-            net.install_faults(FaultInjector(schedule))
+        net = Network(replace(CONFIG, faults=schedule), scheme)
         for _ in range(30):
             net.step()
         packet = control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle)
@@ -147,16 +146,12 @@ class TestBlockingFallback:
         """With every punch dropped, PowerPunch silently becomes the
         baseline blocking scheme: slower, but every packet arrives."""
         healthy = self._cold_start_latency(None)
-        degraded = self._cold_start_latency(
-            FaultSchedule([FaultSpec(kind="punch_drop")])
-        )
+        degraded = self._cold_start_latency("punch_drop")
         assert degraded > healthy
 
     def test_duplicate_punches_are_harmless(self):
         healthy = self._cold_start_latency(None)
-        duplicated = self._cold_start_latency(
-            FaultSchedule([FaultSpec(kind="punch_dup")])
-        )
+        duplicated = self._cold_start_latency("punch_dup")
         # Extra wakeups cannot slow a packet down.
         assert duplicated <= healthy
 

@@ -14,6 +14,7 @@ on any topology, scheme, or cycle kernel.
 import ast
 import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,10 +35,6 @@ from repro.guarantees import (
 )
 from repro.noc import (
     BoundViolationError,
-    FaultInjector,
-    FaultSchedule,
-    FaultSpec,
-    InvariantChecker,
     Network,
     NoCConfig,
 )
@@ -232,8 +229,7 @@ def test_nonstrict_checker_accumulates_violations():
 
 def test_violation_carries_post_mortem_with_invariants():
     scheme = PowerPunchPG()
-    network = Network(CONFIG, scheme)
-    network.install_invariants(InvariantChecker())
+    network = Network(replace(CONFIG, strict_invariants=True), scheme)
     _no_contention_checker(scheme, strict=True).attach(network)
     traffic = SyntheticTraffic(network, "uniform_random", 0.2, seed=7)
     with pytest.raises(BoundViolationError) as excinfo:
@@ -244,9 +240,7 @@ def test_violation_carries_post_mortem_with_invariants():
 
 
 def test_checker_refuses_faulted_network():
-    network = Network(CONFIG, PowerPunchPG())
-    schedule = FaultSchedule((FaultSpec(kind="punch_drop", rate=0.5),))
-    network.install_faults(FaultInjector(schedule))
+    network = Network(replace(CONFIG, faults="punch_drop,rate=0.5"), PowerPunchPG())
     with pytest.raises(UnboundableConfigError):
         BoundChecker().attach(network)
 

@@ -15,10 +15,6 @@ from repro.noc import (
     DeadlockError,
     Direction,
     DrainTimeoutError,
-    FaultInjector,
-    FaultSchedule,
-    FaultSpec,
-    InvariantChecker,
     InvariantViolation,
     Network,
     NoCConfig,
@@ -33,8 +29,19 @@ from repro.noc.tracing import EventRing
 from repro.traffic import SyntheticTraffic, measure
 
 
-def small_config():
-    return NoCConfig(width=4, height=4)
+def small_config(**robustness):
+    return NoCConfig(width=4, height=4, **robustness)
+
+
+#: Router 2 stalls for good from cycle 0 (a seeded deadlock).
+STALL_R2 = "router_stall,router=2"
+#: Every wakeup of router 0 fails: its NI can never send.
+STARVE_R0 = "wakeup_fail,router=0"
+
+
+def checked_config(**robustness):
+    """A 4x4 config whose networks build the strict checker."""
+    return small_config(strict_invariants=True, **robustness)
 
 
 class TestEventRing:
@@ -61,9 +68,8 @@ class TestEventRing:
 
 class TestCleanRuns:
     def test_strict_checker_clean_on_powerpunch_traffic(self):
-        net = Network(small_config(), PowerPunchPG())
-        checker = InvariantChecker()
-        net.install_invariants(checker)
+        net = Network(checked_config(), PowerPunchPG())
+        checker = net.invariants
         traffic = SyntheticTraffic(net, "uniform_random", 0.02, seed=3)
         measure(net, traffic, warmup=200, measurement=600)
         assert checker.checks_run > 0
@@ -76,9 +82,7 @@ class TestCleanRuns:
         must produce bit-identical statistics."""
 
         def run(with_checker):
-            net = Network(small_config(), PowerPunchPG())
-            if with_checker:
-                net.install_invariants(InvariantChecker())
+            net = Network(small_config(strict_invariants=with_checker), PowerPunchPG())
             traffic = SyntheticTraffic(net, "uniform_random", 0.03, seed=11)
             measure(net, traffic, warmup=200, measurement=600)
             s = net.stats
@@ -88,17 +92,15 @@ class TestCleanRuns:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            InvariantChecker(max_network_age=0)
+            checked_config(watchdog=0)
 
 
 class TestTamperDetection:
     """Each structural invariant fires when its bookkeeping is broken."""
 
     def _checked_net(self):
-        net = Network(small_config())
-        checker = InvariantChecker()
-        net.install_invariants(checker)
-        return net, checker
+        net = Network(checked_config())
+        return net, net.invariants
 
     def test_stolen_credit_detected(self):
         net, checker = self._checked_net()
@@ -144,11 +146,7 @@ class TestSafetyFaultDetection:
     """The injector's safety faults exist to be caught by the checker."""
 
     def test_dropped_credit_breaks_credit_conservation(self):
-        net = Network(small_config())
-        net.install_invariants(InvariantChecker())
-        net.install_faults(
-            FaultInjector(FaultSchedule([FaultSpec(kind="credit_drop", count=1)]))
-        )
+        net = Network(checked_config(faults="credit_drop,count=1"))
         net.inject(control_packet(0, 3, VirtualNetwork.REQUEST, 0))
         with pytest.raises(InvariantViolation) as excinfo:
             net.run(60)
@@ -156,23 +154,15 @@ class TestSafetyFaultDetection:
         assert net.faults.counts["credit_drop"] == 1
 
     def test_corrupted_flit_flagged_on_arrival(self):
-        net = Network(small_config())
-        net.install_invariants(InvariantChecker())
-        net.install_faults(
-            FaultInjector(FaultSchedule([FaultSpec(kind="flit_corrupt", count=1)]))
-        )
+        net = Network(checked_config(faults="flit_corrupt,count=1"))
         net.inject(control_packet(0, 1, VirtualNetwork.REQUEST, 0))
         with pytest.raises(InvariantViolation) as excinfo:
             net.run(60)
         assert excinfo.value.invariant == "flit-integrity"
         assert net.faults.counts["flit_corrupt"] == 1
 
-    def test_fault_events_reach_the_flight_recorder(self):
-        net = Network(small_config())
-        net.install_invariants(InvariantChecker())
-        net.install_faults(
-            FaultInjector(FaultSchedule([FaultSpec(kind="credit_drop", count=1)]))
-        )
+    def test_fault_events_reach_the_networks_ring(self):
+        net = Network(checked_config(faults="credit_drop,count=1"))
         net.inject(control_packet(0, 3, VirtualNetwork.REQUEST, 0))
         with pytest.raises(InvariantViolation):
             net.run(60)
@@ -186,14 +176,7 @@ class TestWatchdog:
         packet's path; the watchdog must raise a DeadlockError whose
         post-mortem names the route and the routers' PG states."""
         scheme = PowerPunchPG(wakeup_latency=8)
-        net = Network(small_config(), scheme)
-        checker = InvariantChecker(max_network_age=200)
-        net.install_invariants(checker)
-        net.install_faults(
-            FaultInjector(
-                FaultSchedule([FaultSpec(kind="router_stall", router=2, start=0)])
-            )
-        )
+        net = Network(checked_config(faults=STALL_R2, watchdog=200), scheme)
         for _ in range(30):
             net.step()
         packet = control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle)
@@ -224,30 +207,23 @@ class TestWatchdog:
 
     def test_watchdog_queue_age_catches_starved_ni(self):
         """A packet that never even enters the mesh (every wakeup at
-        its source router fails) trips the queue-age bound."""
+        its source router fails) has no network age: the drain times
+        out, and its post-mortem names the packet still queued."""
         scheme = PowerPunchPG(wakeup_latency=8)
-        net = Network(small_config(), scheme)
-        checker = InvariantChecker(max_queue_age=100)
-        net.install_invariants(checker)
-        net.install_faults(
-            FaultInjector(
-                FaultSchedule([FaultSpec(kind="wakeup_fail", router=0)])
-            )
-        )
+        net = Network(checked_config(faults=STARVE_R0), scheme)
         for _ in range(30):
             net.step()  # let the idle mesh gate off
         assert scheme.controllers[0].is_off
         packet = control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle)
         net.inject(packet)
-        with pytest.raises(DeadlockError) as excinfo:
-            net.run(1000)
+        with pytest.raises(DrainTimeoutError) as excinfo:
+            net.run_until_drained(1000)
         stuck = excinfo.value.post_mortem.stuck_packets[0]
         assert stuck["packet_id"] == packet.packet_id
         assert stuck["injected_at"] is None
 
     def test_watchdog_quiet_on_healthy_run(self):
-        net = Network(small_config(), PowerPunchPG())
-        net.install_invariants(InvariantChecker(max_network_age=500))
+        net = Network(checked_config(watchdog=500), PowerPunchPG())
         for _ in range(30):
             net.step()
         packet = control_packet(0, 15, VirtualNetwork.REQUEST, net.cycle)
@@ -256,13 +232,7 @@ class TestWatchdog:
         assert packet.delivered_at is not None
 
     def test_drain_timeout_carries_post_mortem(self):
-        net = Network(small_config(), PowerPunchPG())
-        net.install_invariants(InvariantChecker(max_network_age=10_000))
-        net.install_faults(
-            FaultInjector(
-                FaultSchedule([FaultSpec(kind="router_stall", router=1, start=0)])
-            )
-        )
+        net = Network(checked_config(faults="router_stall,router=1"), PowerPunchPG())
         net.inject(control_packet(0, 3, VirtualNetwork.REQUEST, 0))
         with pytest.raises(DrainTimeoutError) as excinfo:
             net.run_until_drained(300)
@@ -317,14 +287,7 @@ class TestWatchdogKernelParity:
 
     def seeded_deadlock(self, kernel):
         scheme = PowerPunchPG(wakeup_latency=8)
-        net = Network(NoCConfig(width=4, height=4, kernel=kernel), scheme)
-        checker = InvariantChecker(max_network_age=200)
-        net.install_invariants(checker)
-        net.install_faults(
-            FaultInjector(
-                FaultSchedule([FaultSpec(kind="router_stall", router=2, start=0)])
-            )
-        )
+        net = Network(checked_config(kernel=kernel, faults=STALL_R2, watchdog=200), scheme)
         for _ in range(30):
             net.step()  # the idle mesh gates routers off
         packet = control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle)
@@ -340,23 +303,20 @@ class TestWatchdogKernelParity:
 
     def test_starved_ni_detected_while_mesh_fully_parked(self, kernel):
         """Every wakeup at the source router fails, so the whole mesh
-        stays parked/off — the queue-age bound must still fire."""
+        stays parked/off — the drain must still time out and name the
+        packet starved in its NI queue."""
         scheme = PowerPunchPG(wakeup_latency=8)
-        net = Network(NoCConfig(width=4, height=4, kernel=kernel), scheme)
-        checker = InvariantChecker(max_queue_age=100)
-        net.install_invariants(checker)
-        net.install_faults(
-            FaultInjector(
-                FaultSchedule([FaultSpec(kind="wakeup_fail", router=0)])
-            )
-        )
+        net = Network(checked_config(kernel=kernel, faults=STARVE_R0), scheme)
         for _ in range(30):
             net.step()
         assert scheme.controllers[0].is_off
-        net.inject(control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle))
-        with pytest.raises(DeadlockError) as excinfo:
-            net.run(1000)
-        assert excinfo.value.post_mortem.stuck_packets[0]["injected_at"] is None
+        packet = control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle)
+        net.inject(packet)
+        with pytest.raises(DrainTimeoutError) as excinfo:
+            net.run_until_drained(1000)
+        stuck = excinfo.value.post_mortem.stuck_packets[0]
+        assert stuck["packet_id"] == packet.packet_id
+        assert stuck["injected_at"] is None
 
 
 def test_watchdog_detection_cycle_is_kernel_exact():
@@ -365,13 +325,7 @@ def test_watchdog_detection_cycle_is_kernel_exact():
     detected = {}
     for kernel in ("active", "naive"):
         scheme = PowerPunchPG(wakeup_latency=8)
-        net = Network(NoCConfig(width=4, height=4, kernel=kernel), scheme)
-        net.install_invariants(InvariantChecker(max_network_age=200))
-        net.install_faults(
-            FaultInjector(
-                FaultSchedule([FaultSpec(kind="router_stall", router=2, start=0)])
-            )
-        )
+        net = Network(checked_config(kernel=kernel, faults=STALL_R2, watchdog=200), scheme)
         for _ in range(30):
             net.step()
         net.inject(control_packet(0, 3, VirtualNetwork.REQUEST, net.cycle))

@@ -53,8 +53,6 @@ from repro.core import ConvOptPG, NoPG, PowerPunchPG, PowerPunchSignal
 from repro.noc import Network, NoCConfig
 from repro.noc.buffers import VirtualChannel
 from repro.noc.network import _ENGAGE_ABOVE, _NEVER, _SELECT_WINDOW
-from repro.noc.faults import FaultInjector, FaultSchedule, FaultSpec
-from repro.noc.invariants import InvariantChecker
 from repro.noc.router import Router
 from repro.powergate.controller import PGState, PowerGateController
 from repro.system import Chip, get_profile
@@ -182,8 +180,7 @@ class TestKernelEquivalence:
         assert all(result == results[0] for result in results)
 
     def test_strict_invariants_clean_on_active_kernel(self):
-        net = Network(NoCConfig(kernel="active"), PowerPunchPG())
-        net.install_invariants(InvariantChecker())
+        net = Network(NoCConfig(kernel="active", strict_invariants=True), PowerPunchPG())
         traffic = SyntheticTraffic(net, "uniform_random", 0.02, seed=11)
         traffic.run(600)
         traffic.drain()
@@ -255,15 +252,9 @@ class TestKernelFingerprintProperty:
                 kernel=kernel,
                 degradation="reroute",
                 dead_router_threshold=50,
+                faults=f"router_stall,router={dead},start=100",
             )
             net = Network(config, SCHEMES[scheme_name]())
-            net.install_faults(
-                FaultInjector(
-                    FaultSchedule(
-                        [FaultSpec(kind="router_stall", router=dead, start=100)]
-                    )
-                )
-            )
             traffic = SyntheticTraffic(net, "uniform_random", rate, seed=seed)
             traffic.run(400)
             if kernel in ("vector", "auto"):
@@ -361,13 +352,9 @@ class TestOracleIndependence:
                 kernel="naive",
                 degradation="reroute",
                 dead_router_threshold=50,
+                faults="router_stall,router=5,start=100",
             )
             net = Network(config, PowerPunchPG())
-            net.install_faults(
-                FaultInjector(
-                    FaultSchedule([FaultSpec(kind="router_stall", router=5, start=100)])
-                )
-            )
             if poisoned:
                 _poison_work_sets(net)
             traffic = SyntheticTraffic(net, "uniform_random", 0.05, seed=3)

@@ -13,7 +13,7 @@ import gc
 import hashlib
 import json
 import weakref
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,9 +24,6 @@ from repro.experiments.common import SCHEME_ORDER, make_scheme
 from repro.guarantees import BoundChecker
 from repro.noc import (
     DeadlockError,
-    FaultInjector,
-    FaultSchedule,
-    InvariantChecker,
     Network,
     NetworkClosedError,
     NoCConfig,
@@ -34,7 +31,6 @@ from repro.noc import (
     VirtualNetwork,
     control_packet,
 )
-from repro.noc.packet import reset_packet_ids
 from repro.power import EnergyModel
 from repro.system import Chip, get_profile
 from repro.traffic import SyntheticTraffic
@@ -254,37 +250,12 @@ class TestFailedCell:
         assert report["error"].startswith(event["error"])
         assert report["post_mortem"] and report["post_mortem"] in report["error"]
 
-    def test_flight_recorder_is_independent_of_install_order(self):
-        """The network owns the one ring: installing the checker before
-        the injector or after it records the same events and renders
-        the same post-mortem (the ring outlives ``close``)."""
-
-        def run(checker_first):
-            reset_packet_ids()
-            chip = Chip(
-                NoCConfig(), make_scheme("PowerPunch-PG"), get_profile("bodytrack"),
-                instructions_per_core=300, seed=1, benchmark="bodytrack",
-            )
-            network = chip.network
-            installs = [
-                lambda: network.install_invariants(
-                    InvariantChecker(max_network_age=STALLED.watchdog)
-                ),
-                lambda: network.install_faults(
-                    FaultInjector(FaultSchedule.parse(STALLED.faults))
-                ),
-            ]
-            for install in installs if checker_first else installs[::-1]:
-                install()
-            assert network.faults.ring is network.ring is not None
-            with closing(chip), pytest.raises(DeadlockError) as excinfo:
-                chip.run()
-            ring = network.ring
-            return ring.recorded, ring.snapshot(), excinfo.value.post_mortem.render()
-
-        recorded, events, rendered = run(checker_first=True)
-        assert {"created", "delivered"} <= {e.kind for e in events}
-        assert run(checker_first=False) == (recorded, events, rendered)
+    def test_injector_and_checker_share_the_networks_one_ring(self):
+        """A config with faults and strict invariants gives the injector
+        and the checker (which writes ``network.ring``) one ring."""
+        network = Network(STALLED)
+        assert network.faults.ring is network.ring is not None
+        assert network.invariants.network is network
 
     def test_a_failed_cell_does_not_pin_its_chip(self, monkeypatch):
         """An inline ``failure_mode="continue"`` campaign keeps every

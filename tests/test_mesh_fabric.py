@@ -29,7 +29,6 @@ from repro.noc import (
     ConfigError,
     Direction,
     FaultTolerantRouting,
-    InvariantChecker,
     InvariantViolation,
     MeshTopology,
     Network,
@@ -249,8 +248,7 @@ class TestMeshDelivery:
     )
     def test_low_load_delivers_everything_deadlock_free(self, seed, shape):
         width, height = shape
-        net = Network(NoCConfig(width=width, height=height))
-        net.install_invariants(InvariantChecker())
+        net = Network(NoCConfig(width=width, height=height, strict_invariants=True))
         traffic = SyntheticTraffic(net, "uniform_random", 0.04, seed=seed)
         traffic.run(400)
         traffic.drain(max_cycles=50_000)

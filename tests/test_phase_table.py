@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench import _stats_fingerprint
 from repro.core import PowerPunchPG
-from repro.noc import FaultInjector, FaultSchedule, Network, NoCConfig
+from repro.noc import Network, NoCConfig
 from repro.traffic import SyntheticTraffic
 
 #: The declared tables of an 8x8 PowerPunchPG network, by kernel.
@@ -77,12 +77,17 @@ def test_the_engine_shares_the_object_kernels_ni_phase_and_cycle_close():
 
 @pytest.mark.parametrize("degradation", ["none", "reroute"])
 def test_the_degradation_check_leads_only_a_degrading_faulted_table(degradation):
-    config = NoCConfig(width=4, height=4, degradation=degradation, dead_router_threshold=50)
-    net = Network(config, PowerPunchPG())
-    assert net._check_degradation not in net.phases
-    net.install_faults(FaultInjector(FaultSchedule([])))
-    leading = [phase.__name__ for phase in net.phases[: -len(TABLES["active"])]]
-    assert leading == (["_check_degradation"] if degradation != "none" else [])
+    def leading(faults):
+        config = NoCConfig(
+            width=4, height=4, degradation=degradation, dead_router_threshold=50,
+            faults=faults,
+        )
+        net = Network(config, PowerPunchPG())
+        return [phase.__name__ for phase in net.phases[: -len(TABLES["active"])]]
+
+    assert leading(None) == []
+    # An empty schedule: a fault injector that never fires.
+    assert leading("") == (["_check_degradation"] if degradation != "none" else [])
 
 
 def test_auto_ends_an_engaged_run_on_the_object_table():

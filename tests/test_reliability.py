@@ -396,6 +396,36 @@ class TestRobustnessArgs:
         with pytest.raises(ValueError):
             CellSpec.reliability(1).with_config_overrides({"watchdog": 0})
 
+    def test_a_watchdog_without_strict_invariants_is_refused(self):
+        """Only the strict checker reads ``watchdog``: alone it would move
+        a cell's content address and change no payload."""
+        cell = CellSpec.synthetic("uniform_random", 0.02, "ConvOpt-PG")
+        with pytest.raises(ValueError, match="strict_invariants"):
+            cell.with_config_overrides({"watchdog": 5})
+        checked = cell.with_config_overrides({"strict_invariants": True, "watchdog": 5})
+        assert dict(checked.config)["watchdog"] == 5
+
+    def test_the_watchdog_is_a_trial_parameter_not_cell_config(self, monkeypatch):
+        """``reliability --watchdog N`` reaches every trial's extras and
+        no cell's config, whose keys it would move for nothing."""
+        from repro import cli
+        from repro.campaign import Campaign
+
+        runs = []
+
+        def run(campaign, **engine):
+            runs.append((campaign, dict(engine["config_overrides"])))
+            return []
+
+        monkeypatch.setattr(Campaign, "run", run)
+        monkeypatch.setattr("repro.experiments.reliability.aggregate", lambda outcomes: {})
+        monkeypatch.setattr("repro.experiments.reliability.report", lambda estimate: "")
+        cli.main(["reliability", "--samples", "2", "--watchdog", "7"])
+        [(campaign, overrides)] = runs
+        assert overrides == {"degradation": "reroute", "dead_router_threshold": 200}
+        assert [dict(cell.extras)["watchdog"] for cell in campaign.cells] == [7, 7]
+        assert all("watchdog" not in dict(cell.config) for cell in campaign.cells)
+
     def test_bad_degradation_choice_exits(self):
         with pytest.raises(SystemExit):
             campaign_argparser().parse_args(["--degradation", "explode"])

@@ -18,9 +18,7 @@ from repro.core import NoPG, PowerPunchPG
 from repro.noc import (
     FaultInjector,
     FaultSchedule,
-    FaultSpec,
     FaultTolerantRouting,
-    InvariantChecker,
     MeshTopology,
     Network,
     NoCConfig,
@@ -51,27 +49,21 @@ def build(
     start=0,
     width=4,
     height=4,
+    **robustness,
 ):
+    routers = dead if isinstance(dead, (list, tuple, set)) else [dead]
     config = NoCConfig(
         width=width,
         height=height,
         kernel=kernel,
         degradation="reroute",
         dead_router_threshold=threshold,
+        faults=";".join(
+            f"router_stall,router={rid},start={start}" for rid in sorted(routers)
+        ),
+        **robustness,
     )
-    net = Network(config, scheme if scheme is not None else NoPG())
-    routers = dead if isinstance(dead, (list, tuple, set)) else [dead]
-    net.install_faults(
-        FaultInjector(
-            FaultSchedule(
-                [
-                    FaultSpec(kind="router_stall", router=rid, start=start)
-                    for rid in sorted(routers)
-                ]
-            )
-        )
-    )
-    return net
+    return Network(config, scheme if scheme is not None else NoPG())
 
 
 class TestXYRoutingCaches:
@@ -184,9 +176,8 @@ class TestStaleRouteRegression:
 class TestRerouteDegradation:
     @pytest.mark.parametrize("kernel", ["active", "naive"])
     def test_traffic_keeps_flowing_with_invariants_green(self, kernel):
-        net = build(kernel=kernel, threshold=60)
-        checker = InvariantChecker(max_network_age=50_000)
-        net.install_invariants(checker)
+        net = build(kernel=kernel, threshold=60, strict_invariants=True, watchdog=50_000)
+        checker = net.invariants
         traffic = SyntheticTraffic(net, "uniform_random", 0.05, seed=3)
         traffic.run(600)
         assert net.dead_routers == {DEAD}
@@ -215,8 +206,7 @@ class TestRerouteDegradation:
     def test_unreachable_destination_is_refused_not_hung(self):
         """A node disconnected by the fault becomes an accounted
         refusal at the NI door — never a silent hang."""
-        net = build(dead=[1, 4], threshold=40)
-        net.install_invariants(InvariantChecker(max_network_age=50_000))
+        net = build(dead=[1, 4], threshold=40, strict_invariants=True, watchdog=50_000)
         net.run(50)
         assert net.dead_routers == {1, 4}
         stranded = control_packet(0, 15, VirtualNetwork.REQUEST, net.cycle)
@@ -234,9 +224,11 @@ class TestRerouteDegradation:
         with one mid-mesh router dying mid-run — at least 99% of the
         packets injected into the mesh are delivered, under the strict
         checker and deadlock watchdog."""
-        net = build(width=8, height=8, dead=27, start=500, threshold=100)
-        checker = InvariantChecker(max_network_age=50_000)
-        net.install_invariants(checker)
+        net = build(
+            width=8, height=8, dead=27, start=500, threshold=100,
+            strict_invariants=True, watchdog=50_000,
+        )
+        checker = net.invariants
         traffic = SyntheticTraffic(net, "uniform_random", 0.02, seed=11)
         traffic.run(4000)
         assert net.dead_routers == {27}
@@ -251,16 +243,15 @@ class TestRerouteDegradation:
         """With no degradation a permanently stalled router wedges the
         packet behind it until the watchdog trips; the error names the
         fault schedule, and no router was ever declared dead."""
-        config = NoCConfig(width=4, height=4, dead_router_threshold=50)
-        net = Network(config, NoPG())
-        net.install_faults(
-            FaultInjector(
-                FaultSchedule(
-                    [FaultSpec(kind="router_stall", router=DEAD, start=0)]
-                )
-            )
+        config = NoCConfig(
+            width=4,
+            height=4,
+            dead_router_threshold=50,
+            faults=f"router_stall,router={DEAD}",
+            strict_invariants=True,
+            watchdog=100,
         )
-        net.install_invariants(InvariantChecker(max_network_age=100))
+        net = Network(config, NoPG())
         net.inject(control_packet(4, 6, VirtualNetwork.REQUEST, 0))
         from repro.noc import DeadlockError
 
@@ -349,13 +340,13 @@ class TestWakeupRetry:
         routers dark forever without retries; with them the network
         drains and the counters land in NetworkStats."""
         reset_packet_ids()
-        config = NoCConfig(width=4, height=4, kernel=kernel)
-        net = Network(config, PowerPunchPG(wakeup_latency=8, timeout=4))
-        net.install_faults(
-            FaultInjector(
-                FaultSchedule.parse("wakeup_fail,rate=1.0,start=0,end=300;seed=9")
-            )
+        config = NoCConfig(
+            width=4,
+            height=4,
+            kernel=kernel,
+            faults="wakeup_fail,rate=1.0,start=0,end=300;seed=9",
         )
+        net = Network(config, PowerPunchPG(wakeup_latency=8, timeout=4))
         rng = random.Random(3)
         for cyc in range(600):
             if cyc < 400 and rng.random() < 0.1:
@@ -373,15 +364,13 @@ class TestWakeupRetry:
         dumps = []
         for kernel in ("active", "naive"):
             reset_packet_ids()
-            config = NoCConfig(width=4, height=4, kernel=kernel)
-            net = Network(config, PowerPunchPG(wakeup_latency=8, timeout=4))
-            net.install_faults(
-                FaultInjector(
-                    FaultSchedule.parse(
-                        "wakeup_fail,rate=1.0,start=0,end=400;seed=13"
-                    )
-                )
+            config = NoCConfig(
+                width=4,
+                height=4,
+                kernel=kernel,
+                faults="wakeup_fail,rate=1.0,start=0,end=400;seed=13",
             )
+            net = Network(config, PowerPunchPG(wakeup_latency=8, timeout=4))
             traffic = SyntheticTraffic(net, "uniform_random", 0.03, seed=5)
             traffic.run(700)
             traffic.drain()

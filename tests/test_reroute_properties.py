@@ -20,11 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import NoPG, PowerPunchPG
 from repro.noc import (
-    FaultInjector,
-    FaultSchedule,
-    FaultSpec,
     FaultTolerantRouting,
-    InvariantChecker,
     MeshTopology,
     Network,
     NoCConfig,
@@ -38,21 +34,22 @@ MESH = 4
 NODES = MESH * MESH
 
 
-def _reroute_network(dead, *, kernel="active", start=20, threshold=30):
+def _reroute_network(dead, *, kernel="active", start=20, threshold=30, **robustness):
     config = NoCConfig(
         width=MESH,
         height=MESH,
         kernel=kernel,
         degradation="reroute",
         dead_router_threshold=threshold,
+        faults=f"router_stall,router={dead},start={start}",
+        **robustness,
     )
-    net = Network(config, NoPG())
-    net.install_faults(
-        FaultInjector(
-            FaultSchedule([FaultSpec(kind="router_stall", router=dead, start=start)])
-        )
-    )
-    return net
+    return Network(config, NoPG())
+
+
+def _checked_reroute_network(dead):
+    """The placement sweeps' network, under the strict checker."""
+    return _reroute_network(dead, strict_invariants=True, watchdog=20_000)
 
 
 class TestEveryPlacementDelivers:
@@ -66,9 +63,8 @@ class TestEveryPlacementDelivers:
         """Hypothesis sweeps (placement, workload); a one-router fault
         anywhere on the mesh never deadlocks and never loses a packet
         injected after the reroute took effect."""
-        net = _reroute_network(dead)
-        checker = InvariantChecker(max_network_age=20_000)
-        net.install_invariants(checker)
+        net = _checked_reroute_network(dead)
+        checker = net.invariants
         net.run(60)  # stall at 20 + threshold 30 => declared dead by 60
         assert net.dead_routers == {dead}
         rng = random.Random(seed)
@@ -93,10 +89,7 @@ class TestEveryPlacementDelivers:
         """Deterministic exhaustive pass: all 16 placements, fixed
         workload, all delivered (complements the randomized sweep)."""
         for dead in range(NODES):
-            net = _reroute_network(dead)
-            net.install_invariants(
-                InvariantChecker(max_network_age=20_000)
-            )
+            net = _checked_reroute_network(dead)
             net.run(60)
             assert net.dead_routers == {dead}
             live = [n for n in range(NODES) if n != dead]
@@ -175,16 +168,10 @@ class TestKernelEquivalenceUnderReroute:
                 kernel=kernel,
                 degradation="reroute",
                 dead_router_threshold=60,
+                faults="router_stall,router=5,start=100;"
+                "wakeup_fail,rate=1.0,start=0,end=250;seed=3",
             )
             net = Network(config, PowerPunchPG(wakeup_latency=8, timeout=4))
-            net.install_faults(
-                FaultInjector(
-                    FaultSchedule.parse(
-                        "router_stall,router=5,start=100;"
-                        "wakeup_fail,rate=1.0,start=0,end=250;seed=3"
-                    )
-                )
-            )
             traffic = SyntheticTraffic(net, "uniform_random", 0.04, seed=seed)
             traffic.run(500)
             traffic.drain()
